@@ -8,6 +8,7 @@ criteria, with an audit that cross-validates the two.
 """
 
 from .classify import (
+    DefectOracle,
     DefectVerdict,
     MultiplicationReport,
     check_multiplication_corollary,

@@ -5,29 +5,44 @@ The defect operator of order ``m`` is the alternating binomial sum
 m-isometries.  Sandwiching it as ``T* B T`` gives the quasi version.
 These dense-matrix computations serve as the oracle against which the
 function-level criteria are audited.
+
+``T f = w E(u f)`` maps the span of each partition block into itself, so
+``T`` and every operator built from it here are block-diagonal.
+``DefectOracle`` therefore computes on the diagonal blocks alone, stacked
+by block size (see the stack kernels in ``linop``).  That is exact, and
+every check still runs on every block with the scale of the whole
+operator.  The public functions on a bare ``LinOp`` treat the whole
+matrix as one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError, PropertyViolation, ValidationError
 from .linop import (
     LinOp,
-    adjoint,
+    _adj,
+    _block_stack,
+    _eigh_stack,
+    _eigvals_stack,
+    _one_block,
+    _per_operand,
+    _power_stack,
     hermitian_eig,
-    hermitian_power,
-    is_psd,
     mult_op,
     op_norm,
 )
-from .measure import MeasureSpace, Mfunc
+from .measure import MeasureSpace, Mfunc, Partition
 
 __all__ = [
     "DefectVerdict",
+    "DefectOracle",
     "MultiplicationReport",
     "default_tolerance",
     "defect",
@@ -61,69 +76,84 @@ def default_tolerance(T: LinOp, m: int) -> float:
     return 1e-9 * max(1.0, op_norm(T) ** (2 * m))
 
 
-def _symmetrize(acc: np.ndarray, scale: float) -> np.ndarray:
-    asym = float(np.abs(acc - acc.conj().T).max())
-    if asym > 1e-10 * scale:
+def _symmetrize(stack: list[np.ndarray], scale: np.ndarray) -> list[np.ndarray]:
+    asym = _per_operand([np.abs(a - _adj(a)) for a in stack])
+    if np.any(asym > 1e-10 * scale):
+        i = int(np.argmax(asym / scale))
         raise NumericError(
-            f"defect matrix asymmetry {asym:.3e} exceeds 1e-10 at scale {scale:.3e}"
+            f"defect matrix asymmetry {asym[i]:.3e} exceeds 1e-10 "
+            f"at scale {scale[i]:.3e}"
         )
-    return 0.5 * (acc + acc.conj().T)
+    return [0.5 * (a + _adj(a)) for a in stack]
 
 
-def _gram_stack(T: LinOp, k_max: int) -> tuple[list[np.ndarray], list[float]]:
-    """``(T^k)* T^k`` for k = 0..k_max, with the entry scale of each."""
-    a = T.entries
-    grams: list[np.ndarray] = []
-    scales: list[float] = []
-    tk = np.eye(T.dim, dtype=complex)
-    for k in range(k_max + 1):
-        if k > 0:
-            tk = tk @ a
-        g = tk.conj().T @ tk
-        grams.append(g)
-        scales.append(max(1.0, float(np.abs(g).max())))
-    return grams, scales
+def _gram_stack(
+    t: list[np.ndarray], k_max: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``(T^k)* T^k`` for k = 0..k_max as operands of a stack, with the
+    entry scale of each."""
+    grams = []
+    for a in t:
+        tk = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+        powers = []
+        for k in range(k_max + 1):
+            if k > 0:
+                tk = tk @ a
+            powers.append(_adj(tk) @ tk)
+        grams.append(np.concatenate(powers))
+    return grams, np.maximum(1.0, _per_operand([np.abs(g) for g in grams]))
 
 
-def _alternating_sum(
-    grams: list[np.ndarray], scales: list[float], m: int, shift: int
-) -> tuple[np.ndarray, float]:
-    acc = np.zeros_like(grams[0])
-    scale = 1.0
-    for k in range(m + 1):
-        c = comb(m, k)
-        scale = max(scale, c * scales[k + shift])
-        if (m - k) % 2:
-            acc -= c * grams[k + shift]
-        else:
-            acc += c * grams[k + shift]
-    return acc, scale
+def _alternating_sums(
+    grams: list[np.ndarray], scales: np.ndarray, orders: Sequence[int], shift: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``sum_k (-1)^(m-k) C(m,k) G_(k+shift)`` for each m in ``orders``, with
+    the scale of each sum: its largest ``C(m,k) * scale(G_(k+shift))``."""
+    width = max(orders, default=0) + 1
+    coef = np.zeros((len(orders), width))
+    for i, m in enumerate(orders):
+        for k in range(m + 1):
+            coef[i, k] = (-1) ** (m - k) * comb(m, k)
+    sums = [np.tensordot(coef, g[shift : shift + width], axes=1) for g in grams]
+    scale = np.maximum(1.0, (np.abs(coef) * scales[shift : shift + width]).max(axis=1))
+    return sums, scale
 
 
-def _quasi_from_grams(
-    T: LinOp, grams: list[np.ndarray], scales: list[float], m: int
-) -> LinOp:
-    """Sandwich ``T* B_m T`` checked against the shifted binomial sum."""
-    direct, scale_direct = _alternating_sum(grams, scales, m, shift=1)
-    b_acc, b_scale = _alternating_sum(grams, scales, m, shift=0)
-    b = _symmetrize(b_acc, b_scale)
-    sandwich = T.entries.conj().T @ b @ T.entries
-    scale = max(scale_direct, float(np.abs(sandwich).max()), 1.0)
-    dev = float(np.abs(direct - sandwich).max())
-    if dev > 1e-9 * scale:
+def _defects(
+    grams: list[np.ndarray], scales: np.ndarray, orders: Sequence[int]
+) -> list[np.ndarray]:
+    """The defect operators ``B_m``, symmetrized with an asymmetry check."""
+    return _symmetrize(*_alternating_sums(grams, scales, orders, shift=0))
+
+
+def _quasi_defects(
+    t: list[np.ndarray],
+    grams: list[np.ndarray],
+    scales: np.ndarray,
+    defects: list[np.ndarray],
+    orders: Sequence[int],
+) -> list[np.ndarray]:
+    """Sandwiches ``T* B_m T`` checked against the shifted binomial sums."""
+    direct, scale_direct = _alternating_sums(grams, scales, orders, shift=1)
+    sandwich = [_adj(a) @ b @ a for a, b in zip(t, defects)]
+    scale = np.maximum(
+        np.maximum(scale_direct, _per_operand([np.abs(s) for s in sandwich])), 1.0
+    )
+    dev = _per_operand([np.abs(d - s) for d, s in zip(direct, sandwich)])
+    if np.any(dev > 1e-9 * scale):
+        i = int(np.argmax(dev / scale))
         raise NumericError(
-            f"quasi-defect formulas disagree by {dev:.3e} at scale {scale:.3e}"
+            f"quasi-defect formulas disagree by {dev[i]:.3e} at scale {scale[i]:.3e}"
         )
-    return LinOp(_symmetrize(sandwich, scale))
+    return _symmetrize(sandwich, scale)
 
 
 def defect(T: LinOp, m: int) -> LinOp:
     """The order-m defect operator, symmetrized with an asymmetry check."""
     if m < 1:
         raise ValidationError(f"defect order must be >= 1, got {m}")
-    grams, scales = _gram_stack(T, m)
-    acc, scale = _alternating_sum(grams, scales, m, shift=0)
-    return LinOp(_symmetrize(acc, scale))
+    grams, scales = _gram_stack(_one_block(T.entries), m)
+    return LinOp(_defects(grams, scales, [m])[0][0, 0])
 
 
 def quasi_defect(T: LinOp, m: int) -> LinOp:
@@ -134,8 +164,133 @@ def quasi_defect(T: LinOp, m: int) -> LinOp:
     """
     if m < 1:
         raise ValidationError(f"defect order must be >= 1, got {m}")
-    grams, scales = _gram_stack(T, m + 1)
-    return _quasi_from_grams(T, grams, scales, m)
+    t = _one_block(T.entries)
+    grams, scales = _gram_stack(t, m + 1)
+    defects = _defects(grams, scales, [m])
+    return LinOp(_quasi_defects(t, grams, scales, defects, [m])[0][0, 0])
+
+
+class DefectOracle:
+    """The dense oracle of one operator ``T`` for orders m = 1..m_max.
+
+    ``partition`` names blocks whose spans ``T`` maps into themselves; every
+    entry of ``T`` outside them must be exactly zero, else NumericError.
+    Without a partition the whole matrix is one block.  What several
+    verdicts share is computed once: the gram stack ``(T^k)* T^k``, the
+    eigendecompositions of ``T* T`` and ``T T*`` (the norm and every
+    p-power use them), the defect norms and the commutator.  The norm of a
+    Hermitian operand is the largest modulus of its own eigenvalues.
+    """
+
+    def __init__(
+        self, T: LinOp, m_max: int, partition: Partition | None = None
+    ) -> None:
+        if m_max < 0:
+            raise ValidationError(f"m_max must be >= 0, got {m_max}")
+        self.m_max = m_max
+        if partition is None:
+            self._t = _one_block(T.entries)
+        else:
+            self._t = _block_stack(T.entries, partition)
+        self._grams, self._scales = _gram_stack(self._t, m_max + 1)
+
+    @cached_property
+    def _products(self) -> list[np.ndarray]:
+        """``T* T`` and ``T T*`` as operands 0 and 1, symmetrized."""
+        pairs = [
+            np.concatenate([g[1:2], a @ _adj(a)]) for g, a in zip(self._grams, self._t)
+        ]
+        return [0.5 * (p + _adj(p)) for p in pairs]
+
+    @cached_property
+    def _products_eig(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return _eigh_stack(self._products)
+
+    @cached_property
+    def norm(self) -> float:
+        """Operator norm of ``T``: the root of the top eigenvalue of ``T* T``."""
+        top = float(_per_operand(self._products_eig[0])[0])
+        return float(np.sqrt(max(top, 0.0)))
+
+    @cached_property
+    def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max."""
+        orders = range(1, self.m_max + 1)
+        defects = _defects(self._grams, self._scales, orders)
+        quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
+        evals, _ = _eigh_stack([np.concatenate(pair) for pair in zip(defects, quasi)])
+        norms = _per_operand([np.abs(e) for e in evals])
+        return norms[: self.m_max], norms[self.m_max :]
+
+    @cached_property
+    def commutator_residuals(self) -> tuple[float, float]:
+        """Norm and negative part of the commutator ``T* T - T T*``."""
+        comm = [p[:1] - p[1:] for p in self._products]
+        evals, _ = _eigh_stack(comm)
+        top = float(_per_operand([np.abs(e) for e in evals])[0])
+        low = float(-_per_operand([-e for e in evals])[0])
+        return top, max(0.0, -low)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of ``T`` with multiplicity, sorted by (real, imaginary) part."""
+        return _eigvals_stack(self._t)
+
+    def verdicts(self, tol: float | None = None) -> list[DefectVerdict]:
+        """Defect verdicts for m = 1..m_max.
+
+        With ``tol=None`` each order uses the scaled default threshold.
+        """
+        dn, qn = self.defect_norms
+        out = []
+        for m in range(1, self.m_max + 1):
+            tol_m = tol if tol is not None else 1e-9 * max(1.0, self.norm ** (2 * m))
+            d, q = float(dn[m - 1]), float(qn[m - 1])
+            out.append(DefectVerdict(m, d, q, tol_m, d <= tol_m, q <= tol_m))
+        return out
+
+    def normality(
+        self, probes_p: Sequence[float] = (), tol: float | None = None
+    ) -> dict:
+        """Normal, hyponormal and p-hyponormal verdicts with their residuals.
+
+        The residuals are the norm of ``T* T - T T*``, its negative part,
+        and for each ``p`` the negative part of ``(T* T)**p - (T T*)**p``.
+        The default tolerances scale as ``norm(T)**2`` and ``norm(T)**(2p)``.
+        """
+        for p in probes_p:
+            if p <= 0:
+                raise ValidationError(
+                    f"hyponormality exponent must be positive, got {p}"
+                )
+        normal_residual, hypo_residual = self.commutator_residuals
+        eff_tol = tol if tol is not None else 1e-9 * max(1.0, self.norm**2)
+        probes = []
+        if probes_p:
+            evals, vecs = self._products_eig
+            diffs = []
+            for p in probes_p:
+                diffs.append([w[:1] - w[1:] for w in _power_stack(evals, vecs, p)])
+            d_evals, _ = _eigh_stack([np.concatenate(ds) for ds in zip(*diffs)])
+            lows = -_per_operand([-e for e in d_evals])
+            for p, low in zip(probes_p, lows.tolist()):
+                p_tol = tol if tol is not None else 1e-9 * max(1.0, self.norm ** (2 * p))
+                probes.append(
+                    {
+                        "p": float(p),
+                        "holds": low >= -p_tol,
+                        "residual": max(0.0, -low),
+                        "tol": p_tol,
+                    }
+                )
+        return {
+            "normal": normal_residual <= eff_tol,
+            "normal_residual": normal_residual,
+            "hyponormal": hypo_residual <= eff_tol,
+            "hyponormal_residual": hypo_residual,
+            "tol": eff_tol,
+            "p_hyponormal": probes,
+        }
 
 
 def classify_isometry(
@@ -147,51 +302,22 @@ def classify_isometry(
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    nrm = op_norm(T)
-    grams, scales = _gram_stack(T, m_max + 1)
-    verdicts = []
-    for m in range(1, m_max + 1):
-        tol_m = tol if tol is not None else 1e-9 * max(1.0, nrm ** (2 * m))
-        acc, scale = _alternating_sum(grams, scales, m, shift=0)
-        dn = op_norm(LinOp(_symmetrize(acc, scale)))
-        qn = op_norm(_quasi_from_grams(T, grams, scales, m))
-        verdicts.append(
-            DefectVerdict(m, dn, qn, tol_m, dn <= tol_m, qn <= tol_m)
-        )
-    return verdicts
-
-
-def _commutator_defect(T: LinOp) -> LinOp:
-    h = adjoint(T) @ T - T @ adjoint(T)
-    return LinOp(0.5 * (h.entries + h.entries.conj().T))
+    return DefectOracle(T, m_max).verdicts(tol)
 
 
 def is_normal(T: LinOp, tol: float | None = None) -> bool:
     """``T* T = T T*`` up to ``tol`` in operator norm."""
-    if tol is None:
-        tol = 1e-9 * max(1.0, op_norm(T) ** 2)
-    return op_norm(_commutator_defect(T)) <= tol
+    return DefectOracle(T, 0).normality((), tol)["normal"]
 
 
 def is_hyponormal(T: LinOp, tol: float | None = None) -> bool:
     """``T* T - T T*`` positive semidefinite up to ``tol``."""
-    if tol is None:
-        tol = 1e-9 * max(1.0, op_norm(T) ** 2)
-    return is_psd(_commutator_defect(T), tol)
+    return DefectOracle(T, 0).normality((), tol)["hyponormal"]
 
 
 def is_p_hyponormal(T: LinOp, p: float, tol: float | None = None) -> bool:
     """``(T* T)**p >= (T T*)**p`` in the positive semidefinite order."""
-    if p <= 0:
-        raise ValidationError(f"hyponormality exponent must be positive, got {p}")
-    if tol is None:
-        tol = 1e-9 * max(1.0, op_norm(T) ** (2 * p))
-    left = adjoint(T) @ T
-    right = T @ adjoint(T)
-    left = LinOp(0.5 * (left.entries + left.entries.conj().T))
-    right = LinOp(0.5 * (right.entries + right.entries.conj().T))
-    diff = hermitian_power(left, p) - hermitian_power(right, p)
-    return is_psd(diff, tol)
+    return DefectOracle(T, 0).normality((p,), tol)["p_hyponormal"][0]["holds"]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ Problem specs are JSON documents; complex numbers are written as
 (JSON) form; every boolean verdict is paired with the residual that
 produced it.
 
-Exit codes: 0 all requested audits passed, 2 validation error,
-3 a corrected-criterion/oracle mismatch was found.
+Exit codes: 0 all requested audits passed, 2 validation error (bad
+input, or a report that cannot be written), 3 a corrected-criterion/oracle
+mismatch was found, 4 a numeric failure (an internal consistency check
+failed, or two computation routes disagreed).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .classify import defect, quasi_defect
+from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
     audit_agreement,
@@ -31,16 +33,8 @@ from .criteria import (
     spectrum_matches_range,
     symbols,
 )
-from .errors import ValidationError
-from .linop import (
-    LinOp,
-    adjoint,
-    hermitian_eig,
-    hermitian_power,
-    op_norm,
-    spectrum,
-    wct_op,
-)
+from .errors import NumericError, PropertyViolation, ValidationError
+from .linop import wct_op
 from .measure import (
     MeasureSpace,
     Mfunc,
@@ -145,13 +139,19 @@ class ProblemSpec:
         w = tuple(
             _parse_complex(v, f"spec field 'w[{i}]'") for i, v in enumerate(data["w"])
         )
-        m_max = int(data.get("m_max", 4))
+        try:
+            m_max = int(data.get("m_max", 4))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"spec field 'm_max': {exc}") from exc
         if m_max < 1:
             raise ValidationError(f"spec field 'm_max' must be >= 1, got {m_max}")
         tol = data.get("tol")
         if tol is not None:
-            tol = float(tol)
-            if tol <= 0:
+            try:
+                tol = float(tol)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"spec field 'tol': {exc}") from exc
+            if not tol > 0:
                 raise ValidationError(f"spec field 'tol' must be positive, got {tol}")
         probes = data.get("probes_p", list(DEFAULT_PROBES))
         try:
@@ -371,40 +371,6 @@ def _symbol_rows(ce: CondExp, st) -> list[dict]:
     return rows
 
 
-def _normality_dict(T: LinOp, probes_p: Sequence[float], tol: float | None) -> dict:
-    comm = adjoint(T) @ T - T @ adjoint(T)
-    comm = LinOp(0.5 * (comm.entries + comm.entries.conj().T))
-    normal_residual = op_norm(comm)
-    evals, _ = hermitian_eig(comm)
-    hypo_residual = max(0.0, -float(evals[0]))
-    eff_tol = tol if tol is not None else 1e-9 * max(1.0, op_norm(T) ** 2)
-    probes = []
-    for p in probes_p:
-        left = adjoint(T) @ T
-        right = T @ adjoint(T)
-        left = LinOp(0.5 * (left.entries + left.entries.conj().T))
-        right = LinOp(0.5 * (right.entries + right.entries.conj().T))
-        diff = hermitian_power(left, p) - hermitian_power(right, p)
-        d_evals, _ = hermitian_eig(diff)
-        p_tol = tol if tol is not None else 1e-9 * max(1.0, op_norm(T) ** (2 * p))
-        probes.append(
-            {
-                "p": float(p),
-                "holds": bool(d_evals[0] >= -p_tol),
-                "residual": max(0.0, -float(d_evals[0])),
-                "tol": p_tol,
-            }
-        )
-    return {
-        "normal": normal_residual <= eff_tol,
-        "normal_residual": normal_residual,
-        "hyponormal": hypo_residual <= eff_tol,
-        "hyponormal_residual": hypo_residual,
-        "tol": eff_tol,
-        "p_hyponormal": probes,
-    }
-
-
 def classify_operator(
     space: MeasureSpace,
     partition: Partition,
@@ -437,8 +403,8 @@ def classify_operator(
     e_range = [_complex_pair(z) for z in essential_range(st.e_uw)]
 
     if use_matrix:
-        T = wct_op(ce, w, u)
         audit = audit_agreement(ce, w, u, m_max, tol)
+        oracle = audit.oracle
         for row in audit.rows:
             defect_verdicts.append(
                 {
@@ -491,9 +457,9 @@ def classify_operator(
                     "oracle_norm": d.oracle_norm,
                 }
             )
-        normality = _normality_dict(T, probes_p, tol)
+        normality = oracle.normality(probes_p, tol)
         if normality["normal"]:
-            nc = normal_case_equivalence(st, T, m_max, normality["tol"])
+            nc = normal_case_equivalence(st, oracle, m_max, normality["tol"])
             normal_case = {
                 "applicable": nc.applicable,
                 "normal_residual": nc.normal_residual,
@@ -505,9 +471,8 @@ def classify_operator(
                     for c in nc.properties
                 ],
             }
-        spec_vals = spectrum(T)
-        spec_list = [_complex_pair(z) for z in spec_vals.tolist()]
-        ok, dist = spectrum_matches_range(T, st.e_uw)
+        spec_list = [_complex_pair(z) for z in oracle.spectrum.tolist()]
+        ok, dist = spectrum_matches_range(oracle.spectrum, st.e_uw)
         spectrum_match = {"ok": ok, "distance": dist}
     else:
         notes.append(
@@ -1041,17 +1006,12 @@ def cmd_sweep_m(spec: "ProblemSpec | str", m_max: int = 6) -> SweepReport:
     """Tabulate defect norms for m = 1..m_max for a problem spec."""
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
-    space, partition, ce, u, w = spec.build()
-    T = wct_op(ce, w, u)
-    rows = []
-    for m in range(1, m_max + 1):
-        rows.append(
-            {
-                "m": m,
-                "defect_norm": op_norm(defect(T, m)),
-                "quasi_defect_norm": op_norm(quasi_defect(T, m)),
-            }
-        )
+    _, partition, ce, u, w = spec.build()
+    dn, qn = DefectOracle(wct_op(ce, w, u), m_max, partition).defect_norms
+    rows = [
+        {"m": m, "defect_norm": d, "quasi_defect_norm": q}
+        for m, (d, q) in enumerate(zip(dn.tolist(), qn.tolist()), start=1)
+    ]
     return SweepReport(m_max=m_max, rows=rows)
 
 
@@ -1154,10 +1114,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NumericError, PropertyViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+            return 2
     if args.format == "structured":
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     else:

@@ -14,15 +14,15 @@ the audit exists to rule out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from .classify import classify_isometry, default_tolerance, defect, quasi_defect
+from .classify import DefectOracle, default_tolerance, defect
 from .condexp import CondExp, cond_exp
 from .errors import NumericError, ValidationError
-from .linop import LinOp, adjoint, op_norm, spectrum, wct_op
+from .linop import LinOp, op_norm, spectrum, wct_op
 from .measure import Mfunc
 
 __all__ = [
@@ -284,19 +284,25 @@ class NormalCaseReport:
 
 
 def normal_case_equivalence(
-    st: SymbolTable, T: LinOp, m_max: int, tol: float
+    st: SymbolTable, T: LinOp | DefectOracle, m_max: int, tol: float
 ) -> NormalCaseReport:
     """Check the equivalence package available for normal operators.
 
     Verifies the symbol identity ``E(|u|^2) E(|w|^2) = |E(uw)|^2``
     pointwise, then evaluates five properties independently (isometric,
     m-isometric for some m, quasi-isometric, quasi-m-isometric for some
-    m, symbol product equal to 1) and reports whether they agree.
+    m, symbol product equal to 1) and reports whether they agree.  ``T``
+    may be an oracle already built on the operator for at least ``m_max``
+    orders; its defect norms and commutator are then reused.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    comm = adjoint(T) @ T - T @ adjoint(T)
-    normal_residual = op_norm(LinOp(0.5 * (comm.entries + comm.entries.conj().T)))
+    oracle = T if isinstance(T, DefectOracle) else DefectOracle(T, m_max)
+    if oracle.m_max < m_max:
+        raise ValidationError(
+            f"oracle covers orders up to {oracle.m_max}, not {m_max}"
+        )
+    normal_residual = oracle.commutator_residuals[0]
     if normal_residual > tol:
         return NormalCaseReport(
             applicable=False,
@@ -314,8 +320,9 @@ def normal_case_equivalence(
         np.abs(j_prime_m(t, m_max) * prod - j_double_prime_m(t, m_max)).max()
     )
 
-    defect_norms = [op_norm(defect(T, m)) for m in range(1, m_max + 1)]
-    quasi_norms = [op_norm(quasi_defect(T, m)) for m in range(1, m_max + 1)]
+    dn, qn = oracle.defect_norms
+    defect_norms = dn[:m_max].tolist()
+    quasi_norms = qn[:m_max].tolist()
     product_residual = max(
         float(np.abs(prod - 1.0).max()), float(np.abs(t - 1.0).max())
     )
@@ -386,9 +393,13 @@ class DivergenceRecord:
 
 @dataclass(frozen=True)
 class AgreementReport:
+    """Audit rows and findings, with the oracle they were audited against
+    (its normality and spectrum are then at hand for the same operator)."""
+
     rows: tuple[AuditRow, ...]
     mismatches: tuple[MismatchRecord, ...]
     divergences: tuple[DivergenceRecord, ...]
+    oracle: DefectOracle = field(compare=False, repr=False)
 
     @property
     def agreed(self) -> bool:
@@ -411,13 +422,13 @@ def audit_agreement(
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     st = symbols(ce, w, u)
-    T = wct_op(ce, w, u)
-    oracle = classify_isometry(T, m_max, tol)
+    oracle = DefectOracle(wct_op(ce, w, u), m_max, ce.partition)
+    verdicts = oracle.verdicts(tol)
     rows: list[AuditRow] = []
     mismatches: list[MismatchRecord] = []
     divergences: list[DivergenceRecord] = []
     for m in range(1, m_max + 1):
-        verdict = oracle[m - 1]
+        verdict = verdicts[m - 1]
         tol_m = verdict.tol
         q = quasi_criterion(st, m, tol_m)
         oracle_quasi = verdict.is_quasi_m_isometric
@@ -475,7 +486,9 @@ def audit_agreement(
                     oracle_norm=verdict.defect_norm,
                 )
             )
-    return AgreementReport(tuple(rows), tuple(mismatches), tuple(divergences))
+    return AgreementReport(
+        tuple(rows), tuple(mismatches), tuple(divergences), oracle
+    )
 
 
 def essential_range(f: Mfunc, dedup_tol: float = DEDUP_EPS) -> tuple[complex, ...]:
@@ -493,15 +506,17 @@ def essential_range(f: Mfunc, dedup_tol: float = DEDUP_EPS) -> tuple[complex, ..
 
 
 def spectrum_matches_range(
-    T: LinOp, e_uw: Mfunc, match_tol: float = 1e-8
+    T: LinOp | np.ndarray, e_uw: Mfunc, match_tol: float = 1e-8
 ) -> tuple[bool, float]:
     """Compare nonzero eigenvalues of ``T`` with nonzero values of ``E(uw)``.
 
-    Returns the matching distance (largest distance from either set to
-    the other, after dropping values of modulus <= ``match_tol``) and
-    whether it stays within ``match_tol``.
+    ``T`` is the operator or its already computed spectrum.  Returns the
+    matching distance (largest distance from either set to the other,
+    after dropping values of modulus <= ``match_tol``) and whether it
+    stays within ``match_tol``.
     """
-    ev = [z for z in spectrum(T).tolist() if abs(z) > match_tol]
+    ev = spectrum(T) if isinstance(T, LinOp) else np.asarray(T)
+    ev = [z for z in ev.tolist() if abs(z) > match_tol]
     attained = [z for z in e_uw.values.tolist() if abs(z) > match_tol]
     if not ev and not attained:
         return True, 0.0

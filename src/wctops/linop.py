@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measure import MeasureSpace, Mfunc, ensure_on_space
+from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
 
 if TYPE_CHECKING:
     from .condexp import CondExp
@@ -123,23 +123,14 @@ def power(T: LinOp, k: int) -> LinOp:
 
 def op_norm(T: LinOp) -> float:
     """Largest singular value, via the Hermitian eigenproblem of ``T* T``."""
-    h = adjoint(T) @ T
-    sym = LinOp(0.5 * (h.entries + h.entries.conj().T))
-    evals, _ = hermitian_eig(sym)
-    top = float(evals[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    h = T.entries.conj().T @ T.entries
+    evals, _ = _eigh_stack(_one_block(0.5 * (h + h.conj().T)))
+    return float(np.sqrt(max(float(evals[0].max()), 0.0)))
 
 
 def spectrum(T: LinOp) -> np.ndarray:
     """Eigenvalues with multiplicity, sorted by (real, imaginary) part."""
-    try:
-        ev = np.linalg.eigvals(T.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"eigensolver failed to converge on a {T.dim}x{T.dim} matrix: {exc}"
-        ) from exc
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+    return _eigvals_stack(_one_block(T.entries))
 
 
 def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
@@ -150,25 +141,8 @@ def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
     scale, and the reconstruction ``V diag(lam) V*`` is verified against
     the input.
     """
-    a = A.entries
-    scale = max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.conj().T).max())
-    if asym > 1e-10 * scale:
-        raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} at scale {scale:.3e}"
-        )
-    h = 0.5 * (a + a.conj().T)
-    evals, vecs = np.linalg.eigh(h)
-    recon = (vecs * evals) @ vecs.conj().T
-    # spectral norm of a Hermitian matrix is its largest |eigenvalue|; the
-    # Frobenius norm bounds the spectral norm of the error from above
-    norm_a = float(np.abs(evals).max()) if evals.size else 0.0
-    err = float(np.linalg.norm(h - recon))
-    if err > 1e-9 * max(1.0, norm_a):
-        raise NumericError(
-            f"eigendecomposition reconstruction error {err:.3e} exceeds tolerance"
-        )
-    return evals, LinOp(vecs)
+    evals, vecs = _eigh_stack(_one_block(A.entries))
+    return evals[0][0, 0], LinOp(vecs[0][0, 0])
 
 
 def hermitian_power(A: LinOp, p: float) -> LinOp:
@@ -179,20 +153,141 @@ def hermitian_power(A: LinOp, p: float) -> LinOp:
     """
     if p <= 0:
         raise ValidationError(f"exponent must be positive, got {p}")
-    evals, V = hermitian_eig(A)
-    band = 1e-10 * max(1.0, float(np.abs(evals).max()))
-    smallest = float(evals[0])
-    if smallest < -band:
-        raise ValidationError(
-            f"matrix is not positive semidefinite: eigenvalue {smallest:.3e}"
-        )
-    # the whole roundoff band collapses to an exact zero so that fractional
-    # powers cannot amplify kernel perturbations
-    lam = np.where(evals < band, 0.0, evals) ** p
-    return LinOp((V.entries * lam) @ V.entries.conj().T)
+    evals, vecs = _eigh_stack(_one_block(A.entries))
+    return LinOp(_power_stack(evals, vecs, p)[0][0, 0])
 
 
 def is_psd(A: LinOp, tol: float) -> bool:
     """True when every eigenvalue of the Hermitian matrix ``A`` is >= -tol."""
-    evals, _ = hermitian_eig(A)
-    return bool(evals[0] >= -tol)
+    evals, _ = _eigh_stack(_one_block(A.entries))
+    return bool(evals[0].min() >= -tol)
+
+
+# ---------------------------------------------------------------------------
+# Stack kernels
+#
+# A stack is a list of arrays of shape ``(r, k, d, d)``, one per block size
+# ``d``: ``a[i, j]`` is diagonal block ``j`` of operand ``i``.  All operands
+# of a stack are block-diagonal in one block structure, so sums, products
+# and adjoints act block by block, and eigenvalues are the union of the
+# blocks' eigenvalues.  Every check reduces over all blocks of an operand,
+# so its threshold is the one the whole block-diagonal matrix would get.
+# A whole matrix ``a`` is the one-block stack ``[a[None, None]]``.
+
+
+def _one_block(a: np.ndarray) -> list[np.ndarray]:
+    return [a[None, None]]
+
+
+def _block_stack(a: np.ndarray, partition: Partition) -> list[np.ndarray]:
+    """The diagonal blocks of ``a`` as a one-operand stack.
+
+    Raises NumericError unless every entry outside the partition's blocks
+    is exactly zero.
+    """
+    if partition.atom_count != len(a):
+        raise ValidationError(
+            f"partition covers {partition.atom_count} atoms but the operator "
+            f"has dimension {len(a)}"
+        )
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for blk in partition.blocks:
+        by_size.setdefault(len(blk), []).append(blk)
+    stack = []
+    for d in sorted(by_size):
+        idx = np.array(by_size[d], dtype=np.intp)
+        stack.append(a[idx[:, :, None], idx[:, None, :]][None])
+    outside = np.count_nonzero(a) - sum(np.count_nonzero(s) for s in stack)
+    if outside:
+        raise NumericError(
+            f"operator has {outside} nonzero entries outside the diagonal "
+            f"blocks of its partition"
+        )
+    return stack
+
+
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack array."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _per_operand(arrays: list[np.ndarray], reduce=np.max) -> np.ndarray:
+    """``reduce`` of each operand over all its entries in all arrays: shape ``(r,)``."""
+    return reduce([reduce(a, axis=tuple(range(1, a.ndim))) for a in arrays], axis=0)
+
+
+def _eigh_stack(
+    stack: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Eigendecomposition of every Hermitian operand of a stack.
+
+    Returns the ascending eigenvalues ``(r, k, d)`` and the eigenvectors
+    ``(r, k, d, d)`` of each array.  Hermitian symmetry is checked relative
+    to each operand's entry scale, and the reconstruction
+    ``V diag(lam) V*`` relative to its largest eigenvalue modulus.
+    """
+    scale = np.maximum(1.0, _per_operand([np.abs(a) for a in stack]))
+    asym = _per_operand([np.abs(a - _adj(a)) for a in stack])
+    if np.any(asym > 1e-10 * scale):
+        i = int(np.argmax(asym / scale))
+        raise ValidationError(
+            f"matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
+            f"at scale {scale[i]:.3e}"
+        )
+    herm = [0.5 * (a + _adj(a)) for a in stack]
+    try:
+        pairs = [np.linalg.eigh(h) for h in herm]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
+    evals = [e for e, _ in pairs]
+    vecs = [v for _, v in pairs]
+    # spectral norm of a Hermitian matrix is its largest |eigenvalue|; the
+    # Frobenius norm bounds the spectral norm of the error from above
+    norm_a = _per_operand([np.abs(e) for e in evals])
+    err = np.sqrt(
+        _per_operand(
+            [np.abs(h - _from_eig(e, v)) ** 2 for h, e, v in zip(herm, evals, vecs)],
+            np.sum,
+        )
+    )
+    if np.any(err > 1e-9 * np.maximum(1.0, norm_a)):
+        raise NumericError(
+            f"eigendecomposition reconstruction error {err.max():.3e} exceeds tolerance"
+        )
+    return evals, vecs
+
+
+def _from_eig(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``V diag(lam) V*`` for every matrix in a stack array."""
+    return (vecs * evals[..., None, :]) @ _adj(vecs)
+
+
+def _power_stack(
+    evals: list[np.ndarray], vecs: list[np.ndarray], p: float
+) -> list[np.ndarray]:
+    """``A**p`` of every positive semidefinite operand, from its eigendecomposition.
+
+    Each operand's eigenvalues in its roundoff band below zero are clamped
+    to zero; a genuinely negative eigenvalue is rejected.
+    """
+    band = 1e-10 * np.maximum(1.0, _per_operand([np.abs(e) for e in evals]))
+    smallest = -_per_operand([-e for e in evals])
+    if np.any(smallest < -band):
+        raise ValidationError(
+            f"matrix is not positive semidefinite: eigenvalue {smallest.min():.3e}"
+        )
+    # the whole roundoff band collapses to an exact zero so that fractional
+    # powers cannot amplify kernel perturbations
+    cut = band[:, None, None]
+    return [_from_eig(np.where(e < cut, 0.0, e) ** p, v) for e, v in zip(evals, vecs)]
+
+
+def _eigvals_stack(stack: list[np.ndarray]) -> np.ndarray:
+    """Eigenvalues of a one-operand stack with multiplicity, sorted by
+    (real, imaginary) part."""
+    try:
+        ev = np.concatenate([np.linalg.eigvals(a).ravel() for a in stack])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    order = np.lexsort((ev.imag, ev.real))
+    return ev[order]

@@ -1,0 +1,142 @@
+"""The block-stacked dense oracle against the whole matrix as one block.
+
+``T f = w E(u f)`` leaves the span of every partition block invariant, so
+the oracle may work on the diagonal blocks alone.  These tests hold it to
+the one-block (whole-matrix) computation: identical verdicts, and norms,
+residuals and spectra within 1e-12 of the operator's own scale.
+"""
+
+import numpy as np
+import pytest
+
+from wctops import (
+    CondExp,
+    DefectOracle,
+    LinOp,
+    Mfunc,
+    NumericError,
+    ValidationError,
+    hermitian_eig,
+    make_partition,
+    make_space,
+    wct_op,
+)
+from wctops.cli import suite_instances
+from wctops.linop import _eigh_stack
+
+PROBES = (0.25, 0.5, 2.0)
+REL = 1e-12
+
+
+def _close(a, b, scale):
+    return abs(a - b) <= REL * max(1.0, scale)
+
+
+def _assert_block_oracle_matches_whole(T, partition, m_max):
+    blocks = DefectOracle(T, m_max, partition)
+    whole = DefectOracle(T, m_max)
+    nrm = whole.norm
+    assert _close(blocks.norm, nrm, nrm)
+
+    for vb, vw in zip(blocks.verdicts(), whole.verdicts(), strict=True):
+        assert (vb.is_m_isometric, vb.is_quasi_m_isometric) == (
+            vw.is_m_isometric,
+            vw.is_quasi_m_isometric,
+        )
+        scale = nrm ** (2 * vw.m + 2)
+        assert _close(vb.defect_norm, vw.defect_norm, scale)
+        assert _close(vb.quasi_defect_norm, vw.quasi_defect_norm, scale)
+        assert _close(vb.tol, vw.tol, vw.tol)
+
+    nb, nw = blocks.normality(PROBES), whole.normality(PROBES)
+    for key in ("normal", "hyponormal"):
+        assert nb[key] == nw[key]
+    for key in ("normal_residual", "hyponormal_residual"):
+        assert _close(nb[key], nw[key], nrm**2)
+    for pb, pw in zip(nb["p_hyponormal"], nw["p_hyponormal"], strict=True):
+        assert pb["holds"] == pw["holds"]
+        assert _close(pb["residual"], pw["residual"], nrm ** (2 * pw["p"]))
+
+    sb, sw = blocks.spectrum, whole.spectrum
+    assert sb.shape == sw.shape == (T.dim,)
+    assert np.abs(sb - sw).max() <= REL * max(1.0, nrm)
+
+
+def test_block_oracle_matches_whole_matrix_on_random_suite():
+    for inst in suite_instances(200, seed=42):
+        ce = inst.cond_exp()
+        T = wct_op(ce, inst.w, inst.u)
+        _assert_block_oracle_matches_whole(T, inst.partition, 4)
+
+
+def _spec_operator(rng, sizes):
+    """A random operator on ``sum(sizes)`` atoms, blocks of the given sizes
+    laid over a shuffled atom order."""
+    n = int(sum(sizes))
+    space = make_space(rng.uniform(0.2, 2.0, n))
+    perm = rng.permutation(n)
+    cuts = np.cumsum(sizes)[:-1]
+    partition = make_partition(space, [p.tolist() for p in np.split(perm, cuts)])
+
+    def values():
+        return Mfunc(rng.uniform(0.0, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+    T = wct_op(CondExp(space, partition), values(), values())
+    return T, partition
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [1] * 300,  # all singletons: one stack of 300 1x1 blocks
+        [180] + [5] * 10 + [2] * 10,  # one dominant block
+        [1, 1, 2, 3, 3, 5, 8, 8, 13, 21, 34, 51],  # mixed sizes, 150 atoms
+    ],
+    ids=["singletons-300", "dominant-250", "mixed-150"],
+)
+def test_block_oracle_matches_whole_matrix_on_large_specs(sizes):
+    rng = np.random.default_rng(len(sizes))
+    T, partition = _spec_operator(rng, sizes)
+    _assert_block_oracle_matches_whole(T, partition, 3)
+
+
+def test_off_block_entry_raises_numeric_error():
+    rng = np.random.default_rng(5)
+    T, partition = _spec_operator(rng, [3, 4, 5])
+    i, j = partition.blocks[0][0], partition.blocks[2][1]
+    a = T.entries.copy()
+    a[i, j] = 1e-300
+    DefectOracle(T, 2, partition)  # the unmodified operator passes
+    with pytest.raises(NumericError, match="outside the diagonal blocks"):
+        DefectOracle(LinOp(a), 2, partition)
+
+
+def _hermitian_blocks(rng, r, k, d, scale):
+    a = rng.normal(size=(r, k, d, d)) + 1j * rng.normal(size=(r, k, d, d))
+    return scale * (a + a.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("defect_size,trips", [(1e-6, True), (1e-8, False)])
+def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips):
+    # operand 1 has a block of entry scale ~1e3 and one corrupted block of
+    # scale ~1; the threshold 1e-10 * 1e3 = 1e-7 comes from the whole
+    # operand, exactly as for the assembled block-diagonal matrix
+    rng = np.random.default_rng(8)
+    big = _hermitian_blocks(rng, 2, 1, 4, 500.0)
+    small = _hermitian_blocks(rng, 2, 3, 2, 0.5)
+    small[1, 2, 0, 1] += defect_size
+    stack = [small, big]
+
+    full = np.zeros((10, 10), dtype=complex)
+    full[:2, :2], full[2:4, 2:4], full[4:6, 4:6] = small[1]
+    full[6:, 6:] = big[1, 0]
+    if trips:
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            _eigh_stack(stack)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            hermitian_eig(LinOp(full))
+    else:
+        evals, _ = _eigh_stack(stack)
+        whole, _ = hermitian_eig(LinOp(full))
+        union = np.sort(np.concatenate([evals[0][1].ravel(), evals[1][1].ravel()]))
+        assert np.abs(union - whole).max() <= REL * np.abs(whole).max()

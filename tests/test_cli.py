@@ -319,3 +319,54 @@ def test_main_exit_code_on_mismatch(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "_dispatch", lambda args: FakeReport())
     assert main(["random-suite", "--count", "1"]) == 3
+
+
+@pytest.mark.parametrize("field,value", [("m_max", "abc"), ("tol", "x")])
+def test_main_rejects_non_numeric_parameter(tmp_path, capsys, field, value):
+    bad = dict(EXAMPLE_B_SPEC)
+    bad[field] = value
+    code = main(["classify", _write_spec(tmp_path, bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and field in err
+
+
+def test_main_out_into_missing_directory(tmp_path, capsys):
+    path = _write_spec(tmp_path, EXAMPLE_B_SPEC)
+    out_path = tmp_path / "missing" / "report.json"
+    code = main(["classify", path, "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_main_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
+    # an operator with one entry coupling two blocks fails the oracle's
+    # block-structure check, a NumericError
+    import wctops.criteria as criteria_mod
+    from wctops import LinOp
+
+    build = criteria_mod.wct_op
+
+    def coupled(ce, w, u):
+        a = build(ce, w, u).entries.copy()
+        a[0, 2] = 1e-3  # atoms 0 and 2 lie in different blocks
+        return LinOp(a)
+
+    monkeypatch.setattr(criteria_mod, "wct_op", coupled)
+    code = main(["classify", _write_spec(tmp_path, EXAMPLE_B_SPEC)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error:") and "outside the diagonal blocks" in err
+
+
+def test_main_property_violation_exit_code(monkeypatch, capsys):
+    import wctops.cli as cli_mod
+    from wctops import PropertyViolation
+
+    def disagree(args):
+        raise PropertyViolation("routes disagree")
+
+    monkeypatch.setattr(cli_mod, "_dispatch", disagree)
+    assert main(["random-suite", "--count", "1"]) == 4
+    assert capsys.readouterr().err.startswith("error: routes disagree")
