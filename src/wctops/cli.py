@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -25,9 +25,11 @@ import numpy as np
 from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
+    PAPER_EPS,
+    SymbolTable,
+    _m_iso_paper,
     audit_agreement,
     essential_range,
-    j_prime_m,
     normal_case_equivalence,
     quasi_criterion,
     spectrum_matches_range,
@@ -351,24 +353,29 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def _symbol_rows(ce: CondExp, st) -> list[dict]:
-    rows = []
-    for b, blk in enumerate(ce.partition.blocks):
-        i = blk[0]
-        e_uw = complex(st.e_uw.values[i])
-        rows.append(
-            {
-                "block": b,
-                "atoms": len(blk),
-                "mass": float(ce.block_masses[b]),
-                "e_uw": _complex_pair(e_uw),
-                "t": float(st.t.values[i].real),
-                "e_u2": float(st.e_u2.values[i].real),
-                "e_w2": float(st.e_w2.values[i].real),
-                "product": float(st.e_u2.values[i].real * st.e_w2.values[i].real),
-            }
-        )
-    return rows
+def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
+    columns = zip(
+        ce.partition.blocks,
+        ce.block_masses.tolist(),
+        st.alpha.tolist(),
+        st.abs_alpha_sq.tolist(),
+        st.beta.tolist(),
+        st.gamma.tolist(),
+        st.product.tolist(),
+    )
+    return [
+        {
+            "block": b,
+            "atoms": len(blk),
+            "mass": mass,
+            "e_uw": _complex_pair(e_uw),
+            "t": t,
+            "e_u2": e_u2,
+            "e_w2": e_w2,
+            "product": product,
+        }
+        for b, (blk, mass, e_uw, t, e_u2, e_w2, product) in enumerate(columns)
+    ]
 
 
 def classify_operator(
@@ -387,7 +394,6 @@ def classify_operator(
     dense defect oracle would need an ``n x n`` matrix.
     """
     ce = CondExp(space, partition)
-    st = symbols(ce, w, u)
     notes: list[str] = []
     use_matrix = space.atom_count <= matrix_limit
 
@@ -400,11 +406,9 @@ def classify_operator(
     spec_list = None
     spectrum_match = None
 
-    e_range = [_complex_pair(z) for z in essential_range(st.e_uw)]
-
     if use_matrix:
         audit = audit_agreement(ce, w, u, m_max, tol)
-        oracle = audit.oracle
+        oracle, st = audit.oracle, audit.symbols
         for row in audit.rows:
             defect_verdicts.append(
                 {
@@ -472,9 +476,10 @@ def classify_operator(
                 ],
             }
         spec_list = [_complex_pair(z) for z in oracle.spectrum.tolist()]
-        ok, dist = spectrum_matches_range(oracle.spectrum, st.e_uw)
+        ok, dist = spectrum_matches_range(oracle.spectrum, st.alpha)
         spectrum_match = {"ok": ok, "distance": dist}
     else:
+        st = symbols(ce, w, u)
         notes.append(
             f"matrix route skipped: {space.atom_count} atoms exceed the "
             f"dense-matrix limit of {matrix_limit}; verdicts use the "
@@ -482,13 +487,8 @@ def classify_operator(
         )
         for m in range(1, m_max + 1):
             q = quasi_criterion(st, m, tol)
-            target = 1.0 if m % 2 else -1.0
-            vals = (
-                j_prime_m(st.t.values.real, m)
-                * st.e_w2.values.real
-                * st.e_u2.values.real
-            )
-            paper_residual = float(np.abs(vals - target).max())
+            paper_residual, _ = _m_iso_paper(st, m)
+            paper_m_iso = paper_residual <= PAPER_EPS
             # criterion failure is a sound witness of non-m-isometry
             criteria_rows.append(
                 {
@@ -500,8 +500,8 @@ def classify_operator(
                     "quasi_residual": q.residual,
                     "quasi_paper_residual": q.paper_residual,
                     "oracle_quasi_norm": None,
-                    "paper_m_iso": paper_residual <= 1e-9,
-                    "oracle_m_iso": False if paper_residual > 1e-9 else None,
+                    "paper_m_iso": paper_m_iso,
+                    "oracle_m_iso": None if paper_m_iso else False,
                     "m_iso_paper_residual": paper_residual,
                     "oracle_defect_norm": None,
                     "e_r": None,
@@ -519,7 +519,7 @@ def classify_operator(
         normality=normality,
         normal_case=normal_case,
         spectrum=spec_list,
-        essential_range=e_range,
+        essential_range=[_complex_pair(z) for z in essential_range(st.alpha)],
         spectrum_match=spectrum_match,
         mismatches=mismatches,
         divergences=divergences,
@@ -624,13 +624,14 @@ def cmd_example_a(
     x, y = grid.x, grid.y
     u = Mfunc(y ** (x / 8.0))
     w = Mfunc(np.sqrt((4.0 + x) * y))
-    ce = CondExp(grid.space, grid.partition)
-    st = symbols(ce, w, u)
+    report = classify_operator(
+        grid.space, grid.partition, u, w, m_max=m_max, tol=tol
+    )
 
     xs = np.array([x[blk[0]] for blk in grid.partition.blocks])
-    e_u2 = np.array([st.e_u2.values[blk[0]].real for blk in grid.partition.blocks])
-    e_w2 = np.array([st.e_w2.values[blk[0]].real for blk in grid.partition.blocks])
-    t = np.array([st.t.values[blk[0]].real for blk in grid.partition.blocks])
+    e_u2 = np.array([row["e_u2"] for row in report.symbol_rows])
+    e_w2 = np.array([row["e_w2"] for row in report.symbol_rows])
+    t = np.array([row["t"] for row in report.symbol_rows])
     cu = 4.0 / (4.0 + xs)
     cw = (4.0 + xs) / 2.0
     ct = 64.0 * (4.0 + xs) / (xs + 12.0) ** 2
@@ -651,9 +652,6 @@ def cmd_example_a(
         }
         for i in range(nx)
     ]
-    report = classify_operator(
-        grid.space, grid.partition, u, w, m_max=m_max, tol=tol
-    )
     return ExampleAReport(
         nx=nx,
         ny=ny,
@@ -792,7 +790,10 @@ def random_instance(
 
     With no explicit stratum: probability 1/4 each for the quasi stratum
     (``|E(uw)|`` normalized to 1 on the joint support) and the unimodular
-    stratum (singleton partition, ``|u w| = 1``), else generic.
+    stratum (singleton partition, ``|u w| = 1``), else generic.  Raises
+    ``ValidationError`` when 500 draws of the quasi stratum all leave some
+    block average of ``u w`` too close to zero, which becomes likely past
+    a few hundred atoms.
     """
     dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
     weights = rng.uniform(0.2, 2.0, dim)
@@ -832,7 +833,12 @@ def random_instance(
         if np.abs(c).min() > 0.2:
             break
     else:
-        raise RuntimeError("failed to draw a usable quasi-stratum instance")
+        raise ValidationError(
+            f"could not draw a quasi-stratum instance with {dim} atoms in "
+            f"{n_blocks} blocks: no draw of u, w in 500 kept every block "
+            f"average of u*w above 0.2 in modulus; use fewer blocks or "
+            f"fewer atoms"
+        )
     scale = np.abs(c)[partition.block_index]
     u = Mfunc(u.values / scale)
     return Instance(label, stratum, space, partition, u, w)
@@ -1083,13 +1089,9 @@ def _dispatch(args: argparse.Namespace):
     if args.command == "classify":
         spec = ProblemSpec.from_file(args.spec)
         if args.m_max != 4:
-            spec = ProblemSpec(
-                spec.weights, spec.blocks, spec.u, spec.w, args.m_max, spec.tol, spec.probes_p
-            )
+            spec = replace(spec, m_max=args.m_max)
         if args.tol is not None:
-            spec = ProblemSpec(
-                spec.weights, spec.blocks, spec.u, spec.w, spec.m_max, args.tol, spec.probes_p
-            )
+            spec = replace(spec, tol=args.tol)
         return cmd_classify(spec)
     if args.command == "example-a":
         return cmd_example_a(args.nx, args.ny, args.m_max, args.tol)

@@ -34,8 +34,10 @@ class CondExp:
                 f"partition covers {self.partition.atom_count} atoms but the "
                 f"space has {self.space.atom_count}"
             )
-        masses = np.array(
-            [self.space.weights[list(blk)].sum() for blk in self.partition.blocks]
+        masses = np.bincount(
+            self.partition.block_index,
+            weights=self.space.weights,
+            minlength=self.partition.block_count,
         )
         if np.any(masses <= 0.0):
             raise ValidationError("every block must carry positive mass")
@@ -46,10 +48,11 @@ class CondExp:
 def block_averages(ce: CondExp, f: Mfunc) -> np.ndarray:
     """Mass-weighted average of ``f`` on each block, as a complex array."""
     ensure_on_space(f, ce.space)
-    w = ce.space.weights
-    sums = np.array(
-        [(f.values[list(blk)] * w[list(blk)]).sum() for blk in ce.partition.blocks]
-    )
+    idx, k = ce.partition.block_index, ce.partition.block_count
+    fw = f.values * ce.space.weights
+    sums = np.empty(k, dtype=complex)
+    sums.real = np.bincount(idx, weights=fw.real, minlength=k)
+    sums.imag = np.bincount(idx, weights=fw.imag, minlength=k)
     return sums / ce.block_masses
 
 

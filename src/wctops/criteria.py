@@ -15,12 +15,13 @@ the audit exists to rule out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .classify import DefectOracle, default_tolerance, defect
-from .condexp import CondExp, cond_exp
+from .condexp import CondExp, block_averages
 from .errors import NumericError, ValidationError
 from .linop import LinOp, op_norm, spectrum, wct_op
 from .measure import Mfunc
@@ -47,6 +48,9 @@ __all__ = [
     "spectrum_matches_range",
 ]
 
+# Support is decided relative to the largest block value, so that the
+# gauge (u, w) -> (u/c, c w), which leaves the operator unchanged, leaves
+# the supports unchanged too.
 SUPPORT_EPS = 1e-12
 PAPER_EPS = 1e-9
 DEDUP_EPS = 1e-9
@@ -54,39 +58,91 @@ DEDUP_EPS = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SymbolTable:
-    """The block-constant symbols of a weighted conditional type operator.
+    """The block symbols of a weighted conditional type operator.
 
-    ``t`` is the pointwise squared modulus of ``e_uw``; ``S`` and ``G``
-    are the supports of ``e_u2`` and ``e_w2``.
+    One entry per partition block: ``alpha = E(uw)``, ``abs_alpha_sq =
+    |alpha|^2``, ``beta = E(|u|^2)`` and ``gamma = E(|w|^2)``; ``in_S`` and
+    ``in_G`` mark the blocks where ``beta`` and ``gamma`` are nonzero
+    relative to their largest value.  ``block_index[i]`` is the block of
+    atom ``i``.  The atomwise views ``e_uw``, ``t``, ``e_u2``, ``e_w2`` (as
+    functions on the atoms) and ``S``, ``G``, ``support_both`` (as sets of
+    atom indices) are built on first use.
     """
 
-    e_uw: Mfunc
-    t: Mfunc
-    e_u2: Mfunc
-    e_w2: Mfunc
-    S: frozenset[int]
-    G: frozenset[int]
+    alpha: np.ndarray
+    abs_alpha_sq: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    in_S: np.ndarray
+    in_G: np.ndarray
+    block_index: np.ndarray
 
     @property
+    def product(self) -> np.ndarray:
+        """``E(|u|^2) E(|w|^2)`` on each block."""
+        return self.beta * self.gamma
+
+    @property
+    def in_both(self) -> np.ndarray:
+        """Blocks in the joint support of ``E(|u|^2)`` and ``E(|w|^2)``."""
+        return self.in_S & self.in_G
+
+    def _atomwise(self, block_values: np.ndarray) -> Mfunc:
+        return Mfunc(block_values[self.block_index])
+
+    def _atoms_in(self, blocks: np.ndarray) -> frozenset[int]:
+        return frozenset(np.flatnonzero(blocks[self.block_index]).tolist())
+
+    @cached_property
+    def e_uw(self) -> Mfunc:
+        return self._atomwise(self.alpha)
+
+    @cached_property
+    def t(self) -> Mfunc:
+        return self._atomwise(self.abs_alpha_sq)
+
+    @cached_property
+    def e_u2(self) -> Mfunc:
+        return self._atomwise(self.beta)
+
+    @cached_property
+    def e_w2(self) -> Mfunc:
+        return self._atomwise(self.gamma)
+
+    @cached_property
+    def S(self) -> frozenset[int]:
+        return self._atoms_in(self.in_S)
+
+    @cached_property
+    def G(self) -> frozenset[int]:
+        return self._atoms_in(self.in_G)
+
+    @cached_property
     def support_both(self) -> frozenset[int]:
-        return self.S & self.G
+        return self._atoms_in(self.in_both)
 
 
 def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
-    """Compute the symbol table of ``f -> w E(u f)``."""
-    e_uw = cond_exp(ce, u * w)
-    e_u2 = cond_exp(ce, u.abs_sq())
-    e_w2 = cond_exp(ce, w.abs_sq())
-    t = np.abs(e_uw.values) ** 2
-    prod = e_u2.values.real * e_w2.values.real
+    """Compute the symbol table of ``f -> w E(u f)`` block by block."""
+    alpha = block_averages(ce, u * w)
+    beta = block_averages(ce, u.abs_sq()).real
+    gamma = block_averages(ce, w.abs_sq()).real
+    t = np.abs(alpha) ** 2
+    prod = beta * gamma
     hoelder_gap = float((t - prod).max())
     if hoelder_gap > 1e-10 * max(1.0, float(prod.max())):
         raise NumericError(
             f"conditional Hoelder inequality violated by {hoelder_gap:.3e}"
         )
-    S = frozenset(np.flatnonzero(e_u2.values.real > SUPPORT_EPS).tolist())
-    G = frozenset(np.flatnonzero(e_w2.values.real > SUPPORT_EPS).tolist())
-    return SymbolTable(e_uw, Mfunc(t), e_u2, e_w2, S, G)
+    return SymbolTable(
+        alpha=alpha,
+        abs_alpha_sq=t,
+        beta=beta,
+        gamma=gamma,
+        in_S=beta > SUPPORT_EPS * beta.max(),
+        in_G=gamma > SUPPORT_EPS * gamma.max(),
+        block_index=ce.partition.block_index,
+    )
 
 
 def _check_order(m: int) -> None:
@@ -173,12 +229,12 @@ def quasi_criterion(st: SymbolTable, m: int, tol: float | None = None) -> QuasiV
     norm of the sandwiched defect.
     """
     _check_order(m)
-    t = st.t.values.real
-    prod = st.e_u2.values.real * st.e_w2.values.real
+    t = st.abs_alpha_sq
+    prod = st.product
     paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
-    sg = sorted(st.support_both)
-    if sg:
-        residual = float((np.abs(j_m(t[sg], m)) * prod[sg]).max())
+    both = st.in_both
+    if both.any():
+        residual = float((np.abs(j_m(t[both], m)) * prod[both]).max())
     else:
         residual = 0.0
     if tol is None:
@@ -217,11 +273,7 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> tuple[float, ...]:
 def _m_iso_paper(st: SymbolTable, m: int) -> tuple[float, tuple[float, ...]]:
     """Literal-reading residual and attained value set for the m-isometry test."""
     target = 1.0 if m % 2 else -1.0
-    vals = (
-        j_prime_m(st.t.values.real, m)
-        * st.e_w2.values.real
-        * st.e_u2.values.real
-    )
+    vals = j_prime_m(st.abs_alpha_sq, m) * st.gamma * st.beta
     return float(np.abs(vals - target).max()), _dedup_sorted(vals, DEDUP_EPS)
 
 
@@ -313,8 +365,8 @@ def normal_case_equivalence(
             properties=(),
             all_equal=False,
         )
-    t = st.t.values.real
-    prod = st.e_u2.values.real * st.e_w2.values.real
+    t = st.abs_alpha_sq
+    prod = st.product
     identity_residual = float(np.abs(prod - t).max())
     jpp_residual = float(
         np.abs(j_prime_m(t, m_max) * prod - j_double_prime_m(t, m_max)).max()
@@ -394,12 +446,15 @@ class DivergenceRecord:
 @dataclass(frozen=True)
 class AgreementReport:
     """Audit rows and findings, with the oracle they were audited against
-    (its normality and spectrum are then at hand for the same operator)."""
+    and the symbols they were computed from (the oracle's normality and
+    spectrum and the block symbols are then at hand for the same
+    operator)."""
 
     rows: tuple[AuditRow, ...]
     mismatches: tuple[MismatchRecord, ...]
     divergences: tuple[DivergenceRecord, ...]
     oracle: DefectOracle = field(compare=False, repr=False)
+    symbols: SymbolTable = field(compare=False, repr=False)
 
     @property
     def agreed(self) -> bool:
@@ -487,44 +542,53 @@ def audit_agreement(
                 )
             )
     return AgreementReport(
-        tuple(rows), tuple(mismatches), tuple(divergences), oracle
+        tuple(rows), tuple(mismatches), tuple(divergences), oracle, st
     )
 
 
-def essential_range(f: Mfunc, dedup_tol: float = DEDUP_EPS) -> tuple[complex, ...]:
+def _values(f: Mfunc | np.ndarray) -> np.ndarray:
+    return np.asarray(f.values if isinstance(f, Mfunc) else f, dtype=complex)
+
+
+def essential_range(
+    f: Mfunc | np.ndarray, dedup_tol: float = DEDUP_EPS
+) -> tuple[complex, ...]:
     """Attained values of ``f`` deduplicated to ``dedup_tol``.
 
-    On an atomic space every atom has positive mass, so the attained
-    values and the essential range coincide.
+    ``f`` is a function on the atoms or the array of its values, such as
+    the per-block ``SymbolTable.alpha`` of a block-constant symbol.  On an
+    atomic space every atom has positive mass, so the attained values and
+    the essential range coincide.
     """
-    vals = sorted(f.values.tolist(), key=lambda z: (z.real, z.imag))
+    vals = _values(f)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     out: list[complex] = []
-    for v in vals:
+    for v in vals.tolist():
         if not out or abs(v - out[-1]) > dedup_tol:
             out.append(v)
     return tuple(out)
 
 
 def spectrum_matches_range(
-    T: LinOp | np.ndarray, e_uw: Mfunc, match_tol: float = 1e-8
+    T: LinOp | np.ndarray, e_uw: Mfunc | np.ndarray, match_tol: float = 1e-8
 ) -> tuple[bool, float]:
     """Compare nonzero eigenvalues of ``T`` with nonzero values of ``E(uw)``.
 
-    ``T`` is the operator or its already computed spectrum.  Returns the
-    matching distance (largest distance from either set to the other,
-    after dropping values of modulus <= ``match_tol``) and whether it
-    stays within ``match_tol``.
+    ``T`` is the operator or its already computed spectrum; ``e_uw`` is the
+    function on the atoms or its attained values (per-block ``alpha``).
+    Returns the matching distance (largest distance from either set to the
+    other, after dropping values of modulus <= ``match_tol``) and whether
+    it stays within ``match_tol``.
     """
     ev = spectrum(T) if isinstance(T, LinOp) else np.asarray(T)
-    ev = [z for z in ev.tolist() if abs(z) > match_tol]
-    attained = [z for z in e_uw.values.tolist() if abs(z) > match_tol]
-    if not ev and not attained:
+    ev = ev[np.abs(ev) > match_tol]
+    attained = np.unique(_values(e_uw))
+    attained = attained[np.abs(attained) > match_tol]
+    if not ev.size and not attained.size:
         return True, 0.0
-    if not ev or not attained:
-        present = ev or attained
-        dist = max(abs(z) for z in present)
-        return False, dist
-    d1 = max(min(abs(a - b) for b in attained) for a in ev)
-    d2 = max(min(abs(b - a) for a in ev) for b in attained)
-    dist = max(d1, d2)
+    if not ev.size or not attained.size:
+        present = ev if ev.size else attained
+        return False, float(np.abs(present).max())
+    gaps = np.abs(ev[:, None] - attained[None, :])
+    dist = float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
     return dist <= match_tol, dist

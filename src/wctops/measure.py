@@ -11,6 +11,7 @@ square.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +61,51 @@ class MeasureSpace:
         return float(self.weights.sum())
 
 
+def _partition_fault(
+    sizes: np.ndarray, atoms: np.ndarray, block_of: np.ndarray, n: int
+) -> str:
+    """The first fault met reading the blocks in order, atom by atom.
+
+    ``atoms`` lists every block's atoms one block after another, and
+    ``block_of`` gives the block of each entry.  An empty block is met
+    before the atom that follows it; an atom missing from every block is
+    only known once all blocks are read.
+    """
+    faults = []
+    starts = np.cumsum(sizes) - sizes
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        b = int(empty[0])
+        faults.append((int(starts[b]), 0, f"block {b} is empty"))
+    inside = (atoms >= 0) & (atoms < n)
+    if not inside.all():
+        p = int(np.flatnonzero(~inside)[0])
+        faults.append(
+            (
+                p,
+                1,
+                f"block {int(block_of[p])} contains out-of-range atom index "
+                f"{int(atoms[p])} (space has {n} atoms)",
+            )
+        )
+    positions = np.flatnonzero(inside)
+    _, first = np.unique(atoms[positions], return_index=True)
+    repeated = np.ones(positions.size, dtype=bool)
+    repeated[first] = False
+    if repeated.any():
+        p = int(positions[np.flatnonzero(repeated)[0]])
+        i = int(atoms[p])
+        earlier = int(block_of[np.flatnonzero(atoms == i)[0]])
+        faults.append(
+            (p, 1, f"atom {i} appears in both block {earlier} and block {int(block_of[p])}")
+        )
+    if faults:
+        return min(faults)[2]
+    covered = np.zeros(n, dtype=bool)
+    covered[atoms] = True
+    return f"atom {int(np.flatnonzero(~covered)[0])} is not covered by any block"
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Pairwise-disjoint blocks of atom indices covering every atom.
@@ -72,31 +118,35 @@ class Partition:
     block_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
+        blocks = tuple(map(tuple, self.blocks))
         if not blocks:
             raise ValidationError("a partition needs at least one block")
-        if self.atom_count < 1:
+        n = self.atom_count
+        if n < 1:
             raise ValidationError("partition needs a positive atom count")
-        owner = np.full(self.atom_count, -1, dtype=np.intp)
-        for b, blk in enumerate(blocks):
-            if not blk:
-                raise ValidationError(f"block {b} is empty")
-            for i in blk:
-                if i < 0 or i >= self.atom_count:
-                    raise ValidationError(
-                        f"block {b} contains out-of-range atom index {i} "
-                        f"(space has {self.atom_count} atoms)"
-                    )
-                if owner[i] >= 0:
-                    raise ValidationError(
-                        f"atom {i} appears in both block {int(owner[i])} and block {b}"
-                    )
-                owner[i] = b
-        missing = np.flatnonzero(owner < 0)
-        if missing.size:
-            raise ValidationError(
-                f"atom {int(missing[0])} is not covered by any block"
+        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        atoms = np.fromiter(
+            chain.from_iterable(blocks), dtype=np.intp, count=int(sizes.sum())
+        )
+        if set(map(type, chain.from_iterable(blocks))) - {int}:
+            # integer-like indices (numpy integers, say) are stored as ints
+            flat, ends = atoms.tolist(), np.cumsum(sizes).tolist()
+            blocks = tuple(
+                tuple(flat[end - size : end])
+                for size, end in zip(sizes.tolist(), ends)
             )
+        block_of = np.repeat(np.arange(len(blocks)), sizes)
+        valid = (
+            sizes.all()
+            and atoms.size == n
+            and atoms.min() >= 0
+            and atoms.max() < n
+            and np.bincount(atoms, minlength=n).min() == 1
+        )
+        if not valid:
+            raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
+        owner = np.empty(n, dtype=np.intp)
+        owner[atoms] = block_of
         owner.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_index", owner)
@@ -146,7 +196,7 @@ class Mfunc:
 
 def make_space(weights: Sequence[float] | np.ndarray) -> MeasureSpace:
     """Validate a list of atom masses into a MeasureSpace."""
-    return MeasureSpace(np.asarray(list(weights), dtype=float))
+    return MeasureSpace(np.asarray(weights, dtype=float))
 
 
 def make_partition(

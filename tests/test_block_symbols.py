@@ -1,0 +1,242 @@
+"""The per-block symbol engine: block arrays against summation and loop
+references, the atomwise views, partition faults at scale, call counts,
+and the symmetries that leave ``T`` unchanged."""
+
+import math
+
+import numpy as np
+import pytest
+
+import wctops.cli as cli_mod
+import wctops.condexp as condexp_mod
+import wctops.criteria as criteria_mod
+from wctops import (
+    Mfunc,
+    ValidationError,
+    essential_range,
+    make_partition,
+    make_space,
+    spectrum_matches_range,
+    symbols,
+    wct_op,
+)
+from wctops.cli import (
+    classify_operator,
+    cmd_example_a,
+    fixture_support_gap,
+    main,
+    random_instance,
+    suite_instances,
+)
+
+
+def _fsum_averages(ce, f):
+    """Per-block mass-weighted averages by exactly rounded summation."""
+    mu = ce.space.weights
+    out = []
+    for blk in ce.partition.blocks:
+        mass = math.fsum(mu[i] for i in blk)
+        re = math.fsum(f[i].real * mu[i] for i in blk) / mass
+        im = math.fsum(f[i].imag * mu[i] for i in blk) / mass
+        scale = math.fsum(abs(f[i]) * mu[i] for i in blk) / mass
+        out.append((complex(re, im), scale))
+    return out
+
+
+def test_block_symbols_match_fsum_reference():
+    for inst in suite_instances(200, seed=42):
+        ce = inst.cond_exp()
+        st = symbols(ce, inst.w, inst.u)
+        u, w = inst.u.values, inst.w.values
+        columns = (
+            (st.alpha, u * w),
+            (st.beta, np.abs(u) ** 2),
+            (st.gamma, np.abs(w) ** 2),
+        )
+        for got, f in columns:
+            for b, (ref, scale) in enumerate(_fsum_averages(ce, f)):
+                # relative to the block average of |f|, which bounds the
+                # rounding error of any summation order
+                assert abs(got[b] - ref) <= 1e-13 * scale, (inst.label, b)
+        assert np.array_equal(st.abs_alpha_sq, np.abs(st.alpha) ** 2)
+
+
+def test_atomwise_views_expand_block_arrays():
+    for inst in suite_instances(30, seed=7):
+        st = symbols(inst.cond_exp(), inst.w, inst.u)
+        idx = inst.partition.block_index
+        assert np.array_equal(st.e_uw.values, st.alpha[idx])
+        assert np.array_equal(st.t.values, st.abs_alpha_sq[idx])
+        assert np.array_equal(st.e_u2.values, st.beta[idx])
+        assert np.array_equal(st.e_w2.values, st.gamma[idx])
+        atoms = np.arange(inst.space.atom_count)
+        assert st.S == frozenset(atoms[st.in_S[idx]].tolist())
+        assert st.G == frozenset(atoms[st.in_G[idx]].tolist())
+        assert st.support_both == st.S & st.G
+        assert st.e_uw is st.e_uw  # built once
+
+
+def _essential_range_loop(f, tol=1e-9):
+    vals = sorted(f.values.tolist(), key=lambda z: (z.real, z.imag))
+    out = []
+    for v in vals:
+        if not out or abs(v - out[-1]) > tol:
+            out.append(v)
+    return tuple(out)
+
+
+def _spectrum_distance_loop(ev, e_uw, tol=1e-8):
+    ev = [z for z in ev.tolist() if abs(z) > tol]
+    attained = [z for z in e_uw.values.tolist() if abs(z) > tol]
+    if not ev and not attained:
+        return True, 0.0
+    if not ev or not attained:
+        return False, max(abs(z) for z in ev or attained)
+    d1 = max(min(abs(a - b) for b in attained) for a in ev)
+    d2 = max(min(abs(b - a) for a in ev) for b in attained)
+    return max(d1, d2) <= tol, max(d1, d2)
+
+
+def test_range_and_spectrum_match_loop_references():
+    insts = suite_instances(60, seed=11)
+    insts.append(random_instance(np.random.default_rng(1), (40, 40), (5, 5)))
+    for inst in insts:
+        ce = inst.cond_exp()
+        st = symbols(ce, inst.w, inst.u)
+        ref = _essential_range_loop(st.e_uw)
+        assert essential_range(st.e_uw) == ref
+        assert essential_range(st.alpha) == ref
+        ev = np.linalg.eigvals(wct_op(ce, inst.w, inst.u).entries)
+        ok, dist = _spectrum_distance_loop(ev, st.e_uw)
+        for attained in (st.e_uw, st.alpha):
+            # numpy's complex modulus may round differently from Python's
+            got_ok, got_dist = spectrum_matches_range(ev, attained)
+            assert got_ok == ok
+            assert got_dist == pytest.approx(dist, rel=8 * np.finfo(float).eps)
+
+
+def _faulty_blocks(n):
+    """Partitions of ``n`` atoms with one fault each; the faulty atom and
+    block do not depend on ``n``."""
+    rest = list(range(2, n))
+    return {
+        "overlap": ([[0, 1], [1] + rest], "atom 1 appears in both block 0 and block 1"),
+        "gap": ([[0, 1], rest[1:]], "atom 2 is not covered by any block"),
+        "out-of-range": (
+            [[0, 1], rest + [n]],
+            f"block 1 contains out-of-range atom index {n} (space has {n} atoms)",
+        ),
+        "empty": ([[0, 1] + rest, []], "block 1 is empty"),
+        # several faults: the first one in reading order is reported
+        "first-fault": (
+            [[0], [1, 1], [], rest + [n + 3], rest[:1]],
+            "atom 1 appears in both block 1 and block 1",
+        ),
+        "empty-before-atom": ([[0, 1], [], rest + [-1]], "block 1 is empty"),
+        "atom-before-empty": ([[0, 1, -1], [], rest], "block 0 contains out-of-range"),
+    }
+
+
+@pytest.mark.parametrize("n", [4, 100_000])
+@pytest.mark.parametrize(
+    "case",
+    ["overlap", "gap", "out-of-range", "empty", "first-fault", "empty-before-atom",
+     "atom-before-empty"],
+)
+def test_partition_faults_name_the_same_atom_and_block_at_scale(n, case):
+    space = make_space(np.full(n, 1.0 / n))
+    blocks, message = _faulty_blocks(n)[case]
+    with pytest.raises(ValidationError) as info:
+        make_partition(space, blocks)
+    assert str(info.value).startswith(message)
+
+
+def test_partition_stores_python_ints():
+    space = make_space([0.25] * 4)
+    part = make_partition(space, [np.array([2, 0]), (np.int32(1), 3)])
+    assert part.blocks == ((2, 0), (1, 3))
+    assert {type(i) for blk in part.blocks for i in blk} == {int}
+    assert part.block_index.tolist() == [0, 1, 0, 1]
+
+
+def _count_block_averages(monkeypatch):
+    calls = []
+    original = condexp_mod.block_averages
+
+    def counted(ce, f):
+        calls.append(1)
+        return original(ce, f)
+
+    for module in (condexp_mod, criteria_mod, cli_mod):
+        monkeypatch.setattr(module, "block_averages", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("matrix_limit", [600, 0])
+def test_classify_operator_averages_three_symbols_once(monkeypatch, matrix_limit):
+    inst = random_instance(np.random.default_rng(5), (8, 8), (3, 3), stratum="generic")
+    calls = _count_block_averages(monkeypatch)
+    report = classify_operator(
+        inst.space, inst.partition, inst.u, inst.w, matrix_limit=matrix_limit
+    )
+    assert report.matrix_route == (matrix_limit > 0)
+    assert len(calls) == 3
+
+
+def test_cmd_example_a_averages_three_symbols_once(monkeypatch):
+    calls = _count_block_averages(monkeypatch)
+    report = cmd_example_a(5, 300)
+    assert not report.classification.matrix_route
+    assert len(calls) == 3
+
+
+def _verdicts(space, partition, u, w):
+    report = classify_operator(space, partition, u, w, m_max=3)
+    rows = [
+        (r["paper_quasi"], r["corrected_quasi"], r["oracle_quasi"],
+         r["paper_m_iso"], r["oracle_m_iso"])
+        for r in report.criteria_rows
+    ]
+    normality = report.normality
+    return (
+        rows,
+        normality["normal"],
+        normality["hyponormal"],
+        [p["holds"] for p in normality["p_hyponormal"]],
+        len(report.mismatches),
+        sorted((d["kind"], d["m"]) for d in report.divergences),
+    )
+
+
+GAUGE_INSTANCES = {
+    "generic": lambda: random_instance(
+        np.random.default_rng(3), (6, 6), (2, 2), stratum="generic"
+    ),
+    "support-gap": fixture_support_gap,
+}
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e7])
+@pytest.mark.parametrize("name", sorted(GAUGE_INSTANCES))
+def test_gauge_leaves_verdicts_unchanged(c, name):
+    # (u/c, c w) gives the same operator: the supports, decided relative to
+    # the largest E|u|^2 and E|w|^2, and so every verdict stay the same
+    inst = GAUGE_INSTANCES[name]()
+    base = _verdicts(inst.space, inst.partition, inst.u, inst.w)
+    gauged = _verdicts(
+        inst.space, inst.partition, Mfunc(inst.u.values / c), Mfunc(inst.w.values * c)
+    )
+    assert gauged == base
+    assert base[4] == 0
+
+
+def test_main_random_suite_draw_failure_exits_2(capsys):
+    # 300 atoms in 15 blocks: no quasi-stratum draw keeps every block
+    # average of u*w above 0.2 for this seed
+    code = main(
+        ["random-suite", "--count", "3", "--dims", "300:300", "--blocks", "15:15",
+         "--seed", "5"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "300 atoms in 15 blocks" in err
