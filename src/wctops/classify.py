@@ -9,10 +9,18 @@ function-level criteria are audited.
 ``T f = w E(u f)`` maps the span of each partition block into itself, so
 ``T`` and every operator built from it here are block-diagonal.
 ``DefectOracle`` therefore computes on the diagonal blocks alone, stacked
-by block size (see the stack kernels in ``linop``).  That is exact, and
-every check still runs on every block with the scale of the whole
-operator.  The public functions on a bare ``LinOp`` treat the whole
-matrix as one block.
+by block size (see the stack kernels in ``linop``).  Each block is rank
+one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the complement of
+``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: a block of size
+d >= 3 is rotated onto ``V_b`` and kept as its 2x2 core plus d - 2 zero
+1x1 blocks, read from ``T`` alone.  Both cuts are exact, because every
+operand built from ``T`` stays block-diagonal in the smaller blocks; the
+zero blocks carry ``B_m = (-1)^m``, a zero ``T* B_m T``, commutator and
+p-power, and the zeros of the spectrum.  The zero blocks are all alike, so
+one of them stands for all in every norm and check, and ``spectrum`` adds
+back the zeros the others carry.  Every check still runs on every block
+with the scale of the whole operator.  The public functions on a
+bare ``LinOp`` treat the whole matrix as one block.
 """
 
 from __future__ import annotations
@@ -174,12 +182,13 @@ class DefectOracle:
     """The dense oracle of one operator ``T`` for orders m = 1..m_max.
 
     ``partition`` names blocks whose spans ``T`` maps into themselves; every
-    entry of ``T`` outside them must be exactly zero, else NumericError.
-    Without a partition the whole matrix is one block.  What several
-    verdicts share is computed once: the gram stack ``(T^k)* T^k``, the
-    eigendecompositions of ``T* T`` and ``T T*`` (the norm and every
-    p-power use them), the defect norms and the commutator.  The norm of a
-    Hermitian operand is the largest modulus of its own eigenvalues.
+    entry of ``T`` outside them must be exactly zero, and every block must
+    be rank one to roundoff, else NumericError.  Without a partition the
+    whole matrix is one block.  What several verdicts share is computed
+    once: the gram stack ``(T^k)* T^k``, the eigendecompositions of
+    ``T* T`` and ``T T*`` (the norm and every p-power use them), the defect
+    norms and the commutator.  The norm of a Hermitian operand is the
+    largest modulus of its own eigenvalues.
     """
 
     def __init__(
@@ -189,9 +198,9 @@ class DefectOracle:
             raise ValidationError(f"m_max must be >= 0, got {m_max}")
         self.m_max = m_max
         if partition is None:
-            self._t = _one_block(T.entries)
+            self._t, self._left_out_zeros = _one_block(T.entries), 0
         else:
-            self._t = _block_stack(T.entries, partition)
+            self._t, self._left_out_zeros = _block_stack(T.entries, partition)
         self._grams, self._scales = _gram_stack(self._t, m_max + 1)
 
     @cached_property
@@ -234,7 +243,7 @@ class DefectOracle:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of ``T`` with multiplicity, sorted by (real, imaginary) part."""
-        return _eigvals_stack(self._t)
+        return _eigvals_stack(self._t, self._left_out_zeros)
 
     def verdicts(self, tol: float | None = None) -> list[DefectVerdict]:
         """Defect verdicts for m = 1..m_max.

@@ -196,10 +196,9 @@ class ProblemSpec:
             "probes_p": list(self.probes_p),
         }
 
-    def build(self) -> tuple[MeasureSpace, Partition, CondExp, Mfunc, Mfunc]:
+    def build(self) -> tuple[MeasureSpace, Partition, Mfunc, Mfunc]:
         space = make_space(self.weights)
         partition = make_partition(space, self.blocks)
-        ce = CondExp(space, partition)
         if len(self.u) != space.atom_count:
             raise ValidationError(
                 f"spec field 'u' has {len(self.u)} values for {space.atom_count} atoms"
@@ -210,7 +209,7 @@ class ProblemSpec:
             )
         u = Mfunc(np.array(self.u, dtype=complex))
         w = Mfunc(np.array(self.w, dtype=complex))
-        return space, partition, ce, u, w
+        return space, partition, u, w
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +530,7 @@ def cmd_classify(spec: "ProblemSpec | str") -> ClassificationReport:
     """Classify the operator described by a problem spec (object or path)."""
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
-    space, partition, _, u, w = spec.build()
+    space, partition, u, w = spec.build()
     return classify_operator(
         space, partition, u, w, spec.m_max, spec.tol, spec.probes_p
     )
@@ -1012,8 +1011,9 @@ def cmd_sweep_m(spec: "ProblemSpec | str", m_max: int = 6) -> SweepReport:
     """Tabulate defect norms for m = 1..m_max for a problem spec."""
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
-    _, partition, ce, u, w = spec.build()
-    dn, qn = DefectOracle(wct_op(ce, w, u), m_max, partition).defect_norms
+    space, partition, u, w = spec.build()
+    T = wct_op(CondExp(space, partition), w, u)
+    dn, qn = DefectOracle(T, m_max, partition).defect_norms
     rows = [
         {"m": m, "defect_norm": d, "quasi_defect_norm": q}
         for m, (d, q) in enumerate(zip(dn.tolist(), qn.tolist()), start=1)

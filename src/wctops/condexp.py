@@ -69,10 +69,12 @@ def cond_exp_matrix(ce: CondExp) -> LinOp:
     share block ``B`` and zero otherwise, which makes the matrix Hermitian
     and idempotent.
     """
-    n = ce.space.atom_count
+    idx = ce.partition.block_index
     s = np.sqrt(ce.space.weights)
-    mat = np.zeros((n, n), dtype=complex)
-    for b, blk in enumerate(ce.partition.blocks):
-        idx = np.array(blk, dtype=np.intp)
-        mat[np.ix_(idx, idx)] = np.outer(s[idx], s[idx]) / ce.block_masses[b]
+    mat = np.zeros((len(s), len(s)), dtype=complex)
+    # computed in place in the real part: the only n x n array is the result
+    re = mat.real
+    np.multiply.outer(s, s, out=re)
+    re /= ce.block_masses[idx][:, None]
+    re[idx[:, None] != idx[None, :]] = 0.0
     return LinOp(mat)

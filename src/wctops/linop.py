@@ -173,17 +173,33 @@ def is_psd(A: LinOp, tol: float) -> bool:
 # blocks' eigenvalues.  Every check reduces over all blocks of an operand,
 # so its threshold is the one the whole block-diagonal matrix would get.
 # A whole matrix ``a`` is the one-block stack ``[a[None, None]]``.
+#
+# The stack of ``T f = w E(u f)`` over a partition is smaller still: each
+# diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
+# the complement of ``span{a_b, c_b}`` and map that span into itself.
+# ``_block_stack`` rotates each block of size d >= 3 onto that span and
+# keeps its 2x2 core plus d - 2 zero 1x1 blocks.  Every operand built from
+# ``T`` is block-diagonal in these blocks too, so this is exact: the zero
+# blocks contribute ``B_m = (-1)^m``, zero for ``T* B_m T``, the commutator
+# and the p-powers, and the zeros of the spectrum.  The zero blocks are all
+# alike, and every norm, residual and check is a maximum, a minimum or a
+# sum of squares over blocks, so one zero block stands for all of them; the
+# stack records how many zeros of the spectrum that leaves out.
 
 
 def _one_block(a: np.ndarray) -> list[np.ndarray]:
     return [a[None, None]]
 
 
-def _block_stack(a: np.ndarray, partition: Partition) -> list[np.ndarray]:
-    """The diagonal blocks of ``a`` as a one-operand stack.
+def _block_stack(
+    a: np.ndarray, partition: Partition
+) -> tuple[list[np.ndarray], int]:
+    """The diagonal blocks of ``a``, each cut to its rank-one core, as a
+    one-operand stack, and the number of zero eigenvalues the stack leaves
+    out (see ``_rank_one_cores``).
 
     Raises NumericError unless every entry outside the partition's blocks
-    is exactly zero.
+    is exactly zero, and unless every block is rank one.
     """
     if partition.atom_count != len(a):
         raise ValidationError(
@@ -193,17 +209,60 @@ def _block_stack(a: np.ndarray, partition: Partition) -> list[np.ndarray]:
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for blk in partition.blocks:
         by_size.setdefault(len(blk), []).append(blk)
-    stack = []
+    blocks = []
     for d in sorted(by_size):
         idx = np.array(by_size[d], dtype=np.intp)
-        stack.append(a[idx[:, :, None], idx[:, None, :]][None])
-    outside = np.count_nonzero(a) - sum(np.count_nonzero(s) for s in stack)
+        blocks.append(a[idx[:, :, None], idx[:, None, :]])
+    outside = np.count_nonzero(a) - sum(np.count_nonzero(b) for b in blocks)
     if outside:
         raise NumericError(
             f"operator has {outside} nonzero entries outside the diagonal "
             f"blocks of its partition"
         )
-    return stack
+    return _rank_one_cores(blocks)
+
+
+def _rank_one_cores(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Each block of size d >= 3 as its 2x2 core and d - 2 zero 1x1 blocks.
+
+    ``blocks`` holds arrays of shape ``(k, d, d)``.  For a rank-one block
+    ``A = a c*`` the unitary ``Q`` whose first two columns span ``A``'s
+    largest column (parallel to ``a``) and its largest conjugated row
+    (parallel to ``c``) makes ``Q* A Q`` zero outside its leading 2x2
+    corner, which is kept.  Raises NumericError when an entry outside the
+    corner exceeds 1e-10 times the largest entry of all blocks.
+
+    All the zero 1x1 blocks are kept as one zero block of size 2 (of size 1
+    when there is only one), which adds no block size to a stack that has
+    2x2 cores; the number of zeros this leaves out is returned.
+    """
+    scale = max(float(np.abs(b).max()) for b in blocks)
+    by_size = {b.shape[-1]: [b] for b in blocks if b.shape[-1] < 3}
+    zeros, worst = 0, 0.0
+    for b in blocks:
+        k, d, _ = b.shape
+        if d < 3:
+            continue
+        mag = np.abs(b) ** 2
+        col = np.argmax(mag.sum(axis=-2), axis=-1)
+        row = np.argmax(mag.sum(axis=-1), axis=-1)
+        ks = np.arange(k)
+        basis = np.stack([b[ks, :, col], b[ks, row, :].conj()], axis=-1)
+        q, _ = np.linalg.qr(basis, mode="complete")
+        rot = _adj(q) @ b @ q
+        by_size.setdefault(2, []).append(rot[:, :2, :2].copy())
+        rot[:, :2, :2] = 0.0
+        worst = max(worst, float(np.abs(rot).max()))
+        zeros += k * (d - 2)
+    if worst > 1e-10 * scale:
+        raise NumericError(
+            f"operator block is not rank one: entry {worst:.3e} outside its "
+            f"2x2 core at scale {scale:.3e}"
+        )
+    kept = min(zeros, 2)
+    if kept:
+        by_size.setdefault(kept, []).append(np.zeros((1, kept, kept), dtype=complex))
+    return [np.concatenate(by_size[d])[None] for d in sorted(by_size)], zeros - kept
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -282,11 +341,13 @@ def _power_stack(
     return [_from_eig(np.where(e < cut, 0.0, e) ** p, v) for e, v in zip(evals, vecs)]
 
 
-def _eigvals_stack(stack: list[np.ndarray]) -> np.ndarray:
-    """Eigenvalues of a one-operand stack with multiplicity, sorted by
-    (real, imaginary) part."""
+def _eigvals_stack(stack: list[np.ndarray], zeros: int = 0) -> np.ndarray:
+    """Eigenvalues of a one-operand stack with multiplicity, and ``zeros``
+    more exact zeros, sorted by (real, imaginary) part."""
     try:
-        ev = np.concatenate([np.linalg.eigvals(a).ravel() for a in stack])
+        ev = np.concatenate(
+            [np.linalg.eigvals(a).ravel() for a in stack] + [np.zeros(zeros, complex)]
+        )
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     order = np.lexsort((ev.imag, ev.real))

@@ -69,9 +69,10 @@ def test_block_oracle_matches_whole_matrix_on_random_suite():
         _assert_block_oracle_matches_whole(T, inst.partition, 4)
 
 
-def _spec_operator(rng, sizes):
+def _spec_operator(rng, sizes, u_of_w=None):
     """A random operator on ``sum(sizes)`` atoms, blocks of the given sizes
-    laid over a shuffled atom order."""
+    laid over a shuffled atom order.  ``u_of_w(w, partition)`` gives ``u``
+    values in place of random ones."""
     n = int(sum(sizes))
     space = make_space(rng.uniform(0.2, 2.0, n))
     perm = rng.permutation(n)
@@ -79,9 +80,11 @@ def _spec_operator(rng, sizes):
     partition = make_partition(space, [p.tolist() for p in np.split(perm, cuts)])
 
     def values():
-        return Mfunc(rng.uniform(0.0, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+        return rng.uniform(0.0, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
 
-    T = wct_op(CondExp(space, partition), values(), values())
+    w = values()
+    u = values() if u_of_w is None else u_of_w(w, partition)
+    T = wct_op(CondExp(space, partition), Mfunc(w), Mfunc(u))
     return T, partition
 
 
@@ -98,6 +101,70 @@ def test_block_oracle_matches_whole_matrix_on_large_specs(sizes):
     rng = np.random.default_rng(len(sizes))
     T, partition = _spec_operator(rng, sizes)
     _assert_block_oracle_matches_whole(T, partition, 3)
+
+
+def _zero_on_block(size):
+    def u_of_w(w, partition):
+        u = w.copy()
+        (blk,) = [b for b in partition.blocks if len(b) == size]
+        u[list(blk)] = 0.0
+        return u
+
+    return u_of_w
+
+
+@pytest.mark.parametrize(
+    "sizes,u_of_w",
+    [
+        # c_b parallel to a_b: the core's second basis vector comes from
+        # roundoff alone
+        ([3, 4, 6, 9, 2, 1], lambda w, _: w.conj()),
+        ([3, 5, 8, 2], _zero_on_block(5)),  # an all-zero block
+        ([180, 3, 3, 4, 2, 1], None),  # a dominant block
+    ],
+    ids=["parallel", "zero-block", "dominant-180"],
+)
+def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
+    rng = np.random.default_rng(sum(sizes))
+    T, partition = _spec_operator(rng, sizes, u_of_w)
+    # every block of size d >= 3 becomes one 2x2 core and d - 2 zero 1x1s,
+    # and one zero 2x2 block stands for all the zero 1x1s
+    oracle = DefectOracle(T, 1, partition)
+    counts = {a.shape[-1]: a.shape[1] for a in oracle._t}
+    assert counts.pop(1, 0) == sizes.count(1)
+    assert counts == {2: sum(d >= 2 for d in sizes) + 1}
+    zeros = sum(d - 2 for d in sizes if d >= 3)
+    assert oracle._left_out_zeros == zeros - 2
+    _assert_block_oracle_matches_whole(T, partition, 3)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[1, 2, 3, 7, 20], [2, 3]],  # 25 zero 1x1 blocks; one, kept as it is
+    ids=["many-zeros", "one-zero"],
+)
+def test_spectrum_keeps_the_zeros_of_the_cut_blocks(sizes):
+    T, partition = _spec_operator(np.random.default_rng(13), sizes)
+    spec = DefectOracle(T, 1, partition).spectrum
+    assert spec.shape == (T.dim,)
+    # each block is rank one: n - k eigenvalues vanish, and those of the
+    # d - 2 zero blocks cut from a block of size d vanish exactly
+    assert np.count_nonzero(spec == 0) >= sum(d - 2 for d in sizes if d >= 3)
+    tiny = np.abs(spec) <= 1e-12 * DefectOracle(T, 0).norm
+    assert np.count_nonzero(tiny) == T.dim - len(sizes)
+
+
+def test_rank_two_block_raises_numeric_error():
+    rng = np.random.default_rng(21)
+    T, partition = _spec_operator(rng, [3, 4, 5])
+    blk = list(partition.blocks[2])
+    x = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    a = T.entries.copy()
+    a[np.ix_(blk, blk)] += 0.5 * np.outer(x[0], x[1].conj())
+    with pytest.raises(NumericError, match="not rank one"):
+        DefectOracle(LinOp(a), 2, partition)
+    # the off-block entries are still zero: only the core check trips
+    assert np.count_nonzero(a) == np.count_nonzero(T.entries)
 
 
 def test_off_block_entry_raises_numeric_error():

@@ -125,6 +125,19 @@ def test_cond_exp_matrix_is_projection_of_block_rank():
         assert int(round(evals.sum())) == ce.partition.block_count
 
 
+def test_cond_exp_matrix_equals_block_loop():
+    # reference: the matrix assembled block by block; the arithmetic per
+    # entry is the same, so the entries must be equal, not merely close
+    for inst in random_instances(seed=9, count=20):
+        ce = inst.cond_exp()
+        s = np.sqrt(ce.space.weights)
+        ref = np.zeros((ce.space.atom_count,) * 2, dtype=complex)
+        for b, blk in enumerate(ce.partition.blocks):
+            idx = np.array(blk, dtype=np.intp)
+            ref[np.ix_(idx, idx)] = np.outer(s[idx], s[idx]) / ce.block_masses[b]
+        assert np.array_equal(cond_exp_matrix(ce).entries, ref)
+
+
 def test_block_masses_recomputable():
     geo = geometric_space(0.4, 12)
     ce = CondExp(geo.space, geo.partition)

@@ -1,6 +1,7 @@
 """Verdicts are invariant under the symmetries that leave ``T`` unchanged:
 the gauge ``(u, w) -> (u/c, c w)``, the phase ``(u, w) -> (e^{it} u,
-e^{-it} w)`` and rescaling all masses."""
+e^{-it} w)`` and rescaling all masses; and under those that only reorder
+its basis: permuting the atoms and relabelling the blocks."""
 
 import numpy as np
 import pytest
@@ -36,3 +37,31 @@ def test_verdicts_invariant_under_symmetries(seed, log_c, theta, log_s):
     assert gauge == base
     assert rotated == base
     assert rescaled == base
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(
+    seed=st_.integers(0, 2**32 - 1),
+    shuffle_seed=st_.integers(0, 2**32 - 1),
+)
+def test_verdicts_invariant_under_atom_permutation_and_block_relabelling(
+    seed, shuffle_seed
+):
+    # the dense oracle picks each block's core basis by an argmax over the
+    # block's columns, so the atom order must not leak into a verdict
+    inst = random_instance(np.random.default_rng(seed), (2, 6), (1, 3))
+    base = _verdicts(inst.space, inst.partition, inst.u, inst.w)
+    # atom perm[j] becomes atom j, and the blocks are listed in a new order
+    shuffle = np.random.default_rng(shuffle_seed)
+    perm = shuffle.permutation(inst.space.atom_count)
+    new_index = np.argsort(perm)
+    blocks = [new_index[list(blk)].tolist() for blk in inst.partition.blocks]
+    blocks = [blocks[b] for b in shuffle.permutation(len(blocks))]
+    space = make_space(inst.space.weights[perm])
+    permuted = _verdicts(
+        space,
+        make_partition(space, blocks),
+        Mfunc(inst.u.values[perm]),
+        Mfunc(inst.w.values[perm]),
+    )
+    assert permuted == base
