@@ -42,7 +42,6 @@ from .errors import NumericError, PropertyViolation, ValidationError
 from .linop import (
     LinOp,
     adjoint,
-    compose,
     hermitian_eig,
     hermitian_power,
     identity,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
     PAPER_EPS,
+    MismatchRecord,
     SymbolTable,
     _m_iso_paper,
     audit_agreement,
@@ -92,6 +93,21 @@ def _parse_complex(value: Any, where: str) -> complex:
 
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
+
+
+def _fields(record) -> dict:
+    """A dataclass record's fields by name: a shallow copy, so nested values
+    are shared rather than recursively copied as ``dataclasses.asdict`` does."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _mismatch(rec: MismatchRecord) -> dict:
+    """A mismatch record's fields, with ``u`` and ``w`` as ``[re, im]`` pairs."""
+    return {
+        **_fields(rec),
+        "u": [_complex_pair(z) for z in rec.u],
+        "w": [_complex_pair(z) for z in rec.w],
+    }
 
 
 @dataclass(frozen=True)
@@ -222,8 +238,27 @@ def _fmt_bool(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
+class _Report:
+    """Base of the report dataclasses: the structured form is the fields,
+    renamed through ``_keys``, with a nested report in its structured form."""
+
+    _keys = {
+        "symbol_rows": "symbols",
+        "criteria_rows": "criteria",
+        "instance_rows": "instances",
+    }
+
+    def to_dict(self) -> dict:
+        return {
+            self._keys.get(name, name): (
+                value.to_dict() if isinstance(value, _Report) else value
+            )
+            for name, value in _fields(self).items()
+        }
+
+
 @dataclass
-class ClassificationReport:
+class ClassificationReport(_Report):
     """Full verdict set for one operator, with residual evidence."""
 
     atom_count: int
@@ -245,25 +280,6 @@ class ClassificationReport:
     @property
     def mismatch_count(self) -> int:
         return len(self.mismatches)
-
-    def to_dict(self) -> dict:
-        return {
-            "atom_count": self.atom_count,
-            "block_count": self.block_count,
-            "m_max": self.m_max,
-            "matrix_route": self.matrix_route,
-            "symbols": self.symbol_rows,
-            "defect_verdicts": self.defect_verdicts,
-            "criteria": self.criteria_rows,
-            "normality": self.normality,
-            "normal_case": self.normal_case,
-            "spectrum": self.spectrum,
-            "essential_range": self.essential_range,
-            "spectrum_match": self.spectrum_match,
-            "mismatches": self.mismatches,
-            "divergences": self.divergences,
-            "notes": self.notes,
-        }
 
     def render_text(self) -> str:
         lines = []
@@ -385,16 +401,15 @@ def classify_operator(
     m_max: int = 4,
     tol: float | None = None,
     probes_p: Sequence[float] = DEFAULT_PROBES,
-    matrix_limit: int = MATRIX_LIMIT,
 ) -> ClassificationReport:
     """Classify ``f -> w E(u f)`` by both routes where feasible.
 
-    Beyond ``matrix_limit`` atoms only the symbol-level criteria run; the
+    Beyond ``MATRIX_LIMIT`` atoms only the symbol-level criteria run; the
     dense defect oracle would need an ``n x n`` matrix.
     """
     ce = CondExp(space, partition)
     notes: list[str] = []
-    use_matrix = space.atom_count <= matrix_limit
+    use_matrix = space.atom_count <= MATRIX_LIMIT
 
     defect_verdicts: list[dict] = []
     criteria_rows: list[dict] = []
@@ -408,58 +423,10 @@ def classify_operator(
     if use_matrix:
         audit = audit_agreement(ce, w, u, m_max, tol)
         oracle, st = audit.oracle, audit.symbols
-        for row in audit.rows:
-            defect_verdicts.append(
-                {
-                    "m": row.m,
-                    "defect_norm": row.oracle_defect_norm,
-                    "quasi_defect_norm": row.oracle_quasi_norm,
-                    "tol": row.tol,
-                    "is_m_isometric": row.oracle_m_iso,
-                    "is_quasi_m_isometric": row.oracle_quasi,
-                }
-            )
-        for row in audit.rows:
-            criteria_rows.append(
-                {
-                    "m": row.m,
-                    "tol": row.tol,
-                    "paper_quasi": row.paper_quasi,
-                    "corrected_quasi": row.corrected_quasi,
-                    "oracle_quasi": row.oracle_quasi,
-                    "quasi_residual": row.quasi_residual,
-                    "quasi_paper_residual": row.quasi_paper_residual,
-                    "oracle_quasi_norm": row.oracle_quasi_norm,
-                    "paper_m_iso": row.paper_m_iso,
-                    "oracle_m_iso": row.oracle_m_iso,
-                    "m_iso_paper_residual": row.m_iso_paper_residual,
-                    "oracle_defect_norm": row.oracle_defect_norm,
-                    "e_r": list(row.e_r),
-                }
-            )
-        for rec in audit.mismatches:
-            mismatches.append(
-                {
-                    "weights": list(rec.weights),
-                    "blocks": [list(b) for b in rec.blocks],
-                    "u": [_complex_pair(z) for z in rec.u],
-                    "w": [_complex_pair(z) for z in rec.w],
-                    "m": rec.m,
-                    "criterion_residual": rec.criterion_residual,
-                    "oracle_norm": rec.oracle_norm,
-                }
-            )
-        for d in audit.divergences:
-            divergences.append(
-                {
-                    "kind": d.kind,
-                    "m": d.m,
-                    "paper_verdict": d.paper_verdict,
-                    "oracle_verdict": d.oracle_verdict,
-                    "paper_residual": d.paper_residual,
-                    "oracle_norm": d.oracle_norm,
-                }
-            )
+        defect_verdicts = [_fields(v) for v in oracle.verdicts(tol)]
+        criteria_rows = [_fields(row) for row in audit.rows]
+        mismatches = [_mismatch(rec) for rec in audit.mismatches]
+        divergences = [_fields(d) for d in audit.divergences]
         normality = oracle.normality(probes_p, tol)
         if normality["normal"]:
             nc = normal_case_equivalence(st, oracle, m_max, normality["tol"])
@@ -469,10 +436,7 @@ def classify_operator(
                 "identity_residual": nc.identity_residual,
                 "identity_ok": nc.identity_ok,
                 "all_equal": nc.all_equal,
-                "properties": [
-                    {"name": c.name, "holds": c.holds, "residual": c.residual}
-                    for c in nc.properties
-                ],
+                "properties": [_fields(c) for c in nc.properties],
             }
         spec_list = [_complex_pair(z) for z in oracle.spectrum.tolist()]
         ok, dist = spectrum_matches_range(oracle.spectrum, st.alpha)
@@ -481,7 +445,7 @@ def classify_operator(
         st = symbols(ce, w, u)
         notes.append(
             f"matrix route skipped: {space.atom_count} atoms exceed the "
-            f"dense-matrix limit of {matrix_limit}; verdicts use the "
+            f"dense-matrix limit of {MATRIX_LIMIT}; verdicts use the "
             f"symbol-level criteria"
         )
         for m in range(1, m_max + 1):
@@ -541,7 +505,7 @@ def cmd_classify(spec: "ProblemSpec | str") -> ClassificationReport:
 
 
 @dataclass
-class ExampleAReport:
+class ExampleAReport(_Report):
     """Unit-square grid example: measured curves against closed forms."""
 
     nx: int
@@ -553,19 +517,6 @@ class ExampleAReport:
     min_gap: float
     min_sqrt_residual: float
     classification: ClassificationReport
-
-    def to_dict(self) -> dict:
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "columns": self.columns,
-            "max_rel_err_e_u2": self.max_rel_err_e_u2,
-            "max_rel_err_e_w2": self.max_rel_err_e_w2,
-            "max_rel_err_t": self.max_rel_err_t,
-            "min_gap": self.min_gap,
-            "min_sqrt_residual": self.min_sqrt_residual,
-            "classification": self.classification.to_dict(),
-        }
 
     @property
     def mismatch_count(self) -> int:
@@ -665,7 +616,7 @@ def cmd_example_a(
 
 
 @dataclass
-class ExampleBReport:
+class ExampleBReport(_Report):
     """Geometric sequence example with ``w(n) = n`` and ``u(n) = 1/n``."""
 
     p: float
@@ -674,16 +625,6 @@ class ExampleBReport:
     alphas: list[dict]
     max_alpha_deviation: float
     classification: ClassificationReport
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n_atoms": self.n_atoms,
-            "tail_mass": self.tail_mass,
-            "alphas": self.alphas,
-            "max_alpha_deviation": self.max_alpha_deviation,
-            "classification": self.classification.to_dict(),
-        }
 
     @property
     def mismatch_count(self) -> int:
@@ -717,21 +658,19 @@ def cmd_example_b(
     n = geo.n.astype(float)
     u = Mfunc(1.0 / n)
     w = Mfunc(n)
-    ce = CondExp(geo.space, geo.partition)
-    avg = block_averages(ce, u * w)
-    descriptions = ["n divisible by 3", "n not divisible by 3"]
-    alphas = [
-        {
-            "block": b,
-            "description": descriptions[b],
-            "value": _complex_pair(complex(avg[b])),
-            "deviation": float(abs(avg[b] - 1.0)),
-        }
-        for b in range(len(avg))
-    ]
     report = classify_operator(
         geo.space, geo.partition, u, w, m_max=m_max, tol=tol
     )
+    descriptions = ["n divisible by 3", "n not divisible by 3"]
+    alphas = [
+        {
+            "block": row["block"],
+            "description": descriptions[row["block"]],
+            "value": row["e_uw"],
+            "deviation": abs(complex(*row["e_uw"]) - 1.0),
+        }
+        for row in report.symbol_rows
+    ]
     return ExampleBReport(
         p=p,
         n_atoms=n_atoms,
@@ -877,7 +816,7 @@ def suite_instances(
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(_Report):
     """Aggregate of the randomized agreement audit."""
 
     count: int
@@ -888,18 +827,6 @@ class SuiteReport:
     mismatches: list[dict]
     divergence_stats: dict
     stratum_counts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "seed": self.seed,
-            "m_max": self.m_max,
-            "instances": self.instance_rows,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches,
-            "divergence_stats": self.divergence_stats,
-            "stratum_counts": self.stratum_counts,
-        }
 
     def render_text(self) -> str:
         lines = [
@@ -957,20 +884,10 @@ def cmd_random_suite(
                 "divergences": kinds,
             }
         )
-        for rec in report.mismatches:
-            mismatches.append(
-                {
-                    "index": idx,
-                    "label": inst.label,
-                    "weights": list(rec.weights),
-                    "blocks": [list(b) for b in rec.blocks],
-                    "u": [_complex_pair(z) for z in rec.u],
-                    "w": [_complex_pair(z) for z in rec.w],
-                    "m": rec.m,
-                    "criterion_residual": rec.criterion_residual,
-                    "oracle_norm": rec.oracle_norm,
-                }
-            )
+        mismatches.extend(
+            {"index": idx, "label": inst.label, **_mismatch(rec)}
+            for rec in report.mismatches
+        )
     return SuiteReport(
         count=count,
         seed=seed,
@@ -984,16 +901,11 @@ def cmd_random_suite(
 
 
 @dataclass
-class SweepReport:
+class SweepReport(_Report):
     """Defect and sandwiched-defect norms as the order grows."""
 
     m_max: int
     rows: list[dict]
-
-    mismatch_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {"m_max": self.m_max, "rows": self.rows}
 
     def render_text(self) -> str:
         lines = [
@@ -1119,18 +1031,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NumericError, PropertyViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    structured = None
+    if args.out or args.format == "structured":
+        structured = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
-                handle.write("\n")
+                handle.write(structured + "\n")
         except OSError as exc:
             print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
             return 2
-    if args.format == "structured":
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    else:
-        print(report.render_text())
+    print(structured if args.format == "structured" else report.render_text())
     if getattr(report, "mismatch_count", 0) > 0:
         return 3
     return 0

@@ -26,7 +26,6 @@ __all__ = [
     "mult_op",
     "wct_op",
     "adjoint",
-    "compose",
     "power",
     "op_norm",
     "spectrum",
@@ -109,10 +108,6 @@ def wct_op(ce: "CondExp", w: Mfunc, u: Mfunc) -> LinOp:
 
 def adjoint(T: LinOp) -> LinOp:
     return LinOp(T.entries.conj().T)
-
-
-def compose(A: LinOp, B: LinOp) -> LinOp:
-    return A @ B
 
 
 def power(T: LinOp, k: int) -> LinOp:

@@ -23,6 +23,7 @@ from wctops import (
 from wctops.cli import (
     classify_operator,
     cmd_example_a,
+    cmd_example_b,
     fixture_support_gap,
     main,
     random_instance,
@@ -176,9 +177,8 @@ def _count_block_averages(monkeypatch):
 def test_classify_operator_averages_three_symbols_once(monkeypatch, matrix_limit):
     inst = random_instance(np.random.default_rng(5), (8, 8), (3, 3), stratum="generic")
     calls = _count_block_averages(monkeypatch)
-    report = classify_operator(
-        inst.space, inst.partition, inst.u, inst.w, matrix_limit=matrix_limit
-    )
+    monkeypatch.setattr(cli_mod, "MATRIX_LIMIT", matrix_limit)
+    report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
     assert report.matrix_route == (matrix_limit > 0)
     assert len(calls) == 3
 
@@ -188,6 +188,23 @@ def test_cmd_example_a_averages_three_symbols_once(monkeypatch):
     report = cmd_example_a(5, 300)
     assert not report.classification.matrix_route
     assert len(calls) == 3
+
+
+def test_cmd_example_b_builds_one_cond_exp(monkeypatch):
+    calls = []
+    original = condexp_mod.CondExp.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(condexp_mod.CondExp, "__post_init__", counted)
+    report = cmd_example_b(0.5, 60)
+    assert len(calls) == 1
+    # the block averages of u*w come from the report's own symbol rows
+    assert [a["value"] for a in report.alphas] == [
+        row["e_uw"] for row in report.classification.symbol_rows
+    ]
 
 
 def _verdicts(space, partition, u, w):

@@ -7,7 +7,6 @@ from wctops import (
     Mfunc,
     ValidationError,
     adjoint,
-    compose,
     cond_exp,
     cond_exp_matrix,
     hermitian_eig,
@@ -113,7 +112,7 @@ def test_power_and_compose():
     assert np.array_equal(power(A, 0).entries, np.eye(2))
     assert np.array_equal(power(A, 1).entries, A.entries)
     assert np.allclose(power(A, 3).entries, (A @ A @ A).entries)
-    assert np.allclose(compose(A, A).entries, power(A, 2).entries)
+    assert np.allclose((A @ A).entries, power(A, 2).entries)
     with pytest.raises(ValidationError):
         power(A, -1)
 
