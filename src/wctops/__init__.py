@@ -23,16 +23,15 @@ from .classify import (
 from .condexp import CondExp, block_averages, cond_exp, cond_exp_matrix
 from .criteria import (
     AgreementReport,
-    MIsoVerdict,
     NormalCaseReport,
     QuasiVerdict,
     SymbolTable,
     audit_agreement,
+    audit_rows,
     essential_range,
     j_double_prime_m,
     j_m,
     j_prime_m,
-    m_isometry_criterion,
     normal_case_equivalence,
     quasi_criterion,
     spectrum_matches_range,

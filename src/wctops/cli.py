@@ -25,14 +25,12 @@ import numpy as np
 from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
-    PAPER_EPS,
     MismatchRecord,
     SymbolTable,
-    _m_iso_paper,
     audit_agreement,
+    audit_rows,
     essential_range,
     normal_case_equivalence,
-    quasi_criterion,
     spectrum_matches_range,
     symbols,
 )
@@ -370,7 +368,7 @@ class ClassificationReport(_Report):
 
 def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
     columns = zip(
-        ce.partition.blocks,
+        ce.partition.sizes.tolist(),
         ce.block_masses.tolist(),
         st.alpha.tolist(),
         st.abs_alpha_sq.tolist(),
@@ -381,7 +379,7 @@ def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
     return [
         {
             "block": b,
-            "atoms": len(blk),
+            "atoms": size,
             "mass": mass,
             "e_uw": _complex_pair(e_uw),
             "t": t,
@@ -389,7 +387,7 @@ def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
             "e_w2": e_w2,
             "product": product,
         }
-        for b, (blk, mass, e_uw, t, e_u2, e_w2, product) in enumerate(columns)
+        for b, (size, mass, e_uw, t, e_u2, e_w2, product) in enumerate(columns)
     ]
 
 
@@ -410,23 +408,13 @@ def classify_operator(
     ce = CondExp(space, partition)
     notes: list[str] = []
     use_matrix = space.atom_count <= MATRIX_LIMIT
-
-    defect_verdicts: list[dict] = []
-    criteria_rows: list[dict] = []
-    mismatches: list[dict] = []
-    divergences: list[dict] = []
-    normality = None
-    normal_case = None
-    spec_list = None
-    spectrum_match = None
+    normality = normal_case = spec_list = spectrum_match = None
 
     if use_matrix:
         audit = audit_agreement(ce, w, u, m_max, tol)
         oracle, st = audit.oracle, audit.symbols
-        defect_verdicts = [_fields(v) for v in oracle.verdicts(tol)]
-        criteria_rows = [_fields(row) for row in audit.rows]
-        mismatches = [_mismatch(rec) for rec in audit.mismatches]
-        divergences = [_fields(d) for d in audit.divergences]
+        rows, verdicts = audit.rows, audit.verdicts
+        mismatches, divergences = audit.mismatches, audit.divergences
         normality = oracle.normality(probes_p, tol)
         if normality["normal"]:
             nc = normal_case_equivalence(st, oracle, m_max, normality["tol"])
@@ -443,33 +431,12 @@ def classify_operator(
         spectrum_match = {"ok": ok, "distance": dist}
     else:
         st = symbols(ce, w, u)
+        rows, verdicts, mismatches, divergences = audit_rows(st, m_max, tol), (), (), ()
         notes.append(
             f"matrix route skipped: {space.atom_count} atoms exceed the "
             f"dense-matrix limit of {MATRIX_LIMIT}; verdicts use the "
             f"symbol-level criteria"
         )
-        for m in range(1, m_max + 1):
-            q = quasi_criterion(st, m, tol)
-            paper_residual, _ = _m_iso_paper(st, m)
-            paper_m_iso = paper_residual <= PAPER_EPS
-            # criterion failure is a sound witness of non-m-isometry
-            criteria_rows.append(
-                {
-                    "m": m,
-                    "tol": q.tol,
-                    "paper_quasi": q.paper_verdict,
-                    "corrected_quasi": q.corrected_verdict,
-                    "oracle_quasi": None,
-                    "quasi_residual": q.residual,
-                    "quasi_paper_residual": q.paper_residual,
-                    "oracle_quasi_norm": None,
-                    "paper_m_iso": paper_m_iso,
-                    "oracle_m_iso": None if paper_m_iso else False,
-                    "m_iso_paper_residual": paper_residual,
-                    "oracle_defect_norm": None,
-                    "e_r": None,
-                }
-            )
 
     return ClassificationReport(
         atom_count=space.atom_count,
@@ -477,15 +444,15 @@ def classify_operator(
         m_max=m_max,
         matrix_route=use_matrix,
         symbol_rows=_symbol_rows(ce, st),
-        defect_verdicts=defect_verdicts,
-        criteria_rows=criteria_rows,
+        defect_verdicts=[_fields(v) for v in verdicts],
+        criteria_rows=[_fields(row) for row in rows],
         normality=normality,
         normal_case=normal_case,
         spectrum=spec_list,
         essential_range=[_complex_pair(z) for z in essential_range(st.alpha)],
         spectrum_match=spectrum_match,
-        mismatches=mismatches,
-        divergences=divergences,
+        mismatches=[_mismatch(rec) for rec in mismatches],
+        divergences=[_fields(d) for d in divergences],
         notes=notes,
     )
 
@@ -578,7 +545,7 @@ def cmd_example_a(
         grid.space, grid.partition, u, w, m_max=m_max, tol=tol
     )
 
-    xs = np.array([x[blk[0]] for blk in grid.partition.blocks])
+    xs = x[grid.partition.atoms[grid.partition.starts]]
     e_u2 = np.array([row["e_u2"] for row in report.symbol_rows])
     e_w2 = np.array([row["e_w2"] for row in report.symbol_rows])
     t = np.array([row["t"] for row in report.symbol_rows])

@@ -20,16 +20,15 @@ from math import comb
 
 import numpy as np
 
-from .classify import DefectOracle, default_tolerance, defect
+from .classify import DefectOracle, DefectVerdict
 from .condexp import CondExp, block_averages
 from .errors import NumericError, ValidationError
-from .linop import LinOp, op_norm, spectrum, wct_op
+from .linop import LinOp, spectrum, wct_op
 from .measure import Mfunc
 
 __all__ = [
     "SymbolTable",
     "QuasiVerdict",
-    "MIsoVerdict",
     "PropertyCheck",
     "NormalCaseReport",
     "AuditRow",
@@ -41,7 +40,7 @@ __all__ = [
     "j_prime_m",
     "j_double_prime_m",
     "quasi_criterion",
-    "m_isometry_criterion",
+    "audit_rows",
     "normal_case_equivalence",
     "audit_agreement",
     "essential_range",
@@ -249,19 +248,6 @@ def quasi_criterion(st: SymbolTable, m: int, tol: float | None = None) -> QuasiV
     )
 
 
-@dataclass(frozen=True)
-class MIsoVerdict:
-    """Symbol-level and oracle readings of the m-isometry criterion."""
-
-    m: int
-    paper_verdict: bool
-    corrected_verdict: bool
-    e_r: tuple[float, ...]
-    paper_residual: float
-    defect_norm: float
-    tol: float
-
-
 def _dedup_sorted(values: np.ndarray, tol: float) -> tuple[float, ...]:
     out: list[float] = []
     for v in np.sort(values):
@@ -275,40 +261,6 @@ def _m_iso_paper(st: SymbolTable, m: int) -> tuple[float, tuple[float, ...]]:
     target = 1.0 if m % 2 else -1.0
     vals = j_prime_m(st.abs_alpha_sq, m) * st.gamma * st.beta
     return float(np.abs(vals - target).max()), _dedup_sorted(vals, DEDUP_EPS)
-
-
-def m_isometry_criterion(
-    st: SymbolTable,
-    ce: CondExp,
-    w: Mfunc,
-    u: Mfunc,
-    m: int,
-    tol: float | None = None,
-) -> MIsoVerdict:
-    """m-isometry from the symbols, audited against the defect oracle.
-
-    ``e_r`` collects the attained values of
-    ``J'_m(t) E(|w|^2) E(|u|^2)``; the literal reading asks that they all
-    equal 1 for odd ``m`` and -1 for even ``m``.  That condition is
-    necessary but not sufficient (a projection with a kernel satisfies it
-    without being an m-isometry), so the corrected verdict defers to the
-    defect norm.
-    """
-    _check_order(m)
-    paper_residual, e_r = _m_iso_paper(st, m)
-    T = wct_op(ce, w, u)
-    if tol is None:
-        tol = default_tolerance(T, m)
-    dn = op_norm(defect(T, m))
-    return MIsoVerdict(
-        m=m,
-        paper_verdict=paper_residual <= PAPER_EPS,
-        corrected_verdict=dn <= tol,
-        e_r=e_r,
-        paper_residual=paper_residual,
-        defect_norm=dn,
-        tol=tol,
-    )
 
 
 @dataclass(frozen=True)
@@ -403,19 +355,29 @@ def normal_case_equivalence(
 
 @dataclass(frozen=True)
 class AuditRow:
+    """Both readings of both criteria at order ``m`` beside the oracle's
+    verdicts, which are None where no oracle ran.
+
+    ``paper_m_iso`` asks that the attained values ``e_r`` of
+    ``J'_m(t) E(|w|^2) E(|u|^2)`` all equal ``(-1)^(m+1)``.  A projection
+    with a kernel passes without being an m-isometry, so the corrected
+    reading is ``oracle_m_iso``; without an oracle a failed literal
+    reading still makes it false.
+    """
+
     m: int
     tol: float
     paper_quasi: bool
     corrected_quasi: bool
-    oracle_quasi: bool
+    oracle_quasi: bool | None
     quasi_residual: float
     quasi_paper_residual: float
-    oracle_quasi_norm: float
+    oracle_quasi_norm: float | None
     paper_m_iso: bool
-    oracle_m_iso: bool
+    oracle_m_iso: bool | None
     m_iso_paper_residual: float
-    oracle_defect_norm: float
-    e_r: tuple[float, ...]
+    oracle_defect_norm: float | None
+    e_r: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)
@@ -445,20 +407,70 @@ class DivergenceRecord:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Audit rows and findings, with the oracle they were audited against
-    and the symbols they were computed from (the oracle's normality and
-    spectrum and the block symbols are then at hand for the same
-    operator)."""
+    """Audit rows and findings, with the oracle's verdicts they were read
+    from, the oracle itself and the symbols they were computed from (the
+    oracle's normality and spectrum and the block symbols are then at hand
+    for the same operator)."""
 
     rows: tuple[AuditRow, ...]
     mismatches: tuple[MismatchRecord, ...]
     divergences: tuple[DivergenceRecord, ...]
+    verdicts: tuple[DefectVerdict, ...]
     oracle: DefectOracle = field(compare=False, repr=False)
     symbols: SymbolTable = field(compare=False, repr=False)
 
     @property
     def agreed(self) -> bool:
         return not self.mismatches
+
+
+def audit_rows(
+    st: SymbolTable,
+    m_max: int,
+    tol: float | None = None,
+    verdicts: tuple[DefectVerdict, ...] | None = None,
+) -> tuple[AuditRow, ...]:
+    """The audit row of each order m = 1..m_max.
+
+    With the oracle's ``verdicts`` for those orders each order is read at
+    the oracle's threshold; without them at ``tol`` (the quasi criterion's
+    own default when None), and the oracle fields are None.
+    """
+    rows = []
+    for m, v in enumerate(verdicts or (None,) * m_max, start=1):
+        q = quasi_criterion(st, m, tol if v is None else v.tol)
+        paper_residual, e_r = _m_iso_paper(st, m)
+        paper_m_iso = paper_residual <= PAPER_EPS
+        if v is None:
+            oracle = dict(
+                oracle_quasi=None,
+                oracle_quasi_norm=None,
+                oracle_m_iso=None if paper_m_iso else False,
+                oracle_defect_norm=None,
+                e_r=None,
+            )
+        else:
+            oracle = dict(
+                oracle_quasi=v.is_quasi_m_isometric,
+                oracle_quasi_norm=v.quasi_defect_norm,
+                oracle_m_iso=v.is_m_isometric,
+                oracle_defect_norm=v.defect_norm,
+                e_r=e_r,
+            )
+        rows.append(
+            AuditRow(
+                m=m,
+                tol=q.tol,
+                paper_quasi=q.paper_verdict,
+                corrected_quasi=q.corrected_verdict,
+                quasi_residual=q.residual,
+                quasi_paper_residual=q.paper_residual,
+                paper_m_iso=paper_m_iso,
+                m_iso_paper_residual=paper_residual,
+                **oracle,
+            )
+        )
+    return tuple(rows)
 
 
 def audit_agreement(
@@ -478,72 +490,33 @@ def audit_agreement(
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     st = symbols(ce, w, u)
     oracle = DefectOracle(wct_op(ce, w, u), m_max, ce.partition)
-    verdicts = oracle.verdicts(tol)
-    rows: list[AuditRow] = []
-    mismatches: list[MismatchRecord] = []
-    divergences: list[DivergenceRecord] = []
-    for m in range(1, m_max + 1):
-        verdict = verdicts[m - 1]
-        tol_m = verdict.tol
-        q = quasi_criterion(st, m, tol_m)
-        oracle_quasi = verdict.is_quasi_m_isometric
-        oracle_quasi_norm = verdict.quasi_defect_norm
-        paper_residual, e_r = _m_iso_paper(st, m)
-        paper_m_iso = paper_residual <= PAPER_EPS
-        rows.append(
-            AuditRow(
-                m=m,
-                tol=tol_m,
-                paper_quasi=q.paper_verdict,
-                corrected_quasi=q.corrected_verdict,
-                oracle_quasi=oracle_quasi,
-                quasi_residual=q.residual,
-                quasi_paper_residual=q.paper_residual,
-                oracle_quasi_norm=oracle_quasi_norm,
-                paper_m_iso=paper_m_iso,
-                oracle_m_iso=verdict.is_m_isometric,
-                m_iso_paper_residual=paper_residual,
-                oracle_defect_norm=verdict.defect_norm,
-                e_r=e_r,
-            )
+    verdicts = tuple(oracle.verdicts(tol))
+    rows = audit_rows(st, m_max, tol, verdicts)
+    mismatches = tuple(
+        MismatchRecord(
+            weights=tuple(ce.space.weights.tolist()),
+            blocks=ce.partition.blocks,
+            u=tuple(u.values.tolist()),
+            w=tuple(w.values.tolist()),
+            m=r.m,
+            criterion_residual=r.quasi_residual,
+            oracle_norm=r.oracle_quasi_norm,
         )
-        if q.corrected_verdict != oracle_quasi:
-            mismatches.append(
-                MismatchRecord(
-                    weights=tuple(ce.space.weights.tolist()),
-                    blocks=ce.partition.blocks,
-                    u=tuple(u.values.tolist()),
-                    w=tuple(w.values.tolist()),
-                    m=m,
-                    criterion_residual=q.residual,
-                    oracle_norm=oracle_quasi_norm,
-                )
-            )
-        if q.paper_verdict != oracle_quasi:
-            divergences.append(
-                DivergenceRecord(
-                    kind="quasi",
-                    m=m,
-                    paper_verdict=q.paper_verdict,
-                    oracle_verdict=oracle_quasi,
-                    paper_residual=q.paper_residual,
-                    oracle_norm=oracle_quasi_norm,
-                )
-            )
-        if paper_m_iso != verdict.is_m_isometric:
-            divergences.append(
-                DivergenceRecord(
-                    kind="m_isometry",
-                    m=m,
-                    paper_verdict=paper_m_iso,
-                    oracle_verdict=verdict.is_m_isometric,
-                    paper_residual=paper_residual,
-                    oracle_norm=verdict.defect_norm,
-                )
-            )
-    return AgreementReport(
-        tuple(rows), tuple(mismatches), tuple(divergences), oracle, st
+        for r in rows
+        if r.corrected_quasi != r.oracle_quasi
     )
+    divergences = tuple(
+        DivergenceRecord(kind, r.m, paper, oracle_verdict, paper_residual, norm)
+        for r in rows
+        for kind, paper, oracle_verdict, paper_residual, norm in (
+            ("quasi", r.paper_quasi, r.oracle_quasi, r.quasi_paper_residual,
+             r.oracle_quasi_norm),
+            ("m_isometry", r.paper_m_iso, r.oracle_m_iso, r.m_iso_paper_residual,
+             r.oracle_defect_norm),
+        )
+        if paper != oracle_verdict
+    )
+    return AgreementReport(rows, mismatches, divergences, verdicts, oracle, st)
 
 
 def _values(f: Mfunc | np.ndarray) -> np.ndarray:

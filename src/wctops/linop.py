@@ -201,12 +201,10 @@ def _block_stack(
             f"partition covers {partition.atom_count} atoms but the operator "
             f"has dimension {len(a)}"
         )
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for blk in partition.blocks:
-        by_size.setdefault(len(blk), []).append(blk)
+    sizes, starts = partition.sizes, partition.starts
     blocks = []
-    for d in sorted(by_size):
-        idx = np.array(by_size[d], dtype=np.intp)
+    for d in np.unique(sizes).tolist():
+        idx = partition.atoms[starts[sizes == d][:, None] + np.arange(d)]
         blocks.append(a[idx[:, :, None], idx[:, None, :]])
     outside = np.count_nonzero(a) - sum(np.count_nonzero(b) for b in blocks)
     if outside:

@@ -10,7 +10,8 @@ square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,7 +48,7 @@ class MeasureSpace:
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
-                f"weight at index {i} must be a finite positive number, got {w[i]!r}"
+                f"weight at index {i} must be a finite positive number, got {float(w[i])}"
             )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -108,34 +109,26 @@ def _partition_fault(
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Pairwise-disjoint blocks of atom indices covering every atom.
+    """Pairwise-disjoint blocks of atom indices covering all ``n`` atoms.
 
-    ``block_index[i]`` gives the block owning atom ``i``.
+    Block ``b`` holds the next ``sizes[b]`` entries of ``atoms``, in the
+    order given, and ``block_index[i]`` is the block owning atom ``i``.
+    ``blocks``, the same blocks as tuples of ints, is built on first read.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    atom_count: int
+    atoms: np.ndarray
+    sizes: np.ndarray
+    n: InitVar[int]
     block_index: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        blocks = tuple(map(tuple, self.blocks))
-        if not blocks:
+    def __post_init__(self, n: int) -> None:
+        atoms = np.array(self.atoms, dtype=np.intp).reshape(-1)
+        sizes = np.array(self.sizes, dtype=np.intp).reshape(-1)
+        if not sizes.size:
             raise ValidationError("a partition needs at least one block")
-        n = self.atom_count
         if n < 1:
             raise ValidationError("partition needs a positive atom count")
-        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-        atoms = np.fromiter(
-            chain.from_iterable(blocks), dtype=np.intp, count=int(sizes.sum())
-        )
-        if set(map(type, chain.from_iterable(blocks))) - {int}:
-            # integer-like indices (numpy integers, say) are stored as ints
-            flat, ends = atoms.tolist(), np.cumsum(sizes).tolist()
-            blocks = tuple(
-                tuple(flat[end - size : end])
-                for size, end in zip(sizes.tolist(), ends)
-            )
-        block_of = np.repeat(np.arange(len(blocks)), sizes)
+        block_of = np.repeat(np.arange(sizes.size), sizes)
         valid = (
             sizes.all()
             and atoms.size == n
@@ -147,13 +140,38 @@ class Partition:
             raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
         owner = np.empty(n, dtype=np.intp)
         owner[atoms] = block_of
-        owner.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_index", owner)
+        for name, a in (("atoms", atoms), ("sizes", sizes), ("block_index", owner)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_labels(cls, labels: Sequence[int] | np.ndarray) -> "Partition":
+        """Atom ``i`` in block ``labels[i]``, each block's atoms in increasing order."""
+        labels = np.asarray(labels).reshape(-1)
+        if labels.dtype.kind not in "biu" or (labels.size and labels.min() < 0):
+            raise ValidationError("block labels must be non-negative integers")
+        return cls(np.argsort(labels, kind="stable"), np.bincount(labels), labels.size)
+
+    @property
+    def atom_count(self) -> int:
+        return int(self.block_index.size)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return int(self.sizes.size)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each block's atoms begin in ``atoms``."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        flat = self.atoms.tolist()
+        return tuple(
+            tuple(flat[start : start + size])
+            for start, size in zip(self.starts.tolist(), self.sizes.tolist())
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +221,12 @@ def make_partition(
     space: MeasureSpace, blocks: Iterable[Iterable[int]]
 ) -> Partition:
     """Validate blocks of atom indices into a Partition of ``space``."""
-    return Partition(tuple(tuple(blk) for blk in blocks), space.atom_count)
+    blocks = [tuple(blk) for blk in blocks]
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    atoms = np.fromiter(
+        chain.from_iterable(blocks), dtype=np.intp, count=int(sizes.sum())
+    )
+    return Partition(atoms, sizes, space.atom_count)
 
 
 def singleton_blocks(atom_count: int) -> tuple[tuple[int], ...]:
@@ -242,11 +265,16 @@ def geometric_space(p: float, n_atoms: int) -> GeometricSpace:
         )
     q = 1.0 - p
     n = np.arange(1, n_atoms + 1)
-    space = make_space(p * q ** (n - 1.0))
-    mult3 = tuple(i for i in range(n_atoms) if (i + 1) % 3 == 0)
-    rest = tuple(i for i in range(n_atoms) if (i + 1) % 3 != 0)
-    partition = make_partition(space, [mult3, rest])
-    return GeometricSpace(space, partition, n, float(q**n_atoms))
+    masses = p * q ** (n - 1.0)
+    if not masses.all():
+        raise ValidationError(
+            f"with p={p:g} the masses p*(1-p)**(n-1) underflow to 0 past "
+            f"n_atoms={int(np.argmin(masses > 0.0))}; got n_atoms={n_atoms}"
+        )
+    space = make_space(masses)
+    return GeometricSpace(
+        space, Partition.from_labels(n % 3 != 0), n, float(q**n_atoms)
+    )
 
 
 class GridSpace(NamedTuple):
@@ -272,6 +300,5 @@ def grid_space(nx: int, ny: int) -> GridSpace:
     x = np.repeat(xs, ny)
     y = np.tile(ys, nx)
     space = make_space(np.full(nx * ny, 1.0 / (nx * ny)))
-    blocks = [tuple(range(i * ny, (i + 1) * ny)) for i in range(nx)]
-    partition = make_partition(space, blocks)
+    partition = Partition.from_labels(np.repeat(np.arange(nx), ny))
     return GridSpace(space, partition, x, y)

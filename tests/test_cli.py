@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from wctops import ValidationError
+from wctops import DefectOracle, Mfunc, ValidationError, grid_space
 from wctops.cli import (
     ProblemSpec,
+    classify_operator,
     cmd_classify,
     cmd_example_a,
     cmd_example_b,
@@ -370,3 +371,40 @@ def test_main_property_violation_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "_dispatch", disagree)
     assert main(["random-suite", "--count", "1"]) == 4
     assert capsys.readouterr().err.startswith("error: routes disagree")
+
+
+def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
+    calls = []
+    original = DefectOracle.verdicts
+
+    def counted(self, tol=None):
+        calls.append(tol)
+        return original(self, tol)
+
+    monkeypatch.setattr(DefectOracle, "verdicts", counted)
+    inst = fixture_projection()
+    report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
+    assert len(calls) == 1
+    assert [v["m"] for v in report.defect_verdicts] == [1, 2, 3, 4]
+
+
+def test_classify_operator_at_scale_leaves_the_block_tuples_unbuilt():
+    grid = grid_space(100, 10000)
+    u = Mfunc(grid.y ** (grid.x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
+    report = classify_operator(grid.space, grid.partition, u, w)
+    assert not report.matrix_route and report.block_count == 100
+    assert "blocks" not in vars(grid.partition)
+    assert grid.partition.blocks[99] == tuple(range(990000, 1000000))
+
+
+@pytest.mark.parametrize(
+    "p,n_atoms,limit", [("0.5", "2000", 1074), ("0.999", "200", 108)]
+)
+def test_main_example_b_rejects_underflowing_masses(capsys, p, n_atoms, limit):
+    code = main(["example-b", "--p", p, "--n-atoms", n_atoms])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: with p={p} the masses p*(1-p)**(n-1) underflow to 0 past "
+        f"n_atoms={limit}; got n_atoms={n_atoms}\n"
+    )

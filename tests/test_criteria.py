@@ -13,7 +13,6 @@ from wctops import (
     j_double_prime_m,
     j_m,
     j_prime_m,
-    m_isometry_criterion,
     make_partition,
     make_space,
     normal_case_equivalence,
@@ -161,10 +160,10 @@ def test_m_isometry_criterion_singleton_unimodular():
     ce = CondExp(space, make_partition(space, singleton_blocks(2)))
     u = mf(np.exp(1j * np.array([0.3, -1.0])))
     w = mf([1.0, 1.0])
-    st = symbols(ce, w, u)
+    rows = audit_agreement(ce, w, u, 3).rows
     for m in (1, 2, 3):
-        v = m_isometry_criterion(st, ce, w, u, m)
-        assert v.paper_verdict and v.corrected_verdict
+        v = rows[m - 1]
+        assert v.paper_m_iso and v.oracle_m_iso
         target = 1.0 if m % 2 else -1.0
         assert v.e_r == pytest.approx((target,))
 
@@ -172,12 +171,12 @@ def test_m_isometry_criterion_singleton_unimodular():
 def test_m_isometry_criterion_projection_divergence(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
-    st = symbols(ce, ones, ones)
+    rows = audit_agreement(ce, ones, ones, 2).rows
     for m in (1, 2):
-        v = m_isometry_criterion(st, ce, ones, ones, m)
-        assert v.paper_verdict  # the attained set hits the target exactly
-        assert not v.corrected_verdict  # but the defect norm is 1
-        assert v.defect_norm == pytest.approx(1.0, abs=1e-12)
+        v = rows[m - 1]
+        assert v.paper_m_iso  # the attained set hits the target exactly
+        assert not v.oracle_m_iso  # but the defect norm is 1
+        assert v.oracle_defect_norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_m_isometry_criterion_grid_interval():
@@ -185,9 +184,8 @@ def test_m_isometry_criterion_grid_interval():
     u = Mfunc(grid.y ** (grid.x / 8.0))
     w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
     ce = CondExp(grid.space, grid.partition)
-    st = symbols(ce, w, u)
-    v = m_isometry_criterion(st, ce, w, u, 1)
-    assert not v.paper_verdict and not v.corrected_verdict
+    (v,) = audit_agreement(ce, w, u, 1).rows
+    assert not v.paper_m_iso and not v.oracle_m_iso
     # attained values J'_1(t) * product stay near 2, far from the target 1
     assert min(v.e_r) > 1.7
 

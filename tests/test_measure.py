@@ -3,6 +3,7 @@ import pytest
 
 from wctops import (
     Mfunc,
+    Partition,
     ValidationError,
     ensure_on_space,
     geometric_space,
@@ -36,6 +37,67 @@ def test_make_space_rejects_zero_and_nan():
         make_space([1.0, float("nan")])
     with pytest.raises(ValidationError):
         make_space([])
+
+
+def test_make_space_prints_a_plain_float():
+    with pytest.raises(ValidationError) as info:
+        make_space([1.0, 0.0])
+    assert str(info.value) == (
+        "weight at index 1 must be a finite positive number, got 0.0"
+    )
+
+
+def _assert_same_partition(a, b):
+    assert a.blocks == b.blocks
+    for name in ("block_index", "atoms", "sizes"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.block_count == b.block_count
+    assert a.atom_count == b.atom_count
+
+
+def test_partition_from_labels_equals_make_partition():
+    space = make_space([0.1] * 7)
+    blocks = [(1, 4, 6), (0, 2), (3, 5)]
+    part = Partition.from_labels(np.array([1, 0, 1, 2, 0, 2, 0]))
+    _assert_same_partition(part, make_partition(space, blocks))
+    assert part.blocks == tuple(blocks)
+    assert part.block_index.tolist() == [1, 0, 1, 2, 0, 2, 0]
+    assert part.sizes.tolist() == [3, 2, 2] and part.block_count == 3
+
+
+def test_partition_from_labels_rejects_a_gap_and_bad_labels():
+    with pytest.raises(ValidationError) as info:
+        Partition.from_labels([0, 2, 2, 0])
+    assert str(info.value) == "block 1 is empty"
+    for labels in ([0, -1], [0.0, 1.0], []):
+        with pytest.raises(ValidationError):
+            Partition.from_labels(labels)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 5), (2, 2), (3, 4), (7, 11)])
+def test_grid_space_partition_equals_its_column_blocks(nx, ny):
+    grid = grid_space(nx, ny)
+    columns = [tuple(range(i * ny, (i + 1) * ny)) for i in range(nx)]
+    _assert_same_partition(grid.partition, make_partition(grid.space, columns))
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 5, 60, 700])
+def test_geometric_space_partition_equals_its_mod3_blocks(n_atoms):
+    geo = geometric_space(0.5, n_atoms)
+    mult3 = tuple(i for i in range(n_atoms) if (i + 1) % 3 == 0)
+    rest = tuple(i for i in range(n_atoms) if (i + 1) % 3 != 0)
+    _assert_same_partition(geo.partition, make_partition(geo.space, [mult3, rest]))
+
+
+def test_geometric_space_names_the_underflow_limit():
+    # at p = 1/2 the last mass is 2**-n_atoms, positive down to 2**-1074
+    assert geometric_space(0.5, 1074).space.weights[-1] > 0.0
+    with pytest.raises(ValidationError) as info:
+        geometric_space(0.5, 1075)
+    assert str(info.value) == (
+        "with p=0.5 the masses p*(1-p)**(n-1) underflow to 0 past "
+        "n_atoms=1074; got n_atoms=1075"
+    )
 
 
 def test_make_partition_two_blocks():
