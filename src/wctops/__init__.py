@@ -39,6 +39,7 @@ from .criteria import (
 )
 from .errors import NumericError, PropertyViolation, ValidationError
 from .linop import (
+    Action,
     LinOp,
     adjoint,
     hermitian_eig,
@@ -49,6 +50,7 @@ from .linop import (
     op_norm,
     power,
     spectrum,
+    wct_action,
     wct_op,
 )
 from .measure import (

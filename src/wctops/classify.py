@@ -3,7 +3,7 @@
 The defect operator of order ``m`` is the alternating binomial sum
 ``sum_k (-1)^(m-k) C(m,k) T*^k T^k``; it vanishes exactly for
 m-isometries.  Sandwiching it as ``T* B T`` gives the quasi version.
-These dense-matrix computations serve as the oracle against which the
+These matrix computations serve as the oracle against which the
 function-level criteria are audited.
 
 ``T f = w E(u f)`` maps the span of each partition block into itself, so
@@ -12,8 +12,14 @@ function-level criteria are audited.
 by block size (see the stack kernels in ``linop``).  Each block is rank
 one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the complement of
 ``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: a block of size
-d >= 3 is rotated onto ``V_b`` and kept as its 2x2 core plus d - 2 zero
-1x1 blocks, read from ``T`` alone.  Both cuts are exact, because every
+d >= 2 is kept as its 2x2 core in an orthonormal basis of ``V_b`` plus
+d - 2 zero 1x1 blocks.  The cores are read from ``T`` alone, through three
+matvecs: ``T f`` and ``T* g`` give ``a_b`` and ``c_b`` for random probes f
+and g, and ``T h`` checks the rank-one model on a third probe (Freivalds'
+check).  The oracle of a report reads them from ``linop.wct_action``, in
+O(n) and with no ``n x n`` matrix; the oracle of a dense ``LinOp`` first
+checks that every entry outside the blocks is exactly zero, then reads
+the same cores from its matvecs.  Both cuts are exact, because every
 operand built from ``T`` stays block-diagonal in the smaller blocks; the
 zero blocks carry ``B_m = (-1)^m``, a zero ``T* B_m T``, commutator and
 p-power, and the zeros of the spectrum.  The zero blocks are all alike, so
@@ -34,14 +40,16 @@ import numpy as np
 
 from .errors import NumericError, PropertyViolation, ValidationError
 from .linop import (
+    Action,
     LinOp,
     _adj,
-    _block_stack,
+    _check_block_diagonal,
     _eigh_stack,
     _eigvals_stack,
     _one_block,
     _per_operand,
     _power_stack,
+    _rank_one_cores,
     hermitian_eig,
     mult_op,
     op_norm,
@@ -179,12 +187,13 @@ def quasi_defect(T: LinOp, m: int) -> LinOp:
 
 
 class DefectOracle:
-    """The dense oracle of one operator ``T`` for orders m = 1..m_max.
+    """The defect oracle of one operator ``T`` for orders m = 1..m_max.
 
+    ``T`` is a dense ``LinOp`` or, with a partition, an ``Action``.
     ``partition`` names blocks whose spans ``T`` maps into themselves; every
-    entry of ``T`` outside them must be exactly zero, and every block must
-    be rank one to roundoff, else NumericError.  Without a partition the
-    whole matrix is one block.  What several verdicts share is computed
+    entry of a ``LinOp`` outside them must be exactly zero, and every block
+    must be rank one to roundoff, else NumericError.  Without a partition
+    the whole matrix is one block.  What several verdicts share is computed
     once: the gram stack ``(T^k)* T^k``, the eigendecompositions of
     ``T* T`` and ``T T*`` (the norm and every p-power use them), the defect
     norms and the commutator.  The norm of a Hermitian operand is the
@@ -192,15 +201,20 @@ class DefectOracle:
     """
 
     def __init__(
-        self, T: LinOp, m_max: int, partition: Partition | None = None
+        self, T: LinOp | Action, m_max: int, partition: Partition | None = None
     ) -> None:
         if m_max < 0:
             raise ValidationError(f"m_max must be >= 0, got {m_max}")
         self.m_max = m_max
         if partition is None:
+            if not isinstance(T, LinOp):
+                raise ValidationError("an operator given by its action needs a partition")
             self._t, self._left_out_zeros = _one_block(T.entries), 0
         else:
-            self._t, self._left_out_zeros = _block_stack(T.entries, partition)
+            if isinstance(T, LinOp):
+                _check_block_diagonal(T.entries, partition)
+                T = Action.of_matrix(T.entries)
+            self._t, self._left_out_zeros = _rank_one_cores(T, partition)
         self._grams, self._scales = _gram_stack(self._t, m_max + 1)
 
     @cached_property

@@ -45,15 +45,17 @@ class CondExp:
         object.__setattr__(self, "block_masses", masses)
 
 
-def block_averages(ce: CondExp, f: Mfunc) -> np.ndarray:
-    """Mass-weighted average of ``f`` on each block, as a complex array."""
-    ensure_on_space(f, ce.space)
-    idx, k = ce.partition.block_index, ce.partition.block_count
-    fw = f.values * ce.space.weights
-    sums = np.empty(k, dtype=complex)
-    sums.real = np.bincount(idx, weights=fw.real, minlength=k)
-    sums.imag = np.bincount(idx, weights=fw.imag, minlength=k)
-    return sums / ce.block_masses
+def block_averages(ce: CondExp, f: Mfunc | np.ndarray) -> np.ndarray:
+    """Mass-weighted average on each block of ``f``, a function on the
+    atoms (complex averages) or the array of its values (real or complex
+    averages, as the array is)."""
+    if isinstance(f, Mfunc):
+        ensure_on_space(f, ce.space)
+        f = f.values
+    # times the reciprocal mass, which is how a complex array divided by a
+    # real one rounds: the real part of a complex average and the average
+    # of a real array are then the same double
+    return ce.partition.block_sums(f * ce.space.weights) * (1.0 / ce.block_masses)
 
 
 def cond_exp(ce: CondExp, f: Mfunc) -> Mfunc:

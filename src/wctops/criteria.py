@@ -23,8 +23,8 @@ import numpy as np
 from .classify import DefectOracle, DefectVerdict
 from .condexp import CondExp, block_averages
 from .errors import NumericError, ValidationError
-from .linop import LinOp, spectrum, wct_op
-from .measure import Mfunc
+from .linop import LinOp, spectrum, wct_action
+from .measure import Mfunc, ensure_on_space
 
 __all__ = [
     "SymbolTable",
@@ -123,9 +123,11 @@ class SymbolTable:
 
 def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     """Compute the symbol table of ``f -> w E(u f)`` block by block."""
-    alpha = block_averages(ce, u * w)
-    beta = block_averages(ce, u.abs_sq()).real
-    gamma = block_averages(ce, w.abs_sq()).real
+    ensure_on_space(u, ce.space, "u")
+    ensure_on_space(w, ce.space, "w")
+    alpha = block_averages(ce, u.values * w.values)
+    beta = block_averages(ce, np.abs(u.values) ** 2)
+    gamma = block_averages(ce, np.abs(w.values) ** 2)
     t = np.abs(alpha) ** 2
     prod = beta * gamma
     hoelder_gap = float((t - prod).max())
@@ -489,7 +491,7 @@ def audit_agreement(
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     st = symbols(ce, w, u)
-    oracle = DefectOracle(wct_op(ce, w, u), m_max, ce.partition)
+    oracle = DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
     verdicts = tuple(oracle.verdicts(tol))
     rows = audit_rows(st, m_max, tol, verdicts)
     mismatches = tuple(

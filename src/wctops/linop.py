@@ -1,16 +1,23 @@
-"""Dense complex operator algebra in the orthonormalized atom basis.
+"""Operator algebra in the orthonormalized atom basis.
 
 The basis vector for atom ``x`` is the indicator of ``x`` scaled by
 ``mu(x)**-0.5``.  In these coordinates multiplication operators are
 diagonal, the Hilbert-space adjoint is the plain conjugate transpose,
 and the Euclidean inner product of coordinate vectors equals the
 weighted inner product of the underlying functions.
+
+An operator is held either as a dense matrix (``LinOp``) or by its action
+on vectors (``Action``).  ``wct_action`` applies ``T f = w E(u f)`` and its
+adjoint in O(n) by segment sums over the partition blocks, and the oracle
+reads each block's rank-one core from three such matvecs (see the stack
+kernels below), so no report builds an ``n x n`` matrix; ``wct_op`` builds
+the dense matrix of the same operator for the tests' dense audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -21,9 +28,11 @@ if TYPE_CHECKING:
     from .condexp import CondExp
 
 __all__ = [
+    "Action",
     "LinOp",
     "identity",
     "mult_op",
+    "wct_action",
     "wct_op",
     "adjoint",
     "power",
@@ -33,6 +42,10 @@ __all__ = [
     "hermitian_power",
     "is_psd",
 ]
+
+# Seed of the random probes that read the rank-one cores: fixed, so that
+# every report is the same on every run.
+_PROBE_SEED = np.random.SeedSequence(20250923)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +95,20 @@ class LinOp:
     __rmul__ = __mul__
 
 
+class Action(NamedTuple):
+    """An operator given by its action on vectors: ``apply(x)`` is ``T x``
+    and ``apply_adj(x)`` is ``T* x`` for every column of an ``(n, r)``
+    array ``x``."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    apply_adj: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def of_matrix(cls, a: np.ndarray) -> "Action":
+        """The action of the square matrix ``a``."""
+        return cls(lambda x: a @ x, lambda x: (a.T @ x.conj()).conj())
+
+
 def identity(dim: int) -> LinOp:
     return LinOp(np.eye(dim, dtype=complex))
 
@@ -93,10 +120,10 @@ def mult_op(space: MeasureSpace, g: Mfunc) -> LinOp:
 
 
 def wct_op(ce: "CondExp", w: Mfunc, u: Mfunc) -> LinOp:
-    """The weighted conditional type operator ``f -> w * E(u f)``.
-
-    Its matrix is ``diag(w) @ E @ diag(u)`` with ``E`` the conditional
-    expectation projection.
+    """The dense matrix of the weighted conditional type operator
+    ``f -> w * E(u f)``: ``diag(w) @ E @ diag(u)`` with ``E`` the
+    conditional expectation projection.  The tests' dense audit of
+    ``wct_action``; no report builds it.
     """
     ensure_on_space(w, ce.space, "w")
     ensure_on_space(u, ce.space, "u")
@@ -104,6 +131,27 @@ def wct_op(ce: "CondExp", w: Mfunc, u: Mfunc) -> LinOp:
 
     e = cond_exp_matrix(ce).entries
     return LinOp((w.values[:, None] * e) * u.values[None, :])
+
+
+def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
+    """The action of ``f -> w * E(u f)`` and of its adjoint, in O(n).
+
+    In the orthonormal atom basis ``(T x)_i = l_i sum_{j in B} r_j x_j``
+    over the block ``B`` of atom ``i``, with ``l = sqrt(mu) w`` and
+    ``r = sqrt(mu) u / mu(B)``; ``T*`` swaps ``l`` and ``r`` and conjugates
+    both.  Each product is one segment sum per block.
+    """
+    ensure_on_space(w, ce.space, "w")
+    ensure_on_space(u, ce.space, "u")
+    idx, block_sums = ce.partition.block_index, ce.partition.block_sums
+    root = np.sqrt(ce.space.weights)[:, None]
+    left = root * w.values[:, None]
+    right = root * u.values[:, None] / ce.block_masses[idx][:, None]
+    left_adj, right_adj = right.conj(), left.conj()
+    return Action(
+        lambda x: left * block_sums(right * x)[idx],
+        lambda x: left_adj * block_sums(right_adj * x)[idx],
+    )
 
 
 def adjoint(T: LinOp) -> LinOp:
@@ -172,8 +220,10 @@ def is_psd(A: LinOp, tol: float) -> bool:
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
 # the complement of ``span{a_b, c_b}`` and map that span into itself.
-# ``_block_stack`` rotates each block of size d >= 3 onto that span and
-# keeps its 2x2 core plus d - 2 zero 1x1 blocks.  Every operand built from
+# ``_rank_one_cores`` reads ``a_b`` and ``c_b`` from ``T f`` and ``T* g``
+# for random probes f and g, checks the rank-one model on a third probe h,
+# and keeps each block of size d >= 2 as its 2x2 core in an orthonormal
+# basis of that span plus d - 2 zero 1x1 blocks.  Every operand built from
 # ``T`` is block-diagonal in these blocks too, so this is exact: the zero
 # blocks contribute ``B_m = (-1)^m``, zero for ``T* B_m T``, the commutator
 # and the p-powers, and the zeros of the spectrum.  The zero blocks are all
@@ -186,72 +236,84 @@ def _one_block(a: np.ndarray) -> list[np.ndarray]:
     return [a[None, None]]
 
 
-def _block_stack(
-    a: np.ndarray, partition: Partition
-) -> tuple[list[np.ndarray], int]:
-    """The diagonal blocks of ``a``, each cut to its rank-one core, as a
-    one-operand stack, and the number of zero eigenvalues the stack leaves
-    out (see ``_rank_one_cores``).
-
-    Raises NumericError unless every entry outside the partition's blocks
-    is exactly zero, and unless every block is rank one.
-    """
+def _check_block_diagonal(a: np.ndarray, partition: Partition) -> None:
+    """Raise NumericError unless every entry of ``a`` outside the diagonal
+    blocks of ``partition`` is exactly zero."""
     if partition.atom_count != len(a):
         raise ValidationError(
             f"partition covers {partition.atom_count} atoms but the operator "
             f"has dimension {len(a)}"
         )
-    sizes, starts = partition.sizes, partition.starts
-    blocks = []
-    for d in np.unique(sizes).tolist():
-        idx = partition.atoms[starts[sizes == d][:, None] + np.arange(d)]
-        blocks.append(a[idx[:, :, None], idx[:, None, :]])
-    outside = np.count_nonzero(a) - sum(np.count_nonzero(b) for b in blocks)
+    idx = partition.block_index
+    outside = np.count_nonzero(a[idx[:, None] != idx[None, :]])
     if outside:
         raise NumericError(
             f"operator has {outside} nonzero entries outside the diagonal "
             f"blocks of its partition"
         )
-    return _rank_one_cores(blocks)
 
 
-def _rank_one_cores(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Each block of size d >= 3 as its 2x2 core and d - 2 zero 1x1 blocks.
+def _rank_one_cores(T: Action, partition: Partition) -> tuple[list[np.ndarray], int]:
+    """The 2x2 core of every rank-one block of ``T`` as a one-operand
+    stack, read from three matvecs, and the number of zero eigenvalues the
+    stack leaves out.
 
-    ``blocks`` holds arrays of shape ``(k, d, d)``.  For a rank-one block
-    ``A = a c*`` the unitary ``Q`` whose first two columns span ``A``'s
-    largest column (parallel to ``a``) and its largest conjugated row
-    (parallel to ``c``) makes ``Q* A Q`` zero outside its leading 2x2
-    corner, which is kept.  Raises NumericError when an entry outside the
-    corner exceeds 1e-10 times the largest entry of all blocks.
+    On block b, ``T_b = a c*``, so for probes f and g the block parts
+    ``y = (T f)_b = a (c* f_b)`` and ``z = (T* g)_b = c (a* g_b)`` give
+    ``T_b = y z* / s`` with ``s = z* f_b``.  In the orthonormal basis
+    ``q1 = y / |y|``, ``q2 = r / |r|`` of ``span{y, z}``, where ``r = z -
+    q1 (q1* z)``, ``T_b`` is ``[[z* y / s, |y| |r| / s], [0, 0]]``; ``|r|``
+    is summed from the residual vector itself, since ``|z|^2 - |q1* z|^2``
+    cancels to roundoff of order ``sqrt(eps) |z|`` where ``c`` is parallel
+    to ``a``.  A singleton block is its 1x1 value ``z* y / s``, and a block
+    of d >= 2 atoms its 2x2 core plus d - 2 zero 1x1 blocks.  A third probe
+    h checks the model (Freivalds): NumericError unless ``T h`` and
+    ``sum_b y (z* h_b) / s`` agree to 1e-10 of ``|T| |h|``, with ``|T|`` the
+    largest block norm ``|y| |z| / |s|``.
 
     All the zero 1x1 blocks are kept as one zero block of size 2 (of size 1
     when there is only one), which adds no block size to a stack that has
-    2x2 cores; the number of zeros this leaves out is returned.
+    2x2 cores; the number of zeros this leaves out is returned.  The probes
+    come from a generator with a fixed seed, so the cores are the same on
+    every run.
     """
-    scale = max(float(np.abs(b).max()) for b in blocks)
-    by_size = {b.shape[-1]: [b] for b in blocks if b.shape[-1] < 3}
-    zeros, worst = 0, 0.0
-    for b in blocks:
-        k, d, _ = b.shape
-        if d < 3:
-            continue
-        mag = np.abs(b) ** 2
-        col = np.argmax(mag.sum(axis=-2), axis=-1)
-        row = np.argmax(mag.sum(axis=-1), axis=-1)
-        ks = np.arange(k)
-        basis = np.stack([b[ks, :, col], b[ks, row, :].conj()], axis=-1)
-        q, _ = np.linalg.qr(basis, mode="complete")
-        rot = _adj(q) @ b @ q
-        by_size.setdefault(2, []).append(rot[:, :2, :2].copy())
-        rot[:, :2, :2] = 0.0
-        worst = max(worst, float(np.abs(rot).max()))
-        zeros += k * (d - 2)
-    if worst > 1e-10 * scale:
+    n, k, idx = partition.atom_count, partition.block_count, partition.block_index
+    # complex Gaussian columns f, h and g
+    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
+    probes = rng.standard_normal((n, 6)).view(complex)
+    f, h = probes[:, 0], probes[:, 1]
+    y, th = T.apply(probes[:, :2]).T
+    z = T.apply_adj(probes[:, 2:])[:, 0]
+    zc = z.conj()
+    products = np.empty((n, 4), dtype=complex)
+    for j, (left, right) in enumerate(((y.conj(), y), (zc, y), (zc, f), (zc, h))):
+        np.multiply(left, right, out=products[:, j])
+    yy, zy, s, zh = partition.block_sums(products).T
+    yy = yy.real
+    # a zero block has y = z = 0, so s = 0 and z* y = 0: its core is zero
+    inv_s = 1.0 / np.where(s != 0, s, np.inf)
+    proj = zy.conj() / np.where(yy > 0, yy, 1.0)
+    rr = partition.block_sums(np.abs(z - y * proj[idx]) ** 2)
+    value, corner = zy * inv_s, np.sqrt(yy * rr) * inv_s
+
+    # the norm of a rank-one block, |y| |z| / |s|, is that of its core
+    scale = float(np.sqrt((np.abs(value) ** 2 + np.abs(corner) ** 2).max()))
+    miss = th - y * (zh * inv_s)[idx]
+    residual = float(np.sqrt(np.vdot(miss, miss).real))
+    if residual > 1e-10 * scale * float(np.sqrt(np.vdot(h, h).real)):
         raise NumericError(
-            f"operator block is not rank one: entry {worst:.3e} outside its "
-            f"2x2 core at scale {scale:.3e}"
+            f"operator block is not rank one: probe residual {residual:.3e} "
+            f"at scale {scale:.3e}"
         )
+
+    single = partition.sizes == 1
+    by_size = {1: [value[single][:, None, None]]} if single.any() else {}
+    if not single.all():
+        core = np.zeros((k - int(single.sum()), 2, 2), dtype=complex)
+        core[:, 0, 0] = value[~single]
+        core[:, 0, 1] = corner[~single]
+        by_size[2] = [core]
+    zeros = int((partition.sizes[~single] - 2).sum())
     kept = min(zeros, 2)
     if kept:
         by_size.setdefault(kept, []).append(np.zeros((1, kept, kept), dtype=complex))

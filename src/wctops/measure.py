@@ -165,6 +165,22 @@ class Partition:
         """Where each block's atoms begin in ``atoms``."""
         return np.cumsum(self.sizes) - self.sizes
 
+    def block_sums(self, x: np.ndarray) -> np.ndarray:
+        """The sum of ``x`` over each block's atoms, along its first axis.
+
+        ``x`` has shape ``(n,)`` or ``(n, r)`` and the result ``(k,)`` or
+        ``(k, r)``, complex when ``x`` is.  One ``bincount`` per column sums
+        it in atom order, the real and imaginary parts of a complex column
+        apart, so that no temporary is larger than one column.
+        """
+        k = self.block_count
+        x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+        parts = x.view(float).reshape(len(x), -1)
+        sums = np.empty((k, parts.shape[1]))
+        for j in range(parts.shape[1]):
+            sums[:, j] = np.bincount(self.block_index, weights=parts[:, j], minlength=k)
+        return sums.view(x.dtype).reshape((k,) + x.shape[1:])
+
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         flat = self.atoms.tolist()

@@ -1,0 +1,185 @@
+"""The defect oracle read from the action of ``T f = w E(u f)``.
+
+Reports build the oracle from ``wct_action``: three matvecs give each
+block's rank-one core, and no ``n x n`` matrix is made.  These tests hold
+that oracle to the whole-matrix one with the assertions of
+``test_block_oracle``, check that the report path never reaches the dense
+builders, and check the rank-one model's probe check.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import test_block_oracle
+import wctops
+from wctops import (
+    Action,
+    CondExp,
+    DefectOracle,
+    LinOp,
+    Mfunc,
+    NumericError,
+    ValidationError,
+    make_partition,
+    make_space,
+    wct_action,
+    wct_op,
+)
+from wctops.cli import (
+    ProblemSpec,
+    classify_operator,
+    cmd_random_suite,
+    cmd_sweep_m,
+    main,
+    suite_instances,
+)
+
+
+def _assert_action_oracle_matches_whole(monkeypatch, ce, w, u, m_max):
+    """``test_block_oracle``'s comparison, with its partitioned oracle
+    built from the action of ``T`` instead of the dense matrix."""
+
+    def oracle(T, m, partition=None):
+        if partition is None:
+            return DefectOracle(T, m)
+        return DefectOracle(wct_action(ce, w, u), m, partition)
+
+    monkeypatch.setattr(test_block_oracle, "DefectOracle", oracle)
+    test_block_oracle._assert_block_oracle_matches_whole(
+        wct_op(ce, w, u), ce.partition, m_max
+    )
+
+
+def test_action_oracle_matches_whole_matrix_on_random_suite(monkeypatch):
+    for inst in suite_instances(200, seed=42):
+        _assert_action_oracle_matches_whole(
+            monkeypatch, inst.cond_exp(), inst.w, inst.u, 4
+        )
+
+
+def _parallel_operator(c=1.0, seed=25):
+    """Blocks of 1 to 9 atoms laid over a shuffled atom order, with
+    ``u = c conj(w)``, so that ``c_b`` is parallel to ``a_b`` and every
+    block is normal; the draws are ``test_block_oracle``'s for its
+    ``parallel`` case."""
+    rng = np.random.default_rng(seed)
+    sizes = [3, 4, 6, 9, 2, 1]
+    n = sum(sizes)
+    space = make_space(rng.uniform(0.2, 2.0, n))
+    perm = rng.permutation(n)
+    partition = make_partition(
+        space, [p.tolist() for p in np.split(perm, np.cumsum(sizes)[:-1])]
+    )
+    w = rng.uniform(0.0, 2.0, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+    return CondExp(space, partition), Mfunc(w), Mfunc(c * w.conj())
+
+
+def test_action_oracle_matches_whole_matrix_on_parallel_blocks(monkeypatch):
+    ce, w, u = _parallel_operator()
+    _assert_action_oracle_matches_whole(monkeypatch, ce, w, u, 3)
+
+
+@pytest.mark.parametrize("c,seed", [(1.0, 25), (1.7, 17), (1e-3, 3)])
+def test_action_oracle_keeps_parallel_blocks_normal(c, seed):
+    # c_b parallel to a_b leaves the core's off-diagonal entry at roundoff,
+    # read from the residual vector: T is normal to 1e-12 of its scale
+    ce, w, u = _parallel_operator(c, seed)
+    oracle = DefectOracle(wct_action(ce, w, u), 1, ce.partition)
+    normal_residual, hypo_residual = oracle.commutator_residuals
+    assert normal_residual <= 1e-12 * oracle.norm**2
+    assert hypo_residual <= 1e-12 * oracle.norm**2
+    for probe in oracle.normality((0.25, 0.5, 2.0))["p_hyponormal"]:
+        assert probe["residual"] <= 1e-12 * oracle.norm ** (2 * probe["p"])
+
+
+@pytest.fixture
+def no_dense_matrices(monkeypatch):
+    """Every binding of ``wct_op`` and ``cond_exp_matrix``, and the
+    ``LinOp`` constructor, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense n x n matrix was built")
+
+    for module in (wctops, wctops.linop, wctops.condexp, wctops.criteria, wctops.cli):
+        for name in ("wct_op", "cond_exp_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(LinOp, "__post_init__", refuse)
+
+
+def test_reports_build_no_dense_matrix(no_dense_matrices):
+    ce, w, u = _parallel_operator()
+    report = classify_operator(ce.space, ce.partition, u, w)
+    assert report.matrix_route and report.normality["normal"]
+    assert len(report.spectrum) == ce.space.atom_count
+    spec = ProblemSpec(
+        weights=tuple(ce.space.weights.tolist()),
+        blocks=ce.partition.blocks,
+        u=tuple(u.values.tolist()),
+        w=tuple(w.values.tolist()),
+    )
+    assert [row["m"] for row in cmd_sweep_m(spec, 6).rows] == list(range(1, 7))
+    suite = cmd_random_suite(count=20)
+    assert suite.mismatch_count == 0 and len(suite.instance_rows) == 22
+
+
+def test_structured_classify_report_is_byte_stable(tmp_path, capsys):
+    ce, w, u = _parallel_operator()
+    path = tmp_path / "spec.json"
+    spec = ProblemSpec(
+        weights=tuple(ce.space.weights.tolist()),
+        blocks=ce.partition.blocks,
+        u=tuple(u.values.tolist()),
+        w=tuple(w.values.tolist()),
+    )
+    path.write_text(json.dumps(spec.to_dict()))
+    outputs = []
+    for _ in range(2):
+        assert main(["classify", str(path), "--format", "structured"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["spectrum"]
+
+
+def _with_extra_term(T, blk, x):
+    """``T`` plus the rank-one term ``x[0] x[1]*`` on the atoms ``blk``."""
+    extra = np.outer(x[0], x[1].conj())
+
+    def apply(v):
+        out = T.apply(v)
+        out[blk] += extra @ v[blk]
+        return out
+
+    def apply_adj(v):
+        out = T.apply_adj(v)
+        out[blk] += extra.conj().T @ v[blk]
+        return out
+
+    return Action(apply, apply_adj)
+
+
+@pytest.mark.parametrize("size,trips", [(0.5, True), (1e-8, True), (1e-13, False)])
+def test_rank_two_action_block_raises_numeric_error(size, trips):
+    # the probe check trips at 1e-10 of the operator's scale
+    rng = np.random.default_rng(21)
+    space = make_space(rng.uniform(0.2, 2.0, 12))
+    partition = make_partition(space, [[0, 1, 2], [3, 4, 5, 6], list(range(7, 12))])
+    ce = CondExp(space, partition)
+    w, u = (Mfunc(rng.normal(size=12) + 1j * rng.normal(size=12)) for _ in range(2))
+    T = wct_action(ce, w, u)
+    DefectOracle(T, 2, partition)  # the operator itself passes
+    x = np.sqrt(size) * (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)))
+    perturbed = _with_extra_term(T, list(range(7, 12)), x)
+    if trips:
+        with pytest.raises(NumericError, match="not rank one"):
+            DefectOracle(perturbed, 2, partition)
+    else:
+        DefectOracle(perturbed, 2, partition)
+
+
+def test_action_oracle_needs_a_partition():
+    ce, w, u = _parallel_operator()
+    with pytest.raises(ValidationError, match="needs a partition"):
+        DefectOracle(wct_action(ce, w, u), 2)

@@ -190,6 +190,27 @@ def test_cmd_example_a_averages_three_symbols_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_symbols_build_no_atomwise_function(monkeypatch):
+    # u, w and the space are already validated: the averages of u w, |u|^2
+    # and |w|^2 are taken from plain arrays, with no copied and re-checked
+    # Mfunc for any of them
+    inst = random_instance(np.random.default_rng(3), (9, 9), (3, 3), stratum="generic")
+    ce = inst.cond_exp()
+    expected = symbols(ce, inst.w, inst.u)
+    calls = []
+    original = Mfunc.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(Mfunc, "__post_init__", counted)
+    st = symbols(ce, inst.w, inst.u)
+    assert calls == []
+    for name in ("alpha", "beta", "gamma"):
+        assert getattr(st, name).tobytes() == getattr(expected, name).tobytes()
+
+
 def test_cmd_example_b_builds_one_cond_exp(monkeypatch):
     calls = []
     original = condexp_mod.CondExp.__post_init__

@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +66,27 @@ def test_spec_rejects_malformed_complex():
     bad["u"] = [[1.0, 0.0, 0.0], [0.5, 0.0], [1 / 3, 0.0], [0.25, 0.0]]
     with pytest.raises(ValidationError, match=r"u\[0\]"):
         ProblemSpec.from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "blocks,bad",
+    [
+        ([[0.9], [1.7], [2, 3]], "blocks[0]"),  # int() would truncate to [[0], [1]]
+        ([[0, 1], [2, True], [3]], "blocks[1]"),
+        ([[0, 1, 2], ["3"]], "blocks[1]"),
+    ],
+)
+def test_spec_rejects_atom_indices_that_are_not_integers(tmp_path, capsys, blocks, bad):
+    data = dict(EXAMPLE_B_SPEC, blocks=blocks)
+    with pytest.raises(ValidationError, match=re.escape(f"'{bad}'")):
+        ProblemSpec.from_dict(data)
+    assert main(["classify", _write_spec(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: spec field '{bad}'")
+
+
+def test_spec_accepts_integral_float_atom_indices():
+    data = dict(EXAMPLE_B_SPEC, blocks=[[2.0], [0, 1.0, 3]])
+    assert ProblemSpec.from_dict(data).blocks == ((2,), (0, 1, 3))
 
 
 def test_spec_build_rejects_overlapping_blocks():
@@ -341,24 +365,65 @@ def test_main_out_into_missing_directory(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_main_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
+def test_main_numeric_error_exit_code_on_a_coupled_action(tmp_path, monkeypatch, capsys):
     # an operator with one entry coupling two blocks fails the oracle's
-    # block-structure check, a NumericError
+    # rank-one block check, a NumericError
     import wctops.criteria as criteria_mod
-    from wctops import LinOp
+    from wctops import Action
 
-    build = criteria_mod.wct_op
+    build = criteria_mod.wct_action
 
     def coupled(ce, w, u):
-        a = build(ce, w, u).entries.copy()
-        a[0, 2] = 1e-3  # atoms 0 and 2 lie in different blocks
-        return LinOp(a)
+        T = build(ce, w, u)
 
-    monkeypatch.setattr(criteria_mod, "wct_op", coupled)
+        def apply(x):
+            y = T.apply(x)
+            y[0] += 1e-3 * x[2]  # atoms 0 and 2 lie in different blocks
+            return y
+
+        def apply_adj(x):
+            y = T.apply_adj(x)
+            y[2] += 1e-3 * x[0]
+            return y
+
+        return Action(apply, apply_adj)
+
+    monkeypatch.setattr(criteria_mod, "wct_action", coupled)
     code = main(["classify", _write_spec(tmp_path, EXAMPLE_B_SPEC)])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.startswith("error:") and "outside the diagonal blocks" in err
+    assert err.startswith("error:") and "not rank one" in err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a scratch file's, so that it can be redirected."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("mismatches,code", [(0, 0), (1, 3)])
+def test_main_exits_with_the_report_code_when_stdout_closes_early(
+    tmp_path, monkeypatch, capsys, mismatches, code
+):
+    import wctops.cli as cli_mod
+
+    report = cmd_classify(ProblemSpec.from_dict(EXAMPLE_B_SPEC))
+    monkeypatch.setattr(report, "mismatches", [{}] * mismatches)
+    monkeypatch.setattr(cli_mod, "_dispatch", lambda args: report)
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(handle.fileno()))
+        assert main(["classify", "spec.json", "--format", "structured"]) == code
+        # what is still buffered now goes to devnull
+        assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 def test_main_property_violation_exit_code(monkeypatch, capsys):

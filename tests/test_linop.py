@@ -19,6 +19,7 @@ from wctops import (
     op_norm,
     power,
     spectrum,
+    wct_action,
     wct_op,
 )
 from conftest import mf, random_instances
@@ -75,6 +76,18 @@ def test_wct_op_is_triple_matrix_product():
     u = mf(rng.normal(size=5) + 1j * rng.normal(size=5))
     explicit = mult_op(space, w) @ cond_exp_matrix(ce) @ mult_op(space, u)
     assert np.abs(wct_op(ce, w, u).entries - explicit.entries).max() < 1e-14
+
+
+def test_wct_action_applies_the_wct_matrix_and_its_adjoint():
+    for inst in random_instances(seed=9, count=20):
+        ce = inst.cond_exp()
+        T = wct_op(ce, inst.w, inst.u).entries
+        action = wct_action(ce, inst.w, inst.u)
+        rng = np.random.default_rng(len(T))
+        x = rng.normal(size=(len(T), 3)) + 1j * rng.normal(size=(len(T), 3))
+        scale = np.abs(T).max() * np.abs(x).max()
+        assert np.abs(action.apply(x) - T @ x).max() <= 1e-14 * len(T) * scale
+        assert np.abs(action.apply_adj(x) - T.conj().T @ x).max() <= 1e-14 * len(T) * scale
 
 
 def test_wct_op_application_by_hand(uniform4):

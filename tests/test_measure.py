@@ -210,3 +210,17 @@ def test_ensure_on_space_rejects_length_mismatch():
 def test_mfunc_rejects_non_finite():
     with pytest.raises(ValidationError):
         Mfunc(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_sums_match_a_loop_in_atom_order(shape, dtype):
+    rng = np.random.default_rng(4)
+    partition = make_partition(make_space(np.ones(7)), [[5, 0], [3], [6, 1, 4, 2]])
+    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+    expected = np.zeros((3,) + shape[1:], dtype=dtype)
+    for i in range(7):  # atom order, as the sums are taken
+        expected[partition.block_index[i]] += x[i]
+    sums = partition.block_sums(x)
+    assert sums.dtype == dtype and sums.shape == expected.shape
+    assert sums.tobytes() == expected.tobytes()
