@@ -8,25 +8,34 @@ function-level criteria are audited.
 
 ``T f = w E(u f)`` maps the span of each partition block into itself, so
 ``T`` and every operator built from it here are block-diagonal.
-``DefectOracle`` therefore computes on the diagonal blocks alone, stacked
-by block size (see the stack kernels in ``linop``).  Each block is rank
+``DefectOracle`` therefore computes on the diagonal blocks alone, held in
+one stack array (see the stack kernels in ``linop``).  Each block is rank
 one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the complement of
-``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: a block of size
-d >= 2 is kept as its 2x2 core in an orthonormal basis of ``V_b`` plus
-d - 2 zero 1x1 blocks.  The cores are read from ``T`` alone, through three
-matvecs: ``T f`` and ``T* g`` give ``a_b`` and ``c_b`` for random probes f
-and g, and ``T h`` checks the rank-one model on a third probe (Freivalds'
-check).  The oracle of a report reads them from ``linop.wct_action``, in
-O(n) and with no ``n x n`` matrix; the oracle of a dense ``LinOp`` first
-checks that every entry outside the blocks is exactly zero, then reads
-the same cores from its matvecs.  Both cuts are exact, because every
-operand built from ``T`` stays block-diagonal in the smaller blocks; the
-zero blocks carry ``B_m = (-1)^m``, a zero ``T* B_m T``, commutator and
-p-power, and the zeros of the spectrum.  The zero blocks are all alike, so
-one of them stands for all in every norm and check, and ``spectrum`` adds
-back the zeros the others carry.  Every check still runs on every block
-with the scale of the whole operator.  The public functions on a
-bare ``LinOp`` treat the whole matrix as one block.
+``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: every block is kept
+as its 2x2 core in an orthonormal basis of ``V_b``, and a singleton's
+value is padded with one zero lane, unless every block is a singleton,
+when the stack holds the 1x1 values alone.  The cores are read from ``T``
+alone, through three matvecs: ``T f`` and ``T* g`` give ``a_b`` and ``c_b``
+for random probes f and g, and ``T h`` checks the rank-one model on a
+third probe (Freivalds' check).  The oracle of a report reads them from
+``linop.wct_action``, in O(n) and with no ``n x n`` matrix; the oracle of a
+dense ``LinOp`` first checks that every entry outside the blocks is
+exactly zero, then reads the same cores from its matvecs.
+
+Both the lanes cut from a block and the lane padded onto a singleton are
+kernel directions of ``T`` and ``T*``.  Each carries ``B_m = (-1)^m`` and a
+zero ``T* B_m T``, commutator and p-power difference, and every rank-one
+core already has such a kernel direction, so these values change no norm,
+negative part, scale or check.  ``spectrum`` adds back the n - 2k zeros of
+the cut lanes, or drops the 2k - n zeros of the padding when there are
+more of those.  Every check runs on every block with the scale of the
+whole operator.
+
+The oracle solves its Hermitian operands in two eigensolve rounds.  The
+first solves ``B_1..B_m``, ``T* B_m T``, ``T* T``, ``T T*`` and the commutator
+in one call; the second solves the p-power differences, which are built
+from the first round's eigendecompositions of ``T* T`` and ``T T*``.  The
+public functions on a bare ``LinOp`` treat the whole matrix as one block.
 """
 
 from __future__ import annotations
@@ -92,37 +101,32 @@ def default_tolerance(T: LinOp, m: int) -> float:
     return 1e-9 * max(1.0, op_norm(T) ** (2 * m))
 
 
-def _symmetrize(stack: list[np.ndarray], scale: np.ndarray) -> list[np.ndarray]:
-    asym = _per_operand([np.abs(a - _adj(a)) for a in stack])
+def _symmetrize(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    adj = _adj(a)
+    asym = _per_operand(np.abs(a - adj))
     if np.any(asym > 1e-10 * scale):
         i = int(np.argmax(asym / scale))
         raise NumericError(
             f"defect matrix asymmetry {asym[i]:.3e} exceeds 1e-10 "
             f"at scale {scale[i]:.3e}"
         )
-    return [0.5 * (a + _adj(a)) for a in stack]
+    return 0.5 * (a + adj)
 
 
-def _gram_stack(
-    t: list[np.ndarray], k_max: int
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(T^k)* T^k`` for k = 0..k_max as operands of a stack, with the
     entry scale of each."""
-    grams = []
-    for a in t:
-        tk = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
-        powers = []
-        for k in range(k_max + 1):
-            if k > 0:
-                tk = tk @ a
-            powers.append(_adj(tk) @ tk)
-        grams.append(np.concatenate(powers))
-    return grams, np.maximum(1.0, _per_operand([np.abs(g) for g in grams]))
+    powers = [np.broadcast_to(np.eye(t.shape[-1], dtype=complex), t.shape)]
+    for _ in range(k_max):
+        powers.append(powers[-1] @ t)
+    tk = np.concatenate(powers)
+    grams = _adj(tk) @ tk
+    return grams, np.maximum(1.0, _per_operand(np.abs(grams)))
 
 
 def _alternating_sums(
-    grams: list[np.ndarray], scales: np.ndarray, orders: Sequence[int], shift: int
-) -> tuple[list[np.ndarray], np.ndarray]:
+    grams: np.ndarray, scales: np.ndarray, orders: Sequence[int], shift: int
+) -> tuple[np.ndarray, np.ndarray]:
     """``sum_k (-1)^(m-k) C(m,k) G_(k+shift)`` for each m in ``orders``, with
     the scale of each sum: its largest ``C(m,k) * scale(G_(k+shift))``."""
     width = max(orders, default=0) + 1
@@ -130,32 +134,31 @@ def _alternating_sums(
     for i, m in enumerate(orders):
         for k in range(m + 1):
             coef[i, k] = (-1) ** (m - k) * comb(m, k)
-    sums = [np.tensordot(coef, g[shift : shift + width], axes=1) for g in grams]
+    window = grams[shift : shift + width]
+    sums = (coef @ window.reshape(width, -1)).reshape((len(orders),) + window.shape[1:])
     scale = np.maximum(1.0, (np.abs(coef) * scales[shift : shift + width]).max(axis=1))
     return sums, scale
 
 
 def _defects(
-    grams: list[np.ndarray], scales: np.ndarray, orders: Sequence[int]
-) -> list[np.ndarray]:
+    grams: np.ndarray, scales: np.ndarray, orders: Sequence[int]
+) -> np.ndarray:
     """The defect operators ``B_m``, symmetrized with an asymmetry check."""
     return _symmetrize(*_alternating_sums(grams, scales, orders, shift=0))
 
 
 def _quasi_defects(
-    t: list[np.ndarray],
-    grams: list[np.ndarray],
+    t: np.ndarray,
+    grams: np.ndarray,
     scales: np.ndarray,
-    defects: list[np.ndarray],
+    defects: np.ndarray,
     orders: Sequence[int],
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Sandwiches ``T* B_m T`` checked against the shifted binomial sums."""
     direct, scale_direct = _alternating_sums(grams, scales, orders, shift=1)
-    sandwich = [_adj(a) @ b @ a for a, b in zip(t, defects)]
-    scale = np.maximum(
-        np.maximum(scale_direct, _per_operand([np.abs(s) for s in sandwich])), 1.0
-    )
-    dev = _per_operand([np.abs(d - s) for d, s in zip(direct, sandwich)])
+    sandwich = _adj(t) @ defects @ t
+    scale = np.maximum(np.maximum(scale_direct, _per_operand(np.abs(sandwich))), 1.0)
+    dev = _per_operand(np.abs(direct - sandwich))
     if np.any(dev > 1e-9 * scale):
         i = int(np.argmax(dev / scale))
         raise NumericError(
@@ -169,7 +172,7 @@ def defect(T: LinOp, m: int) -> LinOp:
     if m < 1:
         raise ValidationError(f"defect order must be >= 1, got {m}")
     grams, scales = _gram_stack(_one_block(T.entries), m)
-    return LinOp(_defects(grams, scales, [m])[0][0, 0])
+    return LinOp(_defects(grams, scales, [m])[0, 0])
 
 
 def quasi_defect(T: LinOp, m: int) -> LinOp:
@@ -183,7 +186,7 @@ def quasi_defect(T: LinOp, m: int) -> LinOp:
     t = _one_block(T.entries)
     grams, scales = _gram_stack(t, m + 1)
     defects = _defects(grams, scales, [m])
-    return LinOp(_quasi_defects(t, grams, scales, defects, [m])[0][0, 0])
+    return LinOp(_quasi_defects(t, grams, scales, defects, [m])[0, 0])
 
 
 class DefectOracle:
@@ -194,10 +197,11 @@ class DefectOracle:
     entry of a ``LinOp`` outside them must be exactly zero, and every block
     must be rank one to roundoff, else NumericError.  Without a partition
     the whole matrix is one block.  What several verdicts share is computed
-    once: the gram stack ``(T^k)* T^k``, the eigendecompositions of
-    ``T* T`` and ``T T*`` (the norm and every p-power use them), the defect
-    norms and the commutator.  The norm of a Hermitian operand is the
-    largest modulus of its own eigenvalues.
+    once: the gram stack ``(T^k)* T^k`` and one eigensolve round over the
+    defects, the sandwiched defects, ``T* T``, ``T T*`` and the commutator,
+    which gives the norm, the defect norms, the commutator residuals and
+    the eigendecompositions every p-power uses.  The norm of a Hermitian
+    operand is the largest modulus of its own eigenvalues.
     """
 
     def __init__(
@@ -218,41 +222,35 @@ class DefectOracle:
         self._grams, self._scales = _gram_stack(self._t, m_max + 1)
 
     @cached_property
-    def _products(self) -> list[np.ndarray]:
-        """``T* T`` and ``T T*`` as operands 0 and 1, symmetrized."""
-        pairs = [
-            np.concatenate([g[1:2], a @ _adj(a)]) for g, a in zip(self._grams, self._t)
-        ]
-        return [0.5 * (p + _adj(p)) for p in pairs]
-
-    @cached_property
-    def _products_eig(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return _eigh_stack(self._products)
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first eigensolve round: ``B_1..B_m_max``, then ``T* B_m T`` for
+        m = 1..m_max, then ``T* T``, ``T T*`` and ``T* T - T T*``, each
+        operand with its own checks."""
+        orders = range(1, self.m_max + 1)
+        defects = _defects(self._grams, self._scales, orders)
+        quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
+        products = np.concatenate([self._grams[1:2], self._t @ _adj(self._t)])
+        products = 0.5 * (products + _adj(products))
+        comm = products[:1] - products[1:]
+        return _eigh_stack(np.concatenate([defects, quasi, products, comm]))
 
     @cached_property
     def norm(self) -> float:
         """Operator norm of ``T``: the root of the top eigenvalue of ``T* T``."""
-        top = float(_per_operand(self._products_eig[0])[0])
+        top = float(self._eig[0][2 * self.m_max].max())
         return float(np.sqrt(max(top, 0.0)))
 
     @cached_property
     def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max."""
-        orders = range(1, self.m_max + 1)
-        defects = _defects(self._grams, self._scales, orders)
-        quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
-        evals, _ = _eigh_stack([np.concatenate(pair) for pair in zip(defects, quasi)])
-        norms = _per_operand([np.abs(e) for e in evals])
+        norms = _per_operand(np.abs(self._eig[0][: 2 * self.m_max]))
         return norms[: self.m_max], norms[self.m_max :]
 
     @cached_property
     def commutator_residuals(self) -> tuple[float, float]:
         """Norm and negative part of the commutator ``T* T - T T*``."""
-        comm = [p[:1] - p[1:] for p in self._products]
-        evals, _ = _eigh_stack(comm)
-        top = float(_per_operand([np.abs(e) for e in evals])[0])
-        low = float(-_per_operand([-e for e in evals])[0])
-        return top, max(0.0, -low)
+        evals = self._eig[0][2 * self.m_max + 2]
+        return float(np.abs(evals).max()), max(0.0, -float(evals.min()))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -290,12 +288,12 @@ class DefectOracle:
         eff_tol = tol if tol is not None else 1e-9 * max(1.0, self.norm**2)
         probes = []
         if probes_p:
-            evals, vecs = self._products_eig
-            diffs = []
-            for p in probes_p:
-                diffs.append([w[:1] - w[1:] for w in _power_stack(evals, vecs, p)])
-            d_evals, _ = _eigh_stack([np.concatenate(ds) for ds in zip(*diffs)])
-            lows = -_per_operand([-e for e in d_evals])
+            # the second eigensolve round, on the p-powers of T* T and T T*
+            i = 2 * self.m_max
+            evals, vecs = self._eig[0][i : i + 2], self._eig[1][i : i + 2]
+            powers = _power_stack(evals, vecs, probes_p)
+            d_evals, _ = _eigh_stack(powers[:, 0] - powers[:, 1])
+            lows = _per_operand(d_evals, np.min)
             for p, low in zip(probes_p, lows.tolist()):
                 p_tol = tol if tol is not None else 1e-9 * max(1.0, self.norm ** (2 * p))
                 probes.append(

@@ -82,13 +82,18 @@ MATRIX_LIMIT = 600
 DEFAULT_PROBES = (0.25, 0.5, 2.0)
 
 
+def _is_number(value: Any) -> bool:
+    """A real number, but not a bool: JSON's ``true`` is not 1."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(_is_number(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise ValidationError(
@@ -96,9 +101,21 @@ def _parse_complex(value: Any, where: str) -> complex:
     )
 
 
-def _is_index(value: Any) -> bool:
-    """An atom index: an integer, or a float with an integral value (JSON
-    writes ``2.0`` for 2), but not a bool."""
+def _parse_reals(values: Any, name: str) -> tuple[float, ...]:
+    """A spec field that is a list of real numbers, neither bools nor strings."""
+    if not isinstance(values, list):
+        raise ValidationError(f"spec field '{name}' must be a list of numbers")
+    for i, v in enumerate(values):
+        if not _is_number(v):
+            raise ValidationError(
+                f"spec field '{name}[{i}]': expected a number, got {v!r}"
+            )
+    return tuple(float(v) for v in values)
+
+
+def _is_integral(value: Any) -> bool:
+    """An integer, or a float with an integral value (JSON writes ``2.0``
+    for 2), but not a bool."""
     if isinstance(value, bool):
         return False
     return isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
@@ -150,17 +167,14 @@ class ProblemSpec:
                 raise ValidationError(f"spec is missing required field '{name}'")
             if not isinstance(data[name], list) or not data[name]:
                 raise ValidationError(f"spec field '{name}' must be a non-empty list")
-        try:
-            weights = tuple(float(v) for v in data["weights"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"spec field 'weights': {exc}") from exc
+        weights = _parse_reals(data["weights"], "weights")
         blocks: list[tuple[int, ...]] = []
         for b, blk in enumerate(data["blocks"]):
             if not isinstance(blk, list):
                 raise ValidationError(
                     f"spec field 'blocks[{b}]' must be a list of atom indices"
                 )
-            bad = [i for i in blk if not _is_index(i)]
+            bad = [i for i in blk if not _is_integral(i)]
             if bad:
                 raise ValidationError(
                     f"spec field 'blocks[{b}]': atom index {bad[0]!r} is not an integer"
@@ -172,25 +186,22 @@ class ProblemSpec:
         w = tuple(
             _parse_complex(v, f"spec field 'w[{i}]'") for i, v in enumerate(data["w"])
         )
-        try:
-            m_max = int(data.get("m_max", 4))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"spec field 'm_max': {exc}") from exc
+        m_max = data.get("m_max", 4)
+        if not _is_integral(m_max):
+            raise ValidationError(
+                f"spec field 'm_max' must be an integer, got {m_max!r}"
+            )
+        m_max = int(m_max)
         if m_max < 1:
             raise ValidationError(f"spec field 'm_max' must be >= 1, got {m_max}")
         tol = data.get("tol")
         if tol is not None:
-            try:
-                tol = float(tol)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"spec field 'tol': {exc}") from exc
+            if not _is_number(tol):
+                raise ValidationError(f"spec field 'tol' must be a number, got {tol!r}")
+            tol = float(tol)
             if not tol > 0:
                 raise ValidationError(f"spec field 'tol' must be positive, got {tol}")
-        probes = data.get("probes_p", list(DEFAULT_PROBES))
-        try:
-            probes_p = tuple(float(p) for p in probes)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"spec field 'probes_p': {exc}") from exc
+        probes_p = _parse_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p")
         if any(p <= 0 for p in probes_p):
             raise ValidationError("spec field 'probes_p' entries must be positive")
         return cls(
@@ -904,6 +915,8 @@ class SweepReport(_Report):
 
 def cmd_sweep_m(spec: "ProblemSpec | str", m_max: int = 6) -> SweepReport:
     """Tabulate defect norms for m = 1..m_max for a problem spec."""
+    if m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {m_max}")
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
     space, partition, u, w = spec.build()

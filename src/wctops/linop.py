@@ -17,7 +17,7 @@ the dense matrix of the same operator for the tests' dense audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def op_norm(T: LinOp) -> float:
     """Largest singular value, via the Hermitian eigenproblem of ``T* T``."""
     h = T.entries.conj().T @ T.entries
     evals, _ = _eigh_stack(_one_block(0.5 * (h + h.conj().T)))
-    return float(np.sqrt(max(float(evals[0].max()), 0.0)))
+    return float(np.sqrt(max(float(evals.max()), 0.0)))
 
 
 def spectrum(T: LinOp) -> np.ndarray:
@@ -185,7 +185,7 @@ def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
     the input.
     """
     evals, vecs = _eigh_stack(_one_block(A.entries))
-    return evals[0][0, 0], LinOp(vecs[0][0, 0])
+    return evals[0, 0], LinOp(vecs[0, 0])
 
 
 def hermitian_power(A: LinOp, p: float) -> LinOp:
@@ -197,43 +197,56 @@ def hermitian_power(A: LinOp, p: float) -> LinOp:
     if p <= 0:
         raise ValidationError(f"exponent must be positive, got {p}")
     evals, vecs = _eigh_stack(_one_block(A.entries))
-    return LinOp(_power_stack(evals, vecs, p)[0][0, 0])
+    return LinOp(_power_stack(evals, vecs, [p])[0, 0, 0])
 
 
 def is_psd(A: LinOp, tol: float) -> bool:
     """True when every eigenvalue of the Hermitian matrix ``A`` is >= -tol."""
     evals, _ = _eigh_stack(_one_block(A.entries))
-    return bool(evals[0].min() >= -tol)
+    return bool(evals.min() >= -tol)
 
 
 # ---------------------------------------------------------------------------
 # Stack kernels
 #
-# A stack is a list of arrays of shape ``(r, k, d, d)``, one per block size
-# ``d``: ``a[i, j]`` is diagonal block ``j`` of operand ``i``.  All operands
-# of a stack are block-diagonal in one block structure, so sums, products
-# and adjoints act block by block, and eigenvalues are the union of the
-# blocks' eigenvalues.  Every check reduces over all blocks of an operand,
-# so its threshold is the one the whole block-diagonal matrix would get.
-# A whole matrix ``a`` is the one-block stack ``[a[None, None]]``.
+# A stack is one array of shape ``(r, k, d, d)``: ``a[i, j]`` is diagonal
+# block ``j`` of operand ``i``.  All operands of a stack are block-diagonal
+# in one structure of k blocks of size d, so sums, products and adjoints act
+# block by block, and eigenvalues are the union of the blocks' eigenvalues.
+# Every check reduces over all blocks of an operand, so its threshold is the
+# one the whole block-diagonal matrix would get; operands stacked along the
+# first axis keep their own checks, so any set of Hermitian operands of one
+# stack is solved in one ``eigh`` call.  ``classify.DefectOracle`` makes two
+# such calls per report: one for the defects, the sandwiched defects,
+# ``T* T``, ``T T*`` and the commutator, and one for the p-power differences
+# built from the first.  A whole matrix ``a`` is the one-block stack
+# ``a[None, None]``.
 #
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
 # the complement of ``span{a_b, c_b}`` and map that span into itself.
 # ``_rank_one_cores`` reads ``a_b`` and ``c_b`` from ``T f`` and ``T* g``
 # for random probes f and g, checks the rank-one model on a third probe h,
-# and keeps each block of size d >= 2 as its 2x2 core in an orthonormal
-# basis of that span plus d - 2 zero 1x1 blocks.  Every operand built from
-# ``T`` is block-diagonal in these blocks too, so this is exact: the zero
-# blocks contribute ``B_m = (-1)^m``, zero for ``T* B_m T``, the commutator
-# and the p-powers, and the zeros of the spectrum.  The zero blocks are all
-# alike, and every norm, residual and check is a maximum, a minimum or a
-# sum of squares over blocks, so one zero block stands for all of them; the
-# stack records how many zeros of the spectrum that leaves out.
+# and keeps each block as its 2x2 core ``[[lam, kappa], [0, 0]]`` in an
+# orthonormal basis of that span; a singleton's value lam is padded to
+# ``[[lam, 0], [0, 0]]``.  Every operand built from ``T`` is block-diagonal
+# in the cores and the lanes cut or added, and this is exact because those
+# lanes are kernel directions of ``T`` and ``T*``: each adds ``(-1)^m`` to
+# ``B_m``, and zero to ``T* B_m T``, ``T* T``, ``T T*``, the commutator, the
+# p-power differences and every symmetry and reconstruction residual.  A
+# 2x2 core has rank at most one, so it already has a kernel direction:
+# ``B_m`` already has norm at least one on the core (its Rayleigh quotient
+# there is ``(-1)^m``), and the commutator and every p-power difference are
+# trace-zero on each core, so their smallest eigenvalue is already at most
+# zero.  No norm, negative part, scale or check moves; the spectrum gains
+# the n - 2k zeros of the cut lanes, or loses 2k - n zeros of the padding
+# when that is negative.  An operator of singleton blocks only keeps its
+# 1x1 stack: it may be injective (a unitary), and a kernel lane would give
+# it a spurious ``|B_m| = 1``.
 
 
-def _one_block(a: np.ndarray) -> list[np.ndarray]:
-    return [a[None, None]]
+def _one_block(a: np.ndarray) -> np.ndarray:
+    return a[None, None]
 
 
 def _check_block_diagonal(a: np.ndarray, partition: Partition) -> None:
@@ -253,10 +266,10 @@ def _check_block_diagonal(a: np.ndarray, partition: Partition) -> None:
         )
 
 
-def _rank_one_cores(T: Action, partition: Partition) -> tuple[list[np.ndarray], int]:
-    """The 2x2 core of every rank-one block of ``T`` as a one-operand
-    stack, read from three matvecs, and the number of zero eigenvalues the
-    stack leaves out.
+def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
+    """The core of every rank-one block of ``T`` as a one-operand stack, read
+    from three matvecs, and the number of zero eigenvalues the stack leaves
+    out (negative when its padding adds zeros).
 
     On block b, ``T_b = a c*``, so for probes f and g the block parts
     ``y = (T f)_b = a (c* f_b)`` and ``z = (T* g)_b = c (a* g_b)`` give
@@ -265,17 +278,13 @@ def _rank_one_cores(T: Action, partition: Partition) -> tuple[list[np.ndarray], 
     q1 (q1* z)``, ``T_b`` is ``[[z* y / s, |y| |r| / s], [0, 0]]``; ``|r|``
     is summed from the residual vector itself, since ``|z|^2 - |q1* z|^2``
     cancels to roundoff of order ``sqrt(eps) |z|`` where ``c`` is parallel
-    to ``a``.  A singleton block is its 1x1 value ``z* y / s``, and a block
-    of d >= 2 atoms its 2x2 core plus d - 2 zero 1x1 blocks.  A third probe
-    h checks the model (Freivalds): NumericError unless ``T h`` and
-    ``sum_b y (z* h_b) / s`` agree to 1e-10 of ``|T| |h|``, with ``|T|`` the
-    largest block norm ``|y| |z| / |s|``.
-
-    All the zero 1x1 blocks are kept as one zero block of size 2 (of size 1
-    when there is only one), which adds no block size to a stack that has
-    2x2 cores; the number of zeros this leaves out is returned.  The probes
-    come from a generator with a fixed seed, so the cores are the same on
-    every run.
+    to ``a``.  A singleton block is its value ``z* y / s``, padded to
+    ``[[z* y / s, 0], [0, 0]]`` unless every block is a singleton, when the
+    stack is ``(1, k, 1, 1)``.  A third probe h checks the model
+    (Freivalds): NumericError unless ``T h`` and ``sum_b y (z* h_b) / s``
+    agree to 1e-10 of ``|T| |h|``, with ``|T|`` the largest block norm
+    ``|y| |z| / |s|``.  The probes come from a generator with a fixed seed,
+    so the cores are the same on every run.
     """
     n, k, idx = partition.atom_count, partition.block_count, partition.block_index
     # complex Gaussian columns f, h and g
@@ -307,17 +316,13 @@ def _rank_one_cores(T: Action, partition: Partition) -> tuple[list[np.ndarray], 
         )
 
     single = partition.sizes == 1
-    by_size = {1: [value[single][:, None, None]]} if single.any() else {}
-    if not single.all():
-        core = np.zeros((k - int(single.sum()), 2, 2), dtype=complex)
-        core[:, 0, 0] = value[~single]
-        core[:, 0, 1] = corner[~single]
-        by_size[2] = [core]
-    zeros = int((partition.sizes[~single] - 2).sum())
-    kept = min(zeros, 2)
-    if kept:
-        by_size.setdefault(kept, []).append(np.zeros((1, kept, kept), dtype=complex))
-    return [np.concatenate(by_size[d])[None] for d in sorted(by_size)], zeros - kept
+    if single.all():
+        return value[None, :, None, None], 0
+    cores = np.zeros((1, k, 2, 2), dtype=complex)
+    cores[0, :, 0, 0] = value
+    # a singleton's corner is the roundoff of z - q1 (q1* z): pad it exactly
+    cores[0, :, 0, 1] = np.where(single, 0.0, corner)
+    return cores, n - 2 * k
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -325,45 +330,37 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _per_operand(arrays: list[np.ndarray], reduce=np.max) -> np.ndarray:
-    """``reduce`` of each operand over all its entries in all arrays: shape ``(r,)``."""
-    return reduce([reduce(a, axis=tuple(range(1, a.ndim))) for a in arrays], axis=0)
+def _per_operand(a: np.ndarray, reduce=np.max) -> np.ndarray:
+    """``reduce`` of each operand of a stack over all its entries: shape ``(r,)``."""
+    return reduce(a, axis=tuple(range(1, a.ndim)))
 
 
-def _eigh_stack(
-    stack: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Eigendecomposition of every Hermitian operand of a stack.
+def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of every Hermitian operand of a stack, in one call.
 
     Returns the ascending eigenvalues ``(r, k, d)`` and the eigenvectors
-    ``(r, k, d, d)`` of each array.  Hermitian symmetry is checked relative
-    to each operand's entry scale, and the reconstruction
-    ``V diag(lam) V*`` relative to its largest eigenvalue modulus.
+    ``(r, k, d, d)``.  Hermitian symmetry is checked relative to each
+    operand's entry scale, and the reconstruction ``V diag(lam) V*``
+    relative to its largest eigenvalue modulus.
     """
-    scale = np.maximum(1.0, _per_operand([np.abs(a) for a in stack]))
-    asym = _per_operand([np.abs(a - _adj(a)) for a in stack])
+    adj = _adj(a)
+    scale = np.maximum(1.0, _per_operand(np.abs(a)))
+    asym = _per_operand(np.abs(a - adj))
     if np.any(asym > 1e-10 * scale):
         i = int(np.argmax(asym / scale))
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
             f"at scale {scale[i]:.3e}"
         )
-    herm = [0.5 * (a + _adj(a)) for a in stack]
+    herm = 0.5 * (a + adj)
     try:
-        pairs = [np.linalg.eigh(h) for h in herm]
+        evals, vecs = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    evals = [e for e, _ in pairs]
-    vecs = [v for _, v in pairs]
     # spectral norm of a Hermitian matrix is its largest |eigenvalue|; the
     # Frobenius norm bounds the spectral norm of the error from above
-    norm_a = _per_operand([np.abs(e) for e in evals])
-    err = np.sqrt(
-        _per_operand(
-            [np.abs(h - _from_eig(e, v)) ** 2 for h, e, v in zip(herm, evals, vecs)],
-            np.sum,
-        )
-    )
+    norm_a = _per_operand(np.abs(evals))
+    err = np.sqrt(_per_operand(np.abs(herm - _from_eig(evals, vecs)) ** 2, np.sum))
     if np.any(err > 1e-9 * np.maximum(1.0, norm_a)):
         raise NumericError(
             f"eigendecomposition reconstruction error {err.max():.3e} exceeds tolerance"
@@ -377,33 +374,37 @@ def _from_eig(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _power_stack(
-    evals: list[np.ndarray], vecs: list[np.ndarray], p: float
-) -> list[np.ndarray]:
-    """``A**p`` of every positive semidefinite operand, from its eigendecomposition.
+    evals: np.ndarray, vecs: np.ndarray, ps: Sequence[float]
+) -> np.ndarray:
+    """``A**p`` of every positive semidefinite operand for every exponent p
+    in ``ps``, from its eigendecomposition: shape ``(len(ps), r, k, d, d)``.
 
     Each operand's eigenvalues in its roundoff band below zero are clamped
     to zero; a genuinely negative eigenvalue is rejected.
     """
-    band = 1e-10 * np.maximum(1.0, _per_operand([np.abs(e) for e in evals]))
-    smallest = -_per_operand([-e for e in evals])
+    band = 1e-10 * np.maximum(1.0, _per_operand(np.abs(evals)))
+    smallest = _per_operand(evals, np.min)
     if np.any(smallest < -band):
         raise ValidationError(
             f"matrix is not positive semidefinite: eigenvalue {smallest.min():.3e}"
         )
     # the whole roundoff band collapses to an exact zero so that fractional
     # powers cannot amplify kernel perturbations
-    cut = band[:, None, None]
-    return [_from_eig(np.where(e < cut, 0.0, e) ** p, v) for e, v in zip(evals, vecs)]
+    clamped = np.where(evals < band[:, None, None], 0.0, evals)
+    return _from_eig(clamped ** np.reshape(ps, (-1, 1, 1, 1)), vecs)
 
 
-def _eigvals_stack(stack: list[np.ndarray], zeros: int = 0) -> np.ndarray:
-    """Eigenvalues of a one-operand stack with multiplicity, and ``zeros``
-    more exact zeros, sorted by (real, imaginary) part."""
+def _eigvals_stack(a: np.ndarray, zeros: int = 0) -> np.ndarray:
+    """Eigenvalues of a one-operand stack with multiplicity, sorted by (real,
+    imaginary) part: with ``zeros`` more exact zeros, or, when ``zeros`` is
+    negative, ``-zeros`` fewer eigenvalues of the smallest modulus."""
     try:
-        ev = np.concatenate(
-            [np.linalg.eigvals(a).ravel() for a in stack] + [np.zeros(zeros, complex)]
-        )
+        ev = np.linalg.eigvals(a).ravel()
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    if zeros > 0:
+        ev = np.concatenate([ev, np.zeros(zeros, complex)])
+    elif zeros < 0:
+        ev = ev[np.argsort(np.abs(ev), kind="stable")[-zeros:]]
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

@@ -127,20 +127,49 @@ def _zero_on_block(size):
 def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
     rng = np.random.default_rng(sum(sizes))
     T, partition = _spec_operator(rng, sizes, u_of_w)
-    # every block of size d >= 3 becomes one 2x2 core and d - 2 zero 1x1s,
-    # and one zero 2x2 block stands for all the zero 1x1s
+    # every block becomes one 2x2 core of one array, a singleton's value
+    # padded with an exact zero lane, and the spectrum gets back the n - 2k
+    # zeros of the lanes cut from the blocks
     oracle = DefectOracle(T, 1, partition)
-    counts = {a.shape[-1]: a.shape[1] for a in oracle._t}
-    assert counts.pop(1, 0) == sizes.count(1)
-    assert counts == {2: sum(d >= 2 for d in sizes) + 1}
-    zeros = sum(d - 2 for d in sizes if d >= 3)
-    assert oracle._left_out_zeros == zeros - 2
+    assert oracle._t.shape == (1, len(sizes), 2, 2)
+    single = oracle._t[0, partition.sizes == 1]
+    assert len(single) == sizes.count(1)
+    assert np.count_nonzero(single[:, 1]) + np.count_nonzero(single[:, 0, 1]) == 0
+    assert oracle._left_out_zeros == sum(sizes) - 2 * len(sizes)
     _assert_block_oracle_matches_whole(T, partition, 3)
+
+
+def test_singletons_and_one_pair_drop_the_padding_zeros():
+    # 11 blocks in 12 atoms: 22 core lanes, so the spectrum drops 10 of the
+    # padding's zeros
+    T, partition = _spec_operator(np.random.default_rng(11), [1] * 10 + [2])
+    oracle = DefectOracle(T, 1, partition)
+    assert oracle._t.shape == (1, 11, 2, 2) and oracle._left_out_zeros == -10
+    assert oracle.spectrum.shape == (12,)
+    _assert_block_oracle_matches_whole(T, partition, 4)
+
+
+def test_injective_singletons_keep_a_one_by_one_stack():
+    # a unitary multiplication operator: no kernel lane may be padded on,
+    # or every B_m would read norm one
+    n = 12
+    rng = np.random.default_rng(12)
+    space = make_space(rng.uniform(0.2, 2.0, n))
+    partition = make_partition(space, [[i] for i in range(n)])
+    u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    T = wct_op(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
+    oracle = DefectOracle(T, 6, partition)
+    assert oracle._t.shape == (1, n, 1, 1) and oracle._left_out_zeros == 0
+    for v in oracle.verdicts():
+        assert v.is_m_isometric and v.is_quasi_m_isometric, v
+        assert v.defect_norm <= 1e-14
+    assert oracle.spectrum.shape == (n,)
+    _assert_block_oracle_matches_whole(T, partition, 6)
 
 
 @pytest.mark.parametrize(
     "sizes",
-    [[1, 2, 3, 7, 20], [2, 3]],  # 25 zero 1x1 blocks; one, kept as it is
+    [[1, 2, 3, 7, 20], [2, 3]],  # 25 lanes cut from the blocks; one
     ids=["many-zeros", "one-zero"],
 )
 def test_spectrum_keeps_the_zeros_of_the_cut_blocks(sizes):
@@ -148,7 +177,7 @@ def test_spectrum_keeps_the_zeros_of_the_cut_blocks(sizes):
     spec = DefectOracle(T, 1, partition).spectrum
     assert spec.shape == (T.dim,)
     # each block is rank one: n - k eigenvalues vanish, and those of the
-    # d - 2 zero blocks cut from a block of size d vanish exactly
+    # d - 2 lanes cut from a block of size d vanish exactly
     assert np.count_nonzero(spec == 0) >= sum(d - 2 for d in sizes if d >= 3)
     tiny = np.abs(spec) <= 1e-12 * DefectOracle(T, 0).norm
     assert np.count_nonzero(tiny) == T.dim - len(sizes)
@@ -190,13 +219,13 @@ def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips)
     # operand, exactly as for the assembled block-diagonal matrix
     rng = np.random.default_rng(8)
     big = _hermitian_blocks(rng, 2, 1, 4, 500.0)
-    small = _hermitian_blocks(rng, 2, 3, 2, 0.5)
+    small = _hermitian_blocks(rng, 2, 3, 4, 0.5)
     small[1, 2, 0, 1] += defect_size
-    stack = [small, big]
+    stack = np.concatenate([small, big], axis=1)
 
-    full = np.zeros((10, 10), dtype=complex)
-    full[:2, :2], full[2:4, 2:4], full[4:6, 4:6] = small[1]
-    full[6:, 6:] = big[1, 0]
+    full = np.zeros((16, 16), dtype=complex)
+    for j, block in enumerate(stack[1]):
+        full[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = block
     if trips:
         with pytest.raises(ValidationError, match="not Hermitian"):
             _eigh_stack(stack)
@@ -205,5 +234,5 @@ def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips)
     else:
         evals, _ = _eigh_stack(stack)
         whole, _ = hermitian_eig(LinOp(full))
-        union = np.sort(np.concatenate([evals[0][1].ravel(), evals[1][1].ravel()]))
+        union = np.sort(evals[1].ravel())
         assert np.abs(union - whole).max() <= REL * np.abs(whole).max()

@@ -89,6 +89,41 @@ def test_spec_accepts_integral_float_atom_indices():
     assert ProblemSpec.from_dict(data).blocks == ((2,), (0, 1, 3))
 
 
+@pytest.mark.parametrize(
+    "field,value,bad",
+    [
+        ("m_max", 2.7, "m_max"),  # int() would truncate to 2
+        ("m_max", True, "m_max"),
+        ("m_max", "3", "m_max"),
+        ("tol", "1e-6", "tol"),
+        ("tol", True, "tol"),
+        ("weights", [True, 0.25, 0.125, 0.0625], "weights[0]"),
+        ("weights", [0.5, "0.25", 0.125, 0.0625], "weights[1]"),
+        ("probes_p", ["0.5"], "probes_p[0]"),
+        ("probes_p", [0.25, False], "probes_p[1]"),
+        ("probes_p", 0.5, "probes_p"),
+    ],
+)
+def test_spec_rejects_scalars_of_the_wrong_type(tmp_path, capsys, field, value, bad):
+    data = dict(EXAMPLE_B_SPEC, **{field: value})
+    with pytest.raises(ValidationError, match=re.escape(f"'{bad}'")):
+        ProblemSpec.from_dict(data)
+    assert main(["classify", _write_spec(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: spec field '{bad}'")
+
+
+def test_spec_accepts_an_integral_float_m_max():
+    assert ProblemSpec.from_dict(dict(EXAMPLE_B_SPEC, m_max=2.0)).m_max == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep-m"])
+def test_main_rejects_m_max_zero(tmp_path, capsys, command):
+    assert main([command, _write_spec(tmp_path, EXAMPLE_B_SPEC), "--m-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: m_max must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
 def test_spec_build_rejects_overlapping_blocks():
     bad = dict(EXAMPLE_B_SPEC)
     bad["blocks"] = [[0, 1], [1, 2, 3]]
@@ -451,6 +486,24 @@ def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
     report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
     assert len(calls) == 1
     assert [v["m"] for v in report.defect_verdicts] == [1, 2, 3, 4]
+
+
+def test_classify_operator_runs_two_eigensolve_rounds(monkeypatch):
+    # round one solves every defect, sandwich, T*T, TT* and the commutator
+    # together; round two the p-power differences
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for inst in suite_instances(30, seed=7):
+        calls.clear()
+        report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
+        assert report.matrix_route
+        assert len(calls) == 2, calls
 
 
 def test_classify_operator_at_scale_leaves_the_block_tuples_unbuilt():
