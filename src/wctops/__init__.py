@@ -28,6 +28,7 @@ from .criteria import (
     SymbolTable,
     audit_agreement,
     audit_rows,
+    binomial_table,
     essential_range,
     j_double_prime_m,
     j_m,

@@ -41,7 +41,7 @@ public functions on a bare ``LinOp`` treat the whole matrix as one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
@@ -124,16 +124,25 @@ def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return grams, np.maximum(1.0, _per_operand(np.abs(grams)))
 
 
+@lru_cache(maxsize=None)
+def _alternating_binomials(m_max: int) -> np.ndarray:
+    """The read-only ``(m_max, m_max + 1)`` matrix whose row m - 1 holds
+    ``(-1)^(m-k) C(m,k)`` for k = 0..m, and zeros past k = m."""
+    coef = np.zeros((m_max, m_max + 1))
+    for m in range(1, m_max + 1):
+        for k in range(m + 1):
+            coef[m - 1, k] = (-1) ** (m - k) * comb(m, k)
+    coef.flags.writeable = False
+    return coef
+
+
 def _alternating_sums(
     grams: np.ndarray, scales: np.ndarray, orders: Sequence[int], shift: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``sum_k (-1)^(m-k) C(m,k) G_(k+shift)`` for each m in ``orders``, with
     the scale of each sum: its largest ``C(m,k) * scale(G_(k+shift))``."""
     width = max(orders, default=0) + 1
-    coef = np.zeros((len(orders), width))
-    for i, m in enumerate(orders):
-        for k in range(m + 1):
-            coef[i, k] = (-1) ** (m - k) * comb(m, k)
+    coef = _alternating_binomials(width - 1)[np.asarray(orders, dtype=int) - 1]
     window = grams[shift : shift + width]
     sums = (coef @ window.reshape(width, -1)).reshape((len(orders),) + window.shape[1:])
     scale = np.maximum(1.0, (np.abs(coef) * scales[shift : shift + width]).max(axis=1))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -113,6 +114,13 @@ def _parse_reals(values: Any, name: str) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _finite_positive(value: float, name: str) -> float:
+    """A tolerance or a hyponormality exponent: finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def _is_integral(value: Any) -> bool:
     """An integer, or a float with an integral value (JSON writes ``2.0``
     for 2), but not a bool."""
@@ -198,12 +206,10 @@ class ProblemSpec:
         if tol is not None:
             if not _is_number(tol):
                 raise ValidationError(f"spec field 'tol' must be a number, got {tol!r}")
-            tol = float(tol)
-            if not tol > 0:
-                raise ValidationError(f"spec field 'tol' must be positive, got {tol}")
+            tol = _finite_positive(float(tol), "spec field 'tol'")
         probes_p = _parse_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p")
-        if any(p <= 0 for p in probes_p):
-            raise ValidationError("spec field 'probes_p' entries must be positive")
+        for i, p in enumerate(probes_p):
+            _finite_positive(p, f"spec field 'probes_p[{i}]'")
         return cls(
             weights=weights,
             blocks=tuple(blocks),
@@ -994,6 +1000,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace):
+    if args.tol is not None:
+        _finite_positive(args.tol, "--tol")
     if args.command == "classify":
         spec = ProblemSpec.from_file(args.spec)
         if args.m_max != 4:

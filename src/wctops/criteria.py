@@ -10,17 +10,28 @@ criterion, deferred to the defect oracle for the m-isometry criterion).
 Divergences between the readings are recorded as data; disagreement
 between the corrected reading and the oracle is a mismatch and is what
 the audit exists to rule out.
+
+Both readings of both criteria run on the alternating binomial sums
+``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` evaluates
+them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
+the k blocks, from one cached coefficient matrix (the one the oracle's
+defect sums use) and one power call, and checks every row against its
+closed form.  A report builds that table once, on its ``SymbolTable``, and
+``audit_rows`` reads every audit row from it: each per-order residual is
+one reduction over the table, and the attained values ``e_r`` come from
+one row-wise sort, made only when the oracle's verdicts are given.
+``normal_case_equivalence`` reads ``J'_m_max`` from the same table, and
+``j_m``, ``j_prime_m`` and ``quasi_criterion`` are reads of one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
-from .classify import DefectOracle, DefectVerdict
+from .classify import DefectOracle, DefectVerdict, _alternating_binomials
 from .condexp import CondExp, block_averages
 from .errors import NumericError, ValidationError
 from .linop import LinOp, spectrum, wct_action
@@ -36,6 +47,7 @@ __all__ = [
     "DivergenceRecord",
     "AgreementReport",
     "symbols",
+    "binomial_table",
     "j_m",
     "j_prime_m",
     "j_double_prime_m",
@@ -120,6 +132,16 @@ class SymbolTable:
     def support_both(self) -> frozenset[int]:
         return self._atoms_in(self.in_both)
 
+    def binomials(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """``binomial_table(abs_alpha_sq, m_max)``, built once per ``m_max``
+        and kept read-only."""
+        tables = self.__dict__.setdefault("_binomials", {})
+        if m_max not in tables:
+            tables[m_max] = binomial_table(self.abs_alpha_sq, m_max)
+            for table in tables[m_max]:
+                table.flags.writeable = False
+        return tables[m_max]
+
 
 def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     """Compute the symbol table of ``f -> w E(u f)`` block by block."""
@@ -151,50 +173,67 @@ def _check_order(m: int) -> None:
         raise ValidationError(f"order must be >= 1, got {m}")
 
 
+def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``J_m(t)`` and ``J'_m(t)`` for m = 1..m_max, as the rows of two
+    ``(m_max, len(t))`` arrays.
+
+    ``J_m(t) = sum_{k=0}^{m} (-1)^(m-k) C(m,k) t^k`` and ``J'_m(t) =
+    sum_{k=1}^{m} (-1)^(m-k) C(m,k) t^(k-1)``, for a one-dimensional array
+    of non-negative values ``t``.  Every row is checked against its closed
+    form, ``J_m(t) = (t - 1)^m`` and ``t J'_m(t) = (t - 1)^m - (-1)^m``, to
+    within ``1e-12`` times the largest modulus of that row of the closed
+    form (at least 1).
+    """
+    if m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {m_max}")
+    t = np.asarray(t_val, dtype=float)
+    if (t < 0).any():
+        raise ValidationError("t must be non-negative")
+    coef = _alternating_binomials(m_max)
+    powers = t ** np.arange(m_max + 1)[:, None]
+    j = coef @ powers
+    j_prime = coef[:, 1:] @ powers[:-1]
+    # the rows of both sums and of both closed forms, checked in one pass
+    orders = np.arange(1, m_max + 1)[:, None]
+    closed = (t - 1.0) ** orders
+    rhs = np.concatenate((closed, closed - (-1.0) ** orders))
+    dev = np.abs(np.concatenate((j, t * j_prime)) - rhs).max(axis=1, initial=0.0)
+    bad = dev > 1e-12 * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        m = i % m_max + 1
+        if i < m_max:
+            raise NumericError(f"binomial sum deviates from (t-1)^{m} by {dev[i]:.3e}")
+        raise NumericError(
+            f"reduced binomial sum of order {m} violates its closure identity "
+            f"by {dev[i]:.3e}"
+        )
+    return j, j_prime
+
+
+def _table_row(table: np.ndarray, m: int, t_val):
+    row = table[m - 1]
+    return row.reshape(np.shape(t_val)) if np.ndim(t_val) else float(row[0])
+
+
 def j_m(t_val, m: int):
     """Alternating binomial sum ``sum_{k=0}^{m} (-1)^(m-k) C(m,k) t^k``.
 
-    Accepts a scalar or an array of non-negative values.  The sum closes
-    to ``(t - 1)^m``; the closed form is asserted against the sum.
+    Accepts a scalar or an array of non-negative values: row m of
+    ``binomial_table``, whose check asserts the closed form ``(t - 1)^m``.
     """
     _check_order(m)
-    t = np.asarray(t_val, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be non-negative")
-    total = np.zeros_like(t)
-    for k in range(m + 1):
-        total = total + (-1) ** (m - k) * comb(m, k) * t**k
-    closed = (t - 1.0) ** m
-    dev = float(np.abs(total - closed).max())
-    scale = max(1.0, float(np.abs(closed).max()))
-    if dev > 1e-12 * scale:
-        raise NumericError(
-            f"binomial sum deviates from (t-1)^{m} by {dev:.3e}"
-        )
-    return total if np.ndim(t_val) else float(total)
+    return _table_row(binomial_table(np.ravel(t_val), m)[0], m, t_val)
 
 
 def j_prime_m(t_val, m: int):
     """Reduced sum ``sum_{k=1}^{m} (-1)^(m-k) C(m,k) t^(k-1)``.
 
-    Satisfies ``t * J'_m(t) = (t - 1)^m - (-1)^m``; the identity is
-    asserted.
+    Row m of ``binomial_table``, whose check asserts ``t * J'_m(t) =
+    (t - 1)^m - (-1)^m``.
     """
     _check_order(m)
-    t = np.asarray(t_val, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be non-negative")
-    total = np.zeros_like(t)
-    for k in range(1, m + 1):
-        total = total + (-1) ** (m - k) * comb(m, k) * t ** (k - 1)
-    rhs = (t - 1.0) ** m - (-1.0) ** m
-    dev = float(np.abs(t * total - rhs).max())
-    scale = max(1.0, float(np.abs(rhs).max()))
-    if dev > 1e-12 * scale:
-        raise NumericError(
-            f"reduced binomial sum violates its closure identity by {dev:.3e}"
-        )
-    return total if np.ndim(t_val) else float(total)
+    return _table_row(binomial_table(np.ravel(t_val), m)[1], m, t_val)
 
 
 def j_double_prime_m(t_val, m: int):
@@ -221,6 +260,21 @@ class QuasiVerdict:
     tol: float
 
 
+def _quasi_residuals(st: SymbolTable, j: np.ndarray) -> np.ndarray:
+    """``max |J_m(t)| E(|u|^2) E(|w|^2)`` over the joint support for each row
+    of ``j``, 0 where the support is empty."""
+    return (np.abs(j) * np.where(st.in_both, st.product, 0.0)).max(axis=1)
+
+
+def _quasi_paper_residual(st: SymbolTable) -> float:
+    """``max | |E(uw)| - 1 |`` over the whole space, the same for every m."""
+    return float(np.abs(np.sqrt(st.abs_alpha_sq) - 1.0).max())
+
+
+def _quasi_tol(st: SymbolTable, m: int) -> float:
+    return 1e-9 * max(1.0, float(st.product.max()) ** m)
+
+
 def quasi_criterion(st: SymbolTable, m: int, tol: float | None = None) -> QuasiVerdict:
     """Quasi-m-isometry from the symbols.
 
@@ -230,16 +284,10 @@ def quasi_criterion(st: SymbolTable, m: int, tol: float | None = None) -> QuasiV
     norm of the sandwiched defect.
     """
     _check_order(m)
-    t = st.abs_alpha_sq
-    prod = st.product
-    paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
-    both = st.in_both
-    if both.any():
-        residual = float((np.abs(j_m(t[both], m)) * prod[both]).max())
-    else:
-        residual = 0.0
+    residual = float(_quasi_residuals(st, st.binomials(m)[0][m - 1 :])[0])
+    paper_residual = _quasi_paper_residual(st)
     if tol is None:
-        tol = 1e-9 * max(1.0, float(prod.max()) ** m)
+        tol = _quasi_tol(st, m)
     return QuasiVerdict(
         m=m,
         paper_verdict=paper_residual <= PAPER_EPS,
@@ -250,19 +298,16 @@ def quasi_criterion(st: SymbolTable, m: int, tol: float | None = None) -> QuasiV
     )
 
 
-def _dedup_sorted(values: np.ndarray, tol: float) -> tuple[float, ...]:
-    out: list[float] = []
-    for v in np.sort(values):
-        if not out or abs(float(v) - out[-1]) > tol:
-            out.append(float(v))
-    return tuple(out)
-
-
-def _m_iso_paper(st: SymbolTable, m: int) -> tuple[float, tuple[float, ...]]:
-    """Literal-reading residual and attained value set for the m-isometry test."""
-    target = 1.0 if m % 2 else -1.0
-    vals = j_prime_m(st.abs_alpha_sq, m) * st.gamma * st.beta
-    return float(np.abs(vals - target).max()), _dedup_sorted(vals, DEDUP_EPS)
+def _attained_rows(values: np.ndarray, tol: float) -> list[tuple[float, ...]]:
+    """The values of each row, sorted and deduplicated to ``tol``."""
+    out = []
+    for row in np.sort(values, axis=1).tolist():
+        kept = [row[0]]
+        for v in row[1:]:
+            if v - kept[-1] > tol:
+                kept.append(v)
+        out.append(tuple(kept))
+    return out
 
 
 @dataclass(frozen=True)
@@ -322,9 +367,8 @@ def normal_case_equivalence(
     t = st.abs_alpha_sq
     prod = st.product
     identity_residual = float(np.abs(prod - t).max())
-    jpp_residual = float(
-        np.abs(j_prime_m(t, m_max) * prod - j_double_prime_m(t, m_max)).max()
-    )
+    j_prime = st.binomials(m_max)[1][m_max - 1]
+    jpp_residual = float(np.abs(j_prime * prod - j_double_prime_m(t, m_max)).max())
 
     dn, qn = oracle.defect_norms
     defect_norms = dn[:m_max].tolist()
@@ -432,43 +476,59 @@ def audit_rows(
     tol: float | None = None,
     verdicts: tuple[DefectVerdict, ...] | None = None,
 ) -> tuple[AuditRow, ...]:
-    """The audit row of each order m = 1..m_max.
+    """The audit row of each order m = 1..m_max, read from the symbol
+    table's ``binomials(m_max)``.
 
     With the oracle's ``verdicts`` for those orders each order is read at
     the oracle's threshold; without them at ``tol`` (the quasi criterion's
     own default when None), and the oracle fields are None.
     """
+    j, j_prime = st.binomials(m_max)
+    quasi_residuals = _quasi_residuals(st, j).tolist()
+    quasi_paper_residual = _quasi_paper_residual(st)
+    # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
+    # equals (-1)^(m+1)
+    values = j_prime * st.gamma * st.beta
+    targets = (-1.0) ** np.arange(m_max)[:, None]
+    m_iso_residuals = np.abs(values - targets).max(axis=1).tolist()
+    if verdicts:
+        if len(verdicts) != m_max:
+            raise ValidationError(f"{len(verdicts)} oracle verdicts for m_max {m_max}")
+        e_rs = _attained_rows(values, DEDUP_EPS)
+    else:
+        verdicts = e_rs = (None,) * m_max
     rows = []
-    for m, v in enumerate(verdicts or (None,) * m_max, start=1):
-        q = quasi_criterion(st, m, tol if v is None else v.tol)
-        paper_residual, e_r = _m_iso_paper(st, m)
-        paper_m_iso = paper_residual <= PAPER_EPS
+    for m, v, residual, m_iso_residual, e_r in zip(
+        range(1, m_max + 1), verdicts, quasi_residuals, m_iso_residuals, e_rs
+    ):
+        paper_m_iso = m_iso_residual <= PAPER_EPS
         if v is None:
+            tol_m = tol if tol is not None else _quasi_tol(st, m)
             oracle = dict(
                 oracle_quasi=None,
                 oracle_quasi_norm=None,
                 oracle_m_iso=None if paper_m_iso else False,
                 oracle_defect_norm=None,
-                e_r=None,
             )
         else:
+            tol_m = v.tol
             oracle = dict(
                 oracle_quasi=v.is_quasi_m_isometric,
                 oracle_quasi_norm=v.quasi_defect_norm,
                 oracle_m_iso=v.is_m_isometric,
                 oracle_defect_norm=v.defect_norm,
-                e_r=e_r,
             )
         rows.append(
             AuditRow(
                 m=m,
-                tol=q.tol,
-                paper_quasi=q.paper_verdict,
-                corrected_quasi=q.corrected_verdict,
-                quasi_residual=q.residual,
-                quasi_paper_residual=q.paper_residual,
+                tol=tol_m,
+                paper_quasi=quasi_paper_residual <= PAPER_EPS,
+                corrected_quasi=residual <= tol_m,
+                quasi_residual=residual,
+                quasi_paper_residual=quasi_paper_residual,
                 paper_m_iso=paper_m_iso,
-                m_iso_paper_residual=paper_residual,
+                m_iso_paper_residual=m_iso_residual,
+                e_r=e_r,
                 **oracle,
             )
         )

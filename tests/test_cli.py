@@ -124,6 +124,52 @@ def test_main_rejects_m_max_zero(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def test_main_rejects_m_max_zero_on_the_symbol_only_route(capsys):
+    # 20 x 1000 atoms is past the matrix limit, so no oracle runs
+    assert main(["example-a", "--m-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: m_max must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "-0.0"])
+@pytest.mark.parametrize(
+    "command",
+    [["classify", None], ["sweep-m", None], ["example-a"], ["example-b"], ["random-suite"]],
+)
+def test_main_rejects_a_tolerance_that_is_not_finite_and_positive(
+    tmp_path, capsys, command, value
+):
+    argv = [a if a is not None else _write_spec(tmp_path, EXAMPLE_B_SPEC) for a in command]
+    assert main([*argv, "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol must be finite and > 0, got ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field,value,bad",
+    [
+        ("tol", float("inf"), "tol"),
+        ("tol", float("nan"), "tol"),
+        ("tol", -1.0, "tol"),
+        ("tol", 0.0, "tol"),
+        ("probes_p", [float("nan")], "probes_p[0]"),
+        ("probes_p", [0.5, float("inf")], "probes_p[1]"),
+        ("probes_p", [0.5, 0.0], "probes_p[1]"),
+    ],
+)
+def test_spec_rejects_a_tolerance_or_exponent_that_is_not_finite_and_positive(
+    tmp_path, capsys, field, value, bad
+):
+    data = dict(EXAMPLE_B_SPEC, **{field: value})
+    with pytest.raises(ValidationError, match=re.escape(f"'{bad}' must be finite and > 0")):
+        ProblemSpec.from_dict(data)
+    # json writes Infinity and NaN, which json.load reads back as floats
+    assert main(["classify", _write_spec(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: spec field '{bad}' must be finite")
+
+
 def test_spec_build_rejects_overlapping_blocks():
     bad = dict(EXAMPLE_B_SPEC)
     bad["blocks"] = [[0, 1], [1, 2, 3]]

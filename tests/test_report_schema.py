@@ -171,13 +171,15 @@ def test_sweep_m_schema(tmp_path, capsys):
 @pytest.fixture
 def flipped_corrected_verdict(monkeypatch):
     """Every corrected quasi verdict inverted, so each order is a mismatch."""
-    original = criteria_mod.quasi_criterion
+    original = criteria_mod.audit_rows
 
-    def flipped(st, m, tol=None):
-        q = original(st, m, tol)
-        return dataclasses.replace(q, corrected_verdict=not q.corrected_verdict)
+    def flipped(*args, **kwargs):
+        return tuple(
+            dataclasses.replace(row, corrected_quasi=not row.corrected_quasi)
+            for row in original(*args, **kwargs)
+        )
 
-    monkeypatch.setattr(criteria_mod, "quasi_criterion", flipped)
+    monkeypatch.setattr(criteria_mod, "audit_rows", flipped)
 
 
 def _check_pairs(values, expected):
