@@ -34,20 +34,21 @@ whole operator.
 The oracle solves its Hermitian operands in two eigensolve rounds.  The
 first solves ``B_1..B_m``, ``T* B_m T``, ``T* T``, ``T T*`` and the commutator
 in one call; the second solves the p-power differences, which are built
-from the first round's eigendecompositions of ``T* T`` and ``T T*``.  The
-public functions on a bare ``LinOp`` treat the whole matrix as one block.
+from the first round's eigendecompositions of ``T* T`` and ``T T*``.
+``defect`` and ``quasi_defect`` return the ``B_m`` and ``T* B_m T``
+matrices of a whole ``LinOp``, treated as one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, isfinite
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, PropertyViolation, ValidationError
+from .errors import NumericError, ValidationError
 from .linop import (
     Action,
     LinOp,
@@ -59,24 +60,14 @@ from .linop import (
     _per_operand,
     _power_stack,
     _rank_one_cores,
-    hermitian_eig,
-    mult_op,
-    op_norm,
 )
-from .measure import MeasureSpace, Mfunc, Partition
+from .measure import Partition
 
 __all__ = [
     "DefectVerdict",
     "DefectOracle",
-    "MultiplicationReport",
-    "default_tolerance",
     "defect",
     "quasi_defect",
-    "classify_isometry",
-    "is_normal",
-    "is_hyponormal",
-    "is_p_hyponormal",
-    "check_multiplication_corollary",
 ]
 
 
@@ -92,13 +83,20 @@ class DefectVerdict:
     is_quasi_m_isometric: bool
 
 
-def default_tolerance(T: LinOp, m: int) -> float:
-    """Classification threshold scaled as the defect terms scale.
-
-    The order-m defect sums k-fold products of ``T`` and ``T*``, so the
-    roundoff floor grows like ``norm(T)**(2m)``.
-    """
-    return 1e-9 * max(1.0, op_norm(T) ** (2 * m))
+def _default_tol(scale: float, power: float, what: str) -> float:
+    """The default threshold ``1e-9 * max(1, scale**power)`` of a sum of
+    products of ``power`` factors of size ``scale``: its roundoff floor
+    grows like ``scale**power``.  NumericError naming ``what`` when that
+    power overflows or ``scale`` is not finite."""
+    try:
+        size = scale**power
+    except OverflowError:
+        size = float("inf")
+    if not isfinite(size):
+        raise NumericError(
+            f"the threshold of {what} overflows: scale {scale:.3e} to the power {power:g}"
+        )
+    return 1e-9 * max(1.0, size)
 
 
 def _symmetrize(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -115,13 +113,18 @@ def _symmetrize(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(T^k)* T^k`` for k = 0..k_max as operands of a stack, with the
-    entry scale of each."""
+    entry scale of each.  NumericError when one of them overflows."""
     powers = [np.broadcast_to(np.eye(t.shape[-1], dtype=complex), t.shape)]
-    for _ in range(k_max):
-        powers.append(powers[-1] @ t)
-    tk = np.concatenate(powers)
-    grams = _adj(tk) @ tk
-    return grams, np.maximum(1.0, _per_operand(np.abs(grams)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k_max):
+            powers.append(powers[-1] @ t)
+        tk = np.concatenate(powers)
+        grams = _adj(tk) @ tk
+    scales = np.maximum(1.0, _per_operand(np.abs(grams)))
+    if not np.isfinite(scales).all():
+        k = int(np.argmin(np.isfinite(scales)))
+        raise NumericError(f"the powers of T overflow: (T^{k})* T^{k} is not finite")
+    return grams, scales
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +277,7 @@ class DefectOracle:
         dn, qn = self.defect_norms
         out = []
         for m in range(1, self.m_max + 1):
-            tol_m = tol if tol is not None else 1e-9 * max(1.0, self.norm ** (2 * m))
+            tol_m = tol if tol is not None else _default_tol(self.norm, 2 * m, f"order {m}")
             d, q = float(dn[m - 1]), float(qn[m - 1])
             out.append(DefectVerdict(m, d, q, tol_m, d <= tol_m, q <= tol_m))
         return out
@@ -294,7 +297,13 @@ class DefectOracle:
                     f"hyponormality exponent must be positive, got {p}"
                 )
         normal_residual, hypo_residual = self.commutator_residuals
-        eff_tol = tol if tol is not None else 1e-9 * max(1.0, self.norm**2)
+        # every threshold first: a power of the norm that overflows is named
+        # here, before the p-powers of the eigenvalues overflow
+        if tol is None:
+            eff_tol = _default_tol(self.norm, 2, "normality")
+            p_tols = [_default_tol(self.norm, 2 * p, f"p = {p:g}") for p in probes_p]
+        else:
+            eff_tol, p_tols = tol, [tol] * len(probes_p)
         probes = []
         if probes_p:
             # the second eigensolve round, on the p-powers of T* T and T T*
@@ -303,8 +312,7 @@ class DefectOracle:
             powers = _power_stack(evals, vecs, probes_p)
             d_evals, _ = _eigh_stack(powers[:, 0] - powers[:, 1])
             lows = _per_operand(d_evals, np.min)
-            for p, low in zip(probes_p, lows.tolist()):
-                p_tol = tol if tol is not None else 1e-9 * max(1.0, self.norm ** (2 * p))
+            for p, p_tol, low in zip(probes_p, p_tols, lows.tolist()):
                 probes.append(
                     {
                         "p": float(p),
@@ -321,103 +329,3 @@ class DefectOracle:
             "tol": eff_tol,
             "p_hyponormal": probes,
         }
-
-
-def classify_isometry(
-    T: LinOp, m_max: int, tol: float | None = None
-) -> list[DefectVerdict]:
-    """Defect verdicts for m = 1..m_max.
-
-    With ``tol=None`` each order uses the scaled default threshold.
-    """
-    if m_max < 1:
-        raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    return DefectOracle(T, m_max).verdicts(tol)
-
-
-def is_normal(T: LinOp, tol: float | None = None) -> bool:
-    """``T* T = T T*`` up to ``tol`` in operator norm."""
-    return DefectOracle(T, 0).normality((), tol)["normal"]
-
-
-def is_hyponormal(T: LinOp, tol: float | None = None) -> bool:
-    """``T* T - T T*`` positive semidefinite up to ``tol``."""
-    return DefectOracle(T, 0).normality((), tol)["hyponormal"]
-
-
-def is_p_hyponormal(T: LinOp, p: float, tol: float | None = None) -> bool:
-    """``(T* T)**p >= (T T*)**p`` in the positive semidefinite order."""
-    return DefectOracle(T, 0).normality((p,), tol)["p_hyponormal"][0]["holds"]
-
-
-@dataclass(frozen=True)
-class MultiplicationReport:
-    """Dual-route verdicts for a multiplication operator.
-
-    The pointwise route evaluates the closed forms ``(|u|^2 - 1)^m`` and
-    ``|u|^2 (|u|^2 - 1)^m``; the matrix route computes defect spectra.
-    """
-
-    m: int
-    tol: float
-    pointwise_iso_residual: float
-    pointwise_quasi_residual: float
-    defect_norm: float
-    quasi_defect_norm: float
-    is_m_isometric: bool
-    is_quasi_m_isometric: bool
-    iso_spectrum_deviation: float
-    quasi_spectrum_deviation: float
-
-
-def check_multiplication_corollary(
-    space: MeasureSpace, u: Mfunc, m: int, tol: float | None = None
-) -> MultiplicationReport:
-    """Cross-validate the pointwise and matrix classifications of ``M_u``.
-
-    Raises PropertyViolation when the two routes disagree beyond ``tol``.
-    """
-    if m < 1:
-        raise ValidationError(f"order must be >= 1, got {m}")
-    T = mult_op(space, u)
-    if tol is None:
-        tol = default_tolerance(T, m)
-    a2 = np.abs(u.values) ** 2
-    iso_pointwise = (a2 - 1.0) ** m
-    quasi_pointwise = a2 * iso_pointwise
-
-    B = defect(T, m)
-    Q = quasi_defect(T, m)
-    b_evals, _ = hermitian_eig(B)
-    q_evals, _ = hermitian_eig(Q)
-    iso_dev = float(np.abs(np.sort(iso_pointwise) - b_evals).max())
-    quasi_dev = float(np.abs(np.sort(quasi_pointwise) - q_evals).max())
-
-    r_iso = float(np.abs(iso_pointwise).max())
-    r_quasi = float(np.abs(quasi_pointwise).max())
-    dn = op_norm(B)
-    qn = op_norm(Q)
-
-    spectra_tol = max(tol, 1e-9)
-    if iso_dev > spectra_tol or quasi_dev > spectra_tol:
-        raise PropertyViolation(
-            f"pointwise and matrix defect spectra disagree at m={m}: "
-            f"iso deviation {iso_dev:.3e}, quasi deviation {quasi_dev:.3e}"
-        )
-    if ((r_iso <= tol) != (dn <= tol)) or ((r_quasi <= tol) != (qn <= tol)):
-        raise PropertyViolation(
-            f"pointwise and matrix verdicts disagree at m={m}: "
-            f"residuals ({r_iso:.3e}, {r_quasi:.3e}) vs norms ({dn:.3e}, {qn:.3e})"
-        )
-    return MultiplicationReport(
-        m=m,
-        tol=tol,
-        pointwise_iso_residual=r_iso,
-        pointwise_quasi_residual=r_quasi,
-        defect_norm=dn,
-        quasi_defect_norm=qn,
-        is_m_isometric=dn <= tol,
-        is_quasi_m_isometric=qn <= tol,
-        iso_spectrum_deviation=iso_dev,
-        quasi_spectrum_deviation=quasi_dev,
-    )

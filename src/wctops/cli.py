@@ -9,9 +9,10 @@ produced it.
 Exit codes: 0 all requested audits passed, 2 validation error (bad
 input, or a report that cannot be written), 3 a corrected-criterion/oracle
 mismatch was found, 4 a numeric failure (an internal consistency check
-failed, or two computation routes disagreed).  When the reader of standard
-output closes it early (``wctops ... | head``), the rest of the report is
-dropped and the exit code is still the report's own, 0 or 3.
+failed, two formulas for one quantity disagreed, or a value overflowed).
+When the reader of standard output closes it early (``wctops ... | head``),
+the rest of the report is dropped and the exit code is still the report's
+own, 0 or 3.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .criteria import (
     spectrum_matches_range,
     symbols,
 )
-from .errors import NumericError, PropertyViolation, ValidationError
+from .errors import NumericError, ValidationError
 from .linop import wct_action
 from .measure import (
     MeasureSpace,
@@ -960,9 +961,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, m_max_default: int = 4) -> None:
-        p.add_argument("--tol", type=float, default=None, help="classification tolerance")
-        p.add_argument("--m-max", type=int, default=m_max_default, help="largest order m")
+    def add_common(p: argparse.ArgumentParser, m_max_default: str, tol: bool = True) -> None:
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="classification tolerance")
+        p.add_argument(
+            "--m-max", type=int, default=None, help=f"largest order m (default: {m_max_default})"
+        )
         p.add_argument("--out", default=None, help="write structured report to this path")
         p.add_argument(
             "--format",
@@ -973,54 +977,55 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify an operator from a spec file")
     p_classify.add_argument("spec", help="path to a JSON problem spec")
-    add_common(p_classify)
+    add_common(p_classify, "the spec's m_max")
 
     p_a = sub.add_parser("example-a", help="unit-square grid example")
     p_a.add_argument("--nx", type=int, default=20)
     p_a.add_argument("--ny", type=int, default=1000)
-    add_common(p_a)
+    add_common(p_a, "4")
 
     p_b = sub.add_parser("example-b", help="geometric sequence example")
     p_b.add_argument("--p", type=float, default=0.5)
     p_b.add_argument("--n-atoms", type=int, default=60)
-    add_common(p_b, m_max_default=6)
+    add_common(p_b, "6")
 
     p_suite = sub.add_parser("random-suite", help="randomized agreement audit")
     p_suite.add_argument("--count", type=int, default=200)
     p_suite.add_argument("--dims", default="2:10", help="atom count range LO:HI")
     p_suite.add_argument("--blocks", default="1:4", help="block count range LO:HI")
     p_suite.add_argument("--seed", type=int, default=42)
-    add_common(p_suite)
+    add_common(p_suite, "4")
 
+    # the sweep has no verdict, so no tolerance
     p_sweep = sub.add_parser("sweep-m", help="defect norms for m = 1..m_max")
     p_sweep.add_argument("spec", help="path to a JSON problem spec")
-    add_common(p_sweep, m_max_default=6)
+    add_common(p_sweep, "6", tol=False)
 
     return parser
 
 
 def _dispatch(args: argparse.Namespace):
+    # without --m-max each subcommand keeps its own default order
+    m_max = {} if args.m_max is None else {"m_max": args.m_max}
+    if args.command == "sweep-m":
+        return cmd_sweep_m(args.spec, **m_max)
     if args.tol is not None:
         _finite_positive(args.tol, "--tol")
     if args.command == "classify":
-        spec = ProblemSpec.from_file(args.spec)
-        if args.m_max != 4:
-            spec = replace(spec, m_max=args.m_max)
+        spec = replace(ProblemSpec.from_file(args.spec), **m_max)
         if args.tol is not None:
             spec = replace(spec, tol=args.tol)
         return cmd_classify(spec)
     if args.command == "example-a":
-        return cmd_example_a(args.nx, args.ny, args.m_max, args.tol)
+        return cmd_example_a(args.nx, args.ny, tol=args.tol, **m_max)
     if args.command == "example-b":
-        return cmd_example_b(args.p, args.n_atoms, args.m_max, args.tol)
+        return cmd_example_b(args.p, args.n_atoms, tol=args.tol, **m_max)
     if args.command == "random-suite":
         dims = _parse_range(args.dims, "--dims")
         blocks = _parse_range(args.blocks, "--blocks")
         return cmd_random_suite(
-            args.count, dims, blocks, args.seed, args.m_max, args.tol
+            args.count, dims, blocks, args.seed, tol=args.tol, **m_max
         )
-    if args.command == "sweep-m":
-        return cmd_sweep_m(args.spec, args.m_max)
     raise ValidationError(f"unknown command {args.command!r}")
 
 
@@ -1032,7 +1037,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, PropertyViolation) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     structured = None

@@ -15,31 +15,28 @@ Both readings of both criteria run on the alternating binomial sums
 ``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` evaluates
 them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
 the k blocks, from one cached coefficient matrix (the one the oracle's
-defect sums use) and one power call, and checks every row against its
-closed form.  A report builds that table once, on its ``SymbolTable``, and
+defect sums use) and one power call, and checks every element against
+its closed form.  A report builds that table once, on its ``SymbolTable``, and
 ``audit_rows`` reads every audit row from it: each per-order residual is
 one reduction over the table, and the attained values ``e_r`` come from
 one row-wise sort, made only when the oracle's verdicts are given.
-``normal_case_equivalence`` reads ``J'_m_max`` from the same table, and
-``j_m``, ``j_prime_m`` and ``quasi_criterion`` are reads of one row.
+``normal_case_equivalence`` reads ``J'_m_max`` from the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .classify import DefectOracle, DefectVerdict, _alternating_binomials
+from .classify import DefectOracle, DefectVerdict, _alternating_binomials, _default_tol
 from .condexp import CondExp, block_averages
 from .errors import NumericError, ValidationError
-from .linop import LinOp, spectrum, wct_action
+from .linop import wct_action
 from .measure import Mfunc, ensure_on_space
 
 __all__ = [
     "SymbolTable",
-    "QuasiVerdict",
     "PropertyCheck",
     "NormalCaseReport",
     "AuditRow",
@@ -48,10 +45,7 @@ __all__ = [
     "AgreementReport",
     "symbols",
     "binomial_table",
-    "j_m",
-    "j_prime_m",
     "j_double_prime_m",
-    "quasi_criterion",
     "audit_rows",
     "normal_case_equivalence",
     "audit_agreement",
@@ -75,9 +69,7 @@ class SymbolTable:
     |alpha|^2``, ``beta = E(|u|^2)`` and ``gamma = E(|w|^2)``; ``in_S`` and
     ``in_G`` mark the blocks where ``beta`` and ``gamma`` are nonzero
     relative to their largest value.  ``block_index[i]`` is the block of
-    atom ``i``.  The atomwise views ``e_uw``, ``t``, ``e_u2``, ``e_w2`` (as
-    functions on the atoms) and ``S``, ``G``, ``support_both`` (as sets of
-    atom indices) are built on first use.
+    atom ``i``, so ``alpha[block_index]`` is ``E(uw)`` on the atoms.
     """
 
     alpha: np.ndarray
@@ -97,40 +89,6 @@ class SymbolTable:
     def in_both(self) -> np.ndarray:
         """Blocks in the joint support of ``E(|u|^2)`` and ``E(|w|^2)``."""
         return self.in_S & self.in_G
-
-    def _atomwise(self, block_values: np.ndarray) -> Mfunc:
-        return Mfunc(block_values[self.block_index])
-
-    def _atoms_in(self, blocks: np.ndarray) -> frozenset[int]:
-        return frozenset(np.flatnonzero(blocks[self.block_index]).tolist())
-
-    @cached_property
-    def e_uw(self) -> Mfunc:
-        return self._atomwise(self.alpha)
-
-    @cached_property
-    def t(self) -> Mfunc:
-        return self._atomwise(self.abs_alpha_sq)
-
-    @cached_property
-    def e_u2(self) -> Mfunc:
-        return self._atomwise(self.beta)
-
-    @cached_property
-    def e_w2(self) -> Mfunc:
-        return self._atomwise(self.gamma)
-
-    @cached_property
-    def S(self) -> frozenset[int]:
-        return self._atoms_in(self.in_S)
-
-    @cached_property
-    def G(self) -> frozenset[int]:
-        return self._atoms_in(self.in_G)
-
-    @cached_property
-    def support_both(self) -> frozenset[int]:
-        return self._atoms_in(self.in_both)
 
     def binomials(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
         """``binomial_table(abs_alpha_sq, m_max)``, built once per ``m_max``
@@ -168,72 +126,50 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     )
 
 
-def _check_order(m: int) -> None:
-    if m < 1:
-        raise ValidationError(f"order must be >= 1, got {m}")
-
-
 def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``J_m(t)`` and ``J'_m(t)`` for m = 1..m_max, as the rows of two
     ``(m_max, len(t))`` arrays.
 
     ``J_m(t) = sum_{k=0}^{m} (-1)^(m-k) C(m,k) t^k`` and ``J'_m(t) =
     sum_{k=1}^{m} (-1)^(m-k) C(m,k) t^(k-1)``, for a one-dimensional array
-    of non-negative values ``t``.  Every row is checked against its closed
-    form, ``J_m(t) = (t - 1)^m`` and ``t J'_m(t) = (t - 1)^m - (-1)^m``, to
-    within ``1e-12`` times the largest modulus of that row of the closed
-    form (at least 1).
+    of non-negative values ``t``.  Every element is checked against its
+    closed form, ``J_m(t) = (t - 1)^m`` and ``t J'_m(t) = (t - 1)^m - (-1)^m``,
+    to within ``1e-12 * max(1, (1 + t)^m)``: the moduli of the sum's terms
+    add up to ``(1 + t)^m``, which bounds its roundoff.  NumericError when
+    that scale overflows.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     t = np.asarray(t_val, dtype=float)
     if (t < 0).any():
         raise ValidationError("t must be non-negative")
+    orders = np.arange(1, m_max + 1)[:, None]
+    with np.errstate(over="ignore"):
+        size = np.maximum(1.0, (1.0 + t) ** orders)
+    if not np.isfinite(size[-1]).all():
+        raise NumericError(
+            f"binomial sums of order {m_max} overflow at t = {float(t.max()):.3e}"
+        )
     coef = _alternating_binomials(m_max)
     powers = t ** np.arange(m_max + 1)[:, None]
     j = coef @ powers
     j_prime = coef[:, 1:] @ powers[:-1]
-    # the rows of both sums and of both closed forms, checked in one pass
-    orders = np.arange(1, m_max + 1)[:, None]
+    # the elements of both sums and of both closed forms, checked in one pass
     closed = (t - 1.0) ** orders
     rhs = np.concatenate((closed, closed - (-1.0) ** orders))
-    dev = np.abs(np.concatenate((j, t * j_prime)) - rhs).max(axis=1, initial=0.0)
-    bad = dev > 1e-12 * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))
+    dev = np.abs(np.concatenate((j, t * j_prime)) - rhs)
+    bad = (dev > 1e-12 * np.concatenate((size, size))).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
         m = i % m_max + 1
+        worst = dev[i].max()
         if i < m_max:
-            raise NumericError(f"binomial sum deviates from (t-1)^{m} by {dev[i]:.3e}")
+            raise NumericError(f"binomial sum deviates from (t-1)^{m} by {worst:.3e}")
         raise NumericError(
             f"reduced binomial sum of order {m} violates its closure identity "
-            f"by {dev[i]:.3e}"
+            f"by {worst:.3e}"
         )
     return j, j_prime
-
-
-def _table_row(table: np.ndarray, m: int, t_val):
-    row = table[m - 1]
-    return row.reshape(np.shape(t_val)) if np.ndim(t_val) else float(row[0])
-
-
-def j_m(t_val, m: int):
-    """Alternating binomial sum ``sum_{k=0}^{m} (-1)^(m-k) C(m,k) t^k``.
-
-    Accepts a scalar or an array of non-negative values: row m of
-    ``binomial_table``, whose check asserts the closed form ``(t - 1)^m``.
-    """
-    _check_order(m)
-    return _table_row(binomial_table(np.ravel(t_val), m)[0], m, t_val)
-
-
-def j_prime_m(t_val, m: int):
-    """Reduced sum ``sum_{k=1}^{m} (-1)^(m-k) C(m,k) t^(k-1)``.
-
-    Row m of ``binomial_table``, whose check asserts ``t * J'_m(t) =
-    (t - 1)^m - (-1)^m``.
-    """
-    _check_order(m)
-    return _table_row(binomial_table(np.ravel(t_val), m)[1], m, t_val)
 
 
 def j_double_prime_m(t_val, m: int):
@@ -242,22 +178,11 @@ def j_double_prime_m(t_val, m: int):
     Equals ``J'_m(t) * E(|w|^2) E(|u|^2)`` whenever the symbol product
     collapses onto ``t``, which happens exactly for normal operators.
     """
-    _check_order(m)
+    if m < 1:
+        raise ValidationError(f"order must be >= 1, got {m}")
     t = np.asarray(t_val, dtype=float)
     out = (t - 1.0) ** m - (-1.0) ** m
     return out if np.ndim(t_val) else float(out)
-
-
-@dataclass(frozen=True)
-class QuasiVerdict:
-    """Whole-space and joint-support readings of the quasi criterion."""
-
-    m: int
-    paper_verdict: bool
-    corrected_verdict: bool
-    residual: float
-    paper_residual: float
-    tol: float
 
 
 def _quasi_residuals(st: SymbolTable, j: np.ndarray) -> np.ndarray:
@@ -272,30 +197,7 @@ def _quasi_paper_residual(st: SymbolTable) -> float:
 
 
 def _quasi_tol(st: SymbolTable, m: int) -> float:
-    return 1e-9 * max(1.0, float(st.product.max()) ** m)
-
-
-def quasi_criterion(st: SymbolTable, m: int, tol: float | None = None) -> QuasiVerdict:
-    """Quasi-m-isometry from the symbols.
-
-    The literal reading demands ``|E(uw)| = 1`` at every atom.  The
-    corrected reading restricts to the joint support and measures the
-    residual ``max |J_m(t)| E(|u|^2) E(|w|^2)`` there, which equals the
-    norm of the sandwiched defect.
-    """
-    _check_order(m)
-    residual = float(_quasi_residuals(st, st.binomials(m)[0][m - 1 :])[0])
-    paper_residual = _quasi_paper_residual(st)
-    if tol is None:
-        tol = _quasi_tol(st, m)
-    return QuasiVerdict(
-        m=m,
-        paper_verdict=paper_residual <= PAPER_EPS,
-        corrected_verdict=residual <= tol,
-        residual=residual,
-        paper_residual=paper_residual,
-        tol=tol,
-    )
+    return _default_tol(float(st.product.max()), m, f"order {m}")
 
 
 def _attained_rows(values: np.ndarray, tol: float) -> list[tuple[float, ...]]:
@@ -335,20 +237,19 @@ class NormalCaseReport:
 
 
 def normal_case_equivalence(
-    st: SymbolTable, T: LinOp | DefectOracle, m_max: int, tol: float
+    st: SymbolTable, oracle: DefectOracle, m_max: int, tol: float
 ) -> NormalCaseReport:
     """Check the equivalence package available for normal operators.
 
     Verifies the symbol identity ``E(|u|^2) E(|w|^2) = |E(uw)|^2``
     pointwise, then evaluates five properties independently (isometric,
     m-isometric for some m, quasi-isometric, quasi-m-isometric for some
-    m, symbol product equal to 1) and reports whether they agree.  ``T``
-    may be an oracle already built on the operator for at least ``m_max``
-    orders; its defect norms and commutator are then reused.
+    m, symbol product equal to 1) and reports whether they agree, reading
+    the defect norms and the commutator of the operator's ``oracle``, built
+    for at least ``m_max`` orders.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    oracle = T if isinstance(T, DefectOracle) else DefectOracle(T, m_max)
     if oracle.m_max < m_max:
         raise ValidationError(
             f"oracle covers orders up to {oracle.m_max}, not {m_max}"
@@ -581,21 +482,17 @@ def audit_agreement(
     return AgreementReport(rows, mismatches, divergences, verdicts, oracle, st)
 
 
-def _values(f: Mfunc | np.ndarray) -> np.ndarray:
-    return np.asarray(f.values if isinstance(f, Mfunc) else f, dtype=complex)
-
-
 def essential_range(
-    f: Mfunc | np.ndarray, dedup_tol: float = DEDUP_EPS
+    values: np.ndarray, dedup_tol: float = DEDUP_EPS
 ) -> tuple[complex, ...]:
-    """Attained values of ``f`` deduplicated to ``dedup_tol``.
+    """Attained values of a function deduplicated to ``dedup_tol``.
 
-    ``f`` is a function on the atoms or the array of its values, such as
-    the per-block ``SymbolTable.alpha`` of a block-constant symbol.  On an
-    atomic space every atom has positive mass, so the attained values and
-    the essential range coincide.
+    ``values`` is the array of the function's values, on the atoms or, for
+    a block-constant symbol, one per block, such as ``SymbolTable.alpha``.
+    On an atomic space every atom has positive mass, so the attained values
+    and the essential range coincide.
     """
-    vals = _values(f)
+    vals = np.asarray(values, dtype=complex)
     vals = vals[np.lexsort((vals.imag, vals.real))]
     out: list[complex] = []
     for v in vals.tolist():
@@ -605,19 +502,19 @@ def essential_range(
 
 
 def spectrum_matches_range(
-    T: LinOp | np.ndarray, e_uw: Mfunc | np.ndarray, match_tol: float = 1e-8
+    ev: np.ndarray, e_uw: np.ndarray, match_tol: float = 1e-8
 ) -> tuple[bool, float]:
-    """Compare nonzero eigenvalues of ``T`` with nonzero values of ``E(uw)``.
+    """Compare the nonzero eigenvalues ``ev`` of ``T`` with the nonzero
+    values of ``E(uw)``.
 
-    ``T`` is the operator or its already computed spectrum; ``e_uw`` is the
-    function on the atoms or its attained values (per-block ``alpha``).
-    Returns the matching distance (largest distance from either set to the
-    other, after dropping values of modulus <= ``match_tol``) and whether
-    it stays within ``match_tol``.
+    ``e_uw`` holds the values of ``E(uw)``, on the atoms or one per block
+    (``SymbolTable.alpha``).  Returns the matching distance (largest
+    distance from either set to the other, after dropping values of modulus
+    <= ``match_tol``) and whether it stays within ``match_tol``.
     """
-    ev = spectrum(T) if isinstance(T, LinOp) else np.asarray(T)
+    ev = np.asarray(ev)
     ev = ev[np.abs(ev) > match_tol]
-    attained = np.unique(_values(e_uw))
+    attained = np.unique(np.asarray(e_uw, dtype=complex))
     attained = attained[np.abs(attained) > match_tol]
     if not ev.size and not attained.size:
         return True, 0.0

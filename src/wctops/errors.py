@@ -7,7 +7,3 @@ class ValidationError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric routine detected an inconsistency it cannot repair."""
-
-
-class PropertyViolation(Exception):
-    """Two independent computation routes disagree beyond tolerance."""

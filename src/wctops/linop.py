@@ -11,7 +11,10 @@ on vectors (``Action``).  ``wct_action`` applies ``T f = w E(u f)`` and its
 adjoint in O(n) by segment sums over the partition blocks, and the oracle
 reads each block's rank-one core from three such matvecs (see the stack
 kernels below), so no report builds an ``n x n`` matrix; ``wct_op`` builds
-the dense matrix of the same operator for the tests' dense audit.
+the dense matrix of the same operator for the tests' dense audit.  A
+``LinOp`` has no algebra of its own: sums, products and adjoints are
+numpy on its ``entries``, and ``op_norm``, ``spectrum`` and
+``hermitian_eig`` run the stack kernels on it as one block.
 """
 
 from __future__ import annotations
@@ -30,17 +33,12 @@ if TYPE_CHECKING:
 __all__ = [
     "Action",
     "LinOp",
-    "identity",
     "mult_op",
     "wct_action",
     "wct_op",
-    "adjoint",
-    "power",
     "op_norm",
     "spectrum",
     "hermitian_eig",
-    "hermitian_power",
-    "is_psd",
 ]
 
 # Seed of the random probes that read the rank-one cores: fixed, so that
@@ -68,32 +66,6 @@ class LinOp:
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
-    def _same_dim(self, other: "LinOp") -> None:
-        if self.dim != other.dim:
-            raise ValidationError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
-
-    def __add__(self, other: "LinOp") -> "LinOp":
-        self._same_dim(other)
-        return LinOp(self.entries + other.entries)
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        self._same_dim(other)
-        return LinOp(self.entries - other.entries)
-
-    def __neg__(self) -> "LinOp":
-        return LinOp(-self.entries)
-
-    def __matmul__(self, other: "LinOp") -> "LinOp":
-        self._same_dim(other)
-        return LinOp(self.entries @ other.entries)
-
-    def __mul__(self, scalar: complex) -> "LinOp":
-        return LinOp(self.entries * complex(scalar))
-
-    __rmul__ = __mul__
-
 
 class Action(NamedTuple):
     """An operator given by its action on vectors: ``apply(x)`` is ``T x``
@@ -107,10 +79,6 @@ class Action(NamedTuple):
     def of_matrix(cls, a: np.ndarray) -> "Action":
         """The action of the square matrix ``a``."""
         return cls(lambda x: a @ x, lambda x: (a.T @ x.conj()).conj())
-
-
-def identity(dim: int) -> LinOp:
-    return LinOp(np.eye(dim, dtype=complex))
 
 
 def mult_op(space: MeasureSpace, g: Mfunc) -> LinOp:
@@ -154,16 +122,6 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
     )
 
 
-def adjoint(T: LinOp) -> LinOp:
-    return LinOp(T.entries.conj().T)
-
-
-def power(T: LinOp, k: int) -> LinOp:
-    if k < 0:
-        raise ValidationError(f"power exponent must be non-negative, got {k}")
-    return LinOp(np.linalg.matrix_power(T.entries, k))
-
-
 def op_norm(T: LinOp) -> float:
     """Largest singular value, via the Hermitian eigenproblem of ``T* T``."""
     h = T.entries.conj().T @ T.entries
@@ -186,24 +144,6 @@ def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
     """
     evals, vecs = _eigh_stack(_one_block(A.entries))
     return evals[0, 0], LinOp(vecs[0, 0])
-
-
-def hermitian_power(A: LinOp, p: float) -> LinOp:
-    """``A**p`` for Hermitian positive semidefinite ``A`` via functional calculus.
-
-    Eigenvalues in the roundoff band below zero are clamped to zero;
-    genuinely negative eigenvalues are rejected.
-    """
-    if p <= 0:
-        raise ValidationError(f"exponent must be positive, got {p}")
-    evals, vecs = _eigh_stack(_one_block(A.entries))
-    return LinOp(_power_stack(evals, vecs, [p])[0, 0, 0])
-
-
-def is_psd(A: LinOp, tol: float) -> bool:
-    """True when every eigenvalue of the Hermitian matrix ``A`` is >= -tol."""
-    evals, _ = _eigh_stack(_one_block(A.entries))
-    return bool(evals.min() >= -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +279,15 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of every Hermitian operand of a stack, in one call.
 
     Returns the ascending eigenvalues ``(r, k, d)`` and the eigenvectors
-    ``(r, k, d, d)``.  Hermitian symmetry is checked relative to each
-    operand's entry scale, and the reconstruction ``V diag(lam) V*``
-    relative to its largest eigenvalue modulus.
+    ``(r, k, d, d)``.  An operand with a non-finite entry (an overflow in
+    the terms that built it) is a NumericError.  Hermitian symmetry is
+    checked relative to each operand's entry scale, and the reconstruction
+    ``V diag(lam) V*`` relative to its largest eigenvalue modulus.
     """
     adj = _adj(a)
     scale = np.maximum(1.0, _per_operand(np.abs(a)))
+    if not np.isfinite(scale).all():
+        raise NumericError("matrix has non-finite entries: the terms that built it overflow")
     asym = _per_operand(np.abs(a - adj))
     if np.any(asym > 1e-10 * scale):
         i = int(np.argmax(asym / scale))

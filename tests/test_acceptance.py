@@ -12,24 +12,20 @@ import pytest
 
 from wctops import (
     CondExp,
+    DefectOracle,
+    LinOp,
     Mfunc,
-    adjoint,
-    check_multiplication_corollary,
     cond_exp,
     defect,
     geometric_space,
-    identity,
-    is_hyponormal,
-    is_normal,
-    is_p_hyponormal,
     make_partition,
     make_space,
     mult_op,
     normal_case_equivalence,
     op_norm,
-    power,
     quasi_defect,
     singleton_blocks,
+    spectrum,
     spectrum_matches_range,
     symbols,
     wct_op,
@@ -153,17 +149,25 @@ def test_criterion_3_multiplication_operators():
         u = Mfunc(
             rng.uniform(0, 2, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         )
+        T = mult_op(space, u)
+        a2 = np.abs(u.values) ** 2
         for m in range(1, 5):
-            rep = check_multiplication_corollary(space, u, m)
-            if rep.iso_spectrum_deviation > 1e-9:
+            # the defect spectra against the pointwise closed forms
+            # (|u|^2 - 1)^m and |u|^2 (|u|^2 - 1)^m
+            iso_dev = np.abs(
+                np.linalg.eigvalsh(defect(T, m).entries) - np.sort((a2 - 1.0) ** m)
+            ).max()
+            quasi_dev = np.abs(
+                np.linalg.eigvalsh(quasi_defect(T, m).entries)
+                - np.sort(a2 * (a2 - 1.0) ** m)
+            ).max()
+            if iso_dev > 1e-9:
                 failures.append(
-                    f"generic trial {trial}: iso spectra deviate "
-                    f"{rep.iso_spectrum_deviation:.3e} at m={m}"
+                    f"generic trial {trial}: iso spectra deviate {iso_dev:.3e} at m={m}"
                 )
-            if rep.quasi_spectrum_deviation > 1e-9:
+            if quasi_dev > 1e-9:
                 failures.append(
-                    f"generic trial {trial}: quasi spectra deviate "
-                    f"{rep.quasi_spectrum_deviation:.3e} at m={m}"
+                    f"generic trial {trial}: quasi spectra deviate {quasi_dev:.3e} at m={m}"
                 )
     _report("criterion-3 multiplication operators", failures)
 
@@ -251,7 +255,7 @@ def _self_adjoint_instances(count: int, seed: int):
         w = u.conj()
         ce = inst.cond_exp()
         st = symbols(ce, w, u)
-        t = st.t.values.real
+        t = st.abs_alpha_sq
         if np.abs(t - 1.0).min() < 0.05:
             continue
         out.append((ce, st, u, w))
@@ -272,12 +276,13 @@ def test_criterion_6_normal_case_properties():
     for trial, (ce, st, u, w) in enumerate(_self_adjoint_instances(100, seed=606)):
         T = wct_op(ce, w, u)
 
-        prod = st.e_u2.values.real * st.e_w2.values.real
-        identity_dev = np.abs(prod - st.t.values.real).max()
+        idx = st.block_index
+        prod = st.beta[idx] * st.gamma[idx]
+        identity_dev = np.abs(prod - st.abs_alpha_sq[idx]).max()
         if identity_dev > 1e-8:
             failures.append(f"trial {trial}: symbol identity off by {identity_dev:.3e}")
 
-        report = normal_case_equivalence(st, T, 4, 1e-8)
+        report = normal_case_equivalence(st, DefectOracle(T, 4), 4, 1e-8)
         if not report.applicable:
             failures.append(f"trial {trial}: self-adjoint operator not normal")
             continue
@@ -289,7 +294,7 @@ def test_criterion_6_normal_case_properties():
         elif report.properties[0].holds:
             all_true_seen += 1
 
-        base_norm = op_norm((adjoint(T) @ T) - identity(T.dim))
+        base_norm = op_norm(LinOp(T.entries.conj().T @ T.entries - np.eye(T.dim)))
         for m in range(1, 5):
             dn = op_norm(defect(T, m))
             ref = base_norm**m
@@ -314,13 +319,8 @@ def test_criterion_7_hyponormality_hierarchy():
         else:
             u, w = inst.u, inst.w
         T = wct_op(inst.cond_exp(), w, u)
-        flags = [
-            is_normal(T, 1e-8),
-            is_hyponormal(T, 1e-8),
-            is_p_hyponormal(T, 0.25, 1e-8),
-            is_p_hyponormal(T, 0.5, 1e-8),
-            is_p_hyponormal(T, 2.0, 1e-8),
-        ]
+        n = DefectOracle(T, 0).normality((0.25, 0.5, 2.0), 1e-8)
+        flags = [n["normal"], n["hyponormal"], *(p["holds"] for p in n["p_hyponormal"])]
         if len(set(flags)) != 1:
             failures.append(f"trial {trial}: hierarchy split {flags}")
     _report("criterion-7 hyponormality hierarchy", failures)
@@ -370,18 +370,19 @@ def test_criterion_8_structural_invariants(audited_suite):
 
         # operator-level identities
         T = wct_op(ce, w, u)
+        t = T.entries
         nrm = op_norm(T)
         e_uw = cond_exp(ce, u * w)
         for k in range(1, 6):
-            factor = mult_op(inst.space, Mfunc(e_uw.values ** (k - 1)))
-            dev = np.abs(power(T, k).entries - (factor @ T).entries).max()
+            factor = e_uw.values ** (k - 1)
+            dev = np.abs(np.linalg.matrix_power(t, k) - factor[:, None] * t).max()
             if dev > 1e-9 * max(1.0, nrm**k):
                 failures.append(f"{inst.label}: power factorization k={k}")
-        prev = defect(T, 1)
+        prev = defect(T, 1).entries
         for m in range(2, 6):
-            cur = defect(T, m)
-            recursed = (adjoint(T) @ prev @ T) - prev
-            dev = np.abs(cur.entries - recursed.entries).max()
+            cur = defect(T, m).entries
+            recursed = t.conj().T @ prev @ t - prev
+            dev = np.abs(cur - recursed).max()
             if dev > 1e-9 * max(1.0, nrm ** (2 * m)):
                 failures.append(f"{inst.label}: binomial recursion m={m}")
             prev = cur
@@ -394,7 +395,7 @@ def test_criterion_8_structural_invariants(audited_suite):
                     failures.append(f"{inst.label}: quasi persistence m={m}")
 
         # nonzero spectrum equals nonzero attained conditional values
-        ok, dist = spectrum_matches_range(T, e_uw)
+        ok, dist = spectrum_matches_range(spectrum(T), e_uw.values)
         if not ok:
             failures.append(f"{inst.label}: spectrum mismatch distance {dist:.3e}")
     elapsed = time.perf_counter() - start

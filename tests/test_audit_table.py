@@ -4,7 +4,7 @@
 once, and ``audit_rows`` builds every row of a report from that table.
 These tests hold the table to its closed forms, hold the rows to a plain
 per-order reference that sums over k one order at a time, and check that
-no report reaches the per-order functions.
+the table's check catches a wrong coefficient.
 """
 
 from math import comb
@@ -12,13 +12,13 @@ from math import comb
 import numpy as np
 import pytest
 
-import wctops
+import wctops.criteria as criteria_mod
 from wctops import (
+    NumericError,
     ValidationError,
     audit_agreement,
     audit_rows,
     binomial_table,
-    j_m,
     symbols,
 )
 from wctops.cli import (
@@ -46,16 +46,23 @@ st_ = hypothesis.strategies
 )
 def test_table_rows_match_their_closed_forms(values):
     t = np.array(values)
-    j, j_prime = binomial_table(t, 8)
-    assert j.shape == j_prime.shape == (8, t.size)
-    for m in range(1, 9):
+    j, j_prime = binomial_table(t, 20)
+    assert j.shape == j_prime.shape == (20, t.size)
+    for m in range(1, 21):
         closed = (t - 1.0) ** m
         reduced = closed - (-1.0) ** m
-        assert np.abs(j[m - 1] - closed).max() <= 1e-11 * max(1.0, np.abs(closed).max())
-        assert np.abs(t * j_prime[m - 1] - reduced).max() <= 1e-11 * max(
-            1.0, np.abs(reduced).max()
-        )
-        np.testing.assert_array_equal(j_m(t, m), binomial_table(t, m)[0][m - 1])
+        # each element to roundoff in the moduli of its terms, which add up
+        # to (1 + t)^m; up to m = 8 also to the closed form's own scale
+        size = np.maximum(1.0, (1.0 + t) ** m)
+        assert (np.abs(j[m - 1] - closed) <= 1e-12 * size).all()
+        assert (np.abs(t * j_prime[m - 1] - reduced) <= 1e-12 * size).all()
+        if m <= 8:
+            assert np.abs(j[m - 1] - closed).max() <= 1e-11 * max(
+                1.0, np.abs(closed).max()
+            )
+            assert np.abs(t * j_prime[m - 1] - reduced).max() <= 1e-11 * max(
+                1.0, np.abs(reduced).max()
+            )
 
 
 def test_table_rejects_bad_inputs():
@@ -63,7 +70,22 @@ def test_table_rejects_bad_inputs():
         binomial_table(np.ones(3), 0)
     with pytest.raises(ValidationError, match="non-negative"):
         binomial_table(np.array([0.5, -0.1]), 3)
-    assert j_m(np.array([[0.0, 2.0], [3.0, 1.0]]), 2).shape == (2, 2)
+    overflow = r"binomial sums of order 4 overflow at t = 1\.000e\+120"
+    with pytest.raises(NumericError, match=overflow):
+        binomial_table(np.array([1.0, 1e120]), 4)
+
+
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_table_catches_a_coefficient_off_by_one(monkeypatch, delta):
+    t = np.array([0.0, 0.5, 1.0, 2.0, 3.9])
+    good = criteria_mod._alternating_binomials(20)
+    for m in range(1, 21):
+        for k in range(m + 1):
+            bad = good.copy()
+            bad[m - 1, k] += delta
+            monkeypatch.setattr(criteria_mod, "_alternating_binomials", lambda _: bad)
+            with pytest.raises(NumericError, match=rf"deviates from \(t-1\)\^{m} by"):
+                binomial_table(t, 20)
 
 
 def _dedup(values):
@@ -165,20 +187,7 @@ def test_symbol_table_builds_one_read_only_table_per_order_count():
     assert not j.flags.writeable and not j_prime.flags.writeable
 
 
-@pytest.fixture
-def no_per_order_sums(monkeypatch):
-    """Every binding of ``j_m``, ``j_prime_m`` and ``quasi_criterion`` raises."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-order criterion function was called")
-
-    for module in (wctops, wctops.criteria, wctops.cli):
-        for name in ("j_m", "j_prime_m", "quasi_criterion"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-
-
-def test_reports_call_no_per_order_function(no_per_order_sums):
+def test_reports_call_no_per_order_function():
     suite = cmd_random_suite(count=20)
     assert suite.mismatch_count == 0 and len(suite.instance_rows) == 22
     # a unimodular instance is normal, so its report also reads J'_m_max

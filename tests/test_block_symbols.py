@@ -1,6 +1,6 @@
 """The per-block symbol engine: block arrays against summation and loop
-references, the atomwise views, partition faults at scale, call counts,
-and the symmetries that leave ``T`` unchanged."""
+references, partition faults at scale, call counts, and the symmetries
+that leave ``T`` unchanged."""
 
 import math
 
@@ -62,23 +62,8 @@ def test_block_symbols_match_fsum_reference():
         assert np.array_equal(st.abs_alpha_sq, np.abs(st.alpha) ** 2)
 
 
-def test_atomwise_views_expand_block_arrays():
-    for inst in suite_instances(30, seed=7):
-        st = symbols(inst.cond_exp(), inst.w, inst.u)
-        idx = inst.partition.block_index
-        assert np.array_equal(st.e_uw.values, st.alpha[idx])
-        assert np.array_equal(st.t.values, st.abs_alpha_sq[idx])
-        assert np.array_equal(st.e_u2.values, st.beta[idx])
-        assert np.array_equal(st.e_w2.values, st.gamma[idx])
-        atoms = np.arange(inst.space.atom_count)
-        assert st.S == frozenset(atoms[st.in_S[idx]].tolist())
-        assert st.G == frozenset(atoms[st.in_G[idx]].tolist())
-        assert st.support_both == st.S & st.G
-        assert st.e_uw is st.e_uw  # built once
-
-
-def _essential_range_loop(f, tol=1e-9):
-    vals = sorted(f.values.tolist(), key=lambda z: (z.real, z.imag))
+def _essential_range_loop(values, tol=1e-9):
+    vals = sorted(values.tolist(), key=lambda z: (z.real, z.imag))
     out = []
     for v in vals:
         if not out or abs(v - out[-1]) > tol:
@@ -88,7 +73,7 @@ def _essential_range_loop(f, tol=1e-9):
 
 def _spectrum_distance_loop(ev, e_uw, tol=1e-8):
     ev = [z for z in ev.tolist() if abs(z) > tol]
-    attained = [z for z in e_uw.values.tolist() if abs(z) > tol]
+    attained = [z for z in e_uw.tolist() if abs(z) > tol]
     if not ev and not attained:
         return True, 0.0
     if not ev or not attained:
@@ -104,12 +89,13 @@ def test_range_and_spectrum_match_loop_references():
     for inst in insts:
         ce = inst.cond_exp()
         st = symbols(ce, inst.w, inst.u)
-        ref = _essential_range_loop(st.e_uw)
-        assert essential_range(st.e_uw) == ref
+        e_uw = st.alpha[st.block_index]  # E(uw) on the atoms
+        ref = _essential_range_loop(e_uw)
+        assert essential_range(e_uw) == ref
         assert essential_range(st.alpha) == ref
         ev = np.linalg.eigvals(wct_op(ce, inst.w, inst.u).entries)
-        ok, dist = _spectrum_distance_loop(ev, st.e_uw)
-        for attained in (st.e_uw, st.alpha):
+        ok, dist = _spectrum_distance_loop(ev, e_uw)
+        for attained in (e_uw, st.alpha):
             # numpy's complex modulus may round differently from Python's
             got_ok, got_dist = spectrum_matches_range(ev, attained)
             assert got_ok == ok

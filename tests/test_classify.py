@@ -2,37 +2,35 @@ import numpy as np
 import pytest
 
 from wctops import (
+    DefectOracle,
     LinOp,
     ValidationError,
-    adjoint,
-    check_multiplication_corollary,
-    classify_isometry,
     cond_exp_matrix,
-    default_tolerance,
     defect,
-    identity,
-    is_hyponormal,
-    is_normal,
-    is_p_hyponormal,
+    make_partition,
     make_space,
     mult_op,
     op_norm,
     quasi_defect,
+    singleton_blocks,
     wct_op,
 )
+from wctops.cli import classify_operator
 from conftest import mf, random_instances
+
+PROBES = (0.25, 0.5, 2.0)
 
 
 def test_defect_of_identity_vanishes():
     for m in range(1, 5):
-        assert op_norm(defect(identity(4), m)) < 1e-14
+        assert op_norm(defect(LinOp(np.eye(4)), m)) < 1e-14
 
 
 def test_defect_of_projection(uniform4):
     _, _, ce = uniform4
     e = cond_exp_matrix(ce)
     b1 = defect(e, 1)
-    assert np.allclose(b1.entries, (e - identity(4)).entries, atol=1e-14)
+    assert np.allclose(b1.entries, e.entries - np.eye(4), atol=1e-14)
     assert op_norm(b1) == pytest.approx(1.0, abs=1e-12)
     evals = np.linalg.eigvalsh(b1.entries)
     assert np.allclose(evals, [-1.0, -1.0, 0.0, 0.0], atol=1e-12)
@@ -64,23 +62,23 @@ def test_quasi_defect_single_atom_value():
 
 def test_defect_rejects_bad_order():
     with pytest.raises(ValidationError):
-        defect(identity(2), 0)
+        defect(LinOp(np.eye(2)), 0)
     with pytest.raises(ValidationError):
-        quasi_defect(identity(2), 0)
+        quasi_defect(LinOp(np.eye(2)), 0)
 
 
 def test_classify_isometry_unimodular_multiplication():
     space = make_space([0.2, 0.5, 0.8])
     u = mf(np.exp(1j * np.array([0.3, 1.2, -2.0])))
     T = mult_op(space, u)
-    for v in classify_isometry(T, 4):
+    for v in DefectOracle(T, 4).verdicts():
         assert v.is_m_isometric and v.is_quasi_m_isometric
         assert v.defect_norm < 1e-12
 
 
 def test_classify_isometry_projection(uniform4):
     _, _, ce = uniform4
-    verdicts = classify_isometry(cond_exp_matrix(ce), 4)
+    verdicts = DefectOracle(cond_exp_matrix(ce), 4).verdicts()
     for v in verdicts:
         assert v.is_quasi_m_isometric and not v.is_m_isometric
         assert v.defect_norm == pytest.approx(1.0, abs=1e-12)
@@ -90,19 +88,19 @@ def test_classify_isometry_projection(uniform4):
 def test_classify_isometry_quasi_but_not_isometric(uniform4):
     _, _, ce = uniform4
     T = wct_op(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]))
-    for v in classify_isometry(T, 4):
+    for v in DefectOracle(T, 4).verdicts():
         assert v.is_quasi_m_isometric and not v.is_m_isometric
 
 
 def test_pascal_recursion():
     # B_m = T* B_{m-1} T - B_{m-1}
     for inst in random_instances(seed=31, count=15):
-        T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        prev = defect(T, 1)
+        t = wct_op(inst.cond_exp(), inst.w, inst.u).entries
+        prev = defect(LinOp(t), 1).entries
         for m in range(2, 6):
-            cur = defect(T, m)
-            recursed = (adjoint(T) @ prev @ T) - prev
-            assert np.abs(cur.entries - recursed.entries).max() < 1e-9
+            cur = defect(LinOp(t), m).entries
+            recursed = t.conj().T @ prev @ t - prev
+            assert np.abs(cur - recursed).max() < 1e-9
             prev = cur
 
 
@@ -114,7 +112,7 @@ def test_m_isometric_implies_quasi():
         u = mf(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
         T = mult_op(space, u)
         for m in range(1, 4):
-            tol = default_tolerance(T, m)
+            tol = DefectOracle(T, m).verdicts()[m - 1].tol
             dn = op_norm(defect(T, m))
             qn = op_norm(quasi_defect(T, m))
             assert dn <= tol
@@ -126,11 +124,11 @@ def test_quasi_2_persistence():
     hits = 0
     for inst in random_instances(seed=77, count=40):
         T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        tol2 = default_tolerance(T, 2)
-        if op_norm(quasi_defect(T, 2)) <= tol2:
+        tols = [v.tol for v in DefectOracle(T, 6).verdicts()]
+        if op_norm(quasi_defect(T, 2)) <= tols[1]:
             hits += 1
             for m in range(3, 7):
-                assert op_norm(quasi_defect(T, m)) <= default_tolerance(T, m)
+                assert op_norm(quasi_defect(T, m)) <= tols[m - 1]
     assert hits >= 5  # the stratified generator supplies quasi instances
 
 
@@ -141,74 +139,79 @@ def test_normal_case_defect_collapse():
         w = u.conj()
         ce = inst.cond_exp()
         T = wct_op(ce, w, u)
-        base = (adjoint(T) @ T) - identity(T.dim)
+        base = T.entries.conj().T @ T.entries - np.eye(T.dim)
         for m in range(1, 5):
             bm = defect(T, m)
-            direct = np.linalg.matrix_power(base.entries, m)
+            direct = np.linalg.matrix_power(base, m)
             assert np.abs(bm.entries - direct).max() < 1e-9 * max(
                 1.0, np.abs(direct).max()
             )
-            ref = op_norm(base) ** m
+            ref = op_norm(LinOp(base)) ** m
             assert op_norm(bm) == pytest.approx(ref, rel=1e-6)
 
 
 def test_normality_examples(uniform4):
     _, _, ce = uniform4
-    assert is_normal(identity(3), 1e-10)
-    assert is_hyponormal(identity(3), 1e-10)
-    assert is_p_hyponormal(identity(3), 0.5, 1e-10)
+    n = DefectOracle(LinOp(np.eye(3)), 0).normality((0.5,), 1e-10)
+    assert n["normal"] and n["hyponormal"] and n["p_hyponormal"][0]["holds"]
     # self-adjoint weighted conditional operator
     u = mf([1 + 1j, 0.5, 2.0, 1j])
     T = wct_op(ce, u.conj(), u)
-    assert is_normal(T, 1e-10)
+    assert DefectOracle(T, 0).normality((), 1e-10)["normal"]
     shift = LinOp(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert not is_hyponormal(shift, 1e-10)
-    assert not is_normal(shift, 1e-10)
+    n = DefectOracle(shift, 0).normality((), 1e-10)
+    assert not n["hyponormal"]
+    assert not n["normal"]
 
 
 def test_hyponormality_hierarchy_on_wct_instances():
     for inst in random_instances(seed=101, count=30):
         T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        flags = {
-            is_normal(T, 1e-8),
-            is_hyponormal(T, 1e-8),
-            is_p_hyponormal(T, 0.25, 1e-8),
-            is_p_hyponormal(T, 0.5, 1e-8),
-            is_p_hyponormal(T, 2.0, 1e-8),
-        }
+        n = DefectOracle(T, 0).normality(PROBES, 1e-8)
+        flags = {n["normal"], n["hyponormal"], *(p["holds"] for p in n["p_hyponormal"])}
         assert len(flags) == 1
 
 
+def _mult_report(weights, u, m_max):
+    """The report of ``M_u``: the WCT operator of singleton blocks and w = 1."""
+    space = make_space(weights)
+    partition = make_partition(space, singleton_blocks(len(weights)))
+    return classify_operator(space, partition, mf(u), mf(np.ones(len(weights))), m_max)
+
+
 def test_multiplication_corollary_unimodular():
-    space = make_space([0.2, 0.5, 0.8])
-    report = check_multiplication_corollary(space, mf([1.0, 1.0j, -1.0]), 3)
-    assert report.is_m_isometric and report.is_quasi_m_isometric
-    assert report.pointwise_iso_residual < 1e-14
+    report = _mult_report([0.2, 0.5, 0.8], [1.0, 1.0j, -1.0], 3)
+    v = report.defect_verdicts[2]
+    assert v["is_m_isometric"] and v["is_quasi_m_isometric"]
+    # the literal m-isometry residual of M_u is max ||u|^2 - 1|^m
+    assert report.criteria_rows[2]["m_iso_paper_residual"] < 1e-14
 
 
 def test_multiplication_corollary_zero_one_modulus():
-    space = make_space([0.5, 0.5])
-    for m in range(1, 4):
-        report = check_multiplication_corollary(space, mf([1.0, 0.0]), m)
-        assert report.is_quasi_m_isometric and not report.is_m_isometric
-        assert report.defect_norm == pytest.approx(1.0)
+    report = _mult_report([0.5, 0.5], [1.0, 0.0], 3)
+    for v in report.defect_verdicts:
+        assert v["is_quasi_m_isometric"] and not v["is_m_isometric"]
+        assert v["defect_norm"] == pytest.approx(1.0)
+    assert not report.mismatches
 
 
 def test_multiplication_corollary_generic():
-    space = make_space([0.5, 0.5])
-    report = check_multiplication_corollary(space, mf([2.0, 1.0]), 2)
-    assert not report.is_m_isometric and not report.is_quasi_m_isometric
+    report = _mult_report([0.5, 0.5], [2.0, 1.0], 2)
+    v = report.defect_verdicts[1]
+    assert not v["is_m_isometric"] and not v["is_quasi_m_isometric"]
     # residual at the first atom: |u|^2 (|u|^2 - 1)^m = 4 * 9
-    assert report.pointwise_quasi_residual == pytest.approx(36.0)
-    assert report.quasi_defect_norm == pytest.approx(36.0, rel=1e-12)
-    assert report.iso_spectrum_deviation < 1e-9
-    assert report.quasi_spectrum_deviation < 1e-9
+    assert report.criteria_rows[1]["quasi_residual"] == pytest.approx(36.0)
+    assert v["quasi_defect_norm"] == pytest.approx(36.0, rel=1e-12)
+    # the defect spectra are the pointwise closed forms
+    T = mult_op(make_space([0.5, 0.5]), mf([2.0, 1.0]))
+    a2 = np.array([4.0, 1.0])
+    iso = np.linalg.eigvalsh(defect(T, 2).entries) - np.sort((a2 - 1.0) ** 2)
+    quasi = np.linalg.eigvalsh(quasi_defect(T, 2).entries) - np.sort(a2 * (a2 - 1.0) ** 2)
+    assert np.abs(iso).max() < 1e-9
+    assert np.abs(quasi).max() < 1e-9
 
 
 def test_multiplication_corollary_growth_in_m():
-    space = make_space([0.5, 0.5])
-    norms = [
-        check_multiplication_corollary(space, mf([2.0, 1.0]), m).quasi_defect_norm
-        for m in range(1, 5)
-    ]
+    report = _mult_report([0.5, 0.5], [2.0, 1.0], 4)
+    norms = [v["quasi_defect_norm"] for v in report.defect_verdicts]
     assert np.allclose(norms, [4 * 3**m for m in range(1, 5)], rtol=1e-12)

@@ -132,6 +132,74 @@ def test_main_rejects_m_max_zero_on_the_symbol_only_route(capsys):
     assert captured.out == ""
 
 
+def test_main_m_max_flag_overrides_the_spec(tmp_path, capsys):
+    # the spec asks for 6 orders; --m-max 4, the other subcommands' default,
+    # still overrides it
+    path = _write_spec(tmp_path, dict(EXAMPLE_B_SPEC, m_max=6))
+    assert main(["classify", path, "--m-max", "4", "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["m_max"] == 4 and [row["m"] for row in data["criteria"]] == [1, 2, 3, 4]
+    assert main(["classify", path, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["m_max"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv,m_max",
+    [
+        (["example-a", "--nx", "2", "--ny", "10"], 4),
+        (["example-b", "--n-atoms", "10"], 6),
+        (["random-suite", "--count", "1"], 4),
+        (["sweep-m", None], 6),
+    ],
+)
+def test_main_m_max_defaults_per_subcommand(tmp_path, capsys, argv, m_max):
+    argv = [a if a is not None else _write_spec(tmp_path, EXAMPLE_B_SPEC) for a in argv]
+    assert main([*argv, "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data.get("classification", data)["m_max"] == m_max
+
+
+def test_main_classifies_orders_past_nine(tmp_path, capsys):
+    # t = 2 on the first atom: the alternating sums' roundoff grows like
+    # eps (1 + t)^m, past a bound on the closed form's own scale at m = 11
+    spec = {"weights": [1, 1], "blocks": [[0], [1]], "u": [1, 1], "w": [1.4142, 0.5]}
+    path = _write_spec(tmp_path, spec)
+    assert main(["classify", path, "--m-max", "12", "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["criteria"]) == 12 and not data["mismatches"]
+
+
+OVERFLOW_SPECS = {
+    "gram-stack": (
+        {"weights": [1, 1], "blocks": [[0], [1]], "u": [1e30, 1e30], "w": [1e30, 1e30]},
+        "the powers of T overflow",
+    ),
+    "p-threshold": (
+        {"weights": [1, 1], "blocks": [[0], [1]], "u": [2, 1], "w": [1, 1], "probes_p": [1000]},
+        "the threshold of p = 1000 overflows",
+    ),
+    "symbol-route": (
+        {
+            "weights": [1] * 601,
+            "blocks": [[i] for i in range(601)],
+            "u": [1e30] * 601,
+            "w": [1e30] * 601,
+        },
+        "binomial sums of order 4 overflow",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(OVERFLOW_SPECS))
+def test_main_overflow_exits_4_with_one_error_line(tmp_path, capsys, name):
+    spec, message = OVERFLOW_SPECS[name]
+    assert main(["classify", _write_spec(tmp_path, spec)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "-0.0"])
 @pytest.mark.parametrize(
     "command",
@@ -141,6 +209,13 @@ def test_main_rejects_a_tolerance_that_is_not_finite_and_positive(
     tmp_path, capsys, command, value
 ):
     argv = [a if a is not None else _write_spec(tmp_path, EXAMPLE_B_SPEC) for a in command]
+    if command[0] == "sweep-m":
+        # the sweep has no verdict and so no --tol: argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        return
     assert main([*argv, "--tol", value]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --tol must be finite and > 0, got ")
@@ -342,7 +417,7 @@ def test_random_instance_strata():
     from wctops import symbols
 
     st = symbols(quasi.cond_exp(), quasi.w, quasi.u)
-    assert np.abs(np.abs(st.e_uw.values[sorted(st.support_both)]) - 1.0).max() < 1e-12
+    assert np.abs(np.abs(st.alpha[st.in_both]) - 1.0).max() < 1e-12
     uni = random_instance(rng, stratum="unimodular")
     assert uni.partition.block_count == uni.space.atom_count
     assert np.abs(np.abs(uni.u.values * uni.w.values) - 1.0).max() < 1e-12
@@ -505,18 +580,6 @@ def test_main_exits_with_the_report_code_when_stdout_closes_early(
         # what is still buffered now goes to devnull
         assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
-
-
-def test_main_property_violation_exit_code(monkeypatch, capsys):
-    import wctops.cli as cli_mod
-    from wctops import PropertyViolation
-
-    def disagree(args):
-        raise PropertyViolation("routes disagree")
-
-    monkeypatch.setattr(cli_mod, "_dispatch", disagree)
-    assert main(["random-suite", "--count", "1"]) == 4
-    assert capsys.readouterr().err.startswith("error: routes disagree")
 
 
 def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):

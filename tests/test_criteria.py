@@ -3,23 +3,23 @@ import pytest
 
 from wctops import (
     CondExp,
+    DefectOracle,
     Mfunc,
     ValidationError,
     audit_agreement,
+    audit_rows,
+    binomial_table,
     essential_range,
     geometric_space,
     grid_space,
-    identity,
     j_double_prime_m,
-    j_m,
-    j_prime_m,
     make_partition,
     make_space,
     normal_case_equivalence,
     op_norm,
-    quasi_criterion,
     quasi_defect,
     singleton_blocks,
+    spectrum,
     spectrum_matches_range,
     symbols,
     wct_op,
@@ -36,10 +36,11 @@ def test_symbols_trivial(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
     st = symbols(ce, ones, ones)
-    assert np.allclose(st.e_uw.values, 1.0)
-    assert np.allclose(st.e_u2.values.real, 1.0)
-    assert np.allclose(st.e_w2.values.real, 1.0)
-    assert st.S == frozenset(range(4)) and st.G == frozenset(range(4))
+    idx = st.block_index
+    assert np.allclose(st.alpha[idx], 1.0)
+    assert np.allclose(st.beta[idx], 1.0)
+    assert np.allclose(st.gamma[idx], 1.0)
+    assert st.in_S[idx].all() and st.in_G[idx].all()
 
 
 def test_symbols_geometric_example():
@@ -47,8 +48,8 @@ def test_symbols_geometric_example():
     ce = CondExp(geo.space, geo.partition)
     n = geo.n.astype(float)
     st = symbols(ce, Mfunc(n), Mfunc(1.0 / n))
-    assert np.abs(st.e_uw.values - 1.0).max() < 1e-12
-    assert np.abs(st.t.values.real - 1.0).max() < 1e-12
+    assert np.abs(st.alpha[st.block_index] - 1.0).max() < 1e-12
+    assert np.abs(st.abs_alpha_sq[st.block_index] - 1.0).max() < 1e-12
 
 
 def test_symbols_grid_example_curves():
@@ -60,41 +61,46 @@ def test_symbols_grid_example_curves():
     for blk in grid.partition.blocks:
         i = blk[0]
         x = grid.x[i]
-        assert st.e_u2.values[i].real == pytest.approx(4 / (4 + x), rel=1e-3)
-        assert st.e_w2.values[i].real == pytest.approx((4 + x) / 2, rel=1e-3)
-        assert st.t.values[i].real == pytest.approx(
+        b = st.block_index[i]
+        assert st.beta[b] == pytest.approx(4 / (4 + x), rel=1e-3)
+        assert st.gamma[b] == pytest.approx((4 + x) / 2, rel=1e-3)
+        assert st.abs_alpha_sq[b] == pytest.approx(
             64 * (4 + x) / (x + 12) ** 2, rel=1e-3
         )
-        prod = st.e_u2.values[i].real * st.e_w2.values[i].real
+        prod = st.beta[b] * st.gamma[b]
         assert prod == pytest.approx(2.0, rel=1e-3)
 
 
 def test_symbols_support_sets():
     fx = fixture_support_gap()
     st = _symbols_of(fx)
-    assert st.S == frozenset({0, 1})
-    assert st.G == frozenset({0, 1})
-    assert st.support_both == frozenset({0, 1})
+    atoms = np.arange(4)
+    assert atoms[st.in_S[st.block_index]].tolist() == [0, 1]
+    assert atoms[st.in_G[st.block_index]].tolist() == [0, 1]
+    assert atoms[st.in_both[st.block_index]].tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("m", range(1, 7))
 def test_binomial_closures(t, m):
-    assert j_m(t, m) == pytest.approx((t - 1.0) ** m, rel=1e-11, abs=1e-11)
-    identity_gap = t * j_prime_m(t, m) - ((t - 1.0) ** m - (-1.0) ** m)
+    j, j_prime = (float(table[m - 1, 0]) for table in binomial_table([t], m))
+    assert j == pytest.approx((t - 1.0) ** m, rel=1e-11, abs=1e-11)
+    identity_gap = t * j_prime - ((t - 1.0) ** m - (-1.0) ** m)
     assert abs(identity_gap) < 1e-11 * max(1.0, abs((t - 1.0) ** m) + 1)
 
 
 def test_j_m_frozen_values():
-    assert j_m(1.0, 3) == pytest.approx(0.0)
-    assert j_m(3.0, 2) == pytest.approx(4.0)  # 1 - 2*3 + 9
-    assert j_m(0.0, 3) == pytest.approx(-1.0)
+    j, _ = binomial_table([1.0, 3.0, 0.0], 3)
+    assert j[2, 0] == pytest.approx(0.0)
+    assert j[1, 1] == pytest.approx(4.0)  # 1 - 2*3 + 9
+    assert j[2, 2] == pytest.approx(-1.0)
 
 
 def test_j_prime_frozen_values():
-    assert j_prime_m(2.0, 2) == pytest.approx(0.0)  # -2 + 2
-    assert j_prime_m(5.0, 1) == pytest.approx(1.0)
-    assert j_prime_m(1.0, 3) == pytest.approx(1.0)  # 3 - 3 + 1
+    _, j_prime = binomial_table([2.0, 5.0, 1.0], 3)
+    assert j_prime[1, 0] == pytest.approx(0.0)  # -2 + 2
+    assert j_prime[0, 1] == pytest.approx(1.0)
+    assert j_prime[2, 2] == pytest.approx(1.0)  # 3 - 3 + 1
 
 
 def test_j_double_prime_values():
@@ -105,9 +111,11 @@ def test_j_double_prime_values():
 
 def test_j_rejects_bad_inputs():
     with pytest.raises(ValidationError):
-        j_m(-0.5, 2)
+        binomial_table([-0.5], 2)
     with pytest.raises(ValidationError):
-        j_prime_m(1.0, 0)
+        binomial_table([1.0], 0)
+    with pytest.raises(ValidationError):
+        j_double_prime_m(1.0, 0)
 
 
 def test_quasi_criterion_geometric_example():
@@ -115,18 +123,17 @@ def test_quasi_criterion_geometric_example():
     ce = CondExp(geo.space, geo.partition)
     n = geo.n.astype(float)
     st = symbols(ce, Mfunc(n), Mfunc(1.0 / n))
-    for m in range(1, 5):
-        verdict = quasi_criterion(st, m)
-        assert verdict.paper_verdict and verdict.corrected_verdict
+    for row in audit_rows(st, 4):
+        assert row.paper_quasi and row.corrected_quasi
 
 
 def test_quasi_criterion_support_gap_divergence():
     fx = fixture_support_gap()
     st = _symbols_of(fx)
-    verdict = quasi_criterion(st, 2)
-    assert not verdict.paper_verdict
-    assert verdict.corrected_verdict
-    assert verdict.residual < 1e-14
+    row = audit_rows(st, 2)[1]
+    assert not row.paper_quasi
+    assert row.corrected_quasi
+    assert row.quasi_residual < 1e-14
     # independent matrix oracle confirms the corrected reading
     T = wct_op(fx.cond_exp(), fx.w, fx.u)
     assert op_norm(quasi_defect(T, 2)) < 1e-12
@@ -151,8 +158,8 @@ def test_quasi_criterion_projection(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
     st = symbols(ce, ones, ones)
-    verdict = quasi_criterion(st, 3)
-    assert verdict.paper_verdict and verdict.corrected_verdict
+    row = audit_rows(st, 3)[2]
+    assert row.paper_quasi and row.corrected_quasi
 
 
 def test_m_isometry_criterion_singleton_unimodular():
@@ -197,7 +204,7 @@ def test_normal_case_identity_operator():
     w = u.conj()
     st = symbols(ce, w, u)
     T = wct_op(ce, w, u)
-    report = normal_case_equivalence(st, T, 3, 1e-9)
+    report = normal_case_equivalence(st, DefectOracle(T, 3), 3, 1e-9)
     assert report.applicable and report.identity_ok and report.all_equal
     assert all(c.holds for c in report.properties)
 
@@ -209,7 +216,7 @@ def test_normal_case_all_false():
     w = u.conj()
     st = symbols(ce, w, u)
     T = wct_op(ce, w, u)
-    report = normal_case_equivalence(st, T, 3, 1e-9)
+    report = normal_case_equivalence(st, DefectOracle(T, 3), 3, 1e-9)
     assert report.applicable and report.identity_ok and report.all_equal
     assert not any(c.holds for c in report.properties)
 
@@ -221,7 +228,7 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
     ones = mf([1, 1, 1, 1])
     st = symbols(ce, ones, ones)
     T = wct_op(ce, ones, ones)
-    report = normal_case_equivalence(st, T, 3, 1e-9)
+    report = normal_case_equivalence(st, DefectOracle(T, 3), 3, 1e-9)
     assert report.applicable and report.identity_ok
     assert not report.all_equal
     held = {c.name: c.holds for c in report.properties}
@@ -233,7 +240,7 @@ def test_normal_case_not_applicable_for_non_normal():
     for inst in random_instances(seed=300, count=20, stratum="generic"):
         st = _symbols_of(inst)
         T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        report = normal_case_equivalence(st, T, 2, 1e-9)
+        report = normal_case_equivalence(st, DefectOracle(T, 2), 2, 1e-9)
         if report.applicable:
             continue  # rare but legitimate: a random instance may be normal
         assert np.isnan(report.identity_residual)
@@ -247,7 +254,7 @@ def test_normal_case_random_self_adjoint_equivalence():
         ce = inst.cond_exp()
         st = symbols(ce, w, u)
         T = wct_op(ce, w, u)
-        report = normal_case_equivalence(st, T, 4, 1e-8)
+        report = normal_case_equivalence(st, DefectOracle(T, 4), 4, 1e-8)
         assert report.applicable
         assert report.identity_residual < 1e-10
         assert report.j_double_prime_residual < 1e-8
@@ -282,8 +289,7 @@ def test_audit_agreement_random_batch():
 
 
 def test_essential_range_dedup():
-    f = Mfunc(np.array([1.0, 1.0 + 1e-12, 2.0, 0.0]))
-    values = essential_range(f)
+    values = essential_range(np.array([1.0, 1.0 + 1e-12, 2.0, 0.0]))
     assert len(values) == 3
 
 
@@ -293,12 +299,10 @@ def test_spectrum_matches_range_positive(uniform4):
     w = mf([1, 1, 1, 1])
     T = wct_op(ce, w, u)
     st = symbols(ce, w, u)
-    ok, dist = spectrum_matches_range(T, st.e_uw)
+    ok, dist = spectrum_matches_range(spectrum(T), st.alpha[st.block_index])
     assert ok and dist < 1e-10
 
 
 def test_spectrum_matches_range_detects_mismatch():
-    T = identity(2)
-    claimed = Mfunc(np.array([2.0, 2.0]))
-    ok, dist = spectrum_matches_range(T, claimed)
+    ok, dist = spectrum_matches_range(np.ones(2), np.array([2.0, 2.0]))
     assert not ok and dist == pytest.approx(1.0)
