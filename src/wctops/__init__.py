@@ -3,12 +3,13 @@
 Constructs operators of the form ``f -> w E(u f)`` (a multiplication, a
 conditional expectation, another multiplication) and classifies them as
 m-isometric / quasi-m-isometric / normal / (p-)hyponormal along two
-independent routes: explicit defect-operator matrices and symbol-level
-criteria, with an audit that cross-validates the two.
+independent routes: the defect operators, computed on the rank-one block
+cores read from the operator's action, and symbol-level criteria, with an
+audit that cross-validates the two.
 """
 
-from .classify import DefectOracle, DefectVerdict, defect, quasi_defect
-from .condexp import CondExp, block_averages, cond_exp, cond_exp_matrix
+from .classify import DefectOracle, DefectVerdict
+from .condexp import CondExp, block_averages
 from .criteria import (
     AgreementReport,
     NormalCaseReport,
@@ -23,16 +24,7 @@ from .criteria import (
     symbols,
 )
 from .errors import NumericError, ValidationError
-from .linop import (
-    Action,
-    LinOp,
-    hermitian_eig,
-    mult_op,
-    op_norm,
-    spectrum,
-    wct_action,
-    wct_op,
-)
+from .linop import Action, wct_action
 from .measure import (
     GeometricSpace,
     GridSpace,

@@ -3,8 +3,8 @@
 The defect operator of order ``m`` is the alternating binomial sum
 ``sum_k (-1)^(m-k) C(m,k) T*^k T^k``; it vanishes exactly for
 m-isometries.  Sandwiching it as ``T* B T`` gives the quasi version.
-These matrix computations serve as the oracle against which the
-function-level criteria are audited.
+These computations serve as the oracle against which the function-level
+criteria are audited.
 
 ``T f = w E(u f)`` maps the span of each partition block into itself, so
 ``T`` and every operator built from it here are block-diagonal.
@@ -17,10 +17,8 @@ value is padded with one zero lane, unless every block is a singleton,
 when the stack holds the 1x1 values alone.  The cores are read from ``T``
 alone, through three matvecs: ``T f`` and ``T* g`` give ``a_b`` and ``c_b``
 for random probes f and g, and ``T h`` checks the rank-one model on a
-third probe (Freivalds' check).  The oracle of a report reads them from
-``linop.wct_action``, in O(n) and with no ``n x n`` matrix; the oracle of a
-dense ``LinOp`` first checks that every entry outside the blocks is
-exactly zero, then reads the same cores from its matvecs.
+third probe (Freivalds' check).  Reports read them from
+``linop.wct_action``, in O(n) and with no ``n x n`` matrix.
 
 Both the lanes cut from a block and the lane padded onto a singleton are
 kernel directions of ``T`` and ``T*``.  Each carries ``B_m = (-1)^m`` and a
@@ -35,8 +33,6 @@ The oracle solves its Hermitian operands in two eigensolve rounds.  The
 first solves ``B_1..B_m``, ``T* B_m T``, ``T* T``, ``T T*`` and the commutator
 in one call; the second solves the p-power differences, which are built
 from the first round's eigendecompositions of ``T* T`` and ``T T*``.
-``defect`` and ``quasi_defect`` return the ``B_m`` and ``T* B_m T``
-matrices of a whole ``LinOp``, treated as one block.
 """
 
 from __future__ import annotations
@@ -51,24 +47,16 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .linop import (
     Action,
-    LinOp,
     _adj,
-    _check_block_diagonal,
     _eigh_stack,
     _eigvals_stack,
-    _one_block,
     _per_operand,
     _power_stack,
     _rank_one_cores,
 )
 from .measure import Partition
 
-__all__ = [
-    "DefectVerdict",
-    "DefectOracle",
-    "defect",
-    "quasi_defect",
-]
+__all__ = ["DefectVerdict", "DefectOracle"]
 
 
 @dataclass(frozen=True)
@@ -179,58 +167,24 @@ def _quasi_defects(
     return _symmetrize(sandwich, scale)
 
 
-def defect(T: LinOp, m: int) -> LinOp:
-    """The order-m defect operator, symmetrized with an asymmetry check."""
-    if m < 1:
-        raise ValidationError(f"defect order must be >= 1, got {m}")
-    grams, scales = _gram_stack(_one_block(T.entries), m)
-    return LinOp(_defects(grams, scales, [m])[0, 0])
-
-
-def quasi_defect(T: LinOp, m: int) -> LinOp:
-    """The sandwiched defect ``T* B_m T``.
-
-    Computed both as the shifted binomial sum and as the literal sandwich;
-    a disagreement between the two signals an implementation bug.
-    """
-    if m < 1:
-        raise ValidationError(f"defect order must be >= 1, got {m}")
-    t = _one_block(T.entries)
-    grams, scales = _gram_stack(t, m + 1)
-    defects = _defects(grams, scales, [m])
-    return LinOp(_quasi_defects(t, grams, scales, defects, [m])[0, 0])
-
-
 class DefectOracle:
     """The defect oracle of one operator ``T`` for orders m = 1..m_max.
 
-    ``T`` is a dense ``LinOp`` or, with a partition, an ``Action``.
-    ``partition`` names blocks whose spans ``T`` maps into themselves; every
-    entry of a ``LinOp`` outside them must be exactly zero, and every block
-    must be rank one to roundoff, else NumericError.  Without a partition
-    the whole matrix is one block.  What several verdicts share is computed
-    once: the gram stack ``(T^k)* T^k`` and one eigensolve round over the
-    defects, the sandwiched defects, ``T* T``, ``T T*`` and the commutator,
-    which gives the norm, the defect norms, the commutator residuals and
-    the eigendecompositions every p-power uses.  The norm of a Hermitian
+    ``T`` is given by its action, and ``partition`` names blocks whose spans
+    ``T`` maps into themselves; every block must be rank one to roundoff,
+    else NumericError.  What several verdicts share is computed once: the
+    gram stack ``(T^k)* T^k`` and one eigensolve round over the defects, the
+    sandwiched defects, ``T* T``, ``T T*`` and the commutator, which gives
+    the norm, the defect norms, the commutator residuals and the
+    eigendecompositions every p-power uses.  The norm of a Hermitian
     operand is the largest modulus of its own eigenvalues.
     """
 
-    def __init__(
-        self, T: LinOp | Action, m_max: int, partition: Partition | None = None
-    ) -> None:
+    def __init__(self, T: Action, m_max: int, partition: Partition) -> None:
         if m_max < 0:
             raise ValidationError(f"m_max must be >= 0, got {m_max}")
         self.m_max = m_max
-        if partition is None:
-            if not isinstance(T, LinOp):
-                raise ValidationError("an operator given by its action needs a partition")
-            self._t, self._left_out_zeros = _one_block(T.entries), 0
-        else:
-            if isinstance(T, LinOp):
-                _check_block_diagonal(T.entries, partition)
-                T = Action.of_matrix(T.entries)
-            self._t, self._left_out_zeros = _rank_one_cores(T, partition)
+        self._t, self._left_out_zeros = _rank_one_cores(T, partition)
         self._grams, self._scales = _gram_stack(self._t, m_max + 1)
 
     @cached_property

@@ -768,7 +768,7 @@ def random_instance(
     for _ in range(500):
         u = _random_mfunc(rng, dim)
         w = _random_mfunc(rng, dim)
-        c = block_averages(ce, u * w)
+        c = block_averages(ce, u.values * w.values)
         if np.abs(c).min() > 0.2:
             break
     else:
@@ -1033,7 +1033,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _dispatch(args)
+        # an overflow is reported once, as the NumericError of the check
+        # that finds it, not also as numpy's warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = _dispatch(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,10 @@
 On an atomic space the conditional expectation of ``f`` is block-constant:
 on a block ``B`` it takes the mass-weighted average
 ``sum_{x in B} f(x) mu(x) / mu(B)``.  That single closed form realizes the
-defining averaging identity, and in the orthonormalized indicator basis
-the same map is an orthogonal projection matrix.
+defining averaging identity, so a block's mass and the block sums of
+``f mu`` are all the package needs of ``E``: ``block_averages`` gives the
+symbols, and ``linop.wct_action`` applies ``w E(u f)`` by the same block
+sums.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linop import LinOp
 from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
 
-__all__ = ["CondExp", "block_averages", "cond_exp", "cond_exp_matrix"]
+__all__ = ["CondExp", "block_averages"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,27 +57,3 @@ def block_averages(ce: CondExp, f: Mfunc | np.ndarray) -> np.ndarray:
     # real one rounds: the real part of a complex average and the average
     # of a real array are then the same double
     return ce.partition.block_sums(f * ce.space.weights) * (1.0 / ce.block_masses)
-
-
-def cond_exp(ce: CondExp, f: Mfunc) -> Mfunc:
-    """Conditional expectation of ``f``: the block average, replicated atomwise."""
-    avg = block_averages(ce, f)
-    return Mfunc(avg[ce.partition.block_index])
-
-
-def cond_exp_matrix(ce: CondExp) -> LinOp:
-    """Matrix of the averaging projection in the orthonormal atom basis.
-
-    Entry ``(x, y)`` is ``sqrt(mu(x) mu(y)) / mu(B)`` when ``x`` and ``y``
-    share block ``B`` and zero otherwise, which makes the matrix Hermitian
-    and idempotent.
-    """
-    idx = ce.partition.block_index
-    s = np.sqrt(ce.space.weights)
-    mat = np.zeros((len(s), len(s)), dtype=complex)
-    # computed in place in the real part: the only n x n array is the result
-    re = mat.real
-    np.multiply.outer(s, s, out=re)
-    re /= ce.block_masses[idx][:, None]
-    re[idx[:, None] != idx[None, :]] = 0.0
-    return LinOp(mat)

@@ -110,6 +110,9 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     gamma = block_averages(ce, np.abs(w.values) ** 2)
     t = np.abs(alpha) ** 2
     prod = beta * gamma
+    # a finite product means finite E|u|^2 and E|w|^2 too: inf * 0 is NaN
+    if not (np.isfinite(alpha).all() and np.isfinite(prod).all()):
+        raise NumericError("the symbols overflow: E(uw) or E|u|^2 E|w|^2 is not finite")
     hoelder_gap = float((t - prod).max())
     if hoelder_gap > 1e-10 * max(1.0, float(prod.max())):
         raise NumericError(

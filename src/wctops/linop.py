@@ -6,65 +6,30 @@ diagonal, the Hilbert-space adjoint is the plain conjugate transpose,
 and the Euclidean inner product of coordinate vectors equals the
 weighted inner product of the underlying functions.
 
-An operator is held either as a dense matrix (``LinOp``) or by its action
-on vectors (``Action``).  ``wct_action`` applies ``T f = w E(u f)`` and its
-adjoint in O(n) by segment sums over the partition blocks, and the oracle
-reads each block's rank-one core from three such matvecs (see the stack
-kernels below), so no report builds an ``n x n`` matrix; ``wct_op`` builds
-the dense matrix of the same operator for the tests' dense audit.  A
-``LinOp`` has no algebra of its own: sums, products and adjoints are
-numpy on its ``entries``, and ``op_norm``, ``spectrum`` and
-``hermitian_eig`` run the stack kernels on it as one block.
+An operator is given by its action on vectors (``Action``).  ``wct_action``
+applies ``T f = w E(u f)`` and its adjoint in O(n) by segment sums over the
+partition blocks, and the oracle reads each block's rank-one core from
+three such matvecs (see the stack kernels below), so no ``n x n`` matrix
+is ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
+from .measure import Mfunc, Partition, ensure_on_space
 
 if TYPE_CHECKING:
     from .condexp import CondExp
 
-__all__ = [
-    "Action",
-    "LinOp",
-    "mult_op",
-    "wct_action",
-    "wct_op",
-    "op_norm",
-    "spectrum",
-    "hermitian_eig",
-]
+__all__ = ["Action", "wct_action"]
 
 # Seed of the random probes that read the rank-one cores: fixed, so that
 # every report is the same on every run.
 _PROBE_SEED = np.random.SeedSequence(20250923)
-
-
-@dataclass(frozen=True, eq=False)
-class LinOp:
-    """A bounded operator as a square complex matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValidationError(f"operator matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("operator matrix contains non-finite entries")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 class Action(NamedTuple):
@@ -74,31 +39,6 @@ class Action(NamedTuple):
 
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adj: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def of_matrix(cls, a: np.ndarray) -> "Action":
-        """The action of the square matrix ``a``."""
-        return cls(lambda x: a @ x, lambda x: (a.T @ x.conj()).conj())
-
-
-def mult_op(space: MeasureSpace, g: Mfunc) -> LinOp:
-    """Multiplication by ``g``: diagonal in the orthonormal atom basis."""
-    ensure_on_space(g, space, "multiplier")
-    return LinOp(np.diag(g.values))
-
-
-def wct_op(ce: "CondExp", w: Mfunc, u: Mfunc) -> LinOp:
-    """The dense matrix of the weighted conditional type operator
-    ``f -> w * E(u f)``: ``diag(w) @ E @ diag(u)`` with ``E`` the
-    conditional expectation projection.  The tests' dense audit of
-    ``wct_action``; no report builds it.
-    """
-    ensure_on_space(w, ce.space, "w")
-    ensure_on_space(u, ce.space, "u")
-    from .condexp import cond_exp_matrix  # deferred: condexp builds on this module
-
-    e = cond_exp_matrix(ce).entries
-    return LinOp((w.values[:, None] * e) * u.values[None, :])
 
 
 def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
@@ -122,30 +62,6 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
     )
 
 
-def op_norm(T: LinOp) -> float:
-    """Largest singular value, via the Hermitian eigenproblem of ``T* T``."""
-    h = T.entries.conj().T @ T.entries
-    evals, _ = _eigh_stack(_one_block(0.5 * (h + h.conj().T)))
-    return float(np.sqrt(max(float(evals.max()), 0.0)))
-
-
-def spectrum(T: LinOp) -> np.ndarray:
-    """Eigenvalues with multiplicity, sorted by (real, imaginary) part."""
-    return _eigvals_stack(_one_block(T.entries))
-
-
-def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in ascending order and the unitary matrix of
-    eigenvectors.  Hermitian symmetry is checked relative to the entry
-    scale, and the reconstruction ``V diag(lam) V*`` is verified against
-    the input.
-    """
-    evals, vecs = _eigh_stack(_one_block(A.entries))
-    return evals[0, 0], LinOp(vecs[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Stack kernels
 #
@@ -159,8 +75,7 @@ def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
 # stack is solved in one ``eigh`` call.  ``classify.DefectOracle`` makes two
 # such calls per report: one for the defects, the sandwiched defects,
 # ``T* T``, ``T T*`` and the commutator, and one for the p-power differences
-# built from the first.  A whole matrix ``a`` is the one-block stack
-# ``a[None, None]``.
+# built from the first.
 #
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
@@ -183,27 +98,6 @@ def hermitian_eig(A: LinOp) -> tuple[np.ndarray, LinOp]:
 # when that is negative.  An operator of singleton blocks only keeps its
 # 1x1 stack: it may be injective (a unitary), and a kernel lane would give
 # it a spurious ``|B_m| = 1``.
-
-
-def _one_block(a: np.ndarray) -> np.ndarray:
-    return a[None, None]
-
-
-def _check_block_diagonal(a: np.ndarray, partition: Partition) -> None:
-    """Raise NumericError unless every entry of ``a`` outside the diagonal
-    blocks of ``partition`` is exactly zero."""
-    if partition.atom_count != len(a):
-        raise ValidationError(
-            f"partition covers {partition.atom_count} atoms but the operator "
-            f"has dimension {len(a)}"
-        )
-    idx = partition.block_index
-    outside = np.count_nonzero(a[idx[:, None] != idx[None, :]])
-    if outside:
-        raise NumericError(
-            f"operator has {outside} nonzero entries outside the diagonal "
-            f"blocks of its partition"
-        )
 
 
 def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
@@ -249,9 +143,11 @@ def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
     scale = float(np.sqrt((np.abs(value) ** 2 + np.abs(corner) ** 2).max()))
     miss = th - y * (zh * inv_s)[idx]
     residual = float(np.sqrt(np.vdot(miss, miss).real))
-    if residual > 1e-10 * scale * float(np.sqrt(np.vdot(h, h).real)):
+    # negated, so that a NaN residual (an overflow in the matvecs) fails too
+    if not residual <= 1e-10 * scale * float(np.sqrt(np.vdot(h, h).real)):
+        fault = "is not rank one" if np.isfinite(residual) else "overflows"
         raise NumericError(
-            f"operator block is not rank one: probe residual {residual:.3e} "
+            f"operator block {fault}: probe residual {residual:.3e} "
             f"at scale {scale:.3e}"
         )
 

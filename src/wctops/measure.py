@@ -209,24 +209,6 @@ class Mfunc:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def conj(self) -> "Mfunc":
-        return Mfunc(np.conj(self.values))
-
-    def abs_sq(self) -> "Mfunc":
-        """Pointwise squared modulus, as a real-valued function."""
-        return Mfunc(np.abs(self.values) ** 2)
-
-    def __mul__(self, other: "Mfunc | complex") -> "Mfunc":
-        if isinstance(other, Mfunc):
-            if len(other) != len(self):
-                raise ValidationError(
-                    f"cannot multiply functions of lengths {len(self)} and {len(other)}"
-                )
-            return Mfunc(self.values * other.values)
-        return Mfunc(self.values * complex(other))
-
-    __rmul__ = __mul__
-
 
 def make_space(weights: Sequence[float] | np.ndarray) -> MeasureSpace:
     """Validate a list of atom masses into a MeasureSpace."""

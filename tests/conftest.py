@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from wctops import CondExp, Mfunc, make_partition, make_space
+from dense_reference import wct_matrix
+from wctops import (
+    Action,
+    CondExp,
+    DefectOracle,
+    Mfunc,
+    block_averages,
+    make_partition,
+    make_space,
+    wct_action,
+)
 from wctops.cli import random_instance
 
 
@@ -23,3 +33,28 @@ def random_instances(seed, count, dim_range=(2, 10), block_range=(1, 4), stratum
 
 def mf(values):
     return Mfunc(np.asarray(values))
+
+
+def dense(ce, w, u):
+    """The dense reference matrix of ``f -> w E(u f)``."""
+    return wct_matrix(ce.space.weights, ce.partition.block_index, u.values, w.values)
+
+
+def matrix_action(a):
+    """The action of the square matrix ``a`` and of its adjoint."""
+    return Action(lambda x: a @ x, lambda x: a.conj().T @ x)
+
+
+def wct_oracle(ce, w, u, m_max):
+    """The defect oracle of ``f -> w E(u f)``, read from its action."""
+    return DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
+
+
+def defect_evals(oracle, m, quasi=False):
+    """The eigenvalues of ``B_m``, or of ``T* B_m T``, on the oracle's cores."""
+    return np.sort(oracle._eig[0][m - 1 + quasi * oracle.m_max].ravel())
+
+
+def cond_exp(ce, f):
+    """``E(f)`` on the atoms: the block averages, replicated atomwise."""
+    return block_averages(ce, f)[ce.partition.block_index]

@@ -10,26 +10,21 @@ import time
 import numpy as np
 import pytest
 
+import dense_reference
+from conftest import cond_exp, defect_evals, dense, wct_oracle
 from wctops import (
     CondExp,
-    DefectOracle,
-    LinOp,
     Mfunc,
-    cond_exp,
-    defect,
     geometric_space,
     make_partition,
     make_space,
-    mult_op,
     normal_case_equivalence,
-    op_norm,
-    quasi_defect,
     singleton_blocks,
-    spectrum,
     spectrum_matches_range,
     symbols,
-    wct_op,
+    wct_action,
 )
+from wctops.classify import _defects
 from wctops.cli import (
     cmd_example_a,
     random_instance,
@@ -63,16 +58,15 @@ def test_criterion_1_geometric_sequence_reproduction():
     u = Mfunc(1.0 / n)
     w = Mfunc(n)
     ce = CondExp(geo.space, geo.partition)
-    e_uw = cond_exp(ce, u * w)
-    dev = np.abs(e_uw.values - 1.0).max()
+    e_uw = cond_exp(ce, u.values * w.values)
+    dev = np.abs(e_uw - 1.0).max()
     if dev > 1e-12:
         failures.append(f"E(uw) deviates from 1 by {dev:.3e}")
-    T = wct_op(ce, w, u)
+    dn, qn = wct_oracle(ce, w, u, 6).defect_norms
     for m in range(1, 7):
-        qn = op_norm(quasi_defect(T, m))
-        if qn > 1e-9:
-            failures.append(f"quasi defect norm {qn:.3e} at m={m}")
-    d1 = op_norm(defect(T, 1))
+        if qn[m - 1] > 1e-9:
+            failures.append(f"quasi defect norm {qn[m - 1]:.3e} at m={m}")
+    d1 = dn[0]
     if d1 <= 0.1:
         failures.append(f"defect norm {d1:.3e} not > 0.1")
     elapsed = time.perf_counter() - start
@@ -114,6 +108,14 @@ def test_criterion_2_grid_reproduction():
     _report("criterion-2 unit-square-grid reproduction", failures, elapsed)
 
 
+def _mult_oracle(space, u, m_max):
+    """The oracle of the multiplication operator ``M_u``: singleton blocks
+    and ``w = 1``."""
+    dim = space.atom_count
+    ce = CondExp(space, make_partition(space, singleton_blocks(dim)))
+    return wct_oracle(ce, Mfunc(np.ones(dim)), u, m_max)
+
+
 def test_criterion_3_multiplication_operators():
     failures = []
     rng = np.random.default_rng(2024)
@@ -122,26 +124,22 @@ def test_criterion_3_multiplication_operators():
         dim = int(rng.integers(2, 17))
         space = make_space(rng.uniform(0.1, 2.0, dim))
         u = Mfunc(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        T = mult_op(space, u)
+        dn, _ = _mult_oracle(space, u, 4).defect_norms
         for m in range(1, 5):
-            dn = op_norm(defect(T, m))
-            if dn > 1e-10:
-                failures.append(f"unimodular trial {trial}: defect {dn:.3e} at m={m}")
+            if dn[m - 1] > 1e-10:
+                failures.append(f"unimodular trial {trial}: defect {dn[m - 1]:.3e} at m={m}")
 
     for trial in range(100):
         dim = int(rng.integers(2, 17))
         space = make_space(rng.uniform(0.1, 2.0, dim))
         mask = rng.integers(0, 2, dim).astype(float)
         u = Mfunc(mask * np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        T = mult_op(space, u)
+        dn, qn = _mult_oracle(space, u, 4).defect_norms
         for m in range(1, 5):
-            qn = op_norm(quasi_defect(T, m))
-            if qn > 1e-10:
-                failures.append(f"mask trial {trial}: quasi defect {qn:.3e} at m={m}")
-            if (mask == 0).any():
-                dn = op_norm(defect(T, m))
-                if dn <= 1e-10:
-                    failures.append(f"mask trial {trial}: defect vanished at m={m}")
+            if qn[m - 1] > 1e-10:
+                failures.append(f"mask trial {trial}: quasi defect {qn[m - 1]:.3e} at m={m}")
+            if (mask == 0).any() and dn[m - 1] <= 1e-10:
+                failures.append(f"mask trial {trial}: defect vanished at m={m}")
 
     for trial in range(100):
         dim = int(rng.integers(2, 17))
@@ -149,17 +147,14 @@ def test_criterion_3_multiplication_operators():
         u = Mfunc(
             rng.uniform(0, 2, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         )
-        T = mult_op(space, u)
+        oracle = _mult_oracle(space, u, 4)
         a2 = np.abs(u.values) ** 2
         for m in range(1, 5):
             # the defect spectra against the pointwise closed forms
             # (|u|^2 - 1)^m and |u|^2 (|u|^2 - 1)^m
-            iso_dev = np.abs(
-                np.linalg.eigvalsh(defect(T, m).entries) - np.sort((a2 - 1.0) ** m)
-            ).max()
+            iso_dev = np.abs(defect_evals(oracle, m) - np.sort((a2 - 1.0) ** m)).max()
             quasi_dev = np.abs(
-                np.linalg.eigvalsh(quasi_defect(T, m).entries)
-                - np.sort(a2 * (a2 - 1.0) ** m)
+                defect_evals(oracle, m, quasi=True) - np.sort(a2 * (a2 - 1.0) ** m)
             ).max()
             if iso_dev > 1e-9:
                 failures.append(
@@ -252,7 +247,7 @@ def _self_adjoint_instances(count: int, seed: int):
     while len(out) < count - 10:
         inst = random_instance(rng, (2, 10), (1, 4), stratum="generic")
         u = inst.u
-        w = u.conj()
+        w = Mfunc(u.values.conj())
         ce = inst.cond_exp()
         st = symbols(ce, w, u)
         t = st.abs_alpha_sq
@@ -264,7 +259,7 @@ def _self_adjoint_instances(count: int, seed: int):
         space = make_space(rng.uniform(0.2, 2.0, dim))
         partition = make_partition(space, singleton_blocks(dim))
         u = Mfunc(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        w = u.conj()
+        w = Mfunc(u.values.conj())
         ce = CondExp(space, partition)
         out.append((ce, symbols(ce, w, u), u, w))
     return out
@@ -274,7 +269,7 @@ def test_criterion_6_normal_case_properties():
     failures = []
     all_true_seen = 0
     for trial, (ce, st, u, w) in enumerate(_self_adjoint_instances(100, seed=606)):
-        T = wct_op(ce, w, u)
+        oracle = wct_oracle(ce, w, u, 4)
 
         idx = st.block_index
         prod = st.beta[idx] * st.gamma[idx]
@@ -282,7 +277,7 @@ def test_criterion_6_normal_case_properties():
         if identity_dev > 1e-8:
             failures.append(f"trial {trial}: symbol identity off by {identity_dev:.3e}")
 
-        report = normal_case_equivalence(st, DefectOracle(T, 4), 4, 1e-8)
+        report = normal_case_equivalence(st, oracle, 4, 1e-8)
         if not report.applicable:
             failures.append(f"trial {trial}: self-adjoint operator not normal")
             continue
@@ -294,9 +289,11 @@ def test_criterion_6_normal_case_properties():
         elif report.properties[0].holds:
             all_true_seen += 1
 
-        base_norm = op_norm(LinOp(T.entries.conj().T @ T.entries - np.eye(T.dim)))
+        # the dense reference's norm of T* T - I, to the power m
+        t = dense(ce, w, u)
+        base_norm = dense_reference.norm(t.conj().T @ t - np.eye(len(t)))
         for m in range(1, 5):
-            dn = op_norm(defect(T, m))
+            dn = oracle.defect_norms[0][m - 1]
             ref = base_norm**m
             if dn <= 1e-12 and ref <= 1e-12:
                 continue  # both at the roundoff floor
@@ -315,11 +312,10 @@ def test_criterion_7_hyponormality_hierarchy():
     for trial in range(100):
         inst = random_instance(rng, (2, 10), (1, 4), stratum="generic")
         if trial % 2 == 0:
-            u, w = inst.u, inst.u.conj()  # self-adjoint: all flags true
+            u, w = inst.u, Mfunc(inst.u.values.conj())  # self-adjoint: all flags true
         else:
             u, w = inst.u, inst.w
-        T = wct_op(inst.cond_exp(), w, u)
-        n = DefectOracle(T, 0).normality((0.25, 0.5, 2.0), 1e-8)
+        n = wct_oracle(inst.cond_exp(), w, u, 0).normality((0.25, 0.5, 2.0), 1e-8)
         flags = [n["normal"], n["hyponormal"], *(p["holds"] for p in n["p_hyponormal"])]
         if len(set(flags)) != 1:
             failures.append(f"trial {trial}: hierarchy split {flags}")
@@ -344,58 +340,54 @@ def test_criterion_8_structural_invariants(audited_suite):
             rng.uniform(0, 2, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         )
         ef = cond_exp(ce, f)
-        if np.abs(cond_exp(ce, ef).values - ef.values).max() > 1e-12:
+        if np.abs(cond_exp(ce, ef) - ef).max() > 1e-12:
             failures.append(f"{inst.label}: idempotence")
         for b, blk in enumerate(ce.partition.blocks):
             idx = list(blk)
-            gap = abs(
-                (ef.values[idx] * weights[idx]).sum()
-                - (f.values[idx] * weights[idx]).sum()
-            )
+            gap = abs((ef[idx] * weights[idx]).sum() - (f.values[idx] * weights[idx]).sum())
             if gap > 1e-12:
                 failures.append(f"{inst.label}: averaging identity on block {b}")
         g_vals = rng.normal(size=ce.partition.block_count)
-        g = Mfunc(g_vals[ce.partition.block_index])
-        if (
-            np.abs(cond_exp(ce, f * g).values - g.values * ef.values).max()
-            > 1e-12
-        ):
+        g = g_vals[ce.partition.block_index]
+        if np.abs(cond_exp(ce, f.values * g) - g * ef).max() > 1e-12:
             failures.append(f"{inst.label}: module law")
-        e_f2 = cond_exp(ce, f.abs_sq()).values.real
-        e_u2 = cond_exp(ce, u.abs_sq()).values.real
-        if ((np.abs(cond_exp(ce, f * u.conj()).values) ** 2) > e_f2 * e_u2 + 1e-10 * max(1.0, float((e_f2 * e_u2).max()))).any():
+        e_f2 = cond_exp(ce, np.abs(f.values) ** 2)
+        e_u2 = cond_exp(ce, np.abs(u.values) ** 2)
+        slack = 1e-10 * max(1.0, float((e_f2 * e_u2).max()))
+        if (np.abs(cond_exp(ce, f.values * u.values.conj())) ** 2 > e_f2 * e_u2 + slack).any():
             failures.append(f"{inst.label}: conditional Hoelder")
-        if (cond_exp(ce, Mfunc(np.abs(f.values) + 0.05)).values.real <= 0).any():
+        if (cond_exp(ce, np.abs(f.values) + 0.05) <= 0).any():
             failures.append(f"{inst.label}: positivity")
 
-        # operator-level identities
-        T = wct_op(ce, w, u)
-        t = T.entries
-        nrm = op_norm(T)
-        e_uw = cond_exp(ce, u * w)
+        # operator-level identities: T^k = M_(E(uw)^(k-1)) T on the matrix
+        # of the action, and the binomial recursion on the oracle's cores
+        t = wct_action(ce, w, u).apply(np.eye(dim, dtype=complex))
+        oracle = wct_oracle(ce, w, u, 6)
+        nrm = oracle.norm
+        e_uw = cond_exp(ce, u.values * w.values)
         for k in range(1, 6):
-            factor = e_uw.values ** (k - 1)
+            factor = e_uw ** (k - 1)
             dev = np.abs(np.linalg.matrix_power(t, k) - factor[:, None] * t).max()
             if dev > 1e-9 * max(1.0, nrm**k):
                 failures.append(f"{inst.label}: power factorization k={k}")
-        prev = defect(T, 1).entries
+        core, core_adj = oracle._t, oracle._t.conj().swapaxes(-1, -2)
+        defects = _defects(oracle._grams, oracle._scales, range(1, 6))
         for m in range(2, 6):
-            cur = defect(T, m).entries
-            recursed = t.conj().T @ prev @ t - prev
-            dev = np.abs(cur - recursed).max()
+            prev, cur = defects[m - 2], defects[m - 1]
+            dev = np.abs(cur - (core_adj @ prev @ core - prev)).max()
             if dev > 1e-9 * max(1.0, nrm ** (2 * m)):
                 failures.append(f"{inst.label}: binomial recursion m={m}")
-            prev = cur
 
         # vanishing sandwiched defect at order 2 persists to higher orders
+        _, qn = oracle.defect_norms
         tol2 = 1e-9 * max(1.0, nrm**4)
-        if op_norm(quasi_defect(T, 2)) <= tol2:
+        if qn[1] <= tol2:
             for m in range(3, 7):
-                if op_norm(quasi_defect(T, m)) > 1e-9 * max(1.0, nrm ** (2 * m)):
+                if qn[m - 1] > 1e-9 * max(1.0, nrm ** (2 * m)):
                     failures.append(f"{inst.label}: quasi persistence m={m}")
 
         # nonzero spectrum equals nonzero attained conditional values
-        ok, dist = spectrum_matches_range(spectrum(T), e_uw.values)
+        ok, dist = spectrum_matches_range(oracle.spectrum, e_uw)
         if not ok:
             failures.append(f"{inst.label}: spectrum mismatch distance {dist:.3e}")
     elapsed = time.perf_counter() - start

@@ -2,30 +2,28 @@
 
 Reports build the oracle from ``wct_action``: three matvecs give each
 block's rank-one core, and no ``n x n`` matrix is made.  These tests hold
-that oracle to the whole-matrix one with the assertions of
-``test_block_oracle``, check that the report path never reaches the dense
-builders, and check the rank-one model's probe check.
+that oracle to the dense reference with the assertions of
+``test_block_oracle``, check that the report path builds no ``n x n``
+array, and check the rank-one model's probe check.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import test_block_oracle
-import wctops
+from conftest import dense
 from wctops import (
     Action,
     CondExp,
     DefectOracle,
-    LinOp,
     Mfunc,
     NumericError,
-    ValidationError,
     make_partition,
     make_space,
     wct_action,
-    wct_op,
 )
 from wctops.cli import (
     ProblemSpec,
@@ -37,26 +35,17 @@ from wctops.cli import (
 )
 
 
-def _assert_action_oracle_matches_whole(monkeypatch, ce, w, u, m_max):
-    """``test_block_oracle``'s comparison, with its partitioned oracle
-    built from the action of ``T`` instead of the dense matrix."""
-
-    def oracle(T, m, partition=None):
-        if partition is None:
-            return DefectOracle(T, m)
-        return DefectOracle(wct_action(ce, w, u), m, partition)
-
-    monkeypatch.setattr(test_block_oracle, "DefectOracle", oracle)
-    test_block_oracle._assert_block_oracle_matches_whole(
-        wct_op(ce, w, u), ce.partition, m_max
+def _assert_action_oracle_matches_whole(ce, w, u, m_max):
+    """``test_block_oracle``'s comparison with the dense reference, with the
+    oracle built from ``wct_action`` instead of the dense matrix."""
+    test_block_oracle._assert_oracle_matches_dense(
+        wct_action(ce, w, u), dense(ce, w, u), ce.partition, m_max
     )
 
 
-def test_action_oracle_matches_whole_matrix_on_random_suite(monkeypatch):
+def test_action_oracle_matches_whole_matrix_on_random_suite():
     for inst in suite_instances(200, seed=42):
-        _assert_action_oracle_matches_whole(
-            monkeypatch, inst.cond_exp(), inst.w, inst.u, 4
-        )
+        _assert_action_oracle_matches_whole(inst.cond_exp(), inst.w, inst.u, 4)
 
 
 def _parallel_operator(c=1.0, seed=25):
@@ -76,9 +65,9 @@ def _parallel_operator(c=1.0, seed=25):
     return CondExp(space, partition), Mfunc(w), Mfunc(c * w.conj())
 
 
-def test_action_oracle_matches_whole_matrix_on_parallel_blocks(monkeypatch):
+def test_action_oracle_matches_whole_matrix_on_parallel_blocks():
     ce, w, u = _parallel_operator()
-    _assert_action_oracle_matches_whole(monkeypatch, ce, w, u, 3)
+    _assert_action_oracle_matches_whole(ce, w, u, 3)
 
 
 @pytest.mark.parametrize("c,seed", [(1.0, 25), (1.7, 17), (1e-3, 3)])
@@ -94,22 +83,12 @@ def test_action_oracle_keeps_parallel_blocks_normal(c, seed):
         assert probe["residual"] <= 1e-12 * oracle.norm ** (2 * probe["p"])
 
 
-@pytest.fixture
-def no_dense_matrices(monkeypatch):
-    """Every binding of ``wct_op`` and ``cond_exp_matrix``, and the
-    ``LinOp`` constructor, raise."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense n x n matrix was built")
-
-    for module in (wctops, wctops.linop, wctops.condexp, wctops.criteria, wctops.cli):
-        for name in ("wct_op", "cond_exp_matrix"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(LinOp, "__post_init__", refuse)
+# atoms of the largest operator that ``test_reports_build_no_dense_matrix``
+# classifies: the most the matrix route takes
+DENSE_ATOMS = 600
 
 
-def test_reports_build_no_dense_matrix(no_dense_matrices):
+def test_reports_build_no_dense_matrix():
     ce, w, u = _parallel_operator()
     report = classify_operator(ce.space, ce.partition, u, w)
     assert report.matrix_route and report.normality["normal"]
@@ -123,6 +102,20 @@ def test_reports_build_no_dense_matrix(no_dense_matrices):
     assert [row["m"] for row in cmd_sweep_m(spec, 6).rows] == list(range(1, 7))
     suite = cmd_random_suite(count=20)
     assert suite.mismatch_count == 0 and len(suite.instance_rows) == 22
+    # the largest operator the matrix route takes, in blocks of six atoms:
+    # its report allocates less than half of one complex n x n array
+    rng = np.random.default_rng(6)
+    space = make_space(rng.uniform(0.2, 2.0, DENSE_ATOMS))
+    blocks = np.arange(DENSE_ATOMS).reshape(-1, 6).tolist()
+    u, w = (Mfunc(rng.normal(size=(DENSE_ATOMS, 2)) @ [1, 1j]) for _ in range(2))
+    tracemalloc.start()
+    try:
+        report = classify_operator(space, make_partition(space, blocks), u, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.matrix_route and len(report.spectrum) == DENSE_ATOMS
+    assert peak < 16 * DENSE_ATOMS**2 / 2, f"allocations peaked at {peak} bytes"
 
 
 def test_structured_classify_report_is_byte_stable(tmp_path, capsys):
@@ -179,7 +172,15 @@ def test_rank_two_action_block_raises_numeric_error(size, trips):
         DefectOracle(perturbed, 2, partition)
 
 
-def test_action_oracle_needs_a_partition():
-    ce, w, u = _parallel_operator()
-    with pytest.raises(ValidationError, match="needs a partition"):
-        DefectOracle(wct_action(ce, w, u), 2)
+def test_action_returning_nan_raises_numeric_error():
+    # a NaN probe residual compares false with any bound: the probe check
+    # must still fail on it
+    space = make_space([1.0, 2.0, 3.0])
+    partition = make_partition(space, [[0, 1], [2]])
+
+    def nan(x):
+        return np.full(x.shape, np.nan, dtype=complex)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="probe residual nan"):
+            DefectOracle(Action(nan, nan), 2, partition)

@@ -1,25 +1,26 @@
-"""The block-stacked dense oracle against the whole matrix as one block.
+"""The block-stacked oracle against the dense reference.
 
 ``T f = w E(u f)`` leaves the span of every partition block invariant, so
-the oracle may work on the diagonal blocks alone.  These tests hold it to
-the one-block (whole-matrix) computation: identical verdicts, and norms,
-residuals and spectra within 1e-12 of the operator's own scale.
+the oracle may work on the rank-one cores of the diagonal blocks alone.
+These tests read the cores from the matvecs of the dense matrix itself and
+hold the oracle to ``dense_reference``, which computes on the whole
+``n x n`` matrix in plain numpy: the verdicts the reference's norms give,
+and norms, residuals and spectra within 1e-12 of the operator's own scale.
 """
 
 import numpy as np
 import pytest
 
+import dense_reference
+from conftest import dense, matrix_action
 from wctops import (
     CondExp,
     DefectOracle,
-    LinOp,
     Mfunc,
     NumericError,
     ValidationError,
-    hermitian_eig,
     make_partition,
     make_space,
-    wct_op,
 )
 from wctops.cli import suite_instances
 from wctops.linop import _eigh_stack
@@ -32,47 +33,53 @@ def _close(a, b, scale):
     return abs(a - b) <= REL * max(1.0, scale)
 
 
-def _assert_block_oracle_matches_whole(T, partition, m_max):
-    blocks = DefectOracle(T, m_max, partition)
-    whole = DefectOracle(T, m_max)
-    nrm = whole.norm
-    assert _close(blocks.norm, nrm, nrm)
+def _default_tol(nrm, power):
+    return 1e-9 * max(1.0, nrm**power)
 
-    for vb, vw in zip(blocks.verdicts(), whole.verdicts(), strict=True):
-        assert (vb.is_m_isometric, vb.is_quasi_m_isometric) == (
-            vw.is_m_isometric,
-            vw.is_quasi_m_isometric,
-        )
-        scale = nrm ** (2 * vw.m + 2)
-        assert _close(vb.defect_norm, vw.defect_norm, scale)
-        assert _close(vb.quasi_defect_norm, vw.quasi_defect_norm, scale)
-        assert _close(vb.tol, vw.tol, vw.tol)
 
-    nb, nw = blocks.normality(PROBES), whole.normality(PROBES)
-    for key in ("normal", "hyponormal"):
-        assert nb[key] == nw[key]
+def _assert_oracle_matches_dense(T, t, partition, m_max):
+    """The oracle of the action ``T`` against the dense reference on its
+    matrix ``t``."""
+    oracle = DefectOracle(T, m_max, partition)
+    ref = dense_reference.oracle(t, m_max, PROBES)
+    nrm = ref["norm"]
+    assert _close(oracle.norm, nrm, nrm)
+
+    rows = zip(oracle.verdicts(), ref["defect_norms"], ref["quasi_defect_norms"], strict=True)
+    for v, d, q in rows:
+        tol = _default_tol(nrm, 2 * v.m)
+        assert (v.is_m_isometric, v.is_quasi_m_isometric) == (d <= tol, q <= tol)
+        scale = nrm ** (2 * v.m + 2)
+        assert _close(v.defect_norm, d, scale)
+        assert _close(v.quasi_defect_norm, q, scale)
+        assert _close(v.tol, tol, tol)
+
+    n = oracle.normality(PROBES)
+    tol = _default_tol(nrm, 2)
+    assert n["normal"] == (ref["normal_residual"] <= tol)
+    assert n["hyponormal"] == (ref["hyponormal_residual"] <= tol)
     for key in ("normal_residual", "hyponormal_residual"):
-        assert _close(nb[key], nw[key], nrm**2)
-    for pb, pw in zip(nb["p_hyponormal"], nw["p_hyponormal"], strict=True):
-        assert pb["holds"] == pw["holds"]
-        assert _close(pb["residual"], pw["residual"], nrm ** (2 * pw["p"]))
+        assert _close(n[key], ref[key], nrm**2)
+    for probe, residual in zip(n["p_hyponormal"], ref["p_residuals"], strict=True):
+        assert probe["holds"] == (residual <= _default_tol(nrm, 2 * probe["p"]))
+        assert _close(probe["residual"], residual, nrm ** (2 * probe["p"]))
 
-    sb, sw = blocks.spectrum, whole.spectrum
-    assert sb.shape == sw.shape == (T.dim,)
-    assert np.abs(sb - sw).max() <= REL * max(1.0, nrm)
+    spec = oracle.spectrum
+    assert spec.shape == (len(t),)
+    assert np.abs(spec - ref["spectrum"]).max() <= REL * max(1.0, nrm)
 
 
 def test_block_oracle_matches_whole_matrix_on_random_suite():
     for inst in suite_instances(200, seed=42):
-        ce = inst.cond_exp()
-        T = wct_op(ce, inst.w, inst.u)
-        _assert_block_oracle_matches_whole(T, inst.partition, 4)
+        t = dense(inst.cond_exp(), inst.w, inst.u)
+        _assert_oracle_matches_dense(matrix_action(t), t, inst.partition, 4)
 
 
 def _spec_operator(rng, sizes, u_of_w=None):
     """A random operator on ``sum(sizes)`` atoms, blocks of the given sizes
-    laid over a shuffled atom order.  ``u_of_w(w, partition)`` gives ``u``
-    values in place of random ones."""
+    laid over a shuffled atom order: the action of its dense matrix, that
+    matrix and the partition.
+    ``u_of_w(w, partition)`` gives ``u`` values in place of random ones."""
     n = int(sum(sizes))
     space = make_space(rng.uniform(0.2, 2.0, n))
     perm = rng.permutation(n)
@@ -84,8 +91,8 @@ def _spec_operator(rng, sizes, u_of_w=None):
 
     w = values()
     u = values() if u_of_w is None else u_of_w(w, partition)
-    T = wct_op(CondExp(space, partition), Mfunc(w), Mfunc(u))
-    return T, partition
+    t = dense(CondExp(space, partition), Mfunc(w), Mfunc(u))
+    return matrix_action(t), t, partition
 
 
 @pytest.mark.parametrize(
@@ -99,8 +106,7 @@ def _spec_operator(rng, sizes, u_of_w=None):
 )
 def test_block_oracle_matches_whole_matrix_on_large_specs(sizes):
     rng = np.random.default_rng(len(sizes))
-    T, partition = _spec_operator(rng, sizes)
-    _assert_block_oracle_matches_whole(T, partition, 3)
+    _assert_oracle_matches_dense(*_spec_operator(rng, sizes), 3)
 
 
 def _zero_on_block(size):
@@ -126,7 +132,7 @@ def _zero_on_block(size):
 )
 def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
     rng = np.random.default_rng(sum(sizes))
-    T, partition = _spec_operator(rng, sizes, u_of_w)
+    T, t, partition = _spec_operator(rng, sizes, u_of_w)
     # every block becomes one 2x2 core of one array, a singleton's value
     # padded with an exact zero lane, and the spectrum gets back the n - 2k
     # zeros of the lanes cut from the blocks
@@ -136,17 +142,17 @@ def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
     assert len(single) == sizes.count(1)
     assert np.count_nonzero(single[:, 1]) + np.count_nonzero(single[:, 0, 1]) == 0
     assert oracle._left_out_zeros == sum(sizes) - 2 * len(sizes)
-    _assert_block_oracle_matches_whole(T, partition, 3)
+    _assert_oracle_matches_dense(T, t, partition, 3)
 
 
 def test_singletons_and_one_pair_drop_the_padding_zeros():
     # 11 blocks in 12 atoms: 22 core lanes, so the spectrum drops 10 of the
     # padding's zeros
-    T, partition = _spec_operator(np.random.default_rng(11), [1] * 10 + [2])
+    T, t, partition = _spec_operator(np.random.default_rng(11), [1] * 10 + [2])
     oracle = DefectOracle(T, 1, partition)
     assert oracle._t.shape == (1, 11, 2, 2) and oracle._left_out_zeros == -10
     assert oracle.spectrum.shape == (12,)
-    _assert_block_oracle_matches_whole(T, partition, 4)
+    _assert_oracle_matches_dense(T, t, partition, 4)
 
 
 def test_injective_singletons_keep_a_one_by_one_stack():
@@ -157,14 +163,15 @@ def test_injective_singletons_keep_a_one_by_one_stack():
     space = make_space(rng.uniform(0.2, 2.0, n))
     partition = make_partition(space, [[i] for i in range(n)])
     u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    T = wct_op(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
+    t = dense(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
+    T = matrix_action(t)
     oracle = DefectOracle(T, 6, partition)
     assert oracle._t.shape == (1, n, 1, 1) and oracle._left_out_zeros == 0
     for v in oracle.verdicts():
         assert v.is_m_isometric and v.is_quasi_m_isometric, v
         assert v.defect_norm <= 1e-14
     assert oracle.spectrum.shape == (n,)
-    _assert_block_oracle_matches_whole(T, partition, 6)
+    _assert_oracle_matches_dense(T, t, partition, 6)
 
 
 @pytest.mark.parametrize(
@@ -173,38 +180,28 @@ def test_injective_singletons_keep_a_one_by_one_stack():
     ids=["many-zeros", "one-zero"],
 )
 def test_spectrum_keeps_the_zeros_of_the_cut_blocks(sizes):
-    T, partition = _spec_operator(np.random.default_rng(13), sizes)
+    T, t, partition = _spec_operator(np.random.default_rng(13), sizes)
     spec = DefectOracle(T, 1, partition).spectrum
-    assert spec.shape == (T.dim,)
+    assert spec.shape == (len(t),)
     # each block is rank one: n - k eigenvalues vanish, and those of the
     # d - 2 lanes cut from a block of size d vanish exactly
     assert np.count_nonzero(spec == 0) >= sum(d - 2 for d in sizes if d >= 3)
-    tiny = np.abs(spec) <= 1e-12 * DefectOracle(T, 0).norm
-    assert np.count_nonzero(tiny) == T.dim - len(sizes)
+    tiny = np.abs(spec) <= 1e-12 * dense_reference.oracle(t, 0)["norm"]
+    assert np.count_nonzero(tiny) == len(t) - len(sizes)
 
 
 def test_rank_two_block_raises_numeric_error():
     rng = np.random.default_rng(21)
-    T, partition = _spec_operator(rng, [3, 4, 5])
+    T, t, partition = _spec_operator(rng, [3, 4, 5])
     blk = list(partition.blocks[2])
     x = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-    a = T.entries.copy()
+    a = t.copy()
     a[np.ix_(blk, blk)] += 0.5 * np.outer(x[0], x[1].conj())
+    DefectOracle(T, 2, partition)  # the operator itself passes
     with pytest.raises(NumericError, match="not rank one"):
-        DefectOracle(LinOp(a), 2, partition)
+        DefectOracle(matrix_action(a), 2, partition)
     # the off-block entries are still zero: only the core check trips
-    assert np.count_nonzero(a) == np.count_nonzero(T.entries)
-
-
-def test_off_block_entry_raises_numeric_error():
-    rng = np.random.default_rng(5)
-    T, partition = _spec_operator(rng, [3, 4, 5])
-    i, j = partition.blocks[0][0], partition.blocks[2][1]
-    a = T.entries.copy()
-    a[i, j] = 1e-300
-    DefectOracle(T, 2, partition)  # the unmodified operator passes
-    with pytest.raises(NumericError, match="outside the diagonal blocks"):
-        DefectOracle(LinOp(a), 2, partition)
+    assert np.count_nonzero(a) == np.count_nonzero(t)
 
 
 def _hermitian_blocks(rng, r, k, d, scale):
@@ -230,9 +227,9 @@ def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips)
         with pytest.raises(ValidationError, match="not Hermitian"):
             _eigh_stack(stack)
         with pytest.raises(ValidationError, match="not Hermitian"):
-            hermitian_eig(LinOp(full))
+            _eigh_stack(full[None, None])
     else:
         evals, _ = _eigh_stack(stack)
-        whole, _ = hermitian_eig(LinOp(full))
+        whole = np.linalg.eigvalsh(full)
         union = np.sort(evals[1].ravel())
         assert np.abs(union - whole).max() <= REL * np.abs(whole).max()

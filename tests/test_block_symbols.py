@@ -3,6 +3,7 @@ references, partition faults at scale, call counts, and the symmetries
 that leave ``T`` unchanged."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from wctops import (
     make_space,
     spectrum_matches_range,
     symbols,
-    wct_op,
 )
 from wctops.cli import (
     classify_operator,
@@ -29,6 +29,7 @@ from wctops.cli import (
     random_instance,
     suite_instances,
 )
+from conftest import dense
 
 
 def _fsum_averages(ce, f):
@@ -62,6 +63,48 @@ def test_block_symbols_match_fsum_reference():
         assert np.array_equal(st.abs_alpha_sq, np.abs(st.alpha) ** 2)
 
 
+def _exact_symbols(inst):
+    """``E(uw)`` as its real and imaginary parts, ``|E(uw)|^2``, ``E|u|^2``
+    and ``E|w|^2`` on every block, as the exact rationals of the given
+    doubles."""
+    mu = [Fraction(x) for x in inst.space.weights.tolist()]
+    u = [(Fraction(z.real), Fraction(z.imag)) for z in inst.u.values.tolist()]
+    w = [(Fraction(z.real), Fraction(z.imag)) for z in inst.w.values.tolist()]
+    for blk in inst.partition.blocks:
+        mass = sum(mu[i] for i in blk)
+
+        def average(term):
+            return sum(term(u[i], w[i]) * mu[i] for i in blk) / mass
+
+        re = average(lambda a, c: a[0] * c[0] - a[1] * c[1])
+        im = average(lambda a, c: a[0] * c[1] + a[1] * c[0])
+        beta = average(lambda a, c: a[0] ** 2 + a[1] ** 2)
+        gamma = average(lambda a, c: c[0] ** 2 + c[1] ** 2)
+        yield re, im, re * re + im * im, beta, gamma
+
+
+def test_block_symbols_match_exact_rationals():
+    # every double is a dyadic rational, so the symbols of the given doubles
+    # have exact values; each float symbol lies within 8 eps of its own
+    bound = (8 * Fraction(np.finfo(float).eps)) ** 2
+    for inst in suite_instances(200, seed=42):
+        st = symbols(inst.cond_exp(), inst.w, inst.u)
+        for b, (re, im, t, beta, gamma) in enumerate(_exact_symbols(inst)):
+            alpha = complex(st.alpha[b])
+            err = (Fraction(alpha.real) - re) ** 2 + (Fraction(alpha.imag) - im) ** 2
+            assert err <= bound * t, (inst.label, b, "alpha")
+            for name, got, exact in (
+                ("abs_alpha_sq", st.abs_alpha_sq[b], t),
+                ("beta", st.beta[b], beta),
+                ("gamma", st.gamma[b], gamma),
+            ):
+                assert (Fraction(float(got)) - exact) ** 2 <= bound * exact**2, (
+                    inst.label,
+                    b,
+                    name,
+                )
+
+
 def _essential_range_loop(values, tol=1e-9):
     vals = sorted(values.tolist(), key=lambda z: (z.real, z.imag))
     out = []
@@ -93,7 +136,7 @@ def test_range_and_spectrum_match_loop_references():
         ref = _essential_range_loop(e_uw)
         assert essential_range(e_uw) == ref
         assert essential_range(st.alpha) == ref
-        ev = np.linalg.eigvals(wct_op(ce, inst.w, inst.u).entries)
+        ev = np.linalg.eigvals(dense(ce, inst.w, inst.u))
         ok, dist = _spectrum_distance_loop(ev, e_uw)
         for attained in (e_uw, st.alpha):
             # numpy's complex modulus may round differently from Python's

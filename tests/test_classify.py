@@ -1,84 +1,91 @@
 import numpy as np
 import pytest
 
+import dense_reference
 from wctops import (
+    CondExp,
     DefectOracle,
-    LinOp,
+    Mfunc,
     ValidationError,
-    cond_exp_matrix,
-    defect,
     make_partition,
     make_space,
-    mult_op,
-    op_norm,
-    quasi_defect,
     singleton_blocks,
-    wct_op,
+    wct_action,
 )
+from wctops.classify import _defects
 from wctops.cli import classify_operator
-from conftest import mf, random_instances
+from conftest import defect_evals, dense, mf, random_instances, wct_oracle
 
 PROBES = (0.25, 0.5, 2.0)
 
 
+def _oracle(weights, blocks, u, w, m_max):
+    """The oracle of ``f -> w E(u f)`` on the given atoms and blocks."""
+    space = make_space(weights)
+    return wct_oracle(CondExp(space, make_partition(space, blocks)), mf(w), mf(u), m_max)
+
+
+def _mult_oracle(u, m_max, weights=None):
+    """The oracle of the multiplication operator ``M_u``: singleton blocks
+    and ``w = 1``."""
+    n = len(u)
+    weights = np.full(n, 1.0 / n) if weights is None else weights
+    return _oracle(weights, singleton_blocks(n), u, np.ones(n), m_max)
+
+
+def _inst_oracle(inst, m_max, w=None):
+    return wct_oracle(inst.cond_exp(), inst.w if w is None else w, inst.u, m_max)
+
+
 def test_defect_of_identity_vanishes():
-    for m in range(1, 5):
-        assert op_norm(defect(LinOp(np.eye(4)), m)) < 1e-14
+    dn, _ = _mult_oracle(np.ones(4), 4).defect_norms
+    assert (dn < 1e-14).all()
 
 
-def test_defect_of_projection(uniform4):
-    _, _, ce = uniform4
-    e = cond_exp_matrix(ce)
-    b1 = defect(e, 1)
-    assert np.allclose(b1.entries, e.entries - np.eye(4), atol=1e-14)
-    assert op_norm(b1) == pytest.approx(1.0, abs=1e-12)
-    evals = np.linalg.eigvalsh(b1.entries)
-    assert np.allclose(evals, [-1.0, -1.0, 0.0, 0.0], atol=1e-12)
+def test_defect_of_projection():
+    # B_1 = E - I on the averaging projection E of two 2-atom blocks
+    oracle = _oracle([0.25] * 4, [[0, 1], [2, 3]], np.ones(4), np.ones(4), 1)
+    assert oracle.defect_norms[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(defect_evals(oracle, 1), [-1.0, -1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_defect_of_rank_one_diagonal():
-    T = LinOp(np.diag([1.0, 0.0]))
-    assert np.allclose(defect(T, 1).entries, np.diag([0.0, -1.0]), atol=1e-14)
+    oracle = _mult_oracle([1.0, 0.0], 1)
+    assert np.allclose(defect_evals(oracle, 1), [-1.0, 0.0], atol=1e-14)
 
 
-def test_quasi_defect_of_projection(uniform4):
-    _, _, ce = uniform4
-    e = cond_exp_matrix(ce)
-    for m in range(1, 5):
-        assert op_norm(quasi_defect(e, m)) < 1e-13
+def test_quasi_defect_of_projection():
+    oracle = _oracle([0.25] * 4, [[0, 1], [2, 3]], np.ones(4), np.ones(4), 4)
+    assert (oracle.defect_norms[1] < 1e-13).all()
 
 
 def test_quasi_defect_of_partial_isometry_like_diagonal():
-    T = LinOp(np.diag([1.0, 0.0]))
-    assert op_norm(quasi_defect(T, 1)) < 1e-14
-    assert op_norm(defect(T, 1)) == pytest.approx(1.0)
+    dn, qn = _mult_oracle([1.0, 0.0], 1).defect_norms
+    assert qn[0] < 1e-14
+    assert dn[0] == pytest.approx(1.0)
 
 
 def test_quasi_defect_single_atom_value():
-    T = LinOp(np.array([[2.0]]))
-    q = quasi_defect(T, 1)
-    assert q.entries[0, 0] == pytest.approx(12.0)  # 4 * (4 - 1)
+    oracle = _mult_oracle([2.0], 1)
+    assert defect_evals(oracle, 1, quasi=True)[0] == pytest.approx(12.0)  # 4 * (4 - 1)
 
 
 def test_defect_rejects_bad_order():
     with pytest.raises(ValidationError):
-        defect(LinOp(np.eye(2)), 0)
-    with pytest.raises(ValidationError):
-        quasi_defect(LinOp(np.eye(2)), 0)
+        _mult_oracle(np.ones(2), -1)
 
 
 def test_classify_isometry_unimodular_multiplication():
-    space = make_space([0.2, 0.5, 0.8])
-    u = mf(np.exp(1j * np.array([0.3, 1.2, -2.0])))
-    T = mult_op(space, u)
-    for v in DefectOracle(T, 4).verdicts():
+    u = np.exp(1j * np.array([0.3, 1.2, -2.0]))
+    for v in _mult_oracle(u, 4, [0.2, 0.5, 0.8]).verdicts():
         assert v.is_m_isometric and v.is_quasi_m_isometric
         assert v.defect_norm < 1e-12
 
 
 def test_classify_isometry_projection(uniform4):
-    _, _, ce = uniform4
-    verdicts = DefectOracle(cond_exp_matrix(ce), 4).verdicts()
+    _, partition, ce = uniform4
+    ones = mf(np.ones(4))
+    verdicts = DefectOracle(wct_action(ce, ones, ones), 4, partition).verdicts()
     for v in verdicts:
         assert v.is_quasi_m_isometric and not v.is_m_isometric
         assert v.defect_norm == pytest.approx(1.0, abs=1e-12)
@@ -86,88 +93,84 @@ def test_classify_isometry_projection(uniform4):
 
 
 def test_classify_isometry_quasi_but_not_isometric(uniform4):
-    _, _, ce = uniform4
-    T = wct_op(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]))
-    for v in DefectOracle(T, 4).verdicts():
+    _, partition, ce = uniform4
+    T = wct_action(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]))
+    for v in DefectOracle(T, 4, partition).verdicts():
         assert v.is_quasi_m_isometric and not v.is_m_isometric
 
 
 def test_pascal_recursion():
-    # B_m = T* B_{m-1} T - B_{m-1}
+    # B_m = T* B_{m-1} T - B_{m-1}, on the oracle's cores
     for inst in random_instances(seed=31, count=15):
-        t = wct_op(inst.cond_exp(), inst.w, inst.u).entries
-        prev = defect(LinOp(t), 1).entries
-        for m in range(2, 6):
-            cur = defect(LinOp(t), m).entries
-            recursed = t.conj().T @ prev @ t - prev
+        oracle = _inst_oracle(inst, 5)
+        t, t_adj = oracle._t, oracle._t.conj().swapaxes(-1, -2)
+        defects = _defects(oracle._grams, oracle._scales, range(1, 6))
+        for prev, cur in zip(defects, defects[1:]):
+            recursed = t_adj @ prev @ t - prev
             assert np.abs(cur - recursed).max() < 1e-9
-            prev = cur
 
 
 def test_m_isometric_implies_quasi():
     rng = np.random.default_rng(55)
     for _ in range(10):
         n = int(rng.integers(2, 8))
-        space = make_space(rng.uniform(0.2, 1.0, n))
-        u = mf(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        T = mult_op(space, u)
-        for m in range(1, 4):
-            tol = DefectOracle(T, m).verdicts()[m - 1].tol
-            dn = op_norm(defect(T, m))
-            qn = op_norm(quasi_defect(T, m))
-            assert dn <= tol
-            assert qn <= tol * max(1.0, op_norm(T) ** 2)
+        weights = rng.uniform(0.2, 1.0, n)
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        oracle = _mult_oracle(u, 3, weights)
+        dn, qn = oracle.defect_norms
+        for v in oracle.verdicts():
+            assert dn[v.m - 1] <= v.tol
+            assert qn[v.m - 1] <= v.tol * max(1.0, oracle.norm**2)
 
 
 def test_quasi_2_persistence():
     # quasi order 2 vanishing propagates to all higher orders
     hits = 0
     for inst in random_instances(seed=77, count=40):
-        T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        tols = [v.tol for v in DefectOracle(T, 6).verdicts()]
-        if op_norm(quasi_defect(T, 2)) <= tols[1]:
+        oracle = _inst_oracle(inst, 6)
+        tols = [v.tol for v in oracle.verdicts()]
+        _, qn = oracle.defect_norms
+        if qn[1] <= tols[1]:
             hits += 1
             for m in range(3, 7):
-                assert op_norm(quasi_defect(T, m)) <= tols[m - 1]
+                assert qn[m - 1] <= tols[m - 1]
     assert hits >= 5  # the stratified generator supplies quasi instances
 
 
 def test_normal_case_defect_collapse():
-    # for normal T the defect is (T*T - I)^m with norms matching exactly
+    # for normal T the defect is (T*T - I)^m, on the oracle's cores, with
+    # norms matching the dense reference's
     for inst in random_instances(seed=91, count=15):
-        u = inst.u
-        w = u.conj()
-        ce = inst.cond_exp()
-        T = wct_op(ce, w, u)
-        base = T.entries.conj().T @ T.entries - np.eye(T.dim)
-        for m in range(1, 5):
-            bm = defect(T, m)
+        w = Mfunc(inst.u.values.conj())
+        oracle = _inst_oracle(inst, 4, w)
+        t = oracle._t
+        base = t.conj().swapaxes(-1, -2) @ t - np.eye(t.shape[-1])
+        dense_t = dense(inst.cond_exp(), w, inst.u)
+        dense_base = dense_reference.norm(dense_t.conj().T @ dense_t - np.eye(len(dense_t)))
+        defects = _defects(oracle._grams, oracle._scales, range(1, 5))
+        for m, bm in enumerate(defects, start=1):
             direct = np.linalg.matrix_power(base, m)
-            assert np.abs(bm.entries - direct).max() < 1e-9 * max(
-                1.0, np.abs(direct).max()
-            )
-            ref = op_norm(LinOp(base)) ** m
-            assert op_norm(bm) == pytest.approx(ref, rel=1e-6)
+            assert np.abs(bm - direct).max() < 1e-9 * max(1.0, np.abs(direct).max())
+            assert oracle.defect_norms[0][m - 1] == pytest.approx(dense_base**m, rel=1e-6)
 
 
 def test_normality_examples(uniform4):
-    _, _, ce = uniform4
-    n = DefectOracle(LinOp(np.eye(3)), 0).normality((0.5,), 1e-10)
+    n = _mult_oracle(np.ones(3), 0).normality((0.5,), 1e-10)
     assert n["normal"] and n["hyponormal"] and n["p_hyponormal"][0]["holds"]
     # self-adjoint weighted conditional operator
-    u = mf([1 + 1j, 0.5, 2.0, 1j])
-    T = wct_op(ce, u.conj(), u)
-    assert DefectOracle(T, 0).normality((), 1e-10)["normal"]
-    shift = LinOp(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    n = DefectOracle(shift, 0).normality((), 1e-10)
+    _, partition, ce = uniform4
+    u = np.array([1 + 1j, 0.5, 2.0, 1j])
+    T = wct_action(ce, mf(u.conj()), mf(u))
+    assert DefectOracle(T, 0, partition).normality((), 1e-10)["normal"]
+    # half the shift e_1 -> e_2 on one block of two equal atoms
+    n = _oracle([0.5, 0.5], [[0, 1]], [1.0, 0.0], [0.0, 1.0], 0).normality((), 1e-10)
     assert not n["hyponormal"]
     assert not n["normal"]
 
 
 def test_hyponormality_hierarchy_on_wct_instances():
     for inst in random_instances(seed=101, count=30):
-        T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        n = DefectOracle(T, 0).normality(PROBES, 1e-8)
+        n = _inst_oracle(inst, 0).normality(PROBES, 1e-8)
         flags = {n["normal"], n["hyponormal"], *(p["holds"] for p in n["p_hyponormal"])}
         assert len(flags) == 1
 
@@ -203,10 +206,10 @@ def test_multiplication_corollary_generic():
     assert report.criteria_rows[1]["quasi_residual"] == pytest.approx(36.0)
     assert v["quasi_defect_norm"] == pytest.approx(36.0, rel=1e-12)
     # the defect spectra are the pointwise closed forms
-    T = mult_op(make_space([0.5, 0.5]), mf([2.0, 1.0]))
+    oracle = _mult_oracle([2.0, 1.0], 2)
     a2 = np.array([4.0, 1.0])
-    iso = np.linalg.eigvalsh(defect(T, 2).entries) - np.sort((a2 - 1.0) ** 2)
-    quasi = np.linalg.eigvalsh(quasi_defect(T, 2).entries) - np.sort(a2 * (a2 - 1.0) ** 2)
+    iso = defect_evals(oracle, 2) - np.sort((a2 - 1.0) ** 2)
+    quasi = defect_evals(oracle, 2, quasi=True) - np.sort(a2 * (a2 - 1.0) ** 2)
     assert np.abs(iso).max() < 1e-9
     assert np.abs(quasi).max() < 1e-9
 

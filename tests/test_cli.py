@@ -200,6 +200,36 @@ def test_main_overflow_exits_4_with_one_error_line(tmp_path, capsys, name):
     assert captured.out == ""
 
 
+# overflows that numpy warns about before a check finds them: the products
+# u w and |u|^2 of two singletons, and the symbol product E|u|^2 E|w|^2 of
+# one block past the matrix route's size, under a given tolerance
+WARNING_OVERFLOW_SPECS = {
+    "singleton-products": {
+        "weights": [1, 1],
+        "blocks": [[0], [1]],
+        "u": [1e160, 1],
+        "w": [1e160, 1],
+    },
+    "symbol-product": {
+        "weights": [1] * 601,
+        "blocks": [list(range(601))],
+        "u": [1e80] + [0] * 600,
+        "w": [0, 1e80] + [0] * 599,
+        "tol": 1e-3,
+    },
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["classify", "sweep-m"])
+@pytest.mark.parametrize("name", sorted(WARNING_OVERFLOW_SPECS))
+def test_main_overflow_exits_4_with_no_numpy_warning(tmp_path, capsys, name, command):
+    assert main([command, _write_spec(tmp_path, WARNING_OVERFLOW_SPECS[name])]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "-0.0"])
 @pytest.mark.parametrize(
     "command",

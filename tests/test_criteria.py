@@ -3,7 +3,6 @@ import pytest
 
 from wctops import (
     CondExp,
-    DefectOracle,
     Mfunc,
     ValidationError,
     audit_agreement,
@@ -16,16 +15,13 @@ from wctops import (
     make_partition,
     make_space,
     normal_case_equivalence,
-    op_norm,
-    quasi_defect,
     singleton_blocks,
-    spectrum,
     spectrum_matches_range,
     symbols,
-    wct_op,
 )
 from wctops.cli import fixture_projection, fixture_support_gap
-from conftest import mf, random_instances
+import dense_reference
+from conftest import dense, mf, random_instances, wct_oracle
 
 
 def _symbols_of(inst):
@@ -134,9 +130,9 @@ def test_quasi_criterion_support_gap_divergence():
     assert not row.paper_quasi
     assert row.corrected_quasi
     assert row.quasi_residual < 1e-14
-    # independent matrix oracle confirms the corrected reading
-    T = wct_op(fx.cond_exp(), fx.w, fx.u)
-    assert op_norm(quasi_defect(T, 2)) < 1e-12
+    # the dense reference confirms the corrected reading
+    ref = dense_reference.oracle(dense(fx.cond_exp(), fx.w, fx.u), 2)
+    assert ref["quasi_defect_norms"][1] < 1e-12
 
 
 def test_quasi_criterion_support_gap_by_hand():
@@ -201,10 +197,10 @@ def test_normal_case_identity_operator():
     space = make_space([0.4, 0.6])
     ce = CondExp(space, make_partition(space, singleton_blocks(2)))
     u = mf(np.exp(1j * np.array([0.2, 2.2])))
-    w = u.conj()
+    w = Mfunc(u.values.conj())
     st = symbols(ce, w, u)
-    T = wct_op(ce, w, u)
-    report = normal_case_equivalence(st, DefectOracle(T, 3), 3, 1e-9)
+    oracle = wct_oracle(ce, w, u, 3)
+    report = normal_case_equivalence(st, oracle, 3, 1e-9)
     assert report.applicable and report.identity_ok and report.all_equal
     assert all(c.holds for c in report.properties)
 
@@ -213,10 +209,10 @@ def test_normal_case_all_false():
     space = make_space([0.5, 0.5])
     ce = CondExp(space, make_partition(space, [[0, 1]]))
     u = mf([2.0, 2.0])
-    w = u.conj()
+    w = Mfunc(u.values.conj())
     st = symbols(ce, w, u)
-    T = wct_op(ce, w, u)
-    report = normal_case_equivalence(st, DefectOracle(T, 3), 3, 1e-9)
+    oracle = wct_oracle(ce, w, u, 3)
+    report = normal_case_equivalence(st, oracle, 3, 1e-9)
     assert report.applicable and report.identity_ok and report.all_equal
     assert not any(c.holds for c in report.properties)
 
@@ -227,8 +223,8 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
     st = symbols(ce, ones, ones)
-    T = wct_op(ce, ones, ones)
-    report = normal_case_equivalence(st, DefectOracle(T, 3), 3, 1e-9)
+    oracle = wct_oracle(ce, ones, ones, 3)
+    report = normal_case_equivalence(st, oracle, 3, 1e-9)
     assert report.applicable and report.identity_ok
     assert not report.all_equal
     held = {c.name: c.holds for c in report.properties}
@@ -239,8 +235,8 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
 def test_normal_case_not_applicable_for_non_normal():
     for inst in random_instances(seed=300, count=20, stratum="generic"):
         st = _symbols_of(inst)
-        T = wct_op(inst.cond_exp(), inst.w, inst.u)
-        report = normal_case_equivalence(st, DefectOracle(T, 2), 2, 1e-9)
+        oracle = wct_oracle(inst.cond_exp(), inst.w, inst.u, 2)
+        report = normal_case_equivalence(st, oracle, 2, 1e-9)
         if report.applicable:
             continue  # rare but legitimate: a random instance may be normal
         assert np.isnan(report.identity_residual)
@@ -250,11 +246,11 @@ def test_normal_case_not_applicable_for_non_normal():
 def test_normal_case_random_self_adjoint_equivalence():
     for inst in random_instances(seed=301, count=25, stratum="generic"):
         u = inst.u
-        w = u.conj()
+        w = Mfunc(u.values.conj())
         ce = inst.cond_exp()
         st = symbols(ce, w, u)
-        T = wct_op(ce, w, u)
-        report = normal_case_equivalence(st, DefectOracle(T, 4), 4, 1e-8)
+        oracle = wct_oracle(ce, w, u, 4)
+        report = normal_case_equivalence(st, oracle, 4, 1e-8)
         assert report.applicable
         assert report.identity_residual < 1e-10
         assert report.j_double_prime_residual < 1e-8
@@ -297,9 +293,9 @@ def test_spectrum_matches_range_positive(uniform4):
     _, _, ce = uniform4
     u = mf([2, 0, 1, 1])
     w = mf([1, 1, 1, 1])
-    T = wct_op(ce, w, u)
     st = symbols(ce, w, u)
-    ok, dist = spectrum_matches_range(spectrum(T), st.alpha[st.block_index])
+    spec = wct_oracle(ce, w, u, 0).spectrum
+    ok, dist = spectrum_matches_range(spec, st.alpha[st.block_index])
     assert ok and dist < 1e-10
 
 
