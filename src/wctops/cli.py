@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from numbers import Integral
 from typing import Any, Sequence
 
@@ -89,15 +90,28 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _to_float(value: int | float, where: str) -> float:
+    """``float(value)``; an integer past the double range is a
+    ValidationError that gives its size, since printing every digit of it
+    can itself fail."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{where}: an integer of {value.bit_length()} bits is outside "
+            f"the double range"
+        ) from None
+
+
 def _parse_complex(value: Any, where: str) -> complex:
     if _is_number(value):
-        return complex(value)
+        return complex(_to_float(value, where))
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(_is_number(v) for v in value)
     ):
-        return complex(value[0], value[1])
+        return complex(_to_float(value[0], where), _to_float(value[1], where))
     raise ValidationError(
         f"{where}: expected a number or an [re, im] pair, got {value!r}"
     )
@@ -107,12 +121,93 @@ def _parse_reals(values: Any, name: str) -> tuple[float, ...]:
     """A spec field that is a list of real numbers, neither bools nor strings."""
     if not isinstance(values, list):
         raise ValidationError(f"spec field '{name}' must be a list of numbers")
+    reals = []
     for i, v in enumerate(values):
         if not _is_number(v):
             raise ValidationError(
                 f"spec field '{name}[{i}]': expected a number, got {v!r}"
             )
-    return tuple(float(v) for v in values)
+        reals.append(_to_float(v, f"spec field '{name}[{i}]'"))
+    return tuple(reals)
+
+
+# The exact types of a JSON number.  A bool, a numpy scalar and any other
+# subclass are left to the per-entry parsers, which accept or name them.
+_NUMBER_TYPES = {int, float}
+
+
+def _bulk_numbers(values: Any) -> np.ndarray | None:
+    """A list whose entries are all exact ints and floats, or all ``[re, im]``
+    pairs of them, as one float array of shape ``(n,)`` or ``(n, 2)``.
+
+    The entry types are checked by C-level scans, so a spec of plain JSON
+    numbers is read with no Python call per entry.  None for anything else,
+    and for an integer past the double range: the per-entry parsers then
+    read the list, and name its first bad entry.
+    """
+    if not isinstance(values, list):
+        return None
+    flat, kinds = values, set(map(type, values))
+    if kinds == {list} and set(map(len, values)) == {2}:
+        flat = list(chain.from_iterable(values))
+        kinds = set(map(type, flat))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    try:
+        array = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    return array if flat is values else array.reshape(-1, 2)
+
+
+def _read_reals(values: Any, name: str) -> tuple[float, ...]:
+    """A list-of-reals spec field: in bulk, else by ``_parse_reals``."""
+    array = _bulk_numbers(values)
+    if array is None or array.ndim != 1:
+        return _parse_reals(values, name)
+    return tuple(array.tolist())
+
+
+def _read_complex(values: list, name: str) -> tuple[complex, ...]:
+    """A list-of-complex spec field: in bulk, else by ``_parse_complex``."""
+    array = _bulk_numbers(values)
+    if array is None:
+        return tuple(
+            _parse_complex(v, f"spec field '{name}[{i}]'") for i, v in enumerate(values)
+        )
+    z = array.view(complex)[:, 0] if array.ndim == 2 else array.astype(complex)
+    return tuple(z.tolist())
+
+
+def _read_blocks(values: list) -> tuple[tuple[int, ...], ...]:
+    """The blocks of atom indices.  Lists of exact ints that fit an array
+    index are taken as they are; anything else is read block by block,
+    and the first bad block is named."""
+    if set(map(type, values)) == {list}:
+        atoms = list(chain.from_iterable(values))
+        if set(map(type, atoms)) <= {int}:
+            if max(map(abs, atoms), default=0) <= sys.maxsize:
+                return tuple(map(tuple, values))
+    blocks = []
+    for b, blk in enumerate(values):
+        if not isinstance(blk, list):
+            raise ValidationError(
+                f"spec field 'blocks[{b}]' must be a list of atom indices"
+            )
+        bad = [i for i in blk if not _is_integral(i)]
+        if bad:
+            raise ValidationError(
+                f"spec field 'blocks[{b}]': atom index {bad[0]!r} is not an integer"
+            )
+        blk = [int(i) for i in blk]
+        big = [i for i in blk if abs(i) > sys.maxsize]
+        if big:
+            raise ValidationError(
+                f"spec field 'blocks[{b}]': an atom index of {big[0].bit_length()} "
+                f"bits is out of range"
+            )
+        blocks.append(tuple(blk))
+    return tuple(blocks)
 
 
 def _finite_positive(value: float, name: str) -> float:
@@ -176,25 +271,10 @@ class ProblemSpec:
                 raise ValidationError(f"spec is missing required field '{name}'")
             if not isinstance(data[name], list) or not data[name]:
                 raise ValidationError(f"spec field '{name}' must be a non-empty list")
-        weights = _parse_reals(data["weights"], "weights")
-        blocks: list[tuple[int, ...]] = []
-        for b, blk in enumerate(data["blocks"]):
-            if not isinstance(blk, list):
-                raise ValidationError(
-                    f"spec field 'blocks[{b}]' must be a list of atom indices"
-                )
-            bad = [i for i in blk if not _is_integral(i)]
-            if bad:
-                raise ValidationError(
-                    f"spec field 'blocks[{b}]': atom index {bad[0]!r} is not an integer"
-                )
-            blocks.append(tuple(int(i) for i in blk))
-        u = tuple(
-            _parse_complex(v, f"spec field 'u[{i}]'") for i, v in enumerate(data["u"])
-        )
-        w = tuple(
-            _parse_complex(v, f"spec field 'w[{i}]'") for i, v in enumerate(data["w"])
-        )
+        weights = _read_reals(data["weights"], "weights")
+        blocks = _read_blocks(data["blocks"])
+        u = _read_complex(data["u"], "u")
+        w = _read_complex(data["w"], "w")
         m_max = data.get("m_max", 4)
         if not _is_integral(m_max):
             raise ValidationError(
@@ -207,13 +287,13 @@ class ProblemSpec:
         if tol is not None:
             if not _is_number(tol):
                 raise ValidationError(f"spec field 'tol' must be a number, got {tol!r}")
-            tol = _finite_positive(float(tol), "spec field 'tol'")
-        probes_p = _parse_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p")
+            tol = _finite_positive(_to_float(tol, "spec field 'tol'"), "spec field 'tol'")
+        probes_p = _read_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p")
         for i, p in enumerate(probes_p):
             _finite_positive(p, f"spec field 'probes_p[{i}]'")
         return cls(
             weights=weights,
-            blocks=tuple(blocks),
+            blocks=blocks,
             u=u,
             w=w,
             m_max=m_max,
@@ -232,6 +312,9 @@ class ProblemSpec:
             raise ValidationError(
                 f"spec file {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
             ) from exc
+        except ValueError as exc:
+            # not UTF-8, or an integer past the interpreter's digit limit
+            raise ValidationError(f"spec file {path} cannot be read: {exc}") from exc
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
@@ -460,7 +543,8 @@ def classify_operator(
                 "all_equal": nc.all_equal,
                 "properties": [_fields(c) for c in nc.properties],
             }
-        spec_list = [_complex_pair(z) for z in oracle.spectrum.tolist()]
+        ev = oracle.spectrum
+        spec_list = np.stack((ev.real, ev.imag), -1).tolist()
         ok, dist = spectrum_matches_range(oracle.spectrum, st.alpha)
         spectrum_match = {"ok": ok, "distance": dist}
     else:
@@ -1033,10 +1117,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # an overflow is reported once, as the NumericError of the check
-        # that finds it, not also as numpy's warnings on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = _dispatch(args)
+        report = _dispatch(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

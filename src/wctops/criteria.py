@@ -101,6 +101,9 @@ class SymbolTable:
         return tables[m_max]
 
 
+# an overflow is reported once, by the finiteness check, not also as
+# numpy's warnings on the way there
+@np.errstate(over="ignore", invalid="ignore")
 def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     """Compute the symbol table of ``f -> w E(u f)`` block by block."""
     ensure_on_space(u, ce.space, "u")

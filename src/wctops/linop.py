@@ -41,6 +41,9 @@ class Action(NamedTuple):
     apply_adj: Callable[[np.ndarray], np.ndarray]
 
 
+# an overflow of ``T`` is reported once, by the probe check of
+# ``_rank_one_cores``, not also as numpy's warnings on the way there
+@np.errstate(over="ignore", invalid="ignore")
 def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
     """The action of ``f -> w * E(u f)`` and of its adjoint, in O(n).
 
@@ -100,6 +103,8 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # it a spurious ``|B_m| = 1``.
 
 
+# an overflow in the matvecs is reported once, by the probe check
+@np.errstate(over="ignore", invalid="ignore")
 def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
     """The core of every rank-one block of ``T`` as a one-operand stack, read
     from three matvecs, and the number of zero eigenvalues the stack leaves

@@ -2,11 +2,13 @@ import io
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from wctops import DefectOracle, Mfunc, ValidationError, grid_space
+import wctops.cli as cli_mod
+from wctops import DefectOracle, Mfunc, NumericError, ValidationError, grid_space
 from wctops.cli import (
     ProblemSpec,
     classify_operator,
@@ -61,11 +63,22 @@ def test_spec_rejects_missing_and_unknown_fields():
         ProblemSpec.from_dict(bad)
 
 
+def _late(field, entry):
+    """EXAMPLE_B_SPEC's ``field`` with its last entry, index 3, replaced."""
+    return [*EXAMPLE_B_SPEC[field][:3], entry]
+
+
 def test_spec_rejects_malformed_complex():
     bad = dict(EXAMPLE_B_SPEC)
     bad["u"] = [[1.0, 0.0, 0.0], [0.5, 0.0], [1 / 3, 0.0], [0.25, 0.0]]
     with pytest.raises(ValidationError, match=r"u\[0\]"):
         ProblemSpec.from_dict(bad)
+    # a pair of the wrong length after three good pairs is named by its index
+    for field in ("u", "w"):
+        for entry in ([0.25, 0.0, 0.0], [0.25], []):
+            bad = dict(EXAMPLE_B_SPEC, **{field: _late(field, entry)})
+            with pytest.raises(ValidationError, match=re.escape(f"'{field}[3]'")):
+                ProblemSpec.from_dict(bad)
 
 
 @pytest.mark.parametrize(
@@ -102,6 +115,15 @@ def test_spec_accepts_integral_float_atom_indices():
         ("probes_p", ["0.5"], "probes_p[0]"),
         ("probes_p", [0.25, False], "probes_p[1]"),
         ("probes_p", 0.5, "probes_p"),
+        # u and w entries after three good pairs, named by their index
+        ("u", _late("u", [True, 0]), "u[3]"),
+        ("w", _late("w", [True, 0]), "w[3]"),
+        ("u", _late("u", ["1", 0]), "u[3]"),
+        ("w", _late("w", ["1", 0]), "w[3]"),
+        ("u", _late("u", True), "u[3]"),
+        ("w", _late("w", True), "w[3]"),
+        ("u", _late("u", [0.25, 0.0, 0.0]), "u[3]"),
+        ("w", _late("w", "4"), "w[3]"),
     ],
 )
 def test_spec_rejects_scalars_of_the_wrong_type(tmp_path, capsys, field, value, bad):
@@ -110,6 +132,73 @@ def test_spec_rejects_scalars_of_the_wrong_type(tmp_path, capsys, field, value, 
         ProblemSpec.from_dict(data)
     assert main(["classify", _write_spec(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith(f"error: spec field '{bad}'")
+
+
+# an integer of 401 digits: JSON reads it exactly, and no double holds it
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "field,value,bad",
+    [
+        ("u", [1, 1, 1, HUGE], "u[3]"),
+        ("w", _late("w", [4.0, HUGE]), "w[3]"),
+        ("weights", [0.5, 0.25, HUGE, 0.0625], "weights[2]"),
+        ("blocks", [[2], [0, 1, HUGE]], "blocks[1]"),
+        ("blocks", [[2.0], [0, 1, 1e300]], "blocks[1]"),
+        ("tol", HUGE, "tol"),
+        ("probes_p", [0.5, HUGE], "probes_p[1]"),
+    ],
+    ids=["u", "w-pair", "weights", "atom-index", "float-atom-index", "tol", "probes_p"],
+)
+def test_main_rejects_numbers_out_of_range(tmp_path, capsys, field, value, bad):
+    data = dict(EXAMPLE_B_SPEC, **{field: value})
+    assert main(["classify", _write_spec(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: spec field '{bad}': ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # past the interpreter's limit on the digits of an integer it reads
+        b'{"weights": [1], "blocks": [[0]], "u": [1], "w": [' + b"9" * 5000 + b"]}",
+        # not UTF-8
+        b'{"weights": [1], "blocks": [[0]], "u": [1], "w": ["\xff"]}',
+    ],
+    ids=["digits", "latin-1"],
+)
+def test_main_rejects_a_spec_file_it_cannot_read(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_bytes(text)
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: spec file {path} cannot be read: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_spec_reads_a_large_pair_form_spec_with_no_per_entry_call(monkeypatch):
+    calls = []
+    for name in ("_parse_complex", "_parse_reals", "_is_number", "_is_integral"):
+        original = getattr(cli_mod, name)
+        monkeypatch.setattr(
+            cli_mod, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    rng = np.random.default_rng(12)
+    n = 600
+    z = rng.standard_normal((2, n, 2))
+    data = {
+        "weights": rng.uniform(0.2, 2.0, n).tolist(),
+        "blocks": [blk.tolist() for blk in np.array_split(rng.permutation(n), 15)],
+        "u": z[0].tolist(),
+        "w": z[1].tolist(),
+        "m_max": 4,
+    }
+    spec = ProblemSpec.from_dict(data)
+    assert calls == ["_is_integral"]  # once, for the scalar m_max
+    assert spec.u == tuple(complex(re, im) for re, im in data["u"])
+    assert spec.blocks == tuple(tuple(blk) for blk in data["blocks"])
 
 
 def test_spec_accepts_an_integral_float_m_max():
@@ -228,6 +317,20 @@ def test_main_overflow_exits_4_with_no_numpy_warning(tmp_path, capsys, name, com
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("run", ["classify_operator", "cmd_sweep_m"])
+@pytest.mark.parametrize("name", sorted(WARNING_OVERFLOW_SPECS))
+def test_library_overflow_raises_numeric_error_with_no_numpy_warning(name, run):
+    # outside main: each checked computation silences the overflow it checks
+    spec = ProblemSpec.from_dict(WARNING_OVERFLOW_SPECS[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            if run == "classify_operator":
+                classify_operator(*spec.build(), spec.m_max, spec.tol)
+            else:
+                cmd_sweep_m(spec)
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "-0.0"])

@@ -1,0 +1,77 @@
+"""The spec reader reads plain JSON lists in bulk and every other form of
+an entry by the per-entry parsers; both give the same spec.
+
+A spec written with bare numbers and ``[re, im]`` pairs mixed, integers,
+numpy scalars and integral-float atom indices must parse equal to the same
+spec written as plain float pairs and integer indices, and the bulk reader
+must give bit-for-bit the floats and complex numbers of the per-entry
+parsers.
+"""
+
+import numpy as np
+import pytest
+
+import wctops.cli as cli
+from wctops.cli import ProblemSpec
+
+hypothesis = pytest.importorskip("hypothesis")
+st_ = hypothesis.strategies
+
+# integers past 2**53 round on the way to a double, and 2**1023 is the
+# largest power of two that a double holds
+NUMBERS = st_.one_of(
+    st_.integers(-(2**80), 2**80),
+    st_.integers(-(2**1023), 2**1023),
+    st_.floats(allow_nan=False),
+)
+
+
+def _bits(values) -> list[int]:
+    """The bit patterns of a tuple of floats or complex numbers, so that
+    -0.0 and 0.0 differ."""
+    return np.array(values, dtype=complex).view(np.int64).tolist()
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(data=st_.data(), n=st_.integers(1, 12))
+def test_mixed_entry_forms_parse_equal_to_plain_pairs(data, n):
+    draw = data.draw
+    weights = draw(st_.lists(NUMBERS, min_size=n, max_size=n))
+    pairs = st_.lists(st_.tuples(NUMBERS, NUMBERS), min_size=n, max_size=n)
+    u, w = draw(pairs), draw(pairs)
+    perm = draw(st_.permutations(range(n)))
+    cuts = sorted(draw(st_.sets(st_.integers(1, max(1, n - 1)), max_size=n - 1)))
+    blocks = [list(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+
+    def number(v):
+        # a number as written: unchanged, or as a numpy scalar
+        return draw(st_.sampled_from([v, np.float64(v)]))
+
+    def entry(re, im):
+        if im == 0 and draw(st_.booleans()):
+            return number(re)
+        return [number(re), number(im)]
+
+    def index(i):
+        return draw(st_.sampled_from([i, float(i), np.int64(i)]))
+
+    plain = {
+        "weights": [float(v) for v in weights],
+        "blocks": blocks,
+        "u": [[float(re), float(im)] for re, im in u],
+        "w": [[float(re), float(im)] for re, im in w],
+    }
+    mixed = {
+        "weights": [number(v) for v in weights],
+        "blocks": [[index(i) for i in blk] for blk in blocks],
+        "u": [entry(re, im) for re, im in u],
+        "w": [entry(re, im) for re, im in w],
+    }
+    spec = ProblemSpec.from_dict(plain)
+    assert ProblemSpec.from_dict(mixed) == spec
+    assert all(type(i) is int for blk in spec.blocks for i in blk)
+    # the bulk reader read the plain spec; the per-entry parsers agree bit for bit
+    for name in ("u", "w"):
+        reference = [cli._parse_complex(v, name) for v in plain[name]]
+        assert _bits(getattr(spec, name)) == _bits(reference)
+    assert _bits(spec.weights) == _bits(cli._parse_reals(plain["weights"], "weights"))
