@@ -488,7 +488,7 @@ def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
     columns = zip(
         ce.partition.sizes.tolist(),
         ce.block_masses.tolist(),
-        st.alpha.tolist(),
+        np.stack((st.alpha.real, st.alpha.imag), -1).tolist(),
         st.abs_alpha_sq.tolist(),
         st.beta.tolist(),
         st.gamma.tolist(),
@@ -499,7 +499,7 @@ def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
             "block": b,
             "atoms": size,
             "mass": mass,
-            "e_uw": _complex_pair(e_uw),
+            "e_uw": e_uw,
             "t": t,
             "e_u2": e_u2,
             "e_w2": e_w2,
@@ -567,7 +567,7 @@ def classify_operator(
         normality=normality,
         normal_case=normal_case,
         spectrum=spec_list,
-        essential_range=[_complex_pair(z) for z in essential_range(st.alpha)],
+        essential_range=[[z.real, z.imag] for z in essential_range(st.alpha)],
         spectrum_match=spectrum_match,
         mismatches=[_mismatch(rec) for rec in mismatches],
         divergences=[_fields(d) for d in divergences],

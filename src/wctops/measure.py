@@ -41,7 +41,7 @@ class MeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise ValidationError("a measure space needs at least one atom")
         bad = np.flatnonzero(~np.isfinite(w) | (w <= 0.0))
@@ -134,8 +134,12 @@ class Partition:
             and atoms.size == n
             and atoms.min() >= 0
             and atoms.max() < n
-            and np.bincount(atoms, minlength=n).min() == 1
         )
+        if valid:
+            # n in-range entries form a permutation iff they cover every atom
+            covered = np.zeros(n, dtype=bool)
+            covered[atoms] = True
+            valid = covered.all()
         if not valid:
             raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
         owner = np.empty(n, dtype=np.intp)
@@ -169,17 +173,20 @@ class Partition:
         """The sum of ``x`` over each block's atoms, along its first axis.
 
         ``x`` has shape ``(n,)`` or ``(n, r)`` and the result ``(k,)`` or
-        ``(k, r)``, complex when ``x`` is.  One ``bincount`` per column sums
-        it in atom order, the real and imaginary parts of a complex column
-        apart, so that no temporary is larger than one column.
+        ``(k, r)``, complex when ``x`` is and float otherwise.  One ordered
+        ``np.add.at`` into zeros takes every sum, so each block adds its
+        atoms' values in increasing atom order starting from ``+0.0``; a
+        2-D ``x`` is flattened and entry ``(i, j)`` goes to bin
+        ``block_index[i] * r + j`` of the flattened ``(k, r)`` result.
         """
-        k = self.block_count
-        x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
-        parts = x.view(float).reshape(len(x), -1)
-        sums = np.empty((k, parts.shape[1]))
-        for j in range(parts.shape[1]):
-            sums[:, j] = np.bincount(self.block_index, weights=parts[:, j], minlength=k)
-        return sums.view(x.dtype).reshape((k,) + x.shape[1:])
+        x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+        bins = self.block_index
+        if x.ndim == 2:
+            r = x.shape[1]
+            bins = (bins[:, None] * r + np.arange(r)).reshape(-1)
+        sums = np.zeros((self.block_count,) + x.shape[1:], dtype=x.dtype)
+        np.add.at(sums.reshape(-1), bins, x.reshape(-1))
+        return sums
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -197,7 +204,7 @@ class Mfunc:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex).reshape(-1).copy()
+        v = np.array(self.values, dtype=complex).reshape(-1)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
         if not np.all(np.isfinite(v)):
@@ -297,6 +304,8 @@ def grid_space(nx: int, ny: int) -> GridSpace:
     ys = (np.arange(ny) + 0.5) / ny
     x = np.repeat(xs, ny)
     y = np.tile(ys, nx)
-    space = make_space(np.full(nx * ny, 1.0 / (nx * ny)))
-    partition = Partition.from_labels(np.repeat(np.arange(nx), ny))
+    n = nx * ny
+    space = make_space(np.full(n, 1.0 / n))
+    # column i holds atoms i*ny .. i*ny + ny - 1, already in atom order
+    partition = Partition(np.arange(n), np.full(nx, ny), n)
     return GridSpace(space, partition, x, y)

@@ -117,6 +117,11 @@ def test_make_partition_rejects_overlap():
     space = make_space([0.25] * 4)
     with pytest.raises(ValidationError, match="atom 1"):
         make_partition(space, [[0, 1], [1, 2, 3]])
+    # four in-range entries: only the coverage of every atom tells that 1
+    # repeats and 3 is missing
+    with pytest.raises(ValidationError) as info:
+        make_partition(space, [[0, 1], [1, 2]])
+    assert str(info.value) == "atom 1 appears in both block 0 and block 1"
 
 
 def test_make_partition_rejects_gap():
@@ -212,15 +217,74 @@ def test_mfunc_rejects_non_finite():
         Mfunc(np.array([1.0, np.inf]))
 
 
-@pytest.mark.parametrize("shape", [(7,), (7, 3)])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_block_sums_match_a_loop_in_atom_order(shape, dtype):
-    rng = np.random.default_rng(4)
-    partition = make_partition(make_space(np.ones(7)), [[5, 0], [3], [6, 1, 4, 2]])
-    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
-    expected = np.zeros((3,) + shape[1:], dtype=dtype)
-    for i in range(7):  # atom order, as the sums are taken
+def _atom_values(rng, shape, dtype):
+    if dtype is complex:
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if dtype is float:
+        return rng.normal(size=shape)
+    if dtype is int:
+        return rng.integers(-9, 10, size=shape)
+    return rng.random(shape) < 0.5
+
+
+def _assert_sums_in_atom_order(partition, x):
+    """``block_sums(x)`` has the bytes of a loop adding atom 0, 1, 2, ...
+    into zeros of the result's kind."""
+    kind = complex if np.iscomplexobj(x) else float
+    expected = np.zeros((partition.block_count,) + x.shape[1:], dtype=kind)
+    for i in range(partition.atom_count):  # atom order, as the sums are taken
         expected[partition.block_index[i]] += x[i]
     sums = partition.block_sums(x)
-    assert sums.dtype == dtype and sums.shape == expected.shape
+    assert sums.dtype == kind and sums.shape == expected.shape
     assert sums.tobytes() == expected.tobytes()
+
+
+def _seven_atoms():
+    return make_partition(make_space(np.ones(7)), [[5, 0], [3], [6, 1, 4, 2]])
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 1), (7, 2), (7, 4)])
+@pytest.mark.parametrize("dtype", [float, complex, int, bool])
+def test_block_sums_match_a_loop_in_atom_order(shape, dtype):
+    _assert_sums_in_atom_order(_seven_atoms(), _atom_values(np.random.default_rng(4), shape, dtype))
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda a: a[:, 2],  # one column of a wider array
+        lambda a: a[:, 1:5:2],  # a strided column slice
+        lambda a: np.ascontiguousarray(a.T).T,  # a transposed view
+    ],
+    ids=["column", "column-slice", "transposed"],
+)
+@pytest.mark.parametrize("dtype", [float, complex, int, bool])
+def test_block_sums_of_strided_views_match_a_loop(view, dtype):
+    wide = _atom_values(np.random.default_rng(5), (7, 6), dtype)
+    x = view(wide)
+    assert not x.flags.c_contiguous
+    _assert_sums_in_atom_order(_seven_atoms(), x)
+
+
+def _per_column_bincount(partition, x):
+    """The segment sum ``block_sums`` replaced: one ``bincount`` per real
+    column of a contiguous copy."""
+    k = partition.block_count
+    x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    parts = x.view(float).reshape(len(x), -1)
+    sums = np.empty((k, parts.shape[1]))
+    for j in range(parts.shape[1]):
+        sums[:, j] = np.bincount(partition.block_index, weights=parts[:, j], minlength=k)
+    return sums.view(x.dtype).reshape((k,) + x.shape[1:])
+
+
+@pytest.mark.parametrize("shape", [(100_000,), (100_000, 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_sums_match_per_column_bincount_on_a_large_shuffled_partition(shape, dtype):
+    # numpy's ufunc.at may take another loop on a large index array than on
+    # a small one, so the atom order is checked at this size too
+    rng = np.random.default_rng(6)
+    labels = np.concatenate([np.arange(997), rng.integers(0, 997, shape[0] - 997)])
+    partition = Partition.from_labels(rng.permutation(labels))
+    x = _atom_values(rng, shape, dtype)
+    assert partition.block_sums(x).tobytes() == _per_column_bincount(partition, x).tobytes()
