@@ -3,7 +3,11 @@
 A weighted conditional type operator is determined by a handful of
 block-constant symbols: ``E(uw)``, its squared modulus ``t``,
 ``E(|u|^2)``, ``E(|w|^2)`` and the supports of the last two.  The
-criteria below classify the operator from those symbols alone.  Two
+criteria below classify the operator from those symbols alone.
+``symbols`` takes the three averages in one chunked pass over the atoms,
+``condexp.block_moments``, whose sums have the bytes of three
+``block_averages`` calls: its chunks add each block's atoms in atom order
+and its products are the same expressions.  Two
 readings are evaluated side by side: a literal whole-space reading and a
 corrected reading (restricted to the joint support for the quasi
 criterion, deferred to the defect oracle for the m-isometry criterion).
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import DefectOracle, DefectVerdict, _alternating_binomials, _default_tol
-from .condexp import CondExp, block_averages
+from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
 from .measure import Mfunc, ensure_on_space
@@ -108,9 +112,7 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     """Compute the symbol table of ``f -> w E(u f)`` block by block."""
     ensure_on_space(u, ce.space, "u")
     ensure_on_space(w, ce.space, "w")
-    alpha = block_averages(ce, u.values * w.values)
-    beta = block_averages(ce, np.abs(u.values) ** 2)
-    gamma = block_averages(ce, np.abs(w.values) ** 2)
+    alpha, beta, gamma = block_moments(ce, u.values, w.values)
     t = np.abs(alpha) ** 2
     prod = beta * gamma
     # a finite product means finite E|u|^2 and E|w|^2 too: inf * 0 is NaN

@@ -128,9 +128,18 @@ class Partition:
             raise ValidationError("a partition needs at least one block")
         if n < 1:
             raise ValidationError("partition needs a positive atom count")
+        smallest = sizes.min()
+        if smallest < 0:
+            b = int(np.flatnonzero(sizes < 0)[0])
+            raise ValidationError(f"block {b} has negative size {int(sizes[b])}")
         block_of = np.repeat(np.arange(sizes.size), sizes)
+        if block_of.size != atoms.size:
+            raise ValidationError(
+                f"the block sizes add up to {block_of.size} but {atoms.size} "
+                f"atoms are listed"
+            )
         valid = (
-            sizes.all()
+            smallest > 0
             and atoms.size == n
             and atoms.min() >= 0
             and atoms.max() < n

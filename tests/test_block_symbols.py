@@ -3,6 +3,7 @@ references, partition faults at scale, call counts, and the symmetries
 that leave ``T`` unchanged."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,11 @@ import wctops.cli as cli_mod
 import wctops.condexp as condexp_mod
 import wctops.criteria as criteria_mod
 from wctops import (
+    CondExp,
     Mfunc,
     ValidationError,
     essential_range,
+    grid_space,
     make_partition,
     make_space,
     spectrum_matches_range,
@@ -189,34 +192,54 @@ def test_partition_stores_python_ints():
     assert part.block_index.tolist() == [0, 1, 0, 1]
 
 
-def _count_block_averages(monkeypatch):
-    calls = []
-    original = condexp_mod.block_averages
+def _count_symbol_kernels(monkeypatch):
+    """Count the calls of ``block_moments`` and of ``block_averages``."""
+    calls = {"block_moments": 0, "block_averages": 0}
+    for name in calls:
+        original = getattr(condexp_mod, name)
 
-    def counted(ce, f):
-        calls.append(1)
-        return original(ce, f)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    for module in (condexp_mod, criteria_mod, cli_mod):
-        monkeypatch.setattr(module, "block_averages", counted, raising=False)
+        for module in (condexp_mod, criteria_mod, cli_mod):
+            monkeypatch.setattr(module, name, counted, raising=False)
     return calls
 
 
+# each of E(uw), E|u|^2 and E|w|^2 is averaged once per report, all three
+# by one fused pass
 @pytest.mark.parametrize("matrix_limit", [600, 0])
 def test_classify_operator_averages_three_symbols_once(monkeypatch, matrix_limit):
     inst = random_instance(np.random.default_rng(5), (8, 8), (3, 3), stratum="generic")
-    calls = _count_block_averages(monkeypatch)
+    calls = _count_symbol_kernels(monkeypatch)
     monkeypatch.setattr(cli_mod, "MATRIX_LIMIT", matrix_limit)
     report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
     assert report.matrix_route == (matrix_limit > 0)
-    assert len(calls) == 3
+    assert calls == {"block_moments": 1, "block_averages": 0}
 
 
 def test_cmd_example_a_averages_three_symbols_once(monkeypatch):
-    calls = _count_block_averages(monkeypatch)
+    calls = _count_symbol_kernels(monkeypatch)
     report = cmd_example_a(5, 300)
     assert not report.classification.matrix_route
-    assert len(calls) == 3
+    assert calls == {"block_moments": 1, "block_averages": 0}
+
+
+def test_symbols_allocate_less_than_one_atom_length_array():
+    # the moments are summed chunk by chunk: at 2e5 atoms the peak of
+    # what symbols allocates stays below one complex value per atom
+    n = 200_000
+    g = grid_space(100, n // 100)
+    ce = CondExp(g.space, g.partition)
+    u, w = Mfunc(g.x + 1j * g.y), Mfunc(np.cos(g.x * g.y) - 0.5j)
+    tracemalloc.start()
+    try:
+        symbols(ce, w, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * np.dtype(complex).itemsize
 
 
 def test_symbols_build_no_atomwise_function(monkeypatch):

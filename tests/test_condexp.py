@@ -4,14 +4,17 @@ import pytest
 from wctops import (
     CondExp,
     Mfunc,
+    Partition,
     ValidationError,
     block_averages,
     geometric_space,
     make_partition,
     make_space,
     singleton_blocks,
+    symbols,
     wct_action,
 )
+from wctops.condexp import MOMENT_CHUNK, block_moments
 from conftest import cond_exp, mf, random_instances
 
 
@@ -153,3 +156,37 @@ def test_block_masses_recomputable():
         assert ce.block_masses[b] == pytest.approx(
             geo.space.weights[list(blk)].sum(), abs=1e-12
         )
+
+
+def _moment_instance(n, k, seed):
+    """``n`` atoms in ``k`` shuffled blocks, with complex ``u`` zero on
+    block 0, ``w`` zero on block 1 and both zero on block 2."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % k)
+    space = make_space(rng.uniform(0.2, 2.0, n))
+    ce = CondExp(space, Partition.from_labels(labels))
+    u, w = _random_complex(rng, n), _random_complex(rng, n)
+    u[(labels == 0) | (labels == 2)] = 0.0
+    w[(labels == 1) | (labels == 2)] = 0.0
+    return ce, u, w
+
+
+@pytest.mark.parametrize(
+    "n", [MOMENT_CHUNK - 5, MOMENT_CHUNK, 3 * MOMENT_CHUNK + 17], ids=["below", "one", "three-plus"]
+)
+def test_block_moments_have_the_bytes_of_three_block_averages(n):
+    ce, u, w = _moment_instance(n, 13, seed=n)
+    if n > MOMENT_CHUNK:
+        # every block has atoms in at least three chunks
+        chunk = np.arange(n) // MOMENT_CHUNK
+        owner = ce.partition.block_index
+        assert min(np.ptp(chunk[owner == b]) for b in range(13)) >= 2
+    alpha, beta, gamma = block_moments(ce, u, w)
+    for got, f in ((alpha, u * w), (beta, np.abs(u) ** 2), (gamma, np.abs(w) ** 2)):
+        expected = block_averages(ce, f)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    assert (alpha[:3] == 0).all() and (beta[[0, 2]] == 0).all() and (gamma[1:3] == 0).all()
+    st = symbols(ce, Mfunc(w), Mfunc(u))
+    assert st.in_S.tolist() == [b not in (0, 2) for b in range(13)]
+    assert st.in_G.tolist() == [b not in (1, 2) for b in range(13)]

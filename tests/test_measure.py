@@ -138,6 +138,20 @@ def test_make_partition_rejects_out_of_range():
         make_partition(space, [[0, 1, 2, 3], []])
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ([2, 1], "the block sizes add up to 3 but 4 atoms are listed"),
+        ([2, 3], "the block sizes add up to 5 but 4 atoms are listed"),
+        ([3, 2, -1], "block 2 has negative size -1"),
+    ],
+)
+def test_partition_rejects_sizes_that_do_not_split_the_atoms(sizes, message):
+    with pytest.raises(ValidationError) as info:
+        Partition([0, 1, 2, 3], sizes, 4)
+    assert str(info.value) == message
+
+
 def test_geometric_space_half():
     geo = geometric_space(0.5, 4)
     assert np.allclose(geo.space.weights, [0.5, 0.25, 0.125, 0.0625])
