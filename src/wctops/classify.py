@@ -90,7 +90,7 @@ def _default_tol(scale: float, power: float, what: str) -> float:
 def _symmetrize(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     adj = _adj(a)
     asym = _per_operand(np.abs(a - adj))
-    if np.any(asym > 1e-10 * scale):
+    if (asym > 1e-10 * scale).any():
         i = int(np.argmax(asym / scale))
         raise NumericError(
             f"defect matrix asymmetry {asym[i]:.3e} exceeds 1e-10 "
@@ -99,10 +99,18 @@ def _symmetrize(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return 0.5 * (a + adj)
 
 
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The read-only complex ``d x d`` identity."""
+    eye = np.eye(d, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(T^k)* T^k`` for k = 0..k_max as operands of a stack, with the
     entry scale of each.  NumericError when one of them overflows."""
-    powers = [np.broadcast_to(np.eye(t.shape[-1], dtype=complex), t.shape)]
+    powers = [np.broadcast_to(_identity(t.shape[-1]), t.shape)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k_max):
             powers.append(powers[-1] @ t)
@@ -159,7 +167,7 @@ def _quasi_defects(
     sandwich = _adj(t) @ defects @ t
     scale = np.maximum(np.maximum(scale_direct, _per_operand(np.abs(sandwich))), 1.0)
     dev = _per_operand(np.abs(direct - sandwich))
-    if np.any(dev > 1e-9 * scale):
+    if (dev > 1e-9 * scale).any():
         i = int(np.argmax(dev / scale))
         raise NumericError(
             f"quasi-defect formulas disagree by {dev[i]:.3e} at scale {scale[i]:.3e}"
@@ -265,7 +273,7 @@ class DefectOracle:
             evals, vecs = self._eig[0][i : i + 2], self._eig[1][i : i + 2]
             powers = _power_stack(evals, vecs, probes_p)
             d_evals, _ = _eigh_stack(powers[:, 0] - powers[:, 1])
-            lows = _per_operand(d_evals, np.min)
+            lows = _per_operand(d_evals, np.minimum)
             for p, p_tol, low in zip(probes_p, p_tols, lows.tolist()):
                 probes.append(
                     {

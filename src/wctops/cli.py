@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from itertools import chain
 from numbers import Integral
 from typing import Any, Sequence
@@ -229,10 +230,22 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _complex_pairs(z: np.ndarray) -> list[list[float]]:
+    """The ``[re, im]`` pair of every value of a complex array, read from
+    its float view."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The field names of a dataclass, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _fields(record) -> dict:
     """A dataclass record's fields by name: a shallow copy, so nested values
     are shared rather than recursively copied as ``dataclasses.asdict`` does."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
 def _mismatch(rec: MismatchRecord) -> dict:
@@ -339,9 +352,7 @@ class ProblemSpec:
             raise ValidationError(
                 f"spec field 'w' has {len(self.w)} values for {space.atom_count} atoms"
             )
-        u = Mfunc(np.array(self.u, dtype=complex))
-        w = Mfunc(np.array(self.w, dtype=complex))
-        return space, partition, u, w
+        return space, partition, Mfunc(self.u), Mfunc(self.w)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +499,7 @@ def _symbol_rows(ce: CondExp, st: SymbolTable) -> list[dict]:
     columns = zip(
         ce.partition.sizes.tolist(),
         ce.block_masses.tolist(),
-        np.stack((st.alpha.real, st.alpha.imag), -1).tolist(),
+        _complex_pairs(st.alpha),
         st.abs_alpha_sq.tolist(),
         st.beta.tolist(),
         st.gamma.tolist(),
@@ -543,8 +554,7 @@ def classify_operator(
                 "all_equal": nc.all_equal,
                 "properties": [_fields(c) for c in nc.properties],
             }
-        ev = oracle.spectrum
-        spec_list = np.stack((ev.real, ev.imag), -1).tolist()
+        spec_list = _complex_pairs(oracle.spectrum)
         ok, dist = spectrum_matches_range(oracle.spectrum, st.alpha)
         spectrum_match = {"ok": ok, "distance": dist}
     else:
@@ -814,10 +824,17 @@ def random_instance(
     With no explicit stratum: probability 1/4 each for the quasi stratum
     (``|E(uw)|`` normalized to 1 on the joint support) and the unimodular
     stratum (singleton partition, ``|u w| = 1``), else generic.  Raises
-    ``ValidationError`` when 500 draws of the quasi stratum all leave some
-    block average of ``u w`` too close to zero, which becomes likely past
-    a few hundred atoms.
+    ``ValidationError``, before anything is drawn, when the fewest blocks
+    of ``block_range`` exceed the fewest atoms of ``dim_range``, and when
+    500 draws of the quasi stratum all leave some block average of ``u w``
+    too close to zero, which becomes likely past a few hundred atoms.
     """
+    if block_range[0] > dim_range[0]:
+        raise ValidationError(
+            f"block count range {block_range[0]}:{block_range[1]} starts above "
+            f"the atom count range {dim_range[0]}:{dim_range[1]}: "
+            f"{dim_range[0]} atoms cannot form {block_range[0]} blocks"
+        )
     dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
     weights = rng.uniform(0.2, 2.0, dim)
     space = make_space(weights)

@@ -52,7 +52,7 @@ class CondExp:
                 f"space has {self.space.atom_count}"
             )
         masses = self.partition.block_sums(self.space.weights)
-        if np.any(masses <= 0.0):
+        if (masses <= 0.0).any():
             raise ValidationError("every block must carry positive mass")
         masses.setflags(write=False)
         object.__setattr__(self, "block_masses", masses)

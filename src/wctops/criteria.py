@@ -30,6 +30,7 @@ one row-wise sort, made only when the oracle's verdicts are given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,15 +85,16 @@ class SymbolTable:
     in_G: np.ndarray
     block_index: np.ndarray
 
-    @property
+    @cached_property
     def product(self) -> np.ndarray:
-        """``E(|u|^2) E(|w|^2)`` on each block."""
-        return self.beta * self.gamma
+        """``E(|u|^2) E(|w|^2)`` on each block, built once and kept read-only."""
+        return _read_only(self.beta * self.gamma)
 
-    @property
+    @cached_property
     def in_both(self) -> np.ndarray:
-        """Blocks in the joint support of ``E(|u|^2)`` and ``E(|w|^2)``."""
-        return self.in_S & self.in_G
+        """Blocks in the joint support of ``E(|u|^2)`` and ``E(|w|^2)``,
+        built once and kept read-only."""
+        return _read_only(self.in_S & self.in_G)
 
     def binomials(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
         """``binomial_table(abs_alpha_sq, m_max)``, built once per ``m_max``
@@ -101,8 +103,22 @@ class SymbolTable:
         if m_max not in tables:
             tables[m_max] = binomial_table(self.abs_alpha_sq, m_max)
             for table in tables[m_max]:
-                table.flags.writeable = False
+                _read_only(table)
         return tables[m_max]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _order_columns(m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only columns of the orders m = 1..m_max, of the exponents
+    k = 0..m_max, and of ``(-1)^m`` for each order."""
+    orders = _read_only(np.arange(1, m_max + 1)[:, None])
+    exponents = _read_only(np.arange(m_max + 1)[:, None])
+    return orders, exponents, _read_only((-1.0) ** orders)
 
 
 # an overflow is reported once, by the finiteness check, not also as
@@ -151,7 +167,7 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t_val, dtype=float)
     if (t < 0).any():
         raise ValidationError("t must be non-negative")
-    orders = np.arange(1, m_max + 1)[:, None]
+    orders, exponents, signs = _order_columns(m_max)
     with np.errstate(over="ignore"):
         size = np.maximum(1.0, (1.0 + t) ** orders)
     if not np.isfinite(size[-1]).all():
@@ -159,12 +175,12 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
             f"binomial sums of order {m_max} overflow at t = {float(t.max()):.3e}"
         )
     coef = _alternating_binomials(m_max)
-    powers = t ** np.arange(m_max + 1)[:, None]
+    powers = t ** exponents
     j = coef @ powers
     j_prime = coef[:, 1:] @ powers[:-1]
     # the elements of both sums and of both closed forms, checked in one pass
     closed = (t - 1.0) ** orders
-    rhs = np.concatenate((closed, closed - (-1.0) ** orders))
+    rhs = np.concatenate((closed, closed - signs))
     dev = np.abs(np.concatenate((j, t * j_prime)) - rhs)
     bad = (dev > 1e-12 * np.concatenate((size, size))).any(axis=1)
     if bad.any():
@@ -396,10 +412,10 @@ def audit_rows(
     quasi_residuals = _quasi_residuals(st, j).tolist()
     quasi_paper_residual = _quasi_paper_residual(st)
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
-    # equals (-1)^(m+1)
+    # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
-    targets = (-1.0) ** np.arange(m_max)[:, None]
-    m_iso_residuals = np.abs(values - targets).max(axis=1).tolist()
+    signs = _order_columns(m_max)[2]
+    m_iso_residuals = np.abs(values + signs).max(axis=1).tolist()
     if verdicts:
         if len(verdicts) != m_max:
             raise ValidationError(f"{len(verdicts)} oracle verdicts for m_max {m_max}")

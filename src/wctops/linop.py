@@ -15,6 +15,7 @@ is ever built.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +31,12 @@ __all__ = ["Action", "wct_action"]
 # Seed of the random probes that read the rank-one cores: fixed, so that
 # every report is the same on every run.
 _PROBE_SEED = np.random.SeedSequence(20250923)
+
+# Rows of the probe block drawn once and kept read-only: at least the
+# matrix route's atom limit (``cli.MATRIX_LIMIT``, 600), in 48 KiB.  A draw of n rows from a
+# fresh ``PCG64(_PROBE_SEED)`` is the first n rows of any longer draw, so
+# slicing the block gives the probes a fresh draw would.
+_PROBE_ROWS = 1024
 
 
 class Action(NamedTuple):
@@ -122,13 +129,14 @@ def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
     stack is ``(1, k, 1, 1)``.  A third probe h checks the model
     (Freivalds): NumericError unless ``T h`` and ``sum_b y (z* h_b) / s``
     agree to 1e-10 of ``|T| |h|``, with ``|T|`` the largest block norm
-    ``|y| |z| / |s|``.  The probes come from a generator with a fixed seed,
-    so the cores are the same on every run.
+    ``|y| |z| / |s|``.  The probes are the first n rows of one read-only
+    block drawn once from a generator with a fixed seed (past the block's
+    rows, a fresh draw from that seed), so the cores are the same on every
+    run.
     """
     n, k, idx = partition.atom_count, partition.block_count, partition.block_index
     # complex Gaussian columns f, h and g
-    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
-    probes = rng.standard_normal((n, 6)).view(complex)
+    probes = _probe_block()[:n] if n <= _PROBE_ROWS else _draw_probes(n)
     f, h = probes[:, 0], probes[:, 1]
     y, th = T.apply(probes[:, :2]).T
     z = T.apply_adj(probes[:, 2:])[:, 0]
@@ -166,14 +174,31 @@ def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
     return cores, n - 2 * k
 
 
+def _draw_probes(rows: int) -> np.ndarray:
+    """``rows`` rows of three complex Gaussian probes from a fresh
+    ``PCG64(_PROBE_SEED)``: shape ``(rows, 3)``."""
+    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
+    return rng.standard_normal((rows, 6)).view(complex)
+
+
+@lru_cache(maxsize=None)
+def _probe_block() -> np.ndarray:
+    """The first ``_PROBE_ROWS`` rows of probes, drawn on first use and
+    read-only."""
+    block = _draw_probes(_PROBE_ROWS)
+    block.flags.writeable = False
+    return block
+
+
 def _adj(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack array."""
     return a.conj().swapaxes(-1, -2)
 
 
-def _per_operand(a: np.ndarray, reduce=np.max) -> np.ndarray:
-    """``reduce`` of each operand of a stack over all its entries: shape ``(r,)``."""
-    return reduce(a, axis=tuple(range(1, a.ndim)))
+def _per_operand(a: np.ndarray, reduce: np.ufunc = np.maximum) -> np.ndarray:
+    """The ``reduce`` ufunc's reduction of each operand of a stack over all
+    its entries: shape ``(r,)``."""
+    return reduce.reduce(a, axis=tuple(range(1, a.ndim)))
 
 
 def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +215,7 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(scale).all():
         raise NumericError("matrix has non-finite entries: the terms that built it overflow")
     asym = _per_operand(np.abs(a - adj))
-    if np.any(asym > 1e-10 * scale):
+    if (asym > 1e-10 * scale).any():
         i = int(np.argmax(asym / scale))
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
@@ -204,8 +229,8 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # spectral norm of a Hermitian matrix is its largest |eigenvalue|; the
     # Frobenius norm bounds the spectral norm of the error from above
     norm_a = _per_operand(np.abs(evals))
-    err = np.sqrt(_per_operand(np.abs(herm - _from_eig(evals, vecs)) ** 2, np.sum))
-    if np.any(err > 1e-9 * np.maximum(1.0, norm_a)):
+    err = np.sqrt(_per_operand(np.abs(herm - _from_eig(evals, vecs)) ** 2, np.add))
+    if (err > 1e-9 * np.maximum(1.0, norm_a)).any():
         raise NumericError(
             f"eigendecomposition reconstruction error {err.max():.3e} exceeds tolerance"
         )
@@ -227,8 +252,8 @@ def _power_stack(
     to zero; a genuinely negative eigenvalue is rejected.
     """
     band = 1e-10 * np.maximum(1.0, _per_operand(np.abs(evals)))
-    smallest = _per_operand(evals, np.min)
-    if np.any(smallest < -band):
+    smallest = _per_operand(evals, np.minimum)
+    if (smallest < -band).any():
         raise ValidationError(
             f"matrix is not positive semidefinite: eigenvalue {smallest.min():.3e}"
         )

@@ -216,7 +216,7 @@ class Mfunc:
         v = np.array(self.values, dtype=complex).reshape(-1)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             i = int(np.flatnonzero(~np.isfinite(v))[0])
             raise ValidationError(f"function value at index {i} is not finite")
         v.setflags(write=False)
@@ -228,7 +228,7 @@ class Mfunc:
 
 def make_space(weights: Sequence[float] | np.ndarray) -> MeasureSpace:
     """Validate a list of atom masses into a MeasureSpace."""
-    return MeasureSpace(np.asarray(weights, dtype=float))
+    return MeasureSpace(weights)
 
 
 def make_partition(

@@ -619,6 +619,29 @@ def test_main_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "count,dims,blocks", [("3", "2:2", "3:3"), ("50", "2:10", "3:4")]
+)
+def test_main_blocks_above_the_smallest_dims(capsys, count, dims, blocks):
+    code = main(["random-suite", "--count", count, "--dims", dims, "--blocks", blocks])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"range {blocks} " in err and f"range {dims}:" in err
+
+
+def test_random_instance_refuses_blocks_above_the_smallest_dims_before_drawing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="block count range 3:4"):
+        random_instance(rng, (2, 10), (3, 4))
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValidationError, match="atom count range 2:10"):
+        suite_instances(5, (2, 10), (3, 4))
+    # a block range that starts at the smallest atom count still draws
+    assert len(suite_instances(20, (3, 10), (3, 4))) == 22
+
+
 def test_main_exit_code_on_mismatch(monkeypatch, capsys):
     import wctops.cli as cli_mod
 
@@ -748,6 +771,26 @@ def test_classify_operator_runs_two_eigensolve_rounds(monkeypatch):
         assert len(calls) == 2, calls
 
 
+def test_repeated_reports_draw_no_new_probes(monkeypatch):
+    # the probes are sliced from one block drawn once, so a report at an
+    # atom count already seen constructs no generator
+    instances = suite_instances(30, seed=11)
+    for inst in instances:
+        classify_operator(inst.space, inst.partition, inst.u, inst.w)
+    made = []
+    original = np.random.Generator
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    for inst in instances:
+        report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
+        assert report.matrix_route
+    assert made == []
+
+
 def test_classify_operator_at_scale_leaves_the_block_tuples_unbuilt():
     grid = grid_space(100, 10000)
     u = Mfunc(grid.y ** (grid.x / 8.0))
@@ -768,3 +811,31 @@ def test_main_example_b_rejects_underflowing_masses(capsys, p, n_atoms, limit):
         f"error: with p={p} the masses p*(1-p)**(n-1) underflow to 0 past "
         f"n_atoms={limit}; got n_atoms={n_atoms}\n"
     )
+
+
+def test_fields_match_the_dataclass_fields_in_order():
+    from dataclasses import fields
+
+    from wctops.criteria import MismatchRecord, audit_agreement, normal_case_equivalence
+
+    def by_fields(rec):
+        return {f.name: getattr(rec, f.name) for f in fields(rec)}
+
+    records = []
+    for inst in (fixture_projection(), fixture_support_gap()):
+        audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
+        records += [*audit.verdicts, *audit.rows, *audit.divergences]
+    normal = random_instance(np.random.default_rng(5), stratum="unimodular")
+    audit = audit_agreement(normal.cond_exp(), normal.w, normal.u, 4)
+    tol = audit.oracle.normality()["tol"]
+    records += normal_case_equivalence(audit.symbols, audit.oracle, 4, tol).properties
+    kinds = {type(rec).__name__ for rec in records}
+    assert kinds == {"DefectVerdict", "AuditRow", "DivergenceRecord", "PropertyCheck"}
+    for rec in records:
+        got = cli_mod._fields(rec)
+        assert got == by_fields(rec) and list(got) == list(by_fields(rec))
+
+    rec = MismatchRecord((0.5, 0.5), ((0,), (1,)), (1 + 2j, 3.0), (0.5j, -1.0), 2, 0.25, 0.0)
+    expected = {**by_fields(rec), "u": [[1.0, 2.0], [3.0, 0.0]], "w": [[0.0, 0.5], [-1.0, 0.0]]}
+    got = cli_mod._mismatch(rec)
+    assert got == expected and list(got) == list(expected)

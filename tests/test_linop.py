@@ -3,8 +3,10 @@ import pytest
 
 from dense_reference import wct_matrix
 from wctops import (
+    Action,
     CondExp,
     Mfunc,
+    Partition,
     ValidationError,
     block_averages,
     make_partition,
@@ -12,7 +14,8 @@ from wctops import (
     singleton_blocks,
     wct_action,
 )
-from wctops.linop import _eigh_stack, _power_stack
+from wctops import linop
+from wctops.linop import _eigh_stack, _power_stack, _rank_one_cores
 from conftest import dense, mf, random_instances, wct_oracle
 
 
@@ -250,3 +253,53 @@ def test_hermitian_power_rejects_negative_matrix():
         _power_stack(evals, vecs, [0.5])
     with pytest.raises(ValidationError):
         _oracle(_singletons([0.5, 0.5]), mf([1, 1]), mf([1, 1])).normality((0.0,))
+
+
+def _paired_action(n):
+    """The action of ``w E(u f)`` on n atoms in blocks of two (and a last
+    singleton when n is odd), with fixed random weights and symbols."""
+    rng = np.random.default_rng(n)
+    space = make_space(rng.uniform(0.2, 2.0, n))
+    partition = Partition.from_labels(np.arange(n) // 2)
+    u, w = (Mfunc(rng.standard_normal((n, 2)) @ [1, 1j]) for _ in range(2))
+    return wct_action(CondExp(space, partition), w, u), partition
+
+
+@pytest.mark.parametrize("n", [1, 2, 599, 600, 601, linop._PROBE_ROWS + 1])
+def test_rank_one_cores_probes_are_a_fresh_fixed_seed_draw(n):
+    T, partition = _paired_action(n)
+    seen = []
+
+    def record(apply):
+        def recorded(x):
+            seen.append(np.array(x))
+            return apply(x)
+
+        return recorded
+
+    _rank_one_cores(Action(record(T.apply), record(T.apply_adj)), partition)
+    rng = np.random.Generator(np.random.PCG64(linop._PROBE_SEED))
+    fresh = rng.standard_normal((n, 6)).view(complex)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], fresh[:, :2]) and np.array_equal(seen[1], fresh[:, 2:])
+
+
+def test_probe_block_is_read_only():
+    block = linop._probe_block()
+    assert block.shape == (linop._PROBE_ROWS, 3) and block.nbytes < 100_000
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        block[:5][0, 0] = 1.0
+
+
+def test_rank_one_cores_repeat_byte_for_byte():
+    T, partition = _paired_action(7)
+    first, zeros = _rank_one_cores(T, partition)
+    again, _ = _rank_one_cores(T, partition)
+    # a call at another atom count in between leaves the probes untouched
+    _rank_one_cores(*_paired_action(12))
+    _rank_one_cores(*_paired_action(linop._PROBE_ROWS + 1))
+    last, last_zeros = _rank_one_cores(T, partition)
+    assert first.tobytes() == again.tobytes() == last.tobytes()
+    assert zeros == last_zeros == 7 - 2 * 4
