@@ -20,7 +20,7 @@ from .criteria import (
     essential_range,
     j_double_prime_m,
     normal_case_equivalence,
-    spectrum_matches_range,
+    spectrum_deviation,
     symbols,
 )
 from .errors import NumericError, ValidationError

@@ -24,9 +24,9 @@ Both the lanes cut from a block and the lane padded onto a singleton are
 kernel directions of ``T`` and ``T*``.  Each carries ``B_m = (-1)^m`` and a
 zero ``T* B_m T``, commutator and p-power difference, and every rank-one
 core already has such a kernel direction, so these values change no norm,
-negative part, scale or check.  ``spectrum`` adds back the n - 2k zeros of
-the cut lanes, or drops the 2k - n zeros of the padding when there are
-more of those.  Every check runs on every block with the scale of the
+negative part, scale or check.  ``spectrum`` reads each block's eigenvalue
+from its core's diagonal, one per block; the other n - k eigenvalues of
+``T`` are zero.  Every check runs on every block with the scale of the
 whole operator.
 
 The oracle solves its Hermitian operands in two eigensolve rounds.  The
@@ -49,7 +49,6 @@ from .linop import (
     Action,
     _adj,
     _eigh_stack,
-    _eigvals_stack,
     _per_operand,
     _power_stack,
     _rank_one_cores,
@@ -192,7 +191,7 @@ class DefectOracle:
         if m_max < 0:
             raise ValidationError(f"m_max must be >= 0, got {m_max}")
         self.m_max = m_max
-        self._t, self._left_out_zeros = _rank_one_cores(T, partition)
+        self._t = _rank_one_cores(T, partition)
         self._grams, self._scales = _gram_stack(self._t, m_max + 1)
 
     @cached_property
@@ -226,10 +225,14 @@ class DefectOracle:
         evals = self._eig[0][2 * self.m_max + 2]
         return float(np.abs(evals).max()), max(0.0, -float(evals.min()))
 
-    @cached_property
+    @property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of ``T`` with multiplicity, sorted by (real, imaginary) part."""
-        return _eigvals_stack(self._t, self._left_out_zeros)
+        """The eigenvalue of each block's rank-one core, in block order: a
+        read-only array of k values.  The other n - k eigenvalues of ``T``
+        are zero."""
+        values = self._t[0, :, 0, 0]
+        values.flags.writeable = False
+        return values
 
     def verdicts(self, tol: float | None = None) -> list[DefectVerdict]:
         """Defect verdicts for m = 1..m_max.

@@ -55,7 +55,7 @@ __all__ = [
     "normal_case_equivalence",
     "audit_agreement",
     "essential_range",
-    "spectrum_matches_range",
+    "spectrum_deviation",
 ]
 
 # Support is decided relative to the largest block value, so that the
@@ -509,7 +509,8 @@ def audit_agreement(
 def essential_range(
     values: np.ndarray, dedup_tol: float = DEDUP_EPS
 ) -> tuple[complex, ...]:
-    """Attained values of a function deduplicated to ``dedup_tol``.
+    """Attained values of a function deduplicated to ``dedup_tol`` times
+    their largest modulus, so that the result scales with the values.
 
     ``values`` is the array of the function's values, on the atoms or, for
     a block-constant symbol, one per block, such as ``SymbolTable.alpha``.
@@ -517,34 +518,26 @@ def essential_range(
     and the essential range coincide.
     """
     vals = np.asarray(values, dtype=complex)
+    tol = dedup_tol * float(np.abs(vals).max(initial=0.0))
     vals = vals[np.lexsort((vals.imag, vals.real))]
     out: list[complex] = []
     for v in vals.tolist():
-        if not out or abs(v - out[-1]) > dedup_tol:
+        if not out or abs(v - out[-1]) > tol:
             out.append(v)
     return tuple(out)
 
 
-def spectrum_matches_range(
-    ev: np.ndarray, e_uw: np.ndarray, match_tol: float = 1e-8
-) -> tuple[bool, float]:
-    """Compare the nonzero eigenvalues ``ev`` of ``T`` with the nonzero
-    values of ``E(uw)``.
+def spectrum_deviation(oracle: DefectOracle, alpha: np.ndarray) -> float:
+    """``max_b |lambda_b - alpha_b| / |T|``: how far the eigenvalue of each
+    block's core, ``oracle.spectrum``, lies from that block's ``E(uw)``
+    (``SymbolTable.alpha``), relative to the operator norm.
 
-    ``e_uw`` holds the values of ``E(uw)``, on the atoms or one per block
-    (``SymbolTable.alpha``).  Returns the matching distance (largest
-    distance from either set to the other, after dropping values of modulus
-    <= ``match_tol``) and whether it stays within ``match_tol``.
+    The two sides are computed independently, from three matvecs of ``T``
+    and from ``condexp.block_moments``, and compared block by block, so a
+    repeated value counts once per block.  0 when they agree exactly, as
+    when both are all zero; infinite for any other deviation at ``|T| = 0``.
     """
-    ev = np.asarray(ev)
-    ev = ev[np.abs(ev) > match_tol]
-    attained = np.unique(np.asarray(e_uw, dtype=complex))
-    attained = attained[np.abs(attained) > match_tol]
-    if not ev.size and not attained.size:
-        return True, 0.0
-    if not ev.size or not attained.size:
-        present = ev if ev.size else attained
-        return False, float(np.abs(present).max())
-    gaps = np.abs(ev[:, None] - attained[None, :])
-    dist = float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
-    return dist <= match_tol, dist
+    dev = float(np.abs(oracle.spectrum - alpha).max(initial=0.0))
+    if dev == 0.0:
+        return 0.0
+    return dev / oracle.norm if oracle.norm > 0 else float("inf")

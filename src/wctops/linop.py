@@ -103,19 +103,20 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # ``B_m`` already has norm at least one on the core (its Rayleigh quotient
 # there is ``(-1)^m``), and the commutator and every p-power difference are
 # trace-zero on each core, so their smallest eigenvalue is already at most
-# zero.  No norm, negative part, scale or check moves; the spectrum gains
-# the n - 2k zeros of the cut lanes, or loses 2k - n zeros of the padding
-# when that is negative.  An operator of singleton blocks only keeps its
+# zero.  No norm, negative part, scale or check moves.  The nonzero
+# eigenvalue of block b, if any, is its core's ``lam``: the spectrum of
+# ``T`` is the k values ``lam`` and n - k zeros, one for each of a block's
+# d_b - 1 other lanes.  An operator of singleton blocks only keeps its
 # 1x1 stack: it may be injective (a unitary), and a kernel lane would give
 # it a spurious ``|B_m| = 1``.
 
 
 # an overflow in the matvecs is reported once, by the probe check
 @np.errstate(over="ignore", invalid="ignore")
-def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
+def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     """The core of every rank-one block of ``T`` as a one-operand stack, read
-    from three matvecs, and the number of zero eigenvalues the stack leaves
-    out (negative when its padding adds zeros).
+    from three matvecs.  Entry ``[0, b, 0, 0]`` is block b's eigenvalue
+    ``z* y / s``; the block's other d_b - 1 eigenvalues are zero.
 
     On block b, ``T_b = a c*``, so for probes f and g the block parts
     ``y = (T f)_b = a (c* f_b)`` and ``z = (T* g)_b = c (a* g_b)`` give
@@ -166,12 +167,12 @@ def _rank_one_cores(T: Action, partition: Partition) -> tuple[np.ndarray, int]:
 
     single = partition.sizes == 1
     if single.all():
-        return value[None, :, None, None], 0
+        return value[None, :, None, None]
     cores = np.zeros((1, k, 2, 2), dtype=complex)
     cores[0, :, 0, 0] = value
     # a singleton's corner is the roundoff of z - q1 (q1* z): pad it exactly
     cores[0, :, 0, 1] = np.where(single, 0.0, corner)
-    return cores, n - 2 * k
+    return cores
 
 
 def _draw_probes(rows: int) -> np.ndarray:
@@ -261,19 +262,3 @@ def _power_stack(
     # powers cannot amplify kernel perturbations
     clamped = np.where(evals < band[:, None, None], 0.0, evals)
     return _from_eig(clamped ** np.reshape(ps, (-1, 1, 1, 1)), vecs)
-
-
-def _eigvals_stack(a: np.ndarray, zeros: int = 0) -> np.ndarray:
-    """Eigenvalues of a one-operand stack with multiplicity, sorted by (real,
-    imaginary) part: with ``zeros`` more exact zeros, or, when ``zeros`` is
-    negative, ``-zeros`` fewer eigenvalues of the smallest modulus."""
-    try:
-        ev = np.linalg.eigvals(a).ravel()
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    if zeros > 0:
-        ev = np.concatenate([ev, np.zeros(zeros, complex)])
-    elif zeros < 0:
-        ev = ev[np.argsort(np.abs(ev), kind="stable")[-zeros:]]
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]

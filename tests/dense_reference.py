@@ -39,6 +39,13 @@ def power(h, p):
     return (vecs * evals**p) @ vecs.conj().T
 
 
+def sorted_spectrum(values, zeros):
+    """The multiset ``values`` with ``zeros`` more exact zeros, sorted by
+    (real, imaginary) part as ``oracle`` sorts its spectrum."""
+    ev = np.concatenate([np.asarray(values, dtype=complex), np.zeros(zeros, complex)])
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
 def oracle(t, m_max, probes_p=()):
     """The oracle's numbers for the matrix ``t``: its norm, the norms of
     ``B_m`` and ``T* B_m T`` for m = 1..m_max, the norm and negative part of

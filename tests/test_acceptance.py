@@ -20,7 +20,7 @@ from wctops import (
     make_space,
     normal_case_equivalence,
     singleton_blocks,
-    spectrum_matches_range,
+    spectrum_deviation,
     symbols,
     wct_action,
 )
@@ -386,9 +386,9 @@ def test_criterion_8_structural_invariants(audited_suite):
                 if qn[m - 1] > 1e-9 * max(1.0, nrm ** (2 * m)):
                     failures.append(f"{inst.label}: quasi persistence m={m}")
 
-        # nonzero spectrum equals nonzero attained conditional values
-        ok, dist = spectrum_matches_range(oracle.spectrum, e_uw)
-        if not ok:
+        # each block's eigenvalue equals its conditional value E(uw)_b
+        dist = spectrum_deviation(oracle, symbols(ce, w, u).alpha)
+        if not dist <= 1e-8:
             failures.append(f"{inst.label}: spectrum mismatch distance {dist:.3e}")
     elapsed = time.perf_counter() - start
     if elapsed >= 120.0:

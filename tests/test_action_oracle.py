@@ -92,7 +92,7 @@ def test_reports_build_no_dense_matrix():
     ce, w, u = _parallel_operator()
     report = classify_operator(ce.space, ce.partition, u, w)
     assert report.matrix_route and report.normality["normal"]
-    assert len(report.spectrum) == ce.space.atom_count
+    assert len(report.spectrum) == 6 and report.spectrum_zeros == 25 - 6
     spec = ProblemSpec(
         weights=tuple(ce.space.weights.tolist()),
         blocks=ce.partition.blocks,
@@ -114,7 +114,8 @@ def test_reports_build_no_dense_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.matrix_route and len(report.spectrum) == DENSE_ATOMS
+    assert report.matrix_route and len(report.spectrum) == DENSE_ATOMS // 6
+    assert report.spectrum_zeros == DENSE_ATOMS - DENSE_ATOMS // 6
     assert peak < 16 * DENSE_ATOMS**2 / 2, f"allocations peaked at {peak} bytes"
 
 

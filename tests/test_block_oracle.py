@@ -22,7 +22,7 @@ from wctops import (
     make_partition,
     make_space,
 )
-from wctops.cli import suite_instances
+from wctops.cli import classify_operator, suite_instances
 from wctops.linop import _eigh_stack
 
 PROBES = (0.25, 0.5, 2.0)
@@ -64,9 +64,11 @@ def _assert_oracle_matches_dense(T, t, partition, m_max):
         assert probe["holds"] == (residual <= _default_tol(nrm, 2 * probe["p"]))
         assert _close(probe["residual"], residual, nrm ** (2 * probe["p"]))
 
+    # one eigenvalue per block; the other n - k are zero
     spec = oracle.spectrum
-    assert spec.shape == (len(t),)
-    assert np.abs(spec - ref["spectrum"]).max() <= REL * max(1.0, nrm)
+    assert spec.shape == (partition.block_count,)
+    full = dense_reference.sorted_spectrum(spec, len(t) - len(spec))
+    assert np.abs(full - ref["spectrum"]).max() <= REL * max(1.0, nrm)
 
 
 def test_block_oracle_matches_whole_matrix_on_random_suite():
@@ -75,10 +77,9 @@ def test_block_oracle_matches_whole_matrix_on_random_suite():
         _assert_oracle_matches_dense(matrix_action(t), t, inst.partition, 4)
 
 
-def _spec_operator(rng, sizes, u_of_w=None):
+def _spec_parts(rng, sizes, u_of_w=None):
     """A random operator on ``sum(sizes)`` atoms, blocks of the given sizes
-    laid over a shuffled atom order: the action of its dense matrix, that
-    matrix and the partition.
+    laid over a shuffled atom order: its space, partition, ``w`` and ``u``.
     ``u_of_w(w, partition)`` gives ``u`` values in place of random ones."""
     n = int(sum(sizes))
     space = make_space(rng.uniform(0.2, 2.0, n))
@@ -91,8 +92,28 @@ def _spec_operator(rng, sizes, u_of_w=None):
 
     w = values()
     u = values() if u_of_w is None else u_of_w(w, partition)
-    t = dense(CondExp(space, partition), Mfunc(w), Mfunc(u))
+    return space, partition, Mfunc(w), Mfunc(u)
+
+
+def _dense_operator(space, partition, w, u):
+    """The action of the dense matrix of ``f -> w E(u f)``, that matrix and
+    the partition."""
+    t = dense(CondExp(space, partition), w, u)
     return matrix_action(t), t, partition
+
+
+def _spec_operator(rng, sizes, u_of_w=None):
+    """``_spec_parts``' operator as ``_dense_operator`` gives it."""
+    return _dense_operator(*_spec_parts(rng, sizes, u_of_w))
+
+
+def _assert_report_lists_blocks(parts, blocks, zeros):
+    """The report of ``_spec_parts``' operator lists ``blocks`` eigenvalues,
+    one per block, and counts the other ``zeros`` as ``spectrum_zeros``."""
+    space, partition, w, u = parts
+    report = classify_operator(space, partition, u, w, m_max=1)
+    assert len(report.spectrum) == blocks and report.spectrum_zeros == zeros
+    assert report.spectrum_match["ok"]
 
 
 @pytest.mark.parametrize(
@@ -131,27 +152,30 @@ def _zero_on_block(size):
     ids=["parallel", "zero-block", "dominant-180"],
 )
 def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
-    rng = np.random.default_rng(sum(sizes))
-    T, t, partition = _spec_operator(rng, sizes, u_of_w)
+    parts = _spec_parts(np.random.default_rng(sum(sizes)), sizes, u_of_w)
+    T, t, partition = _dense_operator(*parts)
     # every block becomes one 2x2 core of one array, a singleton's value
-    # padded with an exact zero lane, and the spectrum gets back the n - 2k
-    # zeros of the lanes cut from the blocks
+    # padded with an exact zero lane; the spectrum lists the k core values,
+    # and the report counts the n - k zeros of the other lanes
     oracle = DefectOracle(T, 1, partition)
     assert oracle._t.shape == (1, len(sizes), 2, 2)
     single = oracle._t[0, partition.sizes == 1]
     assert len(single) == sizes.count(1)
     assert np.count_nonzero(single[:, 1]) + np.count_nonzero(single[:, 0, 1]) == 0
-    assert oracle._left_out_zeros == sum(sizes) - 2 * len(sizes)
+    assert oracle.spectrum.shape == (len(sizes),)
+    _assert_report_lists_blocks(parts, len(sizes), sum(sizes) - len(sizes))
     _assert_oracle_matches_dense(T, t, partition, 3)
 
 
 def test_singletons_and_one_pair_drop_the_padding_zeros():
-    # 11 blocks in 12 atoms: 22 core lanes, so the spectrum drops 10 of the
-    # padding's zeros
-    T, t, partition = _spec_operator(np.random.default_rng(11), [1] * 10 + [2])
+    # 11 blocks in 12 atoms: 22 core lanes, of which the spectrum lists the
+    # 11 values and counts one zero, the pair's second lane
+    sizes = [1] * 10 + [2]
+    parts = _spec_parts(np.random.default_rng(11), sizes)
+    T, t, partition = _dense_operator(*parts)
     oracle = DefectOracle(T, 1, partition)
-    assert oracle._t.shape == (1, 11, 2, 2) and oracle._left_out_zeros == -10
-    assert oracle.spectrum.shape == (12,)
+    assert oracle._t.shape == (1, 11, 2, 2) and oracle.spectrum.shape == (11,)
+    _assert_report_lists_blocks(parts, 11, 1)
     _assert_oracle_matches_dense(T, t, partition, 4)
 
 
@@ -166,28 +190,35 @@ def test_injective_singletons_keep_a_one_by_one_stack():
     t = dense(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
     T = matrix_action(t)
     oracle = DefectOracle(T, 6, partition)
-    assert oracle._t.shape == (1, n, 1, 1) and oracle._left_out_zeros == 0
+    assert oracle._t.shape == (1, n, 1, 1)
     for v in oracle.verdicts():
         assert v.is_m_isometric and v.is_quasi_m_isometric, v
         assert v.defect_norm <= 1e-14
+    # n values and no zeros
     assert oracle.spectrum.shape == (n,)
+    report = classify_operator(space, partition, Mfunc(u), Mfunc(np.ones(n)), m_max=1)
+    assert report.spectrum_zeros == 0 and len(report.spectrum) == n
     _assert_oracle_matches_dense(T, t, partition, 6)
 
 
 @pytest.mark.parametrize(
     "sizes",
-    [[1, 2, 3, 7, 20], [2, 3]],  # 25 lanes cut from the blocks; one
+    # n - k = 28 zero eigenvalues, 24 of them on lanes cut from the cores;
+    # 3 zeros, one of them on a cut lane
+    [[1, 2, 3, 7, 20], [2, 3]],
     ids=["many-zeros", "one-zero"],
 )
 def test_spectrum_keeps_the_zeros_of_the_cut_blocks(sizes):
-    T, t, partition = _spec_operator(np.random.default_rng(13), sizes)
+    parts = _spec_parts(np.random.default_rng(13), sizes)
+    T, t, partition = _dense_operator(*parts)
     spec = DefectOracle(T, 1, partition).spectrum
-    assert spec.shape == (len(t),)
-    # each block is rank one: n - k eigenvalues vanish, and those of the
-    # d - 2 lanes cut from a block of size d vanish exactly
-    assert np.count_nonzero(spec == 0) >= sum(d - 2 for d in sizes if d >= 3)
-    tiny = np.abs(spec) <= 1e-12 * dense_reference.oracle(t, 0)["norm"]
-    assert np.count_nonzero(tiny) == len(t) - len(sizes)
+    assert spec.shape == (len(sizes),)
+    # each block is rank one: the n - k eigenvalues of its other lanes
+    # vanish, which the report counts, and none of the k listed does
+    _assert_report_lists_blocks(parts, len(sizes), sum(sizes) - len(sizes))
+    ref = dense_reference.oracle(t, 0)
+    assert np.count_nonzero(np.abs(ref["spectrum"]) <= 1e-12 * ref["norm"]) == len(t) - len(sizes)
+    assert np.count_nonzero(np.abs(spec) <= 1e-12 * ref["norm"]) == 0
 
 
 def test_rank_two_block_raises_numeric_error():

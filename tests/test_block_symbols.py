@@ -14,14 +14,16 @@ import wctops.condexp as condexp_mod
 import wctops.criteria as criteria_mod
 from wctops import (
     CondExp,
+    DefectOracle,
     Mfunc,
     ValidationError,
     essential_range,
     grid_space,
     make_partition,
     make_space,
-    spectrum_matches_range,
+    spectrum_deviation,
     symbols,
+    wct_action,
 )
 from wctops.cli import (
     classify_operator,
@@ -108,8 +110,9 @@ def test_block_symbols_match_exact_rationals():
                 )
 
 
-def _essential_range_loop(values, tol=1e-9):
+def _essential_range_loop(values, rel=1e-9):
     vals = sorted(values.tolist(), key=lambda z: (z.real, z.imag))
+    tol = rel * max(abs(z) for z in vals)
     out = []
     for v in vals:
         if not out or abs(v - out[-1]) > tol:
@@ -117,16 +120,12 @@ def _essential_range_loop(values, tol=1e-9):
     return tuple(out)
 
 
-def _spectrum_distance_loop(ev, e_uw, tol=1e-8):
-    ev = [z for z in ev.tolist() if abs(z) > tol]
-    attained = [z for z in e_uw.tolist() if abs(z) > tol]
-    if not ev and not attained:
-        return True, 0.0
-    if not ev or not attained:
-        return False, max(abs(z) for z in ev or attained)
-    d1 = max(min(abs(a - b) for b in attained) for a in ev)
-    d2 = max(min(abs(b - a) for a in ev) for b in attained)
-    return max(d1, d2) <= tol, max(d1, d2)
+def _spectrum_deviation_loop(oracle, alpha):
+    """``max_b |lambda_b - alpha_b| / |T|``, one block at a time."""
+    dev = max(abs(a - b) for a, b in zip(oracle.spectrum.tolist(), alpha.tolist()))
+    if dev == 0.0:
+        return 0.0
+    return dev / oracle.norm if oracle.norm > 0 else math.inf
 
 
 def test_range_and_spectrum_match_loop_references():
@@ -139,13 +138,16 @@ def test_range_and_spectrum_match_loop_references():
         ref = _essential_range_loop(e_uw)
         assert essential_range(e_uw) == ref
         assert essential_range(st.alpha) == ref
-        ev = np.linalg.eigvals(dense(ce, inst.w, inst.u))
-        ok, dist = _spectrum_distance_loop(ev, e_uw)
-        for attained in (e_uw, st.alpha):
-            # numpy's complex modulus may round differently from Python's
-            got_ok, got_dist = spectrum_matches_range(ev, attained)
-            assert got_ok == ok
-            assert got_dist == pytest.approx(dist, rel=8 * np.finfo(float).eps)
+        oracle = DefectOracle(wct_action(ce, inst.w, inst.u), 0, ce.partition)
+        dist = _spectrum_deviation_loop(oracle, st.alpha)
+        # numpy's complex modulus may round differently from Python's
+        got = spectrum_deviation(oracle, st.alpha)
+        assert got == pytest.approx(dist, rel=8 * np.finfo(float).eps)
+        assert got <= 1e-8
+        # each block's value is the trace of its block of the dense matrix
+        t = dense(ce, inst.w, inst.u)
+        traces = [np.trace(t[np.ix_(blk, blk)]) for blk in map(list, ce.partition.blocks)]
+        assert np.abs(oracle.spectrum - traces).max() <= 1e-12 * max(1.0, oracle.norm)
 
 
 def _faulty_blocks(n):

@@ -16,10 +16,10 @@ from wctops import (
     make_space,
     normal_case_equivalence,
     singleton_blocks,
-    spectrum_matches_range,
+    spectrum_deviation,
     symbols,
 )
-from wctops.cli import fixture_projection, fixture_support_gap
+from wctops.cli import classify_operator, fixture_projection, fixture_support_gap
 import dense_reference
 from conftest import dense, mf, random_instances, wct_oracle
 
@@ -289,16 +289,88 @@ def test_essential_range_dedup():
     assert len(values) == 3
 
 
-def test_spectrum_matches_range_positive(uniform4):
+@pytest.mark.parametrize("values", [[1e-9, 2e-9], [1e-10, 3e-10], [1e10, 3e10]])
+def test_essential_range_dedup_scales_with_the_values(values):
+    # the tolerance is relative to the largest modulus, so distinct small
+    # values stay apart and a relative 1e-12 change of large ones merges
+    values = np.array(values)
+    assert essential_range(values) == tuple(complex(v) for v in values)
+    assert essential_range(np.concatenate([values, values * (1 + 1e-12)])) == tuple(
+        complex(v) for v in values
+    )
+
+
+def _two_singletons(u, w):
+    space = make_space([0.5, 0.5])
+    partition = make_partition(space, singleton_blocks(2))
+    return space, partition, mf(u), mf(w)
+
+
+def test_spectrum_deviation_positive(uniform4):
     _, _, ce = uniform4
     u = mf([2, 0, 1, 1])
     w = mf([1, 1, 1, 1])
     st = symbols(ce, w, u)
-    spec = wct_oracle(ce, w, u, 0).spectrum
-    ok, dist = spectrum_matches_range(spec, st.alpha[st.block_index])
-    assert ok and dist < 1e-10
+    assert spectrum_deviation(wct_oracle(ce, w, u, 0), st.alpha) < 1e-10
 
 
-def test_spectrum_matches_range_detects_mismatch():
-    ok, dist = spectrum_matches_range(np.ones(2), np.array([2.0, 2.0]))
-    assert not ok and dist == pytest.approx(1.0)
+def test_spectrum_deviation_detects_mismatch():
+    # T is the identity on two atoms: each block's value 1 is 1 from 2,
+    # relative to |T| = 1
+    space, partition, u, w = _two_singletons([1.0, 1.0], [1.0, 1.0])
+    oracle = wct_oracle(CondExp(space, partition), w, u, 0)
+    assert spectrum_deviation(oracle, np.array([2.0, 2.0])) == pytest.approx(1.0)
+
+
+def test_spectrum_deviation_sees_block_order():
+    # the set {1, 3} matches {3, 1}; the blocks' values do not
+    space, partition, u, w = _two_singletons([1.0, 3.0], [1.0, 1.0])
+    ce = CondExp(space, partition)
+    oracle, st = wct_oracle(ce, w, u, 0), symbols(ce, w, u)
+    assert spectrum_deviation(oracle, st.alpha) < 1e-15
+    assert spectrum_deviation(oracle, st.alpha[::-1]) == pytest.approx(2.0 / 3.0)
+
+
+def test_spectrum_deviation_at_zero_norm():
+    space, partition, u, w = _two_singletons([0.0, 0.0], [1.0, 1.0])
+    oracle = wct_oracle(CondExp(space, partition), w, u, 0)
+    assert oracle.norm == 0.0
+    assert spectrum_deviation(oracle, np.zeros(2)) == 0.0
+    assert spectrum_deviation(oracle, np.array([0.0, 1e-300])) == np.inf
+
+
+def test_equal_block_values_are_each_listed(uniform4):
+    # both blocks of the averaging projection have E(uw) = 1: the spectrum
+    # lists the value twice, once per block, and the range once
+    space, partition, _ = uniform4
+    report = classify_operator(space, partition, mf(np.ones(4)), mf(np.ones(4)), m_max=1)
+    assert report.block_count == 2 and report.spectrum_zeros == 2
+    assert np.allclose([complex(*z) for z in report.spectrum], [1.0, 1.0], atol=1e-15)
+    assert report.essential_range == [[1.0, 0.0]]
+    assert report.spectrum_match["ok"] and report.spectrum_match["distance"] < 1e-15
+
+
+def test_nilpotent_block_has_value_zero():
+    # u = (1, 0), w = (0, 1) on one block: T != 0 maps the first atom onto
+    # the second, so T^2 = 0 and E(uw) = 0
+    space = make_space([0.5, 0.5])
+    partition = make_partition(space, [[0, 1]])
+    report = classify_operator(space, partition, mf([1.0, 0.0]), mf([0.0, 1.0]), m_max=1)
+    assert report.spectrum == [[0.0, 0.0]] and report.spectrum_zeros == 1
+    assert report.spectrum_match == {"ok": True, "distance": 0.0}
+    assert report.defect_verdicts[0]["defect_norm"] > 0.5
+
+
+@pytest.mark.parametrize(
+    "u,w", [([1e5, 3e5], [1e5, 1e5]), ([1e-9, 2e-9], [1.0, 1.0])],
+    ids=["diag(1e10, 3e10)", "diag(1e-9, 2e-9)"],
+)
+def test_spectrum_match_is_relative_to_the_norm(u, w):
+    # a match to an absolute 1e-8 would fail the first, exact spectrum and
+    # take every value of the second for zero
+    report = classify_operator(*_two_singletons(u, w), m_max=1)
+    expected = np.array(u) * np.array(w)
+    assert np.allclose([complex(*z) for z in report.spectrum], expected, rtol=1e-15, atol=0)
+    assert report.spectrum_zeros == 0
+    assert report.spectrum_match["ok"] and report.spectrum_match["distance"] < 1e-14
+    assert len(report.essential_range) == 2

@@ -32,7 +32,8 @@ PROJECTION_SPEC = {
 CLASSIFICATION_KEYS = {
     "atom_count", "block_count", "m_max", "matrix_route", "symbols",
     "defect_verdicts", "criteria", "normality", "normal_case", "spectrum",
-    "essential_range", "spectrum_match", "mismatches", "divergences", "notes",
+    "spectrum_zeros", "essential_range", "spectrum_match", "mismatches",
+    "divergences", "notes",
 }
 SYMBOL_ROW_KEYS = {"block", "atoms", "mass", "e_uw", "t", "e_u2", "e_w2", "product"}
 DEFECT_VERDICT_KEYS = {
@@ -88,7 +89,9 @@ def _check_classification(data, atoms):
         for probe in data["normality"]["p_hyponormal"]:
             assert set(probe) == {"p", "holds", "residual", "tol"}
         assert set(data["spectrum_match"]) == {"ok", "distance"}
-        assert len(data["spectrum"]) == atoms
+        # one eigenvalue per block, and the count of the other, zero ones
+        assert len(data["spectrum"]) == data["block_count"]
+        assert data["spectrum_zeros"] == atoms - data["block_count"]
     for d in data["divergences"]:
         assert set(d) == DIVERGENCE_KEYS
 
@@ -120,6 +123,7 @@ def test_classify_schema_symbol_only(tmp_path, capsys, monkeypatch):
     _check_classification(data, 4)
     assert data["defect_verdicts"] == []
     assert data["normality"] is None and data["spectrum"] is None
+    assert data["spectrum_zeros"] is None and data["spectrum_match"] is None
     assert len(data["notes"]) == 1
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wctops import Mfunc, make_partition, make_space
-from wctops.cli import random_instance
+from wctops.cli import classify_operator, random_instance
 from test_block_symbols import _verdicts
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,6 +37,32 @@ def test_verdicts_invariant_under_symmetries(seed, log_c, theta, log_s):
     assert gauge == base
     assert rotated == base
     assert rescaled == base
+
+
+def _spectrum_match(space, partition, u, w):
+    return classify_operator(space, partition, u, w, m_max=1).spectrum_match
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(
+    seed=st_.integers(0, 2**32 - 1),
+    log_c=st_.floats(-7.0, 7.0),
+    log_s=st_.floats(-3.0, 3.0),
+)
+def test_spectrum_match_invariant_under_gauge_and_mass_rescaling(seed, log_c, log_s):
+    # the match is relative to |T|, so what leaves T unchanged leaves it
+    # ok, at the roundoff of the two routes
+    inst = random_instance(np.random.default_rng(seed), (2, 6), (1, 3))
+    u, w = inst.u.values, inst.w.values
+    c = 10.0**log_c
+    space = make_space(inst.space.weights * 10.0**log_s)
+    matches = (
+        _spectrum_match(inst.space, inst.partition, inst.u, inst.w),
+        _spectrum_match(inst.space, inst.partition, Mfunc(u / c), Mfunc(w * c)),
+        _spectrum_match(space, make_partition(space, inst.partition.blocks), inst.u, inst.w),
+    )
+    for match in matches:
+        assert match["ok"] and match["distance"] <= 1e-14, match
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
