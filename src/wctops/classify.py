@@ -32,7 +32,9 @@ whole operator.
 The oracle solves its Hermitian operands in two eigensolve rounds.  The
 first solves ``B_1..B_m``, ``T* B_m T``, ``T* T``, ``T T*`` and the commutator
 in one call; the second solves the p-power differences, which are built
-from the first round's eigendecompositions of ``T* T`` and ``T T*``.
+from the first round's eigendecompositions of ``T* T`` and ``T T*``.  Every
+block is 1x1 or 2x2, so each round solves all blocks in closed form
+(``linop._eigh_small``), with the same checks and no LAPACK call.
 """
 
 from __future__ import annotations

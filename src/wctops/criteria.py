@@ -224,10 +224,14 @@ def _quasi_tol(st: SymbolTable, m: int) -> float:
     return _default_tol(float(st.product.max()), m, f"order {m}")
 
 
-def _attained_rows(values: np.ndarray, tol: float) -> list[tuple[float, ...]]:
-    """The values of each row, sorted and deduplicated to ``tol``."""
+def _attained_rows(values: np.ndarray, rel_tol: float) -> list[tuple[float, ...]]:
+    """The values of each row, sorted and deduplicated to ``rel_tol`` times
+    ``max(1, the row's largest modulus)``: the values grow like ``t^m``, so
+    an absolute tolerance would split their roundoff copies, while a row of
+    modulus at most 1 keeps the unit scale of the target ``(-1)^(m+1)``."""
     out = []
     for row in np.sort(values, axis=1).tolist():
+        tol = rel_tol * max(1.0, abs(row[0]), abs(row[-1]))
         kept = [row[0]]
         for v in row[1:]:
             if v - kept[-1] > tol:

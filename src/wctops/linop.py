@@ -82,10 +82,12 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # Every check reduces over all blocks of an operand, so its threshold is the
 # one the whole block-diagonal matrix would get; operands stacked along the
 # first axis keep their own checks, so any set of Hermitian operands of one
-# stack is solved in one ``eigh`` call.  ``classify.DefectOracle`` makes two
-# such calls per report: one for the defects, the sandwiched defects,
-# ``T* T``, ``T T*`` and the commutator, and one for the p-power differences
-# built from the first.
+# stack is solved in one ``_eigh_stack`` call.  Every block the oracle
+# builds is 1x1 or 2x2, so that call solves them all in closed form
+# (``_eigh_small``), with no LAPACK call and nothing that can fail to
+# converge.  ``classify.DefectOracle`` makes two such calls per report: one
+# for the defects, the sandwiched defects, ``T* T``, ``T T*`` and the
+# commutator, and one for the p-power differences built from the first.
 #
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
@@ -203,13 +205,16 @@ def _per_operand(a: np.ndarray, reduce: np.ufunc = np.maximum) -> np.ndarray:
 
 
 def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of every Hermitian operand of a stack, in one call.
+    """Eigendecomposition of every Hermitian operand of a stack of 1x1 or
+    2x2 blocks, in closed form (``_eigh_small``).
 
     Returns the ascending eigenvalues ``(r, k, d)`` and the eigenvectors
     ``(r, k, d, d)``.  An operand with a non-finite entry (an overflow in
     the terms that built it) is a NumericError.  Hermitian symmetry is
     checked relative to each operand's entry scale, and the reconstruction
-    ``V diag(lam) V*`` relative to its largest eigenvalue modulus.
+    ``V diag(lam) V*`` relative to its largest eigenvalue modulus.  A
+    Hermitian operand of blocks larger than 2x2 is a ValidationError:
+    ``_rank_one_cores`` builds none.
     """
     adj = _adj(a)
     scale = np.maximum(1.0, _per_operand(np.abs(a)))
@@ -222,25 +227,81 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian: max asymmetry {asym[i]:.3e} "
             f"at scale {scale[i]:.3e}"
         )
+    if a.shape[-1] > 2:
+        raise ValidationError(
+            f"the stack eigensolver takes 1x1 and 2x2 blocks, got {a.shape[-1]}x{a.shape[-1]}"
+        )
     herm = 0.5 * (a + adj)
-    try:
-        evals, vecs = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from exc
+    evals, vecs = _eigh_small(herm)
     # spectral norm of a Hermitian matrix is its largest |eigenvalue|; the
     # Frobenius norm bounds the spectral norm of the error from above
     norm_a = _per_operand(np.abs(evals))
     err = np.sqrt(_per_operand(np.abs(herm - _from_eig(evals, vecs)) ** 2, np.add))
-    if (err > 1e-9 * np.maximum(1.0, norm_a)).any():
+    # negated, so that a NaN error fails too
+    if not (err <= 1e-9 * np.maximum(1.0, norm_a)).all():
         raise NumericError(
             f"eigendecomposition reconstruction error {err.max():.3e} exceeds tolerance"
         )
     return evals, vecs
 
 
+def _eigh_small(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of every block of
+    a Hermitian stack of 1x1 or 2x2 blocks, in a fixed number of array
+    operations for the whole stack.
+
+    A 1x1 block is its real entry with eigenvector 1.  A 2x2 block
+    ``[[a, b], [conj(b), c]]`` is the symmetric Schur step (Golub and
+    Van Loan, *Matrix Computations*, 8.5; LAPACK's ``zlaev2``): with
+    ``h = a/2 - c/2``, ``mid = a/2 + c/2`` and ``r = hypot(h, |b|)`` the
+    eigenvalues are ``mid - r`` and ``mid + r``, halved before adding so
+    that no finite entry overflows.  The eigenvector of ``mid + r`` is
+    ``(r + |h|, conj(b))`` when ``h > 0`` and ``(b, r + |h|)`` otherwise,
+    which never cancels, normalised by ``hypot``; its partner is
+    ``(-conj(v2), conj(v1))``.  A multiple of the identity gets ``V = I``.
+    """
+    if herm.shape[-1] == 1:
+        return herm[..., 0].real, np.ones_like(herm)
+    half = 0.5 * np.diagonal(herm, axis1=-2, axis2=-1).real
+    h, mid = half[..., 0] - half[..., 1], half[..., 0] + half[..., 1]
+    b = herm[..., 0, 1]
+    mod = np.abs(b)
+    r = np.hypot(h, mod)
+    evals = np.empty(half.shape)
+    np.subtract(mid, r, out=evals[..., 0])
+    np.add(mid, r, out=evals[..., 1])
+    # p = 0 only for a multiple of the identity (h = b = 0), whose larger
+    # eigenvector is then taken as (0, 1)
+    p = r + np.abs(h)
+    flat = p == 0
+    p[flat] = 1.0
+    a_above = h > 0
+    v = np.empty(h.shape + (2,), dtype=complex)
+    v[..., 0] = np.where(a_above, p, b)
+    v[..., 1] = np.where(a_above, b.conj(), p)
+    # normalised as real pairs: numpy's complex division takes 1 / length,
+    # which overflows for a subnormal length
+    pairs = v.view(float)
+    pairs /= np.hypot(p, mod)[..., None]
+    v1, v2 = v[..., 0], v[..., 1]
+    vecs = np.empty(herm.shape, dtype=complex)
+    vecs[..., 0, 0] = np.where(flat, 1.0, -v2.conj())
+    vecs[..., 1, 0] = v1.conj()
+    vecs[..., 0, 1] = v1
+    vecs[..., 1, 1] = v2
+    return evals, vecs
+
+
 def _from_eig(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``V diag(lam) V*`` for every matrix in a stack array."""
-    return (vecs * evals[..., None, :]) @ _adj(vecs)
+    """``V diag(lam) V*`` for every matrix in a stack array, as the sum of
+    the d outer products ``lam_j v_j v_j*``: for 1x1 and 2x2 blocks this is
+    a few array products, where ``@`` makes one matrix product per block."""
+    scaled = vecs * evals[..., None, :]
+    conj = vecs.conj()
+    out = scaled[..., :, 0, None] * conj[..., None, :, 0]
+    for j in range(1, vecs.shape[-1]):
+        out += scaled[..., :, j, None] * conj[..., None, :, j]
+    return out
 
 
 def _power_stack(

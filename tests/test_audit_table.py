@@ -89,9 +89,11 @@ def test_table_catches_a_coefficient_off_by_one(monkeypatch, delta):
 
 
 def _dedup(values):
+    values = sorted(values.tolist())
+    tol = DEDUP_EPS * max([1.0] + [abs(v) for v in values])
     out = []
-    for v in sorted(values.tolist()):
-        if not out or abs(v - out[-1]) > DEDUP_EPS:
+    for v in values:
+        if not out or abs(v - out[-1]) > tol:
             out.append(v)
     return tuple(out)
 

@@ -244,16 +244,21 @@ def _hermitian_blocks(rng, r, k, d, scale):
 def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips):
     # operand 1 has a block of entry scale ~1e3 and one corrupted block of
     # scale ~1; the threshold 1e-10 * 1e3 = 1e-7 comes from the whole
-    # operand, exactly as for the assembled block-diagonal matrix
+    # operand, exactly as for the assembled block-diagonal matrix.  The
+    # blocks are 2x2, as every block the oracle builds is.  The corruption
+    # is an imaginary part on a diagonal entry, of asymmetry defect_size:
+    # both the Hermitian part that _eigh_stack solves and the lower
+    # triangle that eigvalsh reads drop it, so the two spectra agree to
+    # roundoff
     rng = np.random.default_rng(8)
-    big = _hermitian_blocks(rng, 2, 1, 4, 500.0)
-    small = _hermitian_blocks(rng, 2, 3, 4, 0.5)
-    small[1, 2, 0, 1] += defect_size
+    big = _hermitian_blocks(rng, 2, 1, 2, 500.0)
+    small = _hermitian_blocks(rng, 2, 3, 2, 0.5)
+    small[1, 2, 0, 0] += 0.5j * defect_size
     stack = np.concatenate([small, big], axis=1)
 
-    full = np.zeros((16, 16), dtype=complex)
+    full = np.zeros((8, 8), dtype=complex)
     for j, block in enumerate(stack[1]):
-        full[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = block
+        full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block
     if trips:
         with pytest.raises(ValidationError, match="not Hermitian"):
             _eigh_stack(stack)
@@ -264,3 +269,11 @@ def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips)
         whole = np.linalg.eigvalsh(full)
         union = np.sort(evals[1].ravel())
         assert np.abs(union - whole).max() <= REL * np.abs(whole).max()
+
+
+def test_stack_eigensolver_refuses_blocks_larger_than_two():
+    # the oracle's blocks are 1x1 or 2x2 cores; a clean Hermitian operand
+    # of 4x4 blocks passes the symmetry check and is then refused
+    stack = _hermitian_blocks(np.random.default_rng(9), 1, 3, 4, 1.0)
+    with pytest.raises(ValidationError, match="1x1 and 2x2 blocks"):
+        _eigh_stack(stack)

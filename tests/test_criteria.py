@@ -4,6 +4,7 @@ import pytest
 from wctops import (
     CondExp,
     Mfunc,
+    Partition,
     ValidationError,
     audit_agreement,
     audit_rows,
@@ -374,3 +375,19 @@ def test_spectrum_match_is_relative_to_the_norm(u, w):
     assert report.spectrum_zeros == 0
     assert report.spectrum_match["ok"] and report.spectrum_match["distance"] < 1e-14
     assert len(report.essential_range) == 2
+
+
+@pytest.mark.parametrize("c", [1.0, 1e5])
+def test_attained_values_dedup_scales_with_the_row(c):
+    # 50 blocks of three atoms with random masses and u = w = c: every
+    # E(uw) is c^2 up to roundoff, so each order attains one value, which
+    # grows like c^(2m+2); deduplicating to an absolute 1e-9 kept its
+    # roundoff copies apart at c = 1e5
+    rng = np.random.default_rng(0)
+    n = 150
+    space = make_space(rng.uniform(0.2, 2.0, n))
+    ce = CondExp(space, Partition.from_labels(np.arange(n) // 3))
+    u = w = Mfunc(np.full(n, c))
+    rows = audit_agreement(ce, w, u, 4).rows
+    assert [len(row.e_r) for row in rows] == [1, 1, 1, 1]
+    assert len(essential_range(symbols(ce, w, u).alpha)) == 1
