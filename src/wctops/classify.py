@@ -39,6 +39,7 @@ block is 1x1 or 2x2, so each round solves all blocks in closed form
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, isfinite
@@ -127,11 +128,16 @@ def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _alternating_binomials(m_max: int) -> np.ndarray:
     """The read-only ``(m_max, m_max + 1)`` matrix whose row m - 1 holds
-    ``(-1)^(m-k) C(m,k)`` for k = 0..m, and zeros past k = m."""
+    ``(-1)^(m-k) C(m,k)`` for k = 0..m, and zeros past k = m, from Pascal's
+    rule ``a(m, k) = a(m-1, k-1) - a(m-1, k)`` in exact integers.
+    NumericError when ``C(m_max, m_max // 2)`` is past the double range."""
+    if comb(m_max, m_max // 2) > sys.float_info.max:
+        raise NumericError(f"the binomial coefficients of order {m_max} overflow a double")
     coef = np.zeros((m_max, m_max + 1))
+    row = [1]
     for m in range(1, m_max + 1):
-        for k in range(m + 1):
-            coef[m - 1, k] = (-1) ** (m - k) * comb(m, k)
+        row = [left - right for left, right in zip([0, *row], [*row, 0])]
+        coef[m - 1, : m + 1] = row
     coef.flags.writeable = False
     return coef
 

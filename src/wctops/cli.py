@@ -118,7 +118,7 @@ def _parse_complex(value: Any, where: str) -> complex:
     )
 
 
-def _parse_reals(values: Any, name: str) -> tuple[float, ...]:
+def _parse_reals(values: Any, name: str) -> np.ndarray:
     """A spec field that is a list of real numbers, neither bools nor strings."""
     if not isinstance(values, list):
         raise ValidationError(f"spec field '{name}' must be a list of numbers")
@@ -129,7 +129,7 @@ def _parse_reals(values: Any, name: str) -> tuple[float, ...]:
                 f"spec field '{name}[{i}]': expected a number, got {v!r}"
             )
         reals.append(_to_float(v, f"spec field '{name}[{i}]'"))
-    return tuple(reals)
+    return np.array(reals)
 
 
 # The exact types of a JSON number.  A bool, a numpy scalar and any other
@@ -161,34 +161,32 @@ def _bulk_numbers(values: Any) -> np.ndarray | None:
     return array if flat is values else array.reshape(-1, 2)
 
 
-def _read_reals(values: Any, name: str) -> tuple[float, ...]:
+def _read_reals(values: Any, name: str) -> np.ndarray:
     """A list-of-reals spec field: in bulk, else by ``_parse_reals``."""
     array = _bulk_numbers(values)
-    if array is None or array.ndim != 1:
-        return _parse_reals(values, name)
-    return tuple(array.tolist())
+    return array if array is not None and array.ndim == 1 else _parse_reals(values, name)
 
 
-def _read_complex(values: list, name: str) -> tuple[complex, ...]:
+def _read_complex(values: list, name: str) -> np.ndarray:
     """A list-of-complex spec field: in bulk, else by ``_parse_complex``."""
     array = _bulk_numbers(values)
     if array is None:
-        return tuple(
-            _parse_complex(v, f"spec field '{name}[{i}]'") for i, v in enumerate(values)
+        return np.array(
+            [_parse_complex(v, f"spec field '{name}[{i}]'") for i, v in enumerate(values)]
         )
-    z = array.view(complex)[:, 0] if array.ndim == 2 else array.astype(complex)
-    return tuple(z.tolist())
+    return array.view(complex)[:, 0] if array.ndim == 2 else array.astype(complex)
 
 
-def _read_blocks(values: list) -> tuple[tuple[int, ...], ...]:
-    """The blocks of atom indices.  Lists of exact ints that fit an array
-    index are taken as they are; anything else is read block by block,
-    and the first bad block is named."""
+def _read_blocks(values: list) -> tuple[list[int], list[int]]:
+    """The atom indices of every block, one block after another, and the
+    block sizes.  Lists of exact ints that fit an array index are taken as
+    they are; anything else is read block by block, and the first bad block
+    is named."""
     if set(map(type, values)) == {list}:
         atoms = list(chain.from_iterable(values))
         if set(map(type, atoms)) <= {int}:
             if max(map(abs, atoms), default=0) <= sys.maxsize:
-                return tuple(map(tuple, values))
+                return atoms, list(map(len, values))
     blocks = []
     for b, blk in enumerate(values):
         if not isinstance(blk, list):
@@ -207,8 +205,8 @@ def _read_blocks(values: list) -> tuple[tuple[int, ...], ...]:
                 f"spec field 'blocks[{b}]': an atom index of {big[0].bit_length()} "
                 f"bits is out of range"
             )
-        blocks.append(tuple(blk))
-    return tuple(blocks)
+        blocks.append(blk)
+    return list(chain.from_iterable(blocks)), list(map(len, blocks))
 
 
 def _finite_positive(value: float, name: str) -> float:
@@ -224,10 +222,6 @@ def _is_integral(value: Any) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _complex_pairs(z: np.ndarray) -> list[list[float]]:
@@ -248,23 +242,39 @@ def _fields(record) -> dict:
     return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
-def _mismatch(rec: MismatchRecord) -> dict:
-    """A mismatch record's fields, with ``u`` and ``w`` as ``[re, im]`` pairs."""
+def _spec_fields(space: MeasureSpace, partition: Partition, u: Mfunc, w: Mfunc) -> dict:
+    """An operator's spec-file fields ``weights``, ``blocks``, ``u`` and ``w``,
+    with ``u`` and ``w`` as ``[re, im]`` pairs."""
     return {
-        **_fields(rec),
-        "u": [_complex_pair(z) for z in rec.u],
-        "w": [_complex_pair(z) for z in rec.w],
+        "weights": space.weights.tolist(),
+        "blocks": list(map(list, partition.blocks)),
+        "u": _complex_pairs(u.values),
+        "w": _complex_pairs(w.values),
     }
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A classification problem: space, partition, symbols, parameters."""
+def _mismatch(rec: MismatchRecord) -> dict:
+    """A mismatch record: the spec fields of its operator, which ``wctops
+    classify`` replays, then its order and its two numbers."""
+    return {
+        **_spec_fields(rec.space, rec.partition, rec.u, rec.w),
+        "m": rec.m,
+        "criterion_residual": rec.criterion_residual,
+        "oracle_norm": rec.oracle_norm,
+    }
 
-    weights: tuple[float, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    u: tuple[complex, ...]
-    w: tuple[complex, ...]
+
+@dataclass(frozen=True, eq=False)
+class ProblemSpec:
+    """A classification problem: space, partition, symbols, parameters.
+
+    ``from_dict`` reads a spec's lists straight into these objects, and
+    their checks end the reading; ``to_dict`` writes the spec back."""
+
+    space: MeasureSpace
+    partition: Partition
+    u: Mfunc
+    w: Mfunc
     m_max: int = 4
     tol: float | None = None
     probes_p: tuple[float, ...] = DEFAULT_PROBES
@@ -285,7 +295,7 @@ class ProblemSpec:
             if not isinstance(data[name], list) or not data[name]:
                 raise ValidationError(f"spec field '{name}' must be a non-empty list")
         weights = _read_reals(data["weights"], "weights")
-        blocks = _read_blocks(data["blocks"])
+        atoms, sizes = _read_blocks(data["blocks"])
         u = _read_complex(data["u"], "u")
         w = _read_complex(data["w"], "w")
         m_max = data.get("m_max", 4)
@@ -301,18 +311,20 @@ class ProblemSpec:
             if not _is_number(tol):
                 raise ValidationError(f"spec field 'tol' must be a number, got {tol!r}")
             tol = _finite_positive(_to_float(tol, "spec field 'tol'"), "spec field 'tol'")
-        probes_p = _read_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p")
+        probes_p = tuple(
+            _read_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p").tolist()
+        )
         for i, p in enumerate(probes_p):
             _finite_positive(p, f"spec field 'probes_p[{i}]'")
-        return cls(
-            weights=weights,
-            blocks=blocks,
-            u=u,
-            w=w,
-            m_max=m_max,
-            tol=tol,
-            probes_p=probes_p,
-        )
+        space = make_space(weights)
+        partition = Partition(atoms, sizes, space.atom_count)
+        for name, values in (("u", u), ("w", w)):
+            if values.size != space.atom_count:
+                raise ValidationError(
+                    f"spec field '{name}' has {values.size} values for "
+                    f"{space.atom_count} atoms"
+                )
+        return cls(space, partition, Mfunc(u), Mfunc(w), m_max, tol, probes_p)
 
     @classmethod
     def from_file(cls, path: str) -> "ProblemSpec":
@@ -332,27 +344,11 @@ class ProblemSpec:
 
     def to_dict(self) -> dict:
         return {
-            "weights": [float(v) for v in self.weights],
-            "blocks": [list(blk) for blk in self.blocks],
-            "u": [_complex_pair(z) for z in self.u],
-            "w": [_complex_pair(z) for z in self.w],
+            **_spec_fields(self.space, self.partition, self.u, self.w),
             "m_max": self.m_max,
             "tol": self.tol,
             "probes_p": list(self.probes_p),
         }
-
-    def build(self) -> tuple[MeasureSpace, Partition, Mfunc, Mfunc]:
-        space = make_space(self.weights)
-        partition = make_partition(space, self.blocks)
-        if len(self.u) != space.atom_count:
-            raise ValidationError(
-                f"spec field 'u' has {len(self.u)} values for {space.atom_count} atoms"
-            )
-        if len(self.w) != space.atom_count:
-            raise ValidationError(
-                f"spec field 'w' has {len(self.w)} values for {space.atom_count} atoms"
-            )
-        return space, partition, Mfunc(self.u), Mfunc(self.w)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +588,8 @@ def cmd_classify(spec: "ProblemSpec | str") -> ClassificationReport:
     """Classify the operator described by a problem spec (object or path)."""
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
-    space, partition, u, w = spec.build()
     return classify_operator(
-        space, partition, u, w, spec.m_max, spec.tol, spec.probes_p
+        spec.space, spec.partition, spec.u, spec.w, spec.m_max, spec.tol, spec.probes_p
     )
 
 
@@ -1030,9 +1025,8 @@ def cmd_sweep_m(spec: "ProblemSpec | str", m_max: int = 6) -> SweepReport:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
-    space, partition, u, w = spec.build()
-    T = wct_action(CondExp(space, partition), w, u)
-    dn, qn = DefectOracle(T, m_max, partition).defect_norms
+    T = wct_action(CondExp(spec.space, spec.partition), spec.w, spec.u)
+    dn, qn = DefectOracle(T, m_max, spec.partition).defect_norms
     rows = [
         {"m": m, "defect_norm": d, "quasi_defect_norm": q}
         for m, (d, q) in enumerate(zip(dn.tolist(), qn.tolist()), start=1)

@@ -38,7 +38,7 @@ from .classify import DefectOracle, DefectVerdict, _alternating_binomials, _defa
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
-from .measure import Mfunc, ensure_on_space
+from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
 
 __all__ = [
     "SymbolTable",
@@ -224,20 +224,25 @@ def _quasi_tol(st: SymbolTable, m: int) -> float:
     return _default_tol(float(st.product.max()), m, f"order {m}")
 
 
+def _dedup_sorted(values: list, tol: float) -> tuple:
+    """The sorted ``values``, each kept when it lies more than ``tol`` from
+    the last value kept."""
+    kept = values[:1]
+    for v in values[1:]:
+        if abs(v - kept[-1]) > tol:
+            kept.append(v)
+    return tuple(kept)
+
+
 def _attained_rows(values: np.ndarray, rel_tol: float) -> list[tuple[float, ...]]:
     """The values of each row, sorted and deduplicated to ``rel_tol`` times
     ``max(1, the row's largest modulus)``: the values grow like ``t^m``, so
     an absolute tolerance would split their roundoff copies, while a row of
     modulus at most 1 keeps the unit scale of the target ``(-1)^(m+1)``."""
-    out = []
-    for row in np.sort(values, axis=1).tolist():
-        tol = rel_tol * max(1.0, abs(row[0]), abs(row[-1]))
-        kept = [row[0]]
-        for v in row[1:]:
-            if v - kept[-1] > tol:
-                kept.append(v)
-        out.append(tuple(kept))
-    return out
+    return [
+        _dedup_sorted(row, rel_tol * max(1.0, abs(row[0]), abs(row[-1])))
+        for row in np.sort(values, axis=1).tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -355,14 +360,16 @@ class AuditRow:
     e_r: tuple[float, ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MismatchRecord:
-    """Counterexample data for a corrected-criterion/oracle disagreement."""
+    """Counterexample data for a corrected-criterion/oracle disagreement:
+    the audited operator's own space, partition and symbols, the order and
+    the two numbers that disagree."""
 
-    weights: tuple[float, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    u: tuple[complex, ...]
-    w: tuple[complex, ...]
+    space: MeasureSpace
+    partition: Partition
+    u: Mfunc
+    w: Mfunc
     m: int
     criterion_residual: float
     oracle_norm: float
@@ -484,15 +491,7 @@ def audit_agreement(
     verdicts = tuple(oracle.verdicts(tol))
     rows = audit_rows(st, m_max, tol, verdicts)
     mismatches = tuple(
-        MismatchRecord(
-            weights=tuple(ce.space.weights.tolist()),
-            blocks=ce.partition.blocks,
-            u=tuple(u.values.tolist()),
-            w=tuple(w.values.tolist()),
-            m=r.m,
-            criterion_residual=r.quasi_residual,
-            oracle_norm=r.oracle_quasi_norm,
-        )
+        MismatchRecord(ce.space, ce.partition, u, w, r.m, r.quasi_residual, r.oracle_quasi_norm)
         for r in rows
         if r.corrected_quasi != r.oracle_quasi
     )
@@ -523,12 +522,7 @@ def essential_range(
     """
     vals = np.asarray(values, dtype=complex)
     tol = dedup_tol * float(np.abs(vals).max(initial=0.0))
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    out: list[complex] = []
-    for v in vals.tolist():
-        if not out or abs(v - out[-1]) > tol:
-            out.append(v)
-    return tuple(out)
+    return _dedup_sorted(vals[np.lexsort((vals.imag, vals.real))].tolist(), tol)
 
 
 def spectrum_deviation(oracle: DefectOracle, alpha: np.ndarray) -> float:

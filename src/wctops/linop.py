@@ -151,7 +151,10 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     yy = yy.real
     # a zero block has y = z = 0, so s = 0 and z* y = 0: its core is zero
     inv_s = 1.0 / np.where(s != 0, s, np.inf)
-    proj = zy.conj() / np.where(yy > 0, yy, 1.0)
+    # numpy's complex division takes 1 / |y|^2, infinite for a subnormal
+    # |y|^2: such a block is first scaled by 2^54, exactly, on both sides
+    lift = np.where(yy < 2.0**-1022, 2.0**54, 1.0)
+    proj = (zy * lift).conj() / np.where(yy > 0, yy * lift, 1.0)
     rr = partition.block_sums(np.abs(z - y * proj[idx]) ** 2)
     value, corner = zy * inv_s, np.sqrt(yy * rr) * inv_s
 
@@ -159,9 +162,11 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     scale = float(np.sqrt((np.abs(value) ** 2 + np.abs(corner) ** 2).max()))
     miss = th - y * (zh * inv_s)[idx]
     residual = float(np.sqrt(np.vdot(miss, miss).real))
-    # negated, so that a NaN residual (an overflow in the matvecs) fails too
-    if not residual <= 1e-10 * scale * float(np.sqrt(np.vdot(h, h).real)):
-        fault = "is not rank one" if np.isfinite(residual) else "overflows"
+    # negated, so that a NaN residual (an overflow in the matvecs) fails too;
+    # an infinite scale would pass any residual, so it fails as well
+    bound = 1e-10 * scale * float(np.sqrt(np.vdot(h, h).real))
+    if not (residual <= bound and scale < np.inf):
+        fault = "is not rank one" if np.isfinite(residual + scale) else "overflows"
         raise NumericError(
             f"operator block {fault}: probe residual {residual:.3e} "
             f"at scale {scale:.3e}"

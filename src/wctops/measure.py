@@ -145,14 +145,13 @@ class Partition:
             and atoms.max() < n
         )
         if valid:
-            # n in-range entries form a permutation iff they cover every atom
-            covered = np.zeros(n, dtype=bool)
-            covered[atoms] = True
-            valid = covered.all()
+            # n in-range entries form a permutation iff they cover every
+            # atom, so one scatter gives both the coverage and the owners
+            owner = np.full(n, -1, dtype=np.intp)
+            owner[atoms] = block_of
+            valid = owner.min() >= 0
         if not valid:
             raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
-        owner = np.empty(n, dtype=np.intp)
-        owner[atoms] = block_of
         for name, a in (("atoms", atoms), ("sizes", sizes), ("block_index", owner)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)

@@ -93,12 +93,7 @@ def test_reports_build_no_dense_matrix():
     report = classify_operator(ce.space, ce.partition, u, w)
     assert report.matrix_route and report.normality["normal"]
     assert len(report.spectrum) == 6 and report.spectrum_zeros == 25 - 6
-    spec = ProblemSpec(
-        weights=tuple(ce.space.weights.tolist()),
-        blocks=ce.partition.blocks,
-        u=tuple(u.values.tolist()),
-        w=tuple(w.values.tolist()),
-    )
+    spec = ProblemSpec(space=ce.space, partition=ce.partition, u=u, w=w)
     assert [row["m"] for row in cmd_sweep_m(spec, 6).rows] == list(range(1, 7))
     suite = cmd_random_suite(count=20)
     assert suite.mismatch_count == 0 and len(suite.instance_rows) == 22
@@ -122,12 +117,7 @@ def test_reports_build_no_dense_matrix():
 def test_structured_classify_report_is_byte_stable(tmp_path, capsys):
     ce, w, u = _parallel_operator()
     path = tmp_path / "spec.json"
-    spec = ProblemSpec(
-        weights=tuple(ce.space.weights.tolist()),
-        blocks=ce.partition.blocks,
-        u=tuple(u.values.tolist()),
-        w=tuple(w.values.tolist()),
-    )
+    spec = ProblemSpec(space=ce.space, partition=ce.partition, u=u, w=w)
     path.write_text(json.dumps(spec.to_dict()))
     outputs = []
     for _ in range(2):

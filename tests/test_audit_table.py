@@ -75,6 +75,19 @@ def test_table_rejects_bad_inputs():
         binomial_table(np.array([1.0, 1e120]), 4)
 
 
+def test_alternating_binomials_are_the_rounded_exact_coefficients():
+    # every coefficient is (-1)^(m-k) C(m, k) rounded once, up to the last
+    # order whose largest coefficient, C(1029, 514), is below the double range
+    coef = criteria_mod._alternating_binomials(1029)
+    assert coef.shape == (1029, 1030) and not coef.flags.writeable
+    for m in (1, 2, 3, 10, 60, 61, 500, 1029):
+        expected = [float((-1) ** (m - k) * comb(m, k)) for k in range(m + 1)]
+        assert coef[m - 1, : m + 1].tolist() == expected
+        assert not coef[m - 1, m + 1 :].any()
+    with pytest.raises(NumericError, match="coefficients of order 1030 overflow"):
+        criteria_mod._alternating_binomials(1030)
+
+
 @pytest.mark.parametrize("delta", [1.0, -1.0])
 def test_table_catches_a_coefficient_off_by_one(monkeypatch, delta):
     t = np.array([0.0, 0.5, 1.0, 2.0, 3.9])

@@ -9,7 +9,15 @@ import pytest
 
 import wctops.cli as cli_mod
 from wctops import linop
-from wctops import DefectOracle, Mfunc, NumericError, ValidationError, grid_space
+from wctops import (
+    DefectOracle,
+    Mfunc,
+    NumericError,
+    ValidationError,
+    grid_space,
+    make_partition,
+    make_space,
+)
 from wctops.cli import (
     ProblemSpec,
     classify_operator,
@@ -45,14 +53,14 @@ def _write_spec(tmp_path, data, name="spec.json"):
 def test_spec_round_trip():
     spec = ProblemSpec.from_dict(EXAMPLE_B_SPEC)
     again = ProblemSpec.from_dict(spec.to_dict())
-    assert spec == again
+    assert spec.to_dict() == again.to_dict()
 
 
 def test_spec_accepts_bare_real_numbers():
     data = dict(EXAMPLE_B_SPEC)
     data["u"] = [1.0, 0.5, 1 / 3, 0.25]
     spec = ProblemSpec.from_dict(data)
-    assert spec.u[1] == 0.5 + 0j
+    assert spec.u.values[1] == 0.5 + 0j
 
 
 def test_spec_rejects_missing_and_unknown_fields():
@@ -100,7 +108,7 @@ def test_spec_rejects_atom_indices_that_are_not_integers(tmp_path, capsys, block
 
 def test_spec_accepts_integral_float_atom_indices():
     data = dict(EXAMPLE_B_SPEC, blocks=[[2.0], [0, 1.0, 3]])
-    assert ProblemSpec.from_dict(data).blocks == ((2,), (0, 1, 3))
+    assert ProblemSpec.from_dict(data).partition.blocks == ((2,), (0, 1, 3))
 
 
 @pytest.mark.parametrize(
@@ -198,8 +206,8 @@ def test_spec_reads_a_large_pair_form_spec_with_no_per_entry_call(monkeypatch):
     }
     spec = ProblemSpec.from_dict(data)
     assert calls == ["_is_integral"]  # once, for the scalar m_max
-    assert spec.u == tuple(complex(re, im) for re, im in data["u"])
-    assert spec.blocks == tuple(tuple(blk) for blk in data["blocks"])
+    assert tuple(spec.u.values.tolist()) == tuple(complex(re, im) for re, im in data["u"])
+    assert spec.partition.blocks == tuple(tuple(blk) for blk in data["blocks"])
 
 
 def test_spec_accepts_an_integral_float_m_max():
@@ -320,6 +328,41 @@ def test_main_overflow_exits_4_with_no_numpy_warning(tmp_path, capsys, name, com
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("exponent", [-77.6, -79.0, -80.7])
+def test_main_classifies_a_block_whose_probe_image_has_subnormal_norm(
+    tmp_path, capsys, exponent
+):
+    # |T f|^2 on block 0 is about s^4, a subnormal number: a complex division
+    # by it that takes its reciprocal gives an infinite core
+    s = 10.0**exponent
+    spec = {
+        "weights": [0.3, 0.2, 0.25, 0.25],
+        "blocks": [[0, 1], [2, 3]],
+        "u": [s, 2 * s, 1, 0.5],
+        "w": [3 * s, s, 1, 2],
+    }
+    assert main(["classify", _write_spec(tmp_path, spec), "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["spectrum_match"]["ok"] and data["mismatches"] == []
+    for verdict in data["defect_verdicts"]:
+        assert np.isfinite([verdict["defect_norm"], verdict["quasi_defect_norm"]]).all()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", None], ["sweep-m", None], ["example-b"], ["random-suite", "--count", "3"]],
+)
+def test_main_m_max_past_the_double_range_of_the_binomials_exits_4(tmp_path, capsys, argv):
+    # C(1030, 515) is past the double range; the unit-norm projection keeps
+    # every power of T finite, so the coefficients are what overflows
+    spec = {"weights": [0.25] * 4, "blocks": [[0, 1], [2, 3]], "u": [1] * 4, "w": [1] * 4}
+    argv = [a if a is not None else _write_spec(tmp_path, spec) for a in argv]
+    assert main([*argv, "--m-max", "1030"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: the binomial coefficients of order 1030 overflow a double\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("run", ["classify_operator", "cmd_sweep_m"])
 @pytest.mark.parametrize("name", sorted(WARNING_OVERFLOW_SPECS))
 def test_library_overflow_raises_numeric_error_with_no_numpy_warning(name, run):
@@ -329,7 +372,9 @@ def test_library_overflow_raises_numeric_error_with_no_numpy_warning(name, run):
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
             if run == "classify_operator":
-                classify_operator(*spec.build(), spec.m_max, spec.tol)
+                classify_operator(
+                    spec.space, spec.partition, spec.u, spec.w, spec.m_max, spec.tol
+                )
             else:
                 cmd_sweep_m(spec)
 
@@ -383,14 +428,14 @@ def test_spec_build_rejects_overlapping_blocks():
     bad = dict(EXAMPLE_B_SPEC)
     bad["blocks"] = [[0, 1], [1, 2, 3]]
     with pytest.raises(ValidationError, match="atom 1"):
-        ProblemSpec.from_dict(bad).build()
+        ProblemSpec.from_dict(bad)
 
 
 def test_spec_build_rejects_wrong_function_length():
     bad = dict(EXAMPLE_B_SPEC)
     bad["u"] = [[1.0, 0.0], [0.5, 0.0]]
     with pytest.raises(ValidationError, match="'u' has 2 values"):
-        ProblemSpec.from_dict(bad).build()
+        ProblemSpec.from_dict(bad)
 
 
 def test_cmd_classify_example_b_spec(tmp_path):
@@ -407,11 +452,12 @@ def test_cmd_classify_example_b_spec(tmp_path):
 
 
 def test_cmd_classify_unimodular_singletons():
+    space = make_space((0.3, 0.7))
     spec = ProblemSpec(
-        weights=(0.3, 0.7),
-        blocks=((0,), (1,)),
-        u=(np.exp(0.4j), np.exp(-1.1j)),
-        w=(1.0, 1.0),
+        space=space,
+        partition=make_partition(space, ((0,), (1,))),
+        u=Mfunc((np.exp(0.4j), np.exp(-1.1j))),
+        w=Mfunc((1.0, 1.0)),
         m_max=3,
     )
     report = cmd_classify(spec)
@@ -486,11 +532,12 @@ def test_cmd_sweep_m_geometric(tmp_path):
 
 
 def test_cmd_sweep_m_growth():
+    space = make_space((0.9, 0.1))
     spec = ProblemSpec(
-        weights=(0.9, 0.1),
-        blocks=((0,), (1,)),
-        u=(2.0, 1.0),
-        w=(1.0, 1.0),
+        space=space,
+        partition=make_partition(space, ((0,), (1,))),
+        u=Mfunc((2.0, 1.0)),
+        w=Mfunc((1.0, 1.0)),
     )
     report = cmd_sweep_m(spec, m_max=4)
     quasi = [row["quasi_defect_norm"] for row in report.rows]
@@ -498,11 +545,12 @@ def test_cmd_sweep_m_growth():
 
 
 def test_cmd_sweep_m_identity():
+    space = make_space((0.5, 0.5))
     spec = ProblemSpec(
-        weights=(0.5, 0.5),
-        blocks=((0,), (1,)),
-        u=(1.0, 1.0),
-        w=(1.0, 1.0),
+        space=space,
+        partition=make_partition(space, ((0,), (1,))),
+        u=Mfunc((1.0, 1.0)),
+        w=Mfunc((1.0, 1.0)),
     )
     for row in cmd_sweep_m(spec, m_max=3).rows:
         assert row["defect_norm"] < 1e-14
@@ -836,7 +884,19 @@ def test_fields_match_the_dataclass_fields_in_order():
         got = cli_mod._fields(rec)
         assert got == by_fields(rec) and list(got) == list(by_fields(rec))
 
-    rec = MismatchRecord((0.5, 0.5), ((0,), (1,)), (1 + 2j, 3.0), (0.5j, -1.0), 2, 0.25, 0.0)
-    expected = {**by_fields(rec), "u": [[1.0, 2.0], [3.0, 0.0]], "w": [[0.0, 0.5], [-1.0, 0.0]]}
+    space = make_space((0.5, 0.5))
+    partition = make_partition(space, ((0,), (1,)))
+    rec = MismatchRecord(
+        space, partition, Mfunc((1 + 2j, 3.0)), Mfunc((0.5j, -1.0)), 2, 0.25, 0.0
+    )
+    expected = {
+        "weights": [0.5, 0.5],
+        "blocks": [[0], [1]],
+        "u": [[1.0, 2.0], [3.0, 0.0]],
+        "w": [[0.0, 0.5], [-1.0, 0.0]],
+        "m": 2,
+        "criterion_residual": 0.25,
+        "oracle_norm": 0.0,
+    }
     got = cli_mod._mismatch(rec)
     assert got == expected and list(got) == list(expected)

@@ -206,6 +206,19 @@ def test_classify_mismatch_rows(tmp_path, capsys, flipped_corrected_verdict):
         _check_pairs(row["w"], README_SPEC["w"])
 
 
+def test_a_mismatch_row_replays_as_a_spec(tmp_path, capsys, flipped_corrected_verdict):
+    # a row's spec fields, written as a spec file, classify the same operator:
+    # its symbols rows are the original report's, byte for byte
+    code, data = _structured(capsys, ["classify", _spec_path(tmp_path, README_SPEC)])
+    assert code == 3
+    row = data["mismatches"][0]
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({name: row[name] for name in ("weights", "blocks", "u", "w")}))
+    report = cli_mod.cmd_classify(cli_mod.ProblemSpec.from_file(str(replay)))
+    replayed = report.to_dict()["symbols"]
+    assert json.dumps(replayed, sort_keys=True) == json.dumps(data["symbols"], sort_keys=True)
+
+
 def test_random_suite_mismatch_rows(capsys, flipped_corrected_verdict):
     code, data = _structured(capsys, ["random-suite", "--count", "2", "--m-max", "2"])
     assert code == 3
