@@ -29,12 +29,11 @@ from its core's diagonal, one per block; the other n - k eigenvalues of
 ``T`` are zero.  Every check runs on every block with the scale of the
 whole operator.
 
-The oracle solves its Hermitian operands in two eigensolve rounds.  The
-first solves ``B_1..B_m``, ``T* B_m T``, ``T* T``, ``T T*`` and the commutator
-in one call; the second solves the p-power differences, which are built
-from the first round's eigendecompositions of ``T* T`` and ``T T*``.  Every
-block is 1x1 or 2x2, so each round solves all blocks in closed form
-(``linop._eigh_small``), with the same checks and no LAPACK call.
+The oracle solves its Hermitian operands, ``B_1..B_m``, ``T* B_m T``,
+``T* T``, ``T T*`` and the commutator, in one eigensolve round, each 1x1
+or 2x2 block in closed form (``linop._eigh_small``) with no LAPACK call.
+The p-powers need no round of their own: on a rank-one block with
+``g = |T_b|^2``, ``(T* T)^p - (T T*)^p = g^(p-1) (T* T - T T*)``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .linop import (
     _adj,
     _eigh_stack,
     _per_operand,
-    _power_stack,
     _rank_one_cores,
 )
 from .measure import Partition
@@ -190,9 +188,10 @@ class DefectOracle:
     else NumericError.  What several verdicts share is computed once: the
     gram stack ``(T^k)* T^k`` and one eigensolve round over the defects, the
     sandwiched defects, ``T* T``, ``T T*`` and the commutator, which gives
-    the norm, the defect norms, the commutator residuals and the
-    eigendecompositions every p-power uses.  The norm of a Hermitian
-    operand is the largest modulus of its own eigenvalues.
+    the norm, the defect norms, the commutator residuals and, from each
+    block's top eigenvalue of ``T* T`` and lowest of the commutator, every
+    p-power residual.  The norm of a Hermitian operand is the largest
+    modulus of its own eigenvalues.
     """
 
     def __init__(self, T: Action, m_max: int, partition: Partition) -> None:
@@ -203,10 +202,10 @@ class DefectOracle:
         self._grams, self._scales = _gram_stack(self._t, m_max + 1)
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first eigensolve round: ``B_1..B_m_max``, then ``T* B_m T`` for
-        m = 1..m_max, then ``T* T``, ``T T*`` and ``T* T - T T*``, each
-        operand with its own checks."""
+    def _eig(self) -> np.ndarray:
+        """The eigensolve round: the ascending eigenvalues ``(r, k, d)`` of
+        ``B_1..B_m_max``, then ``T* B_m T`` for m = 1..m_max, then ``T* T``,
+        ``T T*`` and ``T* T - T T*``, each operand with its own checks."""
         orders = range(1, self.m_max + 1)
         defects = _defects(self._grams, self._scales, orders)
         quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
@@ -218,19 +217,19 @@ class DefectOracle:
     @cached_property
     def norm(self) -> float:
         """Operator norm of ``T``: the root of the top eigenvalue of ``T* T``."""
-        top = float(self._eig[0][2 * self.m_max].max())
+        top = float(self._eig[2 * self.m_max].max())
         return float(np.sqrt(max(top, 0.0)))
 
     @cached_property
     def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max."""
-        norms = _per_operand(np.abs(self._eig[0][: 2 * self.m_max]))
+        norms = _per_operand(np.abs(self._eig[: 2 * self.m_max]))
         return norms[: self.m_max], norms[self.m_max :]
 
     @cached_property
     def commutator_residuals(self) -> tuple[float, float]:
         """Norm and negative part of the commutator ``T* T - T T*``."""
-        evals = self._eig[0][2 * self.m_max + 2]
+        evals = self._eig[2 * self.m_max + 2]
         return float(np.abs(evals).max()), max(0.0, -float(evals.min()))
 
     @property
@@ -277,23 +276,21 @@ class DefectOracle:
             p_tols = [_default_tol(self.norm, 2 * p, f"p = {p:g}") for p in probes_p]
         else:
             eff_tol, p_tols = tol, [tol] * len(probes_p)
-        probes = []
-        if probes_p:
-            # the second eigensolve round, on the p-powers of T* T and T T*
-            i = 2 * self.m_max
-            evals, vecs = self._eig[0][i : i + 2], self._eig[1][i : i + 2]
-            powers = _power_stack(evals, vecs, probes_p)
-            d_evals, _ = _eigh_stack(powers[:, 0] - powers[:, 1])
-            lows = _per_operand(d_evals, np.minimum)
-            for p, p_tol, low in zip(probes_p, p_tols, lows.tolist()):
-                probes.append(
-                    {
-                        "p": float(p),
-                        "holds": low >= -p_tol,
-                        "residual": max(0.0, -low),
-                        "tol": p_tol,
-                    }
-                )
+        # (T* T)^p - (T T*)^p = g^(p-1) (T* T - T T*) on each rank-one block,
+        # with g its top eigenvalue of T* T: its negative part is g^p times
+        # that of the commutator over g, and 0 on a zero block
+        top, low = self._eig[2 * self.m_max][:, -1], self._eig[2 * self.m_max + 2][:, 0]
+        share = np.where(low < 0, -low, 0.0) / np.where(top > 0, top, 1.0)
+        with np.errstate(over="ignore"):
+            sizes = top ** np.reshape(probes_p, (-1, 1))
+        if not np.isfinite(sizes).all():
+            p = probes_p[int(np.argmin(np.isfinite(sizes).all(axis=1)))]
+            raise NumericError(f"the p-power of T* T overflows at p = {p:g}")
+        residuals = (sizes * share).max(axis=1).tolist()
+        probes = [
+            {"p": float(p), "holds": r <= p_tol, "residual": r, "tol": p_tol}
+            for p, p_tol, r in zip(probes_p, p_tols, residuals)
+        ]
         return {
             "normal": normal_residual <= eff_tol,
             "normal_residual": normal_residual,

@@ -793,8 +793,8 @@ class Instance:
         return CondExp(self.space, self.partition)
 
 
-def _random_mfunc(rng: np.random.Generator, n: int, mag_range=(0.0, 2.0)) -> Mfunc:
-    mag = rng.uniform(mag_range[0], mag_range[1], n)
+def _random_mfunc(rng: np.random.Generator, n: int) -> Mfunc:
+    mag = rng.uniform(0.0, 2.0, n)
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     return Mfunc(mag * np.exp(1j * phase))
 
@@ -962,6 +962,8 @@ def cmd_random_suite(
     """Audit criteria against the defect oracle on a randomized suite."""
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     instances = suite_instances(count, dim_range, block_range, seed)
     rows = []
     mismatches: list[dict] = []

@@ -29,6 +29,7 @@ one row-wise sort, made only when the oracle's verdicts are given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -225,11 +226,30 @@ def _quasi_tol(st: SymbolTable, m: int) -> float:
 
 
 def _dedup_sorted(values: list, tol: float) -> tuple:
-    """The sorted ``values``, each kept when it lies more than ``tol`` from
-    the last value kept."""
+    """The sorted real ``values``, each kept when it lies more than ``tol``
+    from the last value kept, which is the nearest value kept before it."""
     kept = values[:1]
     for v in values[1:]:
         if abs(v - kept[-1]) > tol:
+            kept.append(v)
+    return tuple(kept)
+
+
+def _dedup_complex(values: list, tol: float) -> tuple:
+    """The sorted complex ``values``, each kept unless it lies within ``tol``
+    of a value kept before it.  A copy sorts next to the value it copies, so
+    the last value kept is tried first; past it, the kept values are indexed
+    by squares of side ``tol`` (1 at ``tol = 0``), and a value within ``tol``
+    of ``v`` lies in one of the nine squares around the square of ``v``."""
+    side = tol if tol > 0 else 1.0
+    kept, squares = [], {}
+    for v in values:
+        if kept and abs(v - kept[-1]) <= tol:
+            continue
+        x, y = math.floor(v.real / side), math.floor(v.imag / side)
+        near = (squares.get((i, j), ()) for i in (x - 1, x, x + 1) for j in (y - 1, y, y + 1))
+        if not any(abs(v - k) <= tol for ks in near for k in ks):
+            squares.setdefault((x, y), []).append(v)
             kept.append(v)
     return tuple(kept)
 
@@ -509,10 +529,8 @@ def audit_agreement(
     return AgreementReport(rows, mismatches, divergences, verdicts, oracle, st)
 
 
-def essential_range(
-    values: np.ndarray, dedup_tol: float = DEDUP_EPS
-) -> tuple[complex, ...]:
-    """Attained values of a function deduplicated to ``dedup_tol`` times
+def essential_range(values: np.ndarray) -> tuple[complex, ...]:
+    """Attained values of a function deduplicated to ``DEDUP_EPS`` times
     their largest modulus, so that the result scales with the values.
 
     ``values`` is the array of the function's values, on the atoms or, for
@@ -521,8 +539,12 @@ def essential_range(
     and the essential range coincide.
     """
     vals = np.asarray(values, dtype=complex)
-    tol = dedup_tol * float(np.abs(vals).max(initial=0.0))
-    return _dedup_sorted(vals[np.lexsort((vals.imag, vals.real))].tolist(), tol)
+    tol = DEDUP_EPS * float(np.abs(vals).max(initial=0.0))
+    ordered = vals[np.lexsort((vals.imag, vals.real))]
+    # no two real parts, or no two imaginary parts, within tol: all are kept
+    if (np.diff(ordered.real) > tol).all() or (np.diff(np.sort(vals.imag)) > tol).all():
+        return tuple(ordered.tolist())
+    return _dedup_complex(ordered.tolist(), tol)
 
 
 def spectrum_deviation(oracle: DefectOracle, alpha: np.ndarray) -> float:

@@ -16,7 +16,7 @@ is ever built.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -85,9 +85,9 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # stack is solved in one ``_eigh_stack`` call.  Every block the oracle
 # builds is 1x1 or 2x2, so that call solves them all in closed form
 # (``_eigh_small``), with no LAPACK call and nothing that can fail to
-# converge.  ``classify.DefectOracle`` makes two such calls per report: one
-# for the defects, the sandwiched defects, ``T* T``, ``T T*`` and the
-# commutator, and one for the p-power differences built from the first.
+# converge.  ``classify.DefectOracle`` makes one such call per report, for
+# the defects, the sandwiched defects, ``T* T``, ``T T*`` and the
+# commutator, and reads the p-power residuals from its eigenvalues.
 #
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
@@ -99,18 +99,17 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # ``[[lam, 0], [0, 0]]``.  Every operand built from ``T`` is block-diagonal
 # in the cores and the lanes cut or added, and this is exact because those
 # lanes are kernel directions of ``T`` and ``T*``: each adds ``(-1)^m`` to
-# ``B_m``, and zero to ``T* B_m T``, ``T* T``, ``T T*``, the commutator, the
-# p-power differences and every symmetry and reconstruction residual.  A
-# 2x2 core has rank at most one, so it already has a kernel direction:
-# ``B_m`` already has norm at least one on the core (its Rayleigh quotient
-# there is ``(-1)^m``), and the commutator and every p-power difference are
-# trace-zero on each core, so their smallest eigenvalue is already at most
-# zero.  No norm, negative part, scale or check moves.  The nonzero
-# eigenvalue of block b, if any, is its core's ``lam``: the spectrum of
-# ``T`` is the k values ``lam`` and n - k zeros, one for each of a block's
-# d_b - 1 other lanes.  An operator of singleton blocks only keeps its
-# 1x1 stack: it may be injective (a unitary), and a kernel lane would give
-# it a spurious ``|B_m| = 1``.
+# ``B_m``, and zero to ``T* B_m T``, ``T* T``, ``T T*``, the commutator and
+# every symmetry and reconstruction residual.  A 2x2 core has rank at most
+# one, so it already has a kernel direction: ``B_m`` already has norm at
+# least one on the core (its Rayleigh quotient there is ``(-1)^m``), and the
+# commutator is trace-zero on each core, so its smallest eigenvalue is
+# already at most zero.  No norm, negative part, scale or check moves.
+# The nonzero eigenvalue of block b, if any, is its core's ``lam``: the
+# spectrum of ``T`` is the k values ``lam`` and n - k zeros, one for each
+# of a block's d_b - 1 other lanes.  An operator of singleton blocks only
+# keeps its 1x1 stack: it may be injective (a unitary), and a kernel lane
+# would give it a spurious ``|B_m| = 1``.
 
 
 # an overflow in the matvecs is reported once, by the probe check
@@ -209,15 +208,14 @@ def _per_operand(a: np.ndarray, reduce: np.ufunc = np.maximum) -> np.ndarray:
     return reduce.reduce(a, axis=tuple(range(1, a.ndim)))
 
 
-def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of every Hermitian operand of a stack of 1x1 or
-    2x2 blocks, in closed form (``_eigh_small``).
+def _eigh_stack(a: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues ``(r, k, d)`` of every Hermitian operand of
+    a stack of 1x1 or 2x2 blocks, in closed form (``_eigh_small``).
 
-    Returns the ascending eigenvalues ``(r, k, d)`` and the eigenvectors
-    ``(r, k, d, d)``.  An operand with a non-finite entry (an overflow in
-    the terms that built it) is a NumericError.  Hermitian symmetry is
-    checked relative to each operand's entry scale, and the reconstruction
-    ``V diag(lam) V*`` relative to its largest eigenvalue modulus.  A
+    An operand with a non-finite entry (an overflow in the terms that built
+    it) is a NumericError.  Hermitian symmetry is checked relative to each
+    operand's entry scale, and the reconstruction ``V diag(lam) V*`` from
+    the eigenvectors relative to its largest eigenvalue modulus.  A
     Hermitian operand of blocks larger than 2x2 is a ValidationError:
     ``_rank_one_cores`` builds none.
     """
@@ -247,7 +245,7 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(
             f"eigendecomposition reconstruction error {err.max():.3e} exceeds tolerance"
         )
-    return evals, vecs
+    return evals
 
 
 def _eigh_small(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,23 +306,3 @@ def _from_eig(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         out += scaled[..., :, j, None] * conj[..., None, :, j]
     return out
 
-
-def _power_stack(
-    evals: np.ndarray, vecs: np.ndarray, ps: Sequence[float]
-) -> np.ndarray:
-    """``A**p`` of every positive semidefinite operand for every exponent p
-    in ``ps``, from its eigendecomposition: shape ``(len(ps), r, k, d, d)``.
-
-    Each operand's eigenvalues in its roundoff band below zero are clamped
-    to zero; a genuinely negative eigenvalue is rejected.
-    """
-    band = 1e-10 * np.maximum(1.0, _per_operand(np.abs(evals)))
-    smallest = _per_operand(evals, np.minimum)
-    if (smallest < -band).any():
-        raise ValidationError(
-            f"matrix is not positive semidefinite: eigenvalue {smallest.min():.3e}"
-        )
-    # the whole roundoff band collapses to an exact zero so that fractional
-    # powers cannot amplify kernel perturbations
-    clamped = np.where(evals < band[:, None, None], 0.0, evals)
-    return _from_eig(clamped ** np.reshape(ps, (-1, 1, 1, 1)), vecs)

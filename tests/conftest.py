@@ -52,7 +52,7 @@ def wct_oracle(ce, w, u, m_max):
 
 def defect_evals(oracle, m, quasi=False):
     """The eigenvalues of ``B_m``, or of ``T* B_m T``, on the oracle's cores."""
-    return np.sort(oracle._eig[0][m - 1 + quasi * oracle.m_max].ravel())
+    return np.sort(oracle._eig[m - 1 + quasi * oracle.m_max].ravel())
 
 
 def cond_exp(ce, f):

@@ -13,7 +13,7 @@ from wctops import (
     wct_action,
 )
 from wctops.classify import _defects
-from wctops.cli import classify_operator
+from wctops.cli import classify_operator, suite_instances
 from conftest import defect_evals, dense, mf, random_instances, wct_oracle
 
 PROBES = (0.25, 0.5, 2.0)
@@ -173,6 +173,39 @@ def test_hyponormality_hierarchy_on_wct_instances():
         n = _inst_oracle(inst, 0).normality(PROBES, 1e-8)
         flags = {n["normal"], n["hyponormal"], *(p["holds"] for p in n["p_hyponormal"])}
         assert len(flags) == 1
+
+
+def _nilpotent_oracle(s, c):
+    """N(s, c): a singleton of value c^2 beside a two-atom block on which
+    ``T`` is nilpotent with ``|T_1|^2 = c^4 s^4 / 4``."""
+    u, w = c * np.array([1.0, s, 0.0]), c * np.array([1.0, 0.0, s])
+    return _oracle([0.5, 0.25, 0.25], [[0], [1, 2]], u, w, 0)
+
+
+@pytest.mark.parametrize("s,c", [(1e-2, 1.0), (1e-3, 1.0), (1e-2, 1e-3), (1e-4, 1e3)])
+def test_p_residual_of_a_small_nilpotent_block_is_its_closed_form(s, c):
+    # on a rank-one block (T*T)^p - (TT*)^p = |T_b|^(2p-2) (T*T - TT*), and
+    # the commutator of a nilpotent block has lowest eigenvalue -|T_b|^2,
+    # however small that is against 1 or |T|^2
+    for probe in _nilpotent_oracle(s, c).normality(PROBES)["p_hyponormal"]:
+        exact = (c**4 * s**4 / 4) ** probe["p"]
+        assert probe["residual"] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
+def test_p_residuals_are_homogeneous_in_u(c):
+    # scaling u by c scales T by c, and each p-residual by |c|^(2p)
+    for inst in suite_instances(30, seed=7):
+        ce = inst.cond_exp()
+        base = wct_oracle(ce, inst.w, inst.u, 0)
+        scaled = wct_oracle(ce, inst.w, Mfunc(c * inst.u.values), 0)
+        pairs = zip(
+            base.normality(PROBES)["p_hyponormal"], scaled.normality(PROBES)["p_hyponormal"]
+        )
+        for x, y in pairs:
+            size = abs(c) ** (2 * x["p"])
+            bound = 1e-12 * size * base.norm ** (2 * x["p"])
+            assert abs(y["residual"] - size * x["residual"]) <= bound, inst.label
 
 
 def _mult_report(weights, u, m_max):

@@ -276,6 +276,18 @@ OVERFLOW_SPECS = {
         {"weights": [1, 1], "blocks": [[0], [1]], "u": [2, 1], "w": [1, 1], "probes_p": [1000]},
         "the threshold of p = 1000 overflows",
     ),
+    # a given tol sets no threshold that overflows first
+    "p-power-under-tol": (
+        {
+            "weights": [1, 1],
+            "blocks": [[0], [1]],
+            "u": [2, 1],
+            "w": [1, 1],
+            "probes_p": [1000],
+            "tol": 1e-3,
+        },
+        "the p-power of T* T overflows at p = 1000",
+    ),
     "symbol-route": (
         {
             "weights": [1] * 601,
@@ -663,6 +675,12 @@ def test_main_example_b(capsys):
     assert "block averages" in out
 
 
+def test_main_random_suite_rejects_a_negative_seed(capsys):
+    assert main(["random-suite", "--count", "2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
+
+
 def test_main_bad_range(capsys):
     code = main(["random-suite", "--count", "5", "--dims", "10:2"])
     assert code == 2
@@ -802,9 +820,9 @@ def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
     assert [v["m"] for v in report.defect_verdicts] == [1, 2, 3, 4]
 
 
-def test_classify_operator_runs_two_eigensolve_rounds(monkeypatch):
-    # round one solves every defect, sandwich, T*T, TT* and the commutator
-    # together; round two the p-power differences
+def test_classify_operator_runs_one_eigensolve_round(monkeypatch):
+    # one round solves every defect, sandwich, T*T, TT* and the commutator
+    # together, and the p-power residuals are read from its eigenvalues
     calls = []
     original = linop._eigh_small
 
@@ -817,7 +835,7 @@ def test_classify_operator_runs_two_eigensolve_rounds(monkeypatch):
         calls.clear()
         report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
         assert report.matrix_route
-        assert len(calls) == 2, calls
+        assert len(calls) == 1, calls
 
 
 def test_repeated_reports_draw_no_new_probes(monkeypatch):

@@ -288,6 +288,8 @@ def test_audit_agreement_random_batch():
 def test_essential_range_dedup():
     values = essential_range(np.array([1.0, 1.0 + 1e-12, 2.0, 0.0]))
     assert len(values) == 3
+    # all zero: the tolerance is 0 and only equal values merge
+    assert essential_range(np.zeros(3)) == (0j,)
 
 
 @pytest.mark.parametrize("values", [[1e-9, 2e-9], [1e-10, 3e-10], [1e10, 3e10]])
@@ -299,6 +301,34 @@ def test_essential_range_dedup_scales_with_the_values(values):
     assert essential_range(np.concatenate([values, values * (1 + 1e-12)])) == tuple(
         complex(v) for v in values
     )
+
+
+def test_essential_range_drops_a_copy_sorted_past_a_nearby_value():
+    # sorted by real part, the middle value falls between two copies 2 ulps
+    # apart, so the copy must be checked against more than the last value
+    # kept; on singletons with unit masses and w = 1, E(uw) is u
+    re, im = 0.7648421872844885, 0.644217687237691
+    u = np.array([re + 1j * im, 0.7648421872844886 - 1j * im, 0.7648421872844887 + 1j * im])
+    space = make_space([1.0, 1.0, 1.0])
+    partition = make_partition(space, singleton_blocks(3))
+    report = classify_operator(space, partition, mf(u), mf(np.ones(3)))
+    assert report.essential_range == [[re, im], [0.7648421872844886, -im]]
+
+
+def test_essential_range_matches_a_pairwise_greedy_dedup():
+    # near copies of a few centres, some with real parts tied or within tol
+    # of another centre's: each value sorted by real part is kept unless it
+    # lies within tol of a value kept before it
+    rng = np.random.default_rng(3)
+    centres = np.array([1.0, 1.0 + 1j, 1.0 - 1j, 1.0 + 5e-10 + 0.5j, -2j, 0.25])
+    for _ in range(50):
+        values = rng.choice(centres, 40) * (1 + rng.uniform(-4e-10, 4e-10, 40))
+        tol = 1e-9 * np.abs(values).max()
+        kept = []
+        for v in values[np.lexsort((values.imag, values.real))].tolist():
+            if all(abs(v - k) > tol for k in kept):
+                kept.append(v)
+        assert essential_range(values) == tuple(kept)
 
 
 def _two_singletons(u, w):

@@ -15,7 +15,7 @@ from wctops import (
     wct_action,
 )
 from wctops import linop
-from wctops.linop import _eigh_stack, _power_stack, _rank_one_cores
+from wctops.linop import _eigh_stack, _rank_one_cores
 from conftest import dense, mf, random_instances, wct_oracle
 from wctops.cli import classify_operator, suite_instances
 
@@ -220,20 +220,18 @@ def test_spectrum_diagonal():
 
 
 def _eigh(a):
-    """The eigendecomposition of one matrix by the stack kernel."""
-    evals, vecs = _eigh_stack(np.asarray(a, dtype=complex)[None, None])
-    return evals[0, 0], vecs[0, 0]
+    """The eigenvalues of one matrix by the stack kernel."""
+    return _eigh_stack(np.asarray(a, dtype=complex)[None, None])[0, 0]
 
 
 def test_hermitian_eig_examples():
-    evals, _ = _eigh(np.diag([3.0, 1.0]))
-    assert np.allclose(evals, [1.0, 3.0])
-    evals, _ = _eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(evals, [-1.0, 1.0])
+    assert np.allclose(_eigh(np.diag([3.0, 1.0])), [1.0, 3.0])
+    assert np.allclose(_eigh(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1.0, 1.0])
     ones = np.ones(2)
-    evals, v = _eigh(wct_matrix([1.0, 3.0], [0, 0], ones, ones))
-    assert np.allclose(evals, [0.0, 1.0], atol=1e-14)
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
+    a = wct_matrix([1.0, 3.0], [0, 0], ones, ones)
+    assert np.allclose(_eigh(a), [0.0, 1.0], atol=1e-14)
+    _, v = linop._eigh_small(a.astype(complex)[None, None])
+    assert np.allclose(v[0, 0].conj().T @ v[0, 0], np.eye(2), atol=1e-12)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -241,28 +239,7 @@ def test_hermitian_eig_rejects_non_hermitian():
         _eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_power_examples():
-    # the p-powers of the normality probes, through the private kernel
-    a = np.diag([4.0, 9.0])
-    evals, vecs = _eigh_stack(a[None, None])
-    root, same = _power_stack(evals, vecs, [0.5, 1.0])[:, 0, 0]
-    assert np.allclose(root, np.diag([2.0, 3.0]))
-    assert np.allclose(same, a, atol=1e-9)
-    # the averaging projection of two blocks of two atoms, as the stack of
-    # its two diagonal 2x2 blocks
-    ones = np.ones(4)
-    e = wct_matrix([0.25] * 4, [0, 0, 1, 1], ones, ones)
-    blocks = np.stack([e[:2, :2], e[2:, 2:]])[None]
-    assert np.array_equal(e[:2, 2:], np.zeros((2, 2)))
-    evals, vecs = _eigh_stack(blocks)
-    for power in _power_stack(evals, vecs, [0.25, 0.5, 2.0])[:, 0]:
-        assert np.allclose(power, blocks[0], atol=1e-12)
-
-
-def test_hermitian_power_rejects_negative_matrix():
-    evals, vecs = _eigh_stack(np.diag([1.0, -1.0])[None, None])
-    with pytest.raises(ValidationError):
-        _power_stack(evals, vecs, [0.5])
+def test_normality_rejects_nonpositive_exponent():
     with pytest.raises(ValidationError):
         _oracle(_singletons([0.5, 0.5]), mf([1, 1]), mf([1, 1])).normality((0.0,))
 
