@@ -29,6 +29,16 @@ from its core's diagonal, one per block; the other n - k eigenvalues of
 ``T`` are zero.  Every check runs on every block with the scale of the
 whole operator.
 
+No power of ``T`` is a matrix product.  On a core ``[[lam, kappa], [0, 0]]``
+(or ``[lam]``), ``T^k = lam^(k-1) T`` for k >= 1, so the grams are
+``(T^k)* T^k = |lam|^(2(k-1)) T* T``: ``_gram_stack`` takes ``T* T`` as one
+outer product of the cores' first rows and every later gram from one ladder
+of cumulative products of ``|lam|^2``, and ``T T*`` is ``diag(tr T* T, 0)``,
+read from those same products.  The sandwich ``T* B_m T`` stays a matrix
+product, checked against the shifted binomial sums of the grams: on a core
+it is ``(B_m)_00 T* T``, and written that way the check would compare one
+formula with itself.
+
 The oracle solves its Hermitian operands, ``B_1..B_m``, ``T* B_m T``,
 ``T* T``, ``T T*`` and the commutator, in one eigensolve round, each 1x1
 or 2x2 block in closed form (``linop._eigh_small``) with no LAPACK call.
@@ -109,14 +119,30 @@ def _identity(d: int) -> np.ndarray:
 
 def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(T^k)* T^k`` for k = 0..k_max as operands of a stack, with the
-    entry scale of each.  NumericError when one of them overflows."""
-    powers = [np.broadcast_to(_identity(t.shape[-1]), t.shape)]
+    entry scale of each, for a stack ``t`` of rank-one cores.
+    NumericError when one of them overflows.
+
+    A core ``[[lam, kappa], [0, 0]]`` (or ``[lam]``) has ``T^k = lam^(k-1) T``
+    for k >= 1, so ``G_1 = T* T`` is the outer product of its first row with
+    itself and ``G_k = L_(k-1) G_1``, with ``L_j = |lam|^(2j)`` the
+    cumulative products of ``|lam|^2 = G_1[0, 0]`` from ``L_0 = 1``: a
+    nilpotent core (``lam = 0``) has ``G_1 = T* T`` and ``G_k = 0`` past it.
+    The largest entry modulus of ``G_1`` on a core is its largest diagonal
+    entry, so each scale is read from the ladder and that diagonal.
+    """
+    row = t[..., 0, :]
+    g1 = row.conj()[..., :, None] * row[..., None, :]
+    diag = g1.diagonal(axis1=-2, axis2=-1).real
+    ladder = np.empty((k_max,) + diag.shape[1:-1])
+    ladder[0] = 1.0
+    ladder[1:] = diag[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k_max):
-            powers.append(powers[-1] @ t)
-        tk = np.concatenate(powers)
-        grams = _adj(tk) @ tk
-    scales = np.maximum(1.0, _per_operand(np.abs(grams)))
+        np.multiply.accumulate(ladder, axis=0, out=ladder)
+        grams = np.empty((k_max + 1,) + t.shape[1:], dtype=complex)
+        grams[0] = _identity(t.shape[-1])
+        np.multiply(ladder[..., None, None], g1, out=grams[1:])
+        sizes = _per_operand(ladder * diag.max(axis=-1))
+    scales = np.maximum(1.0, np.concatenate(([1.0], sizes)))
     if not np.isfinite(scales).all():
         k = int(np.argmin(np.isfinite(scales)))
         raise NumericError(f"the powers of T overflow: (T^{k})* T^{k} is not finite")
@@ -209,10 +235,13 @@ class DefectOracle:
         orders = range(1, self.m_max + 1)
         defects = _defects(self._grams, self._scales, orders)
         quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
-        products = np.concatenate([self._grams[1:2], self._t @ _adj(self._t)])
-        products = 0.5 * (products + _adj(products))
-        comm = products[:1] - products[1:]
-        return _eigh_stack(np.concatenate([defects, quasi, products, comm]))
+        # on a core T T* is diag(|lam|^2 + |kappa|^2, 0), the trace of T* T
+        # in its first entry; both are exactly Hermitian, and on a 1x1 stack
+        # the commutator is exactly zero
+        gram = self._grams[1:2]
+        cogram = np.zeros_like(gram)
+        cogram[..., 0, 0] = gram.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+        return _eigh_stack(np.concatenate([defects, quasi, gram, cogram, gram - cogram]))
 
     @cached_property
     def norm(self) -> float:

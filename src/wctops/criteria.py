@@ -19,11 +19,13 @@ Both readings of both criteria run on the alternating binomial sums
 ``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` evaluates
 them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
 the k blocks, from one cached coefficient matrix (the one the oracle's
-defect sums use) and one power call, and checks every element against
-its closed form.  A report builds that table once, on its ``SymbolTable``, and
-``audit_rows`` reads every audit row from it: each per-order residual is
-one reduction over the table, and the attained values ``e_r`` come from
-one row-wise sort, made only when the oracle's verdicts are given.
+defect sums use) and one ladder of cumulative products that holds every
+power ``t^k``, ``(1 + t)^m`` and ``(t - 1)^m``, and checks every element
+against its closed form.  A report builds that table once, on its
+``SymbolTable``, and ``audit_rows`` reads every audit row from it: each
+per-order residual is one reduction over the table, and the attained
+values ``e_r`` come from one row-wise sort, made only when the oracle's
+verdicts are given.
 ``normal_case_equivalence`` reads ``J'_m_max`` from the same table.
 """
 
@@ -114,12 +116,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _order_columns(m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only columns of the orders m = 1..m_max, of the exponents
-    k = 0..m_max, and of ``(-1)^m`` for each order."""
-    orders = _read_only(np.arange(1, m_max + 1)[:, None])
-    exponents = _read_only(np.arange(m_max + 1)[:, None])
-    return orders, exponents, _read_only((-1.0) ** orders)
+def _order_signs(m_max: int) -> np.ndarray:
+    """The read-only column of ``(-1)^m`` for the orders m = 1..m_max."""
+    return _read_only((-1.0) ** np.arange(1, m_max + 1)[:, None])
 
 
 # an overflow is reported once, by the finiteness check, not also as
@@ -168,20 +167,25 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t_val, dtype=float)
     if (t < 0).any():
         raise ValidationError("t must be non-negative")
-    orders, exponents, signs = _order_columns(m_max)
+    # t^k, (1 + t)^k and (t - 1)^k for k = 0..m_max, as the cumulative
+    # products of one ladder
+    ladder = np.empty((3, m_max + 1) + t.shape)
+    ladder[:, 0] = 1.0
+    ladder[0, 1:] = t
+    np.add(t, 1.0, out=ladder[1, 1:])
+    np.subtract(t, 1.0, out=ladder[2, 1:])
     with np.errstate(over="ignore"):
-        size = np.maximum(1.0, (1.0 + t) ** orders)
+        np.multiply.accumulate(ladder, axis=1, out=ladder)
+    powers, size, closed = ladder[0], np.maximum(1.0, ladder[1, 1:]), ladder[2, 1:]
     if not np.isfinite(size[-1]).all():
         raise NumericError(
             f"binomial sums of order {m_max} overflow at t = {float(t.max()):.3e}"
         )
     coef = _alternating_binomials(m_max)
-    powers = t ** exponents
     j = coef @ powers
     j_prime = coef[:, 1:] @ powers[:-1]
     # the elements of both sums and of both closed forms, checked in one pass
-    closed = (t - 1.0) ** orders
-    rhs = np.concatenate((closed, closed - signs))
+    rhs = np.concatenate((closed, closed - _order_signs(m_max)))
     dev = np.abs(np.concatenate((j, t * j_prime)) - rhs)
     bad = (dev > 1e-12 * np.concatenate((size, size))).any(axis=1)
     if bad.any():
@@ -254,14 +258,36 @@ def _dedup_complex(values: list, tol: float) -> tuple:
     return tuple(kept)
 
 
+# Below this many values a table is deduplicated by the loop alone: the
+# row masks of ``_attained_rows`` cost a dozen array calls, about as much
+# as the loop takes over 128 values.
+_MASKED_MIN = 128
+
+
 def _attained_rows(values: np.ndarray, rel_tol: float) -> list[tuple[float, ...]]:
     """The values of each row, sorted and deduplicated to ``rel_tol`` times
     ``max(1, the row's largest modulus)``: the values grow like ``t^m``, so
     an absolute tolerance would split their roundoff copies, while a row of
-    modulus at most 1 keeps the unit scale of the target ``(-1)^(m+1)``."""
+    modulus at most 1 keeps the unit scale of the target ``(-1)^(m+1)``.
+
+    On a table of ``_MASKED_MIN`` values or more, a row whose span is within
+    its tolerance keeps its first value and a row whose every gap exceeds it
+    keeps every value, as ``_dedup_sorted`` would; only the other rows go
+    through its loop."""
+    rows = np.sort(values, axis=1)
+    if rows.size < _MASKED_MIN:
+        return [
+            _dedup_sorted(row, rel_tol * max(1.0, abs(row[0]), abs(row[-1])))
+            for row in rows.tolist()
+        ]
+    first, last = rows[:, 0], rows[:, -1]
+    # max(1, |first|, |last|) of a sorted row
+    tols = rel_tol * np.maximum(1.0, np.maximum(-first, last))
+    one = last - first <= tols
+    every = np.logical_and.reduce(rows[:, 1:] - rows[:, :-1] > tols[:, None], axis=1)
     return [
-        _dedup_sorted(row, rel_tol * max(1.0, abs(row[0]), abs(row[-1])))
-        for row in np.sort(values, axis=1).tolist()
+        (row[0],) if o else tuple(row) if e else _dedup_sorted(row, tol)
+        for row, tol, o, e in zip(rows.tolist(), tols.tolist(), one.tolist(), every.tolist())
     ]
 
 
@@ -445,8 +471,7 @@ def audit_rows(
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
     # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
-    signs = _order_columns(m_max)[2]
-    m_iso_residuals = np.abs(values + signs).max(axis=1).tolist()
+    m_iso_residuals = np.abs(values + _order_signs(m_max)).max(axis=1).tolist()
     if verdicts:
         if len(verdicts) != m_max:
             raise ValidationError(f"{len(verdicts)} oracle verdicts for m_max {m_max}")

@@ -87,7 +87,10 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # (``_eigh_small``), with no LAPACK call and nothing that can fail to
 # converge.  ``classify.DefectOracle`` makes one such call per report, for
 # the defects, the sandwiched defects, ``T* T``, ``T T*`` and the
-# commutator, and reads the p-power residuals from its eigenvalues.
+# commutator, and reads the p-power residuals from its eigenvalues.  It
+# builds the grams ``(T^k)* T^k`` and ``T T*`` by broadcasting from the
+# cores' first rows, not by one matrix product per block: on a core
+# ``T^k = lam^(k-1) T`` (``classify._gram_stack``).
 #
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on

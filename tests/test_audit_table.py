@@ -7,6 +7,7 @@ per-order reference that sums over k one order at a time, and check that
 the table's check catches a wrong coefficient.
 """
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -63,6 +64,31 @@ def test_table_rows_match_their_closed_forms(values):
             assert np.abs(t * j_prime[m - 1] - reduced).max() <= 1e-11 * max(
                 1.0, np.abs(reduced).max()
             )
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(
+    st_.lists(
+        st_.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_table_matches_exact_sums_within_its_bound(values):
+    # the table's powers come from cumulative products; each element stays
+    # within the table's own bound of the exact sum of the same t
+    t = np.array(values)
+    m_max = 12
+    j, j_prime = binomial_table(t, m_max)
+    for b, x in enumerate(map(Fraction, values)):
+        for m in range(1, m_max + 1):
+            exact = sum((-1) ** (m - k) * comb(m, k) * x**k for k in range(m + 1))
+            exact_prime = sum(
+                (-1) ** (m - k) * comb(m, k) * x ** (k - 1) for k in range(1, m + 1)
+            )
+            bound = 1e-12 * max(1.0, float((1 + x) ** m))
+            assert abs(float(Fraction(j[m - 1, b]) - exact)) <= bound, (m, values[b])
+            assert abs(float(Fraction(j_prime[m - 1, b]) - exact_prime)) <= bound, (m, values[b])
 
 
 def test_table_rejects_bad_inputs():
@@ -213,3 +239,71 @@ def test_reports_call_no_per_order_function():
     assert report.normal_case is not None and report.normal_case["applicable"]
     report = cmd_example_a().classification
     assert not report.matrix_route and len(report.criteria_rows) == 4
+
+
+def _attained_reference(values, rel_tol):
+    """Each row sorted, a value kept when it lies more than the row's
+    tolerance above the last value kept."""
+    rows = []
+    for row in np.sort(values, axis=1).tolist():
+        tol = rel_tol * max(1.0, abs(row[0]), abs(row[-1]))
+        kept = [row[0]]
+        for v in row[1:]:
+            if abs(v - kept[-1]) > tol:
+                kept.append(v)
+        rows.append(tuple(kept))
+    return rows
+
+
+# a row's values: centres, each repeated exactly or within the tolerance
+ATTAINED_ROWS = st_.lists(
+    st_.lists(
+        st_.tuples(
+            st_.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+            st_.lists(st_.sampled_from([0.0, 0.0, 2e-10, -3e-10, 6e-10]), min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(ATTAINED_ROWS, st_.sampled_from([0, None]))
+def test_attained_rows_equal_the_loop(clusters, masked_min):
+    # rows of exact copies, of clusters within the tolerance and of distinct
+    # values, of equal length; masked_min 0 sends every table through the
+    # row masks, None keeps the size at which they start
+    rows = [[c + j * max(1.0, abs(c)) for c, jitter in row for j in jitter] for row in clusters]
+    width = max(map(len, rows))
+    values = np.array([(row * width)[:width] for row in rows])
+    with pytest.MonkeyPatch.context() as mp:
+        if masked_min is not None:
+            mp.setattr(criteria_mod, "_MASKED_MIN", masked_min)
+        got = criteria_mod._attained_rows(values, DEDUP_EPS)
+    assert got == _attained_reference(values, DEDUP_EPS)
+    assert all(type(v) is float for row in got for v in row)
+
+
+def test_attained_rows_of_a_large_table_take_each_row_kind():
+    # 6 x 32 values, past _MASKED_MIN; with rel_tol = 2^-30 a row in
+    # [-1, 1] has the tolerance t = 2^-30 exactly, so a gap or a span of
+    # exactly t is within it
+    t = 2.0**-30
+    rng = np.random.default_rng(3)
+    values = np.array(
+        [
+            [0.0, t] + [0.01 * (i + 1) for i in range(30)],  # a tied gap
+            [0.0, t] * 16,  # a tied span: one value
+            [2 * t * i for i in range(32)],  # every gap past t
+            [0.5 + t * (i % 2) for i in range(32)],
+            np.repeat(rng.normal(size=8), 4) + rng.choice([0.0, t / 4], 32),  # clusters
+            np.sort(rng.normal(size=32)) * 10.0,  # distinct values
+        ]
+    )
+    assert values.size >= criteria_mod._MASKED_MIN
+    got = criteria_mod._attained_rows(values, t)
+    assert got == _attained_reference(values, t)
+    assert [len(row) for row in got] == [31, 1, 32, 1, 8, 32]

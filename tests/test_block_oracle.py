@@ -21,8 +21,10 @@ from wctops import (
     ValidationError,
     make_partition,
     make_space,
+    wct_action,
 )
 from wctops.cli import classify_operator, suite_instances
+from wctops.classify import _gram_stack
 from wctops.linop import _eigh_stack
 
 PROBES = (0.25, 0.5, 2.0)
@@ -277,3 +279,65 @@ def test_stack_eigensolver_refuses_blocks_larger_than_two():
     stack = _hermitian_blocks(np.random.default_rng(9), 1, 3, 4, 1.0)
     with pytest.raises(ValidationError, match="1x1 and 2x2 blocks"):
         _eigh_stack(stack)
+
+
+def _gram_reference(t, k_max):
+    """``(T^k)* T^k`` for k = 0..k_max from matrix powers, in plain numpy."""
+    power = np.broadcast_to(np.eye(t.shape[-1], dtype=complex), t.shape)
+    grams = []
+    for _ in range(k_max + 1):
+        grams.append(power.conj().swapaxes(-1, -2) @ power)
+        power = power @ t
+    return np.concatenate(grams)
+
+
+def _cores(rng, k, kind):
+    """A one-operand stack of k rank-one cores ``[[lam, kappa], [0, 0]]``,
+    or of k 1x1 values."""
+    z = rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
+    if kind == "singletons":
+        return z[None, :, :1, None]
+    cores = np.zeros((1, k, 2, 2), dtype=complex)
+    cores[0, :, 0] = z
+    if kind == "nilpotent":
+        cores[0, :, 0, 0] = 0.0
+    elif kind == "zero":
+        cores[0] = 0.0
+    elif kind == "mixed":
+        cores[0, ::3, 0, 0] = 0.0
+        cores[0, 1::3] = 0.0
+    return cores
+
+
+@pytest.mark.parametrize("kind", ["random", "nilpotent", "zero", "mixed", "singletons"])
+@pytest.mark.parametrize("k", [1, 8, 300])
+def test_gram_stack_matches_matrix_powers(kind, k):
+    # G_k = |lam|^(2(k-1)) T* T on a core: within 1e-14 of each operand's
+    # entry scale of the grams of the matrix powers, with that scale
+    rng = np.random.default_rng(k)
+    t = _cores(rng, k, kind)
+    k_max = 7
+    grams, scales = _gram_stack(t, k_max)
+    ref = _gram_reference(t, k_max)
+    ref_scales = np.maximum(1.0, np.abs(ref).max(axis=(1, 2, 3)))
+    assert grams.shape == ref.shape and scales.shape == (k_max + 1,)
+    assert (np.abs(grams - ref).max(axis=(1, 2, 3)) <= 1e-14 * ref_scales).all()
+    assert np.abs(scales - ref_scales).max() <= 1e-14 * ref_scales.max()
+    if kind in ("nilpotent", "zero"):
+        # T^2 = 0: every gram past G_1 = T* T is exactly zero
+        assert not grams[2:].any()
+
+
+def test_gram_stack_overflow_names_the_first_power():
+    # |T|^2 = 1e120 on two singletons: (T^3)* T^3 = 1e360 is the first gram
+    # past the double range
+    space = make_space([1.0, 1.0])
+    partition = make_partition(space, [[0], [1]])
+    big = Mfunc(np.full(2, 1e30))
+    T = wct_action(CondExp(space, partition), big, big)
+    message = r"^the powers of T overflow: \(T\^3\)\* T\^3 is not finite$"
+    # orders 4 and 2 build the grams up to k = 5 and 3; order 1 up to 2
+    for m_max in (4, 2):
+        with pytest.raises(NumericError, match=message):
+            DefectOracle(T, m_max, partition)
+    DefectOracle(T, 1, partition)

@@ -192,6 +192,17 @@ def test_p_residual_of_a_small_nilpotent_block_is_its_closed_form(s, c):
         assert probe["residual"] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def test_quasi_defects_of_a_nilpotent_block_are_its_gram():
+    # N(1e-3, 1): T^2 = 0 on the nilpotent block, so T* B_m T = (-1)^m T* T
+    # there, of norm |T_1|^2 = 2.5e-13, and B_m = 0 on the singleton of
+    # value 1
+    u, w = np.array([1.0, 1e-3, 0.0]), np.array([1.0, 0.0, 1e-3])
+    verdicts = _oracle([0.5, 0.25, 0.25], [[0], [1, 2]], u, w, 6).verdicts()
+    assert len(verdicts) == 6
+    for v in verdicts:
+        assert v.quasi_defect_norm == pytest.approx(2.5e-13, rel=1e-12, abs=0), v.m
+
+
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
 def test_p_residuals_are_homogeneous_in_u(c):
     # scaling u by c scales T by c, and each p-residual by |c|^(2p)

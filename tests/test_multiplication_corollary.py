@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st_ = hypothesis.strategies
 
 # A modulus with ||u|^2 - 1| near zero is m-isometric at large m only
-# because the default threshold is absolute in |u|^2 - 1 (ROADMAP item 2);
+# because the default threshold is absolute in |u|^2 - 1 (ROADMAP item 3);
 # the moduli drawn here keep ||u|^2 - 1| >= 0.05, or exactly 0, so every
 # verdict up to m = 4 is decided away from its threshold.
 MODULI = st_.one_of(
