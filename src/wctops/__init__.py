@@ -2,10 +2,11 @@
 
 Constructs operators of the form ``f -> w E(u f)`` (a multiplication, a
 conditional expectation, another multiplication) and classifies them as
-m-isometric / quasi-m-isometric / normal / (p-)hyponormal along two
-independent routes: the defect operators, computed on the rank-one block
-cores read from the operator's action, and symbol-level criteria, with an
-audit that cross-validates the two.
+m-isometric / quasi-m-isometric / normal (on a finite space the same as
+hyponormal and p-hyponormal for every p > 0) along two independent
+routes: the defect operators, computed on the rank-one block cores read
+from the operator's action, and symbol-level criteria, with an audit that
+cross-validates the two.
 """
 
 from .classify import DefectOracle, DefectVerdict

@@ -22,28 +22,36 @@ third probe (Freivalds' check).  Reports read them from
 
 Both the lanes cut from a block and the lane padded onto a singleton are
 kernel directions of ``T`` and ``T*``.  Each carries ``B_m = (-1)^m`` and a
-zero ``T* B_m T``, commutator and p-power difference, and every rank-one
-core already has such a kernel direction, so these values change no norm,
-negative part, scale or check.  ``spectrum`` reads each block's eigenvalue
-from its core's diagonal, one per block; the other n - k eigenvalues of
-``T`` are zero.  Every check runs on every block with the scale of the
-whole operator.
+zero ``T* B_m T`` and ``T* T``, and every rank-one core already has such a
+kernel direction, so these values change no norm, scale or check.
+``spectrum`` reads each block's eigenvalue from its core's diagonal, one
+per block; the other n - k eigenvalues of ``T`` are zero.  Every check
+runs on every block with the scale of the whole operator.
 
 No power of ``T`` is a matrix product.  On a core ``[[lam, kappa], [0, 0]]``
 (or ``[lam]``), ``T^k = lam^(k-1) T`` for k >= 1, so the grams are
 ``(T^k)* T^k = |lam|^(2(k-1)) T* T``: ``_gram_stack`` takes ``T* T`` as one
 outer product of the cores' first rows and every later gram from one ladder
-of cumulative products of ``|lam|^2``, and ``T T*`` is ``diag(tr T* T, 0)``,
-read from those same products.  The sandwich ``T* B_m T`` stays a matrix
-product, checked against the shifted binomial sums of the grams: on a core
-it is ``(B_m)_00 T* T``, and written that way the check would compare one
-formula with itself.
+of cumulative products of ``|lam|^2``.  The sandwich ``T* B_m T`` stays a
+matrix product, checked against the shifted binomial sums of the grams: on
+a core it is ``(B_m)_00 T* T``, and written that way the check would
+compare one formula with itself.
 
-The oracle solves its Hermitian operands, ``B_1..B_m``, ``T* B_m T``,
-``T* T``, ``T T*`` and the commutator, in one eigensolve round, each 1x1
-or 2x2 block in closed form (``linop._eigh_small``) with no LAPACK call.
-The p-powers need no round of their own: on a rank-one block with
-``g = |T_b|^2``, ``(T* T)^p - (T T*)^p = g^(p-1) (T* T - T T*)``.
+The oracle solves its Hermitian operands, ``B_1..B_m``, ``T* B_m T`` and
+``T* T``, in one eigensolve round, each 1x1 or 2x2 block in closed form
+(``linop._eigh_small``) with no LAPACK call.
+
+Normality is one verdict.  On a finite-dimensional space p-hyponormal for
+any p > 0, hyponormal and normal coincide (Aluthge, *On p-hyponormal
+operators for 0 < p < 1*, IEOT 13, 1990): ``D = (T* T)^p - (T T*)^p >= 0``
+has trace 0, since ``T* T`` and ``T T*`` share their nonzero eigenvalues,
+so ``D = 0``.  A rank-one block ``a c*`` is normal iff ``a`` is parallel to
+``c``, and the negative part of its commutator over the top eigenvalue of
+its ``T* T`` is ``sin theta``, with theta the angle between ``a`` and
+``c``: on the core ``[[lam, kappa], [0, 0]]`` that is
+``|kappa| / |(lam, kappa)|``, read with no eigensolve.  The verdict
+compares ``max_b sin theta_b`` with ``NORMAL_EPS``; the number is the same
+for ``T`` and ``c T``, whatever the scale ``c``.
 """
 
 from __future__ import annotations
@@ -68,6 +76,11 @@ from .measure import Partition
 
 __all__ = ["DefectVerdict", "DefectOracle"]
 
+# The largest ``max_b sin theta_b`` of a normal operator.  The sine is
+# scale-free, so this bound needs no scale; it sits far above the roundoff
+# of a parallel pair, a few 1e-16.
+NORMAL_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class DefectVerdict:
@@ -81,18 +94,18 @@ class DefectVerdict:
     is_quasi_m_isometric: bool
 
 
-def _default_tol(scale: float, power: float, what: str) -> float:
-    """The default threshold ``1e-9 * max(1, scale**power)`` of a sum of
-    products of ``power`` factors of size ``scale``: its roundoff floor
-    grows like ``scale**power``.  NumericError naming ``what`` when that
-    power overflows or ``scale`` is not finite."""
+def _default_tol(scale: float, power: int, m: int) -> float:
+    """The default threshold ``1e-9 * max(1, scale**power)`` of order ``m``'s
+    sum of products of ``power`` factors of size ``scale``: its roundoff
+    floor grows like ``scale**power``.  NumericError naming the order when
+    that power overflows or ``scale`` is not finite."""
     try:
         size = scale**power
     except OverflowError:
         size = float("inf")
     if not isfinite(size):
         raise NumericError(
-            f"the threshold of {what} overflows: scale {scale:.3e} to the power {power:g}"
+            f"the threshold of order {m} overflows: scale {scale:.3e} to the power {power:g}"
         )
     return 1e-9 * max(1.0, size)
 
@@ -213,11 +226,9 @@ class DefectOracle:
     ``T`` maps into themselves; every block must be rank one to roundoff,
     else NumericError.  What several verdicts share is computed once: the
     gram stack ``(T^k)* T^k`` and one eigensolve round over the defects, the
-    sandwiched defects, ``T* T``, ``T T*`` and the commutator, which gives
-    the norm, the defect norms, the commutator residuals and, from each
-    block's top eigenvalue of ``T* T`` and lowest of the commutator, every
-    p-power residual.  The norm of a Hermitian operand is the largest
-    modulus of its own eigenvalues.
+    sandwiched defects and ``T* T``, which gives the norm and the defect
+    norms.  The norm of a Hermitian operand is the largest modulus of its
+    own eigenvalues.  Normality reads the cores alone.
     """
 
     def __init__(self, T: Action, m_max: int, partition: Partition) -> None:
@@ -231,17 +242,11 @@ class DefectOracle:
     def _eig(self) -> np.ndarray:
         """The eigensolve round: the ascending eigenvalues ``(r, k, d)`` of
         ``B_1..B_m_max``, then ``T* B_m T`` for m = 1..m_max, then ``T* T``,
-        ``T T*`` and ``T* T - T T*``, each operand with its own checks."""
+        each operand with its own checks."""
         orders = range(1, self.m_max + 1)
         defects = _defects(self._grams, self._scales, orders)
         quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
-        # on a core T T* is diag(|lam|^2 + |kappa|^2, 0), the trace of T* T
-        # in its first entry; both are exactly Hermitian, and on a 1x1 stack
-        # the commutator is exactly zero
-        gram = self._grams[1:2]
-        cogram = np.zeros_like(gram)
-        cogram[..., 0, 0] = gram.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-        return _eigh_stack(np.concatenate([defects, quasi, gram, cogram, gram - cogram]))
+        return _eigh_stack(np.concatenate([defects, quasi, self._grams[1:2]]))
 
     @cached_property
     def norm(self) -> float:
@@ -254,12 +259,6 @@ class DefectOracle:
         """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max."""
         norms = _per_operand(np.abs(self._eig[: 2 * self.m_max]))
         return norms[: self.m_max], norms[self.m_max :]
-
-    @cached_property
-    def commutator_residuals(self) -> tuple[float, float]:
-        """Norm and negative part of the commutator ``T* T - T T*``."""
-        evals = self._eig[2 * self.m_max + 2]
-        return float(np.abs(evals).max()), max(0.0, -float(evals.min()))
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -278,53 +277,25 @@ class DefectOracle:
         dn, qn = self.defect_norms
         out = []
         for m in range(1, self.m_max + 1):
-            tol_m = tol if tol is not None else _default_tol(self.norm, 2 * m, f"order {m}")
+            tol_m = tol if tol is not None else _default_tol(self.norm, 2 * m, m)
             d, q = float(dn[m - 1]), float(qn[m - 1])
             out.append(DefectVerdict(m, d, q, tol_m, d <= tol_m, q <= tol_m))
         return out
 
-    def normality(
-        self, probes_p: Sequence[float] = (), tol: float | None = None
-    ) -> dict:
-        """Normal, hyponormal and p-hyponormal verdicts with their residuals.
+    def normality(self) -> dict:
+        """The normality verdict: ``normal`` when ``residual``, the largest
+        ``sin theta_b`` over the blocks, is at most ``tol = NORMAL_EPS``.
 
-        The residuals are the norm of ``T* T - T T*``, its negative part,
-        and for each ``p`` the negative part of ``(T* T)**p - (T T*)**p``.
-        The default tolerances scale as ``norm(T)**2`` and ``norm(T)**(2p)``.
+        By the equivalence in the module docstring this one verdict is also
+        the hyponormal and every p-hyponormal one.  On block b's core
+        ``[[lam, kappa], [0, 0]]`` the commutator has the eigenvalues
+        ``-/+ |kappa| |(lam, kappa)|`` and ``T* T`` the top eigenvalue
+        ``|(lam, kappa)|^2``, so the negative part of the one over the other
+        is ``sin theta_b = |kappa| / |(lam, kappa)|``; it is 0 on a zero
+        block and on a singleton, whose 1x1 core has no ``kappa``.
         """
-        for p in probes_p:
-            if p <= 0:
-                raise ValidationError(
-                    f"hyponormality exponent must be positive, got {p}"
-                )
-        normal_residual, hypo_residual = self.commutator_residuals
-        # every threshold first: a power of the norm that overflows is named
-        # here, before the p-powers of the eigenvalues overflow
-        if tol is None:
-            eff_tol = _default_tol(self.norm, 2, "normality")
-            p_tols = [_default_tol(self.norm, 2 * p, f"p = {p:g}") for p in probes_p]
-        else:
-            eff_tol, p_tols = tol, [tol] * len(probes_p)
-        # (T* T)^p - (T T*)^p = g^(p-1) (T* T - T T*) on each rank-one block,
-        # with g its top eigenvalue of T* T: its negative part is g^p times
-        # that of the commutator over g, and 0 on a zero block
-        top, low = self._eig[2 * self.m_max][:, -1], self._eig[2 * self.m_max + 2][:, 0]
-        share = np.where(low < 0, -low, 0.0) / np.where(top > 0, top, 1.0)
-        with np.errstate(over="ignore"):
-            sizes = top ** np.reshape(probes_p, (-1, 1))
-        if not np.isfinite(sizes).all():
-            p = probes_p[int(np.argmin(np.isfinite(sizes).all(axis=1)))]
-            raise NumericError(f"the p-power of T* T overflows at p = {p:g}")
-        residuals = (sizes * share).max(axis=1).tolist()
-        probes = [
-            {"p": float(p), "holds": r <= p_tol, "residual": r, "tol": p_tol}
-            for p, p_tol, r in zip(probes_p, p_tols, residuals)
-        ]
-        return {
-            "normal": normal_residual <= eff_tol,
-            "normal_residual": normal_residual,
-            "hyponormal": hypo_residual <= eff_tol,
-            "hyponormal_residual": hypo_residual,
-            "tol": eff_tol,
-            "p_hyponormal": probes,
-        }
+        rows = np.abs(self._t[0, :, 0])
+        length = np.hypot.reduce(rows, axis=-1)
+        sines = rows[:, 1:].sum(axis=-1) / np.where(length > 0, length, 1.0)
+        residual = float(sines.max())
+        return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

@@ -83,8 +83,6 @@ __all__ = [
 # the limit stays until that workload is revised.
 MATRIX_LIMIT = 600
 
-DEFAULT_PROBES = (0.25, 0.5, 2.0)
-
 
 def _is_number(value: Any) -> bool:
     """A real number, but not a bool: JSON's ``true`` is not 1."""
@@ -210,7 +208,7 @@ def _read_blocks(values: list) -> tuple[list[int], list[int]]:
 
 
 def _finite_positive(value: float, name: str) -> float:
-    """A tolerance or a hyponormality exponent: finite and > 0."""
+    """A tolerance: finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
     return value
@@ -277,7 +275,6 @@ class ProblemSpec:
     w: Mfunc
     m_max: int = 4
     tol: float | None = None
-    probes_p: tuple[float, ...] = DEFAULT_PROBES
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
@@ -285,7 +282,7 @@ class ProblemSpec:
             raise ValidationError(
                 f"spec must be a JSON object, got {type(data).__name__}"
             )
-        known = {"weights", "blocks", "u", "w", "m_max", "tol", "probes_p"}
+        known = {"weights", "blocks", "u", "w", "m_max", "tol"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValidationError(f"spec has unknown field(s): {', '.join(unknown)}")
@@ -311,11 +308,6 @@ class ProblemSpec:
             if not _is_number(tol):
                 raise ValidationError(f"spec field 'tol' must be a number, got {tol!r}")
             tol = _finite_positive(_to_float(tol, "spec field 'tol'"), "spec field 'tol'")
-        probes_p = tuple(
-            _read_reals(data.get("probes_p", list(DEFAULT_PROBES)), "probes_p").tolist()
-        )
-        for i, p in enumerate(probes_p):
-            _finite_positive(p, f"spec field 'probes_p[{i}]'")
         space = make_space(weights)
         partition = Partition(atoms, sizes, space.atom_count)
         for name, values in (("u", u), ("w", w)):
@@ -324,7 +316,7 @@ class ProblemSpec:
                     f"spec field '{name}' has {values.size} values for "
                     f"{space.atom_count} atoms"
                 )
-        return cls(space, partition, Mfunc(u), Mfunc(w), m_max, tol, probes_p)
+        return cls(space, partition, Mfunc(u), Mfunc(w), m_max, tol)
 
     @classmethod
     def from_file(cls, path: str) -> "ProblemSpec":
@@ -347,7 +339,6 @@ class ProblemSpec:
             **_spec_fields(self.space, self.partition, self.u, self.w),
             "m_max": self.m_max,
             "tol": self.tol,
-            "probes_p": list(self.probes_p),
         }
 
 
@@ -460,15 +451,9 @@ class ClassificationReport(_Report):
             n = self.normality
             lines.append(
                 f"normality: normal={_fmt_bool(n['normal'])} "
-                f"(residual {n['normal_residual']:.3e}), "
-                f"hyponormal={_fmt_bool(n['hyponormal'])} "
-                f"(neg part {n['hyponormal_residual']:.3e})"
+                f"(max block angle sine {n['residual']:.3e}, tol {n['tol']:g}), "
+                f"the verdict of hyponormality and p-hyponormality too"
             )
-            for probe in n["p_hyponormal"]:
-                lines.append(
-                    f"  p-hyponormal p={probe['p']:g}: {_fmt_bool(probe['holds'])} "
-                    f"(neg part {probe['residual']:.3e})"
-                )
         if self.spectrum_match is not None:
             sm = self.spectrum_match
             lines.append(
@@ -524,7 +509,6 @@ def classify_operator(
     w: Mfunc,
     m_max: int = 4,
     tol: float | None = None,
-    probes_p: Sequence[float] = DEFAULT_PROBES,
 ) -> ClassificationReport:
     """Classify ``f -> w E(u f)`` by both routes where feasible.
 
@@ -540,17 +524,11 @@ def classify_operator(
         oracle, st = audit.oracle, audit.symbols
         rows, verdicts = audit.rows, audit.verdicts
         mismatches, divergences = audit.mismatches, audit.divergences
-        normality = oracle.normality(probes_p, tol)
+        normality = oracle.normality()
         if normality["normal"]:
-            nc = normal_case_equivalence(st, oracle, m_max, normality["tol"])
-            normal_case = {
-                "applicable": nc.applicable,
-                "normal_residual": nc.normal_residual,
-                "identity_residual": nc.identity_residual,
-                "identity_ok": nc.identity_ok,
-                "all_equal": nc.all_equal,
-                "properties": [_fields(c) for c in nc.properties],
-            }
+            # the properties are decided at the order-1 defect threshold
+            nc = normal_case_equivalence(st, oracle, m_max, verdicts[0].tol)
+            normal_case = {**_fields(nc), "properties": [_fields(c) for c in nc.properties]}
         spec_list = _complex_pairs(oracle.spectrum)
         spec_zeros = space.atom_count - partition.block_count
         dist = spectrum_deviation(oracle, st.alpha)
@@ -589,7 +567,7 @@ def cmd_classify(spec: "ProblemSpec | str") -> ClassificationReport:
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
     return classify_operator(
-        spec.space, spec.partition, spec.u, spec.w, spec.m_max, spec.tol, spec.probes_p
+        spec.space, spec.partition, spec.u, spec.w, spec.m_max, spec.tol
     )
 
 

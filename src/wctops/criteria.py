@@ -226,7 +226,7 @@ def _quasi_paper_residual(st: SymbolTable) -> float:
 
 
 def _quasi_tol(st: SymbolTable, m: int) -> float:
-    return _default_tol(float(st.product.max()), m, f"order {m}")
+    return _default_tol(float(st.product.max()), m, m)
 
 
 def _dedup_sorted(values: list, tol: float) -> tuple:
@@ -302,8 +302,9 @@ class PropertyCheck:
 class NormalCaseReport:
     """Five-way equivalence data for a normal operator.
 
-    ``applicable`` is False when the operator fails the normality
-    precondition; the remaining fields are then unset placeholders.
+    ``applicable`` is the oracle's normality verdict, with its residual in
+    ``normal_residual``; when it is False the remaining fields are unset
+    placeholders.
     """
 
     applicable: bool
@@ -323,9 +324,9 @@ def normal_case_equivalence(
     Verifies the symbol identity ``E(|u|^2) E(|w|^2) = |E(uw)|^2``
     pointwise, then evaluates five properties independently (isometric,
     m-isometric for some m, quasi-isometric, quasi-m-isometric for some
-    m, symbol product equal to 1) and reports whether they agree, reading
-    the defect norms and the commutator of the operator's ``oracle``, built
-    for at least ``m_max`` orders.
+    m, symbol product equal to 1) against ``tol`` and reports whether they
+    agree, reading the normality verdict and the defect norms of the
+    operator's ``oracle``, built for at least ``m_max`` orders.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
@@ -333,8 +334,9 @@ def normal_case_equivalence(
         raise ValidationError(
             f"oracle covers orders up to {oracle.m_max}, not {m_max}"
         )
-    normal_residual = oracle.commutator_residuals[0]
-    if normal_residual > tol:
+    normality = oracle.normality()
+    normal_residual = normality["residual"]
+    if not normality["normal"]:
         return NormalCaseReport(
             applicable=False,
             normal_residual=normal_residual,

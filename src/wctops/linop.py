@@ -86,11 +86,10 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # builds is 1x1 or 2x2, so that call solves them all in closed form
 # (``_eigh_small``), with no LAPACK call and nothing that can fail to
 # converge.  ``classify.DefectOracle`` makes one such call per report, for
-# the defects, the sandwiched defects, ``T* T``, ``T T*`` and the
-# commutator, and reads the p-power residuals from its eigenvalues.  It
-# builds the grams ``(T^k)* T^k`` and ``T T*`` by broadcasting from the
-# cores' first rows, not by one matrix product per block: on a core
-# ``T^k = lam^(k-1) T`` (``classify._gram_stack``).
+# the defects, the sandwiched defects and ``T* T``.  It builds the grams
+# ``(T^k)* T^k`` by broadcasting from the cores' first rows, not by one
+# matrix product per block: on a core ``T^k = lam^(k-1) T``
+# (``classify._gram_stack``).
 #
 # The stack of ``T f = w E(u f)`` over a partition is smaller still: each
 # diagonal block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on
@@ -102,12 +101,11 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # ``[[lam, 0], [0, 0]]``.  Every operand built from ``T`` is block-diagonal
 # in the cores and the lanes cut or added, and this is exact because those
 # lanes are kernel directions of ``T`` and ``T*``: each adds ``(-1)^m`` to
-# ``B_m``, and zero to ``T* B_m T``, ``T* T``, ``T T*``, the commutator and
-# every symmetry and reconstruction residual.  A 2x2 core has rank at most
-# one, so it already has a kernel direction: ``B_m`` already has norm at
-# least one on the core (its Rayleigh quotient there is ``(-1)^m``), and the
-# commutator is trace-zero on each core, so its smallest eigenvalue is
-# already at most zero.  No norm, negative part, scale or check moves.
+# ``B_m``, and zero to ``T* B_m T``, ``T* T`` and every symmetry and
+# reconstruction residual.  A 2x2 core has rank at most one, so it already
+# has a kernel direction: ``B_m`` already has norm at least one on the core
+# (its Rayleigh quotient there is ``(-1)^m``).  No norm, scale or check
+# moves.
 # The nonzero eigenvalue of block b, if any, is its core's ``lam``: the
 # spectrum of ``T`` is the k values ``lam`` and n - k zeros, one for each
 # of a block's d_b - 1 other lanes.  An operator of singleton blocks only
@@ -158,7 +156,12 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     lift = np.where(yy < 2.0**-1022, 2.0**54, 1.0)
     proj = (zy * lift).conj() / np.where(yy > 0, yy * lift, 1.0)
     rr = partition.block_sums(np.abs(z - y * proj[idx]) ** 2)
-    value, corner = zy * inv_s, np.sqrt(yy * rr) * inv_s
+    # |y| |r| as one root where |y|^2 |r|^2 is a normal double, and as two
+    # past the double range, where that product under- or overflows
+    both = yy * rr
+    in_range = (both >= np.finfo(float).tiny) & (both < np.inf)
+    value = zy * inv_s
+    corner = np.where(in_range, np.sqrt(both), np.sqrt(yy) * np.sqrt(rr)) * inv_s
 
     # the norm of a rank-one block, |y| |z| / |s|, is that of its core
     scale = float(np.sqrt((np.abs(value) ** 2 + np.abs(corner) ** 2).max()))
@@ -240,13 +243,17 @@ def _eigh_stack(a: np.ndarray) -> np.ndarray:
     herm = 0.5 * (a + adj)
     evals, vecs = _eigh_small(herm)
     # spectral norm of a Hermitian matrix is its largest |eigenvalue|; the
-    # Frobenius norm bounds the spectral norm of the error from above
-    norm_a = _per_operand(np.abs(evals))
-    err = np.sqrt(_per_operand(np.abs(herm - _from_eig(evals, vecs)) ** 2, np.add))
+    # Frobenius norm bounds the spectral norm of the error from above.  The
+    # error is taken relative to max(1, that norm) before it is squared, so
+    # that the squares of a large operand do not overflow
+    size = np.maximum(1.0, _per_operand(np.abs(evals)))[:, None, None, None]
+    miss = np.abs(herm - _from_eig(evals, vecs)) / size
+    err = np.sqrt(_per_operand(miss**2, np.add))
     # negated, so that a NaN error fails too
-    if not (err <= 1e-9 * np.maximum(1.0, norm_a)).all():
+    if not (err <= 1e-9).all():
         raise NumericError(
-            f"eigendecomposition reconstruction error {err.max():.3e} exceeds tolerance"
+            f"relative eigendecomposition reconstruction error {err.max():.3e} "
+            f"exceeds tolerance"
         )
     return evals
 
@@ -286,9 +293,12 @@ def _eigh_small(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v[..., 0] = np.where(a_above, p, b)
     v[..., 1] = np.where(a_above, b.conj(), p)
     # normalised as real pairs: numpy's complex division takes 1 / length,
-    # which overflows for a subnormal length
+    # which overflows for a subnormal length.  The pair is first scaled by
+    # its larger modulus, so that its length is read from normal doubles: a
+    # subnormal length, or a subnormal |b|, holds only a few digits
     pairs = v.view(float)
-    pairs /= np.hypot(p, mod)[..., None]
+    pairs /= np.maximum(p, mod)[..., None]
+    pairs /= np.hypot(np.abs(v[..., 0]), np.abs(v[..., 1]))[..., None]
     v1, v2 = v[..., 0], v[..., 1]
     vecs = np.empty(herm.shape, dtype=complex)
     vecs[..., 0, 0] = np.where(flat, 1.0, -v2.conj())

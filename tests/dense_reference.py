@@ -46,6 +46,21 @@ def sorted_spectrum(values, zeros):
     return ev[np.lexsort((ev.imag, ev.real))]
 
 
+def block_sines(t, blocks):
+    """For each block b, the negative part of the commutator of ``T_b``, the
+    diagonal block of ``t`` on b's atoms, over the top eigenvalue of its
+    ``T_b* T_b``, and 0 on a zero block: ``sin theta_b`` of a rank-one
+    ``T_b = a c*``, with theta_b the angle between ``a`` and ``c``."""
+    sines = []
+    for blk in blocks:
+        tb = t[np.ix_(blk, blk)]
+        gram = tb.conj().T @ tb
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        low = float(np.linalg.eigvalsh(gram - tb @ tb.conj().T)[0])
+        sines.append(max(0.0, -low) / top if top > 0 else 0.0)
+    return sines
+
+
 def oracle(t, m_max, probes_p=()):
     """The oracle's numbers for the matrix ``t``: its norm, the norms of
     ``B_m`` and ``T* B_m T`` for m = 1..m_max, the norm and negative part of

@@ -307,16 +307,25 @@ def test_criterion_6_normal_case_properties():
 
 
 def test_criterion_7_hyponormality_hierarchy():
+    # on a finite space p-hyponormal, hyponormal and normal coincide: the
+    # dense reference's hyponormal reading and its p-readings, each over its
+    # own scale |T|^(2p), agree with the oracle's one normality verdict
     failures = []
     rng = np.random.default_rng(707)
+    exponents = (0.25, 0.5, 2.0)
     for trial in range(100):
         inst = random_instance(rng, (2, 10), (1, 4), stratum="generic")
         if trial % 2 == 0:
             u, w = inst.u, Mfunc(inst.u.values.conj())  # self-adjoint: all flags true
         else:
             u, w = inst.u, inst.w
-        n = wct_oracle(inst.cond_exp(), w, u, 0).normality((0.25, 0.5, 2.0), 1e-8)
-        flags = [n["normal"], n["hyponormal"], *(p["holds"] for p in n["p_hyponormal"])]
+        normal = wct_oracle(inst.cond_exp(), w, u, 0).normality()["normal"]
+        ref = dense_reference.oracle(dense(inst.cond_exp(), w, u), 0, exponents)
+        readings = [
+            ref["hyponormal_residual"] / ref["norm"] ** 2,
+            *(r / ref["norm"] ** (2 * p) for p, r in zip(exponents, ref["p_residuals"])),
+        ]
+        flags = [normal, *(r <= 1e-8 for r in readings)]
         if len(set(flags)) != 1:
             failures.append(f"trial {trial}: hierarchy split {flags}")
     _report("criterion-7 hyponormality hierarchy", failures)

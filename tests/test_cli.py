@@ -40,7 +40,6 @@ EXAMPLE_B_SPEC = {
     "w": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]],
     "m_max": 4,
     "tol": None,
-    "probes_p": [0.25, 0.5, 2.0],
 }
 
 
@@ -63,13 +62,17 @@ def test_spec_accepts_bare_real_numbers():
     assert spec.u.values[1] == 0.5 + 0j
 
 
-def test_spec_rejects_missing_and_unknown_fields():
+def test_spec_rejects_missing_and_unknown_fields(tmp_path, capsys):
     with pytest.raises(ValidationError, match="missing required field 'w'"):
         ProblemSpec.from_dict({"weights": [1.0], "blocks": [[0]], "u": [1.0]})
     bad = dict(EXAMPLE_B_SPEC)
     bad["extra"] = 1
     with pytest.raises(ValidationError, match="unknown field"):
         ProblemSpec.from_dict(bad)
+    # the retired hyponormality exponents: normality is one verdict
+    retired = dict(EXAMPLE_B_SPEC, probes_p=[0.25, 0.5, 2.0])
+    assert main(["classify", _write_spec(tmp_path, retired)]) == 2
+    assert capsys.readouterr().err == "error: spec has unknown field(s): probes_p\n"
 
 
 def _late(field, entry):
@@ -121,9 +124,11 @@ def test_spec_accepts_integral_float_atom_indices():
         ("tol", True, "tol"),
         ("weights", [True, 0.25, 0.125, 0.0625], "weights[0]"),
         ("weights", [0.5, "0.25", 0.125, 0.0625], "weights[1]"),
-        ("probes_p", ["0.5"], "probes_p[0]"),
-        ("probes_p", [0.25, False], "probes_p[1]"),
-        ("probes_p", 0.5, "probes_p"),
+        # a null order, a listed tolerance and a bare number for a list; the
+        # rows below keep the indices their ids are generated from
+        ("m_max", None, "m_max"),
+        ("tol", [1e-6], "tol"),
+        ("weights", 0.5, "weights"),
         # u and w entries after three good pairs, named by their index
         ("u", _late("u", [True, 0]), "u[3]"),
         ("w", _late("w", [True, 0]), "w[3]"),
@@ -156,9 +161,8 @@ HUGE = 10**400
         ("blocks", [[2], [0, 1, HUGE]], "blocks[1]"),
         ("blocks", [[2.0], [0, 1, 1e300]], "blocks[1]"),
         ("tol", HUGE, "tol"),
-        ("probes_p", [0.5, HUGE], "probes_p[1]"),
     ],
-    ids=["u", "w-pair", "weights", "atom-index", "float-atom-index", "tol", "probes_p"],
+    ids=["u", "w-pair", "weights", "atom-index", "float-atom-index", "tol"],
 )
 def test_main_rejects_numbers_out_of_range(tmp_path, capsys, field, value, bad):
     data = dict(EXAMPLE_B_SPEC, **{field: value})
@@ -272,22 +276,6 @@ OVERFLOW_SPECS = {
         {"weights": [1, 1], "blocks": [[0], [1]], "u": [1e30, 1e30], "w": [1e30, 1e30]},
         "the powers of T overflow",
     ),
-    "p-threshold": (
-        {"weights": [1, 1], "blocks": [[0], [1]], "u": [2, 1], "w": [1, 1], "probes_p": [1000]},
-        "the threshold of p = 1000 overflows",
-    ),
-    # a given tol sets no threshold that overflows first
-    "p-power-under-tol": (
-        {
-            "weights": [1, 1],
-            "blocks": [[0], [1]],
-            "u": [2, 1],
-            "w": [1, 1],
-            "probes_p": [1000],
-            "tol": 1e-3,
-        },
-        "the p-power of T* T overflows at p = 1000",
-    ),
     "symbol-route": (
         {
             "weights": [1] * 601,
@@ -338,6 +326,36 @@ def test_main_overflow_exits_4_with_no_numpy_warning(tmp_path, capsys, name, com
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def _large_spec(exponent):
+    """Two blocks of three atoms with ``u`` of size 2^exponent."""
+    c = 2.0**exponent
+    return {
+        "weights": [1] * 6,
+        "blocks": [[0, 1, 2], [3, 4, 5]],
+        "u": [c * x for x in (1.0, 2.0, 3.0, 1.5, 0.5, 2.5)],
+        "w": [1.0, -1.0, 2.0, 0.5, 3.0, -2.0],
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent,m_max", [(150, 1), (250, 1), (130, 2)])
+def test_main_classifies_a_large_operator_with_no_warning(tmp_path, capsys, exponent, m_max):
+    # T* B_m T has entries near |T|^(2m+2); its reconstruction check squares
+    # the error only after dividing it by the operand's scale
+    path = _write_spec(tmp_path, _large_spec(exponent))
+    assert main(["classify", path, "--m-max", str(m_max), "--format", "structured"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and not json.loads(captured.out)["mismatches"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_large_operator_past_the_double_range_exits_4(tmp_path, capsys):
+    assert main(["classify", _write_spec(tmp_path, _large_spec(300)), "--m-max", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the powers of T overflow")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exponent", [-77.6, -79.0, -80.7])
@@ -420,9 +438,6 @@ def test_main_rejects_a_tolerance_that_is_not_finite_and_positive(
         ("tol", float("nan"), "tol"),
         ("tol", -1.0, "tol"),
         ("tol", 0.0, "tol"),
-        ("probes_p", [float("nan")], "probes_p[0]"),
-        ("probes_p", [0.5, float("inf")], "probes_p[1]"),
-        ("probes_p", [0.5, 0.0], "probes_p[1]"),
     ],
 )
 def test_spec_rejects_a_tolerance_or_exponent_that_is_not_finite_and_positive(
@@ -821,8 +836,8 @@ def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
 
 
 def test_classify_operator_runs_one_eigensolve_round(monkeypatch):
-    # one round solves every defect, sandwich, T*T, TT* and the commutator
-    # together, and the p-power residuals are read from its eigenvalues
+    # one round solves every defect, sandwich and T*T together; normality
+    # reads the cores with no eigensolve
     calls = []
     original = linop._eigh_small
 
@@ -894,7 +909,7 @@ def test_fields_match_the_dataclass_fields_in_order():
         records += [*audit.verdicts, *audit.rows, *audit.divergences]
     normal = random_instance(np.random.default_rng(5), stratum="unimodular")
     audit = audit_agreement(normal.cond_exp(), normal.w, normal.u, 4)
-    tol = audit.oracle.normality()["tol"]
+    tol = audit.verdicts[0].tol
     records += normal_case_equivalence(audit.symbols, audit.oracle, 4, tol).properties
     kinds = {type(rec).__name__ for rec in records}
     assert kinds == {"DefectVerdict", "AuditRow", "DivergenceRecord", "PropertyCheck"}

@@ -239,11 +239,6 @@ def test_hermitian_eig_rejects_non_hermitian():
         _eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_normality_rejects_nonpositive_exponent():
-    with pytest.raises(ValidationError):
-        _oracle(_singletons([0.5, 0.5]), mf([1, 1]), mf([1, 1])).normality((0.0,))
-
-
 EPS = np.finfo(float).eps
 
 
@@ -350,6 +345,24 @@ def test_closed_form_eigh_subnormal_entries():
     assert np.allclose(evals, np.linalg.eigvalsh(herm), rtol=1e-10, atol=0)
     gram = vecs.conj().swapaxes(-1, -2) @ vecs
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
+
+
+def test_closed_form_eigh_unit_block_with_subnormal_coupling():
+    # B_1 = T* T - I on a block whose T* T is subnormal: the eigenvector
+    # pair (b, p) has a subnormal length, so it is scaled by its larger
+    # modulus before it is normalised, and rebuilds the block to 1e-9
+    b = -6.3620387e-316 - 2.906268e-317j
+    herm = np.array([[[[-1.0, b], [np.conj(b), -1.0]]]])
+    assert _eigh_stack(herm).tolist() == [[[-1.0, -1.0]]]
+
+
+def test_eigh_reconstruction_check_takes_no_square_past_the_double_range():
+    # entries near 1e200: the absolute reconstruction error, near 1e184,
+    # would overflow when squared; relative to the operand it is roundoff
+    herm = _hermitian_stack([(3e200, -1e200, 2e200, 1e200)], 2)
+    with np.errstate(over="raise"):
+        evals = _eigh_stack(herm)
+    assert np.allclose(evals, np.linalg.eigvalsh(herm), rtol=1e-14, atol=0)
 
 
 def test_classify_operator_makes_no_numpy_linalg_call(monkeypatch):

@@ -18,7 +18,6 @@ README_SPEC = {
     "w": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]],
     "m_max": 6,
     "tol": None,
-    "probes_p": [0.25, 0.5, 2.0],
 }
 # the averaging projection: normal, so normal_case is filled in, and its
 # literal m-isometry reading diverges from the oracle
@@ -52,13 +51,10 @@ DIVERGENCE_KEYS = {
 MISMATCH_KEYS = {
     "weights", "blocks", "u", "w", "m", "criterion_residual", "oracle_norm",
 }
-NORMALITY_KEYS = {
-    "normal", "normal_residual", "hyponormal", "hyponormal_residual", "tol",
-    "p_hyponormal",
-}
+NORMALITY_KEYS = {"normal", "residual", "tol"}
 NORMAL_CASE_KEYS = {
     "applicable", "normal_residual", "identity_residual", "identity_ok",
-    "all_equal", "properties",
+    "j_double_prime_residual", "all_equal", "properties",
 }
 
 
@@ -86,8 +82,6 @@ def _check_classification(data, atoms):
     if data["matrix_route"]:
         assert _row_keys(data["defect_verdicts"]) == [DEFECT_VERDICT_KEYS] * data["m_max"]
         assert set(data["normality"]) == NORMALITY_KEYS
-        for probe in data["normality"]["p_hyponormal"]:
-            assert set(probe) == {"p", "holds", "residual", "tol"}
         assert set(data["spectrum_match"]) == {"ok", "distance"}
         # one eigenvalue per block, and the count of the other, zero ones
         assert len(data["spectrum"]) == data["block_count"]

@@ -1,12 +1,13 @@
 """Verdicts are invariant under the symmetries that leave ``T`` unchanged:
 the gauge ``(u, w) -> (u/c, c w)``, the phase ``(u, w) -> (e^{it} u,
 e^{-it} w)`` and rescaling all masses; and under those that only reorder
-its basis: permuting the atoms and relabelling the blocks."""
+its basis: permuting the atoms and relabelling the blocks.  The normality
+verdict is invariant under ``T -> c T`` as well."""
 
 import numpy as np
 import pytest
 
-from wctops import Mfunc, make_partition, make_space
+from wctops import DefectOracle, Mfunc, make_partition, make_space, wct_action
 from wctops.cli import classify_operator, random_instance
 from test_block_symbols import _verdicts
 
@@ -25,7 +26,7 @@ def test_verdicts_invariant_under_symmetries(seed, log_c, theta, log_s):
     inst = random_instance(np.random.default_rng(seed), (2, 6), (1, 3))
     u, w = inst.u.values, inst.w.values
     base = _verdicts(inst.space, inst.partition, inst.u, inst.w)
-    assert base[4] == 0
+    assert base[2] == 0
     c = 10.0**log_c
     gauge = _verdicts(inst.space, inst.partition, Mfunc(u / c), Mfunc(w * c))
     phase = np.exp(1j * theta)
@@ -37,6 +38,29 @@ def test_verdicts_invariant_under_symmetries(seed, log_c, theta, log_s):
     assert gauge == base
     assert rotated == base
     assert rescaled == base
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(
+    seed=st_.integers(0, 2**32 - 1),
+    j=st_.integers(-500, 250),
+    theta=st_.floats(0.0, 2.0 * np.pi),
+)
+def test_normality_is_scale_and_phase_free(seed, j, theta):
+    # u -> 2^j u maps T to 2^j T exactly and u -> e^{it} u maps it to
+    # e^{it} T: neither moves the angle between a block's two vectors, so
+    # the verdict stays and its residual moves by roundoff alone
+    inst = random_instance(np.random.default_rng(seed), (2, 10), (1, 4))
+    ce, u = inst.cond_exp(), inst.u.values
+
+    def normality(values):
+        T = wct_action(ce, inst.w, Mfunc(values))
+        return DefectOracle(T, 0, inst.partition).normality()
+
+    base = normality(u)
+    for n in (normality(u * 2.0**j), normality(u * np.exp(1j * theta))):
+        assert n["normal"] == base["normal"]
+        assert abs(n["residual"] - base["residual"]) <= 1e-14
 
 
 def _spectrum_match(space, partition, u, w):
