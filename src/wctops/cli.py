@@ -642,14 +642,17 @@ def cmd_example_a(
     ``4/(4+x)``, ``(4+x)/2`` and ``64 (4+x)/(x+12)**2``.
     """
     grid = grid_space(nx, ny)
-    x, y = grid.x, grid.y
+    # atom i*ny + j sits at (xs[i], y[j]): the column values broadcast
+    # against the row values give u and w in atom order, with the same
+    # doubles into every operation as on the atom arrays themselves
+    xs = grid.x[::ny]
+    x, y = xs[:, None], grid.y[:ny]
     u = Mfunc(y ** (x / 8.0))
     w = Mfunc(np.sqrt((4.0 + x) * y))
     report = classify_operator(
         grid.space, grid.partition, u, w, m_max=m_max, tol=tol
     )
 
-    xs = x[grid.partition.atoms[grid.partition.starts]]
     e_u2 = np.array([row["e_u2"] for row in report.symbol_rows])
     e_w2 = np.array([row["e_w2"] for row in report.symbol_rows])
     t = np.array([row["t"] for row in report.symbol_rows])

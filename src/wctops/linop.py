@@ -29,8 +29,9 @@ if TYPE_CHECKING:
 __all__ = ["Action", "wct_action"]
 
 # Seed of the random probes that read the rank-one cores: fixed, so that
-# every report is the same on every run.
-_PROBE_SEED = np.random.SeedSequence(20250923)
+# every report is the same on every run.  An integer, so that importing the
+# package does not load ``numpy.random``; a report that draws probes does.
+_PROBE_SEED = 20250923
 
 # Rows of the probe block drawn once and kept read-only: at least the
 # matrix route's atom limit (``cli.MATRIX_LIMIT``, 600), in 48 KiB.  A draw of n rows from a
@@ -189,8 +190,8 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
 
 def _draw_probes(rows: int) -> np.ndarray:
     """``rows`` rows of three complex Gaussian probes from a fresh
-    ``PCG64(_PROBE_SEED)``: shape ``(rows, 3)``."""
-    rng = np.random.Generator(np.random.PCG64(_PROBE_SEED))
+    ``PCG64(SeedSequence(_PROBE_SEED))``: shape ``(rows, 3)``."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_PROBE_SEED)))
     return rng.standard_normal((rows, 6)).view(complex)
 
 

@@ -3,9 +3,14 @@
 Everything downstream operates on a finite list of atoms with strictly
 positive masses.  A sub-sigma-algebra of such a space is exactly a
 partition of the atoms into blocks, and a measurable function is one
-complex value per atom.  Two builders discretize the stock examples:
-a truncated geometric sequence space and a midpoint grid on the unit
-square.
+complex value per atom.  A partition is read from blocks of atom
+indices (``make_partition``) or from the block of each atom
+(``Partition.from_labels``), both checked atom by atom; one whose blocks
+are runs of consecutive atoms is built from its block sizes alone
+(``Partition.contiguous``), where only the sizes need checking.  Two
+builders discretize the stock examples: a truncated geometric sequence
+space, whose blocks interleave, and a midpoint grid on the unit square,
+whose column blocks are contiguous.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ class MeasureSpace:
         w = np.array(self.weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise ValidationError("a measure space needs at least one atom")
-        bad = np.flatnonzero(~np.isfinite(w) | (w <= 0.0))
-        if bad.size:
-            i = int(bad[0])
+        good = (w > 0.0) & (w < np.inf)
+        if not good.all():
+            i = int(np.flatnonzero(~good)[0])
             raise ValidationError(
                 f"weight at index {i} must be a finite positive number, got {float(w[i])}"
             )
@@ -107,6 +112,18 @@ def _partition_fault(
     return f"atom {int(np.flatnonzero(~covered)[0])} is not covered by any block"
 
 
+def _block_sizes(sizes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``sizes`` as an integer array, checked to name at least one block
+    and no negative size."""
+    sizes = np.array(sizes, dtype=np.intp).reshape(-1)
+    if not sizes.size:
+        raise ValidationError("a partition needs at least one block")
+    if sizes.min() < 0:
+        b = int(np.flatnonzero(sizes < 0)[0])
+        raise ValidationError(f"block {b} has negative size {int(sizes[b])}")
+    return sizes
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Pairwise-disjoint blocks of atom indices covering all ``n`` atoms.
@@ -123,15 +140,10 @@ class Partition:
 
     def __post_init__(self, n: int) -> None:
         atoms = np.array(self.atoms, dtype=np.intp).reshape(-1)
-        sizes = np.array(self.sizes, dtype=np.intp).reshape(-1)
-        if not sizes.size:
-            raise ValidationError("a partition needs at least one block")
+        sizes = _block_sizes(self.sizes)
         if n < 1:
             raise ValidationError("partition needs a positive atom count")
         smallest = sizes.min()
-        if smallest < 0:
-            b = int(np.flatnonzero(sizes < 0)[0])
-            raise ValidationError(f"block {b} has negative size {int(sizes[b])}")
         block_of = np.repeat(np.arange(sizes.size), sizes)
         if block_of.size != atoms.size:
             raise ValidationError(
@@ -152,9 +164,35 @@ class Partition:
             valid = owner.min() >= 0
         if not valid:
             raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
-        for name, a in (("atoms", atoms), ("sizes", sizes), ("block_index", owner)):
+        self._freeze(atoms, sizes, owner)
+
+    def _freeze(
+        self, atoms: np.ndarray, sizes: np.ndarray, block_index: np.ndarray
+    ) -> None:
+        """Store the three arrays read-only."""
+        for name, a in (("atoms", atoms), ("sizes", sizes), ("block_index", block_index)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def contiguous(cls, sizes: Sequence[int] | np.ndarray) -> "Partition":
+        """Block ``b`` holds the next ``sizes[b]`` atoms in atom order.
+
+        ``atoms`` is ``arange(n)`` and ``block_index`` repeats each block's
+        number ``sizes[b]`` times, so every atom is covered once by
+        construction and only the sizes are checked: a missing, zero or
+        negative size fails as it does in the general constructor.
+        """
+        sizes = _block_sizes(sizes)
+        if sizes.min() == 0:
+            raise ValidationError(f"block {int(np.flatnonzero(sizes == 0)[0])} is empty")
+        part = object.__new__(cls)
+        part._freeze(
+            np.arange(sizes.sum(), dtype=np.intp),
+            sizes,
+            np.repeat(np.arange(sizes.size), sizes),
+        )
+        return part
 
     @classmethod
     def from_labels(cls, labels: Sequence[int] | np.ndarray) -> "Partition":
@@ -313,7 +351,8 @@ def grid_space(nx: int, ny: int) -> GridSpace:
     x = np.repeat(xs, ny)
     y = np.tile(ys, nx)
     n = nx * ny
-    space = make_space(np.full(n, 1.0 / n))
+    # the space's copy of the broadcast mass is the one weight array
+    space = make_space(np.broadcast_to(1.0 / n, n))
     # column i holds atoms i*ny .. i*ny + ny - 1, already in atom order
-    partition = Partition(np.arange(n), np.full(nx, ny), n)
+    partition = Partition.contiguous(np.full(nx, ny))
     return GridSpace(space, partition, x, y)

@@ -2,11 +2,14 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import wctops
 import wctops.cli as cli_mod
 from wctops import linop
 from wctops import (
@@ -538,6 +541,36 @@ def test_cmd_example_a_degenerate_single_column():
     report = cmd_example_a(1, 10, m_max=2)
     assert report.classification.atom_count == 10
     assert len(report.columns) == 1
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 5), (20, 1000)])
+def test_cmd_example_a_classifies_u_and_w_on_the_atoms(nx, ny):
+    # example-a builds u and w from the column and row values; the report
+    # is that of the symbols evaluated on the atom arrays themselves
+    grid = grid_space(nx, ny)
+    u = Mfunc(grid.y ** (grid.x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
+    expected = classify_operator(grid.space, grid.partition, u, w)
+    assert cmd_example_a(nx, ny).classification.to_dict() == expected.to_dict()
+
+
+def test_symbol_only_example_a_does_not_load_numpy_random():
+    # the probe generator is built when probes are first drawn, so neither
+    # the import nor a report past the matrix route loads numpy.random
+    src = os.path.dirname(os.path.dirname(wctops.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, wctops.cli; wctops.cli.cmd_example_a(20, 1000); "
+        "print('numpy.random' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_cmd_example_a_midpoint_error_shrinks():

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st_
+except ImportError:  # only the contiguous-partition property needs it
+    hypothesis = None
+
 from wctops import (
     Mfunc,
     Partition,
@@ -150,6 +156,65 @@ def test_partition_rejects_sizes_that_do_not_split_the_atoms(sizes, message):
     with pytest.raises(ValidationError) as info:
         Partition([0, 1, 2, 3], sizes, 4)
     assert str(info.value) == message
+
+
+def _general_contiguous(sizes):
+    """The general constructor's partition of ``arange(n)`` into blocks of
+    ``sizes``."""
+    n = int(sum(sizes))
+    return Partition(np.arange(n), sizes, n)
+
+
+def _assert_contiguous_matches_general(sizes, rng):
+    part, general = Partition.contiguous(sizes), _general_contiguous(sizes)
+    _assert_same_partition(part, general)
+    for name in ("atoms", "sizes", "block_index"):
+        a, b = getattr(part, name), getattr(general, name)
+        assert a.dtype == b.dtype and not a.flags.writeable
+    np.testing.assert_array_equal(part.starts, general.starts)
+    n = part.atom_count
+    for shape in ((n,), (n, 3)):
+        for dtype in (float, complex):
+            x = _atom_values(rng, shape, dtype)
+            assert part.block_sums(x).tobytes() == general.block_sums(x).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [[1], [5], [1, 1, 1], [3, 1, 4], [10_000] * 3])
+def test_contiguous_partition_equals_the_general_constructor(sizes):
+    _assert_contiguous_matches_general(sizes, np.random.default_rng(len(sizes)))
+
+
+if hypothesis is not None:
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(
+        sizes=st_.lists(st_.integers(1, 40), min_size=1, max_size=12),
+        seed=st_.integers(0, 2**32 - 1),
+    )
+    def test_contiguous_partition_property(sizes, seed):
+        _assert_contiguous_matches_general(sizes, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ([], "a partition needs at least one block"),
+        ([2, 0, 1], "block 1 is empty"),
+        ([0], "block 0 is empty"),
+        ([3, 2, -1], "block 2 has negative size -1"),
+        ([2, -1, 0], "block 1 has negative size -1"),
+    ],
+)
+def test_contiguous_partition_rejects_what_the_general_constructor_does(sizes, message):
+    with pytest.raises(ValidationError) as info:
+        Partition.contiguous(sizes)
+    assert str(info.value) == message
+    # the general constructor refuses an atom count below 1 before it reads
+    # a zero size, so [0] is told apart only by the contiguous one
+    if sizes != [0]:
+        with pytest.raises(ValidationError) as info:
+            _general_contiguous(sizes)
+        assert str(info.value) == message
 
 
 def test_geometric_space_half():
