@@ -242,10 +242,14 @@ class DefectOracle:
     def _eig(self) -> np.ndarray:
         """The eigensolve round: the ascending eigenvalues ``(r, k, d)`` of
         ``B_1..B_m_max``, then ``T* B_m T`` for m = 1..m_max, then ``T* T``,
-        each operand with its own checks."""
+        each operand with its own checks.  A high order's binomial sums can
+        overflow although every gram is finite; the operands are then built
+        with no numpy warning, and ``_eigh_stack``'s finiteness check reports
+        the overflow once."""
         orders = range(1, self.m_max + 1)
-        defects = _defects(self._grams, self._scales, orders)
-        quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects = _defects(self._grams, self._scales, orders)
+            quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
         return _eigh_stack(np.concatenate([defects, quasi, self._grams[1:2]]))
 
     @cached_property
@@ -269,15 +273,13 @@ class DefectOracle:
         values.flags.writeable = False
         return values
 
-    def verdicts(self, tol: float | None = None) -> list[DefectVerdict]:
-        """Defect verdicts for m = 1..m_max.
-
-        With ``tol=None`` each order uses the scaled default threshold.
-        """
+    def verdicts(self) -> list[DefectVerdict]:
+        """Defect verdicts for m = 1..m_max, each order at its scaled
+        threshold ``_default_tol(norm, 2m, m)``."""
         dn, qn = self.defect_norms
         out = []
         for m in range(1, self.m_max + 1):
-            tol_m = tol if tol is not None else _default_tol(self.norm, 2 * m, m)
+            tol_m = _default_tol(self.norm, 2 * m, m)
             d, q = float(dn[m - 1]), float(qn[m - 1])
             out.append(DefectVerdict(m, d, q, tol_m, d <= tol_m, q <= tol_m))
         return out

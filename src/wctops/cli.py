@@ -7,9 +7,10 @@ Problem specs are JSON documents; complex numbers are written as
 produced it.
 
 Exit codes: 0 all requested audits passed, 2 validation error (bad
-input, or a report that cannot be written), 3 a corrected-criterion/oracle
-mismatch was found, 4 a numeric failure (an internal consistency check
-failed, two formulas for one quantity disagreed, or a value overflowed).
+input, an input too large for memory, or a report that cannot be
+written), 3 a corrected-criterion/oracle mismatch was found, 4 a numeric
+failure (an internal consistency check failed, two formulas for one
+quantity disagreed, or a value overflowed).
 When the reader of standard output closes it early (``wctops ... | head``),
 the rest of the report is dropped and the exit code is still the report's
 own, 0 or 3.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -207,13 +207,6 @@ def _read_blocks(values: list) -> tuple[list[int], list[int]]:
     return list(chain.from_iterable(blocks)), list(map(len, blocks))
 
 
-def _finite_positive(value: float, name: str) -> float:
-    """A tolerance: finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
 def _is_integral(value: Any) -> bool:
     """An integer, or a float with an integral value (JSON writes ``2.0``
     for 2), but not a bool."""
@@ -274,7 +267,6 @@ class ProblemSpec:
     u: Mfunc
     w: Mfunc
     m_max: int = 4
-    tol: float | None = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
@@ -282,7 +274,7 @@ class ProblemSpec:
             raise ValidationError(
                 f"spec must be a JSON object, got {type(data).__name__}"
             )
-        known = {"weights", "blocks", "u", "w", "m_max", "tol"}
+        known = {"weights", "blocks", "u", "w", "m_max"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValidationError(f"spec has unknown field(s): {', '.join(unknown)}")
@@ -303,11 +295,6 @@ class ProblemSpec:
         m_max = int(m_max)
         if m_max < 1:
             raise ValidationError(f"spec field 'm_max' must be >= 1, got {m_max}")
-        tol = data.get("tol")
-        if tol is not None:
-            if not _is_number(tol):
-                raise ValidationError(f"spec field 'tol' must be a number, got {tol!r}")
-            tol = _finite_positive(_to_float(tol, "spec field 'tol'"), "spec field 'tol'")
         space = make_space(weights)
         partition = Partition(atoms, sizes, space.atom_count)
         for name, values in (("u", u), ("w", w)):
@@ -316,7 +303,7 @@ class ProblemSpec:
                     f"spec field '{name}' has {values.size} values for "
                     f"{space.atom_count} atoms"
                 )
-        return cls(space, partition, Mfunc(u), Mfunc(w), m_max, tol)
+        return cls(space, partition, Mfunc(u), Mfunc(w), m_max)
 
     @classmethod
     def from_file(cls, path: str) -> "ProblemSpec":
@@ -338,7 +325,6 @@ class ProblemSpec:
         return {
             **_spec_fields(self.space, self.partition, self.u, self.w),
             "m_max": self.m_max,
-            "tol": self.tol,
         }
 
 
@@ -508,7 +494,6 @@ def classify_operator(
     u: Mfunc,
     w: Mfunc,
     m_max: int = 4,
-    tol: float | None = None,
 ) -> ClassificationReport:
     """Classify ``f -> w E(u f)`` by both routes where feasible.
 
@@ -520,7 +505,7 @@ def classify_operator(
     normality = normal_case = spec_list = spec_zeros = spectrum_match = None
 
     if use_matrix:
-        audit = audit_agreement(ce, w, u, m_max, tol)
+        audit = audit_agreement(ce, w, u, m_max)
         oracle, st = audit.oracle, audit.symbols
         rows, verdicts = audit.rows, audit.verdicts
         mismatches, divergences = audit.mismatches, audit.divergences
@@ -535,7 +520,7 @@ def classify_operator(
         spectrum_match = {"ok": dist <= 1e-8, "distance": dist}
     else:
         st = symbols(ce, w, u)
-        rows, verdicts, mismatches, divergences = audit_rows(st, m_max, tol), (), (), ()
+        rows, verdicts, mismatches, divergences = audit_rows(st, m_max), (), (), ()
         notes.append(
             f"matrix route skipped: {space.atom_count} atoms exceed the "
             f"dense-matrix limit of {MATRIX_LIMIT}; verdicts use the "
@@ -566,9 +551,7 @@ def cmd_classify(spec: "ProblemSpec | str") -> ClassificationReport:
     """Classify the operator described by a problem spec (object or path)."""
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
-    return classify_operator(
-        spec.space, spec.partition, spec.u, spec.w, spec.m_max, spec.tol
-    )
+    return classify_operator(spec.space, spec.partition, spec.u, spec.w, spec.m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +617,6 @@ def cmd_example_a(
     nx: int = 20,
     ny: int = 1000,
     m_max: int = 4,
-    tol: float | None = None,
 ) -> ExampleAReport:
     """Grid example with ``u = y**(x/8)`` and ``w = sqrt((4+x) y)``.
 
@@ -642,16 +624,13 @@ def cmd_example_a(
     ``4/(4+x)``, ``(4+x)/2`` and ``64 (4+x)/(x+12)**2``.
     """
     grid = grid_space(nx, ny)
-    # atom i*ny + j sits at (xs[i], y[j]): the column values broadcast
-    # against the row values give u and w in atom order, with the same
-    # doubles into every operation as on the atom arrays themselves
-    xs = grid.x[::ny]
-    x, y = xs[:, None], grid.y[:ny]
+    xs = grid.xs
+    # atom i*ny + j sits at (xs[i], ys[j]): the column nodes broadcast
+    # against the row nodes give u and w in atom order
+    x, y = xs[:, None], grid.ys
     u = Mfunc(y ** (x / 8.0))
     w = Mfunc(np.sqrt((4.0 + x) * y))
-    report = classify_operator(
-        grid.space, grid.partition, u, w, m_max=m_max, tol=tol
-    )
+    report = classify_operator(grid.space, grid.partition, u, w, m_max=m_max)
 
     e_u2 = np.array([row["e_u2"] for row in report.symbol_rows])
     e_w2 = np.array([row["e_w2"] for row in report.symbol_rows])
@@ -725,16 +704,13 @@ def cmd_example_b(
     p: float = 0.5,
     n_atoms: int = 60,
     m_max: int = 6,
-    tol: float | None = None,
 ) -> ExampleBReport:
     """Geometric space example; the product ``u*w`` is identically 1."""
     geo = geometric_space(p, n_atoms)
     n = geo.n.astype(float)
     u = Mfunc(1.0 / n)
     w = Mfunc(n)
-    report = classify_operator(
-        geo.space, geo.partition, u, w, m_max=m_max, tol=tol
-    )
+    report = classify_operator(geo.space, geo.partition, u, w, m_max=m_max)
     descriptions = ["n divisible by 3", "n not divisible by 3"]
     alphas = [
         {
@@ -938,7 +914,6 @@ def cmd_random_suite(
     block_range: tuple[int, int] = (1, 4),
     seed: int = 42,
     m_max: int = 4,
-    tol: float | None = None,
 ) -> SuiteReport:
     """Audit criteria against the defect oracle on a randomized suite."""
     if count < 1:
@@ -952,7 +927,7 @@ def cmd_random_suite(
     div_instances = {"quasi": 0, "m_isometry": 0}
     for idx, inst in enumerate(instances):
         stratum_counts[inst.stratum] = stratum_counts.get(inst.stratum, 0) + 1
-        report = audit_agreement(inst.cond_exp(), inst.w, inst.u, m_max, tol)
+        report = audit_agreement(inst.cond_exp(), inst.w, inst.u, m_max)
         kinds = sorted({d.kind for d in report.divergences})
         for kind in kinds:
             div_instances[kind] = div_instances.get(kind, 0) + 1
@@ -1042,9 +1017,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, m_max_default: str, tol: bool = True) -> None:
-        if tol:
-            p.add_argument("--tol", type=float, default=None, help="classification tolerance")
+    def add_common(p: argparse.ArgumentParser, m_max_default: str) -> None:
         p.add_argument(
             "--m-max", type=int, default=None, help=f"largest order m (default: {m_max_default})"
         )
@@ -1077,10 +1050,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=42)
     add_common(p_suite, "4")
 
-    # the sweep has no verdict, so no tolerance
     p_sweep = sub.add_parser("sweep-m", help="defect norms for m = 1..m_max")
     p_sweep.add_argument("spec", help="path to a JSON problem spec")
-    add_common(p_sweep, "6", tol=False)
+    add_common(p_sweep, "6")
 
     return parser
 
@@ -1090,23 +1062,16 @@ def _dispatch(args: argparse.Namespace):
     m_max = {} if args.m_max is None else {"m_max": args.m_max}
     if args.command == "sweep-m":
         return cmd_sweep_m(args.spec, **m_max)
-    if args.tol is not None:
-        _finite_positive(args.tol, "--tol")
     if args.command == "classify":
-        spec = replace(ProblemSpec.from_file(args.spec), **m_max)
-        if args.tol is not None:
-            spec = replace(spec, tol=args.tol)
-        return cmd_classify(spec)
+        return cmd_classify(replace(ProblemSpec.from_file(args.spec), **m_max))
     if args.command == "example-a":
-        return cmd_example_a(args.nx, args.ny, tol=args.tol, **m_max)
+        return cmd_example_a(args.nx, args.ny, **m_max)
     if args.command == "example-b":
-        return cmd_example_b(args.p, args.n_atoms, tol=args.tol, **m_max)
+        return cmd_example_b(args.p, args.n_atoms, **m_max)
     if args.command == "random-suite":
         dims = _parse_range(args.dims, "--dims")
         blocks = _parse_range(args.blocks, "--blocks")
-        return cmd_random_suite(
-            args.count, dims, blocks, args.seed, tol=args.tol, **m_max
-        )
+        return cmd_random_suite(args.count, dims, blocks, args.seed, **m_max)
     raise ValidationError(f"unknown command {args.command!r}")
 
 
@@ -1121,6 +1086,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
     structured = None
     if args.out or args.format == "structured":
         structured = json.dumps(report.to_dict(), sort_keys=True, indent=2)

@@ -457,15 +457,14 @@ class AgreementReport:
 def audit_rows(
     st: SymbolTable,
     m_max: int,
-    tol: float | None = None,
     verdicts: tuple[DefectVerdict, ...] | None = None,
 ) -> tuple[AuditRow, ...]:
     """The audit row of each order m = 1..m_max, read from the symbol
     table's ``binomials(m_max)``.
 
     With the oracle's ``verdicts`` for those orders each order is read at
-    the oracle's threshold; without them at ``tol`` (the quasi criterion's
-    own default when None), and the oracle fields are None.
+    the oracle's threshold; without them at the quasi criterion's own
+    scaled threshold, and the oracle fields are None.
     """
     j, j_prime = st.binomials(m_max)
     quasi_residuals = _quasi_residuals(st, j).tolist()
@@ -486,7 +485,7 @@ def audit_rows(
     ):
         paper_m_iso = m_iso_residual <= PAPER_EPS
         if v is None:
-            tol_m = tol if tol is not None else _quasi_tol(st, m)
+            tol_m = _quasi_tol(st, m)
             oracle = dict(
                 oracle_quasi=None,
                 oracle_quasi_norm=None,
@@ -523,7 +522,6 @@ def audit_agreement(
     w: Mfunc,
     u: Mfunc,
     m_max: int,
-    tol: float | None = None,
 ) -> AgreementReport:
     """Cross-validate criteria against the defect oracle for m = 1..m_max.
 
@@ -535,8 +533,8 @@ def audit_agreement(
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     st = symbols(ce, w, u)
     oracle = DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
-    verdicts = tuple(oracle.verdicts(tol))
-    rows = audit_rows(st, m_max, tol, verdicts)
+    verdicts = tuple(oracle.verdicts())
+    rows = audit_rows(st, m_max, verdicts)
     mismatches = tuple(
         MismatchRecord(ce.space, ce.partition, u, w, r.m, r.quasi_residual, r.oracle_quasi_norm)
         for r in rows

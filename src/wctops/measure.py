@@ -331,28 +331,27 @@ def geometric_space(p: float, n_atoms: int) -> GeometricSpace:
 class GridSpace(NamedTuple):
     space: MeasureSpace
     partition: Partition
-    x: np.ndarray
-    y: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
 
 
 def grid_space(nx: int, ny: int) -> GridSpace:
     """Midpoint-rule discretization of the unit square with column blocks.
 
-    Atom ``(i, j)`` sits at ``((i + 1/2)/nx, (j + 1/2)/ny)`` with weight
-    ``1/(nx*ny)`` and linear index ``i*ny + j``.  Blocks collect atoms of
-    constant ``x``, so conditional expectation averages over ``y``.  The
-    node coordinates are returned so integrands can be evaluated on the
-    atoms.
+    Atom ``(i, j)`` has weight ``1/(nx*ny)``, linear index ``i*ny + j`` and
+    node ``(xs[i], ys[j])``, with ``xs = (arange(nx) + 1/2)/nx`` and
+    ``ys = (arange(ny) + 1/2)/ny``.  Blocks collect atoms of constant
+    ``x``, so conditional expectation averages over ``y``.  The two axes
+    are returned, not atom-length copies: an integrand of ``xs[:, None]``
+    and ``ys`` is evaluated on the atoms, in atom order.
     """
     if nx < 1 or ny < 1:
         raise ValidationError(f"grid dimensions must be positive, got {nx}x{ny}")
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
-    x = np.repeat(xs, ny)
-    y = np.tile(ys, nx)
     n = nx * ny
     # the space's copy of the broadcast mass is the one weight array
     space = make_space(np.broadcast_to(1.0 / n, n))
     # column i holds atoms i*ny .. i*ny + ny - 1, already in atom order
     partition = Partition.contiguous(np.full(nx, ny))
-    return GridSpace(space, partition, x, y)
+    return GridSpace(space, partition, xs, ys)

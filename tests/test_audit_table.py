@@ -137,7 +137,7 @@ def _dedup(values):
     return tuple(out)
 
 
-def _reference_rows(st, m_max, tol=None, verdicts=None):
+def _reference_rows(st, m_max, verdicts=None):
     """The audit rows by one sum over k per order, as plain dicts."""
     t, prod, both = st.abs_alpha_sq, st.product, st.in_both
     quasi_paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
@@ -147,12 +147,7 @@ def _reference_rows(st, m_max, tol=None, verdicts=None):
         j = sum((-1) ** (m - k) * comb(m, k) * t**k for k in range(m + 1))
         j_prime = sum((-1) ** (m - k) * comb(m, k) * t ** (k - 1) for k in range(1, m + 1))
         residual = float((np.abs(j[both]) * prod[both]).max()) if both.any() else 0.0
-        if v is not None:
-            tol_m = v.tol
-        elif tol is not None:
-            tol_m = tol
-        else:
-            tol_m = 1e-9 * max(1.0, float(prod.max()) ** m)
+        tol_m = v.tol if v is not None else 1e-9 * max(1.0, float(prod.max()) ** m)
         values = j_prime * st.gamma * st.beta
         m_iso_residual = float(np.abs(values - (1.0 if m % 2 else -1.0)).max())
         paper_m_iso = m_iso_residual <= PAPER_EPS
@@ -198,13 +193,8 @@ def test_audit_rows_match_a_per_order_reference():
     for inst in instances:
         audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
         st = audit.symbols
-        # with verdicts, each order is read at the oracle's threshold, not at tol
-        for args in (
-            (4, None, audit.verdicts),
-            (4, 1e-3, audit.verdicts),
-            (4, None, None),
-            (3, 1e-6, None),
-        ):
+        # with verdicts, each order is read at the oracle's threshold
+        for args in ((4, audit.verdicts), (4, None), (3, None)):
             rows = audit_rows(st, *args)
             expected = _reference_rows(st, *args)
             assert len(rows) == len(expected)
@@ -217,7 +207,7 @@ def test_audit_rows_refuse_verdicts_for_other_orders():
     inst = fixture_projection()
     audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
     with pytest.raises(ValidationError, match="4 oracle verdicts"):
-        audit_rows(audit.symbols, 3, None, audit.verdicts)
+        audit_rows(audit.symbols, 3, audit.verdicts)
 
 
 def test_symbol_table_builds_one_read_only_table_per_order_count():

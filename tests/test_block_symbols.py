@@ -234,7 +234,8 @@ def test_symbols_allocate_less_than_one_atom_length_array():
     n = 200_000
     g = grid_space(100, n // 100)
     ce = CondExp(g.space, g.partition)
-    u, w = Mfunc(g.x + 1j * g.y), Mfunc(np.cos(g.x * g.y) - 0.5j)
+    x, y = g.xs[:, None], g.ys
+    u, w = Mfunc(x + 1j * y), Mfunc(np.cos(x * y) - 0.5j)
     tracemalloc.start()
     try:
         symbols(ce, w, u)

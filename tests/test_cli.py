@@ -42,7 +42,6 @@ EXAMPLE_B_SPEC = {
     "u": [[1.0, 0.0], [0.5, 0.0], [1 / 3, 0.0], [0.25, 0.0]],
     "w": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]],
     "m_max": 4,
-    "tol": None,
 }
 
 
@@ -72,10 +71,16 @@ def test_spec_rejects_missing_and_unknown_fields(tmp_path, capsys):
     bad["extra"] = 1
     with pytest.raises(ValidationError, match="unknown field"):
         ProblemSpec.from_dict(bad)
-    # the retired hyponormality exponents: normality is one verdict
-    retired = dict(EXAMPLE_B_SPEC, probes_p=[0.25, 0.5, 2.0])
-    assert main(["classify", _write_spec(tmp_path, retired)]) == 2
-    assert capsys.readouterr().err == "error: spec has unknown field(s): probes_p\n"
+    # the retired hyponormality exponents, since normality is one verdict,
+    # and the retired tolerance, even null, since every threshold is the
+    # operator's own
+    for name, value in (("probes_p", [0.25, 0.5, 2.0]), ("tol", None), ("tol", 1e-3)):
+        retired = _write_spec(tmp_path, dict(EXAMPLE_B_SPEC, **{name: value}))
+        for command in ("classify", "sweep-m"):
+            assert main([command, retired]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: spec has unknown field(s): {name}\n"
+            assert captured.out == ""
 
 
 def _late(field, entry):
@@ -123,14 +128,14 @@ def test_spec_accepts_integral_float_atom_indices():
         ("m_max", 2.7, "m_max"),  # int() would truncate to 2
         ("m_max", True, "m_max"),
         ("m_max", "3", "m_max"),
-        ("tol", "1e-6", "tol"),
-        ("tol", True, "tol"),
+        ("m_max", [4], "m_max"),
+        ("m_max", float("inf"), "m_max"),
         ("weights", [True, 0.25, 0.125, 0.0625], "weights[0]"),
         ("weights", [0.5, "0.25", 0.125, 0.0625], "weights[1]"),
-        # a null order, a listed tolerance and a bare number for a list; the
+        # a null order, a null weight and a bare number for a list; the
         # rows below keep the indices their ids are generated from
         ("m_max", None, "m_max"),
-        ("tol", [1e-6], "tol"),
+        ("weights", [0.5, None, 0.125, 0.0625], "weights[1]"),
         ("weights", 0.5, "weights"),
         # u and w entries after three good pairs, named by their index
         ("u", _late("u", [True, 0]), "u[3]"),
@@ -163,9 +168,8 @@ HUGE = 10**400
         ("weights", [0.5, 0.25, HUGE, 0.0625], "weights[2]"),
         ("blocks", [[2], [0, 1, HUGE]], "blocks[1]"),
         ("blocks", [[2.0], [0, 1, 1e300]], "blocks[1]"),
-        ("tol", HUGE, "tol"),
     ],
-    ids=["u", "w-pair", "weights", "atom-index", "float-atom-index", "tol"],
+    ids=["u", "w-pair", "weights", "atom-index", "float-atom-index"],
 )
 def test_main_rejects_numbers_out_of_range(tmp_path, capsys, field, value, bad):
     data = dict(EXAMPLE_B_SPEC, **{field: value})
@@ -303,7 +307,7 @@ def test_main_overflow_exits_4_with_one_error_line(tmp_path, capsys, name):
 
 # overflows that numpy warns about before a check finds them: the products
 # u w and |u|^2 of two singletons, and the symbol product E|u|^2 E|w|^2 of
-# one block past the matrix route's size, under a given tolerance
+# one block past the matrix route's size
 WARNING_OVERFLOW_SPECS = {
     "singleton-products": {
         "weights": [1, 1],
@@ -316,7 +320,6 @@ WARNING_OVERFLOW_SPECS = {
         "blocks": [list(range(601))],
         "u": [1e80] + [0] * 600,
         "w": [0, 1e80] + [0] * 599,
-        "tol": 1e-3,
     },
 }
 
@@ -328,6 +331,35 @@ def test_main_overflow_exits_4_with_no_numpy_warning(tmp_path, capsys, name, com
     assert main([command, _write_spec(tmp_path, WARNING_OVERFLOW_SPECS[name])]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [["example-a", "--nx", "2", "--ny", "2", "--m-max", "800"], ["example-b", "--m-max", "1029"]],
+    ids=["example-a", "example-b"],
+)
+def test_main_high_order_overflow_exits_4_with_no_numpy_warning(capsys, argv):
+    # every gram is finite, but the binomial sums of a high order overflow:
+    # the operands are built with no warning, and the eigensolve round's
+    # finiteness check reports the overflow on one line
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: matrix has non-finite entries: the terms that built it overflow\n"
+    )
+    assert captured.out == ""
+
+
+def test_main_maps_memory_error_to_one_line_and_exit_2(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli_mod, "_dispatch", exhausted)
+    assert main(["example-a", "--nx", "100000", "--ny", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
     assert captured.out == ""
 
 
@@ -405,53 +437,37 @@ def test_library_overflow_raises_numeric_error_with_no_numpy_warning(name, run):
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
             if run == "classify_operator":
-                classify_operator(
-                    spec.space, spec.partition, spec.u, spec.w, spec.m_max, spec.tol
-                )
+                classify_operator(spec.space, spec.partition, spec.u, spec.w, spec.m_max)
             else:
                 cmd_sweep_m(spec)
 
 
+SUBCOMMANDS = [["classify", None], ["sweep-m", None], ["example-a"], ["example-b"], ["random-suite"]]
+
+
+def _assert_tolerance_refused(tmp_path, capsys, command, value):
+    # every verdict is decided at its order's own scaled threshold, so no
+    # subcommand takes a tolerance: argparse refuses --tol, whatever its value
+    argv = [a if a is not None else _write_spec(tmp_path, EXAMPLE_B_SPEC) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: --tol {value}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf", "-0.0"])
-@pytest.mark.parametrize(
-    "command",
-    [["classify", None], ["sweep-m", None], ["example-a"], ["example-b"], ["random-suite"]],
-)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_main_rejects_a_tolerance_that_is_not_finite_and_positive(
     tmp_path, capsys, command, value
 ):
-    argv = [a if a is not None else _write_spec(tmp_path, EXAMPLE_B_SPEC) for a in command]
-    if command[0] == "sweep-m":
-        # the sweep has no verdict and so no --tol: argparse refuses it
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--tol", value])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
-        return
-    assert main([*argv, "--tol", value]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: --tol must be finite and > 0, got ")
-    assert captured.out == ""
+    _assert_tolerance_refused(tmp_path, capsys, command, value)
 
 
-@pytest.mark.parametrize(
-    "field,value,bad",
-    [
-        ("tol", float("inf"), "tol"),
-        ("tol", float("nan"), "tol"),
-        ("tol", -1.0, "tol"),
-        ("tol", 0.0, "tol"),
-    ],
-)
-def test_spec_rejects_a_tolerance_or_exponent_that_is_not_finite_and_positive(
-    tmp_path, capsys, field, value, bad
-):
-    data = dict(EXAMPLE_B_SPEC, **{field: value})
-    with pytest.raises(ValidationError, match=re.escape(f"'{bad}' must be finite and > 0")):
-        ProblemSpec.from_dict(data)
-    # json writes Infinity and NaN, which json.load reads back as floats
-    assert main(["classify", _write_spec(tmp_path, data)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: spec field '{bad}' must be finite")
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_main_rejects_any_tolerance(tmp_path, capsys, command):
+    _assert_tolerance_refused(tmp_path, capsys, command, "1e-3")
 
 
 def test_spec_build_rejects_overlapping_blocks():
@@ -548,8 +564,9 @@ def test_cmd_example_a_classifies_u_and_w_on_the_atoms(nx, ny):
     # example-a builds u and w from the column and row values; the report
     # is that of the symbols evaluated on the atom arrays themselves
     grid = grid_space(nx, ny)
-    u = Mfunc(grid.y ** (grid.x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
+    x, y = np.repeat(grid.xs, ny), np.tile(grid.ys, nx)
+    u = Mfunc(y ** (x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + x) * y))
     expected = classify_operator(grid.space, grid.partition, u, w)
     assert cmd_example_a(nx, ny).classification.to_dict() == expected.to_dict()
 
@@ -575,7 +592,7 @@ def test_symbol_only_example_a_does_not_load_numpy_random():
 
 def test_cmd_example_a_midpoint_error_shrinks():
     errors = [
-        cmd_example_a(4, ny, m_max=1, tol=None).max_rel_err_e_u2
+        cmd_example_a(4, ny, m_max=1).max_rel_err_e_u2
         for ny in (250, 500, 1000)
     ]
     assert errors[1] < errors[0] / 2
@@ -857,9 +874,9 @@ def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
     calls = []
     original = DefectOracle.verdicts
 
-    def counted(self, tol=None):
-        calls.append(tol)
-        return original(self, tol)
+    def counted(self):
+        calls.append(self)
+        return original(self)
 
     monkeypatch.setattr(DefectOracle, "verdicts", counted)
     inst = fixture_projection()
@@ -908,8 +925,9 @@ def test_repeated_reports_draw_no_new_probes(monkeypatch):
 
 def test_classify_operator_at_scale_leaves_the_block_tuples_unbuilt():
     grid = grid_space(100, 10000)
-    u = Mfunc(grid.y ** (grid.x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
+    x, y = grid.xs[:, None], grid.ys
+    u = Mfunc(y ** (x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + x) * y))
     report = classify_operator(grid.space, grid.partition, u, w)
     assert not report.matrix_route and report.block_count == 100
     assert "blocks" not in vars(grid.partition)

@@ -51,14 +51,13 @@ def test_symbols_geometric_example():
 
 def test_symbols_grid_example_curves():
     grid = grid_space(6, 400)
-    u = Mfunc(grid.y ** (grid.x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
+    x, y = grid.xs[:, None], grid.ys
+    u = Mfunc(y ** (x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + x) * y))
     ce = CondExp(grid.space, grid.partition)
     st = symbols(ce, w, u)
-    for blk in grid.partition.blocks:
-        i = blk[0]
-        x = grid.x[i]
-        b = st.block_index[i]
+    for blk, x in zip(grid.partition.blocks, grid.xs):
+        b = st.block_index[blk[0]]
         assert st.beta[b] == pytest.approx(4 / (4 + x), rel=1e-3)
         assert st.gamma[b] == pytest.approx((4 + x) / 2, rel=1e-3)
         assert st.abs_alpha_sq[b] == pytest.approx(
@@ -185,8 +184,9 @@ def test_m_isometry_criterion_projection_divergence(uniform4):
 
 def test_m_isometry_criterion_grid_interval():
     grid = grid_space(4, 50)
-    u = Mfunc(grid.y ** (grid.x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + grid.x) * grid.y))
+    x, y = grid.xs[:, None], grid.ys
+    u = Mfunc(y ** (x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + x) * y))
     ce = CondExp(grid.space, grid.partition)
     (v,) = audit_agreement(ce, w, u, 1).rows
     assert not v.paper_m_iso and not v.oracle_m_iso

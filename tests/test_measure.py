@@ -251,14 +251,13 @@ def test_grid_space_2x2():
     assert grid.space.atom_count == 4
     assert np.allclose(grid.space.weights, 0.25)
     assert grid.partition.blocks == ((0, 1), (2, 3))
-    assert np.allclose(grid.x, [0.25, 0.25, 0.75, 0.75])
-    assert np.allclose(grid.y, [0.25, 0.75, 0.25, 0.75])
+    assert grid.xs.tolist() == [0.25, 0.75] and grid.ys.tolist() == [0.25, 0.75]
 
 
 def test_grid_space_single_column():
     grid = grid_space(1, 5)
     assert grid.partition.block_count == 1
-    assert np.allclose(grid.x, 0.5)
+    assert grid.xs.tolist() == [0.5] and grid.ys.shape == (5,)
 
 
 def test_grid_space_block_masses():
@@ -277,10 +276,9 @@ def test_grid_space_rejects_zero_dimension():
 def test_grid_space_midpoint_quadrature_converges():
     # E(|u|^2) with u = y**(x/8) should approach 4/(4+x) column by column
     grid = grid_space(8, 500)
-    u2 = grid.y ** (grid.x / 4.0)
-    for blk in grid.partition.blocks:
+    u2 = (grid.ys ** (grid.xs[:, None] / 4.0)).ravel()
+    for blk, x in zip(grid.partition.blocks, grid.xs):
         idx = list(blk)
-        x = grid.x[idx[0]]
         measured = (u2[idx] * grid.space.weights[idx]).sum() / (1.0 / 8)
         assert measured == pytest.approx(4.0 / (4.0 + x), rel=1e-3)
 

@@ -17,7 +17,6 @@ README_SPEC = {
     "u": [[1.0, 0.0], [0.5, 0.0], [1 / 3, 0.0], [0.25, 0.0]],
     "w": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]],
     "m_max": 6,
-    "tol": None,
 }
 # the averaging projection: normal, so normal_case is filled in, and its
 # literal m-isometry reading diverges from the oracle
