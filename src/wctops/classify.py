@@ -1,20 +1,20 @@
 """Ground-truth operator classification via defect operators.
 
 The defect operator of order ``m`` is the alternating binomial sum
-``sum_k (-1)^(m-k) C(m,k) T*^k T^k``; it vanishes exactly for
-m-isometries.  Sandwiching it as ``T* B T`` gives the quasi version.
+``B_m = sum_k (-1)^(m-k) C(m,k) T*^k T^k``; it vanishes exactly for
+m-isometries.  Sandwiching it as ``T* B_m T`` gives the quasi version.
 These computations serve as the oracle against which the function-level
 criteria are audited.
 
 ``T f = w E(u f)`` maps the span of each partition block into itself, so
 ``T`` and every operator built from it here are block-diagonal.
 ``DefectOracle`` therefore computes on the diagonal blocks alone, held in
-one stack array (see the stack kernels in ``linop``).  Each block is rank
+one array of cores (``linop._rank_one_cores``).  Each block is rank
 one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the complement of
 ``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: every block is kept
 as its 2x2 core in an orthonormal basis of ``V_b``, and a singleton's
 value is padded with one zero lane, unless every block is a singleton,
-when the stack holds the 1x1 values alone.  The cores are read from ``T``
+when the array holds the 1x1 values alone.  The cores are read from ``T``
 alone, through three matvecs: ``T f`` and ``T* g`` give ``a_b`` and ``c_b``
 for random probes f and g, and ``T h`` checks the rank-one model on a
 third probe (Freivalds' check).  Reports read them from
@@ -23,23 +23,23 @@ third probe (Freivalds' check).  Reports read them from
 Both the lanes cut from a block and the lane padded onto a singleton are
 kernel directions of ``T`` and ``T*``.  Each carries ``B_m = (-1)^m`` and a
 zero ``T* B_m T`` and ``T* T``, and every rank-one core already has such a
-kernel direction, so these values change no norm, scale or check.
-``spectrum`` reads each block's eigenvalue from its core's diagonal, one
-per block; the other n - k eigenvalues of ``T`` are zero.  Every check
-runs on every block with the scale of the whole operator.
+kernel direction, so these values change no norm.  ``spectrum`` reads
+each block's eigenvalue from its core's diagonal, one per block; the other
+n - k eigenvalues of ``T`` are zero.
 
-No power of ``T`` is a matrix product.  On a core ``[[lam, kappa], [0, 0]]``
-(or ``[lam]``), ``T^k = lam^(k-1) T`` for k >= 1, so the grams are
-``(T^k)* T^k = |lam|^(2(k-1)) T* T``: ``_gram_stack`` takes ``T* T`` as one
-outer product of the cores' first rows and every later gram from one ladder
-of cumulative products of ``|lam|^2``.  The sandwich ``T* B_m T`` stays a
-matrix product, checked against the shifted binomial sums of the grams: on
-a core it is ``(B_m)_00 T* T``, and written that way the check would
-compare one formula with itself.
-
-The oracle solves its Hermitian operands, ``B_1..B_m``, ``T* B_m T`` and
-``T* T``, in one eigensolve round, each 1x1 or 2x2 block in closed form
-(``linop._eigh_small``) with no LAPACK call.
+No operator is summed or solved.  On a core ``[[lam, kappa], [0, 0]]`` (or
+``[lam]``), ``T^k = lam^(k-1) T`` for k >= 1, so with ``t = |lam|^2`` the
+grams are ``(T^k)* T^k = t^(k-1) T* T`` and the binomial sums collapse:
+``T* B_m T = (t - 1)^m T* T`` and ``B_m = (-1)^m I + c_m(t) T* T``, with
+``c_m(t) = ((t - 1)^m - (-1)^m) / t``.  ``T* T`` has the one nonzero
+eigenvalue ``g = |(lam, kappa)|^2``, so every defect norm is a closed form
+in t and g (``DefectOracle.defect_norms``), which ``_defect_scalars``
+evaluates with no cancellation, where the alternating sums lose about
+``eps (1 + t)^m`` (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 1-3).  ``criteria.binomial_table`` reads the symbol
+route's ``J_m`` and ``J'_m`` from the same helper.  The oracle stays
+independent of the symbol route: its t and g come from the action of
+``T`` through the probes, not from conditional expectations.
 
 Normality is one verdict.  On a finite-dimensional space p-hyponormal for
 any p > 0, hyponormal and normal coincide (Aluthge, *On p-hyponormal
@@ -56,22 +56,14 @@ for ``T`` and ``c T``, whatever the scale ``c``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, isfinite
-from typing import Sequence
+from math import isfinite
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .linop import (
-    Action,
-    _adj,
-    _eigh_stack,
-    _per_operand,
-    _rank_one_cores,
-)
+from .linop import Action, _rank_one_cores
 from .measure import Partition
 
 __all__ = ["DefectVerdict", "DefectOracle"]
@@ -110,113 +102,38 @@ def _default_tol(scale: float, power: int, m: int) -> float:
     return 1e-9 * max(1.0, size)
 
 
-def _symmetrize(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    adj = _adj(a)
-    asym = _per_operand(np.abs(a - adj))
-    if (asym > 1e-10 * scale).any():
-        i = int(np.argmax(asym / scale))
-        raise NumericError(
-            f"defect matrix asymmetry {asym[i]:.3e} exceeds 1e-10 "
-            f"at scale {scale[i]:.3e}"
-        )
-    return 0.5 * (a + adj)
-
-
 @lru_cache(maxsize=None)
-def _identity(d: int) -> np.ndarray:
-    """The read-only complex ``d x d`` identity."""
-    eye = np.eye(d, dtype=complex)
-    eye.flags.writeable = False
-    return eye
+def _order_signs(m_max: int) -> np.ndarray:
+    """The read-only column of ``(-1)^m`` for the orders m = 1..m_max."""
+    signs = (-1.0) ** np.arange(1, m_max + 1)[:, None]
+    signs.flags.writeable = False
+    return signs
 
 
-def _gram_stack(t: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(T^k)* T^k`` for k = 0..k_max as operands of a stack, with the
-    entry scale of each, for a stack ``t`` of rank-one cores.
-    NumericError when one of them overflows.
+def _defect_scalars(t: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(t - 1)^m`` and ``c_m(t) = ((t - 1)^m - (-1)^m) / t`` for m = 1..m_max,
+    as the rows of two ``(m_max, k)`` arrays, for k values ``t >= 0``.
 
-    A core ``[[lam, kappa], [0, 0]]`` (or ``[lam]``) has ``T^k = lam^(k-1) T``
-    for k >= 1, so ``G_1 = T* T`` is the outer product of its first row with
-    itself and ``G_k = L_(k-1) G_1``, with ``L_j = |lam|^(2j)`` the
-    cumulative products of ``|lam|^2 = G_1[0, 0]`` from ``L_0 = 1``: a
-    nilpotent core (``lam = 0``) has ``G_1 = T* T`` and ``G_k = 0`` past it.
-    The largest entry modulus of ``G_1`` on a core is its largest diagonal
-    entry, so each scale is read from the ladder and that diagonal.
+    The powers are the cumulative products of one ladder, and nothing in
+    them cancels.  For t >= 1/2, ``c_m`` is taken as written: below t = 1
+    the difference has modulus at least 1/2, and above it its roundoff is a
+    few eps of its terms.  Below t = 1/2 the difference ``(-1)^m ((1 - t)^m
+    - 1)`` cancels, so it is ``(-1)^m expm1(m log1p(-t))``; where
+    ``m t < 2^-53`` (t = 0, or t so small that ``m t`` would be subnormal)
+    ``c_m`` is its limit ``(-1)^(m-1) m``, exact to roundoff there.  A power
+    past the double range is infinite, with no numpy warning; the callers
+    check it.
     """
-    row = t[..., 0, :]
-    g1 = row.conj()[..., :, None] * row[..., None, :]
-    diag = g1.diagonal(axis1=-2, axis2=-1).real
-    ladder = np.empty((k_max,) + diag.shape[1:-1])
-    ladder[0] = 1.0
-    ladder[1:] = diag[..., 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply.accumulate(ladder, axis=0, out=ladder)
-        grams = np.empty((k_max + 1,) + t.shape[1:], dtype=complex)
-        grams[0] = _identity(t.shape[-1])
-        np.multiply(ladder[..., None, None], g1, out=grams[1:])
-        sizes = _per_operand(ladder * diag.max(axis=-1))
-    scales = np.maximum(1.0, np.concatenate(([1.0], sizes)))
-    if not np.isfinite(scales).all():
-        k = int(np.argmin(np.isfinite(scales)))
-        raise NumericError(f"the powers of T overflow: (T^{k})* T^{k} is not finite")
-    return grams, scales
-
-
-@lru_cache(maxsize=None)
-def _alternating_binomials(m_max: int) -> np.ndarray:
-    """The read-only ``(m_max, m_max + 1)`` matrix whose row m - 1 holds
-    ``(-1)^(m-k) C(m,k)`` for k = 0..m, and zeros past k = m, from Pascal's
-    rule ``a(m, k) = a(m-1, k-1) - a(m-1, k)`` in exact integers.
-    NumericError when ``C(m_max, m_max // 2)`` is past the double range."""
-    if comb(m_max, m_max // 2) > sys.float_info.max:
-        raise NumericError(f"the binomial coefficients of order {m_max} overflow a double")
-    coef = np.zeros((m_max, m_max + 1))
-    row = [1]
-    for m in range(1, m_max + 1):
-        row = [left - right for left, right in zip([0, *row], [*row, 0])]
-        coef[m - 1, : m + 1] = row
-    coef.flags.writeable = False
-    return coef
-
-
-def _alternating_sums(
-    grams: np.ndarray, scales: np.ndarray, orders: Sequence[int], shift: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``sum_k (-1)^(m-k) C(m,k) G_(k+shift)`` for each m in ``orders``, with
-    the scale of each sum: its largest ``C(m,k) * scale(G_(k+shift))``."""
-    width = max(orders, default=0) + 1
-    coef = _alternating_binomials(width - 1)[np.asarray(orders, dtype=int) - 1]
-    window = grams[shift : shift + width]
-    sums = (coef @ window.reshape(width, -1)).reshape((len(orders),) + window.shape[1:])
-    scale = np.maximum(1.0, (np.abs(coef) * scales[shift : shift + width]).max(axis=1))
-    return sums, scale
-
-
-def _defects(
-    grams: np.ndarray, scales: np.ndarray, orders: Sequence[int]
-) -> np.ndarray:
-    """The defect operators ``B_m``, symmetrized with an asymmetry check."""
-    return _symmetrize(*_alternating_sums(grams, scales, orders, shift=0))
-
-
-def _quasi_defects(
-    t: np.ndarray,
-    grams: np.ndarray,
-    scales: np.ndarray,
-    defects: np.ndarray,
-    orders: Sequence[int],
-) -> np.ndarray:
-    """Sandwiches ``T* B_m T`` checked against the shifted binomial sums."""
-    direct, scale_direct = _alternating_sums(grams, scales, orders, shift=1)
-    sandwich = _adj(t) @ defects @ t
-    scale = np.maximum(np.maximum(scale_direct, _per_operand(np.abs(sandwich))), 1.0)
-    dev = _per_operand(np.abs(direct - sandwich))
-    if (dev > 1e-9 * scale).any():
-        i = int(np.argmax(dev / scale))
-        raise NumericError(
-            f"quasi-defect formulas disagree by {dev[i]:.3e} at scale {scale[i]:.3e}"
-        )
-    return _symmetrize(sandwich, scale)
+    signs = _order_signs(m_max)
+    orders = np.arange(1.0, m_max + 1)[:, None]
+    power = np.empty((m_max,) + t.shape)
+    power[:] = t - 1.0
+    with np.errstate(over="ignore"):
+        np.multiply.accumulate(power, axis=0, out=power)
+        near = signs * np.expm1(orders * np.log1p(-np.minimum(t, 0.5)))
+        diff = np.where(t < 0.5, near, power - signs)
+        c = np.where(orders * t < 2.0**-53, -signs * orders, diff / np.where(t > 0, t, 1.0))
+    return power, c
 
 
 class DefectOracle:
@@ -224,11 +141,8 @@ class DefectOracle:
 
     ``T`` is given by its action, and ``partition`` names blocks whose spans
     ``T`` maps into themselves; every block must be rank one to roundoff,
-    else NumericError.  What several verdicts share is computed once: the
-    gram stack ``(T^k)* T^k`` and one eigensolve round over the defects, the
-    sandwiched defects and ``T* T``, which gives the norm and the defect
-    norms.  The norm of a Hermitian operand is the largest modulus of its
-    own eigenvalues.  Normality reads the cores alone.
+    else NumericError.  Every number is read from the cores: the norm, the
+    defect norms in closed form, normality and the spectrum.
     """
 
     def __init__(self, T: Action, m_max: int, partition: Partition) -> None:
@@ -236,33 +150,43 @@ class DefectOracle:
             raise ValidationError(f"m_max must be >= 0, got {m_max}")
         self.m_max = m_max
         self._t = _rank_one_cores(T, partition)
-        self._grams, self._scales = _gram_stack(self._t, m_max + 1)
-
-    @cached_property
-    def _eig(self) -> np.ndarray:
-        """The eigensolve round: the ascending eigenvalues ``(r, k, d)`` of
-        ``B_1..B_m_max``, then ``T* B_m T`` for m = 1..m_max, then ``T* T``,
-        each operand with its own checks.  A high order's binomial sums can
-        overflow although every gram is finite; the operands are then built
-        with no numpy warning, and ``_eigh_stack``'s finiteness check reports
-        the overflow once."""
-        orders = range(1, self.m_max + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            defects = _defects(self._grams, self._scales, orders)
-            quasi = _quasi_defects(self._t, self._grams, self._scales, defects, orders)
-        return _eigh_stack(np.concatenate([defects, quasi, self._grams[1:2]]))
+        # |lam_b| and |kappa_b| of each core (|lam_b| alone in a 1x1 array),
+        # and the block norm |(lam_b, kappa_b)|
+        self._rows = np.abs(self._t[0, :, 0])
+        self._lengths = np.hypot.reduce(self._rows, axis=-1)
 
     @cached_property
     def norm(self) -> float:
-        """Operator norm of ``T``: the root of the top eigenvalue of ``T* T``."""
-        top = float(self._eig[2 * self.m_max].max())
-        return float(np.sqrt(max(top, 0.0)))
+        """Operator norm of ``T``: the largest block norm ``|(lam_b, kappa_b)|``."""
+        return float(self._lengths.max())
 
     @cached_property
     def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max."""
-        norms = _per_operand(np.abs(self._eig[: 2 * self.m_max]))
-        return norms[: self.m_max], norms[self.m_max :]
+        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max, in closed
+        form on every core, with ``t = |lam|^2`` and ``g = |(lam, kappa)|^2``.
+
+        ``T* B_m T = (t - 1)^m T* T`` has norm ``|t - 1|^m g``.  ``B_m =
+        (-1)^m I + c_m T* T`` has the eigenvalue ``(-1)^m`` on the kernel of
+        ``T* T``, which every 2x2 core has, and ``(-1)^m + c_m g`` on its
+        range; a 1x1 core is ``B_m = (t - 1)^m``.  NumericError naming the
+        first order whose norms overflow.
+        """
+        t, g = self._rows[:, 0] ** 2, self._lengths**2
+        with np.errstate(over="ignore"):
+            power, c = _defect_scalars(t, self.m_max)
+            quasi = (np.abs(power) * g).max(axis=1)
+            if self._rows.shape[-1] == 1:
+                defect = np.abs(power).max(axis=1)
+            else:
+                range_part = np.abs(_order_signs(self.m_max) + c * g).max(axis=1)
+                defect = np.maximum(1.0, range_part)
+        finite = np.isfinite(quasi) & np.isfinite(defect)
+        if not finite.all():
+            m = int(np.argmin(finite)) + 1
+            raise NumericError(
+                f"the powers of T overflow: the defect norms of order {m} are not finite"
+            )
+        return defect, quasi
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -296,8 +220,7 @@ class DefectOracle:
         is ``sin theta_b = |kappa| / |(lam, kappa)|``; it is 0 on a zero
         block and on a singleton, whose 1x1 core has no ``kappa``.
         """
-        rows = np.abs(self._t[0, :, 0])
-        length = np.hypot.reduce(rows, axis=-1)
-        sines = rows[:, 1:].sum(axis=-1) / np.where(length > 0, length, 1.0)
+        length = self._lengths
+        sines = self._rows[:, 1:].sum(axis=-1) / np.where(length > 0, length, 1.0)
         residual = float(sines.max())
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

@@ -9,8 +9,7 @@ produced it.
 Exit codes: 0 all requested audits passed, 2 validation error (bad
 input, an input too large for memory, or a report that cannot be
 written), 3 a corrected-criterion/oracle mismatch was found, 4 a numeric
-failure (an internal consistency check failed, two formulas for one
-quantity disagreed, or a value overflowed).
+failure (an internal consistency check failed or a value overflowed).
 When the reader of standard output closes it early (``wctops ... | head``),
 the rest of the report is dropped and the exit code is still the report's
 own, 0 or 3.

@@ -16,16 +16,14 @@ between the corrected reading and the oracle is a mismatch and is what
 the audit exists to rule out.
 
 Both readings of both criteria run on the alternating binomial sums
-``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` evaluates
+``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` reads
 them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
-the k blocks, from one cached coefficient matrix (the one the oracle's
-defect sums use) and one ladder of cumulative products that holds every
-power ``t^k``, ``(1 + t)^m`` and ``(t - 1)^m``, and checks every element
-against its closed form.  A report builds that table once, on its
-``SymbolTable``, and ``audit_rows`` reads every audit row from it: each
-per-order residual is one reduction over the table, and the attained
-values ``e_r`` come from one row-wise sort, made only when the oracle's
-verdicts are given.
+the k blocks, from their closed forms ``(t - 1)^m`` and ``c_m(t)``, which the
+defect oracle evaluates with the same helper.  A report builds that table
+once, on its ``SymbolTable``, and ``audit_rows`` reads every audit row from
+it: each per-order residual is one reduction over the table, and the
+attained values ``e_r`` come from one row-wise sort, made only when the
+oracle's verdicts are given.
 ``normal_case_equivalence`` reads ``J'_m_max`` from the same table.
 """
 
@@ -33,11 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .classify import DefectOracle, DefectVerdict, _alternating_binomials, _default_tol
+from .classify import (
+    DefectOracle,
+    DefectVerdict,
+    _default_tol,
+    _defect_scalars,
+    _order_signs,
+)
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
@@ -115,12 +119,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def _order_signs(m_max: int) -> np.ndarray:
-    """The read-only column of ``(-1)^m`` for the orders m = 1..m_max."""
-    return _read_only((-1.0) ** np.arange(1, m_max + 1)[:, None])
-
-
 # an overflow is reported once, by the finiteness check, not also as
 # numpy's warnings on the way there
 @np.errstate(over="ignore", invalid="ignore")
@@ -156,47 +154,22 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``J_m(t) = sum_{k=0}^{m} (-1)^(m-k) C(m,k) t^k`` and ``J'_m(t) =
     sum_{k=1}^{m} (-1)^(m-k) C(m,k) t^(k-1)``, for a one-dimensional array
-    of non-negative values ``t``.  Every element is checked against its
-    closed form, ``J_m(t) = (t - 1)^m`` and ``t J'_m(t) = (t - 1)^m - (-1)^m``,
-    to within ``1e-12 * max(1, (1 + t)^m)``: the moduli of the sum's terms
-    add up to ``(1 + t)^m``, which bounds its roundoff.  NumericError when
-    that scale overflows.
+    of non-negative values ``t``, are read from their closed forms
+    ``J_m(t) = (t - 1)^m`` and ``J'_m(t) = c_m(t) = ((t - 1)^m - (-1)^m) /
+    t`` by the oracle's own helper, ``classify._defect_scalars``: summed,
+    the terms cancel to roundoff of about ``eps (1 + t)^m``, and the closed
+    forms do not cancel.  NumericError when ``(t - 1)^m`` overflows.
     """
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     t = np.asarray(t_val, dtype=float)
     if (t < 0).any():
         raise ValidationError("t must be non-negative")
-    # t^k, (1 + t)^k and (t - 1)^k for k = 0..m_max, as the cumulative
-    # products of one ladder
-    ladder = np.empty((3, m_max + 1) + t.shape)
-    ladder[:, 0] = 1.0
-    ladder[0, 1:] = t
-    np.add(t, 1.0, out=ladder[1, 1:])
-    np.subtract(t, 1.0, out=ladder[2, 1:])
-    with np.errstate(over="ignore"):
-        np.multiply.accumulate(ladder, axis=1, out=ladder)
-    powers, size, closed = ladder[0], np.maximum(1.0, ladder[1, 1:]), ladder[2, 1:]
-    if not np.isfinite(size[-1]).all():
+    j, j_prime = _defect_scalars(t, m_max)
+    # |t - 1|^m grows with m where it can overflow, so the last order shows it
+    if not np.isfinite(j[-1]).all():
         raise NumericError(
             f"binomial sums of order {m_max} overflow at t = {float(t.max()):.3e}"
-        )
-    coef = _alternating_binomials(m_max)
-    j = coef @ powers
-    j_prime = coef[:, 1:] @ powers[:-1]
-    # the elements of both sums and of both closed forms, checked in one pass
-    rhs = np.concatenate((closed, closed - _order_signs(m_max)))
-    dev = np.abs(np.concatenate((j, t * j_prime)) - rhs)
-    bad = (dev > 1e-12 * np.concatenate((size, size))).any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        m = i % m_max + 1
-        worst = dev[i].max()
-        if i < m_max:
-            raise NumericError(f"binomial sum deviates from (t-1)^{m} by {worst:.3e}")
-        raise NumericError(
-            f"reduced binomial sum of order {m} violates its closure identity "
-            f"by {worst:.3e}"
         )
     return j, j_prime
 

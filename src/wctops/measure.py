@@ -250,12 +250,17 @@ class Mfunc:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=complex).reshape(-1)
+        raw = np.asarray(self.values)
+        # a real input is tested before its complex copy, at half the bytes
+        real = raw.dtype.kind in "biuf"
+        v = raw.reshape(-1) if real else np.array(raw, dtype=complex).reshape(-1)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
         if not np.isfinite(v).all():
             i = int(np.flatnonzero(~np.isfinite(v))[0])
             raise ValidationError(f"function value at index {i} is not finite")
+        if real:
+            v = v.astype(complex)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference
 from dense_reference import wct_matrix
 from wctops import (
     Action,
@@ -50,9 +51,19 @@ def wct_oracle(ce, w, u, m_max):
     return DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
 
 
+def core_defects(oracle, m):
+    """``B_m`` on each of the oracle's cores, built by the dense reference:
+    shape ``(k, d, d)``."""
+    return np.array([dense_reference.defect(core, m) for core in oracle._t[0]])
+
+
 def defect_evals(oracle, m, quasi=False):
-    """The eigenvalues of ``B_m``, or of ``T* B_m T``, on the oracle's cores."""
-    return np.sort(oracle._eig[m - 1 + quasi * oracle.m_max].ravel())
+    """The eigenvalues of ``B_m``, or of ``T* B_m T``, on the oracle's cores,
+    from the dense reference."""
+    b, cores = core_defects(oracle, m), oracle._t[0]
+    if quasi:
+        b = cores.conj().swapaxes(-1, -2) @ b @ cores
+    return np.sort(np.linalg.eigvalsh(b).ravel())
 
 
 def cond_exp(ce, f):

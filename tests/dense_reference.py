@@ -2,9 +2,11 @@
 
 It builds the whole ``n x n`` matrix of ``T f = w E(u f)`` in the orthonormal
 atom basis and reads every number of the oracle from it with ``numpy.linalg``
-alone, so it shares no kernel with the package it audits.
+alone, so it shares no kernel with the package it audits.  ``exact_sums``
+gives the alternating binomial sums of one value in exact arithmetic.
 """
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -80,3 +82,20 @@ def oracle(t, m_max, probes_p=()):
         "p_residuals": [max(0.0, -float(low)) for low in lows],
         "spectrum": ev[np.lexsort((ev.imag, ev.real))],
     }
+
+
+def exact_sums(x, m_max):
+    """``J_m(x) = sum_{k=0}^{m} (-1)^(m-k) C(m,k) x^k`` and ``J'_m(x) =
+    sum_{k=1}^{m} (-1)^(m-k) C(m,k) x^(k-1)`` for m = 1..m_max, as exact
+    Fractions of the Fraction ``x = p/q``: each sum is one integer over a
+    power of q."""
+    p, q = x.numerator, x.denominator
+    ps, qs = [p**k for k in range(m_max + 1)], [q**k for k in range(m_max + 1)]
+    j, j_prime = [], []
+    for m in range(1, m_max + 1):
+        terms = [(-1) ** (m - k) * comb(m, k) for k in range(m + 1)]
+        j.append(Fraction(sum(c * ps[k] * qs[m - k] for k, c in enumerate(terms)), qs[m]))
+        j_prime.append(
+            Fraction(sum(c * ps[k - 1] * qs[m - k] for k, c in enumerate(terms) if k), qs[m - 1])
+        )
+    return j, j_prime

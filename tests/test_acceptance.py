@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from conftest import cond_exp, defect_evals, dense, wct_oracle
+from conftest import cond_exp, core_defects, defect_evals, dense, wct_oracle
 from wctops import (
     CondExp,
     Mfunc,
@@ -24,7 +24,6 @@ from wctops import (
     symbols,
     wct_action,
 )
-from wctops.classify import _defects
 from wctops.cli import (
     cmd_example_a,
     random_instance,
@@ -369,7 +368,8 @@ def test_criterion_8_structural_invariants(audited_suite):
             failures.append(f"{inst.label}: positivity")
 
         # operator-level identities: T^k = M_(E(uw)^(k-1)) T on the matrix
-        # of the action, and the binomial recursion on the oracle's cores
+        # of the action, and the binomial recursion of the reference's B_m on
+        # the oracle's cores, whose norms are the oracle's defect norms
         t = wct_action(ce, w, u).apply(np.eye(dim, dtype=complex))
         oracle = wct_oracle(ce, w, u, 6)
         nrm = oracle.norm
@@ -379,16 +379,20 @@ def test_criterion_8_structural_invariants(audited_suite):
             dev = np.abs(np.linalg.matrix_power(t, k) - factor[:, None] * t).max()
             if dev > 1e-9 * max(1.0, nrm**k):
                 failures.append(f"{inst.label}: power factorization k={k}")
-        core, core_adj = oracle._t, oracle._t.conj().swapaxes(-1, -2)
-        defects = _defects(oracle._grams, oracle._scales, range(1, 6))
+        core, core_adj = oracle._t[0], oracle._t[0].conj().swapaxes(-1, -2)
+        defects = [core_defects(oracle, m) for m in range(1, 6)]
+        dn, qn = oracle.defect_norms
         for m in range(2, 6):
             prev, cur = defects[m - 2], defects[m - 1]
             dev = np.abs(cur - (core_adj @ prev @ core - prev)).max()
             if dev > 1e-9 * max(1.0, nrm ** (2 * m)):
                 failures.append(f"{inst.label}: binomial recursion m={m}")
+            if abs(dn[m - 1] - np.abs(np.linalg.eigvalsh(cur)).max()) > 1e-9 * max(
+                1.0, nrm ** (2 * m)
+            ):
+                failures.append(f"{inst.label}: defect norm m={m}")
 
         # vanishing sandwiched defect at order 2 persists to higher orders
-        _, qn = oracle.defect_norms
         tol2 = 1e-9 * max(1.0, nrm**4)
         if qn[1] <= tol2:
             for m in range(3, 7):

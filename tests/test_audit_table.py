@@ -1,10 +1,10 @@
 """The all-orders binomial table and the audit rows read from it.
 
 ``binomial_table`` evaluates ``J_m(t)`` and ``J'_m(t)`` for every order at
-once, and ``audit_rows`` builds every row of a report from that table.
-These tests hold the table to its closed forms, hold the rows to a plain
-per-order reference that sums over k one order at a time, and check that
-the table's check catches a wrong coefficient.
+once, in closed form, and ``audit_rows`` builds every row of a report from
+that table.  These tests hold the table to the exact alternating sums in
+``Fraction`` arithmetic, and the rows to a plain per-order reference that
+sums over k one order at a time.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import wctops.criteria as criteria_mod
+from dense_reference import exact_sums
 from wctops import (
     NumericError,
     ValidationError,
@@ -76,7 +77,7 @@ def test_table_rows_match_their_closed_forms(values):
 )
 def test_table_matches_exact_sums_within_its_bound(values):
     # the table's powers come from cumulative products; each element stays
-    # within the table's own bound of the exact sum of the same t
+    # within 1e-12 (1 + t)^m of the exact sum of the same t
     t = np.array(values)
     m_max = 12
     j, j_prime = binomial_table(t, m_max)
@@ -101,30 +102,23 @@ def test_table_rejects_bad_inputs():
         binomial_table(np.array([1.0, 1e120]), 4)
 
 
-def test_alternating_binomials_are_the_rounded_exact_coefficients():
-    # every coefficient is (-1)^(m-k) C(m, k) rounded once, up to the last
-    # order whose largest coefficient, C(1029, 514), is below the double range
-    coef = criteria_mod._alternating_binomials(1029)
-    assert coef.shape == (1029, 1030) and not coef.flags.writeable
-    for m in (1, 2, 3, 10, 60, 61, 500, 1029):
-        expected = [float((-1) ** (m - k) * comb(m, k)) for k in range(m + 1)]
-        assert coef[m - 1, : m + 1].tolist() == expected
-        assert not coef[m - 1, m + 1 :].any()
-    with pytest.raises(NumericError, match="coefficients of order 1030 overflow"):
-        criteria_mod._alternating_binomials(1030)
+# t = 0 (c_m is its limit), 1/2 (where c_m changes form), 1 -/+ 1e-9 (the
+# quasi residual (t - 1)^m is tiny), 2 (c_m = 0 at even m) and values
+# between, up to 3
+REFEREE_T = (
+    0.0, 1e-300, 1e-9, 0.25, 0.5 - 2**-53, 0.5, 0.75, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0, 2.5, 3.0
+)
 
 
-@pytest.mark.parametrize("delta", [1.0, -1.0])
-def test_table_catches_a_coefficient_off_by_one(monkeypatch, delta):
-    t = np.array([0.0, 0.5, 1.0, 2.0, 3.9])
-    good = criteria_mod._alternating_binomials(20)
-    for m in range(1, 21):
-        for k in range(m + 1):
-            bad = good.copy()
-            bad[m - 1, k] += delta
-            monkeypatch.setattr(criteria_mod, "_alternating_binomials", lambda _: bad)
-            with pytest.raises(NumericError, match=rf"deviates from \(t-1\)\^{m} by"):
-                binomial_table(t, 20)
+def test_table_matches_exact_sums_up_to_order_60():
+    # the closed forms cancel nowhere: every element lies within 1e-13 of
+    # max(1, |exact|), where the sums lost about eps 4^m at t = 3
+    j, j_prime = binomial_table(np.array(REFEREE_T), 60)
+    for b, x in enumerate(map(Fraction, REFEREE_T)):
+        for m, (exact, exact_prime) in enumerate(zip(*exact_sums(x, 60)), start=1):
+            for got, want in ((j[m - 1, b], exact), (j_prime[m - 1, b], exact_prime)):
+                bound = Fraction(1e-13) * max(1, abs(want))
+                assert abs(Fraction(got) - want) <= bound, (REFEREE_T[b], m, got, float(want))
 
 
 def _dedup(values):
@@ -201,6 +195,14 @@ def test_audit_rows_match_a_per_order_reference():
             for row, ref in zip(rows, expected):
                 for name, value in ref.items():
                     _assert_same(getattr(row, name), value, (inst.label, args[:2], name))
+
+
+def test_audit_agreement_holds_at_order_32():
+    # the alternating sums' roundoff grew past the threshold 1e-9 |T|^(2m)
+    # from about m = 25 on: 88 mismatches at m_max = 32
+    for inst in suite_instances(200, seed=42):
+        audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 32)
+        assert not audit.mismatches, inst.label
 
 
 def test_audit_rows_refuse_verdicts_for_other_orders():

@@ -18,14 +18,13 @@ from wctops import (
     DefectOracle,
     Mfunc,
     NumericError,
-    ValidationError,
+    Partition,
     make_partition,
     make_space,
     wct_action,
 )
 from wctops.cli import classify_operator, suite_instances
-from wctops.classify import NORMAL_EPS, _gram_stack
-from wctops.linop import _eigh_stack
+from wctops.classify import NORMAL_EPS
 
 REL = 1e-12
 
@@ -72,7 +71,7 @@ def _assert_oracle_matches_dense(T, t, partition, m_max):
 def test_block_oracle_matches_whole_matrix_on_random_suite():
     for inst in suite_instances(200, seed=42):
         t = dense(inst.cond_exp(), inst.w, inst.u)
-        _assert_oracle_matches_dense(matrix_action(t), t, inst.partition, 4)
+        _assert_oracle_matches_dense(matrix_action(t), t, inst.partition, 8)
 
 
 def _spec_parts(rng, sizes, u_of_w=None):
@@ -233,60 +232,6 @@ def test_rank_two_block_raises_numeric_error():
     assert np.count_nonzero(a) == np.count_nonzero(t)
 
 
-def _hermitian_blocks(rng, r, k, d, scale):
-    a = rng.normal(size=(r, k, d, d)) + 1j * rng.normal(size=(r, k, d, d))
-    return scale * (a + a.conj().swapaxes(-1, -2))
-
-
-@pytest.mark.parametrize("defect_size,trips", [(1e-6, True), (1e-8, False)])
-def test_corrupted_block_asymmetry_uses_whole_operator_scale(defect_size, trips):
-    # operand 1 has a block of entry scale ~1e3 and one corrupted block of
-    # scale ~1; the threshold 1e-10 * 1e3 = 1e-7 comes from the whole
-    # operand, exactly as for the assembled block-diagonal matrix.  The
-    # blocks are 2x2, as every block the oracle builds is.  The corruption
-    # is an imaginary part on a diagonal entry, of asymmetry defect_size:
-    # both the Hermitian part that _eigh_stack solves and the lower
-    # triangle that eigvalsh reads drop it, so the two spectra agree to
-    # roundoff
-    rng = np.random.default_rng(8)
-    big = _hermitian_blocks(rng, 2, 1, 2, 500.0)
-    small = _hermitian_blocks(rng, 2, 3, 2, 0.5)
-    small[1, 2, 0, 0] += 0.5j * defect_size
-    stack = np.concatenate([small, big], axis=1)
-
-    full = np.zeros((8, 8), dtype=complex)
-    for j, block in enumerate(stack[1]):
-        full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block
-    if trips:
-        with pytest.raises(ValidationError, match="not Hermitian"):
-            _eigh_stack(stack)
-        with pytest.raises(ValidationError, match="not Hermitian"):
-            _eigh_stack(full[None, None])
-    else:
-        evals = _eigh_stack(stack)
-        whole = np.linalg.eigvalsh(full)
-        union = np.sort(evals[1].ravel())
-        assert np.abs(union - whole).max() <= REL * np.abs(whole).max()
-
-
-def test_stack_eigensolver_refuses_blocks_larger_than_two():
-    # the oracle's blocks are 1x1 or 2x2 cores; a clean Hermitian operand
-    # of 4x4 blocks passes the symmetry check and is then refused
-    stack = _hermitian_blocks(np.random.default_rng(9), 1, 3, 4, 1.0)
-    with pytest.raises(ValidationError, match="1x1 and 2x2 blocks"):
-        _eigh_stack(stack)
-
-
-def _gram_reference(t, k_max):
-    """``(T^k)* T^k`` for k = 0..k_max from matrix powers, in plain numpy."""
-    power = np.broadcast_to(np.eye(t.shape[-1], dtype=complex), t.shape)
-    grams = []
-    for _ in range(k_max + 1):
-        grams.append(power.conj().swapaxes(-1, -2) @ power)
-        power = power @ t
-    return np.concatenate(grams)
-
-
 def _cores(rng, k, kind):
     """A one-operand stack of k rank-one cores ``[[lam, kappa], [0, 0]]``,
     or of k 1x1 values."""
@@ -306,34 +251,30 @@ def _cores(rng, k, kind):
 
 
 @pytest.mark.parametrize("kind", ["random", "nilpotent", "zero", "mixed", "singletons"])
-@pytest.mark.parametrize("k", [1, 8, 300])
-def test_gram_stack_matches_matrix_powers(kind, k):
-    # G_k = |lam|^(2(k-1)) T* T on a core: within 1e-14 of each operand's
-    # entry scale of the grams of the matrix powers, with that scale
-    rng = np.random.default_rng(k)
-    t = _cores(rng, k, kind)
-    k_max = 7
-    grams, scales = _gram_stack(t, k_max)
-    ref = _gram_reference(t, k_max)
-    ref_scales = np.maximum(1.0, np.abs(ref).max(axis=(1, 2, 3)))
-    assert grams.shape == ref.shape and scales.shape == (k_max + 1,)
-    assert (np.abs(grams - ref).max(axis=(1, 2, 3)) <= 1e-14 * ref_scales).all()
-    assert np.abs(scales - ref_scales).max() <= 1e-14 * ref_scales.max()
-    if kind in ("nilpotent", "zero"):
-        # T^2 = 0: every gram past G_1 = T* T is exactly zero
-        assert not grams[2:].any()
+@pytest.mark.parametrize("k", [1, 8, 60])
+def test_closed_forms_match_the_dense_defects_on_every_kind_of_core(kind, k):
+    # the operator whose blocks are k given cores: the oracle's closed forms
+    # against B_m and T* B_m T built as n x n matrices by the dense
+    # reference, up to m = 8; a nilpotent core (lam = 0) has T^2 = 0 and
+    # c_m = (-1)^(m-1) m, a zero core has t = g = 0
+    cores = _cores(np.random.default_rng(k), k, kind)[0]
+    d = cores.shape[-1]
+    t = np.zeros((k * d, k * d), dtype=complex)
+    for b, core in enumerate(cores):
+        t[b * d : (b + 1) * d, b * d : (b + 1) * d] = core
+    partition = Partition.from_labels(np.arange(k * d) // d)
+    _assert_oracle_matches_dense(matrix_action(t), t, partition, 8)
 
 
-def test_gram_stack_overflow_names_the_first_power():
-    # |T|^2 = 1e120 on two singletons: (T^3)* T^3 = 1e360 is the first gram
-    # past the double range
+def test_defect_norm_overflow_names_the_first_order():
+    # |T|^2 = 1e120 on two singletons: the quasi-defect norm of order 2,
+    # |t - 1|^2 g = 1e360, is the first past the double range
     space = make_space([1.0, 1.0])
     partition = make_partition(space, [[0], [1]])
     big = Mfunc(np.full(2, 1e30))
     T = wct_action(CondExp(space, partition), big, big)
-    message = r"^the powers of T overflow: \(T\^3\)\* T\^3 is not finite$"
-    # orders 4 and 2 build the grams up to k = 5 and 3; order 1 up to 2
+    message = r"^the powers of T overflow: the defect norms of order 2 are not finite$"
     for m_max in (4, 2):
         with pytest.raises(NumericError, match=message):
-            DefectOracle(T, m_max, partition)
-    DefectOracle(T, 1, partition)
+            DefectOracle(T, m_max, partition).defect_norms
+    assert DefectOracle(T, 1, partition).defect_norms[1][0] == pytest.approx(1e240)

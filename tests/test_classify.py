@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,15 @@ from wctops import (
     DefectOracle,
     Mfunc,
     ValidationError,
+    grid_space,
     make_partition,
     make_space,
     singleton_blocks,
     wct_action,
 )
-from wctops.classify import NORMAL_EPS, _defects
-from wctops.cli import classify_operator
-from conftest import defect_evals, dense, mf, random_instances, wct_oracle
+from wctops.classify import NORMAL_EPS
+from wctops.cli import classify_operator, cmd_example_a
+from conftest import core_defects, defect_evals, dense, mf, random_instances, wct_oracle
 
 PROBES = (0.25, 0.5, 2.0)
 
@@ -100,14 +103,17 @@ def test_classify_isometry_quasi_but_not_isometric(uniform4):
 
 
 def test_pascal_recursion():
-    # B_m = T* B_{m-1} T - B_{m-1}, on the oracle's cores
+    # B_m = T* B_{m-1} T - B_{m-1}, on the oracle's cores, and the oracle's
+    # closed-form defect norms are the norms of those B_m
     for inst in random_instances(seed=31, count=15):
         oracle = _inst_oracle(inst, 5)
-        t, t_adj = oracle._t, oracle._t.conj().swapaxes(-1, -2)
-        defects = _defects(oracle._grams, oracle._scales, range(1, 6))
+        t, t_adj = oracle._t[0], oracle._t[0].conj().swapaxes(-1, -2)
+        defects = [core_defects(oracle, m) for m in range(1, 6)]
         for prev, cur in zip(defects, defects[1:]):
             recursed = t_adj @ prev @ t - prev
             assert np.abs(cur - recursed).max() < 1e-9
+        norms = [np.abs(np.linalg.eigvalsh(b)).max() for b in defects]
+        assert np.allclose(oracle.defect_norms[0], norms, rtol=1e-12, atol=1e-12)
 
 
 def test_m_isometric_implies_quasi():
@@ -143,12 +149,12 @@ def test_normal_case_defect_collapse():
     for inst in random_instances(seed=91, count=15):
         w = Mfunc(inst.u.values.conj())
         oracle = _inst_oracle(inst, 4, w)
-        t = oracle._t
+        t = oracle._t[0]
         base = t.conj().swapaxes(-1, -2) @ t - np.eye(t.shape[-1])
         dense_t = dense(inst.cond_exp(), w, inst.u)
         dense_base = dense_reference.norm(dense_t.conj().T @ dense_t - np.eye(len(dense_t)))
-        defects = _defects(oracle._grams, oracle._scales, range(1, 5))
-        for m, bm in enumerate(defects, start=1):
+        for m in range(1, 5):
+            bm = core_defects(oracle, m)
             direct = np.linalg.matrix_power(base, m)
             assert np.abs(bm - direct).max() < 1e-9 * max(1.0, np.abs(direct).max())
             assert oracle.defect_norms[0][m - 1] == pytest.approx(dense_base**m, rel=1e-6)
@@ -268,3 +274,56 @@ def test_multiplication_corollary_growth_in_m():
     report = _mult_report([0.5, 0.5], [2.0, 1.0], 4)
     norms = [v["quasi_defect_norm"] for v in report.defect_verdicts]
     assert np.allclose(norms, [4 * 3**m for m in range(1, 5)], rtol=1e-12)
+
+
+# t = 0, 1/2 (where c_m changes form), 1 -/+ 1e-9, 2 and values between
+REFEREE_T = (0.0, 0.25, 0.5, 0.75, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0, 3.0)
+
+
+def _exact_t_g(core):
+    """``t = |lam|^2`` and ``g = |(lam, kappa)|^2`` of a core, as Fractions."""
+    squares = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in core[0]]
+    return squares[0], sum(squares)
+
+
+@pytest.mark.parametrize("size", [1, 2], ids=["1x1", "2x2"])
+@pytest.mark.parametrize("t", REFEREE_T)
+def test_defect_norms_match_exact_sums_up_to_order_60(t, size):
+    # one block whose core has |lam|^2 = t: a singleton of value sqrt(t) (a
+    # 1x1 core), or two atoms with E(uw) = sqrt(t) and kappa = 0.7 (a 2x2
+    # core; at t = 0 the nilpotent u = (1, 0), w = (0, 1)).  On the oracle's
+    # own cores, the exact norms are |J_m(t)| (1x1) or max(1, |(-1)^m +
+    # J'_m(t) g|) (2x2) and |J_m(t)| g, with the sums taken in Fractions
+    s = np.sqrt(t)
+    if size == 1:
+        oracle = _oracle([1.0], [[0]], [1.0], [s], 60)
+    else:
+        u, w = ([1.0, 0.0], [0.0, 1.0]) if t == 0 else ([1.0, 1.0], [s + 0.7, s - 0.7])
+        oracle = _oracle([1.0, 1.0], [[0, 1]], u, w, 60)
+    assert oracle._t.shape == (1, 1, size, size)
+    t_b, g_b = _exact_t_g(oracle._t[0, 0])
+    dn, qn = oracle.defect_norms
+    for m, (j, j_prime) in enumerate(zip(*dense_reference.exact_sums(t_b, 60)), start=1):
+        defect = abs(j) if size == 1 else max(1, abs((-1) ** m + j_prime * g_b))
+        for got, want in ((dn[m - 1], defect), (qn[m - 1], abs(j) * g_b)):
+            bound = Fraction(1e-13) * max(1, want)
+            assert abs(Fraction(float(got)) - want) <= bound, (m, float(got), float(want))
+
+
+def test_example_a_quasi_norms_at_high_orders_match_exact_sums():
+    # example-a on 2 x 2 atoms: |E(uw)| is near 1.40 and 1.38, and at
+    # m = 29..45 the alternating sums' roundoff exceeded the exact quasi
+    # norms max_b |t_b - 1|^m g_b, here taken in Fractions on the cores
+    grid = grid_space(2, 2)
+    x, y = grid.xs[:, None], grid.ys
+    u, w = Mfunc(y ** (x / 8.0)), Mfunc(np.sqrt((4.0 + x) * y))
+    oracle = wct_oracle(CondExp(grid.space, grid.partition), w, u, 45)
+    exact = [_exact_t_g(core) for core in oracle._t[0]]
+    sums = [dense_reference.exact_sums(t_b, 45)[0] for t_b, _ in exact]
+    reported = cmd_example_a(2, 2, m_max=45).classification.defect_verdicts
+    for m, printed in ((29, 0.487381), (37, 0.328322), (45, 0.221172)):
+        want = max(abs(j[m - 1]) * g_b for j, (_, g_b) in zip(sums, exact))
+        got = oracle.defect_norms[1][m - 1]
+        assert abs(Fraction(float(got)) - want) <= Fraction(1e-12) * want, m
+        assert reported[m - 1]["quasi_defect_norm"] == got
+        assert round(got, 6) == printed

@@ -11,7 +11,6 @@ import pytest
 
 import wctops
 import wctops.cli as cli_mod
-from wctops import linop
 from wctops import (
     DefectOracle,
     Mfunc,
@@ -336,20 +335,39 @@ def test_main_overflow_exits_4_with_no_numpy_warning(tmp_path, capsys, name, com
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv",
-    [["example-a", "--nx", "2", "--ny", "2", "--m-max", "800"], ["example-b", "--m-max", "1029"]],
-    ids=["example-a", "example-b"],
+    "argv,message",
+    [
+        (
+            ["example-b", "--m-max", "1029"],
+            "the threshold of order 614 overflows: scale 1.783e+00 to the power 1228",
+        ),
+        (
+            ["random-suite", "--count", "3", "--m-max", "1030"],
+            "the threshold of order 1024 overflows: scale 1.414e+00 to the power 2048",
+        ),
+    ],
+    ids=["example-b", "random-suite"],
 )
-def test_main_high_order_overflow_exits_4_with_no_numpy_warning(capsys, argv):
-    # every gram is finite, but the binomial sums of a high order overflow:
-    # the operands are built with no warning, and the eigensolve round's
-    # finiteness check reports the overflow on one line
+def test_main_high_order_overflow_exits_4_with_no_numpy_warning(capsys, argv, message):
+    # every defect norm is finite, but the threshold 1e-9 |T|^(2m) of a high
+    # order is not: the first such order is named on one line
     assert main(argv) == 4
     captured = capsys.readouterr()
-    assert captured.err == (
-        "error: matrix has non-finite entries: the terms that built it overflow\n"
-    )
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_high_order_classifies_with_no_numpy_warning(capsys):
+    # |E(uw)|^2 is near 1.90 and 1.95 on the two blocks, so the alternating
+    # sums of order 800 would overflow; the closed forms and the threshold
+    # 1e-9 |T|^1600 stay finite
+    argv = ["example-a", "--nx", "2", "--ny", "2", "--m-max", "800", "--format", "structured"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)["classification"]
+    assert len(data["criteria"]) == 800 and not data["mismatches"]
 
 
 def test_main_maps_memory_error_to_one_line_and_exit_2(monkeypatch, capsys):
@@ -413,19 +431,21 @@ def test_main_classifies_a_block_whose_probe_image_has_subnormal_norm(
         assert np.isfinite([verdict["defect_norm"], verdict["quasi_defect_norm"]]).all()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["classify", None], ["sweep-m", None], ["example-b"], ["random-suite", "--count", "3"]],
-)
-def test_main_m_max_past_the_double_range_of_the_binomials_exits_4(tmp_path, capsys, argv):
-    # C(1030, 515) is past the double range; the unit-norm projection keeps
-    # every power of T finite, so the coefficients are what overflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["classify", "sweep-m"])
+def test_main_m_max_past_the_double_range_of_the_binomials_classifies(tmp_path, capsys, command):
+    # C(1030, 515) is past the double range, but no binomial coefficient is
+    # formed: on the unit-norm averaging projection every B_m has norm
+    # exactly 1 and every T* B_m T is exactly 0
     spec = {"weights": [0.25] * 4, "blocks": [[0, 1], [2, 3]], "u": [1] * 4, "w": [1] * 4}
-    argv = [a if a is not None else _write_spec(tmp_path, spec) for a in argv]
-    assert main([*argv, "--m-max", "1030"]) == 4
+    path = _write_spec(tmp_path, spec)
+    assert main([command, path, "--m-max", "1030", "--format", "structured"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "error: the binomial coefficients of order 1030 overflow a double\n"
-    assert captured.out == ""
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    rows = data["defect_verdicts" if command == "classify" else "rows"]
+    assert len(rows) == 1030
+    assert {(r["defect_norm"], r["quasi_defect_norm"]) for r in rows} == {(1.0, 0.0)}
 
 
 @pytest.mark.parametrize("run", ["classify_operator", "cmd_sweep_m"])
@@ -883,24 +903,6 @@ def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
     report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
     assert len(calls) == 1
     assert [v["m"] for v in report.defect_verdicts] == [1, 2, 3, 4]
-
-
-def test_classify_operator_runs_one_eigensolve_round(monkeypatch):
-    # one round solves every defect, sandwich and T*T together; normality
-    # reads the cores with no eigensolve
-    calls = []
-    original = linop._eigh_small
-
-    def counted(a):
-        calls.append(a.shape)
-        return original(a)
-
-    monkeypatch.setattr(linop, "_eigh_small", counted)
-    for inst in suite_instances(30, seed=7):
-        calls.clear()
-        report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
-        assert report.matrix_route
-        assert len(calls) == 1, calls
 
 
 def test_repeated_reports_draw_no_new_probes(monkeypatch):

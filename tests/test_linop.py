@@ -15,15 +15,9 @@ from wctops import (
     wct_action,
 )
 from wctops import linop
-from wctops.linop import _eigh_stack, _rank_one_cores
+from wctops.linop import _rank_one_cores
 from conftest import dense, mf, random_instances, wct_oracle
 from wctops.cli import classify_operator, suite_instances
-
-try:
-    import hypothesis
-    from hypothesis import strategies as st_
-except ImportError:  # only the closed-form eigensolver's property needs it
-    hypothesis = None
 
 
 def _singletons(weights):
@@ -219,155 +213,9 @@ def test_spectrum_diagonal():
     assert np.allclose(sorted(ev, key=lambda z: (z.real, z.imag)), [1j, 1.0])
 
 
-def _eigh(a):
-    """The eigenvalues of one matrix by the stack kernel."""
-    return _eigh_stack(np.asarray(a, dtype=complex)[None, None])[0, 0]
-
-
-def test_hermitian_eig_examples():
-    assert np.allclose(_eigh(np.diag([3.0, 1.0])), [1.0, 3.0])
-    assert np.allclose(_eigh(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1.0, 1.0])
-    ones = np.ones(2)
-    a = wct_matrix([1.0, 3.0], [0, 0], ones, ones)
-    assert np.allclose(_eigh(a), [0.0, 1.0], atol=1e-14)
-    _, v = linop._eigh_small(a.astype(complex)[None, None])
-    assert np.allclose(v[0, 0].conj().T @ v[0, 0], np.eye(2), atol=1e-12)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        _eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-EPS = np.finfo(float).eps
-
-
-def _assert_matches_numpy(herm):
-    """The closed-form kernel on a Hermitian stack against numpy.linalg:
-    ascending eigenvalues within 8 eps |A| of ``eigvalsh``, orthonormal
-    eigenvectors to 1e-14 and the reconstruction ``V diag(lam) V*`` within
-    1e-14 max(1, |A|), with |A| each block's spectral norm.  Differences are
-    divided by the scale before any square, so entries near 1e300 do not
-    overflow here."""
-    evals, vecs = linop._eigh_small(herm)
-    assert np.isfinite(evals).all() and np.isfinite(vecs).all()
-    assert (np.diff(evals, axis=-1) >= 0).all()
-    ref = np.linalg.eigvalsh(herm)
-    size = np.abs(ref).max(axis=-1)
-    assert (np.abs(evals - ref).max(axis=-1) <= 8 * EPS * size).all()
-    gram = vecs.conj().swapaxes(-1, -2) @ vecs
-    assert (np.linalg.norm(gram - np.eye(herm.shape[-1]), axis=(-2, -1)) <= 1e-14).all()
-    scale = np.maximum(1.0, size)[..., None, None]
-    rebuilt = (vecs * (evals / scale[..., 0])[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    assert (np.linalg.norm(rebuilt - herm / scale, axis=(-2, -1)) <= 1e-14).all()
-    return evals, vecs
-
-
-def _hermitian_stack(params, d):
-    """A ``(1, k, d, d)`` Hermitian stack from k tuples ``(a, c, Re b, Im b)``:
-    the block ``[[a, b], [conj(b), c]]``, or ``[[a]]`` when d = 1."""
-    p = np.asarray(params, dtype=float).reshape(-1, 4)
-    if d == 1:
-        return p[None, :, :1, None].astype(complex)
-    herm = np.empty((1, len(p), 2, 2), dtype=complex)
-    herm[0, :, 0, 0], herm[0, :, 1, 1] = p[:, 0], p[:, 1]
-    herm[0, :, 0, 1] = p[:, 2] + 1j * p[:, 3]
-    herm[0, :, 1, 0] = p[:, 2] - 1j * p[:, 3]
-    return herm
-
-
-if hypothesis is not None:
-    # entries in [-1, 1], with those below 1e-100 cut to zero, so that no
-    # scaled entry is subnormal; zeros and ties give the degenerate cases
-    _ENTRY = st_.floats(-1.0, 1.0).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
-
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(
-        d=st_.sampled_from([1, 2]),
-        log_scale=st_.integers(-150, 150),
-        params=st_.lists(st_.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY), min_size=1, max_size=6),
-    )
-    def test_closed_form_eigh_matches_numpy(d, log_scale, params):
-        _assert_matches_numpy(_hermitian_stack(params, d) * 10.0**log_scale)
-
-
-@pytest.mark.parametrize(
-    "params,expected",
-    [
-        ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0)),
-        ((2.5, 2.5, 0.0, 0.0), (2.5, 2.5)),
-        ((3.0, 1.0, 0.0, 0.0), (1.0, 3.0)),
-        ((1.0, 3.0, 0.0, 0.0), (1.0, 3.0)),
-        ((0.0, 0.0, 0.0, 2.0), (-2.0, 2.0)),
-    ],
-    ids=["zero", "multiple-of-identity", "diagonal-a-above-c", "diagonal-a-below-c", "imaginary-b"],
-)
-def test_closed_form_eigh_fixed_cases(params, expected):
-    herm = _hermitian_stack([params], 2)
-    evals, vecs = _assert_matches_numpy(herm)
-    assert evals[0, 0].tolist() == list(expected)
-    if params[2:] == (0.0, 0.0):
-        # a diagonal block: eigenvectors are unit vectors, and a multiple
-        # of the identity keeps V = I
-        assert set(np.abs(vecs).ravel().tolist()) == {0.0, 1.0}
-    if params[0] == params[1] and params[2:] == (0.0, 0.0):
-        assert np.array_equal(vecs[0, 0], np.eye(2))
-
-
-@pytest.mark.parametrize("modulus", [1e-8, 1e8])
-def test_closed_form_eigh_rank_one_products(modulus):
-    # T* T and T T* of a rank-one core [[lam, kappa], [0, 0]]: eigenvalues
-    # 0 and |lam|^2 + |kappa|^2
-    lam, kappa = modulus * np.exp(0.7j), 0.6 - 0.3j
-    t = np.array([[[[lam, kappa], [0.0, 0.0]]]])
-    for product in (t.conj().swapaxes(-1, -2) @ t, t @ t.conj().swapaxes(-1, -2)):
-        evals, _ = _assert_matches_numpy(product)
-        top = abs(lam) ** 2 + abs(kappa) ** 2
-        assert abs(evals[0, 0, 1] - top) <= 4 * EPS * top
-        assert abs(evals[0, 0, 0]) <= 8 * EPS * top
-
-
-@pytest.mark.parametrize(
-    "params",
-    [(1e300, 1e300, 1e300, 1e300), (1e300, -1e300, 1e300, -1e300), (-1e300, -1e300, 0.0, 1e300)],
-)
-def test_closed_form_eigh_entries_near_1e300(params):
-    _assert_matches_numpy(_hermitian_stack([params], 2))
-
-
-def test_closed_form_eigh_subnormal_entries():
-    # entries near 1e-310 leave a subnormal vector length, whose reciprocal
-    # overflows: the eigenvectors stay finite and orthonormal to the
-    # precision the subnormal entries carry
-    herm = _hermitian_stack([(1e-310, -1e-310, 2e-310, 1e-310)], 2)
-    evals, vecs = linop._eigh_small(herm)
-    assert np.isfinite(vecs).all()
-    assert np.allclose(evals, np.linalg.eigvalsh(herm), rtol=1e-10, atol=0)
-    gram = vecs.conj().swapaxes(-1, -2) @ vecs
-    assert np.abs(gram - np.eye(2)).max() <= 1e-12
-
-
-def test_closed_form_eigh_unit_block_with_subnormal_coupling():
-    # B_1 = T* T - I on a block whose T* T is subnormal: the eigenvector
-    # pair (b, p) has a subnormal length, so it is scaled by its larger
-    # modulus before it is normalised, and rebuilds the block to 1e-9
-    b = -6.3620387e-316 - 2.906268e-317j
-    herm = np.array([[[[-1.0, b], [np.conj(b), -1.0]]]])
-    assert _eigh_stack(herm).tolist() == [[[-1.0, -1.0]]]
-
-
-def test_eigh_reconstruction_check_takes_no_square_past_the_double_range():
-    # entries near 1e200: the absolute reconstruction error, near 1e184,
-    # would overflow when squared; relative to the operand it is roundoff
-    herm = _hermitian_stack([(3e200, -1e200, 2e200, 1e200)], 2)
-    with np.errstate(over="raise"):
-        evals = _eigh_stack(herm)
-    assert np.allclose(evals, np.linalg.eigvalsh(herm), rtol=1e-14, atol=0)
-
-
 def test_classify_operator_makes_no_numpy_linalg_call(monkeypatch):
-    # both eigensolve rounds are closed-form, so a report runs with every
-    # numpy.linalg function made to raise
+    # every oracle number is a closed form on the cores, so a report runs
+    # with every numpy.linalg function made to raise
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
 
