@@ -165,13 +165,17 @@ def _read_reals(values: Any, name: str) -> np.ndarray:
 
 
 def _read_complex(values: list, name: str) -> np.ndarray:
-    """A list-of-complex spec field: in bulk, else by ``_parse_complex``."""
+    """A list-of-complex spec field: in bulk, else by ``_parse_complex``.
+
+    A list of plain numbers is read as its float array, so a real function
+    stays real; a list of ``[re, im]`` pairs, or of mixed entries, is
+    complex."""
     array = _bulk_numbers(values)
     if array is None:
         return np.array(
             [_parse_complex(v, f"spec field '{name}[{i}]'") for i, v in enumerate(values)]
         )
-    return array.view(complex)[:, 0] if array.ndim == 2 else array.astype(complex)
+    return array.view(complex)[:, 0] if array.ndim == 2 else array
 
 
 def _read_blocks(values: list) -> tuple[list[int], list[int]]:

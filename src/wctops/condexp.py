@@ -13,12 +13,17 @@ one function, ``block_moments`` takes the three symbols ``E(uw)``,
 holds no atom-length temporary: each chunk's products ``u w mu``,
 ``|u|^2 mu`` and ``|w|^2 mu`` go into two chunk-sized buffers and are added
 into the block sums by two ordered ``np.add.at`` calls, the two real
-moments as the real and imaginary parts of one complex sum.  The chunks
-run in increasing atom order, every product is the same expression
-``block_averages`` evaluates, and a complex addition adds its real and
-imaginary parts as two real additions.  Each block therefore still adds
-its atoms in atom order from ``+0.0``, and the three symbols are the bytes
-of three ``block_averages`` calls.
+moments as the real and imaginary parts of one complex sum.  The ``u w mu``
+buffer and its sums are real when ``u`` and ``w`` are, and complex
+otherwise.  The chunks run in increasing atom order, every product is the
+same expression ``block_averages`` evaluates, and a complex addition adds
+its real and imaginary parts as two real additions.  Each block therefore
+still adds its atoms in atom order from ``+0.0``, and the three symbols
+are the bytes of three ``block_averages`` calls.  For real ``u`` and
+``w`` they are also the bytes of the complex path on ``u + 0j`` and ``w +
+0j``: numpy takes a complex product with a real factor as the product with
+``x + 0j``, so the real parts are the same real products and sums, and
+``|x + 0j|`` is ``|x|``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
 
 __all__ = ["CondExp", "block_averages", "block_moments"]
 
-# Atoms per chunk of ``block_moments``: its two complex buffers then take
+# Atoms per chunk of ``block_moments``: its two buffers then take at most
 # 512 KiB, which stays in a core's L2 cache while the chunk is summed.
 MOMENT_CHUNK = 1 << 14
 
@@ -60,8 +65,8 @@ class CondExp:
 
 def block_averages(ce: CondExp, f: Mfunc | np.ndarray) -> np.ndarray:
     """Mass-weighted average on each block of ``f``, a function on the
-    atoms (complex averages) or the array of its values (real or complex
-    averages, as the array is)."""
+    atoms or the array of its values: real averages when the values are
+    real, complex ones when they are complex."""
     if isinstance(f, Mfunc):
         ensure_on_space(f, ce.space)
         f = f.values
@@ -74,15 +79,16 @@ def block_averages(ce: CondExp, f: Mfunc | np.ndarray) -> np.ndarray:
 def block_moments(
     ce: CondExp, u: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``E(uw)``, ``E|u|^2`` and ``E|w|^2`` on each block, from the complex
-    values ``u`` and ``w`` on the atoms, each with the bytes of its
-    ``block_averages``."""
+    """``E(uw)``, ``E|u|^2`` and ``E|w|^2`` on each block, from the real or
+    complex values ``u`` and ``w`` on the atoms, each with the bytes of its
+    ``block_averages``; ``E(uw)`` is returned as complex either way."""
     mu, bins = ce.space.weights, ce.partition.block_index
     n, k = mu.size, ce.partition.block_count
     size = min(n, MOMENT_CHUNK)
-    uw_buffer = np.empty(size, dtype=complex)
+    dtype = np.result_type(u, w, mu)
+    uw_buffer = np.empty(size, dtype=dtype)
     squares_buffer = np.empty(size, dtype=complex)
-    uw_sums = np.zeros(k, dtype=complex)
+    uw_sums = np.zeros(k, dtype=dtype)
     squares_sums = np.zeros(k, dtype=complex)
     for start in range(0, n, size):
         chunk = slice(start, min(start + size, n))
@@ -100,4 +106,5 @@ def block_moments(
         np.add.at(uw_sums, bins[chunk], uw)
         np.add.at(squares_sums, bins[chunk], squares)
     inverse = 1.0 / ce.block_masses
-    return uw_sums * inverse, squares_sums.real * inverse, squares_sums.imag * inverse
+    alpha = (uw_sums * inverse).astype(complex, copy=False)
+    return alpha, squares_sums.real * inverse, squares_sums.imag * inverse

@@ -65,7 +65,9 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
     idx, block_sums = ce.partition.block_index, ce.partition.block_sums
     root = np.sqrt(ce.space.weights)[:, None]
     left = root * w.values[:, None]
-    right = root * u.values[:, None] / ce.block_masses[idx][:, None]
+    # times the reciprocal mass, as numpy divides a complex by a real: a
+    # real u then gives the bytes of the same u as complex
+    right = root * u.values[:, None] * (1.0 / ce.block_masses)[idx][:, None]
     left_adj, right_adj = right.conj(), left.conj()
     return Action(
         lambda x: left * block_sums(right * x)[idx],

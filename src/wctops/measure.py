@@ -3,10 +3,10 @@
 Everything downstream operates on a finite list of atoms with strictly
 positive masses.  A sub-sigma-algebra of such a space is exactly a
 partition of the atoms into blocks, and a measurable function is one
-complex value per atom.  A partition is read from blocks of atom
-indices (``make_partition``) or from the block of each atom
-(``Partition.from_labels``), both checked atom by atom; one whose blocks
-are runs of consecutive atoms is built from its block sizes alone
+value per atom, real or complex (``Mfunc``).  A partition is read from
+blocks of atom indices (``make_partition``) or from the block of each
+atom (``Partition.from_labels``), both checked atom by atom; one whose
+blocks are runs of consecutive atoms is built from its block sizes alone
 (``Partition.contiguous``), where only the sizes need checking.  Two
 builders discretize the stock examples: a truncated geometric sequence
 space, whose blocks interleave, and a midpoint grid on the unit square,
@@ -245,22 +245,25 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class Mfunc:
-    """A function on the atoms: ``values[i]`` is the value at atom ``i``."""
+    """A function on the atoms: ``values[i]`` is the value at atom ``i``.
+
+    ``values`` is a read-only float64 copy of a bool, integer or float
+    input, and a complex128 copy of any other, each checked to be finite.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.values)
-        # a real input is tested before its complex copy, at half the bytes
-        real = raw.dtype.kind in "biuf"
-        v = raw.reshape(-1) if real else np.array(raw, dtype=complex).reshape(-1)
+        # a real function stays real: one float copy, half the bytes of a
+        # complex one, and real arithmetic in every pass over the atoms
+        dtype = float if raw.dtype.kind in "biuf" else complex
+        v = np.array(raw, dtype=dtype).reshape(-1)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
         if not np.isfinite(v).all():
             i = int(np.flatnonzero(~np.isfinite(v))[0])
             raise ValidationError(f"function value at index {i} is not finite")
-        if real:
-            v = v.astype(complex)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

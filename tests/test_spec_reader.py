@@ -8,6 +8,8 @@ must give bit-for-bit the floats and complex numbers of the per-entry
 parsers.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,30 @@ def test_mixed_entry_forms_parse_equal_to_plain_pairs(data, n):
     for name in ("u", "w"):
         assert _bits(getattr(spec, name).values) == _bits(reference[name])
     assert _bits(spec.space.weights) == _bits(reference["weights"])
+
+
+def test_plain_numbers_are_read_as_reals_and_pairs_as_complex():
+    values = [1, -2.5, 0.0, -0.0, 5e-324, -3, 2.0**150]
+    plain = cli._read_complex(values, "u")
+    assert plain.dtype == np.float64
+    assert _bits(plain) == _bits([float(v) for v in values])
+    pairs = cli._read_complex([[v, 0] for v in values], "u")
+    assert pairs.dtype == np.complex128
+    assert _bits(pairs) == _bits(plain)
+
+
+def test_a_plain_number_spec_classifies_as_its_pair_form():
+    plain = {
+        "weights": [0.5, 0.25, 0.125, 0.0625, 0.0625],
+        "blocks": [[2], [0, 1, 3], [4]],
+        "u": [1, -0.5, 0.0, -0.0, 3],
+        "w": [-1.0, 2, 0, 4.5, -2],
+        "m_max": 5,
+    }
+    pairs = {**plain, "u": [[v, 0] for v in plain["u"]], "w": [[v, 0] for v in plain["w"]]}
+    real, cplx = ProblemSpec.from_dict(plain), ProblemSpec.from_dict(pairs)
+    assert real.u.values.dtype == real.w.values.dtype == np.float64
+    assert cplx.u.values.dtype == cplx.w.values.dtype == np.complex128
+    assert json.dumps(real.to_dict()) == json.dumps(cplx.to_dict())
+    reports = [json.dumps(cli.cmd_classify(spec).to_dict()) for spec in (real, cplx)]
+    assert reports[0] == reports[1]
