@@ -9,7 +9,7 @@ from the operator's action, and symbol-level criteria, with an audit that
 cross-validates the two.
 """
 
-from .classify import DefectOracle, DefectVerdict
+from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
     AgreementReport,

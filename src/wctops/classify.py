@@ -8,28 +8,22 @@ criteria are audited.
 
 ``T f = w E(u f)`` maps the span of each partition block into itself, so
 ``T`` and every operator built from it here are block-diagonal.
-``DefectOracle`` therefore computes on the diagonal blocks alone, held in
-one array of cores (``linop._rank_one_cores``).  Each block is rank
-one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the complement of
-``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: every block is kept
-as its 2x2 core in an orthonormal basis of ``V_b``, and a singleton's
-value is padded with one zero lane, unless every block is a singleton,
-when the array holds the 1x1 values alone.  The cores are read from ``T``
-alone, through three matvecs: ``T f`` and ``T* g`` give ``a_b`` and ``c_b``
-for random probes f and g, and ``T h`` checks the rank-one model on a
-third probe (Freivalds' check).  Reports read them from
-``linop.wct_action``, in O(n) and with no ``n x n`` matrix.
+``DefectOracle`` therefore computes on the diagonal blocks alone.  Each
+block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the
+complement of ``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: in an
+orthonormal basis of ``V_b`` every block is the 2x2 core ``[[lam, kappa],
+[0, 0]]``, held as its first row ``(lam, kappa)``, all k rows in one
+``(k, 2)`` array (``linop._rank_one_cores``); a singleton's ``kappa`` is
+0.  The rows are read from ``T`` alone, through three matvecs: ``T f`` and
+``T* g`` give ``a_b`` and ``c_b`` for random probes f and g, and ``T h``
+checks the rank-one model on a third probe (Freivalds' check).  Reports
+read them from ``linop.wct_action``, in O(n) and with no ``n x n`` matrix.
+``spectrum`` reads each block's eigenvalue ``lam``, one per block; the
+other n - k eigenvalues of ``T`` are zero.
 
-Both the lanes cut from a block and the lane padded onto a singleton are
-kernel directions of ``T`` and ``T*``.  Each carries ``B_m = (-1)^m`` and a
-zero ``T* B_m T`` and ``T* T``, and every rank-one core already has such a
-kernel direction, so these values change no norm.  ``spectrum`` reads
-each block's eigenvalue from its core's diagonal, one per block; the other
-n - k eigenvalues of ``T`` are zero.
-
-No operator is summed or solved.  On a core ``[[lam, kappa], [0, 0]]`` (or
-``[lam]``), ``T^k = lam^(k-1) T`` for k >= 1, so with ``t = |lam|^2`` the
-grams are ``(T^k)* T^k = t^(k-1) T* T`` and the binomial sums collapse:
+No operator is summed or solved.  On a core ``[[lam, kappa], [0, 0]]``,
+``T^k = lam^(k-1) T`` for k >= 1, so with ``t = |lam|^2`` the grams are
+``(T^k)* T^k = t^(k-1) T* T`` and the binomial sums collapse:
 ``T* B_m T = (t - 1)^m T* T`` and ``B_m = (-1)^m I + c_m(t) T* T``, with
 ``c_m(t) = ((t - 1)^m - (-1)^m) / t``.  ``T* T`` has the one nonzero
 eigenvalue ``g = |(lam, kappa)|^2``, so every defect norm is a closed form
@@ -56,7 +50,6 @@ for ``T`` and ``c T``, whatever the scale ``c``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite
 
@@ -66,24 +59,12 @@ from .errors import NumericError, ValidationError
 from .linop import Action, _rank_one_cores
 from .measure import Partition
 
-__all__ = ["DefectVerdict", "DefectOracle"]
+__all__ = ["DefectOracle"]
 
 # The largest ``max_b sin theta_b`` of a normal operator.  The sine is
 # scale-free, so this bound needs no scale; it sits far above the roundoff
 # of a parallel pair, a few 1e-16.
 NORMAL_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class DefectVerdict:
-    """Defect norms and the resulting verdicts for one order ``m``."""
-
-    m: int
-    defect_norm: float
-    quasi_defect_norm: float
-    tol: float
-    is_m_isometric: bool
-    is_quasi_m_isometric: bool
 
 
 def _default_tol(scale: float, power: int, m: int) -> float:
@@ -149,11 +130,11 @@ class DefectOracle:
         if m_max < 0:
             raise ValidationError(f"m_max must be >= 0, got {m_max}")
         self.m_max = m_max
-        self._t = _rank_one_cores(T, partition)
-        # |lam_b| and |kappa_b| of each core (|lam_b| alone in a 1x1 array),
-        # and the block norm |(lam_b, kappa_b)|
-        self._rows = np.abs(self._t[0, :, 0])
-        self._lengths = np.hypot.reduce(self._rows, axis=-1)
+        self._cores = _rank_one_cores(T, partition)
+        self._singletons = bool((partition.sizes == 1).all())
+        # |lam_b| and |kappa_b| of each core, and the block norm |(lam_b, kappa_b)|
+        self._moduli = np.abs(self._cores)
+        self._lengths = np.hypot(self._moduli[:, 0], self._moduli[:, 1])
 
     @cached_property
     def norm(self) -> float:
@@ -167,15 +148,17 @@ class DefectOracle:
 
         ``T* B_m T = (t - 1)^m T* T`` has norm ``|t - 1|^m g``.  ``B_m =
         (-1)^m I + c_m T* T`` has the eigenvalue ``(-1)^m`` on the kernel of
-        ``T* T``, which every 2x2 core has, and ``(-1)^m + c_m g`` on its
-        range; a 1x1 core is ``B_m = (t - 1)^m``.  NumericError naming the
-        first order whose norms overflow.
+        ``T* T``, which every block of two or more atoms has, and ``(-1)^m +
+        c_m g`` on its range, ``(t - 1)^m`` on a singleton.  An operator of
+        singleton blocks only may be injective (a unitary): its ``B_m`` is
+        ``(t - 1)^m`` on each block, with no kernel direction.  NumericError
+        naming the first order whose norms overflow.
         """
-        t, g = self._rows[:, 0] ** 2, self._lengths**2
+        t, g = self._moduli[:, 0] ** 2, self._lengths**2
         with np.errstate(over="ignore"):
             power, c = _defect_scalars(t, self.m_max)
             quasi = (np.abs(power) * g).max(axis=1)
-            if self._rows.shape[-1] == 1:
+            if self._singletons:
                 defect = np.abs(power).max(axis=1)
             else:
                 range_part = np.abs(_order_signs(self.m_max) + c * g).max(axis=1)
@@ -193,20 +176,9 @@ class DefectOracle:
         """The eigenvalue of each block's rank-one core, in block order: a
         read-only array of k values.  The other n - k eigenvalues of ``T``
         are zero."""
-        values = self._t[0, :, 0, 0]
+        values = self._cores[:, 0]
         values.flags.writeable = False
         return values
-
-    def verdicts(self) -> list[DefectVerdict]:
-        """Defect verdicts for m = 1..m_max, each order at its scaled
-        threshold ``_default_tol(norm, 2m, m)``."""
-        dn, qn = self.defect_norms
-        out = []
-        for m in range(1, self.m_max + 1):
-            tol_m = _default_tol(self.norm, 2 * m, m)
-            d, q = float(dn[m - 1]), float(qn[m - 1])
-            out.append(DefectVerdict(m, d, q, tol_m, d <= tol_m, q <= tol_m))
-        return out
 
     def normality(self) -> dict:
         """The normality verdict: ``normal`` when ``residual``, the largest
@@ -218,9 +190,9 @@ class DefectOracle:
         ``-/+ |kappa| |(lam, kappa)|`` and ``T* T`` the top eigenvalue
         ``|(lam, kappa)|^2``, so the negative part of the one over the other
         is ``sin theta_b = |kappa| / |(lam, kappa)|``; it is 0 on a zero
-        block and on a singleton, whose 1x1 core has no ``kappa``.
+        block and on a singleton, whose ``kappa`` is 0.
         """
         length = self._lengths
-        sines = self._rows[:, 1:].sum(axis=-1) / np.where(length > 0, length, 1.0)
+        sines = self._moduli[:, 1] / np.where(length > 0, length, 1.0)
         residual = float(sines.max())
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

@@ -341,6 +341,10 @@ def _fmt_bool(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
+def _fmt_norm(norm: float | None) -> str:
+    return "n/a" if norm is None else f"{norm:.6e}"
+
+
 class _Report:
     """Base of the report dataclasses: the structured form is the fields,
     renamed through ``_keys``, with a nested report in its structured form."""
@@ -369,7 +373,6 @@ class ClassificationReport(_Report):
     m_max: int
     matrix_route: bool
     symbol_rows: list[dict]
-    defect_verdicts: list[dict]
     criteria_rows: list[dict]
     normality: dict | None
     normal_case: dict | None
@@ -404,36 +407,26 @@ class ClassificationReport(_Report):
                 f"{re:>11.6g}{im:>+11.6g}i  {row['t']:>12.6g}  "
                 f"{row['e_u2']:>12.6g}  {row['e_w2']:>12.6g}  {row['product']:>12.6g}"
             )
-        if self.defect_verdicts:
-            lines.append("")
-            lines.append("defect verdicts:")
-            lines.append(
-                f"  {'m':>3}  {'defect norm':>14}  {'quasi norm':>14}  "
-                f"{'tol':>10}  {'m-isometric':>12}  {'quasi-m-iso':>12}"
-            )
-            for v in self.defect_verdicts:
-                lines.append(
-                    f"  {v['m']:>3}  {v['defect_norm']:>14.6e}  "
-                    f"{v['quasi_defect_norm']:>14.6e}  {v['tol']:>10.2e}  "
-                    f"{_fmt_bool(v['is_m_isometric']):>12}  "
-                    f"{_fmt_bool(v['is_quasi_m_isometric']):>12}"
-                )
         if self.criteria_rows:
             lines.append("")
             lines.append("criteria (literal vs corrected/oracle):")
             lines.append(
-                f"  {'m':>3}  {'quasi lit':>10}  {'quasi corr':>11}  "
-                f"{'quasi resid':>13}  {'m-iso lit':>10}  {'m-iso oracle':>13}  "
-                f"{'lit resid':>12}"
+                f"  {'m':>3}  {'quasi lit':>10}  {'quasi corr':>11}  {'quasi oracle':>13}  "
+                f"{'quasi resid':>13}  {'quasi norm':>13}  {'m-iso lit':>10}  "
+                f"{'m-iso oracle':>13}  {'lit resid':>12}  {'defect norm':>13}  {'tol':>10}"
             )
             for row in self.criteria_rows:
                 lines.append(
                     f"  {row['m']:>3}  {_fmt_bool(row['paper_quasi']):>10}  "
                     f"{_fmt_bool(row['corrected_quasi']):>11}  "
+                    f"{_fmt_bool(row['oracle_quasi']):>13}  "
                     f"{row['quasi_residual']:>13.6e}  "
+                    f"{_fmt_norm(row['oracle_quasi_norm']):>13}  "
                     f"{_fmt_bool(row['paper_m_iso']):>10}  "
                     f"{_fmt_bool(row['oracle_m_iso']):>13}  "
-                    f"{row['m_iso_paper_residual']:>12.6e}"
+                    f"{row['m_iso_paper_residual']:>12.6e}  "
+                    f"{_fmt_norm(row['oracle_defect_norm']):>13}  "
+                    f"{row['tol']:>10.2e}"
                 )
         if self.normality is not None:
             lines.append("")
@@ -510,12 +503,12 @@ def classify_operator(
     if use_matrix:
         audit = audit_agreement(ce, w, u, m_max)
         oracle, st = audit.oracle, audit.symbols
-        rows, verdicts = audit.rows, audit.verdicts
+        rows = audit.rows
         mismatches, divergences = audit.mismatches, audit.divergences
         normality = oracle.normality()
         if normality["normal"]:
             # the properties are decided at the order-1 defect threshold
-            nc = normal_case_equivalence(st, oracle, m_max, verdicts[0].tol)
+            nc = normal_case_equivalence(st, oracle, m_max, rows[0].tol)
             normal_case = {**_fields(nc), "properties": [_fields(c) for c in nc.properties]}
         spec_list = _complex_pairs(oracle.spectrum)
         spec_zeros = space.atom_count - partition.block_count
@@ -523,7 +516,7 @@ def classify_operator(
         spectrum_match = {"ok": dist <= 1e-8, "distance": dist}
     else:
         st = symbols(ce, w, u)
-        rows, verdicts, mismatches, divergences = audit_rows(st, m_max), (), (), ()
+        rows, mismatches, divergences = audit_rows(st, m_max), (), ()
         notes.append(
             f"matrix route skipped: {space.atom_count} atoms exceed the "
             f"dense-matrix limit of {MATRIX_LIMIT}; verdicts use the "
@@ -536,7 +529,6 @@ def classify_operator(
         m_max=m_max,
         matrix_route=use_matrix,
         symbol_rows=_symbol_rows(ce, st),
-        defect_verdicts=[_fields(v) for v in verdicts],
         criteria_rows=[_fields(row) for row in rows],
         normality=normality,
         normal_case=normal_case,

@@ -23,7 +23,7 @@ defect oracle evaluates with the same helper.  A report builds that table
 once, on its ``SymbolTable``, and ``audit_rows`` reads every audit row from
 it: each per-order residual is one reduction over the table, and the
 attained values ``e_r`` come from one row-wise sort, made only when the
-oracle's verdicts are given.
+defect oracle is given.
 ``normal_case_equivalence`` reads ``J'_m_max`` from the same table.
 """
 
@@ -35,13 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import (
-    DefectOracle,
-    DefectVerdict,
-    _default_tol,
-    _defect_scalars,
-    _order_signs,
-)
+from .classify import DefectOracle, _default_tol, _defect_scalars, _order_signs
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
@@ -357,7 +351,7 @@ def normal_case_equivalence(
 @dataclass(frozen=True)
 class AuditRow:
     """Both readings of both criteria at order ``m`` beside the oracle's
-    verdicts, which are None where no oracle ran.
+    defect norms and verdicts, which are None where no oracle ran.
 
     ``paper_m_iso`` asks that the attained values ``e_r`` of
     ``J'_m(t) E(|w|^2) E(|u|^2)`` all equal ``(-1)^(m+1)``.  A projection
@@ -410,15 +404,13 @@ class DivergenceRecord:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Audit rows and findings, with the oracle's verdicts they were read
-    from, the oracle itself and the symbols they were computed from (the
-    oracle's normality and spectrum and the block symbols are then at hand
-    for the same operator)."""
+    """Audit rows and findings, with the oracle and the symbols they were
+    computed from (the oracle's normality and spectrum and the block symbols
+    are then at hand for the same operator)."""
 
     rows: tuple[AuditRow, ...]
     mismatches: tuple[MismatchRecord, ...]
     divergences: tuple[DivergenceRecord, ...]
-    verdicts: tuple[DefectVerdict, ...]
     oracle: DefectOracle = field(compare=False, repr=False)
     symbols: SymbolTable = field(compare=False, repr=False)
 
@@ -430,15 +422,28 @@ class AgreementReport:
 def audit_rows(
     st: SymbolTable,
     m_max: int,
-    verdicts: tuple[DefectVerdict, ...] | None = None,
+    oracle: DefectOracle | None = None,
 ) -> tuple[AuditRow, ...]:
     """The audit row of each order m = 1..m_max, read from the symbol
     table's ``binomials(m_max)``.
 
-    With the oracle's ``verdicts`` for those orders each order is read at
-    the oracle's threshold; without them at the quasi criterion's own
-    scaled threshold, and the oracle fields are None.
+    With the operator's defect ``oracle``, built for the same orders, each
+    row carries the oracle's defect norms and verdicts, and each order is
+    read at the oracle's threshold ``_default_tol(norm, 2m, m)``; without
+    it at the quasi criterion's own scaled threshold, and the oracle fields
+    are None.
     """
+    if oracle is None:
+        norms = (None,) * m_max
+    else:
+        if oracle.m_max != m_max:
+            raise ValidationError(f"oracle covers orders up to {oracle.m_max}, not {m_max}")
+        # (tol, defect norm, quasi norm) of each order
+        dn, qn = oracle.defect_norms
+        norms = [
+            (_default_tol(oracle.norm, 2 * m, m), d, q)
+            for m, d, q in zip(range(1, m_max + 1), dn.tolist(), qn.tolist())
+        ]
     j, j_prime = st.binomials(m_max)
     quasi_residuals = _quasi_residuals(st, j).tolist()
     quasi_paper_residual = _quasi_paper_residual(st)
@@ -446,32 +451,27 @@ def audit_rows(
     # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
     m_iso_residuals = np.abs(values + _order_signs(m_max)).max(axis=1).tolist()
-    if verdicts:
-        if len(verdicts) != m_max:
-            raise ValidationError(f"{len(verdicts)} oracle verdicts for m_max {m_max}")
-        e_rs = _attained_rows(values, DEDUP_EPS)
-    else:
-        verdicts = e_rs = (None,) * m_max
+    e_rs = (None,) * m_max if oracle is None else _attained_rows(values, DEDUP_EPS)
     rows = []
-    for m, v, residual, m_iso_residual, e_r in zip(
-        range(1, m_max + 1), verdicts, quasi_residuals, m_iso_residuals, e_rs
+    for m, norm, residual, m_iso_residual, e_r in zip(
+        range(1, m_max + 1), norms, quasi_residuals, m_iso_residuals, e_rs
     ):
         paper_m_iso = m_iso_residual <= PAPER_EPS
-        if v is None:
+        if norm is None:
             tol_m = _quasi_tol(st, m)
-            oracle = dict(
+            fields = dict(
                 oracle_quasi=None,
                 oracle_quasi_norm=None,
                 oracle_m_iso=None if paper_m_iso else False,
                 oracle_defect_norm=None,
             )
         else:
-            tol_m = v.tol
-            oracle = dict(
-                oracle_quasi=v.is_quasi_m_isometric,
-                oracle_quasi_norm=v.quasi_defect_norm,
-                oracle_m_iso=v.is_m_isometric,
-                oracle_defect_norm=v.defect_norm,
+            tol_m, defect_norm, quasi_norm = norm
+            fields = dict(
+                oracle_quasi=quasi_norm <= tol_m,
+                oracle_quasi_norm=quasi_norm,
+                oracle_m_iso=defect_norm <= tol_m,
+                oracle_defect_norm=defect_norm,
             )
         rows.append(
             AuditRow(
@@ -484,7 +484,7 @@ def audit_rows(
                 paper_m_iso=paper_m_iso,
                 m_iso_paper_residual=m_iso_residual,
                 e_r=e_r,
-                **oracle,
+                **fields,
             )
         )
     return tuple(rows)
@@ -506,8 +506,7 @@ def audit_agreement(
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     st = symbols(ce, w, u)
     oracle = DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
-    verdicts = tuple(oracle.verdicts())
-    rows = audit_rows(st, m_max, verdicts)
+    rows = audit_rows(st, m_max, oracle)
     mismatches = tuple(
         MismatchRecord(ce.space, ce.partition, u, w, r.m, r.quasi_residual, r.oracle_quasi_norm)
         for r in rows
@@ -524,7 +523,7 @@ def audit_agreement(
         )
         if paper != oracle_verdict
     )
-    return AgreementReport(rows, mismatches, divergences, verdicts, oracle, st)
+    return AgreementReport(rows, mismatches, divergences, oracle, st)
 
 
 def essential_range(values: np.ndarray) -> tuple[complex, ...]:

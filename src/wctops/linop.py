@@ -83,27 +83,22 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # complement of ``span{a_b, c_b}`` and map that span into itself.
 # ``_rank_one_cores`` reads ``a_b`` and ``c_b`` from ``T f`` and ``T* g``
 # for random probes f and g, checks the rank-one model on a third probe h,
-# and keeps each block as its 2x2 core ``[[lam, kappa], [0, 0]]`` in an
-# orthonormal basis of that span, all k cores in one ``(1, k, 2, 2)``
-# array; a singleton's value lam is padded to ``[[lam, 0], [0, 0]]``.
-# Cutting a block to its core, and padding a singleton, is exact: the lanes
-# cut or added are kernel directions of ``T`` and ``T*``, where ``B_m`` is
-# ``(-1)^m`` and ``T* B_m T`` and ``T* T`` are zero, and a 2x2 core has
-# rank at most one, so it already has such a direction.  No norm moves.
-# The nonzero eigenvalue of block b, if any, is its core's ``lam``: the
-# spectrum of ``T`` is the k values ``lam`` and n - k zeros, one for each
-# of a block's d_b - 1 other lanes.  An operator of singleton blocks only
-# keeps a ``(1, k, 1, 1)`` array: it may be injective (a unitary), and a
-# kernel lane would give it a spurious ``|B_m| = 1``.
+# and keeps each block as the first row ``(lam, kappa)`` of its 2x2 core
+# ``[[lam, kappa], [0, 0]]`` in an orthonormal basis of that span, all k
+# rows in one ``(k, 2)`` array; a singleton is its value lam, with kappa 0.
+# The nonzero eigenvalue of block b, if any, is its ``lam``: the spectrum
+# of ``T`` is the k values ``lam`` and n - k zeros, one for each of a
+# block's d_b - 1 other lanes.
 # ``classify.DefectOracle`` reads every number it reports from the cores.
 
 
 # an overflow in the matvecs is reported once, by the probe check
 @np.errstate(over="ignore", invalid="ignore")
 def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
-    """The core of every rank-one block of ``T``, in one ``(1, k, d, d)``
-    array, read from three matvecs.  Entry ``[0, b, 0, 0]`` is block b's eigenvalue
-    ``z* y / s``; the block's other d_b - 1 eigenvalues are zero.
+    """The first row ``(lam, kappa)`` of every rank-one block's core, in one
+    ``(k, 2)`` array, read from three matvecs.  ``lam``, entry ``[b, 0]``, is
+    block b's eigenvalue ``z* y / s``; the block's other d_b - 1 eigenvalues
+    are zero.
 
     On block b, ``T_b = a c*``, so for probes f and g the block parts
     ``y = (T f)_b = a (c* f_b)`` and ``z = (T* g)_b = c (a* g_b)`` give
@@ -112,17 +107,15 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     q1 (q1* z)``, ``T_b`` is ``[[z* y / s, |y| |r| / s], [0, 0]]``; ``|r|``
     is summed from the residual vector itself, since ``|z|^2 - |q1* z|^2``
     cancels to roundoff of order ``sqrt(eps) |z|`` where ``c`` is parallel
-    to ``a``.  A singleton block is its value ``z* y / s``, padded to
-    ``[[z* y / s, 0], [0, 0]]`` unless every block is a singleton, when the
-    array is ``(1, k, 1, 1)``.  A third probe h checks the model
-    (Freivalds): NumericError unless ``T h`` and ``sum_b y (z* h_b) / s``
-    agree to 1e-10 of ``|T| |h|``, with ``|T|`` the largest block norm
-    ``|y| |z| / |s|``.  The probes are the first n rows of one read-only
-    block drawn once from a generator with a fixed seed (past the block's
-    rows, a fresh draw from that seed), so the cores are the same on every
-    run.
+    to ``a``.  A singleton block's ``kappa`` is exactly 0.  A third probe h
+    checks the model (Freivalds): NumericError unless ``T h`` and ``sum_b y
+    (z* h_b) / s`` agree to 1e-10 of ``|T| |h|``, with ``|T|`` the largest
+    block norm ``|y| |z| / |s|``.  The probes are the first n rows of one
+    read-only block drawn once from a generator with a fixed seed (past the
+    block's rows, a fresh draw from that seed), so the cores are the same on
+    every run.
     """
-    n, k, idx = partition.atom_count, partition.block_count, partition.block_index
+    n, idx = partition.atom_count, partition.block_index
     # complex Gaussian columns f, h and g
     probes = _probe_block()[:n] if n <= _PROBE_ROWS else _draw_probes(n)
     f, h = probes[:, 0], probes[:, 1]
@@ -162,15 +155,8 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
             f"at scale {scale:.3e}"
         )
 
-    single = partition.sizes == 1
-    if single.all():
-        return value[None, :, None, None]
-    cores = np.zeros((1, k, 2, 2), dtype=complex)
-    cores[0, :, 0, 0] = value
-    # a singleton's corner is the roundoff of z - q1 (q1* z): pad it exactly
-    cores[0, :, 0, 1] = np.where(single, 0.0, corner)
-    return cores
-
+    # a singleton's corner is the roundoff of z - q1 (q1* z): it is 0 exactly
+    return np.stack((value, np.where(partition.sizes == 1, 0.0, corner)), axis=1)
 
 def _draw_probes(rows: int) -> np.ndarray:
     """``rows`` rows of three complex Gaussian probes from a fresh

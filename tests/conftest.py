@@ -51,16 +51,28 @@ def wct_oracle(ce, w, u, m_max):
     return DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
 
 
+def core_matrices(oracle):
+    """The oracle's cores as matrices, rebuilt from its ``(k, 2)`` rows
+    ``(lam, kappa)``: ``[[lam, kappa], [0, 0]]`` for each block, or
+    ``[[lam]]`` when every block is a singleton; shape ``(k, d, d)``."""
+    rows = oracle._cores
+    if oracle._singletons:
+        return rows[:, :1, None].copy()
+    cores = np.zeros((len(rows), 2, 2), dtype=complex)
+    cores[:, 0] = rows
+    return cores
+
+
 def core_defects(oracle, m):
     """``B_m`` on each of the oracle's cores, built by the dense reference:
     shape ``(k, d, d)``."""
-    return np.array([dense_reference.defect(core, m) for core in oracle._t[0]])
+    return np.array([dense_reference.defect(core, m) for core in core_matrices(oracle)])
 
 
 def defect_evals(oracle, m, quasi=False):
     """The eigenvalues of ``B_m``, or of ``T* B_m T``, on the oracle's cores,
     from the dense reference."""
-    b, cores = core_defects(oracle, m), oracle._t[0]
+    b, cores = core_defects(oracle, m), core_matrices(oracle)
     if quasi:
         b = cores.conj().swapaxes(-1, -2) @ b @ cores
     return np.sort(np.linalg.eigvalsh(b).ravel())

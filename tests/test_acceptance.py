@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from conftest import cond_exp, core_defects, defect_evals, dense, wct_oracle
+from conftest import cond_exp, core_defects, core_matrices, defect_evals, dense, wct_oracle
 from wctops import (
     CondExp,
     Mfunc,
@@ -379,7 +379,8 @@ def test_criterion_8_structural_invariants(audited_suite):
             dev = np.abs(np.linalg.matrix_power(t, k) - factor[:, None] * t).max()
             if dev > 1e-9 * max(1.0, nrm**k):
                 failures.append(f"{inst.label}: power factorization k={k}")
-        core, core_adj = oracle._t[0], oracle._t[0].conj().swapaxes(-1, -2)
+        core = core_matrices(oracle)
+        core_adj = core.conj().swapaxes(-1, -2)
         defects = [core_defects(oracle, m) for m in range(1, 6)]
         dn, qn = oracle.defect_norms
         for m in range(2, 6):

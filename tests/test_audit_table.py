@@ -131,17 +131,21 @@ def _dedup(values):
     return tuple(out)
 
 
-def _reference_rows(st, m_max, verdicts=None):
-    """The audit rows by one sum over k per order, as plain dicts."""
+def _reference_rows(st, m_max, oracle=None):
+    """The audit rows by one sum over k per order, as plain dicts, with the
+    ``oracle``'s defect norms read at the threshold ``1e-9 max(1, |T|^(2m))``."""
     t, prod, both = st.abs_alpha_sq, st.product, st.in_both
     quasi_paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
     rows = []
     for m in range(1, m_max + 1):
-        v = verdicts[m - 1] if verdicts else None
+        if oracle is None:
+            tol_m = 1e-9 * max(1.0, float(prod.max()) ** m)
+        else:
+            tol_m = 1e-9 * max(1.0, oracle.norm ** (2 * m))
+            d, q = (float(norms[m - 1]) for norms in oracle.defect_norms)
         j = sum((-1) ** (m - k) * comb(m, k) * t**k for k in range(m + 1))
         j_prime = sum((-1) ** (m - k) * comb(m, k) * t ** (k - 1) for k in range(1, m + 1))
         residual = float((np.abs(j[both]) * prod[both]).max()) if both.any() else 0.0
-        tol_m = v.tol if v is not None else 1e-9 * max(1.0, float(prod.max()) ** m)
         values = j_prime * st.gamma * st.beta
         m_iso_residual = float(np.abs(values - (1.0 if m % 2 else -1.0)).max())
         paper_m_iso = m_iso_residual <= PAPER_EPS
@@ -151,17 +155,17 @@ def _reference_rows(st, m_max, verdicts=None):
                 "tol": tol_m,
                 "paper_quasi": quasi_paper_residual <= PAPER_EPS,
                 "corrected_quasi": residual <= tol_m,
-                "oracle_quasi": None if v is None else v.is_quasi_m_isometric,
+                "oracle_quasi": None if oracle is None else q <= tol_m,
                 "quasi_residual": residual,
                 "quasi_paper_residual": quasi_paper_residual,
-                "oracle_quasi_norm": None if v is None else v.quasi_defect_norm,
+                "oracle_quasi_norm": None if oracle is None else q,
                 "paper_m_iso": paper_m_iso,
                 "oracle_m_iso": (
-                    v.is_m_isometric if v is not None else None if paper_m_iso else False
+                    d <= tol_m if oracle is not None else None if paper_m_iso else False
                 ),
                 "m_iso_paper_residual": m_iso_residual,
-                "oracle_defect_norm": None if v is None else v.defect_norm,
-                "e_r": None if v is None else _dedup(values),
+                "oracle_defect_norm": None if oracle is None else d,
+                "e_r": None if oracle is None else _dedup(values),
             }
         )
     return rows
@@ -187,8 +191,8 @@ def test_audit_rows_match_a_per_order_reference():
     for inst in instances:
         audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
         st = audit.symbols
-        # with verdicts, each order is read at the oracle's threshold
-        for args in ((4, audit.verdicts), (4, None), (3, None)):
+        # with the oracle, each order is read at the oracle's threshold
+        for args in ((4, audit.oracle), (4, None), (3, None)):
             rows = audit_rows(st, *args)
             expected = _reference_rows(st, *args)
             assert len(rows) == len(expected)
@@ -208,8 +212,8 @@ def test_audit_agreement_holds_at_order_32():
 def test_audit_rows_refuse_verdicts_for_other_orders():
     inst = fixture_projection()
     audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
-    with pytest.raises(ValidationError, match="4 oracle verdicts"):
-        audit_rows(audit.symbols, 3, audit.verdicts)
+    with pytest.raises(ValidationError, match="oracle covers orders up to 4, not 3"):
+        audit_rows(audit.symbols, 3, audit.oracle)
 
 
 def test_symbol_table_builds_one_read_only_table_per_order_count():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from conftest import dense, matrix_action
+from conftest import core_matrices, dense, matrix_action
 from wctops import (
     CondExp,
     DefectOracle,
@@ -25,6 +25,7 @@ from wctops import (
 )
 from wctops.cli import classify_operator, suite_instances
 from wctops.classify import NORMAL_EPS
+from wctops.classify import _default_tol as oracle_tol
 
 REL = 1e-12
 
@@ -45,14 +46,17 @@ def _assert_oracle_matches_dense(T, t, partition, m_max):
     nrm = ref["norm"]
     assert _close(oracle.norm, nrm, nrm)
 
-    rows = zip(oracle.verdicts(), ref["defect_norms"], ref["quasi_defect_norms"], strict=True)
-    for v, d, q in rows:
-        tol = _default_tol(nrm, 2 * v.m)
-        assert (v.is_m_isometric, v.is_quasi_m_isometric) == (d <= tol, q <= tol)
-        scale = nrm ** (2 * v.m + 2)
-        assert _close(v.defect_norm, d, scale)
-        assert _close(v.quasi_defect_norm, q, scale)
-        assert _close(v.tol, tol, tol)
+    # the verdicts each order's norms give at its threshold, against those
+    # the reference's norms give at the reference threshold
+    dn, qn = oracle.defect_norms
+    rows = zip(dn, qn, ref["defect_norms"], ref["quasi_defect_norms"], strict=True)
+    for m, (got_d, got_q, d, q) in enumerate(rows, start=1):
+        tol, got_tol = _default_tol(nrm, 2 * m), oracle_tol(oracle.norm, 2 * m, m)
+        assert (got_d <= got_tol, got_q <= got_tol) == (d <= tol, q <= tol)
+        scale = nrm ** (2 * m + 2)
+        assert _close(got_d, d, scale)
+        assert _close(got_q, q, scale)
+        assert _close(got_tol, tol, tol)
 
     # the normality residual is the largest sine of a block's angle, read
     # by the reference from each diagonal block's commutator
@@ -151,34 +155,36 @@ def _zero_on_block(size):
 def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
     parts = _spec_parts(np.random.default_rng(sum(sizes)), sizes, u_of_w)
     T, t, partition = _dense_operator(*parts)
-    # every block becomes one 2x2 core of one array, a singleton's value
-    # padded with an exact zero lane; the spectrum lists the k core values,
+    # every block becomes one row (lam, kappa) of one (k, 2) array, with
+    # kappa exactly 0 on a singleton; the spectrum lists the k values lam,
     # and the report counts the n - k zeros of the other lanes
     oracle = DefectOracle(T, 1, partition)
-    assert oracle._t.shape == (1, len(sizes), 2, 2)
-    single = oracle._t[0, partition.sizes == 1]
+    assert oracle._cores.shape == (len(sizes), 2)
+    single = oracle._cores[partition.sizes == 1]
     assert len(single) == sizes.count(1)
-    assert np.count_nonzero(single[:, 1]) + np.count_nonzero(single[:, 0, 1]) == 0
+    assert np.count_nonzero(single[:, 1]) == 0
     assert oracle.spectrum.shape == (len(sizes),)
     _assert_report_lists_blocks(parts, len(sizes), sum(sizes) - len(sizes))
     _assert_oracle_matches_dense(T, t, partition, 3)
 
 
 def test_singletons_and_one_pair_drop_the_padding_zeros():
-    # 11 blocks in 12 atoms: 22 core lanes, of which the spectrum lists the
-    # 11 values and counts one zero, the pair's second lane
+    # 11 blocks in 12 atoms: 11 rows (lam, kappa), kappa exactly 0 on the
+    # 10 singletons; the spectrum lists the 11 values and counts one zero,
+    # the pair's second lane
     sizes = [1] * 10 + [2]
     parts = _spec_parts(np.random.default_rng(11), sizes)
     T, t, partition = _dense_operator(*parts)
     oracle = DefectOracle(T, 1, partition)
-    assert oracle._t.shape == (1, 11, 2, 2) and oracle.spectrum.shape == (11,)
+    assert oracle._cores.shape == (11, 2) and oracle.spectrum.shape == (11,)
+    assert np.count_nonzero(oracle._cores[partition.sizes == 1, 1]) == 0
     _assert_report_lists_blocks(parts, 11, 1)
     _assert_oracle_matches_dense(T, t, partition, 4)
 
 
 def test_injective_singletons_keep_a_one_by_one_stack():
-    # a unitary multiplication operator: no kernel lane may be padded on,
-    # or every B_m would read norm one
+    # a unitary multiplication operator: it has no kernel lane, which would
+    # give every B_m norm one, so its cores are the 1x1 values lam
     n = 12
     rng = np.random.default_rng(12)
     space = make_space(rng.uniform(0.2, 2.0, n))
@@ -187,10 +193,13 @@ def test_injective_singletons_keep_a_one_by_one_stack():
     t = dense(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
     T = matrix_action(t)
     oracle = DefectOracle(T, 6, partition)
-    assert oracle._t.shape == (1, n, 1, 1)
-    for v in oracle.verdicts():
-        assert v.is_m_isometric and v.is_quasi_m_isometric, v
-        assert v.defect_norm <= 1e-14
+    assert oracle._cores.shape == (n, 2) and (oracle._cores[:, 1] == 0).all()
+    assert core_matrices(oracle).shape == (n, 1, 1)
+    dn, qn = oracle.defect_norms
+    for m, (d, q) in enumerate(zip(dn, qn), start=1):
+        tol = oracle_tol(oracle.norm, 2 * m, m)
+        assert d <= tol and q <= tol, m
+        assert d <= 1e-14
     # n values and no zeros
     assert oracle.spectrum.shape == (n,)
     report = classify_operator(space, partition, Mfunc(u), Mfunc(np.ones(n)), m_max=1)
@@ -233,20 +242,20 @@ def test_rank_two_block_raises_numeric_error():
 
 
 def _cores(rng, k, kind):
-    """A one-operand stack of k rank-one cores ``[[lam, kappa], [0, 0]]``,
-    or of k 1x1 values."""
+    """k rank-one cores ``[[lam, kappa], [0, 0]]``, or k 1x1 values, as one
+    ``(k, d, d)`` array."""
     z = rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
     if kind == "singletons":
-        return z[None, :, :1, None]
-    cores = np.zeros((1, k, 2, 2), dtype=complex)
-    cores[0, :, 0] = z
+        return z[:, :1, None]
+    cores = np.zeros((k, 2, 2), dtype=complex)
+    cores[:, 0] = z
     if kind == "nilpotent":
-        cores[0, :, 0, 0] = 0.0
+        cores[:, 0, 0] = 0.0
     elif kind == "zero":
-        cores[0] = 0.0
+        cores[:] = 0.0
     elif kind == "mixed":
-        cores[0, ::3, 0, 0] = 0.0
-        cores[0, 1::3] = 0.0
+        cores[::3, 0, 0] = 0.0
+        cores[1::3] = 0.0
     return cores
 
 
@@ -257,7 +266,7 @@ def test_closed_forms_match_the_dense_defects_on_every_kind_of_core(kind, k):
     # against B_m and T* B_m T built as n x n matrices by the dense
     # reference, up to m = 8; a nilpotent core (lam = 0) has T^2 = 0 and
     # c_m = (-1)^(m-1) m, a zero core has t = g = 0
-    cores = _cores(np.random.default_rng(k), k, kind)[0]
+    cores = _cores(np.random.default_rng(k), k, kind)
     d = cores.shape[-1]
     t = np.zeros((k * d, k * d), dtype=complex)
     for b, core in enumerate(cores):

@@ -9,6 +9,7 @@ from wctops import (
     DefectOracle,
     Mfunc,
     ValidationError,
+    audit_agreement,
     grid_space,
     make_partition,
     make_space,
@@ -17,7 +18,15 @@ from wctops import (
 )
 from wctops.classify import NORMAL_EPS
 from wctops.cli import classify_operator, cmd_example_a
-from conftest import core_defects, defect_evals, dense, mf, random_instances, wct_oracle
+from conftest import (
+    core_defects,
+    core_matrices,
+    defect_evals,
+    dense,
+    mf,
+    random_instances,
+    wct_oracle,
+)
 
 PROBES = (0.25, 0.5, 2.0)
 
@@ -38,6 +47,20 @@ def _mult_oracle(u, m_max, weights=None):
 
 def _inst_oracle(inst, m_max, w=None):
     return wct_oracle(inst.cond_exp(), inst.w if w is None else w, inst.u, m_max)
+
+
+def _rows(weights, blocks, u, w, m_max):
+    """The criteria rows of ``f -> w E(u f)``, with the oracle's defect norms
+    and verdicts."""
+    space = make_space(weights)
+    ce = CondExp(space, make_partition(space, blocks))
+    return audit_agreement(ce, mf(w), mf(u), m_max).rows
+
+
+def _mult_rows(u, m_max, weights):
+    """``_rows`` of the multiplication operator ``M_u``."""
+    n = len(u)
+    return _rows(weights, singleton_blocks(n), u, np.ones(n), m_max)
 
 
 def test_defect_of_identity_vanishes():
@@ -80,26 +103,24 @@ def test_defect_rejects_bad_order():
 
 def test_classify_isometry_unimodular_multiplication():
     u = np.exp(1j * np.array([0.3, 1.2, -2.0]))
-    for v in _mult_oracle(u, 4, [0.2, 0.5, 0.8]).verdicts():
-        assert v.is_m_isometric and v.is_quasi_m_isometric
-        assert v.defect_norm < 1e-12
+    for row in _mult_rows(u, 4, [0.2, 0.5, 0.8]):
+        assert row.oracle_m_iso and row.oracle_quasi
+        assert row.oracle_defect_norm < 1e-12
 
 
 def test_classify_isometry_projection(uniform4):
-    _, partition, ce = uniform4
+    ce = uniform4[2]
     ones = mf(np.ones(4))
-    verdicts = DefectOracle(wct_action(ce, ones, ones), 4, partition).verdicts()
-    for v in verdicts:
-        assert v.is_quasi_m_isometric and not v.is_m_isometric
-        assert v.defect_norm == pytest.approx(1.0, abs=1e-12)
-        assert v.quasi_defect_norm < 1e-12
+    for row in audit_agreement(ce, ones, ones, 4).rows:
+        assert row.oracle_quasi and not row.oracle_m_iso
+        assert row.oracle_defect_norm == pytest.approx(1.0, abs=1e-12)
+        assert row.oracle_quasi_norm < 1e-12
 
 
 def test_classify_isometry_quasi_but_not_isometric(uniform4):
-    _, partition, ce = uniform4
-    T = wct_action(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]))
-    for v in DefectOracle(T, 4, partition).verdicts():
-        assert v.is_quasi_m_isometric and not v.is_m_isometric
+    ce = uniform4[2]
+    for row in audit_agreement(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]), 4).rows:
+        assert row.oracle_quasi and not row.oracle_m_iso
 
 
 def test_pascal_recursion():
@@ -107,7 +128,8 @@ def test_pascal_recursion():
     # closed-form defect norms are the norms of those B_m
     for inst in random_instances(seed=31, count=15):
         oracle = _inst_oracle(inst, 5)
-        t, t_adj = oracle._t[0], oracle._t[0].conj().swapaxes(-1, -2)
+        t = core_matrices(oracle)
+        t_adj = t.conj().swapaxes(-1, -2)
         defects = [core_defects(oracle, m) for m in range(1, 6)]
         for prev, cur in zip(defects, defects[1:]):
             recursed = t_adj @ prev @ t - prev
@@ -122,24 +144,21 @@ def test_m_isometric_implies_quasi():
         n = int(rng.integers(2, 8))
         weights = rng.uniform(0.2, 1.0, n)
         u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        oracle = _mult_oracle(u, 3, weights)
-        dn, qn = oracle.defect_norms
-        for v in oracle.verdicts():
-            assert dn[v.m - 1] <= v.tol
-            assert qn[v.m - 1] <= v.tol * max(1.0, oracle.norm**2)
+        norm = _mult_oracle(u, 3, weights).norm
+        for row in _mult_rows(u, 3, weights):
+            assert row.oracle_defect_norm <= row.tol
+            assert row.oracle_quasi_norm <= row.tol * max(1.0, norm**2)
 
 
 def test_quasi_2_persistence():
     # quasi order 2 vanishing propagates to all higher orders
     hits = 0
     for inst in random_instances(seed=77, count=40):
-        oracle = _inst_oracle(inst, 6)
-        tols = [v.tol for v in oracle.verdicts()]
-        _, qn = oracle.defect_norms
-        if qn[1] <= tols[1]:
+        rows = audit_agreement(inst.cond_exp(), inst.w, inst.u, 6).rows
+        if rows[1].oracle_quasi_norm <= rows[1].tol:
             hits += 1
-            for m in range(3, 7):
-                assert qn[m - 1] <= tols[m - 1]
+            for row in rows[2:]:
+                assert row.oracle_quasi_norm <= row.tol
     assert hits >= 5  # the stratified generator supplies quasi instances
 
 
@@ -149,7 +168,7 @@ def test_normal_case_defect_collapse():
     for inst in random_instances(seed=91, count=15):
         w = Mfunc(inst.u.values.conj())
         oracle = _inst_oracle(inst, 4, w)
-        t = oracle._t[0]
+        t = core_matrices(oracle)
         base = t.conj().swapaxes(-1, -2) @ t - np.eye(t.shape[-1])
         dense_t = dense(inst.cond_exp(), w, inst.u)
         dense_base = dense_reference.norm(dense_t.conj().T @ dense_t - np.eye(len(dense_t)))
@@ -225,10 +244,10 @@ def test_quasi_defects_of_a_nilpotent_block_are_its_gram():
     # there, of norm |T_1|^2 = 2.5e-13, and B_m = 0 on the singleton of
     # value 1
     u, w = np.array([1.0, 1e-3, 0.0]), np.array([1.0, 0.0, 1e-3])
-    verdicts = _oracle([0.5, 0.25, 0.25], [[0], [1, 2]], u, w, 6).verdicts()
-    assert len(verdicts) == 6
-    for v in verdicts:
-        assert v.quasi_defect_norm == pytest.approx(2.5e-13, rel=1e-12, abs=0), v.m
+    rows = _rows([0.5, 0.25, 0.25], [[0], [1, 2]], u, w, 6)
+    assert len(rows) == 6
+    for row in rows:
+        assert row.oracle_quasi_norm == pytest.approx(2.5e-13, rel=1e-12, abs=0), row.m
 
 
 def _mult_report(weights, u, m_max):
@@ -240,27 +259,27 @@ def _mult_report(weights, u, m_max):
 
 def test_multiplication_corollary_unimodular():
     report = _mult_report([0.2, 0.5, 0.8], [1.0, 1.0j, -1.0], 3)
-    v = report.defect_verdicts[2]
-    assert v["is_m_isometric"] and v["is_quasi_m_isometric"]
+    row = report.criteria_rows[2]
+    assert row["oracle_m_iso"] and row["oracle_quasi"]
     # the literal m-isometry residual of M_u is max ||u|^2 - 1|^m
     assert report.criteria_rows[2]["m_iso_paper_residual"] < 1e-14
 
 
 def test_multiplication_corollary_zero_one_modulus():
     report = _mult_report([0.5, 0.5], [1.0, 0.0], 3)
-    for v in report.defect_verdicts:
-        assert v["is_quasi_m_isometric"] and not v["is_m_isometric"]
-        assert v["defect_norm"] == pytest.approx(1.0)
+    for row in report.criteria_rows:
+        assert row["oracle_quasi"] and not row["oracle_m_iso"]
+        assert row["oracle_defect_norm"] == pytest.approx(1.0)
     assert not report.mismatches
 
 
 def test_multiplication_corollary_generic():
     report = _mult_report([0.5, 0.5], [2.0, 1.0], 2)
-    v = report.defect_verdicts[1]
-    assert not v["is_m_isometric"] and not v["is_quasi_m_isometric"]
+    row = report.criteria_rows[1]
+    assert not row["oracle_m_iso"] and not row["oracle_quasi"]
     # residual at the first atom: |u|^2 (|u|^2 - 1)^m = 4 * 9
-    assert report.criteria_rows[1]["quasi_residual"] == pytest.approx(36.0)
-    assert v["quasi_defect_norm"] == pytest.approx(36.0, rel=1e-12)
+    assert row["quasi_residual"] == pytest.approx(36.0)
+    assert row["oracle_quasi_norm"] == pytest.approx(36.0, rel=1e-12)
     # the defect spectra are the pointwise closed forms
     oracle = _mult_oracle([2.0, 1.0], 2)
     a2 = np.array([4.0, 1.0])
@@ -272,7 +291,7 @@ def test_multiplication_corollary_generic():
 
 def test_multiplication_corollary_growth_in_m():
     report = _mult_report([0.5, 0.5], [2.0, 1.0], 4)
-    norms = [v["quasi_defect_norm"] for v in report.defect_verdicts]
+    norms = [row["oracle_quasi_norm"] for row in report.criteria_rows]
     assert np.allclose(norms, [4 * 3**m for m in range(1, 5)], rtol=1e-12)
 
 
@@ -281,8 +300,9 @@ REFEREE_T = (0.0, 0.25, 0.5, 0.75, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0, 3.0)
 
 
 def _exact_t_g(core):
-    """``t = |lam|^2`` and ``g = |(lam, kappa)|^2`` of a core, as Fractions."""
-    squares = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in core[0]]
+    """``t = |lam|^2`` and ``g = |(lam, kappa)|^2`` of a core's row ``(lam,
+    kappa)``, as Fractions."""
+    squares = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in core]
     return squares[0], sum(squares)
 
 
@@ -300,8 +320,8 @@ def test_defect_norms_match_exact_sums_up_to_order_60(t, size):
     else:
         u, w = ([1.0, 0.0], [0.0, 1.0]) if t == 0 else ([1.0, 1.0], [s + 0.7, s - 0.7])
         oracle = _oracle([1.0, 1.0], [[0, 1]], u, w, 60)
-    assert oracle._t.shape == (1, 1, size, size)
-    t_b, g_b = _exact_t_g(oracle._t[0, 0])
+    assert oracle._cores.shape == (1, 2) and core_matrices(oracle).shape == (1, size, size)
+    t_b, g_b = _exact_t_g(oracle._cores[0])
     dn, qn = oracle.defect_norms
     for m, (j, j_prime) in enumerate(zip(*dense_reference.exact_sums(t_b, 60)), start=1):
         defect = abs(j) if size == 1 else max(1, abs((-1) ** m + j_prime * g_b))
@@ -318,12 +338,12 @@ def test_example_a_quasi_norms_at_high_orders_match_exact_sums():
     x, y = grid.xs[:, None], grid.ys
     u, w = Mfunc(y ** (x / 8.0)), Mfunc(np.sqrt((4.0 + x) * y))
     oracle = wct_oracle(CondExp(grid.space, grid.partition), w, u, 45)
-    exact = [_exact_t_g(core) for core in oracle._t[0]]
+    exact = [_exact_t_g(core) for core in oracle._cores]
     sums = [dense_reference.exact_sums(t_b, 45)[0] for t_b, _ in exact]
-    reported = cmd_example_a(2, 2, m_max=45).classification.defect_verdicts
+    reported = cmd_example_a(2, 2, m_max=45).classification.criteria_rows
     for m, printed in ((29, 0.487381), (37, 0.328322), (45, 0.221172)):
         want = max(abs(j[m - 1]) * g_b for j, (_, g_b) in zip(sums, exact))
         got = oracle.defect_norms[1][m - 1]
         assert abs(Fraction(float(got)) - want) <= Fraction(1e-12) * want, m
-        assert reported[m - 1]["quasi_defect_norm"] == got
+        assert reported[m - 1]["oracle_quasi_norm"] == got
         assert round(got, 6) == printed

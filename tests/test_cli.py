@@ -12,7 +12,6 @@ import pytest
 import wctops
 import wctops.cli as cli_mod
 from wctops import (
-    DefectOracle,
     Mfunc,
     NumericError,
     ValidationError,
@@ -427,8 +426,8 @@ def test_main_classifies_a_block_whose_probe_image_has_subnormal_norm(
     assert main(["classify", _write_spec(tmp_path, spec), "--format", "structured"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["spectrum_match"]["ok"] and data["mismatches"] == []
-    for verdict in data["defect_verdicts"]:
-        assert np.isfinite([verdict["defect_norm"], verdict["quasi_defect_norm"]]).all()
+    for row in data["criteria"]:
+        assert np.isfinite([row["oracle_defect_norm"], row["oracle_quasi_norm"]]).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -443,9 +442,12 @@ def test_main_m_max_past_the_double_range_of_the_binomials_classifies(tmp_path, 
     captured = capsys.readouterr()
     assert captured.err == ""
     data = json.loads(captured.out)
-    rows = data["defect_verdicts" if command == "classify" else "rows"]
-    assert len(rows) == 1030
-    assert {(r["defect_norm"], r["quasi_defect_norm"]) for r in rows} == {(1.0, 0.0)}
+    if command == "classify":
+        norms = {(r["oracle_defect_norm"], r["oracle_quasi_norm"]) for r in data["criteria"]}
+    else:
+        norms = {(r["defect_norm"], r["quasi_defect_norm"]) for r in data["rows"]}
+    assert len(data["criteria" if command == "classify" else "rows"]) == 1030
+    assert norms == {(1.0, 0.0)}
 
 
 @pytest.mark.parametrize("run", ["classify_operator", "cmd_sweep_m"])
@@ -508,9 +510,9 @@ def test_cmd_classify_example_b_spec(tmp_path):
     path = _write_spec(tmp_path, EXAMPLE_B_SPEC)
     report = cmd_classify(path)
     assert report.matrix_route
-    for verdict in report.defect_verdicts:
-        assert verdict["is_quasi_m_isometric"]
-        assert not verdict["is_m_isometric"]
+    for row in report.criteria_rows:
+        assert row["oracle_quasi"]
+        assert not row["oracle_m_iso"]
     for row in report.symbol_rows:
         assert row["e_uw"][0] == pytest.approx(1.0, abs=1e-12)
         assert abs(row["e_uw"][1]) < 1e-12
@@ -527,8 +529,8 @@ def test_cmd_classify_unimodular_singletons():
         m_max=3,
     )
     report = cmd_classify(spec)
-    for verdict in report.defect_verdicts:
-        assert verdict["is_m_isometric"] and verdict["is_quasi_m_isometric"]
+    for row in report.criteria_rows:
+        assert row["oracle_m_iso"] and row["oracle_quasi"]
     assert report.normality["normal"]
 
 
@@ -547,8 +549,8 @@ def test_cmd_example_b_small():
     report = cmd_example_b(0.5, 12, m_max=4)
     assert report.max_alpha_deviation < 1e-12
     assert report.tail_mass == pytest.approx(0.5**12)
-    for verdict in report.classification.defect_verdicts:
-        assert verdict["is_quasi_m_isometric"] and not verdict["is_m_isometric"]
+    for row in report.classification.criteria_rows:
+        assert row["oracle_quasi"] and not row["oracle_m_iso"]
 
 
 def test_cmd_example_b_p_independence():
@@ -556,8 +558,8 @@ def test_cmd_example_b_p_independence():
     right = cmd_example_b(0.3, 20, m_max=2)
     for report in (left, right):
         assert report.max_alpha_deviation < 1e-12
-        for verdict in report.classification.defect_verdicts:
-            assert verdict["is_quasi_m_isometric"]
+        for row in report.classification.criteria_rows:
+            assert row["oracle_quasi"]
 
 
 def test_cmd_example_a_small_grid():
@@ -656,7 +658,7 @@ def test_cmd_sweep_m_identity():
 
 def test_cmd_example_b_not_isometric_at_depth():
     report = cmd_example_b(0.5, 60, m_max=1)
-    assert report.classification.defect_verdicts[0]["defect_norm"] > 0.5
+    assert report.classification.criteria_rows[0]["oracle_defect_norm"] > 0.5
 
 
 def test_cmd_random_suite_small():
@@ -702,13 +704,36 @@ def test_random_instance_strata():
     assert np.abs(np.abs(uni.u.values * uni.w.values) - 1.0).max() < 1e-12
 
 
+def _criteria_table(out):
+    """The lines of the per-order table of a text report, header first."""
+    lines = out.splitlines()
+    start = lines.index("criteria (literal vs corrected/oracle):") + 1
+    end = lines.index("", start)
+    return [line.split() for line in lines[start:end]]
+
+
 def test_main_classify_table(tmp_path, capsys):
     path = _write_spec(tmp_path, EXAMPLE_B_SPEC)
     code = main(["classify", path])
     out = capsys.readouterr().out
     assert code == 0
-    assert "defect verdicts" in out
     assert "corrected-vs-oracle mismatches: 0" in out
+    # the one per-order table prints every oracle number of its row
+    rows = cmd_classify(path).criteria_rows
+    table = _criteria_table(out)
+    assert "defect verdicts" not in out and len(table) == 1 + len(rows)
+    for row, line in zip(rows, table[1:]):
+        assert int(line[0]) == row["m"] and line[3] == cli_mod._fmt_bool(row["oracle_quasi"])
+        assert line[7] == cli_mod._fmt_bool(row["oracle_m_iso"])
+        assert float(line[5]) == float(f"{row['oracle_quasi_norm']:.6e}")
+        assert float(line[9]) == float(f"{row['oracle_defect_norm']:.6e}")
+        assert float(line[10]) == float(f"{row['tol']:.2e}")
+    # past the dense limit the oracle does not run: its columns print n/a
+    assert main(["example-a", "--nx", "601", "--ny", "2", "--m-max", "2"]) == 0
+    table = _criteria_table(capsys.readouterr().out)
+    assert len(table) == 3
+    for line in table[1:]:
+        assert [line[i] for i in (3, 5, 9)] == ["n/a"] * 3
 
 
 def test_main_classify_structured_out(tmp_path, capsys):
@@ -890,19 +915,26 @@ def test_main_exits_with_the_report_code_when_stdout_closes_early(
     assert capsys.readouterr().err == ""
 
 
-def test_classify_operator_computes_the_defect_verdicts_once(monkeypatch):
+def test_classify_operator_computes_the_defect_scalars_once_per_route(monkeypatch):
+    # one call for the oracle's defect norms and one for the symbol route's
+    # binomial table, however many fields read them
+    import wctops.classify as classify_mod
+    import wctops.criteria as criteria_mod
+
     calls = []
-    original = DefectOracle.verdicts
+    original = classify_mod._defect_scalars
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
+    def counted(t, m_max):
+        calls.append(m_max)
+        return original(t, m_max)
 
-    monkeypatch.setattr(DefectOracle, "verdicts", counted)
+    for module in (classify_mod, criteria_mod):
+        monkeypatch.setattr(module, "_defect_scalars", counted)
     inst = fixture_projection()
     report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
-    assert len(calls) == 1
-    assert [v["m"] for v in report.defect_verdicts] == [1, 2, 3, 4]
+    assert calls == [4, 4]
+    assert [row["m"] for row in report.criteria_rows] == [1, 2, 3, 4]
+    assert "defect_verdicts" not in report.to_dict()
 
 
 def test_repeated_reports_draw_no_new_probes(monkeypatch):
@@ -959,13 +991,13 @@ def test_fields_match_the_dataclass_fields_in_order():
     records = []
     for inst in (fixture_projection(), fixture_support_gap()):
         audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
-        records += [*audit.verdicts, *audit.rows, *audit.divergences]
+        records += [*audit.rows, *audit.divergences]
     normal = random_instance(np.random.default_rng(5), stratum="unimodular")
     audit = audit_agreement(normal.cond_exp(), normal.w, normal.u, 4)
-    tol = audit.verdicts[0].tol
+    tol = audit.rows[0].tol
     records += normal_case_equivalence(audit.symbols, audit.oracle, 4, tol).properties
     kinds = {type(rec).__name__ for rec in records}
-    assert kinds == {"DefectVerdict", "AuditRow", "DivergenceRecord", "PropertyCheck"}
+    assert kinds == {"AuditRow", "DivergenceRecord", "PropertyCheck"}
     for rec in records:
         got = cli_mod._fields(rec)
         assert got == by_fields(rec) and list(got) == list(by_fields(rec))

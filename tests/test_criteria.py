@@ -389,7 +389,7 @@ def test_nilpotent_block_has_value_zero():
     report = classify_operator(space, partition, mf([1.0, 0.0]), mf([0.0, 1.0]), m_max=1)
     assert report.spectrum == [[0.0, 0.0]] and report.spectrum_zeros == 1
     assert report.spectrum_match == {"ok": True, "distance": 0.0}
-    assert report.defect_verdicts[0]["defect_norm"] > 0.5
+    assert report.criteria_rows[0]["oracle_defect_norm"] > 0.5
 
 
 @pytest.mark.parametrize(

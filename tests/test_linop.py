@@ -275,4 +275,4 @@ def test_rank_one_cores_repeat_byte_for_byte():
     _rank_one_cores(*_paired_action(linop._PROBE_ROWS + 1))
     last = _rank_one_cores(T, partition)
     assert first.tobytes() == again.tobytes() == last.tobytes()
-    assert first.shape == (1, 4, 2, 2)
+    assert first.shape == (4, 2)

@@ -40,10 +40,10 @@ def test_multiplication_operator_is_m_isometric_iff_isometric(atoms, unimodular)
     partition = make_partition(space, singleton_blocks(len(atoms)))
     report = classify_operator(space, partition, Mfunc(u), Mfunc(np.ones(len(atoms))), 4)
     assert report.mismatches == []
-    isometric = report.defect_verdicts[0]["is_m_isometric"]
+    isometric = report.criteria_rows[0]["oracle_m_iso"]
     a2 = np.abs(u) ** 2
     for m in range(2, 5):
-        assert report.defect_verdicts[m - 1]["is_m_isometric"] == isometric
+        assert report.criteria_rows[m - 1]["oracle_m_iso"] == isometric
         # the symbol route's residual is max |u|^2 ||u|^2 - 1|^m
         expected = float((a2 * np.abs(a2 - 1.0) ** m).max())
         residual = report.criteria_rows[m - 1]["quasi_residual"]

@@ -29,15 +29,11 @@ PROJECTION_SPEC = {
 
 CLASSIFICATION_KEYS = {
     "atom_count", "block_count", "m_max", "matrix_route", "symbols",
-    "defect_verdicts", "criteria", "normality", "normal_case", "spectrum",
-    "spectrum_zeros", "essential_range", "spectrum_match", "mismatches",
-    "divergences", "notes",
+    "criteria", "normality", "normal_case", "spectrum", "spectrum_zeros",
+    "essential_range", "spectrum_match", "mismatches", "divergences", "notes",
 }
 SYMBOL_ROW_KEYS = {"block", "atoms", "mass", "e_uw", "t", "e_u2", "e_w2", "product"}
-DEFECT_VERDICT_KEYS = {
-    "m", "defect_norm", "quasi_defect_norm", "tol", "is_m_isometric",
-    "is_quasi_m_isometric",
-}
+ORACLE_FIELDS = ("oracle_quasi", "oracle_quasi_norm", "oracle_m_iso", "oracle_defect_norm")
 CRITERIA_ROW_KEYS = {
     "m", "tol", "paper_quasi", "corrected_quasi", "oracle_quasi",
     "quasi_residual", "quasi_paper_residual", "oracle_quasi_norm",
@@ -79,7 +75,9 @@ def _check_classification(data, atoms):
     assert _row_keys(data["symbols"]) == [SYMBOL_ROW_KEYS] * len(data["symbols"])
     assert _row_keys(data["criteria"]) == [CRITERIA_ROW_KEYS] * data["m_max"]
     if data["matrix_route"]:
-        assert _row_keys(data["defect_verdicts"]) == [DEFECT_VERDICT_KEYS] * data["m_max"]
+        # on the two-route path every row carries the oracle's numbers
+        for row in data["criteria"]:
+            assert None not in [row[key] for key in ORACLE_FIELDS], row["m"]
         assert set(data["normality"]) == NORMALITY_KEYS
         assert set(data["spectrum_match"]) == {"ok", "distance"}
         # one eigenvalue per block, and the count of the other, zero ones
@@ -114,7 +112,8 @@ def test_classify_schema_symbol_only(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert not data["matrix_route"]
     _check_classification(data, 4)
-    assert data["defect_verdicts"] == []
+    for row in data["criteria"]:
+        assert [row[key] for key in ORACLE_FIELDS[:2] + ORACLE_FIELDS[3:]] == [None] * 3
     assert data["normality"] is None and data["spectrum"] is None
     assert data["spectrum_zeros"] is None and data["spectrum_match"] is None
     assert len(data["notes"]) == 1
