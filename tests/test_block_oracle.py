@@ -1,4 +1,4 @@
-"""The block-stacked oracle against the dense reference.
+"""The block oracle against the dense reference.
 
 ``T f = w E(u f)`` leaves the span of every partition block invariant, so
 the oracle may work on the rank-one cores of the diagonal blocks alone.
@@ -120,7 +120,7 @@ def _assert_report_lists_blocks(parts, blocks, zeros):
 @pytest.mark.parametrize(
     "sizes",
     [
-        [1] * 300,  # all singletons: one stack of 300 1x1 blocks
+        [1] * 300,  # all singletons: 300 rows with kappa 0
         [180] + [5] * 10 + [2] * 10,  # one dominant block
         [1, 1, 2, 3, 3, 5, 8, 8, 13, 21, 34, 51],  # mixed sizes, 150 atoms
     ],
