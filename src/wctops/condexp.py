@@ -9,21 +9,29 @@ one function, ``block_moments`` takes the three symbols ``E(uw)``,
 ``E|u|^2`` and ``E|w|^2`` in one pass, and ``linop.wct_action`` applies
 ``w E(u f)`` by the same block sums.
 
-``block_moments`` walks the atoms in chunks of ``MOMENT_CHUNK``, so that it
-holds no atom-length temporary: each chunk's products ``u w mu``,
-``|u|^2 mu`` and ``|w|^2 mu`` go into two chunk-sized buffers and are added
-into the block sums by two ordered ``np.add.at`` calls, the two real
-moments as the real and imaginary parts of one complex sum.  The ``u w mu``
-buffer and its sums are real when ``u`` and ``w`` are, and complex
-otherwise.  The chunks run in increasing atom order, every product is the
-same expression ``block_averages`` evaluates, and a complex addition adds
-its real and imaginary parts as two real additions.  Each block therefore
-still adds its atoms in atom order from ``+0.0``, and the three symbols
-are the bytes of three ``block_averages`` calls.  For real ``u`` and
-``w`` they are also the bytes of the complex path on ``u + 0j`` and ``w +
-0j``: numpy takes a complex product with a real factor as the product with
-``x + 0j``, so the real parts are the same real products and sums, and
-``|x + 0j|`` is ``|x|``.
+Every block sum is ``Partition.block_sums``'s: each block's values in
+block order (the order of ``partition.atoms``), summed pairwise by
+``np.add.reduceat`` in pieces of at most ``MOMENT_CHUNK`` atoms, a complex
+value as its two floats, and the pieces added in order to ``+0.0``.
+Pairwise summation bounds the error of a piece of ``d`` atoms by about
+``log2(d) eps`` where a running sum allows ``d eps`` (Higham, *Accuracy and
+Stability of Numerical Algorithms*, section 4.2).
+
+``block_moments`` holds no atom-length temporary.  It walks the blocks in
+groups of whole blocks, or one piece of a longer block, of at most
+``MOMENT_CHUNK`` atoms: each group's products ``u w mu``, ``|u|^2 mu`` and
+``|w|^2 mu`` go into two group-sized buffers, the two real moments as the
+two columns of one float buffer, and are summed by one ``np.add.reduceat``
+per buffer over the group's pieces.  The ``u w mu`` buffer and its sums are
+real when ``u`` and ``w`` are, and complex otherwise.  Every product is the
+expression ``block_averages`` evaluates, and a pairwise sum's tree depends
+on its length alone, so the three symbols are the bytes of three
+``block_averages`` calls.  For real ``u`` and ``w`` they are also the bytes
+of the complex path on ``u + 0j`` and ``w + 0j``: numpy takes a complex
+product with a real factor as the product with ``x + 0j``, so the real
+parts are the same real products summed by the same tree, and ``|x + 0j|``
+is ``|x|``; a product's zero may differ in sign, which the final ``+0.0``
+of every block sum removes.
 """
 
 from __future__ import annotations
@@ -33,13 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
+from .measure import MOMENT_CHUNK, MeasureSpace, Mfunc, Partition, ensure_on_space
 
 __all__ = ["CondExp", "block_averages", "block_moments"]
-
-# Atoms per chunk of ``block_moments``: its two buffers then take at most
-# 512 KiB, which stays in a core's L2 cache while the chunk is summed.
-MOMENT_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,20 +85,36 @@ def block_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``E(uw)``, ``E|u|^2`` and ``E|w|^2`` on each block, from the real or
     complex values ``u`` and ``w`` on the atoms, each with the bytes of its
-    ``block_averages``; ``E(uw)`` is returned as complex either way."""
-    mu, bins = ce.space.weights, ce.partition.block_index
-    n, k = mu.size, ce.partition.block_count
+    ``block_averages``; ``E(uw)`` is returned as complex either way.  The
+    atoms are taken in groups of at most ``MOMENT_CHUNK``, whole blocks or
+    one piece of a longer block, and each group's pieces are summed by one
+    ``np.add.reduceat`` per buffer."""
+    part, mu = ce.partition, ce.space.weights
+    n, pieces = mu.size, part.pieces
     size = min(n, MOMENT_CHUNK)
     dtype = np.result_type(u, w, mu)
-    uw_buffer = np.empty(size, dtype=dtype)
-    squares_buffer = np.empty(size, dtype=complex)
-    uw_sums = np.zeros(k, dtype=dtype)
-    squares_sums = np.zeros(k, dtype=complex)
-    for start in range(0, n, size):
-        chunk = slice(start, min(start + size, n))
-        cu, cw, cmu = u[chunk], w[chunk], mu[chunk]
-        uw, squares = uw_buffer[: cmu.size], squares_buffer[: cmu.size]
-        u2, w2 = squares.real, squares.imag
+    # the buffers and sums as float columns, two per complex value; uw and
+    # u2, w2 are views of them
+    uw_columns = np.empty((size, dtype.itemsize // 8))
+    squares = np.empty((size, 2))
+    uw_values = uw_columns.view(dtype)[:, 0]
+    u2_values, w2_values = squares[:, 0], squares[:, 1]
+    uw_sums = np.empty((pieces.size, uw_columns.shape[1]))
+    squares_sums = np.empty((pieces.size, 2))
+    first = 0
+    while first < pieces.size:
+        # the group: pieces first .. last - 1, which end within
+        # MOMENT_CHUNK atoms of the start of piece first
+        start = int(pieces[first])
+        if start + size >= n:
+            last, stop = pieces.size, n
+        else:
+            last = int(np.searchsorted(pieces, start + size, side="right")) - 1
+            stop = int(pieces[last])
+        group = slice(start, stop) if part.in_order else part.atoms[start:stop]
+        cu, cw, cmu = u[group], w[group], mu[group]
+        m = stop - start
+        uw, u2, w2 = uw_values[:m], u2_values[:m], w2_values[:m]
         np.multiply(cu, cw, out=uw)
         np.multiply(uw, cmu, out=uw)
         np.abs(cu, out=u2)
@@ -103,8 +123,15 @@ def block_moments(
         np.abs(cw, out=w2)
         np.square(w2, out=w2)
         np.multiply(w2, cmu, out=w2)
-        np.add.at(uw_sums, bins[chunk], uw)
-        np.add.at(squares_sums, bins[chunk], squares)
+        starts = pieces[first:last] - start
+        np.add.reduceat(uw_columns[:m], starts, 0, None, uw_sums[first:last])
+        np.add.reduceat(squares[:m], starts, 0, None, squares_sums[first:last])
+        first = last
     inverse = 1.0 / ce.block_masses
-    alpha = (uw_sums * inverse).astype(complex, copy=False)
-    return alpha, squares_sums.real * inverse, squares_sums.imag * inverse
+    alpha = part.fold(uw_sums).view(dtype)[:, 0] * inverse
+    squares_sums = part.fold(squares_sums)
+    return (
+        alpha.astype(complex, copy=False),
+        squares_sums[:, 0] * inverse,
+        squares_sums[:, 1] * inverse,
+    )

@@ -24,6 +24,13 @@ import numpy as np
 
 from .errors import ValidationError
 
+# The longest run of atoms one pairwise sum takes: a block with more atoms
+# is summed in pieces of this many, and the pieces' sums are added in
+# order.  ``condexp.block_moments`` takes the atoms in groups of whole
+# blocks, or one piece, of at most this many; its two buffers then take at
+# most 512 KiB, which stays in a core's L2 cache while a group is summed.
+MOMENT_CHUNK = 1 << 14
+
 __all__ = [
     "MeasureSpace",
     "Partition",
@@ -131,12 +138,21 @@ class Partition:
     Block ``b`` holds the next ``sizes[b]`` entries of ``atoms``, in the
     order given, and ``block_index[i]`` is the block owning atom ``i``.
     ``blocks``, the same blocks as tuples of ints, is built on first read.
+    ``pieces`` lists where each summed piece starts in ``atoms``: each
+    block's start, and every ``MOMENT_CHUNK``-th entry past it in a longer
+    block.  ``in_order`` says that ``atoms`` is ``0 .. n-1``, so a block's
+    atoms are a slice of an atom array, with no gather.
     """
 
     atoms: np.ndarray
     sizes: np.ndarray
     n: InitVar[int]
     block_index: np.ndarray = field(init=False, repr=False)
+    pieces: np.ndarray = field(init=False, repr=False)
+    in_order: bool = field(init=False, repr=False)
+    # the first piece and the piece count of each block, or None when every
+    # block is one piece
+    _long_pieces: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self, n: int) -> None:
         atoms = np.array(self.atoms, dtype=np.intp).reshape(-1)
@@ -164,15 +180,33 @@ class Partition:
             valid = owner.min() >= 0
         if not valid:
             raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
-        self._freeze(atoms, sizes, owner)
+        # a permutation is the identity iff it never steps back
+        in_order = not np.count_nonzero(atoms[1:] < atoms[:-1])
+        self._freeze(atoms, sizes, owner, in_order)
 
     def _freeze(
-        self, atoms: np.ndarray, sizes: np.ndarray, block_index: np.ndarray
+        self, atoms: np.ndarray, sizes: np.ndarray, block_index: np.ndarray, in_order: bool
     ) -> None:
-        """Store the three arrays read-only."""
-        for name, a in (("atoms", atoms), ("sizes", sizes), ("block_index", block_index)):
+        """Store the arrays read-only, with the piece starts and ``in_order``."""
+        pieces = np.add.accumulate(sizes) - sizes
+        long_pieces = None
+        if atoms.size > MOMENT_CHUNK and sizes.max() > MOMENT_CHUNK:
+            counts = -(-sizes // MOMENT_CHUNK)
+            block_of = np.repeat(np.arange(sizes.size), counts)
+            first = np.add.accumulate(counts) - counts
+            rank = np.arange(block_of.size) - first[block_of]
+            pieces = pieces[block_of] + rank * MOMENT_CHUNK
+            long_pieces = (first, counts)
+        for name, a in (
+            ("atoms", atoms),
+            ("sizes", sizes),
+            ("block_index", block_index),
+            ("pieces", pieces),
+        ):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "in_order", in_order)
+        object.__setattr__(self, "_long_pieces", long_pieces)
 
     @classmethod
     def contiguous(cls, sizes: Sequence[int] | np.ndarray) -> "Partition":
@@ -191,6 +225,7 @@ class Partition:
             np.arange(sizes.sum(), dtype=np.intp),
             sizes,
             np.repeat(np.arange(sizes.size), sizes),
+            True,
         )
         return part
 
@@ -219,19 +254,36 @@ class Partition:
         """The sum of ``x`` over each block's atoms, along its first axis.
 
         ``x`` has shape ``(n,)`` or ``(n, r)`` and the result ``(k,)`` or
-        ``(k, r)``, complex when ``x`` is and float otherwise.  One ordered
-        ``np.add.at`` into zeros takes every sum, so each block adds its
-        atoms' values in increasing atom order starting from ``+0.0``; a
-        2-D ``x`` is flattened and entry ``(i, j)`` goes to bin
-        ``block_index[i] * r + j`` of the flattened ``(k, r)`` result.
+        ``(k, r)``, complex when ``x`` is and float otherwise.  Each block's
+        values are taken in block order, the order of ``atoms``, and one
+        ``np.add.reduceat`` over ``pieces`` sums every piece pairwise; a
+        complex value is summed as its two floats, so its real part is summed
+        as a real array would be.  ``fold`` then adds each block's pieces in
+        order to ``+0.0``.
         """
-        x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-        bins = self.block_index
-        if x.ndim == 2:
-            r = x.shape[1]
-            bins = (bins[:, None] * r + np.arange(r)).reshape(-1)
-        sums = np.zeros((self.block_count,) + x.shape[1:], dtype=x.dtype)
-        np.add.at(sums.reshape(-1), bins, x.reshape(-1))
+        x = np.asarray(x)
+        kind = complex if x.dtype.kind == "c" else float
+        x = np.asarray(x, dtype=kind)
+        if not self.in_order:
+            x = x.take(self.atoms, 0)
+        if kind is float:
+            return self.fold(np.add.reduceat(x, self.pieces, 0))
+        columns = np.ascontiguousarray(x).view(float).reshape(len(x), -1)
+        sums = self.fold(np.add.reduceat(columns, self.pieces, 0))
+        return sums.view(complex).reshape((self.block_count,) + x.shape[1:])
+
+    def fold(self, piece_sums: np.ndarray) -> np.ndarray:
+        """Each block's sum from the sums of its pieces (rows of
+        ``piece_sums``, one per entry of ``pieces``): its pieces added in
+        order to ``+0.0``, so that a block of zeros sums to ``+0.0`` whatever
+        their signs."""
+        if self._long_pieces is None:
+            return piece_sums + 0.0
+        first, counts = self._long_pieces
+        sums = piece_sums[first] + 0.0
+        for j in range(1, int(counts.max())):
+            more = np.flatnonzero(counts > j)
+            sums[more] += piece_sums[first[more] + j]
         return sums
 
     @cached_property

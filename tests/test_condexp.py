@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wctops import (
     ValidationError,
     block_averages,
     geometric_space,
+    grid_space,
     make_partition,
     make_space,
     singleton_blocks,
@@ -158,11 +161,13 @@ def test_block_masses_recomputable():
         )
 
 
-def _moment_instance(n, k, seed):
-    """``n`` atoms in ``k`` shuffled blocks, with complex ``u`` zero on
-    block 0, ``w`` zero on block 1 and both zero on block 2."""
+def _moment_instance(n, k, seed, shuffle=True):
+    """``n`` atoms in ``k`` blocks, shuffled or each a run of atoms, with
+    complex ``u`` zero on block 0, ``w`` zero on block 1 and both zero on
+    block 2."""
     rng = np.random.default_rng(seed)
-    labels = rng.permutation(np.arange(n) % k)
+    labels = np.arange(n) % k
+    labels = rng.permutation(labels) if shuffle else np.sort(labels)
     space = make_space(rng.uniform(0.2, 2.0, n))
     ce = CondExp(space, Partition.from_labels(labels))
     u, w = _random_complex(rng, n), _random_complex(rng, n)
@@ -172,21 +177,54 @@ def _moment_instance(n, k, seed):
 
 
 @pytest.mark.parametrize(
-    "n", [MOMENT_CHUNK - 5, MOMENT_CHUNK, 3 * MOMENT_CHUNK + 17], ids=["below", "one", "three-plus"]
+    "n, k, shuffle",
+    [
+        (MOMENT_CHUNK - 5, 13, True),
+        (MOMENT_CHUNK, 13, True),
+        (3 * MOMENT_CHUNK + 17, 13, True),
+        (6 * MOMENT_CHUNK + 5, 4, True),
+        (6 * MOMENT_CHUNK + 5, 4, False),
+    ],
+    ids=["below", "one", "three-plus", "long", "long-in-order"],
 )
-def test_block_moments_have_the_bytes_of_three_block_averages(n):
-    ce, u, w = _moment_instance(n, 13, seed=n)
-    if n > MOMENT_CHUNK:
-        # every block has atoms in at least three chunks
-        chunk = np.arange(n) // MOMENT_CHUNK
-        owner = ce.partition.block_index
-        assert min(np.ptp(chunk[owner == b]) for b in range(13)) >= 2
+def test_block_moments_have_the_bytes_of_three_block_averages(n, k, shuffle):
+    ce, u, w = _moment_instance(n, k, seed=n, shuffle=shuffle)
+    assert ce.partition.in_order is not shuffle
+    if k == 4:
+        # every block is summed in pieces
+        assert ce.partition.sizes.min() > MOMENT_CHUNK
     alpha, beta, gamma = block_moments(ce, u, w)
     for got, f in ((alpha, u * w), (beta, np.abs(u) ** 2), (gamma, np.abs(w) ** 2)):
         expected = block_averages(ce, f)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
     assert (alpha[:3] == 0).all() and (beta[[0, 2]] == 0).all() and (gamma[1:3] == 0).all()
+    assert (alpha[3:] != 0).all()
     st = symbols(ce, Mfunc(w), Mfunc(u))
-    assert st.in_S.tolist() == [b not in (0, 2) for b in range(13)]
-    assert st.in_G.tolist() == [b not in (1, 2) for b in range(13)]
+    assert st.in_S.tolist() == [b not in (0, 2) for b in range(k)]
+    assert st.in_G.tolist() == [b not in (1, 2) for b in range(k)]
+
+
+@pytest.mark.parametrize(
+    "ny", [12_500, MOMENT_CHUNK + 4_000], ids=["one-piece", "two-pieces"]
+)
+def test_grid_symbols_and_masses_are_within_1e_15_of_fsum(ny):
+    # example-a's functions: a running sum over 10**4 atoms per column is
+    # off by about 1e-13 relative
+    grid = grid_space(4, ny)
+    ce = CondExp(grid.space, grid.partition)
+    u = (grid.ys ** (grid.xs[:, None] / 8.0)).reshape(-1)
+    w = np.sqrt((4.0 + grid.xs[:, None]) * grid.ys).reshape(-1)
+    mu = grid.space.weights
+    alpha, beta, gamma = block_moments(ce, u, w)
+    for b in range(4):
+        column = slice(b * ny, (b + 1) * ny)
+        mass = math.fsum(mu[column])
+        assert abs(ce.block_masses[b] - mass) <= 1e-15 * mass
+        for got, values in (
+            (alpha[b].real, u * w),
+            (beta[b], np.abs(u) ** 2),
+            (gamma[b], np.abs(w) ** 2),
+        ):
+            exact = math.fsum(values[column] * mu[column]) / mass
+            assert abs(got - exact) <= 1e-15 * abs(exact)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from wctops import (
     make_space,
     singleton_blocks,
 )
+from wctops.measure import MOMENT_CHUNK
 
 
 def test_make_space_uniform():
@@ -304,16 +307,50 @@ def _atom_values(rng, shape, dtype):
     return rng.random(shape) < 0.5
 
 
-def _assert_sums_in_atom_order(partition, x):
-    """``block_sums(x)`` has the bytes of a loop adding atom 0, 1, 2, ...
-    into zeros of the result's kind."""
+def _pairwise_in_block_order(partition, x):
+    """The block sums of the contract: each block's atoms gathered in block
+    order, one ``np.add.reduceat`` over the block starts per float column (a
+    complex value as its two floats), then ``+ 0.0``.  Every block here is
+    shorter than ``MOMENT_CHUNK``, so each is one piece."""
+    assert partition.sizes.max() <= MOMENT_CHUNK
     kind = complex if np.iscomplexobj(x) else float
-    expected = np.zeros((partition.block_count,) + x.shape[1:], dtype=kind)
-    for i in range(partition.atom_count):  # atom order, as the sums are taken
-        expected[partition.block_index[i]] += x[i]
+    gathered = np.asarray(x, dtype=kind)[partition.atoms]
+    columns = gathered.view(float).reshape(len(gathered), -1)
+    sums = np.empty((partition.block_count, columns.shape[1]))
+    for j in range(columns.shape[1]):
+        column = np.ascontiguousarray(columns[:, j])
+        sums[:, j] = np.add.reduceat(column, partition.starts) + 0.0
+    return sums.view(kind).reshape((partition.block_count,) + gathered.shape[1:])
+
+
+def _float_columns(x):
+    x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    return x.view(float).reshape(len(x), -1)
+
+
+def _assert_pairwise_sums(partition, x, running):
+    """``block_sums(x)`` has the bytes of the pairwise sums in block order,
+    and ``running``, a sum of the same values in another order, agrees with
+    them to within the roundoff of a running sum, ``d eps`` times the sum of
+    the moduli on a block of ``d`` atoms."""
+    kind = complex if np.iscomplexobj(x) else float
+    expected = _pairwise_in_block_order(partition, x)
     sums = partition.block_sums(x)
     assert sums.dtype == kind and sums.shape == expected.shape
     assert sums.tobytes() == expected.tobytes()
+    moduli = _per_column_bincount(partition, np.abs(_float_columns(x)))
+    d = partition.sizes.max()
+    gap = np.abs(_float_columns(sums) - _float_columns(running))
+    assert (gap <= d * np.finfo(float).eps * moduli).all()
+
+
+def _running_sums_in_atom_order(partition, x):
+    """A loop adding atom 0, 1, 2, ... into zeros of the result's kind."""
+    kind = complex if np.iscomplexobj(x) else float
+    expected = np.zeros((partition.block_count,) + x.shape[1:], dtype=kind)
+    for i in range(partition.atom_count):
+        expected[partition.block_index[i]] += x[i]
+    return expected
 
 
 def _seven_atoms():
@@ -323,7 +360,10 @@ def _seven_atoms():
 @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 1), (7, 2), (7, 4)])
 @pytest.mark.parametrize("dtype", [float, complex, int, bool])
 def test_block_sums_match_a_loop_in_atom_order(shape, dtype):
-    _assert_sums_in_atom_order(_seven_atoms(), _atom_values(np.random.default_rng(4), shape, dtype))
+    # the bytes of the pairwise sums in block order; the loop in atom
+    # order, the contract before pairwise sums, agrees to roundoff
+    partition, x = _seven_atoms(), _atom_values(np.random.default_rng(4), shape, dtype)
+    _assert_pairwise_sums(partition, x, _running_sums_in_atom_order(partition, x))
 
 
 @pytest.mark.parametrize(
@@ -340,12 +380,13 @@ def test_block_sums_of_strided_views_match_a_loop(view, dtype):
     wide = _atom_values(np.random.default_rng(5), (7, 6), dtype)
     x = view(wide)
     assert not x.flags.c_contiguous
-    _assert_sums_in_atom_order(_seven_atoms(), x)
+    partition = _seven_atoms()
+    _assert_pairwise_sums(partition, x, _running_sums_in_atom_order(partition, x))
 
 
 def _per_column_bincount(partition, x):
-    """The segment sum ``block_sums`` replaced: one ``bincount`` per real
-    column of a contiguous copy."""
+    """One ``bincount`` per real column of a contiguous copy: a running sum
+    of each block's atoms in atom order."""
     k = partition.block_count
     x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
     parts = x.view(float).reshape(len(x), -1)
@@ -358,10 +399,54 @@ def _per_column_bincount(partition, x):
 @pytest.mark.parametrize("shape", [(100_000,), (100_000, 4)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_block_sums_match_per_column_bincount_on_a_large_shuffled_partition(shape, dtype):
-    # numpy's ufunc.at may take another loop on a large index array than on
-    # a small one, so the atom order is checked at this size too
+    # blocks of about 100 atoms, past numpy's 8-way unrolled pairwise leaf,
+    # gathered from all over the atoms; bincount's running sums agree to
+    # roundoff
     rng = np.random.default_rng(6)
     labels = np.concatenate([np.arange(997), rng.integers(0, 997, shape[0] - 997)])
     partition = Partition.from_labels(rng.permutation(labels))
+    assert not partition.in_order
     x = _atom_values(rng, shape, dtype)
-    assert partition.block_sums(x).tobytes() == _per_column_bincount(partition, x).tobytes()
+    _assert_pairwise_sums(partition, x, _per_column_bincount(partition, x))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("trailing", [(), (2,)], ids=["1-d", "2-d"])
+@pytest.mark.parametrize(
+    "partition",
+    [
+        Partition.contiguous([2, 4, 3]),
+        Partition.from_labels([2, 0, 1, 0, 2, 1, 1, 0, 1]),
+        Partition.contiguous([2, MOMENT_CHUNK + 3]),
+    ],
+    ids=["contiguous", "shuffled", "long-block"],
+)
+def test_a_block_of_negative_zeros_sums_to_positive_zero(partition, trailing, dtype):
+    # reduceat starts each block from its first value, so without the
+    # final + 0.0 a block of -0.0 would sum to -0.0
+    value = 1.5 - 2j if dtype is complex else 1.5
+    x = np.full((partition.atom_count,) + trailing, value, dtype=dtype)
+    x[partition.block_index == 1] = complex(-0.0, -0.0) if dtype is complex else -0.0
+    assert np.signbit(_float_columns(x)[partition.block_index == 1]).all()
+    parts = _float_columns(partition.block_sums(x))
+    assert (parts[1] == 0.0).all() and not np.signbit(parts[1]).any()
+    assert (parts[0] != 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: Partition.contiguous([n]),
+        lambda n: Partition.from_labels(np.zeros(n, dtype=int)),
+        lambda n: Partition(np.arange(n)[::-1], [n], n),  # gathered in reverse
+    ],
+    ids=["contiguous", "from-labels", "reversed"],
+)
+def test_one_long_block_sums_within_64_eps_of_fsum(make):
+    # a running sum of 2**20 tenths is off by about 1.5e-11 relative
+    n = 1 << 20
+    x = np.full(n, 0.1)
+    exact = math.fsum(x)
+    total = make(n).block_sums(x)
+    assert total.shape == (1,)
+    assert abs(total[0] - exact) <= 64 * np.finfo(float).eps * exact
