@@ -19,7 +19,6 @@ from .criteria import (
     audit_rows,
     binomial_table,
     essential_range,
-    j_double_prime_m,
     normal_case_equivalence,
     spectrum_deviation,
     symbols,

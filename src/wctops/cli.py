@@ -382,7 +382,6 @@ class ClassificationReport(_Report):
     spectrum_match: dict | None
     mismatches: list[dict]
     divergences: list[dict]
-    notes: list[str]
 
     @property
     def mismatch_count(self) -> int:
@@ -454,8 +453,12 @@ class ClassificationReport(_Report):
                 )
         lines.append("")
         lines.append(f"corrected-vs-oracle mismatches: {len(self.mismatches)}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        if not self.matrix_route:
+            lines.append(
+                f"note: matrix route skipped: {self.atom_count} atoms exceed the "
+                f"dense-matrix limit of {MATRIX_LIMIT}; verdicts use the "
+                f"symbol-level criteria"
+            )
         return "\n".join(lines)
 
 
@@ -496,7 +499,6 @@ def classify_operator(
     Beyond ``MATRIX_LIMIT`` atoms only the symbol-level criteria run.
     """
     ce = CondExp(space, partition)
-    notes: list[str] = []
     use_matrix = space.atom_count <= MATRIX_LIMIT
     normality = normal_case = spec_list = spec_zeros = spectrum_match = None
 
@@ -506,9 +508,9 @@ def classify_operator(
         rows = audit.rows
         mismatches, divergences = audit.mismatches, audit.divergences
         normality = oracle.normality()
-        if normality["normal"]:
-            # the properties are decided at the order-1 defect threshold
-            nc = normal_case_equivalence(st, oracle, m_max, rows[0].tol)
+        # the properties are decided at the order-1 defect threshold
+        nc = normal_case_equivalence(st, oracle, rows[0].tol)
+        if nc is not None:
             normal_case = {**_fields(nc), "properties": [_fields(c) for c in nc.properties]}
         spec_list = _complex_pairs(oracle.spectrum)
         spec_zeros = space.atom_count - partition.block_count
@@ -517,11 +519,6 @@ def classify_operator(
     else:
         st = symbols(ce, w, u)
         rows, mismatches, divergences = audit_rows(st, m_max), (), ()
-        notes.append(
-            f"matrix route skipped: {space.atom_count} atoms exceed the "
-            f"dense-matrix limit of {MATRIX_LIMIT}; verdicts use the "
-            f"symbol-level criteria"
-        )
 
     return ClassificationReport(
         atom_count=space.atom_count,
@@ -538,7 +535,6 @@ def classify_operator(
         spectrum_match=spectrum_match,
         mismatches=[_mismatch(rec) for rec in mismatches],
         divergences=[_fields(d) for d in divergences],
-        notes=notes,
     )
 
 

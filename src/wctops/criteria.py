@@ -6,8 +6,8 @@ block-constant symbols: ``E(uw)``, its squared modulus ``t``,
 criteria below classify the operator from those symbols alone.
 ``symbols`` takes the three averages in one chunked pass over the atoms,
 ``condexp.block_moments``, whose sums have the bytes of three
-``block_averages`` calls: its chunks add each block's atoms in atom order
-and its products are the same expressions.  Two
+``block_averages`` calls: its chunks sum each block's atoms pairwise, in
+block order, and its products are the same expressions.  Two
 readings are evaluated side by side: a literal whole-space reading and a
 corrected reading (restricted to the joint support for the quasi
 criterion, deferred to the defect oracle for the m-isometry criterion).
@@ -19,12 +19,10 @@ Both readings of both criteria run on the alternating binomial sums
 ``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` reads
 them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
 the k blocks, from their closed forms ``(t - 1)^m`` and ``c_m(t)``, which the
-defect oracle evaluates with the same helper.  A report builds that table
-once, on its ``SymbolTable``, and ``audit_rows`` reads every audit row from
-it: each per-order residual is one reduction over the table, and the
-attained values ``e_r`` come from one row-wise sort, made only when the
-defect oracle is given.
-``normal_case_equivalence`` reads ``J'_m_max`` from the same table.
+defect oracle evaluates with the same helper.  ``audit_rows`` builds that
+table once and reads every audit row from it: each per-order residual is
+one reduction over the table, and the attained values ``e_r`` come from one
+row-wise sort, made only when the defect oracle is given.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "AgreementReport",
     "symbols",
     "binomial_table",
-    "j_double_prime_m",
     "audit_rows",
     "normal_case_equivalence",
     "audit_agreement",
@@ -96,16 +93,6 @@ class SymbolTable:
         """Blocks in the joint support of ``E(|u|^2)`` and ``E(|w|^2)``,
         built once and kept read-only."""
         return _read_only(self.in_S & self.in_G)
-
-    def binomials(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """``binomial_table(abs_alpha_sq, m_max)``, built once per ``m_max``
-        and kept read-only."""
-        tables = self.__dict__.setdefault("_binomials", {})
-        if m_max not in tables:
-            tables[m_max] = binomial_table(self.abs_alpha_sq, m_max)
-            for table in tables[m_max]:
-                _read_only(table)
-        return tables[m_max]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -166,19 +153,6 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
             f"binomial sums of order {m_max} overflow at t = {float(t.max()):.3e}"
         )
     return j, j_prime
-
-
-def j_double_prime_m(t_val, m: int):
-    """Closed form ``(t - 1)^m - (-1)^m`` of the reduced sum scaled by ``t``.
-
-    Equals ``J'_m(t) * E(|w|^2) E(|u|^2)`` whenever the symbol product
-    collapses onto ``t``, which happens exactly for normal operators.
-    """
-    if m < 1:
-        raise ValidationError(f"order must be >= 1, got {m}")
-    t = np.asarray(t_val, dtype=float)
-    out = (t - 1.0) ** m - (-1.0) ** m
-    return out if np.ndim(t_val) else float(out)
 
 
 def _quasi_residuals(st: SymbolTable, j: np.ndarray) -> np.ndarray:
@@ -267,61 +241,37 @@ class PropertyCheck:
 
 @dataclass(frozen=True)
 class NormalCaseReport:
-    """Five-way equivalence data for a normal operator.
+    """Five-way equivalence data for a normal operator: the residual of the
+    symbol identity and the five property checks."""
 
-    ``applicable`` is the oracle's normality verdict, with its residual in
-    ``normal_residual``; when it is False the remaining fields are unset
-    placeholders.
-    """
-
-    applicable: bool
-    normal_residual: float
     identity_residual: float
     identity_ok: bool
-    j_double_prime_residual: float
     properties: tuple[PropertyCheck, ...]
     all_equal: bool
 
 
 def normal_case_equivalence(
-    st: SymbolTable, oracle: DefectOracle, m_max: int, tol: float
-) -> NormalCaseReport:
+    st: SymbolTable, oracle: DefectOracle, tol: float
+) -> NormalCaseReport | None:
     """Check the equivalence package available for normal operators.
 
-    Verifies the symbol identity ``E(|u|^2) E(|w|^2) = |E(uw)|^2``
+    None when the operator's ``oracle`` reads it as not normal.  Otherwise
+    verifies the symbol identity ``E(|u|^2) E(|w|^2) = |E(uw)|^2``
     pointwise, then evaluates five properties independently (isometric,
     m-isometric for some m, quasi-isometric, quasi-m-isometric for some
     m, symbol product equal to 1) against ``tol`` and reports whether they
-    agree, reading the normality verdict and the defect norms of the
-    operator's ``oracle``, built for at least ``m_max`` orders.
+    agree, reading the defect norms of every order the oracle covers.
     """
-    if m_max < 1:
-        raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    if oracle.m_max < m_max:
-        raise ValidationError(
-            f"oracle covers orders up to {oracle.m_max}, not {m_max}"
-        )
-    normality = oracle.normality()
-    normal_residual = normality["residual"]
-    if not normality["normal"]:
-        return NormalCaseReport(
-            applicable=False,
-            normal_residual=normal_residual,
-            identity_residual=float("nan"),
-            identity_ok=False,
-            j_double_prime_residual=float("nan"),
-            properties=(),
-            all_equal=False,
-        )
+    if oracle.m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {oracle.m_max}")
+    if not oracle.normality()["normal"]:
+        return None
     t = st.abs_alpha_sq
     prod = st.product
     identity_residual = float(np.abs(prod - t).max())
-    j_prime = st.binomials(m_max)[1][m_max - 1]
-    jpp_residual = float(np.abs(j_prime * prod - j_double_prime_m(t, m_max)).max())
-
     dn, qn = oracle.defect_norms
-    defect_norms = dn[:m_max].tolist()
-    quasi_norms = qn[:m_max].tolist()
+    defect_norms = dn.tolist()
+    quasi_norms = qn.tolist()
     product_residual = max(
         float(np.abs(prod - 1.0).max()), float(np.abs(t - 1.0).max())
     )
@@ -338,11 +288,8 @@ def normal_case_equivalence(
     )
     verdicts = {c.holds for c in checks}
     return NormalCaseReport(
-        applicable=True,
-        normal_residual=normal_residual,
         identity_residual=identity_residual,
         identity_ok=identity_residual <= tol,
-        j_double_prime_residual=jpp_residual,
         properties=checks,
         all_equal=len(verdicts) == 1,
     )
@@ -424,8 +371,8 @@ def audit_rows(
     m_max: int,
     oracle: DefectOracle | None = None,
 ) -> tuple[AuditRow, ...]:
-    """The audit row of each order m = 1..m_max, read from the symbol
-    table's ``binomials(m_max)``.
+    """The audit row of each order m = 1..m_max, read from one
+    ``binomial_table(st.abs_alpha_sq, m_max)``.
 
     With the operator's defect ``oracle``, built for the same orders, each
     row carries the oracle's defect norms and verdicts, and each order is
@@ -444,7 +391,7 @@ def audit_rows(
             (_default_tol(oracle.norm, 2 * m, m), d, q)
             for m, d, q in zip(range(1, m_max + 1), dn.tolist(), qn.tolist())
         ]
-    j, j_prime = st.binomials(m_max)
+    j, j_prime = binomial_table(st.abs_alpha_sq, m_max)
     quasi_residuals = _quasi_residuals(st, j).tolist()
     quasi_paper_residual = _quasi_paper_residual(st)
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2

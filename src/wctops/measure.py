@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,49 +74,25 @@ class MeasureSpace:
         return float(self.weights.sum())
 
 
-def _partition_fault(
-    sizes: np.ndarray, atoms: np.ndarray, block_of: np.ndarray, n: int
-) -> str:
-    """The first fault met reading the blocks in order, atom by atom.
+def _partition_fault(sizes: np.ndarray, atoms: np.ndarray, n: int) -> str:
+    """The first fault met reading the blocks in order, atom by atom: an
+    empty block, an atom out of range or an atom already placed, named with
+    its earlier block; past the last block, the first atom no block covers.
 
-    ``atoms`` lists every block's atoms one block after another, and
-    ``block_of`` gives the block of each entry.  An empty block is met
-    before the atom that follows it; an atom missing from every block is
-    only known once all blocks are read.
+    ``atoms`` lists every block's atoms one block after another.
     """
-    faults = []
-    starts = np.cumsum(sizes) - sizes
-    empty = np.flatnonzero(sizes == 0)
-    if empty.size:
-        b = int(empty[0])
-        faults.append((int(starts[b]), 0, f"block {b} is empty"))
-    inside = (atoms >= 0) & (atoms < n)
-    if not inside.all():
-        p = int(np.flatnonzero(~inside)[0])
-        faults.append(
-            (
-                p,
-                1,
-                f"block {int(block_of[p])} contains out-of-range atom index "
-                f"{int(atoms[p])} (space has {n} atoms)",
-            )
-        )
-    positions = np.flatnonzero(inside)
-    _, first = np.unique(atoms[positions], return_index=True)
-    repeated = np.ones(positions.size, dtype=bool)
-    repeated[first] = False
-    if repeated.any():
-        p = int(positions[np.flatnonzero(repeated)[0]])
-        i = int(atoms[p])
-        earlier = int(block_of[np.flatnonzero(atoms == i)[0]])
-        faults.append(
-            (p, 1, f"atom {i} appears in both block {earlier} and block {int(block_of[p])}")
-        )
-    if faults:
-        return min(faults)[2]
-    covered = np.zeros(n, dtype=bool)
-    covered[atoms] = True
-    return f"atom {int(np.flatnonzero(~covered)[0])} is not covered by any block"
+    owner = [-1] * n
+    entries = iter(atoms.tolist())
+    for b, size in enumerate(sizes.tolist()):
+        if not size:
+            return f"block {b} is empty"
+        for i in islice(entries, size):
+            if not 0 <= i < n:
+                return f"block {b} contains out-of-range atom index {i} (space has {n} atoms)"
+            if owner[i] >= 0:
+                return f"atom {i} appears in both block {owner[i]} and block {b}"
+            owner[i] = b
+    return f"atom {owner.index(-1)} is not covered by any block"
 
 
 def _block_sizes(sizes: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -179,7 +155,7 @@ class Partition:
             owner[atoms] = block_of
             valid = owner.min() >= 0
         if not valid:
-            raise ValidationError(_partition_fault(sizes, atoms, block_of, n))
+            raise ValidationError(_partition_fault(sizes, atoms, n))
         # a permutation is the identity iff it never steps back
         in_order = not np.count_nonzero(atoms[1:] < atoms[:-1])
         self._freeze(atoms, sizes, owner, in_order)

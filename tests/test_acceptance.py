@@ -276,8 +276,8 @@ def test_criterion_6_normal_case_properties():
         if identity_dev > 1e-8:
             failures.append(f"trial {trial}: symbol identity off by {identity_dev:.3e}")
 
-        report = normal_case_equivalence(st, oracle, 4, 1e-8)
-        if not report.applicable:
+        report = normal_case_equivalence(st, oracle, 1e-8)
+        if report is None:
             failures.append(f"trial {trial}: self-adjoint operator not normal")
             continue
         if not report.all_equal:

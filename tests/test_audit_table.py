@@ -21,7 +21,6 @@ from wctops import (
     audit_agreement,
     audit_rows,
     binomial_table,
-    symbols,
 )
 from wctops.cli import (
     classify_operator,
@@ -216,23 +215,14 @@ def test_audit_rows_refuse_verdicts_for_other_orders():
         audit_rows(audit.symbols, 3, audit.oracle)
 
 
-def test_symbol_table_builds_one_read_only_table_per_order_count():
-    inst = fixture_support_gap()
-    st = symbols(inst.cond_exp(), inst.w, inst.u)
-    j, j_prime = st.binomials(4)
-    assert st.binomials(4)[0] is j
-    assert not j.flags.writeable and not j_prime.flags.writeable
-
-
 def test_reports_call_no_per_order_function():
     suite = cmd_random_suite(count=20)
     assert suite.mismatch_count == 0 and len(suite.instance_rows) == 22
-    # a unimodular instance is normal, so its report also reads J'_m_max
-    # for the normal-case identity; example-a at 20 x 1000 atoms runs
-    # symbol-only
+    # a unimodular instance is normal, so its report also fills in the
+    # normal case; example-a at 20 x 1000 atoms runs symbol-only
     inst = random_instance(np.random.default_rng(0), stratum="unimodular")
     report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
-    assert report.normal_case is not None and report.normal_case["applicable"]
+    assert report.normal_case is not None
     report = cmd_example_a().classification
     assert not report.matrix_route and len(report.criteria_rows) == 4
 

@@ -12,7 +12,6 @@ from wctops import (
     essential_range,
     geometric_space,
     grid_space,
-    j_double_prime_m,
     make_partition,
     make_space,
     normal_case_equivalence,
@@ -99,19 +98,11 @@ def test_j_prime_frozen_values():
     assert j_prime[2, 2] == pytest.approx(1.0)  # 3 - 3 + 1
 
 
-def test_j_double_prime_values():
-    assert j_double_prime_m(1.0, 2) == pytest.approx(-1.0)
-    assert j_double_prime_m(1.0, 3) == pytest.approx(1.0)
-    assert j_double_prime_m(2.0, 2) == pytest.approx(0.0)
-
-
 def test_j_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         binomial_table([-0.5], 2)
     with pytest.raises(ValidationError):
         binomial_table([1.0], 0)
-    with pytest.raises(ValidationError):
-        j_double_prime_m(1.0, 0)
 
 
 def test_quasi_criterion_geometric_example():
@@ -201,8 +192,8 @@ def test_normal_case_identity_operator():
     w = Mfunc(u.values.conj())
     st = symbols(ce, w, u)
     oracle = wct_oracle(ce, w, u, 3)
-    report = normal_case_equivalence(st, oracle, 3, 1e-9)
-    assert report.applicable and report.identity_ok and report.all_equal
+    report = normal_case_equivalence(st, oracle, 1e-9)
+    assert report is not None and report.identity_ok and report.all_equal
     assert all(c.holds for c in report.properties)
 
 
@@ -213,8 +204,8 @@ def test_normal_case_all_false():
     w = Mfunc(u.values.conj())
     st = symbols(ce, w, u)
     oracle = wct_oracle(ce, w, u, 3)
-    report = normal_case_equivalence(st, oracle, 3, 1e-9)
-    assert report.applicable and report.identity_ok and report.all_equal
+    report = normal_case_equivalence(st, oracle, 1e-9)
+    assert report is not None and report.identity_ok and report.all_equal
     assert not any(c.holds for c in report.properties)
 
 
@@ -225,8 +216,8 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
     ones = mf([1, 1, 1, 1])
     st = symbols(ce, ones, ones)
     oracle = wct_oracle(ce, ones, ones, 3)
-    report = normal_case_equivalence(st, oracle, 3, 1e-9)
-    assert report.applicable and report.identity_ok
+    report = normal_case_equivalence(st, oracle, 1e-9)
+    assert report is not None and report.identity_ok
     assert not report.all_equal
     held = {c.name: c.holds for c in report.properties}
     assert held["quasi_isometric"] and held["symbol_product_one"]
@@ -234,14 +225,14 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
 
 
 def test_normal_case_not_applicable_for_non_normal():
+    non_normal = 0
     for inst in random_instances(seed=300, count=20, stratum="generic"):
-        st = _symbols_of(inst)
         oracle = wct_oracle(inst.cond_exp(), inst.w, inst.u, 2)
-        report = normal_case_equivalence(st, oracle, 2, 1e-9)
-        if report.applicable:
+        if oracle.normality()["normal"]:
             continue  # rare but legitimate: a random instance may be normal
-        assert np.isnan(report.identity_residual)
-        assert report.properties == ()
+        non_normal += 1
+        assert normal_case_equivalence(_symbols_of(inst), oracle, 1e-9) is None
+    assert non_normal
 
 
 def test_normal_case_random_self_adjoint_equivalence():
@@ -251,11 +242,27 @@ def test_normal_case_random_self_adjoint_equivalence():
         ce = inst.cond_exp()
         st = symbols(ce, w, u)
         oracle = wct_oracle(ce, w, u, 4)
-        report = normal_case_equivalence(st, oracle, 4, 1e-8)
-        assert report.applicable
+        report = normal_case_equivalence(st, oracle, 1e-8)
+        assert report is not None
         assert report.identity_residual < 1e-10
-        assert report.j_double_prime_residual < 1e-8
         assert report.all_equal
+
+
+def test_normal_case_reads_every_order_of_the_oracle():
+    # singletons with |t - 1| < 1: the defect norms fall with m, so the
+    # smallest of six orders is the sixth
+    space = make_space([0.5, 0.5])
+    ce = CondExp(space, make_partition(space, singleton_blocks(2)))
+    u, w = mf([1.2, 0.9]), mf([1.0, 1.0])
+    oracle = wct_oracle(ce, w, u, 6)
+    dn, qn = oracle.defect_norms
+    assert len(dn) == 6 and dn[5] < dn[:5].min() and qn[5] < qn[:5].min()
+    report = normal_case_equivalence(symbols(ce, w, u), oracle, 1e-9)
+    residuals = {c.name: c.residual for c in report.properties}
+    assert residuals["m_isometric"] == dn[5]
+    assert residuals["quasi_m_isometric"] == qn[5]
+    with pytest.raises(ValidationError, match="m_max must be >= 1, got 0"):
+        normal_case_equivalence(symbols(ce, w, u), wct_oracle(ce, w, u, 0), 1e-9)
 
 
 def test_audit_agreement_projection_fixture():

@@ -30,7 +30,7 @@ PROJECTION_SPEC = {
 CLASSIFICATION_KEYS = {
     "atom_count", "block_count", "m_max", "matrix_route", "symbols",
     "criteria", "normality", "normal_case", "spectrum", "spectrum_zeros",
-    "essential_range", "spectrum_match", "mismatches", "divergences", "notes",
+    "essential_range", "spectrum_match", "mismatches", "divergences",
 }
 SYMBOL_ROW_KEYS = {"block", "atoms", "mass", "e_uw", "t", "e_u2", "e_w2", "product"}
 ORACLE_FIELDS = ("oracle_quasi", "oracle_quasi_norm", "oracle_m_iso", "oracle_defect_norm")
@@ -47,10 +47,7 @@ MISMATCH_KEYS = {
     "weights", "blocks", "u", "w", "m", "criterion_residual", "oracle_norm",
 }
 NORMALITY_KEYS = {"normal", "residual", "tol"}
-NORMAL_CASE_KEYS = {
-    "applicable", "normal_residual", "identity_residual", "identity_ok",
-    "j_double_prime_residual", "all_equal", "properties",
-}
+NORMAL_CASE_KEYS = {"identity_residual", "identity_ok", "properties", "all_equal"}
 
 
 def _structured(capsys, argv):
@@ -116,7 +113,18 @@ def test_classify_schema_symbol_only(tmp_path, capsys, monkeypatch):
         assert [row[key] for key in ORACLE_FIELDS[:2] + ORACLE_FIELDS[3:]] == [None] * 3
     assert data["normality"] is None and data["spectrum"] is None
     assert data["spectrum_zeros"] is None and data["spectrum_match"] is None
-    assert len(data["notes"]) == 1
+
+
+def test_classify_text_notes_only_a_skipped_matrix_route(tmp_path, capsys, monkeypatch):
+    path = _spec_path(tmp_path, README_SPEC)
+    assert main(["classify", path]) == 0
+    assert "note:" not in capsys.readouterr().out
+    monkeypatch.setattr(cli_mod, "MATRIX_LIMIT", 0)
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out.endswith(
+        "\nnote: matrix route skipped: 4 atoms exceed the dense-matrix limit "
+        "of 0; verdicts use the symbol-level criteria\n"
+    )
 
 
 def test_example_a_schema(capsys):
