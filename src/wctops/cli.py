@@ -620,7 +620,8 @@ def cmd_example_a(
     # against the row nodes give u and w in atom order
     x, y = xs[:, None], grid.ys
     u = Mfunc(y ** (x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + x) * y))
+    w = (4.0 + x) * y
+    w = Mfunc(np.sqrt(w, out=w))
     report = classify_operator(grid.space, grid.partition, u, w, m_max=m_max)
 
     e_u2 = np.array([row["e_u2"] for row in report.symbol_rows])

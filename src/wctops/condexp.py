@@ -23,9 +23,11 @@ groups of whole blocks, or one piece of a longer block, of at most
 ``|w|^2 mu`` go into two group-sized buffers, the two real moments as the
 two columns of one float buffer, and are summed by one ``np.add.reduceat``
 per buffer over the group's pieces.  The ``u w mu`` buffer and its sums are
-real when ``u`` and ``w`` are, and complex otherwise.  Every product is the
-expression ``block_averages`` evaluates, and a pairwise sum's tree depends
-on its length alone, so the three symbols are the bytes of three
+real when ``u`` and ``w`` are, and complex otherwise.  A real ``u`` or
+``w`` is squared as it is, with no ``abs`` pass: ``x x`` is ``|x| |x|`` to
+the bit.  Every product has the value of the expression
+``block_averages`` evaluates, and a pairwise sum's tree depends on its
+length alone, so the three symbols are the bytes of three
 ``block_averages`` calls.  For real ``u`` and ``w`` they are also the bytes
 of the complex path on ``u + 0j`` and ``w + 0j``: numpy takes a complex
 product with a real factor as the product with ``x + 0j``, so the real
@@ -117,12 +119,9 @@ def block_moments(
         uw, u2, w2 = uw_values[:m], u2_values[:m], w2_values[:m]
         np.multiply(cu, cw, out=uw)
         np.multiply(uw, cmu, out=uw)
-        np.abs(cu, out=u2)
-        np.square(u2, out=u2)
-        np.multiply(u2, cmu, out=u2)
-        np.abs(cw, out=w2)
-        np.square(w2, out=w2)
-        np.multiply(w2, cmu, out=w2)
+        for x, x2 in ((cu, u2), (cw, w2)):
+            np.square(np.abs(x, out=x2) if x.dtype.kind == "c" else x, out=x2)
+            np.multiply(x2, cmu, out=x2)
         starts = pieces[first:last] - start
         np.add.reduceat(uw_columns[:m], starts, 0, None, uw_sums[first:last])
         np.add.reduceat(squares[:m], starts, 0, None, squares_sums[first:last])

@@ -71,8 +71,7 @@ class SymbolTable:
     One entry per partition block: ``alpha = E(uw)``, ``abs_alpha_sq =
     |alpha|^2``, ``beta = E(|u|^2)`` and ``gamma = E(|w|^2)``; ``in_S`` and
     ``in_G`` mark the blocks where ``beta`` and ``gamma`` are nonzero
-    relative to their largest value.  ``block_index[i]`` is the block of
-    atom ``i``, so ``alpha[block_index]`` is ``E(uw)`` on the atoms.
+    relative to their largest value.
     """
 
     alpha: np.ndarray
@@ -81,7 +80,6 @@ class SymbolTable:
     gamma: np.ndarray
     in_S: np.ndarray
     in_G: np.ndarray
-    block_index: np.ndarray
 
     @cached_property
     def product(self) -> np.ndarray:
@@ -125,7 +123,6 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
         gamma=gamma,
         in_S=beta > SUPPORT_EPS * beta.max(),
         in_G=gamma > SUPPORT_EPS * gamma.max(),
-        block_index=ce.partition.block_index,
     )
 
 

@@ -7,15 +7,17 @@ value per atom, real or complex (``Mfunc``).  A partition is read from
 blocks of atom indices (``make_partition``) or from the block of each
 atom (``Partition.from_labels``), both checked atom by atom; one whose
 blocks are runs of consecutive atoms is built from its block sizes alone
-(``Partition.contiguous``), where only the sizes need checking.  Two
-builders discretize the stock examples: a truncated geometric sequence
-space, whose blocks interleave, and a midpoint grid on the unit square,
-whose column blocks are contiguous.
+(``Partition.contiguous``), where only the sizes need checking, and its
+atom-length index arrays are built only when read.  A mass repeated by a
+stride-0 array is kept as one value.  Two builders discretize the stock
+examples: a truncated geometric sequence space, whose blocks interleave,
+and a midpoint grid on the unit square, whose column blocks are
+contiguous.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
@@ -46,24 +48,41 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
-    """Finite list of atoms; ``weights[i]`` is the mass of atom ``i``."""
+    """Finite list of atoms; ``weights[i]`` is the mass of atom ``i``.
+
+    ``weights`` is a read-only float64 copy of the input, each mass checked
+    to be finite and positive.  A one-dimensional input of more than one
+    entry whose stride is 0, such as ``np.broadcast_to(mass, n)``, holds one
+    mass repeated: that one value is checked and copied, and ``weights`` is
+    a read-only broadcast of the copy, with no atom-length array.
+    """
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        raw = self.weights
+        if isinstance(raw, np.ndarray) and raw.size > 1 and raw.strides == (0,):
+            # one mass repeated: its one-element copy is checked and kept
+            checked = _read_only(np.array(raw[:1], dtype=float))
+            w = np.broadcast_to(checked, raw.shape)
+        else:
+            w = checked = np.array(raw, dtype=float).reshape(-1)
         if w.size == 0:
             raise ValidationError("a measure space needs at least one atom")
-        good = (w > 0.0) & (w < np.inf)
+        good = (checked > 0.0) & (checked < np.inf)
         if not good.all():
             i = int(np.flatnonzero(~good)[0])
             raise ValidationError(
                 f"weight at index {i} must be a finite positive number, got {float(w[i])}"
             )
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _read_only(w))
 
     @property
     def atom_count(self) -> int:
@@ -107,7 +126,7 @@ def _block_sizes(sizes: Sequence[int] | np.ndarray) -> np.ndarray:
     return sizes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Partition:
     """Pairwise-disjoint blocks of atom indices covering all ``n`` atoms.
 
@@ -118,21 +137,32 @@ class Partition:
     block's start, and every ``MOMENT_CHUNK``-th entry past it in a longer
     block.  ``in_order`` says that ``atoms`` is ``0 .. n-1``, so a block's
     atoms are a slice of an atom array, with no gather.
+
+    ``Partition(atoms, sizes, n)`` checks the blocks atom by atom and keeps
+    ``atoms`` and the ``block_index`` it builds on the way.  A partition
+    from ``contiguous`` stores only ``sizes``, ``pieces`` and ``n``, and
+    builds ``atoms`` and ``block_index`` on first read.  Every array is
+    read-only.
     """
 
-    atoms: np.ndarray
     sizes: np.ndarray
-    n: InitVar[int]
-    block_index: np.ndarray = field(init=False, repr=False)
-    pieces: np.ndarray = field(init=False, repr=False)
-    in_order: bool = field(init=False, repr=False)
+    n: int
+    pieces: np.ndarray = field(repr=False)
+    in_order: bool = field(repr=False)
     # the first piece and the piece count of each block, or None when every
     # block is one piece
-    _long_pieces: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    _long_pieces: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    # every block is one atom, so a block's sum is its one value
+    _singletons: bool = field(repr=False)
 
-    def __post_init__(self, n: int) -> None:
-        atoms = np.array(self.atoms, dtype=np.intp).reshape(-1)
-        sizes = _block_sizes(self.sizes)
+    def __init__(
+        self,
+        atoms: Sequence[int] | np.ndarray,
+        sizes: Sequence[int] | np.ndarray,
+        n: int,
+    ) -> None:
+        atoms = np.array(atoms, dtype=np.intp).reshape(-1)
+        sizes = _block_sizes(sizes)
         if n < 1:
             raise ValidationError("partition needs a positive atom count")
         smallest = sizes.min()
@@ -158,52 +188,58 @@ class Partition:
             raise ValidationError(_partition_fault(sizes, atoms, n))
         # a permutation is the identity iff it never steps back
         in_order = not np.count_nonzero(atoms[1:] < atoms[:-1])
-        self._freeze(atoms, sizes, owner, in_order)
+        self._freeze(sizes, atoms.size, in_order)
+        object.__setattr__(self, "atoms", _read_only(atoms))
+        object.__setattr__(self, "block_index", _read_only(owner))
 
-    def _freeze(
-        self, atoms: np.ndarray, sizes: np.ndarray, block_index: np.ndarray, in_order: bool
-    ) -> None:
-        """Store the arrays read-only, with the piece starts and ``in_order``."""
+    def _freeze(self, sizes: np.ndarray, n: int, in_order: bool) -> None:
+        """Store the sizes read-only, with ``n``, the piece starts and
+        ``in_order``."""
         pieces = np.add.accumulate(sizes) - sizes
         long_pieces = None
-        if atoms.size > MOMENT_CHUNK and sizes.max() > MOMENT_CHUNK:
+        if n > MOMENT_CHUNK and sizes.max() > MOMENT_CHUNK:
             counts = -(-sizes // MOMENT_CHUNK)
             block_of = np.repeat(np.arange(sizes.size), counts)
             first = np.add.accumulate(counts) - counts
             rank = np.arange(block_of.size) - first[block_of]
             pieces = pieces[block_of] + rank * MOMENT_CHUNK
             long_pieces = (first, counts)
-        for name, a in (
-            ("atoms", atoms),
-            ("sizes", sizes),
-            ("block_index", block_index),
-            ("pieces", pieces),
-        ):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "sizes", _read_only(sizes))
+        object.__setattr__(self, "pieces", _read_only(pieces))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "in_order", in_order)
         object.__setattr__(self, "_long_pieces", long_pieces)
+        # no block is empty, so k blocks cover n atoms one each iff k == n
+        object.__setattr__(self, "_singletons", sizes.size == n)
 
     @classmethod
     def contiguous(cls, sizes: Sequence[int] | np.ndarray) -> "Partition":
         """Block ``b`` holds the next ``sizes[b]`` atoms in atom order.
 
-        ``atoms`` is ``arange(n)`` and ``block_index`` repeats each block's
-        number ``sizes[b]`` times, so every atom is covered once by
-        construction and only the sizes are checked: a missing, zero or
-        negative size fails as it does in the general constructor.
+        Every atom is covered once by construction, so only the sizes are
+        checked: a missing, zero or negative size fails as it does in the
+        general constructor.  ``atoms`` (``arange(n)``) and ``block_index``
+        (each block's number repeated ``sizes[b]`` times) are built on first
+        read: the block sums of an in-order partition read neither.
         """
         sizes = _block_sizes(sizes)
         if sizes.min() == 0:
             raise ValidationError(f"block {int(np.flatnonzero(sizes == 0)[0])} is empty")
         part = object.__new__(cls)
-        part._freeze(
-            np.arange(sizes.sum(), dtype=np.intp),
-            sizes,
-            np.repeat(np.arange(sizes.size), sizes),
-            True,
-        )
+        part._freeze(sizes, int(sizes.sum()), True)
         return part
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """Every block's atoms, one block after another; built here only for
+        a partition from ``contiguous``, as ``arange(n)``."""
+        return _read_only(np.arange(self.n, dtype=np.intp))
+
+    @cached_property
+    def block_index(self) -> np.ndarray:
+        """The block owning each atom; built here only for a partition from
+        ``contiguous``."""
+        return _read_only(np.repeat(np.arange(self.sizes.size), self.sizes))
 
     @classmethod
     def from_labels(cls, labels: Sequence[int] | np.ndarray) -> "Partition":
@@ -215,7 +251,7 @@ class Partition:
 
     @property
     def atom_count(self) -> int:
-        return int(self.block_index.size)
+        return self.n
 
     @property
     def block_count(self) -> int:
@@ -235,13 +271,16 @@ class Partition:
         ``np.add.reduceat`` over ``pieces`` sums every piece pairwise; a
         complex value is summed as its two floats, so its real part is summed
         as a real array would be.  ``fold`` then adds each block's pieces in
-        order to ``+0.0``.
+        order to ``+0.0``.  When every block is one atom, a block's sum is
+        its value plus ``+0.0``, with no ``reduceat``.
         """
         x = np.asarray(x)
         kind = complex if x.dtype.kind == "c" else float
         x = np.asarray(x, dtype=kind)
         if not self.in_order:
             x = x.take(self.atoms, 0)
+        if self._singletons:
+            return x + 0.0
         if kind is float:
             return self.fold(np.add.reduceat(x, self.pieces, 0))
         columns = np.ascontiguousarray(x).view(float).reshape(len(x), -1)
@@ -386,7 +425,8 @@ def grid_space(nx: int, ny: int) -> GridSpace:
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     n = nx * ny
-    # the space's copy of the broadcast mass is the one weight array
+    # the space keeps the broadcast mass as one value, and the partition
+    # builds its atom arrays only if they are read
     space = make_space(np.broadcast_to(1.0 / n, n))
     # column i holds atoms i*ny .. i*ny + ny - 1, already in atom order
     partition = Partition.contiguous(np.full(nx, ny))

@@ -270,7 +270,7 @@ def test_criterion_6_normal_case_properties():
     for trial, (ce, st, u, w) in enumerate(_self_adjoint_instances(100, seed=606)):
         oracle = wct_oracle(ce, w, u, 4)
 
-        idx = st.block_index
+        idx = ce.partition.block_index
         prod = st.beta[idx] * st.gamma[idx]
         identity_dev = np.abs(prod - st.abs_alpha_sq[idx]).max()
         if identity_dev > 1e-8:

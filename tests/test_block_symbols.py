@@ -134,7 +134,7 @@ def test_range_and_spectrum_match_loop_references():
     for inst in insts:
         ce = inst.cond_exp()
         st = symbols(ce, inst.w, inst.u)
-        e_uw = st.alpha[st.block_index]  # E(uw) on the atoms
+        e_uw = st.alpha[ce.partition.block_index]  # E(uw) on the atoms
         ref = _essential_range_loop(e_uw)
         assert essential_range(e_uw) == ref
         assert essential_range(st.alpha) == ref

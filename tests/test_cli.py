@@ -14,6 +14,7 @@ import wctops.cli as cli_mod
 from wctops import (
     Mfunc,
     NumericError,
+    Partition,
     ValidationError,
     grid_space,
     make_partition,
@@ -591,6 +592,36 @@ def test_cmd_example_a_classifies_u_and_w_on_the_atoms(nx, ny):
     w = Mfunc(np.sqrt((4.0 + x) * y))
     expected = classify_operator(grid.space, grid.partition, u, w)
     assert cmd_example_a(nx, ny).classification.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (7, 11), (2, 20000)])
+def test_cmd_example_a_equals_the_operator_built_eagerly(nx, ny):
+    # grid_space keeps one mass and builds no atom array for the symbols;
+    # the report is, byte for byte, that of an atom-length weight copy and
+    # a partition checked atom by atom (at 2 x 20000 each block is longer
+    # than MOMENT_CHUNK)
+    n = nx * ny
+    space = make_space(np.full(n, 1.0 / n))
+    partition = Partition(np.arange(n), np.full(nx, ny), n)
+    assert space.weights.strides == (8,) and "atoms" in vars(partition)
+    grid = grid_space(nx, ny)
+    x, y = grid.xs[:, None], grid.ys
+    u = Mfunc(y ** (x / 8.0))
+    w = Mfunc(np.sqrt((4.0 + x) * y))
+    expected = classify_operator(space, partition, u, w)
+    report = cmd_example_a(nx, ny).classification
+    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+
+def test_symbol_only_example_a_reads_no_atom_array_of_its_partition():
+    grid = grid_space(30, 30)
+    x, y = grid.xs[:, None], grid.ys
+    report = classify_operator(
+        grid.space, grid.partition, Mfunc(y ** (x / 8.0)), Mfunc(np.sqrt((4.0 + x) * y))
+    )
+    assert not report.matrix_route
+    assert "atoms" not in vars(grid.partition)
+    assert "block_index" not in vars(grid.partition)
 
 
 def test_symbol_only_example_a_does_not_load_numpy_random():

@@ -32,7 +32,7 @@ def test_symbols_trivial(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
     st = symbols(ce, ones, ones)
-    idx = st.block_index
+    idx = ce.partition.block_index
     assert np.allclose(st.alpha[idx], 1.0)
     assert np.allclose(st.beta[idx], 1.0)
     assert np.allclose(st.gamma[idx], 1.0)
@@ -44,8 +44,8 @@ def test_symbols_geometric_example():
     ce = CondExp(geo.space, geo.partition)
     n = geo.n.astype(float)
     st = symbols(ce, Mfunc(n), Mfunc(1.0 / n))
-    assert np.abs(st.alpha[st.block_index] - 1.0).max() < 1e-12
-    assert np.abs(st.abs_alpha_sq[st.block_index] - 1.0).max() < 1e-12
+    assert np.abs(st.alpha[ce.partition.block_index] - 1.0).max() < 1e-12
+    assert np.abs(st.abs_alpha_sq[ce.partition.block_index] - 1.0).max() < 1e-12
 
 
 def test_symbols_grid_example_curves():
@@ -56,7 +56,7 @@ def test_symbols_grid_example_curves():
     ce = CondExp(grid.space, grid.partition)
     st = symbols(ce, w, u)
     for blk, x in zip(grid.partition.blocks, grid.xs):
-        b = st.block_index[blk[0]]
+        b = ce.partition.block_index[blk[0]]
         assert st.beta[b] == pytest.approx(4 / (4 + x), rel=1e-3)
         assert st.gamma[b] == pytest.approx((4 + x) / 2, rel=1e-3)
         assert st.abs_alpha_sq[b] == pytest.approx(
@@ -69,10 +69,10 @@ def test_symbols_grid_example_curves():
 def test_symbols_support_sets():
     fx = fixture_support_gap()
     st = _symbols_of(fx)
-    atoms = np.arange(4)
-    assert atoms[st.in_S[st.block_index]].tolist() == [0, 1]
-    assert atoms[st.in_G[st.block_index]].tolist() == [0, 1]
-    assert atoms[st.in_both[st.block_index]].tolist() == [0, 1]
+    atoms, idx = np.arange(4), fx.partition.block_index
+    assert atoms[st.in_S[idx]].tolist() == [0, 1]
+    assert atoms[st.in_G[idx]].tolist() == [0, 1]
+    assert atoms[st.in_both[idx]].tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.0, 10.0])

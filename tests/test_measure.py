@@ -56,6 +56,44 @@ def test_make_space_prints_a_plain_float():
     )
 
 
+def test_a_repeated_mass_is_kept_as_one_value():
+    base = np.array([0.25])
+    source = np.lib.stride_tricks.as_strided(base, shape=(4,), strides=(0,))
+    assert source.flags.writeable
+    space = make_space(source)
+    source[0] = 2.0  # the caller's memory, after the space is built
+    assert base.tolist() == [2.0]
+    assert space.weights.tolist() == [0.25] * 4
+    assert space.weights.strides == (0,) and not space.weights.flags.writeable
+    assert space.atom_count == 4
+    integer = make_space(np.broadcast_to(3, 5)).weights
+    assert integer.dtype == np.float64 and integer.tolist() == [3.0] * 5
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, np.inf, np.nan])
+def test_a_bad_repeated_mass_is_refused_as_a_copied_one(mass):
+    with pytest.raises(ValidationError) as repeated:
+        make_space(np.broadcast_to(mass, 5))
+    with pytest.raises(ValidationError) as copied:
+        make_space(np.full(5, mass))
+    assert str(repeated.value) == str(copied.value)
+    assert str(repeated.value).startswith("weight at index 0 ")
+
+
+def test_grid_space_builds_its_atom_arrays_on_first_read():
+    grid = grid_space(3, 4)
+    part = grid.partition
+    assert grid.space.weights.strides == (0,)
+    assert not grid.space.weights.flags.writeable
+    assert "atoms" not in vars(part) and "block_index" not in vars(part)
+    assert part.atom_count == 12
+    np.testing.assert_array_equal(part.block_index, np.repeat(np.arange(3), 4))
+    np.testing.assert_array_equal(part.atoms, np.arange(12))
+    for name in ("atoms", "block_index"):
+        a = getattr(part, name)
+        assert a is getattr(part, name) and not a.flags.writeable
+
+
 def _assert_same_partition(a, b):
     assert a.blocks == b.blocks
     for name in ("block_index", "atoms", "sizes"):
@@ -431,6 +469,31 @@ def test_a_block_of_negative_zeros_sums_to_positive_zero(partition, trailing, dt
     parts = _float_columns(partition.block_sums(x))
     assert (parts[1] == 0.0).all() and not np.signbit(parts[1]).any()
     assert (parts[0] != 0.0).all()
+
+
+@pytest.mark.parametrize("shape", [(300,), (300, 4)])
+@pytest.mark.parametrize("dtype", [float, complex, int, bool])
+@pytest.mark.parametrize(
+    "partition",
+    [
+        Partition.contiguous([1] * 300),
+        Partition.from_labels(np.random.default_rng(8).permutation(300)),
+    ],
+    ids=["contiguous", "shuffled"],
+)
+def test_one_atom_blocks_sum_to_their_values(partition, dtype, shape):
+    # no reduceat when every block is one atom: the bytes of the pairwise
+    # sums, and every -0.0 read as +0.0
+    x = _atom_values(np.random.default_rng(9), shape, dtype)
+    if dtype in (float, complex):
+        x[::3] = complex(-0.0, -0.0) if dtype is complex else -0.0
+    sums = partition.block_sums(x)
+    expected = _pairwise_in_block_order(partition, x)
+    assert sums.dtype == expected.dtype and sums.shape == expected.shape
+    assert sums.tobytes() == expected.tobytes()
+    parts = _float_columns(sums)
+    assert not np.signbit(parts[parts == 0.0]).any()
+    assert sums.flags.writeable and not np.shares_memory(sums, x)
 
 
 @pytest.mark.parametrize(
