@@ -617,11 +617,19 @@ def cmd_example_a(
     grid = grid_space(nx, ny)
     xs = grid.xs
     # atom i*ny + j sits at (xs[i], ys[j]): the column nodes broadcast
-    # against the row nodes give u and w in atom order
+    # against the row nodes give u and w in atom order, written through an
+    # (nx, ny) view into the 1-D arrays that Mfunc then keeps with no copy
     x, y = xs[:, None], grid.ys
-    u = Mfunc(y ** (x / 8.0))
-    w = (4.0 + x) * y
-    w = Mfunc(np.sqrt(w, out=w))
+    u, w = np.empty(nx * ny), np.empty(nx * ny)
+    np.power(y, x / 8.0, out=u.reshape(nx, ny))
+    grid_w = np.multiply(4.0 + x, y, out=w.reshape(nx, ny))
+    np.sqrt(grid_w, out=grid_w)
+    # the writable view goes before the flag does, so nothing can write to
+    # the arrays the functions keep
+    del grid_w
+    u.setflags(write=False)
+    w.setflags(write=False)
+    u, w = Mfunc(u), Mfunc(w)
     report = classify_operator(grid.space, grid.partition, u, w, m_max=m_max)
 
     e_u2 = np.array([row["e_u2"] for row in report.symbol_rows])

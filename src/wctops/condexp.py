@@ -21,19 +21,19 @@ Stability of Numerical Algorithms*, section 4.2).
 groups of whole blocks, or one piece of a longer block, of at most
 ``MOMENT_CHUNK`` atoms: each group's products ``u w mu``, ``|u|^2 mu`` and
 ``|w|^2 mu`` go into two group-sized buffers, the two real moments as the
-two columns of one float buffer, and are summed by one ``np.add.reduceat``
-per buffer over the group's pieces.  The ``u w mu`` buffer and its sums are
-real when ``u`` and ``w`` are, and complex otherwise.  A real ``u`` or
-``w`` is squared as it is, with no ``abs`` pass: ``x x`` is ``|x| |x|`` to
-the bit.  Every product has the value of the expression
-``block_averages`` evaluates, and a pairwise sum's tree depends on its
-length alone, so the three symbols are the bytes of three
-``block_averages`` calls.  For real ``u`` and ``w`` they are also the bytes
-of the complex path on ``u + 0j`` and ``w + 0j``: numpy takes a complex
-product with a real factor as the product with ``x + 0j``, so the real
-parts are the same real products summed by the same tree, and ``|x + 0j|``
-is ``|x|``; a product's zero may differ in sign, which the final ``+0.0``
-of every block sum removes.
+two contiguous rows of one float buffer, and are summed by one
+``np.add.reduceat`` per buffer over the group's pieces, along the rows of
+the squares.  The ``u w mu`` buffer and its sums are real when ``u`` and
+``w`` are, and complex otherwise.  A real ``u`` or ``w`` is squared as it
+is, with no ``abs`` pass: ``x x`` is ``|x| |x|`` to the bit.  Every product
+has the value of the expression ``block_averages`` evaluates, and a
+pairwise sum's tree depends on its length alone, so the three symbols are
+the bytes of three ``block_averages`` calls.  For real ``u`` and ``w``
+they are also the bytes of the complex path on ``u + 0j`` and ``w + 0j``:
+numpy takes a complex product with a real factor as the product with
+``x + 0j``, so the real parts are the same real products summed by the
+same tree, and ``|x + 0j|`` is ``|x|``; a product's zero may differ in
+sign, which the final ``+0.0`` of every block sum removes.
 """
 
 from __future__ import annotations
@@ -90,19 +90,20 @@ def block_moments(
     ``block_averages``; ``E(uw)`` is returned as complex either way.  The
     atoms are taken in groups of at most ``MOMENT_CHUNK``, whole blocks or
     one piece of a longer block, and each group's pieces are summed by one
-    ``np.add.reduceat`` per buffer."""
+    ``np.add.reduceat`` per buffer: the ``u w mu`` buffer as float columns,
+    the squares as two contiguous rows, ``|u|^2 mu`` and ``|w|^2 mu``."""
     part, mu = ce.partition, ce.space.weights
     n, pieces = mu.size, part.pieces
     size = min(n, MOMENT_CHUNK)
     dtype = np.result_type(u, w, mu)
-    # the buffers and sums as float columns, two per complex value; uw and
-    # u2, w2 are views of them
+    # the uw buffer and its sums as float columns, two per complex value,
+    # with uw a view of them; the squares as two contiguous rows, |u|^2 mu
+    # and |w|^2 mu
     uw_columns = np.empty((size, dtype.itemsize // 8))
-    squares = np.empty((size, 2))
     uw_values = uw_columns.view(dtype)[:, 0]
-    u2_values, w2_values = squares[:, 0], squares[:, 1]
+    squares = np.empty((2, size))
     uw_sums = np.empty((pieces.size, uw_columns.shape[1]))
-    squares_sums = np.empty((pieces.size, 2))
+    squares_sums = np.empty((2, pieces.size))
     first = 0
     while first < pieces.size:
         # the group: pieces first .. last - 1, which end within
@@ -116,19 +117,19 @@ def block_moments(
         group = slice(start, stop) if part.in_order else part.atoms[start:stop]
         cu, cw, cmu = u[group], w[group], mu[group]
         m = stop - start
-        uw, u2, w2 = uw_values[:m], u2_values[:m], w2_values[:m]
+        uw = uw_values[:m]
         np.multiply(cu, cw, out=uw)
         np.multiply(uw, cmu, out=uw)
-        for x, x2 in ((cu, u2), (cw, w2)):
+        for x, x2 in zip((cu, cw), squares[:, :m]):
             np.square(np.abs(x, out=x2) if x.dtype.kind == "c" else x, out=x2)
             np.multiply(x2, cmu, out=x2)
         starts = pieces[first:last] - start
         np.add.reduceat(uw_columns[:m], starts, 0, None, uw_sums[first:last])
-        np.add.reduceat(squares[:m], starts, 0, None, squares_sums[first:last])
+        np.add.reduceat(squares[:, :m], starts, 1, None, squares_sums[:, first:last])
         first = last
     inverse = 1.0 / ce.block_masses
     alpha = part.fold(uw_sums).view(dtype)[:, 0] * inverse
-    squares_sums = part.fold(squares_sums)
+    squares_sums = part.fold(squares_sums.T)
     return (
         alpha.astype(complex, copy=False),
         squares_sums[:, 0] * inverse,

@@ -9,10 +9,11 @@ atom (``Partition.from_labels``), both checked atom by atom; one whose
 blocks are runs of consecutive atoms is built from its block sizes alone
 (``Partition.contiguous``), where only the sizes need checking, and its
 atom-length index arrays are built only when read.  A mass repeated by a
-stride-0 array is kept as one value.  Two builders discretize the stock
-examples: a truncated geometric sequence space, whose blocks interleave,
-and a midpoint grid on the unit square, whose column blocks are
-contiguous.
+stride-0 array is kept as one value, and an array of masses or values that
+owns its data and is already read-only is kept with no copy.  Two builders
+discretize the stock examples: a truncated geometric sequence space, whose
+blocks interleave, and a midpoint grid on the unit square, whose column
+blocks are contiguous.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kept(raw: object, dtype: type) -> np.ndarray:
+    """``raw`` as a one-dimensional array of ``dtype``: ``raw`` itself when it
+    is already one, owns its data and is read-only, else a copy."""
+    if (
+        isinstance(raw, np.ndarray)
+        and raw.ndim == 1
+        and raw.dtype == dtype
+        and raw.flags.owndata
+        and not raw.flags.writeable
+    ):
+        return raw
+    return np.array(raw, dtype=dtype).reshape(-1)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """Finite list of atoms; ``weights[i]`` is the mass of atom ``i``.
@@ -61,7 +76,11 @@ class MeasureSpace:
     to be finite and positive.  A one-dimensional input of more than one
     entry whose stride is 0, such as ``np.broadcast_to(mass, n)``, holds one
     mass repeated: that one value is checked and copied, and ``weights`` is
-    a read-only broadcast of the copy, with no atom-length array.
+    a read-only broadcast of the copy, with no atom-length array.  A
+    one-dimensional float64 array that owns its data and is already
+    read-only is checked and kept as it is, with no copy: the caller hands
+    it over, and must keep no writable view of it (a view made before its
+    write flag was cleared stays writable) nor set the flag again.
     """
 
     weights: np.ndarray
@@ -73,7 +92,7 @@ class MeasureSpace:
             checked = _read_only(np.array(raw[:1], dtype=float))
             w = np.broadcast_to(checked, raw.shape)
         else:
-            w = checked = np.array(raw, dtype=float).reshape(-1)
+            w = checked = _kept(raw, float)
         if w.size == 0:
             raise ValidationError("a measure space needs at least one atom")
         good = (checked > 0.0) & (checked < np.inf)
@@ -316,6 +335,10 @@ class Mfunc:
 
     ``values`` is a read-only float64 copy of a bool, integer or float
     input, and a complex128 copy of any other, each checked to be finite.
+    A one-dimensional input already of that dtype, which owns its data and
+    is read-only, is checked and kept as it is, with no copy: the caller
+    hands it over, and must keep no writable view of it (a view made before
+    its write flag was cleared stays writable) nor set the flag again.
     """
 
     values: np.ndarray
@@ -324,15 +347,13 @@ class Mfunc:
         raw = np.asarray(self.values)
         # a real function stays real: one float copy, half the bytes of a
         # complex one, and real arithmetic in every pass over the atoms
-        dtype = float if raw.dtype.kind in "biuf" else complex
-        v = np.array(raw, dtype=dtype).reshape(-1)
+        v = _kept(raw, float if raw.dtype.kind in "biuf" else complex)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
         if not np.isfinite(v).all():
             i = int(np.flatnonzero(~np.isfinite(v))[0])
             raise ValidationError(f"function value at index {i} is not finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v))
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -283,8 +283,8 @@ def test_cmd_example_b_builds_one_cond_exp(monkeypatch):
     ]
 
 
-def _verdicts(space, partition, u, w):
-    report = classify_operator(space, partition, u, w, m_max=3)
+def _verdicts(space, partition, u, w, m_max=3):
+    report = classify_operator(space, partition, u, w, m_max=m_max)
     rows = [
         (r["paper_quasi"], r["corrected_quasi"], r["oracle_quasi"],
          r["paper_m_iso"], r["oracle_m_iso"])

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -161,39 +162,61 @@ def test_block_masses_recomputable():
         )
 
 
-def _moment_instance(n, k, seed, shuffle=True):
+def _moment_instance(n, k, seed, shuffle=True, real=False, uniform=False):
     """``n`` atoms in ``k`` blocks, shuffled or each a run of atoms, with
-    complex ``u`` zero on block 0, ``w`` zero on block 1 and both zero on
-    block 2."""
+    complex (or ``real``) ``u`` zero on block 0, ``w`` zero on block 1 and
+    both zero on block 2.  A ``uniform`` mass is ``grid_space``'s stride-0
+    ``np.broadcast_to(1/n, n)``."""
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % k
     labels = rng.permutation(labels) if shuffle else np.sort(labels)
-    space = make_space(rng.uniform(0.2, 2.0, n))
-    ce = CondExp(space, Partition.from_labels(labels))
-    u, w = _random_complex(rng, n), _random_complex(rng, n)
+    mass = np.broadcast_to(1.0 / n, n) if uniform else rng.uniform(0.2, 2.0, n)
+    ce = CondExp(make_space(mass), Partition.from_labels(labels))
+    draw = rng.standard_normal if real else partial(_random_complex, rng)
+    u, w = draw(n), draw(n)
     u[(labels == 0) | (labels == 2)] = 0.0
     w[(labels == 1) | (labels == 2)] = 0.0
     return ce, u, w
 
 
 @pytest.mark.parametrize(
-    "n, k, shuffle",
+    "n, k, shuffle, real, uniform",
     [
-        (MOMENT_CHUNK - 5, 13, True),
-        (MOMENT_CHUNK, 13, True),
-        (3 * MOMENT_CHUNK + 17, 13, True),
-        (6 * MOMENT_CHUNK + 5, 4, True),
-        (6 * MOMENT_CHUNK + 5, 4, False),
+        (MOMENT_CHUNK - 5, 13, True, False, False),
+        (MOMENT_CHUNK, 13, True, False, False),
+        (3 * MOMENT_CHUNK + 17, 13, True, False, False),
+        (6 * MOMENT_CHUNK + 5, 4, True, False, False),
+        (6 * MOMENT_CHUNK + 5, 4, False, False, False),
+        (MOMENT_CHUNK - 5, 13, True, True, False),
+        (6 * MOMENT_CHUNK + 5, 4, True, True, False),
+        (6 * MOMENT_CHUNK + 5, 4, False, True, False),
+        (3 * MOMENT_CHUNK + 17, 13, True, False, True),
+        (3 * MOMENT_CHUNK + 17, 13, False, True, True),
+        # symbol-scale's path: real functions and a stride-0 mass on runs
+        # of atoms, every block summed in pieces
+        (6 * MOMENT_CHUNK + 5, 4, False, True, True),
     ],
-    ids=["below", "one", "three-plus", "long", "long-in-order"],
+    ids=[
+        "below", "one", "three-plus", "long", "long-in-order",
+        "real-below", "real-long", "real-long-in-order",
+        "uniform-three-plus", "uniform-real-three-plus-in-order",
+        "uniform-real-long-in-order",
+    ],
 )
-def test_block_moments_have_the_bytes_of_three_block_averages(n, k, shuffle):
-    ce, u, w = _moment_instance(n, k, seed=n, shuffle=shuffle)
+def test_block_moments_have_the_bytes_of_three_block_averages(n, k, shuffle, real, uniform):
+    ce, u, w = _moment_instance(n, k, seed=n, shuffle=shuffle, real=real, uniform=uniform)
     assert ce.partition.in_order is not shuffle
+    assert (ce.space.weights.strides == (0,)) is uniform
     if k == 4:
         # every block is summed in pieces
         assert ce.partition.sizes.min() > MOMENT_CHUNK
     alpha, beta, gamma = block_moments(ce, u, w)
+    assert alpha.dtype == np.complex128
+    if real:
+        # E(uw) of real functions is returned as complex, with a +0.0
+        # imaginary part
+        assert alpha.imag.tobytes() == np.zeros(k).tobytes()
+        alpha = alpha.real
     for got, f in ((alpha, u * w), (beta, np.abs(u) ** 2), (gamma, np.abs(w) ** 2)):
         expected = block_averages(ce, f)
         assert got.dtype == expected.dtype

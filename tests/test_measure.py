@@ -70,6 +70,52 @@ def test_a_repeated_mass_is_kept_as_one_value():
     assert integer.dtype == np.float64 and integer.tolist() == [3.0] * 5
 
 
+def _handed_over(dtype):
+    """A fresh array of ``1 .. 4`` that owns its data, with its write flag
+    cleared and no other view of it left."""
+    raw = np.arange(1, 5).astype(dtype)
+    raw.setflags(write=False)
+    return raw
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_handed_over_array_is_kept_without_a_copy(dtype):
+    raw = _handed_over(dtype)
+    assert Mfunc(raw).values is raw
+    assert not raw.flags.writeable
+    if dtype is np.float64:
+        raw = _handed_over(dtype)
+        assert make_space(raw).weights is raw
+    # a kept array is checked as a copied one is
+    bad = np.array([1, np.inf], dtype=dtype)
+    bad.setflags(write=False)
+    with pytest.raises(ValidationError, match="index 1 is not finite"):
+        Mfunc(bad)
+    if dtype is np.float64:
+        with pytest.raises(ValidationError, match="weight at index 1 "):
+            make_space(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_an_array_the_caller_may_still_write_is_copied(dtype):
+    writable = np.arange(1, 5).astype(dtype)
+    # a read-only view of an array that stays writable
+    base = np.arange(1, 5).astype(dtype)
+    view = base[:]
+    view.setflags(write=False)
+    other = _handed_over(np.float32 if dtype is np.float64 else np.complex64)
+    for raw in (writable, view, other):
+        kept = [Mfunc(raw).values]
+        if dtype is np.float64:
+            kept.append(make_space(raw).weights)
+        for values in kept:
+            assert values.dtype == dtype and not values.flags.writeable
+            assert not np.shares_memory(values, raw)
+            assert values.tolist() == [1, 2, 3, 4]
+    # the caller's arrays keep their flags
+    assert writable.flags.writeable and base.flags.writeable
+
+
 @pytest.mark.parametrize("mass", [0.0, -1.0, np.inf, np.nan])
 def test_a_bad_repeated_mass_is_refused_as_a_copied_one(mass):
     with pytest.raises(ValidationError) as repeated:

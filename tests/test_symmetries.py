@@ -2,13 +2,14 @@
 the gauge ``(u, w) -> (u/c, c w)``, the phase ``(u, w) -> (e^{it} u,
 e^{-it} w)`` and rescaling all masses; and under those that only reorder
 its basis: permuting the atoms and relabelling the blocks.  The normality
-verdict is invariant under ``T -> c T`` as well."""
+verdict is invariant under ``T -> c T`` as well, and every verdict under
+``T -> c T`` with ``|c| = 1``, which leaves every ``T*^k T^k`` unchanged."""
 
 import numpy as np
 import pytest
 
 from wctops import DefectOracle, Mfunc, make_partition, make_space, wct_action
-from wctops.cli import classify_operator, random_instance
+from wctops.cli import classify_operator, random_instance, suite_instances
 from test_block_symbols import _verdicts
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -115,3 +116,15 @@ def test_verdicts_invariant_under_atom_permutation_and_block_relabelling(
         Mfunc(inst.w.values[perm]),
     )
     assert permuted == base
+
+
+def test_verdicts_invariant_under_unimodular_scalings_of_u():
+    # u -> c u maps T to c T, and |c| = 1 leaves every T*^k T^k and every
+    # symbol modulus unchanged; a real u turns complex under c = +-i, so
+    # the residuals move at roundoff and only the verdicts are compared
+    for inst in suite_instances(300, seed=3):
+        space, part, u = inst.space, inst.partition, inst.u.values
+        base = _verdicts(space, part, inst.u, inst.w, m_max=6)
+        for c in (1j, -1.0, -1j):
+            scaled = _verdicts(space, part, Mfunc(c * u), inst.w, m_max=6)
+            assert scaled == base, (inst.label, c)
