@@ -336,7 +336,8 @@ def test_example_a_quasi_norms_at_high_orders_match_exact_sums():
     # norms max_b |t_b - 1|^m g_b, here taken in Fractions on the cores
     grid = grid_space(2, 2)
     x, y = grid.xs[:, None], grid.ys
-    u, w = Mfunc(y ** (x / 8.0)), Mfunc(np.sqrt((4.0 + x) * y))
+    u = Mfunc(np.exp(x / 8.0 * np.log(y)))
+    w = Mfunc(np.sqrt(4.0 + x) * np.sqrt(y))
     oracle = wct_oracle(CondExp(grid.space, grid.partition), w, u, 45)
     exact = [_exact_t_g(core) for core in oracle._cores]
     sums = [dense_reference.exact_sums(t_b, 45)[0] for t_b, _ in exact]

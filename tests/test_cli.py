@@ -584,12 +584,12 @@ def test_cmd_example_a_degenerate_single_column():
 
 @pytest.mark.parametrize("nx,ny", [(3, 5), (20, 1000)])
 def test_cmd_example_a_classifies_u_and_w_on_the_atoms(nx, ny):
-    # example-a builds u and w from the column and row values; the report
-    # is that of the symbols evaluated on the atom arrays themselves
+    # example-a builds u and w from the column and row factors; the report
+    # is that of the same formulas evaluated on the atom arrays themselves
     grid = grid_space(nx, ny)
     x, y = np.repeat(grid.xs, ny), np.tile(grid.ys, nx)
-    u = Mfunc(y ** (x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + x) * y))
+    u = Mfunc(np.exp(x / 8.0 * np.log(y)))
+    w = Mfunc(np.sqrt(4.0 + x) * np.sqrt(y))
     expected = classify_operator(grid.space, grid.partition, u, w)
     assert cmd_example_a(nx, ny).classification.to_dict() == expected.to_dict()
 
@@ -606,11 +606,53 @@ def test_cmd_example_a_equals_the_operator_built_eagerly(nx, ny):
     assert space.weights.strides == (8,) and "atoms" in vars(partition)
     grid = grid_space(nx, ny)
     x, y = grid.xs[:, None], grid.ys
-    u = Mfunc(y ** (x / 8.0))
-    w = Mfunc(np.sqrt((4.0 + x) * y))
+    u = Mfunc(np.exp(x / 8.0 * np.log(y)))
+    w = Mfunc(np.sqrt(4.0 + x) * np.sqrt(y))
     expected = classify_operator(space, partition, u, w)
     report = cmd_example_a(nx, ny).classification
     assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+
+def _assert_floats_close(got, want, where="report"):
+    # every non-float value equal, every float within 1e-13 max(1, |want|)
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        bound = 1e-13 * max(1.0, abs(want))
+        assert got == want or abs(got - want) <= bound, (where, got, want)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_floats_close(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (g, v) in enumerate(zip(got, want)):
+            _assert_floats_close(g, v, f"{where}[{i}]")
+    else:
+        assert got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("nx,ny,m_max", [(2, 2, 45), (7, 11, 4), (20, 1000, 4), (100, 10000, 4)])
+def test_cmd_example_a_keeps_the_papers_formulas(monkeypatch, nx, ny, m_max):
+    # example-a takes u = exp((x/8) ln y) and w = sqrt(4+x) sqrt(y) from
+    # the axis factors; each atom value lies within 8 ulp of the paper's
+    # y**(x/8) and sqrt((4+x) y), and the report is that of the paper's
+    # formulas up to roundoff, with every verdict, count and divergence kept
+    seen = []
+
+    def spy(space, partition, u, w, **kwargs):
+        seen.append((u.values, w.values))
+        return classify_operator(space, partition, u, w, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "classify_operator", spy)
+    report = cmd_example_a(nx, ny, m_max=m_max).classification
+    (u, w), = seen
+    grid = grid_space(nx, ny)
+    x, y = np.repeat(grid.xs, ny), np.tile(grid.ys, nx)
+    paper_u, paper_w = Mfunc(y ** (x / 8.0)), Mfunc(np.sqrt((4.0 + x) * y))
+    for got, want in ((u, paper_u.values), (w, paper_w.values)):
+        assert (np.abs(got - want) <= 8 * np.spacing(want)).all()
+    expected = classify_operator(grid.space, grid.partition, paper_u, paper_w, m_max=m_max)
+    _assert_floats_close(report.to_dict(), expected.to_dict())
 
 
 def test_symbol_only_example_a_reads_no_atom_array_of_its_partition():

@@ -120,11 +120,13 @@ def test_verdicts_invariant_under_atom_permutation_and_block_relabelling(
 
 def test_verdicts_invariant_under_unimodular_scalings_of_u():
     # u -> c u maps T to c T, and |c| = 1 leaves every T*^k T^k and every
-    # symbol modulus unchanged; a real u turns complex under c = +-i, so
-    # the residuals move at roundoff and only the verdicts are compared
+    # symbol modulus unchanged; a real u turns complex under c = +-i, and
+    # c = e^{i theta} rounds, so the residuals move at roundoff and only
+    # the verdicts are compared
+    phases = [np.exp(1j * theta) for theta in (0.3, 1.1, 2.5, 4.0, 5.9)]
     for inst in suite_instances(300, seed=3):
         space, part, u = inst.space, inst.partition, inst.u.values
         base = _verdicts(space, part, inst.u, inst.w, m_max=6)
-        for c in (1j, -1.0, -1j):
+        for c in (1j, -1.0, -1j, *phases):
             scaled = _verdicts(space, part, Mfunc(c * u), inst.w, m_max=6)
             assert scaled == base, (inst.label, c)
