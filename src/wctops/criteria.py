@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .classify import DefectOracle, _default_tol, _defect_scalars, _order_signs
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
-from .measure import MeasureSpace, Mfunc, Partition, ensure_on_space
+from .measure import MeasureSpace, Mfunc, Partition, _read_only, ensure_on_space
 
 __all__ = [
     "SymbolTable",
@@ -69,33 +68,20 @@ class SymbolTable:
     """The block symbols of a weighted conditional type operator.
 
     One entry per partition block: ``alpha = E(uw)``, ``abs_alpha_sq =
-    |alpha|^2``, ``beta = E(|u|^2)`` and ``gamma = E(|w|^2)``; ``in_S`` and
-    ``in_G`` mark the blocks where ``beta`` and ``gamma`` are nonzero
-    relative to their largest value.
+    |alpha|^2``, ``beta = E(|u|^2)``, ``gamma = E(|w|^2)`` and their product
+    ``product``; ``in_S`` and ``in_G`` mark the blocks where ``beta`` and
+    ``gamma`` are nonzero relative to their largest value, and ``in_both``
+    the blocks in both.  ``product`` and ``in_both`` are read-only.
     """
 
     alpha: np.ndarray
     abs_alpha_sq: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
+    product: np.ndarray
     in_S: np.ndarray
     in_G: np.ndarray
-
-    @cached_property
-    def product(self) -> np.ndarray:
-        """``E(|u|^2) E(|w|^2)`` on each block, built once and kept read-only."""
-        return _read_only(self.beta * self.gamma)
-
-    @cached_property
-    def in_both(self) -> np.ndarray:
-        """Blocks in the joint support of ``E(|u|^2)`` and ``E(|w|^2)``,
-        built once and kept read-only."""
-        return _read_only(self.in_S & self.in_G)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    in_both: np.ndarray
 
 
 # an overflow is reported once, by the finiteness check, not also as
@@ -116,13 +102,16 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
         raise NumericError(
             f"conditional Hoelder inequality violated by {hoelder_gap:.3e}"
         )
+    in_S, in_G = (s > SUPPORT_EPS * s.max() for s in (beta, gamma))
     return SymbolTable(
         alpha=alpha,
         abs_alpha_sq=t,
         beta=beta,
         gamma=gamma,
-        in_S=beta > SUPPORT_EPS * beta.max(),
-        in_G=gamma > SUPPORT_EPS * gamma.max(),
+        product=_read_only(prod),
+        in_S=in_S,
+        in_G=in_G,
+        in_both=_read_only(in_S & in_G),
     )
 
 

@@ -199,7 +199,7 @@ def test_main_rejects_a_spec_file_it_cannot_read(tmp_path, capsys, text):
 
 def test_spec_reads_a_large_pair_form_spec_with_no_per_entry_call(monkeypatch):
     calls = []
-    for name in ("_parse_complex", "_parse_reals", "_is_number", "_is_integral"):
+    for name in ("_read_entries", "_is_integral"):
         original = getattr(cli_mod, name)
         monkeypatch.setattr(
             cli_mod, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
@@ -576,6 +576,16 @@ def test_cmd_example_a_small_grid():
         assert not row["oracle_m_iso"]
 
 
+def test_example_a_text_claims_a_gap_only_past_the_roundoff_of_the_products():
+    def gap_line(report):
+        return next(line for line in report.render_text().splitlines() if line.startswith("measured gap"))
+
+    # one atom per column: E|u|^2 E|w|^2 = |E(uw)|^2, and the gap is roundoff
+    claim = ": the symbol product and |E(uw)|^2 are {} on this domain"
+    assert gap_line(cmd_example_a(5, 1)).endswith(claim.format("equal to roundoff"))
+    assert gap_line(cmd_example_a(4, 120, m_max=1)).endswith(claim.format("not equal"))
+
+
 def test_cmd_example_a_degenerate_single_column():
     report = cmd_example_a(1, 10, m_max=2)
     assert report.classification.atom_count == 10
@@ -807,6 +817,21 @@ def test_main_classify_table(tmp_path, capsys):
     assert len(table) == 3
     for line in table[1:]:
         assert [line[i] for i in (3, 5, 9)] == ["n/a"] * 3
+
+
+def test_classify_text_lists_each_literal_reading_divergence():
+    # the averaging projection: the literal m-isometry reading holds at
+    # every order, and the oracle's defect norm is 1
+    spec = ProblemSpec.from_dict(
+        {"weights": [0.25] * 4, "blocks": [[0, 1], [2, 3]], "u": [1] * 4, "w": [1] * 4}
+    )
+    lines = cmd_classify(spec).render_text().splitlines()
+    start = lines.index("literal-reading divergences: 4")
+    assert lines[start + 1 : start + 5] == [
+        f"  m={m} m_isometry: literal=yes oracle=no "
+        f"(literal residual 0.000e+00, oracle norm 1.000e+00)"
+        for m in range(1, 5)
+    ]
 
 
 def test_main_classify_structured_out(tmp_path, capsys):

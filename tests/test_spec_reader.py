@@ -1,11 +1,12 @@
 """The spec reader reads plain JSON lists in bulk and every other form of
-an entry by the per-entry parsers; both give the same spec.
+an entry by one per-entry reader, ``_read_entries``; both give the same
+spec.
 
 A spec written with bare numbers and ``[re, im]`` pairs mixed, integers,
 numpy scalars and integral-float atom indices must parse equal to the same
 spec written as plain float pairs and integer indices, and the bulk reader
 must give bit-for-bit the floats and complex numbers of the per-entry
-parsers.
+reader.  A bad entry is refused with one fixed message per kind of fault.
 """
 
 import json
@@ -70,12 +71,12 @@ def test_mixed_entry_forms_parse_equal_to_plain_pairs(data, n):
         "u": [entry(re, im) for re, im in u],
         "w": [entry(re, im) for re, im in w],
     }
-    # the bulk reader reads the plain lists; the per-entry parsers agree bit for bit
-    reference = {name: [cli._parse_complex(v, name) for v in plain[name]] for name in ("u", "w")}
-    reference["weights"] = cli._parse_reals(plain["weights"], "weights")
+    # the bulk reader reads the plain lists; the per-entry reader agrees bit for bit
+    reference = {name: cli._read_entries(plain[name], name, pairs=True) for name in ("u", "w")}
+    reference["weights"] = cli._read_entries(plain["weights"], "weights", pairs=False)
     for name in ("u", "w"):
-        assert _bits(cli._read_complex(plain[name], name)) == _bits(reference[name])
-    assert _bits(cli._read_reals(plain["weights"], "weights")) == _bits(reference["weights"])
+        assert _bits(cli._read_numbers(plain[name], name, pairs=True)) == _bits(reference[name])
+    assert _bits(cli._read_numbers(plain["weights"], "weights", pairs=False)) == _bits(reference["weights"])
     # a weight <= 0 or a value that is not finite is refused, by the same
     # message for both forms
     try:
@@ -94,10 +95,10 @@ def test_mixed_entry_forms_parse_equal_to_plain_pairs(data, n):
 
 def test_plain_numbers_are_read_as_reals_and_pairs_as_complex():
     values = [1, -2.5, 0.0, -0.0, 5e-324, -3, 2.0**150]
-    plain = cli._read_complex(values, "u")
+    plain = cli._read_numbers(values, "u", pairs=True)
     assert plain.dtype == np.float64
     assert _bits(plain) == _bits([float(v) for v in values])
-    pairs = cli._read_complex([[v, 0] for v in values], "u")
+    pairs = cli._read_numbers([[v, 0] for v in values], "u", pairs=True)
     assert pairs.dtype == np.complex128
     assert _bits(pairs) == _bits(plain)
 
@@ -117,3 +118,37 @@ def test_a_plain_number_spec_classifies_as_its_pair_form():
     assert json.dumps(real.to_dict()) == json.dumps(cplx.to_dict())
     reports = [json.dumps(cli.cmd_classify(spec).to_dict()) for spec in (real, cplx)]
     assert reports[0] == reports[1]
+
+
+# an integer of 401 digits: JSON reads it exactly, and no double holds it
+HUGE = 10**400
+PAIR = "a number or an [re, im] pair"
+
+
+@pytest.mark.parametrize(
+    "field,values,message",
+    [
+        # a pair's types are checked before either part is converted
+        ("u", [[HUGE, "a"], 1], f"'u[0]': expected {PAIR}, got [1{'0' * 400}, 'a']"),
+        ("u", [1, HUGE], "'u[1]': an integer of 1329 bits is outside the double range"),
+        *(
+            (field, [1, entry], f"'{field}[1]': expected {PAIR}, got {text}")
+            for field in ("u", "w")
+            for entry, text in (
+                ([True, 1], "[True, 1]"),
+                ("1", "'1'"),
+                ([1, 2, 3], "[1, 2, 3]"),
+                (None, "None"),
+            )
+        ),
+        ("weights", [1, True], "'weights[1]': expected a number, got True"),
+        ("weights", [1, HUGE], "'weights[1]': an integer of 1329 bits is outside the double range"),
+        # a list of pairs is read in bulk, and refused at its first entry
+        ("weights", [[1, 0], [1, 0]], "'weights[0]': expected a number, got [1, 0]"),
+    ],
+)
+def test_a_bad_entry_is_refused_with_its_message(field, values, message):
+    data = {"weights": [1, 1], "blocks": [[0], [1]], "u": [1, 1], "w": [1, 1], field: values}
+    with pytest.raises(ValidationError) as refused:
+        ProblemSpec.from_dict(data)
+    assert str(refused.value) == f"spec field {message}"
