@@ -31,9 +31,12 @@ in t and g (``DefectOracle.defect_norms``), which ``_defect_scalars``
 evaluates with no cancellation, where the alternating sums lose about
 ``eps (1 + t)^m`` (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 1-3).  ``criteria.binomial_table`` reads the symbol
-route's ``J_m`` and ``J'_m`` from the same helper.  The oracle stays
-independent of the symbol route: its t and g come from the action of
-``T`` through the probes, not from conditional expectations.
+route's ``J_m`` and ``J'_m`` from the same helper, and a two-route report
+makes one call of it for both routes: ``criteria.audit_rows`` hands it the
+oracle's t beside the symbols' ``|E(uw)|^2``, and the oracle reads its
+defect norms from its own columns (``DefectOracle._keep_norms``).  The
+oracle stays independent of the symbol route: its t and g come from the
+action of ``T`` through the probes, not from conditional expectations.
 
 Normality is one verdict.  On a finite-dimensional space p-hyponormal for
 any p > 0, hyponormal and normal coincide (Aluthge, *On p-hyponormal
@@ -45,7 +48,8 @@ its ``T* T`` is ``sin theta``, with theta the angle between ``a`` and
 ``c``: on the core ``[[lam, kappa], [0, 0]]`` that is
 ``|kappa| / |(lam, kappa)|``, read with no eigensolve.  The verdict
 compares ``max_b sin theta_b`` with ``NORMAL_EPS``; the number is the same
-for ``T`` and ``c T``, whatever the scale ``c``.
+for ``T`` and ``c T``, whatever the scale ``c``.  Each oracle decides it
+once.
 """
 
 from __future__ import annotations
@@ -84,36 +88,47 @@ def _default_tol(scale: float, power: int, m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _order_signs(m_max: int) -> np.ndarray:
-    """The read-only column of ``(-1)^m`` for the orders m = 1..m_max."""
-    signs = (-1.0) ** np.arange(1, m_max + 1)[:, None]
-    signs.flags.writeable = False
-    return signs
+def _order_columns(m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only columns of ``(-1)^m``, of ``m`` and of ``c_m``'s limit
+    ``(-1)^(m-1) m`` at ``t -> 0``, for the orders m = 1..m_max."""
+    orders = np.arange(1.0, m_max + 1)[:, None]
+    signs = (-1.0) ** orders
+    columns = signs, orders, -signs * orders
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _defect_scalars(t: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(t - 1)^m`` and ``c_m(t) = ((t - 1)^m - (-1)^m) / t`` for m = 1..m_max,
     as the rows of two ``(m_max, k)`` arrays, for k values ``t >= 0``.
 
-    The powers are the cumulative products of one ladder, and nothing in
-    them cancels.  For t >= 1/2, ``c_m`` is taken as written: below t = 1
-    the difference has modulus at least 1/2, and above it its roundoff is a
-    few eps of its terms.  Below t = 1/2 the difference ``(-1)^m ((1 - t)^m
-    - 1)`` cancels, so it is ``(-1)^m expm1(m log1p(-t))``; where
-    ``m t < 2^-53`` (t = 0, or t so small that ``m t`` would be subnormal)
-    ``c_m`` is its limit ``(-1)^(m-1) m``, exact to roundoff there.  A power
-    past the double range is infinite, with no numpy warning; the callers
-    check it.
+    Each column depends on its own ``t`` alone, so one call on the values
+    of both routes gives each route the columns a call on its own values
+    would.  The powers are the cumulative products of one ladder, and
+    nothing in them cancels.  For t >= 1/2, ``c_m`` is taken as written:
+    below t = 1 the difference has modulus at least 1/2, and above it its
+    roundoff is a few eps of its terms.  Below t = 1/2 the difference
+    ``(-1)^m ((1 - t)^m - 1)`` cancels, so it is ``(-1)^m expm1(m
+    log1p(-t))``; where ``m t < 2^-53`` (t = 0, or t so small that ``m t``
+    would be subnormal) ``c_m`` is its limit ``(-1)^(m-1) m``, exact to
+    roundoff there.  A power past the double range is infinite, with no
+    numpy warning; the callers check it.
     """
-    signs = _order_signs(m_max)
-    orders = np.arange(1.0, m_max + 1)[:, None]
+    signs, orders, limit = _order_columns(m_max)
+    # orders * t >= t, so the smallest t decides which branches any column needs
+    low = t.min(initial=np.inf)
     power = np.empty((m_max,) + t.shape)
     power[:] = t - 1.0
     with np.errstate(over="ignore"):
         np.multiply.accumulate(power, axis=0, out=power)
-        near = signs * np.expm1(orders * np.log1p(-np.minimum(t, 0.5)))
-        diff = np.where(t < 0.5, near, power - signs)
-        c = np.where(orders * t < 2.0**-53, -signs * orders, diff / np.where(t > 0, t, 1.0))
+        diff = power - signs
+        if low < 0.5:
+            near = signs * np.expm1(orders * np.log1p(-np.minimum(t, 0.5)))
+            diff = np.where(t < 0.5, near, diff)
+        c = diff / t if low > 0 else diff / np.where(t > 0, t, 1.0)
+        if low < 2.0**-53:
+            c = np.where(orders * t < 2.0**-53, limit, c)
     return power, c
 
 
@@ -135,33 +150,48 @@ class DefectOracle:
         # |lam_b| and |kappa_b| of each core, and the block norm |(lam_b, kappa_b)|
         self._moduli = np.abs(self._cores)
         self._lengths = np.hypot(self._moduli[:, 0], self._moduli[:, 1])
+        self._norms = None
 
     @cached_property
     def norm(self) -> float:
         """Operator norm of ``T``: the largest block norm ``|(lam_b, kappa_b)|``."""
         return float(self._lengths.max())
 
-    @cached_property
-    def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max, in closed
-        form on every core, with ``t = |lam|^2`` and ``g = |(lam, kappa)|^2``.
+    @property
+    def t(self) -> np.ndarray:
+        """``t_b = |lam_b|^2`` of each block's core, in block order: the one
+        scalar of its defect closed forms."""
+        return self._moduli[:, 0] ** 2
 
-        ``T* B_m T = (t - 1)^m T* T`` has norm ``|t - 1|^m g``.  ``B_m =
-        (-1)^m I + c_m T* T`` has the eigenvalue ``(-1)^m`` on the kernel of
-        ``T* T``, which every block of two or more atoms has, and ``(-1)^m +
-        c_m g`` on its range, ``(t - 1)^m`` on a singleton.  An operator of
+    @property
+    def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max, from
+        ``_defect_scalars(self.t, m_max)`` unless ``_keep_norms`` already
+        read them from a ladder that holds these values."""
+        if self._norms is None:
+            self._keep_norms(*_defect_scalars(self.t, self.m_max))
+        return self._norms
+
+    def _keep_norms(self, power: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The defect norms from ``(t - 1)^m`` and ``c_m(t)`` of the oracle's
+        own ``t``, one column per block; kept as ``defect_norms``.
+
+        In closed form on every core, with ``g = |(lam, kappa)|^2``: ``T* B_m
+        T = (t - 1)^m T* T`` has norm ``|t - 1|^m g``.  ``B_m = (-1)^m I +
+        c_m T* T`` has the eigenvalue ``(-1)^m`` on the kernel of ``T* T``,
+        which every block of two or more atoms has, and ``(-1)^m + c_m g``
+        on its range, ``(t - 1)^m`` on a singleton.  An operator of
         singleton blocks only may be injective (a unitary): its ``B_m`` is
         ``(t - 1)^m`` on each block, with no kernel direction.  NumericError
         naming the first order whose norms overflow.
         """
-        t, g = self._moduli[:, 0] ** 2, self._lengths**2
+        g = self._lengths**2
         with np.errstate(over="ignore"):
-            power, c = _defect_scalars(t, self.m_max)
             quasi = (np.abs(power) * g).max(axis=1)
             if self._singletons:
                 defect = np.abs(power).max(axis=1)
             else:
-                range_part = np.abs(_order_signs(self.m_max) + c * g).max(axis=1)
+                range_part = np.abs(_order_columns(self.m_max)[0] + c * g).max(axis=1)
                 defect = np.maximum(1.0, range_part)
         finite = np.isfinite(quasi) & np.isfinite(defect)
         if not finite.all():
@@ -169,7 +199,8 @@ class DefectOracle:
             raise NumericError(
                 f"the powers of T overflow: the defect norms of order {m} are not finite"
             )
-        return defect, quasi
+        self._norms = defect, quasi
+        return self._norms
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -179,6 +210,13 @@ class DefectOracle:
         values = self._cores[:, 0]
         values.flags.writeable = False
         return values
+
+    @cached_property
+    def _sine(self) -> float:
+        """``max_b sin theta_b = |kappa_b| / |(lam_b, kappa_b)|``, 0 on a zero
+        block and on a singleton."""
+        length = self._lengths
+        return float((self._moduli[:, 1] / np.where(length > 0, length, 1.0)).max())
 
     def normality(self) -> dict:
         """The normality verdict: ``normal`` when ``residual``, the largest
@@ -190,9 +228,8 @@ class DefectOracle:
         ``-/+ |kappa| |(lam, kappa)|`` and ``T* T`` the top eigenvalue
         ``|(lam, kappa)|^2``, so the negative part of the one over the other
         is ``sin theta_b = |kappa| / |(lam, kappa)|``; it is 0 on a zero
-        block and on a singleton, whose ``kappa`` is 0.
+        block and on a singleton, whose ``kappa`` is 0.  The sine is read
+        once per oracle; each call returns a new dict.
         """
-        length = self._lengths
-        sines = self._moduli[:, 1] / np.where(length > 0, length, 1.0)
-        residual = float(sines.max())
+        residual = self._sine
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

@@ -21,8 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from itertools import chain
 from numbers import Integral
 from typing import Any, Sequence
@@ -193,16 +192,13 @@ def _complex_pairs(z: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> tuple[str, ...]:
-    """The field names of a dataclass, in declaration order."""
-    return tuple(f.name for f in fields(cls))
-
-
 def _fields(record) -> dict:
-    """A dataclass record's fields by name: a shallow copy, so nested values
-    are shared rather than recursively copied as ``dataclasses.asdict`` does."""
-    return {name: getattr(record, name) for name in _field_names(type(record))}
+    """A dataclass record's fields by name, in declaration order: a shallow
+    copy of its instance dict, which holds the fields alone, as the
+    generated ``__init__`` sets them (no record here sets anything else or
+    uses slots), so nested values are shared rather than recursively
+    copied as ``dataclasses.asdict`` does."""
+    return vars(record).copy()
 
 
 def _spec_fields(space: MeasureSpace, partition: Partition, u: Mfunc, w: Mfunc) -> dict:

@@ -19,20 +19,25 @@ Both readings of both criteria run on the alternating binomial sums
 ``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` reads
 them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
 the k blocks, from their closed forms ``(t - 1)^m`` and ``c_m(t)``, which the
-defect oracle evaluates with the same helper.  ``audit_rows`` builds that
-table once and reads every audit row from it: each per-order residual is
-one reduction over the table, and the attained values ``e_r`` come from one
-row-wise sort, made only when the defect oracle is given.
+defect oracle evaluates with the same helper on its own ``t = |lambda|^2``.
+``audit_rows`` builds each report's per-order table once: with the oracle,
+one ladder of the helper covers both routes' ``t`` side by side, the
+oracle's columns giving its defect norms and the symbols' columns the
+table.  Every audit row is read from that table: each per-order residual is
+one reduction over it, the attained values ``e_r`` come from one row-wise
+sort, made only when the defect oracle is given, and the rows are built
+from one column per field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .classify import DefectOracle, _default_tol, _defect_scalars, _order_signs
+from .classify import DefectOracle, _default_tol, _defect_scalars, _order_columns
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
@@ -133,27 +138,17 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     if (t < 0).any():
         raise ValidationError("t must be non-negative")
     j, j_prime = _defect_scalars(t, m_max)
-    # |t - 1|^m grows with m where it can overflow, so the last order shows it
-    if not np.isfinite(j[-1]).all():
-        raise NumericError(
-            f"binomial sums of order {m_max} overflow at t = {float(t.max()):.3e}"
-        )
+    _check_table(j, t)
     return j, j_prime
 
 
-def _quasi_residuals(st: SymbolTable, j: np.ndarray) -> np.ndarray:
-    """``max |J_m(t)| E(|u|^2) E(|w|^2)`` over the joint support for each row
-    of ``j``, 0 where the support is empty."""
-    return (np.abs(j) * np.where(st.in_both, st.product, 0.0)).max(axis=1)
-
-
-def _quasi_paper_residual(st: SymbolTable) -> float:
-    """``max | |E(uw)| - 1 |`` over the whole space, the same for every m."""
-    return float(np.abs(np.sqrt(st.abs_alpha_sq) - 1.0).max())
-
-
-def _quasi_tol(st: SymbolTable, m: int) -> float:
-    return _default_tol(float(st.product.max()), m, m)
+def _check_table(j: np.ndarray, t: np.ndarray) -> None:
+    """NumericError when the table ``j = (t - 1)^m`` of ``t`` overflows."""
+    # |t - 1|^m grows with m where it can overflow, so the last order shows it
+    if not np.isfinite(j[-1]).all():
+        raise NumericError(
+            f"binomial sums of order {len(j)} overflow at t = {float(t.max()):.3e}"
+        )
 
 
 def _dedup_sorted(values: list, tol: float) -> tuple:
@@ -246,7 +241,9 @@ def normal_case_equivalence(
     pointwise, then evaluates five properties independently (isometric,
     m-isometric for some m, quasi-isometric, quasi-m-isometric for some
     m, symbol product equal to 1) against ``tol`` and reports whether they
-    agree, reading the defect norms of every order the oracle covers.
+    agree, reading the defect norms of every order the oracle covers.  The
+    oracle decides normality and reads its defect norms once, so a report
+    that has already built its audit rows computes neither again here.
     """
     if oracle.m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {oracle.m_max}")
@@ -255,22 +252,19 @@ def normal_case_equivalence(
     t = st.abs_alpha_sq
     prod = st.product
     identity_residual = float(np.abs(prod - t).max())
-    dn, qn = oracle.defect_norms
-    defect_norms = dn.tolist()
-    quasi_norms = qn.tolist()
+    defect_norms, quasi_norms = (norms.tolist() for norms in oracle.defect_norms)
     product_residual = max(
         float(np.abs(prod - 1.0).max()), float(np.abs(t - 1.0).max())
     )
-    checks = (
-        PropertyCheck("isometric", defect_norms[0] <= tol, defect_norms[0]),
-        PropertyCheck("m_isometric", min(defect_norms) <= tol, min(defect_norms)),
-        PropertyCheck("quasi_isometric", quasi_norms[0] <= tol, quasi_norms[0]),
-        PropertyCheck(
-            "quasi_m_isometric", min(quasi_norms) <= tol, min(quasi_norms)
-        ),
-        PropertyCheck(
-            "symbol_product_one", product_residual <= tol, product_residual
-        ),
+    checks = tuple(
+        PropertyCheck(name, residual <= tol, residual)
+        for name, residual in (
+            ("isometric", defect_norms[0]),
+            ("m_isometric", min(defect_norms)),
+            ("quasi_isometric", quasi_norms[0]),
+            ("quasi_m_isometric", min(quasi_norms)),
+            ("symbol_product_one", product_residual),
+        )
     )
     verdicts = {c.holds for c in checks}
     return NormalCaseReport(
@@ -357,70 +351,74 @@ def audit_rows(
     m_max: int,
     oracle: DefectOracle | None = None,
 ) -> tuple[AuditRow, ...]:
-    """The audit row of each order m = 1..m_max, read from one
-    ``binomial_table(st.abs_alpha_sq, m_max)``.
+    """The audit row of each order m = 1..m_max, read from the table
+    ``J_m(t)``, ``J'_m(t)`` of ``t = st.abs_alpha_sq`` that ``binomial_table``
+    gives.
 
-    With the operator's defect ``oracle``, built for the same orders, each
-    row carries the oracle's defect norms and verdicts, and each order is
-    read at the oracle's threshold ``_default_tol(norm, 2m, m)``; without
-    it at the quasi criterion's own scaled threshold, and the oracle fields
-    are None.
+    With the operator's defect ``oracle``, built for the same orders, one
+    ``_defect_scalars`` call takes the oracle's ``t`` and the symbols' side
+    by side: its first columns give the oracle's defect norms, the rest the
+    table.  Each row then carries the oracle's defect norms and verdicts,
+    and each order is read at the oracle's threshold ``_default_tol(norm,
+    2m, m)``; without it at the quasi criterion's own scaled threshold, and
+    the oracle fields are None.  An overflow is reported by the first of
+    the oracle's norms, the thresholds and the table to meet it.  The rows
+    are built from one column per field.
     """
+    if oracle is not None and oracle.m_max != m_max:
+        raise ValidationError(f"oracle covers orders up to {oracle.m_max}, not {m_max}")
+    if m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {m_max}")
+    orders = range(1, m_max + 1)
+    t = st.abs_alpha_sq
     if oracle is None:
-        norms = (None,) * m_max
+        j, j_prime = binomial_table(t, m_max)
+        scale = float(st.product.max())
+        tols = [_default_tol(scale, m, m) for m in orders]
+        oracle_quasi = quasi_norms = defect_norms = e_rs = (None,) * m_max
     else:
-        if oracle.m_max != m_max:
-            raise ValidationError(f"oracle covers orders up to {oracle.m_max}, not {m_max}")
-        # (tol, defect norm, quasi norm) of each order
-        dn, qn = oracle.defect_norms
-        norms = [
-            (_default_tol(oracle.norm, 2 * m, m), d, q)
-            for m, d, q in zip(range(1, m_max + 1), dn.tolist(), qn.tolist())
-        ]
-    j, j_prime = binomial_table(st.abs_alpha_sq, m_max)
-    quasi_residuals = _quasi_residuals(st, j).tolist()
-    quasi_paper_residual = _quasi_paper_residual(st)
+        oracle_t = oracle.t
+        k = len(oracle_t)
+        power, c = _defect_scalars(np.concatenate((oracle_t, t)), m_max)
+        dn, qn = oracle._keep_norms(power[:, :k], c[:, :k])
+        tols = [_default_tol(oracle.norm, 2 * m, m) for m in orders]
+        j, j_prime = power[:, k:], c[:, k:]
+        _check_table(j, t)
+        defect_norms, quasi_norms = dn.tolist(), qn.tolist()
+        oracle_quasi = [q <= tol for q, tol in zip(quasi_norms, tols)]
+    # max |J_m(t)| E|u|^2 E|w|^2 over the joint support, 0 where it is empty
+    quasi_residuals = (np.abs(j) * np.where(st.in_both, st.product, 0.0)).max(axis=1).tolist()
+    # max | |E(uw)| - 1 | over the whole space, the same for every m
+    quasi_paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
     # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
-    m_iso_residuals = np.abs(values + _order_signs(m_max)).max(axis=1).tolist()
-    e_rs = (None,) * m_max if oracle is None else _attained_rows(values, DEDUP_EPS)
-    rows = []
-    for m, norm, residual, m_iso_residual, e_r in zip(
-        range(1, m_max + 1), norms, quasi_residuals, m_iso_residuals, e_rs
-    ):
-        paper_m_iso = m_iso_residual <= PAPER_EPS
-        if norm is None:
-            tol_m = _quasi_tol(st, m)
-            fields = dict(
-                oracle_quasi=None,
-                oracle_quasi_norm=None,
-                oracle_m_iso=None if paper_m_iso else False,
-                oracle_defect_norm=None,
-            )
-        else:
-            tol_m, defect_norm, quasi_norm = norm
-            fields = dict(
-                oracle_quasi=quasi_norm <= tol_m,
-                oracle_quasi_norm=quasi_norm,
-                oracle_m_iso=defect_norm <= tol_m,
-                oracle_defect_norm=defect_norm,
-            )
-        rows.append(
-            AuditRow(
-                m=m,
-                tol=tol_m,
-                paper_quasi=quasi_paper_residual <= PAPER_EPS,
-                corrected_quasi=residual <= tol_m,
-                quasi_residual=residual,
-                quasi_paper_residual=quasi_paper_residual,
-                paper_m_iso=paper_m_iso,
-                m_iso_paper_residual=m_iso_residual,
-                e_r=e_r,
-                **fields,
-            )
+    m_iso_residuals = np.abs(values + _order_columns(m_max)[0]).max(axis=1).tolist()
+    paper_m_iso = [r <= PAPER_EPS for r in m_iso_residuals]
+    if oracle is None:
+        oracle_m_iso = [None if paper else False for paper in paper_m_iso]
+    else:
+        oracle_m_iso = [d <= tol for d, tol in zip(defect_norms, tols)]
+        e_rs = _attained_rows(values, DEDUP_EPS)
+    # the columns in AuditRow's field order
+    return tuple(
+        map(
+            AuditRow,
+            orders,
+            tols,
+            repeat(quasi_paper_residual <= PAPER_EPS),
+            [r <= tol for r, tol in zip(quasi_residuals, tols)],
+            oracle_quasi,
+            quasi_residuals,
+            repeat(quasi_paper_residual),
+            quasi_norms,
+            paper_m_iso,
+            oracle_m_iso,
+            m_iso_residuals,
+            defect_norms,
+            e_rs,
         )
-    return tuple(rows)
+    )
 
 
 def audit_agreement(
@@ -440,23 +438,29 @@ def audit_agreement(
     st = symbols(ce, w, u)
     oracle = DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
     rows = audit_rows(st, m_max, oracle)
-    mismatches = tuple(
-        MismatchRecord(ce.space, ce.partition, u, w, r.m, r.quasi_residual, r.oracle_quasi_norm)
-        for r in rows
-        if r.corrected_quasi != r.oracle_quasi
-    )
-    divergences = tuple(
-        DivergenceRecord(kind, r.m, paper, oracle_verdict, paper_residual, norm)
-        for r in rows
-        for kind, paper, oracle_verdict, paper_residual, norm in (
-            ("quasi", r.paper_quasi, r.oracle_quasi, r.quasi_paper_residual,
-             r.oracle_quasi_norm),
-            ("m_isometry", r.paper_m_iso, r.oracle_m_iso, r.m_iso_paper_residual,
-             r.oracle_defect_norm),
-        )
-        if paper != oracle_verdict
-    )
-    return AgreementReport(rows, mismatches, divergences, oracle, st)
+    mismatches, divergences = [], []
+    for r in rows:
+        if r.corrected_quasi != r.oracle_quasi:
+            mismatches.append(
+                MismatchRecord(
+                    ce.space, ce.partition, u, w, r.m, r.quasi_residual, r.oracle_quasi_norm
+                )
+            )
+        if r.paper_quasi != r.oracle_quasi:
+            divergences.append(
+                DivergenceRecord(
+                    "quasi", r.m, r.paper_quasi, r.oracle_quasi, r.quasi_paper_residual,
+                    r.oracle_quasi_norm,
+                )
+            )
+        if r.paper_m_iso != r.oracle_m_iso:
+            divergences.append(
+                DivergenceRecord(
+                    "m_isometry", r.m, r.paper_m_iso, r.oracle_m_iso, r.m_iso_paper_residual,
+                    r.oracle_defect_norm,
+                )
+            )
+    return AgreementReport(rows, tuple(mismatches), tuple(divergences), oracle, st)
 
 
 def essential_range(values: np.ndarray) -> tuple[complex, ...]:

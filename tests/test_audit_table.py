@@ -16,11 +16,18 @@ import pytest
 import wctops.criteria as criteria_mod
 from dense_reference import exact_sums
 from wctops import (
+    CondExp,
+    DefectOracle,
+    Mfunc,
     NumericError,
     ValidationError,
     audit_agreement,
     audit_rows,
     binomial_table,
+    make_partition,
+    make_space,
+    symbols,
+    wct_action,
 )
 from wctops.cli import (
     classify_operator,
@@ -198,6 +205,49 @@ def test_audit_rows_match_a_per_order_reference():
             for row, ref in zip(rows, expected):
                 for name, value in ref.items():
                     _assert_same(getattr(row, name), value, (inst.label, args[:2], name))
+
+
+def test_one_ladder_gives_each_route_its_own_table(monkeypatch):
+    # a report's one _defect_scalars call holds the oracle's t and the
+    # symbols' side by side; each route's columns are, bit for bit, what a
+    # call on its own values gives: the standalone oracle's defect norms and
+    # binomial_table of the symbols' t
+    ladders = []
+    original = criteria_mod._defect_scalars
+
+    def kept(t, m_max):
+        ladders.append(original(t, m_max))
+        return ladders[-1]
+
+    monkeypatch.setattr(criteria_mod, "_defect_scalars", kept)
+    instances = suite_instances(300, seed=3)
+    assert len(instances) == 302
+    for inst in instances:
+        ladders.clear()
+        report = classify_operator(inst.space, inst.partition, inst.u, inst.w, 6)
+        assert len(ladders) == 1, inst.label
+        ce = inst.cond_exp()
+        oracle = DefectOracle(wct_action(ce, inst.w, inst.u), 6, inst.partition)
+        for key, norms in zip(("oracle_defect_norm", "oracle_quasi_norm"), oracle.defect_norms):
+            got = np.array([row[key] for row in report.criteria_rows])
+            assert got.tobytes() == norms.tobytes(), (inst.label, key)
+        t = symbols(ce, inst.w, inst.u).abs_alpha_sq
+        for got, table in zip(ladders[0], binomial_table(t, 6)):
+            assert got[:, -t.size:].tobytes() == table.tobytes(), inst.label
+
+
+def test_both_routes_overflowing_report_the_oracles_message():
+    # |E(uw)|^2 = 1e120 on two singletons: the symbols' table overflows at
+    # order 3, but the oracle's norms, checked first, overflow at order 2
+    space = make_space([1.0, 1.0])
+    partition = make_partition(space, [[0], [1]])
+    big = Mfunc(np.full(2, 1e30))
+    st = symbols(CondExp(space, partition), big, big)
+    with pytest.raises(NumericError, match="binomial sums of order 4 overflow"):
+        binomial_table(st.abs_alpha_sq, 4)
+    message = r"^the powers of T overflow: the defect norms of order 2 are not finite$"
+    with pytest.raises(NumericError, match=message):
+        classify_operator(space, partition, big, big, 4)
 
 
 def test_audit_agreement_holds_at_order_32():

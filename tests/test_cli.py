@@ -1013,9 +1013,10 @@ def test_main_exits_with_the_report_code_when_stdout_closes_early(
     assert capsys.readouterr().err == ""
 
 
-def test_classify_operator_computes_the_defect_scalars_once_per_route(monkeypatch):
-    # one call for the oracle's defect norms and one for the symbol route's
-    # binomial table, however many fields read them
+def test_classify_operator_computes_the_defect_scalars_once_per_report(monkeypatch):
+    # one call covers the oracle's defect norms and the symbol route's
+    # binomial table, however many fields read them; a symbol-only report
+    # past the dense limit makes one call too
     import wctops.classify as classify_mod
     import wctops.criteria as criteria_mod
 
@@ -1030,9 +1031,13 @@ def test_classify_operator_computes_the_defect_scalars_once_per_route(monkeypatc
         monkeypatch.setattr(module, "_defect_scalars", counted)
     inst = fixture_projection()
     report = classify_operator(inst.space, inst.partition, inst.u, inst.w)
-    assert calls == [4, 4]
+    assert calls == [4]
     assert [row["m"] for row in report.criteria_rows] == [1, 2, 3, 4]
     assert "defect_verdicts" not in report.to_dict()
+    calls.clear()
+    report = cmd_example_a(20, 1000).classification
+    assert not report.matrix_route
+    assert calls == [4]
 
 
 def test_repeated_reports_draw_no_new_probes(monkeypatch):

@@ -8,7 +8,7 @@ for m >= 2, ``M_u`` is m-isometric if and only if it is isometric.
 import numpy as np
 import pytest
 
-from wctops import Mfunc, make_partition, make_space, singleton_blocks
+from wctops import Mfunc, NumericError, make_partition, make_space, singleton_blocks
 from wctops.cli import classify_operator
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -48,3 +48,32 @@ def test_multiplication_operator_is_m_isometric_iff_isometric(atoms, unimodular)
         expected = float((a2 * np.abs(a2 - 1.0) ** m).max())
         residual = report.criteria_rows[m - 1]["quasi_residual"]
         assert abs(residual - expected) <= 1e-12 * max(1.0, float((a2 * (1.0 + a2) ** m).max()))
+
+
+# A subnormal modulus is one the strategy above may draw, so the known
+# fault on it shows here whatever the property test happens to draw: a
+# one-atom operator of modulus 2.2250738585e-313, and two singletons with
+# u = [1, 1e-320].
+SUBNORMAL_OPERATORS = {
+    "singleton": ([1.0], [2.2250738585e-313]),
+    "two-atom": ([1.0, 1.0], [1.0, 1e-320]),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericError,
+    reason=(
+        "ROADMAP item 15: a block whose s = z* f is subnormal makes 1/s infinite "
+        "in linop._rank_one_cores, and the report raises 'operator block "
+        "overflows: probe residual nan at scale nan'"
+    ),
+)
+@pytest.mark.parametrize("name", sorted(SUBNORMAL_OPERATORS))
+def test_multiplication_operator_of_a_subnormal_value_classifies(name):
+    weights, u = SUBNORMAL_OPERATORS[name]
+    space = make_space(weights)
+    partition = make_partition(space, singleton_blocks(len(u)))
+    report = classify_operator(space, partition, Mfunc(u), Mfunc(np.ones(len(u))), 4)
+    assert report.mismatches == []
+    assert report.normality["normal"]
