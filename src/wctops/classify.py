@@ -27,16 +27,17 @@ No operator is summed or solved.  On a core ``[[lam, kappa], [0, 0]]``,
 ``T* B_m T = (t - 1)^m T* T`` and ``B_m = (-1)^m I + c_m(t) T* T``, with
 ``c_m(t) = ((t - 1)^m - (-1)^m) / t``.  ``T* T`` has the one nonzero
 eigenvalue ``g = |(lam, kappa)|^2``, so every defect norm is a closed form
-in t and g (``DefectOracle.defect_norms``), which ``_defect_scalars``
+in t and g (``_defect_norms``) of the columns that ``_defect_scalars``
 evaluates with no cancellation, where the alternating sums lose about
 ``eps (1 + t)^m`` (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 1-3).  ``criteria.binomial_table`` reads the symbol
-route's ``J_m`` and ``J'_m`` from the same helper, and a two-route report
-makes one call of it for both routes: ``criteria.audit_rows`` hands it the
-oracle's t beside the symbols' ``|E(uw)|^2``, and the oracle reads its
-defect norms from its own columns (``DefectOracle._keep_norms``).  The
-oracle stays independent of the symbol route: its t and g come from the
-action of ``T`` through the probes, not from conditional expectations.
+Algorithms*, ch. 1-3).  The oracle keeps t and g, and no order.
+``criteria.binomial_table`` reads the symbol route's ``J_m`` and ``J'_m``
+from the same helper, and a two-route report makes one call of it for both
+routes: ``criteria.audit_rows`` hands it the oracle's t beside the symbols'
+``|E(uw)|^2``, and reads the oracle's defect norms from the oracle's
+columns.  The oracle stays independent of the symbol route: its t and g
+come from the action of ``T`` through the probes, not from conditional
+expectations.
 
 Normality is one verdict.  On a finite-dimensional space p-hyponormal for
 any p > 0, hyponormal and normal coincide (Aluthge, *On p-hyponormal
@@ -48,20 +49,19 @@ its ``T* T`` is ``sin theta``, with theta the angle between ``a`` and
 ``c``: on the core ``[[lam, kappa], [0, 0]]`` that is
 ``|kappa| / |(lam, kappa)|``, read with no eigensolve.  The verdict
 compares ``max_b sin theta_b`` with ``NORMAL_EPS``; the number is the same
-for ``T`` and ``c T``, whatever the scale ``c``.  Each oracle decides it
-once.
+for ``T`` and ``c T``, whatever the scale ``c``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 from .linop import Action, _rank_one_cores
-from .measure import Partition
+from .measure import Partition, _read_only
 
 __all__ = ["DefectOracle"]
 
@@ -132,104 +132,77 @@ def _defect_scalars(t: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     return power, c
 
 
+def _defect_norms(
+    power: np.ndarray, c: np.ndarray, g: np.ndarray, singletons: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of ``B_m`` and of ``T* B_m T`` for each order of the ladder
+    columns ``(t - 1)^m`` and ``c_m(t)`` of ``_defect_scalars``, one column
+    per block, with ``g = |(lam, kappa)|^2`` of each block.
+
+    In closed form on every core: ``T* B_m T = (t - 1)^m T* T`` has norm
+    ``|t - 1|^m g``.  ``B_m = (-1)^m I + c_m T* T`` is ``(-1)^m + c_m g`` on
+    the range of ``T* T``, ``(t - 1)^m`` on a singleton, and ``(-1)^m`` on
+    the kernel, which every block of two or more atoms has; an operator of
+    ``singletons`` only has no kernel direction and may be injective (a
+    unitary).  NumericError naming the first order whose norms overflow.
+    """
+    with np.errstate(over="ignore"):
+        quasi = (np.abs(power) * g).max(axis=1)
+        if singletons:
+            defect = np.abs(power).max(axis=1)
+        else:
+            range_part = np.abs(_order_columns(len(power))[0] + c * g).max(axis=1)
+            defect = np.maximum(1.0, range_part)
+    finite = np.isfinite(quasi) & np.isfinite(defect)
+    if not finite.all():
+        m = int(np.argmin(finite)) + 1
+        raise NumericError(
+            f"the powers of T overflow: the defect norms of order {m} are not finite"
+        )
+    return defect, quasi
+
+
 class DefectOracle:
-    """The defect oracle of one operator ``T`` for orders m = 1..m_max.
+    """The per-block values of one operator ``T``, read once from its cores.
 
     ``T`` is given by its action, and ``partition`` names blocks whose spans
     ``T`` maps into themselves; every block must be rank one to roundoff,
-    else NumericError.  Every number is read from the cores: the norm, the
-    defect norms in closed form, normality and the spectrum.
+    else NumericError.  Read-only arrays with one entry per block, in block
+    order: ``spectrum`` (``lam_b``), ``t`` (``|lam_b|^2``), ``g``
+    (``|(lam_b, kappa_b)|^2``) and ``sine`` (``sin theta_b``).  ``norm`` is
+    the largest ``sqrt(g_b)``, ``singletons`` whether every block is one
+    atom.  No value depends on an order m.
     """
 
-    def __init__(self, T: Action, m_max: int, partition: Partition) -> None:
-        if m_max < 0:
-            raise ValidationError(f"m_max must be >= 0, got {m_max}")
-        self.m_max = m_max
-        self._cores = _rank_one_cores(T, partition)
-        self._singletons = bool((partition.sizes == 1).all())
-        # |lam_b| and |kappa_b| of each core, and the block norm |(lam_b, kappa_b)|
-        self._moduli = np.abs(self._cores)
-        self._lengths = np.hypot(self._moduli[:, 0], self._moduli[:, 1])
-        self._norms = None
+    def __init__(self, T: Action, partition: Partition) -> None:
+        # the (k, 2) rows (lam_b, kappa_b); spectrum is their first column
+        self._cores = _read_only(_rank_one_cores(T, partition))
+        moduli = np.abs(self._cores)
+        lengths = np.hypot(moduli[:, 0], moduli[:, 1])
+        self.spectrum = self._cores[:, 0]
+        self.t = _read_only(moduli[:, 0] ** 2)
+        self.g = _read_only(lengths**2)
+        self.sine = _read_only(moduli[:, 1] / np.where(lengths > 0, lengths, 1.0))
+        self.norm = float(lengths.max())
+        self.singletons = bool((partition.sizes == 1).all())
 
-    @cached_property
-    def norm(self) -> float:
-        """Operator norm of ``T``: the largest block norm ``|(lam_b, kappa_b)|``."""
-        return float(self._lengths.max())
-
-    @property
-    def t(self) -> np.ndarray:
-        """``t_b = |lam_b|^2`` of each block's core, in block order: the one
-        scalar of its defect closed forms."""
-        return self._moduli[:, 0] ** 2
-
-    @property
-    def defect_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max, from
-        ``_defect_scalars(self.t, m_max)`` unless ``_keep_norms`` already
-        read them from a ladder that holds these values."""
-        if self._norms is None:
-            self._keep_norms(*_defect_scalars(self.t, self.m_max))
-        return self._norms
-
-    def _keep_norms(self, power: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The defect norms from ``(t - 1)^m`` and ``c_m(t)`` of the oracle's
-        own ``t``, one column per block; kept as ``defect_norms``.
-
-        In closed form on every core, with ``g = |(lam, kappa)|^2``: ``T* B_m
-        T = (t - 1)^m T* T`` has norm ``|t - 1|^m g``.  ``B_m = (-1)^m I +
-        c_m T* T`` has the eigenvalue ``(-1)^m`` on the kernel of ``T* T``,
-        which every block of two or more atoms has, and ``(-1)^m + c_m g``
-        on its range, ``(t - 1)^m`` on a singleton.  An operator of
-        singleton blocks only may be injective (a unitary): its ``B_m`` is
-        ``(t - 1)^m`` on each block, with no kernel direction.  NumericError
-        naming the first order whose norms overflow.
-        """
-        g = self._lengths**2
-        with np.errstate(over="ignore"):
-            quasi = (np.abs(power) * g).max(axis=1)
-            if self._singletons:
-                defect = np.abs(power).max(axis=1)
-            else:
-                range_part = np.abs(_order_columns(self.m_max)[0] + c * g).max(axis=1)
-                defect = np.maximum(1.0, range_part)
-        finite = np.isfinite(quasi) & np.isfinite(defect)
-        if not finite.all():
-            m = int(np.argmin(finite)) + 1
-            raise NumericError(
-                f"the powers of T overflow: the defect norms of order {m} are not finite"
-            )
-        self._norms = defect, quasi
-        return self._norms
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """The eigenvalue of each block's rank-one core, in block order: a
-        read-only array of k values.  The other n - k eigenvalues of ``T``
-        are zero."""
-        values = self._cores[:, 0]
-        values.flags.writeable = False
-        return values
-
-    @cached_property
-    def _sine(self) -> float:
-        """``max_b sin theta_b = |kappa_b| / |(lam_b, kappa_b)|``, 0 on a zero
-        block and on a singleton."""
-        length = self._lengths
-        return float((self._moduli[:, 1] / np.where(length > 0, length, 1.0)).max())
+    def defect_norms(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max, from the
+        ladder ``_defect_scalars(self.t, m_max)``.  ValidationError for
+        ``m_max < 1``."""
+        if m_max < 1:
+            raise ValidationError(f"m_max must be >= 1, got {m_max}")
+        return _defect_norms(*_defect_scalars(self.t, m_max), self.g, self.singletons)
 
     def normality(self) -> dict:
         """The normality verdict: ``normal`` when ``residual``, the largest
         ``sin theta_b`` over the blocks, is at most ``tol = NORMAL_EPS``.
 
         By the equivalence in the module docstring this one verdict is also
-        the hyponormal and every p-hyponormal one.  On block b's core
-        ``[[lam, kappa], [0, 0]]`` the commutator has the eigenvalues
-        ``-/+ |kappa| |(lam, kappa)|`` and ``T* T`` the top eigenvalue
-        ``|(lam, kappa)|^2``, so the negative part of the one over the other
-        is ``sin theta_b = |kappa| / |(lam, kappa)|``; it is 0 on a zero
-        block and on a singleton, whose ``kappa`` is 0.  The sine is read
-        once per oracle; each call returns a new dict.
+        the hyponormal and every p-hyponormal one.  On block b's core the
+        commutator has the eigenvalues ``-/+ |kappa| |(lam, kappa)|``, so
+        its negative part over the top eigenvalue ``g_b`` of ``T* T`` is
+        ``sin theta_b``, 0 on a zero block and on a singleton.
         """
-        residual = self._sine
+        residual = float(self.sine.max())
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

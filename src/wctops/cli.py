@@ -473,8 +473,7 @@ def classify_operator(
         rows = audit.rows
         mismatches, divergences = audit.mismatches, audit.divergences
         normality = oracle.normality()
-        # the properties are decided at the order-1 defect threshold
-        nc = normal_case_equivalence(st, oracle, rows[0].tol)
+        nc = normal_case_equivalence(st, oracle, rows)
         if nc is not None:
             normal_case = {**_fields(nc), "properties": [_fields(c) for c in nc.properties]}
         spec_list = _complex_pairs(oracle.spectrum)
@@ -960,7 +959,7 @@ def cmd_sweep_m(spec: "ProblemSpec | str", m_max: int = 6) -> SweepReport:
     if isinstance(spec, str):
         spec = ProblemSpec.from_file(spec)
     T = wct_action(CondExp(spec.space, spec.partition), spec.w, spec.u)
-    dn, qn = DefectOracle(T, m_max, spec.partition).defect_norms
+    dn, qn = DefectOracle(T, spec.partition).defect_norms(m_max)
     rows = [
         {"m": m, "defect_norm": d, "quasi_defect_norm": q}
         for m, (d, q) in enumerate(zip(dn.tolist(), qn.tolist()), start=1)

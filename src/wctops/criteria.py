@@ -20,13 +20,14 @@ Both readings of both criteria run on the alternating binomial sums
 them for every order m = 1..m_max at once, as two ``(m_max, k)`` arrays over
 the k blocks, from their closed forms ``(t - 1)^m`` and ``c_m(t)``, which the
 defect oracle evaluates with the same helper on its own ``t = |lambda|^2``.
-``audit_rows`` builds each report's per-order table once: with the oracle,
-one ladder of the helper covers both routes' ``t`` side by side, the
-oracle's columns giving its defect norms and the symbols' columns the
-table.  Every audit row is read from that table: each per-order residual is
-one reduction over it, the attained values ``e_r`` come from one row-wise
-sort, made only when the defect oracle is given, and the rows are built
-from one column per field.
+``audit_rows`` builds each report's per-order table once, the one place
+that states the order: with the oracle, one ladder of the helper covers
+both routes' ``t`` side by side, the oracle's columns giving its defect
+norms in closed form and the symbols' columns the table.  Every audit row
+is read from that table: each per-order residual is one reduction over
+it, the attained values ``e_r`` come from one row-wise sort, made only
+when the defect oracle is given, and the rows are built from one column
+per field.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .classify import DefectOracle, _default_tol, _defect_scalars, _order_columns
+from .classify import DefectOracle, _default_tol, _defect_norms, _defect_scalars, _order_columns
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
 from .linop import wct_action
@@ -232,7 +233,7 @@ class NormalCaseReport:
 
 
 def normal_case_equivalence(
-    st: SymbolTable, oracle: DefectOracle, tol: float
+    st: SymbolTable, oracle: DefectOracle, rows: tuple[AuditRow, ...]
 ) -> NormalCaseReport | None:
     """Check the equivalence package available for normal operators.
 
@@ -240,19 +241,19 @@ def normal_case_equivalence(
     verifies the symbol identity ``E(|u|^2) E(|w|^2) = |E(uw)|^2``
     pointwise, then evaluates five properties independently (isometric,
     m-isometric for some m, quasi-isometric, quasi-m-isometric for some
-    m, symbol product equal to 1) against ``tol`` and reports whether they
-    agree, reading the defect norms of every order the oracle covers.  The
-    oracle decides normality and reads its defect norms once, so a report
-    that has already built its audit rows computes neither again here.
+    m, symbol product equal to 1) and reports whether they agree.  The
+    defect norms of every order, and the order-1 threshold at which every
+    property is decided, are read from ``rows``, the audit rows that
+    ``audit_rows(st, m_max, oracle)`` built with this oracle.
     """
-    if oracle.m_max < 1:
-        raise ValidationError(f"m_max must be >= 1, got {oracle.m_max}")
     if not oracle.normality()["normal"]:
         return None
+    tol = rows[0].tol
     t = st.abs_alpha_sq
     prod = st.product
     identity_residual = float(np.abs(prod - t).max())
-    defect_norms, quasi_norms = (norms.tolist() for norms in oracle.defect_norms)
+    defect_norms = [r.oracle_defect_norm for r in rows]
+    quasi_norms = [r.oracle_quasi_norm for r in rows]
     product_residual = max(
         float(np.abs(prod - 1.0).max()), float(np.abs(t - 1.0).max())
     )
@@ -355,9 +356,9 @@ def audit_rows(
     ``J_m(t)``, ``J'_m(t)`` of ``t = st.abs_alpha_sq`` that ``binomial_table``
     gives.
 
-    With the operator's defect ``oracle``, built for the same orders, one
-    ``_defect_scalars`` call takes the oracle's ``t`` and the symbols' side
-    by side: its first columns give the oracle's defect norms, the rest the
+    With the operator's defect ``oracle``, one ``_defect_scalars`` call
+    takes the oracle's ``t`` and the symbols' side by side: its first
+    columns give the oracle's defect norms in closed form, the rest the
     table.  Each row then carries the oracle's defect norms and verdicts,
     and each order is read at the oracle's threshold ``_default_tol(norm,
     2m, m)``; without it at the quasi criterion's own scaled threshold, and
@@ -365,8 +366,6 @@ def audit_rows(
     the oracle's norms, the thresholds and the table to meet it.  The rows
     are built from one column per field.
     """
-    if oracle is not None and oracle.m_max != m_max:
-        raise ValidationError(f"oracle covers orders up to {oracle.m_max}, not {m_max}")
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     orders = range(1, m_max + 1)
@@ -377,10 +376,9 @@ def audit_rows(
         tols = [_default_tol(scale, m, m) for m in orders]
         oracle_quasi = quasi_norms = defect_norms = e_rs = (None,) * m_max
     else:
-        oracle_t = oracle.t
-        k = len(oracle_t)
-        power, c = _defect_scalars(np.concatenate((oracle_t, t)), m_max)
-        dn, qn = oracle._keep_norms(power[:, :k], c[:, :k])
+        k = len(oracle.t)
+        power, c = _defect_scalars(np.concatenate((oracle.t, t)), m_max)
+        dn, qn = _defect_norms(power[:, :k], c[:, :k], oracle.g, oracle.singletons)
         tols = [_default_tol(oracle.norm, 2 * m, m) for m in orders]
         j, j_prime = power[:, k:], c[:, k:]
         _check_table(j, t)
@@ -436,7 +434,7 @@ def audit_agreement(
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     st = symbols(ce, w, u)
-    oracle = DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
+    oracle = DefectOracle(wct_action(ce, w, u), ce.partition)
     rows = audit_rows(st, m_max, oracle)
     mismatches, divergences = [], []
     for r in rows:

@@ -46,9 +46,9 @@ def matrix_action(a):
     return Action(lambda x: a @ x, lambda x: a.conj().T @ x)
 
 
-def wct_oracle(ce, w, u, m_max):
+def wct_oracle(ce, w, u):
     """The defect oracle of ``f -> w E(u f)``, read from its action."""
-    return DefectOracle(wct_action(ce, w, u), m_max, ce.partition)
+    return DefectOracle(wct_action(ce, w, u), ce.partition)
 
 
 def core_matrices(oracle):
@@ -56,7 +56,7 @@ def core_matrices(oracle):
     ``(lam, kappa)``: ``[[lam, kappa], [0, 0]]`` for each block, or
     ``[[lam]]`` when every block is a singleton; shape ``(k, d, d)``."""
     rows = oracle._cores
-    if oracle._singletons:
+    if oracle.singletons:
         return rows[:, :1, None].copy()
     cores = np.zeros((len(rows), 2, 2), dtype=complex)
     cores[:, 0] = rows

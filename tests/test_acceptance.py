@@ -15,6 +15,7 @@ from conftest import cond_exp, core_defects, core_matrices, defect_evals, dense,
 from wctops import (
     CondExp,
     Mfunc,
+    audit_rows,
     geometric_space,
     make_partition,
     make_space,
@@ -61,7 +62,7 @@ def test_criterion_1_geometric_sequence_reproduction():
     dev = np.abs(e_uw - 1.0).max()
     if dev > 1e-12:
         failures.append(f"E(uw) deviates from 1 by {dev:.3e}")
-    dn, qn = wct_oracle(ce, w, u, 6).defect_norms
+    dn, qn = wct_oracle(ce, w, u).defect_norms(6)
     for m in range(1, 7):
         if qn[m - 1] > 1e-9:
             failures.append(f"quasi defect norm {qn[m - 1]:.3e} at m={m}")
@@ -107,12 +108,12 @@ def test_criterion_2_grid_reproduction():
     _report("criterion-2 unit-square-grid reproduction", failures, elapsed)
 
 
-def _mult_oracle(space, u, m_max):
+def _mult_oracle(space, u):
     """The oracle of the multiplication operator ``M_u``: singleton blocks
     and ``w = 1``."""
     dim = space.atom_count
     ce = CondExp(space, make_partition(space, singleton_blocks(dim)))
-    return wct_oracle(ce, Mfunc(np.ones(dim)), u, m_max)
+    return wct_oracle(ce, Mfunc(np.ones(dim)), u)
 
 
 def test_criterion_3_multiplication_operators():
@@ -123,7 +124,7 @@ def test_criterion_3_multiplication_operators():
         dim = int(rng.integers(2, 17))
         space = make_space(rng.uniform(0.1, 2.0, dim))
         u = Mfunc(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        dn, _ = _mult_oracle(space, u, 4).defect_norms
+        dn, _ = _mult_oracle(space, u).defect_norms(4)
         for m in range(1, 5):
             if dn[m - 1] > 1e-10:
                 failures.append(f"unimodular trial {trial}: defect {dn[m - 1]:.3e} at m={m}")
@@ -133,7 +134,7 @@ def test_criterion_3_multiplication_operators():
         space = make_space(rng.uniform(0.1, 2.0, dim))
         mask = rng.integers(0, 2, dim).astype(float)
         u = Mfunc(mask * np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        dn, qn = _mult_oracle(space, u, 4).defect_norms
+        dn, qn = _mult_oracle(space, u).defect_norms(4)
         for m in range(1, 5):
             if qn[m - 1] > 1e-10:
                 failures.append(f"mask trial {trial}: quasi defect {qn[m - 1]:.3e} at m={m}")
@@ -146,7 +147,7 @@ def test_criterion_3_multiplication_operators():
         u = Mfunc(
             rng.uniform(0, 2, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         )
-        oracle = _mult_oracle(space, u, 4)
+        oracle = _mult_oracle(space, u)
         a2 = np.abs(u.values) ** 2
         for m in range(1, 5):
             # the defect spectra against the pointwise closed forms
@@ -268,7 +269,7 @@ def test_criterion_6_normal_case_properties():
     failures = []
     all_true_seen = 0
     for trial, (ce, st, u, w) in enumerate(_self_adjoint_instances(100, seed=606)):
-        oracle = wct_oracle(ce, w, u, 4)
+        oracle = wct_oracle(ce, w, u)
 
         idx = ce.partition.block_index
         prod = st.beta[idx] * st.gamma[idx]
@@ -276,7 +277,7 @@ def test_criterion_6_normal_case_properties():
         if identity_dev > 1e-8:
             failures.append(f"trial {trial}: symbol identity off by {identity_dev:.3e}")
 
-        report = normal_case_equivalence(st, oracle, 1e-8)
+        report = normal_case_equivalence(st, oracle, audit_rows(st, 4, oracle))
         if report is None:
             failures.append(f"trial {trial}: self-adjoint operator not normal")
             continue
@@ -291,8 +292,9 @@ def test_criterion_6_normal_case_properties():
         # the dense reference's norm of T* T - I, to the power m
         t = dense(ce, w, u)
         base_norm = dense_reference.norm(t.conj().T @ t - np.eye(len(t)))
+        defect_norms = oracle.defect_norms(4)[0]
         for m in range(1, 5):
-            dn = oracle.defect_norms[0][m - 1]
+            dn = defect_norms[m - 1]
             ref = base_norm**m
             if dn <= 1e-12 and ref <= 1e-12:
                 continue  # both at the roundoff floor
@@ -318,7 +320,7 @@ def test_criterion_7_hyponormality_hierarchy():
             u, w = inst.u, Mfunc(inst.u.values.conj())  # self-adjoint: all flags true
         else:
             u, w = inst.u, inst.w
-        normal = wct_oracle(inst.cond_exp(), w, u, 0).normality()["normal"]
+        normal = wct_oracle(inst.cond_exp(), w, u).normality()["normal"]
         ref = dense_reference.oracle(dense(inst.cond_exp(), w, u), 0, exponents)
         readings = [
             ref["hyponormal_residual"] / ref["norm"] ** 2,
@@ -371,7 +373,7 @@ def test_criterion_8_structural_invariants(audited_suite):
         # of the action, and the binomial recursion of the reference's B_m on
         # the oracle's cores, whose norms are the oracle's defect norms
         t = wct_action(ce, w, u).apply(np.eye(dim, dtype=complex))
-        oracle = wct_oracle(ce, w, u, 6)
+        oracle = wct_oracle(ce, w, u)
         nrm = oracle.norm
         e_uw = cond_exp(ce, u.values * w.values)
         for k in range(1, 6):
@@ -382,7 +384,7 @@ def test_criterion_8_structural_invariants(audited_suite):
         core = core_matrices(oracle)
         core_adj = core.conj().swapaxes(-1, -2)
         defects = [core_defects(oracle, m) for m in range(1, 6)]
-        dn, qn = oracle.defect_norms
+        dn, qn = oracle.defect_norms(6)
         for m in range(2, 6):
             prev, cur = defects[m - 2], defects[m - 1]
             dev = np.abs(cur - (core_adj @ prev @ core - prev)).max()

@@ -76,7 +76,7 @@ def test_action_oracle_keeps_parallel_blocks_normal(c, seed):
     # read from the residual vector: every block's angle has a sine at
     # roundoff, whatever the scale c
     ce, w, u = _parallel_operator(c, seed)
-    normality = DefectOracle(wct_action(ce, w, u), 1, ce.partition).normality()
+    normality = DefectOracle(wct_action(ce, w, u), ce.partition).normality()
     assert normality["normal"] and normality["residual"] <= 1e-14
 
 
@@ -150,14 +150,14 @@ def test_rank_two_action_block_raises_numeric_error(size, trips):
     ce = CondExp(space, partition)
     w, u = (Mfunc(rng.normal(size=12) + 1j * rng.normal(size=12)) for _ in range(2))
     T = wct_action(ce, w, u)
-    DefectOracle(T, 2, partition)  # the operator itself passes
+    DefectOracle(T, partition)  # the operator itself passes
     x = np.sqrt(size) * (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)))
     perturbed = _with_extra_term(T, list(range(7, 12)), x)
     if trips:
         with pytest.raises(NumericError, match="not rank one"):
-            DefectOracle(perturbed, 2, partition)
+            DefectOracle(perturbed, partition)
     else:
-        DefectOracle(perturbed, 2, partition)
+        DefectOracle(perturbed, partition)
 
 
 def test_action_returning_nan_raises_numeric_error():
@@ -171,4 +171,4 @@ def test_action_returning_nan_raises_numeric_error():
 
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="probe residual nan"):
-            DefectOracle(Action(nan, nan), 2, partition)
+            DefectOracle(Action(nan, nan), partition)

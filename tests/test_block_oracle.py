@@ -41,14 +41,14 @@ def _default_tol(nrm, power):
 def _assert_oracle_matches_dense(T, t, partition, m_max):
     """The oracle of the action ``T`` against the dense reference on its
     matrix ``t``."""
-    oracle = DefectOracle(T, m_max, partition)
+    oracle = DefectOracle(T, partition)
     ref = dense_reference.oracle(t, m_max)
     nrm = ref["norm"]
     assert _close(oracle.norm, nrm, nrm)
 
     # the verdicts each order's norms give at its threshold, against those
     # the reference's norms give at the reference threshold
-    dn, qn = oracle.defect_norms
+    dn, qn = oracle.defect_norms(m_max)
     rows = zip(dn, qn, ref["defect_norms"], ref["quasi_defect_norms"], strict=True)
     for m, (got_d, got_q, d, q) in enumerate(rows, start=1):
         tol, got_tol = _default_tol(nrm, 2 * m), oracle_tol(oracle.norm, 2 * m, m)
@@ -158,7 +158,7 @@ def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
     # every block becomes one row (lam, kappa) of one (k, 2) array, with
     # kappa exactly 0 on a singleton; the spectrum lists the k values lam,
     # and the report counts the n - k zeros of the other lanes
-    oracle = DefectOracle(T, 1, partition)
+    oracle = DefectOracle(T, partition)
     assert oracle._cores.shape == (len(sizes), 2)
     single = oracle._cores[partition.sizes == 1]
     assert len(single) == sizes.count(1)
@@ -175,7 +175,7 @@ def test_singletons_and_one_pair_drop_the_padding_zeros():
     sizes = [1] * 10 + [2]
     parts = _spec_parts(np.random.default_rng(11), sizes)
     T, t, partition = _dense_operator(*parts)
-    oracle = DefectOracle(T, 1, partition)
+    oracle = DefectOracle(T, partition)
     assert oracle._cores.shape == (11, 2) and oracle.spectrum.shape == (11,)
     assert np.count_nonzero(oracle._cores[partition.sizes == 1, 1]) == 0
     _assert_report_lists_blocks(parts, 11, 1)
@@ -192,10 +192,10 @@ def test_injective_singletons_keep_a_one_by_one_stack():
     u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     t = dense(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
     T = matrix_action(t)
-    oracle = DefectOracle(T, 6, partition)
+    oracle = DefectOracle(T, partition)
     assert oracle._cores.shape == (n, 2) and (oracle._cores[:, 1] == 0).all()
     assert core_matrices(oracle).shape == (n, 1, 1)
-    dn, qn = oracle.defect_norms
+    dn, qn = oracle.defect_norms(6)
     for m, (d, q) in enumerate(zip(dn, qn), start=1):
         tol = oracle_tol(oracle.norm, 2 * m, m)
         assert d <= tol and q <= tol, m
@@ -217,7 +217,7 @@ def test_injective_singletons_keep_a_one_by_one_stack():
 def test_spectrum_keeps_the_zeros_of_the_cut_blocks(sizes):
     parts = _spec_parts(np.random.default_rng(13), sizes)
     T, t, partition = _dense_operator(*parts)
-    spec = DefectOracle(T, 1, partition).spectrum
+    spec = DefectOracle(T, partition).spectrum
     assert spec.shape == (len(sizes),)
     # each block is rank one: the n - k eigenvalues of its other lanes
     # vanish, which the report counts, and none of the k listed does
@@ -234,9 +234,9 @@ def test_rank_two_block_raises_numeric_error():
     x = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
     a = t.copy()
     a[np.ix_(blk, blk)] += 0.5 * np.outer(x[0], x[1].conj())
-    DefectOracle(T, 2, partition)  # the operator itself passes
+    DefectOracle(T, partition)  # the operator itself passes
     with pytest.raises(NumericError, match="not rank one"):
-        DefectOracle(matrix_action(a), 2, partition)
+        DefectOracle(matrix_action(a), partition)
     # the off-block entries are still zero: only the core check trips
     assert np.count_nonzero(a) == np.count_nonzero(t)
 
@@ -283,7 +283,8 @@ def test_defect_norm_overflow_names_the_first_order():
     big = Mfunc(np.full(2, 1e30))
     T = wct_action(CondExp(space, partition), big, big)
     message = r"^the powers of T overflow: the defect norms of order 2 are not finite$"
+    oracle = DefectOracle(T, partition)
     for m_max in (4, 2):
         with pytest.raises(NumericError, match=message):
-            DefectOracle(T, m_max, partition).defect_norms
-    assert DefectOracle(T, 1, partition).defect_norms[1][0] == pytest.approx(1e240)
+            oracle.defect_norms(m_max)
+    assert oracle.defect_norms(1)[1][0] == pytest.approx(1e240)

@@ -138,7 +138,7 @@ def test_range_and_spectrum_match_loop_references():
         ref = _essential_range_loop(e_uw)
         assert essential_range(e_uw) == ref
         assert essential_range(st.alpha) == ref
-        oracle = DefectOracle(wct_action(ce, inst.w, inst.u), 0, ce.partition)
+        oracle = DefectOracle(wct_action(ce, inst.w, inst.u), ce.partition)
         dist = _spectrum_deviation_loop(oracle, st.alpha)
         # numpy's complex modulus may round differently from Python's
         got = spectrum_deviation(oracle, st.alpha)

@@ -1097,8 +1097,7 @@ def test_fields_match_the_dataclass_fields_in_order():
         records += [*audit.rows, *audit.divergences]
     normal = random_instance(np.random.default_rng(5), stratum="unimodular")
     audit = audit_agreement(normal.cond_exp(), normal.w, normal.u, 4)
-    tol = audit.rows[0].tol
-    records += normal_case_equivalence(audit.symbols, audit.oracle, tol).properties
+    records += normal_case_equivalence(audit.symbols, audit.oracle, audit.rows).properties
     kinds = {type(rec).__name__ for rec in records}
     assert kinds == {"AuditRow", "DivergenceRecord", "PropertyCheck"}
     for rec in records:

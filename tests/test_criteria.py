@@ -28,6 +28,13 @@ def _symbols_of(inst):
     return symbols(inst.cond_exp(), inst.w, inst.u)
 
 
+def _normal_case(ce, w, u, m_max):
+    """``normal_case_equivalence`` of ``f -> w E(u f)``, read from its audit
+    rows of orders 1..m_max, so decided at the rows' order-1 threshold."""
+    st, oracle = symbols(ce, w, u), wct_oracle(ce, w, u)
+    return normal_case_equivalence(st, oracle, audit_rows(st, m_max, oracle))
+
+
 def test_symbols_trivial(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
@@ -190,9 +197,7 @@ def test_normal_case_identity_operator():
     ce = CondExp(space, make_partition(space, singleton_blocks(2)))
     u = mf(np.exp(1j * np.array([0.2, 2.2])))
     w = Mfunc(u.values.conj())
-    st = symbols(ce, w, u)
-    oracle = wct_oracle(ce, w, u, 3)
-    report = normal_case_equivalence(st, oracle, 1e-9)
+    report = _normal_case(ce, w, u, 3)
     assert report is not None and report.identity_ok and report.all_equal
     assert all(c.holds for c in report.properties)
 
@@ -202,9 +207,7 @@ def test_normal_case_all_false():
     ce = CondExp(space, make_partition(space, [[0, 1]]))
     u = mf([2.0, 2.0])
     w = Mfunc(u.values.conj())
-    st = symbols(ce, w, u)
-    oracle = wct_oracle(ce, w, u, 3)
-    report = normal_case_equivalence(st, oracle, 1e-9)
+    report = _normal_case(ce, w, u, 3)
     assert report is not None and report.identity_ok and report.all_equal
     assert not any(c.holds for c in report.properties)
 
@@ -214,9 +217,7 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
     # one, yet never isometric; the report records the disagreement
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
-    st = symbols(ce, ones, ones)
-    oracle = wct_oracle(ce, ones, ones, 3)
-    report = normal_case_equivalence(st, oracle, 1e-9)
+    report = _normal_case(ce, ones, ones, 3)
     assert report is not None and report.identity_ok
     assert not report.all_equal
     held = {c.name: c.holds for c in report.properties}
@@ -227,11 +228,12 @@ def test_normal_case_projection_breaks_equivalence(uniform4):
 def test_normal_case_not_applicable_for_non_normal():
     non_normal = 0
     for inst in random_instances(seed=300, count=20, stratum="generic"):
-        oracle = wct_oracle(inst.cond_exp(), inst.w, inst.u, 2)
+        oracle = wct_oracle(inst.cond_exp(), inst.w, inst.u)
         if oracle.normality()["normal"]:
             continue  # rare but legitimate: a random instance may be normal
         non_normal += 1
-        assert normal_case_equivalence(_symbols_of(inst), oracle, 1e-9) is None
+        st = _symbols_of(inst)
+        assert normal_case_equivalence(st, oracle, audit_rows(st, 2, oracle)) is None
     assert non_normal
 
 
@@ -239,10 +241,7 @@ def test_normal_case_random_self_adjoint_equivalence():
     for inst in random_instances(seed=301, count=25, stratum="generic"):
         u = inst.u
         w = Mfunc(u.values.conj())
-        ce = inst.cond_exp()
-        st = symbols(ce, w, u)
-        oracle = wct_oracle(ce, w, u, 4)
-        report = normal_case_equivalence(st, oracle, 1e-8)
+        report = _normal_case(inst.cond_exp(), w, u, 4)
         assert report is not None
         assert report.identity_residual < 1e-10
         assert report.all_equal
@@ -254,15 +253,12 @@ def test_normal_case_reads_every_order_of_the_oracle():
     space = make_space([0.5, 0.5])
     ce = CondExp(space, make_partition(space, singleton_blocks(2)))
     u, w = mf([1.2, 0.9]), mf([1.0, 1.0])
-    oracle = wct_oracle(ce, w, u, 6)
-    dn, qn = oracle.defect_norms
+    dn, qn = wct_oracle(ce, w, u).defect_norms(6)
     assert len(dn) == 6 and dn[5] < dn[:5].min() and qn[5] < qn[:5].min()
-    report = normal_case_equivalence(symbols(ce, w, u), oracle, 1e-9)
+    report = _normal_case(ce, w, u, 6)
     residuals = {c.name: c.residual for c in report.properties}
     assert residuals["m_isometric"] == dn[5]
     assert residuals["quasi_m_isometric"] == qn[5]
-    with pytest.raises(ValidationError, match="m_max must be >= 1, got 0"):
-        normal_case_equivalence(symbols(ce, w, u), wct_oracle(ce, w, u, 0), 1e-9)
 
 
 def test_audit_agreement_projection_fixture():
@@ -349,14 +345,14 @@ def test_spectrum_deviation_positive(uniform4):
     u = mf([2, 0, 1, 1])
     w = mf([1, 1, 1, 1])
     st = symbols(ce, w, u)
-    assert spectrum_deviation(wct_oracle(ce, w, u, 0), st.alpha) < 1e-10
+    assert spectrum_deviation(wct_oracle(ce, w, u), st.alpha) < 1e-10
 
 
 def test_spectrum_deviation_detects_mismatch():
     # T is the identity on two atoms: each block's value 1 is 1 from 2,
     # relative to |T| = 1
     space, partition, u, w = _two_singletons([1.0, 1.0], [1.0, 1.0])
-    oracle = wct_oracle(CondExp(space, partition), w, u, 0)
+    oracle = wct_oracle(CondExp(space, partition), w, u)
     assert spectrum_deviation(oracle, np.array([2.0, 2.0])) == pytest.approx(1.0)
 
 
@@ -364,14 +360,14 @@ def test_spectrum_deviation_sees_block_order():
     # the set {1, 3} matches {3, 1}; the blocks' values do not
     space, partition, u, w = _two_singletons([1.0, 3.0], [1.0, 1.0])
     ce = CondExp(space, partition)
-    oracle, st = wct_oracle(ce, w, u, 0), symbols(ce, w, u)
+    oracle, st = wct_oracle(ce, w, u), symbols(ce, w, u)
     assert spectrum_deviation(oracle, st.alpha) < 1e-15
     assert spectrum_deviation(oracle, st.alpha[::-1]) == pytest.approx(2.0 / 3.0)
 
 
 def test_spectrum_deviation_at_zero_norm():
     space, partition, u, w = _two_singletons([0.0, 0.0], [1.0, 1.0])
-    oracle = wct_oracle(CondExp(space, partition), w, u, 0)
+    oracle = wct_oracle(CondExp(space, partition), w, u)
     assert oracle.norm == 0.0
     assert spectrum_deviation(oracle, np.zeros(2)) == 0.0
     assert spectrum_deviation(oracle, np.array([0.0, 1e-300])) == np.inf

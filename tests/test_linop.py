@@ -31,7 +31,7 @@ def _matrix(action, n):
 
 
 def _oracle(ce, w, u):
-    return wct_oracle(ce, w, u, 0)
+    return wct_oracle(ce, w, u)
 
 
 def test_mult_op_ones_is_identity():

@@ -8,7 +8,15 @@ verdict is invariant under ``T -> c T`` as well, and every verdict under
 import numpy as np
 import pytest
 
-from wctops import DefectOracle, Mfunc, make_partition, make_space, wct_action
+from wctops import (
+    DefectOracle,
+    Mfunc,
+    essential_range,
+    make_partition,
+    make_space,
+    symbols,
+    wct_action,
+)
 from wctops.cli import classify_operator, random_instance, suite_instances
 from test_block_symbols import _verdicts
 
@@ -56,7 +64,7 @@ def test_normality_is_scale_and_phase_free(seed, j, theta):
 
     def normality(values):
         T = wct_action(ce, inst.w, Mfunc(values))
-        return DefectOracle(T, 0, inst.partition).normality()
+        return DefectOracle(T, inst.partition).normality()
 
     base = normality(u)
     for n in (normality(u * 2.0**j), normality(u * np.exp(1j * theta))):
@@ -130,3 +138,28 @@ def test_verdicts_invariant_under_unimodular_scalings_of_u():
         for c in (1j, -1.0, -1j, *phases):
             scaled = _verdicts(space, part, Mfunc(c * u), inst.w, m_max=6)
             assert scaled == base, (inst.label, c)
+
+
+@pytest.mark.parametrize("j", [-40, 40])
+def test_power_of_two_scalings_of_u_scale_the_values_exactly(j):
+    # u -> 2^j u maps E(uw) to 2^j E(uw) and T to 2^j T with no rounding
+    # while nothing under- or overflows (ROADMAP item 12): the symbols, the
+    # oracle's eigenvalues and the essential range scale by exactly 2^j, and
+    # the normality verdict and its residual stay, bit for bit
+    c = 2.0**j
+    instances = suite_instances(300, seed=3)
+    assert len(instances) == 302
+    for inst in instances:
+        ce = inst.cond_exp()
+
+        def values(u):
+            alpha = symbols(ce, inst.w, u).alpha
+            oracle = DefectOracle(wct_action(ce, inst.w, u), inst.partition)
+            return alpha, oracle.spectrum, essential_range(alpha), oracle.normality()
+
+        alpha, spectrum, attained, normality = values(inst.u)
+        scaled = values(Mfunc(c * inst.u.values))
+        assert scaled[0].tobytes() == (c * alpha).tobytes(), inst.label
+        assert scaled[1].tobytes() == (c * spectrum).tobytes(), inst.label
+        assert scaled[2] == tuple(c * z for z in attained), inst.label
+        assert scaled[3] == normality, inst.label
