@@ -12,14 +12,16 @@ criteria are audited.
 block is rank one, ``a_b c_b*``, so ``T`` and ``T*`` vanish on the
 complement of ``V_b = span{a_b, c_b}`` and map ``V_b`` into itself: in an
 orthonormal basis of ``V_b`` every block is the 2x2 core ``[[lam, kappa],
-[0, 0]]``, held as its first row ``(lam, kappa)``, all k rows in one
-``(k, 2)`` array (``linop._rank_one_cores``); a singleton's ``kappa`` is
-0.  The rows are read from ``T`` alone, through three matvecs: ``T f`` and
-``T* g`` give ``a_b`` and ``c_b`` for random probes f and g, and ``T h``
-checks the rank-one model on a third probe (Freivalds' check).  Reports
-read them from ``linop.wct_action``, in O(n) and with no ``n x n`` matrix.
-``spectrum`` reads each block's eigenvalue ``lam``, one per block; the
-other n - k eigenvalues of ``T`` are zero.
+[0, 0]]``.  ``linop._rank_one_cores`` hands over three per-block values,
+``lam``, ``|lam|`` and ``|kappa|``, and the oracle keeps those, one array
+entry per block; a singleton's ``|kappa|`` is 0.  The phase of kappa is
+not needed: the core is unitarily equivalent to ``[[lam, |kappa|], [0,
+0]]``.  The values are read from ``T`` alone, through three matvecs:
+``T f`` and ``T* g`` give ``a_b`` and ``c_b`` for random probes f and g,
+and ``T h`` checks the rank-one model on a third probe (Freivalds' check).
+Reports read them from ``linop.wct_action``, in O(n) and with no ``n x n``
+matrix.  ``spectrum`` is each block's eigenvalue ``lam``, one per block;
+the other n - k eigenvalues of ``T`` are zero.
 
 No operator is summed or solved.  On a core ``[[lam, kappa], [0, 0]]``,
 ``T^k = lam^(k-1) T`` for k >= 1, so with ``t = |lam|^2`` the grams are
@@ -117,7 +119,7 @@ def _defect_scalars(t: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     signs, orders, limit = _order_columns(m_max)
     # orders * t >= t, so the smallest t decides which branches any column needs
-    low = t.min(initial=np.inf)
+    low = np.minimum.reduce(t, initial=np.inf)
     power = np.empty((m_max,) + t.shape)
     power[:] = t - 1.0
     with np.errstate(over="ignore"):
@@ -147,15 +149,15 @@ def _defect_norms(
     unitary).  NumericError naming the first order whose norms overflow.
     """
     with np.errstate(over="ignore"):
-        quasi = (np.abs(power) * g).max(axis=1)
+        quasi = np.maximum.reduce(np.abs(power) * g, axis=1)
         if singletons:
-            defect = np.abs(power).max(axis=1)
+            defect = np.maximum.reduce(np.abs(power), axis=1)
         else:
-            range_part = np.abs(_order_columns(len(power))[0] + c * g).max(axis=1)
-            defect = np.maximum(1.0, range_part)
-    finite = np.isfinite(quasi) & np.isfinite(defect)
-    if not finite.all():
-        m = int(np.argmin(finite)) + 1
+            range_part = np.abs(_order_columns(len(power))[0] + c * g)
+            defect = np.maximum(1.0, np.maximum.reduce(range_part, axis=1))
+    # negated, so that a NaN fails as an infinity does
+    if not (np.maximum.reduce(quasi) < np.inf and np.maximum.reduce(defect) < np.inf):
+        m = int(np.argmin(np.isfinite(quasi) & np.isfinite(defect))) + 1
         raise NumericError(
             f"the powers of T overflow: the defect norms of order {m} are not finite"
         )
@@ -175,16 +177,20 @@ class DefectOracle:
     """
 
     def __init__(self, T: Action, partition: Partition) -> None:
-        # the (k, 2) rows (lam_b, kappa_b); spectrum is their first column
-        self._cores = _read_only(_rank_one_cores(T, partition))
-        moduli = np.abs(self._cores)
-        lengths = np.hypot(moduli[:, 0], moduli[:, 1])
-        self.spectrum = self._cores[:, 0]
-        self.t = _read_only(moduli[:, 0] ** 2)
+        lam, modulus, kappa = _rank_one_cores(T, partition)
+        lengths = np.hypot(modulus, kappa)
+        self.spectrum = _read_only(lam)
+        # |kappa_b|, the corner of each core [[lam_b, |kappa_b|], [0, 0]]
+        self._kappa = _read_only(kappa)
+        self.t = _read_only(modulus**2)
         self.g = _read_only(lengths**2)
-        self.sine = _read_only(moduli[:, 1] / np.where(lengths > 0, lengths, 1.0))
-        self.norm = float(lengths.max())
-        self.singletons = bool((partition.sizes == 1).all())
+        # a zero block has length 0 and sine 0
+        if np.minimum.reduce(lengths) > 0:
+            self.sine = _read_only(kappa / lengths)
+        else:
+            self.sine = _read_only(kappa / np.where(lengths > 0, lengths, 1.0))
+        self.norm = float(np.maximum.reduce(lengths))
+        self.singletons = partition.block_count == partition.atom_count
 
     def defect_norms(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
         """Norms of ``B_m`` and of ``T* B_m T`` for m = 1..m_max, from the
@@ -204,5 +210,5 @@ class DefectOracle:
         its negative part over the top eigenvalue ``g_b`` of ``T* T`` is
         ``sin theta_b``, 0 on a zero block and on a singleton.
         """
-        residual = float(self.sine.max())
+        residual = float(np.maximum.reduce(self.sine))
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

@@ -276,7 +276,7 @@ def normal_case_equivalence(
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class AuditRow:
     """Both readings of both criteria at order ``m`` beside the oracle's
     defect norms and verdicts, which are None where no oracle ran.
@@ -385,13 +385,15 @@ def audit_rows(
         defect_norms, quasi_norms = dn.tolist(), qn.tolist()
         oracle_quasi = [q <= tol for q, tol in zip(quasi_norms, tols)]
     # max |J_m(t)| E|u|^2 E|w|^2 over the joint support, 0 where it is empty
-    quasi_residuals = (np.abs(j) * np.where(st.in_both, st.product, 0.0)).max(axis=1).tolist()
+    joint = np.where(st.in_both, st.product, 0.0)
+    quasi_residuals = np.maximum.reduce(np.abs(j) * joint, axis=1).tolist()
     # max | |E(uw)| - 1 | over the whole space, the same for every m
-    quasi_paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
+    quasi_paper_residual = float(np.maximum.reduce(np.abs(np.sqrt(t) - 1.0)))
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
     # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
-    m_iso_residuals = np.abs(values + _order_columns(m_max)[0]).max(axis=1).tolist()
+    m_iso_gaps = np.abs(values + _order_columns(m_max)[0])
+    m_iso_residuals = np.maximum.reduce(m_iso_gaps, axis=1).tolist()
     paper_m_iso = [r <= PAPER_EPS for r in m_iso_residuals]
     if oracle is None:
         oracle_m_iso = [None if paper else False for paper in paper_m_iso]

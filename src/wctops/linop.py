@@ -15,6 +15,7 @@ is ever built.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -83,22 +84,32 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 # complement of ``span{a_b, c_b}`` and map that span into itself.
 # ``_rank_one_cores`` reads ``a_b`` and ``c_b`` from ``T f`` and ``T* g``
 # for random probes f and g, checks the rank-one model on a third probe h,
-# and keeps each block as the first row ``(lam, kappa)`` of its 2x2 core
-# ``[[lam, kappa], [0, 0]]`` in an orthonormal basis of that span, all k
-# rows in one ``(k, 2)`` array; a singleton is its value lam, with kappa 0.
+# and reads each block's 2x2 core ``[[lam, kappa], [0, 0]]`` in an
+# orthonormal basis of that span.  It hands over three per-block values:
+# ``lam``, ``|lam|`` and ``|kappa|``, the moduli the probe check's scale
+# takes anyway; a singleton is its value lam, with ``|kappa|`` 0.  The
+# phase of kappa is not kept: conjugating the core by ``diag(1, kappa /
+# |kappa|)`` gives ``[[lam, |kappa|], [0, 0]]``, a unitarily equivalent core.
 # The nonzero eigenvalue of block b, if any, is its ``lam``: the spectrum
 # of ``T`` is the k values ``lam`` and n - k zeros, one for each of a
 # block's d_b - 1 other lanes.
-# ``classify.DefectOracle`` reads every number it reports from the cores.
+# ``classify.DefectOracle`` reads every number it reports from these values.
+#
+# Four rare cases need a second formula: a zero block (s = 0), a subnormal
+# ``|y|^2``, a ``|y|^2 |r|^2`` past the double range and a singleton block.
+# Each ``np.where`` runs only when a scalar reduction over the blocks finds
+# its case; the values are the same whichever way they are taken.
 
 
 # an overflow in the matvecs is reported once, by the probe check
 @np.errstate(over="ignore", invalid="ignore")
-def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
-    """The first row ``(lam, kappa)`` of every rank-one block's core, in one
-    ``(k, 2)`` array, read from three matvecs.  ``lam``, entry ``[b, 0]``, is
-    block b's eigenvalue ``z* y / s``; the block's other d_b - 1 eigenvalues
-    are zero.
+def _rank_one_cores(
+    T: Action, partition: Partition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every rank-one block's eigenvalue ``lam``, its modulus ``|lam|`` and
+    the modulus ``|kappa|`` of its core's corner, as three ``(k,)`` arrays
+    read from three matvecs.  ``lam`` is block b's eigenvalue ``z* y / s``;
+    the block's other d_b - 1 eigenvalues are zero.
 
     On block b, ``T_b = a c*``, so for probes f and g the block parts
     ``y = (T f)_b = a (c* f_b)`` and ``z = (T* g)_b = c (a* g_b)`` give
@@ -107,15 +118,15 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     q1 (q1* z)``, ``T_b`` is ``[[z* y / s, |y| |r| / s], [0, 0]]``; ``|r|``
     is summed from the residual vector itself, since ``|z|^2 - |q1* z|^2``
     cancels to roundoff of order ``sqrt(eps) |z|`` where ``c`` is parallel
-    to ``a``.  A singleton block's ``kappa`` is exactly 0.  A third probe h
+    to ``a``.  A singleton block's ``|kappa|`` is exactly 0.  A third probe h
     checks the model (Freivalds): NumericError unless ``T h`` and ``sum_b y
     (z* h_b) / s`` agree to 1e-10 of ``|T| |h|``, with ``|T|`` the largest
     block norm ``|y| |z| / |s|``.  The probes are the first n rows of one
     read-only block drawn once from a generator with a fixed seed (past the
-    block's rows, a fresh draw from that seed), so the cores are the same on
-    every run.
+    block's rows, a fresh draw from that seed), so the values are the same
+    on every run.
     """
-    n, idx = partition.atom_count, partition.block_index
+    n, idx, sizes = partition.atom_count, partition.block_index, partition.sizes
     # complex Gaussian columns f, h and g
     probes = _probe_block()[:n] if n <= _PROBE_ROWS else _draw_probes(n)
     f, h = probes[:, 0], probes[:, 1]
@@ -128,26 +139,38 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
     yy, zy, s, zh = partition.block_sums(products).T
     yy = yy.real
     # a zero block has y = z = 0, so s = 0 and z* y = 0: its core is zero
-    inv_s = 1.0 / np.where(s != 0, s, np.inf)
+    if np.count_nonzero(s) == len(s):
+        inv_s = 1.0 / s
+    else:
+        inv_s = 1.0 / np.where(s != 0, s, np.inf)
     # numpy's complex division takes 1 / |y|^2, infinite for a subnormal
     # |y|^2: such a block is first scaled by 2^54, exactly, on both sides
-    lift = np.where(yy < 2.0**-1022, 2.0**54, 1.0)
-    proj = (zy * lift).conj() / np.where(yy > 0, yy * lift, 1.0)
+    if np.minimum.reduce(yy) >= 2.0**-1022:
+        proj = zy.conj() / yy
+    else:
+        lift = np.where(yy < 2.0**-1022, 2.0**54, 1.0)
+        proj = (zy * lift).conj() / np.where(yy > 0, yy * lift, 1.0)
     rr = partition.block_sums(np.abs(z - y * proj[idx]) ** 2)
     # |y| |r| as one root where |y|^2 |r|^2 is a normal double, and as two
-    # past the double range, where that product under- or overflows
+    # past the double range, where that product under- or overflows; the
+    # two forms agree where |r|^2 is 0, as it is on most singletons
     both = yy * rr
-    in_range = (both >= np.finfo(float).tiny) & (both < np.inf)
+    low = np.minimum.reduce(both, where=rr > 0, initial=np.inf)
+    if low >= 2.0**-1022 and np.maximum.reduce(both) < np.inf:
+        root = np.sqrt(both)
+    else:
+        in_range = (both >= 2.0**-1022) & (both < np.inf)
+        root = np.where(in_range, np.sqrt(both), np.sqrt(yy) * np.sqrt(rr))
     value = zy * inv_s
-    corner = np.where(in_range, np.sqrt(both), np.sqrt(yy) * np.sqrt(rr)) * inv_s
+    modulus, kappa = np.abs(value), np.abs(root * inv_s)
 
     # the norm of a rank-one block, |y| |z| / |s|, is that of its core
-    scale = float(np.sqrt((np.abs(value) ** 2 + np.abs(corner) ** 2).max()))
+    scale = math.sqrt(np.maximum.reduce(modulus**2 + kappa**2))
     miss = th - y * (zh * inv_s)[idx]
-    residual = float(np.sqrt(np.vdot(miss, miss).real))
+    residual = math.sqrt(np.vdot(miss, miss).real)
     # negated, so that a NaN residual (an overflow in the matvecs) fails too;
     # an infinite scale would pass any residual, so it fails as well
-    bound = 1e-10 * scale * float(np.sqrt(np.vdot(h, h).real))
+    bound = 1e-10 * scale * math.sqrt(np.vdot(h, h).real)
     if not (residual <= bound and scale < np.inf):
         fault = "is not rank one" if np.isfinite(residual + scale) else "overflows"
         raise NumericError(
@@ -156,7 +179,11 @@ def _rank_one_cores(T: Action, partition: Partition) -> np.ndarray:
         )
 
     # a singleton's corner is the roundoff of z - q1 (q1* z): it is 0 exactly
-    return np.stack((value, np.where(partition.sizes == 1, 0.0, corner)), axis=1)
+    if len(sizes) == n:
+        kappa = np.zeros(n)
+    elif np.minimum.reduce(sizes) == 1:
+        kappa = np.where(sizes == 1, 0.0, kappa)
+    return value, modulus, kappa
 
 def _draw_probes(rows: int) -> np.ndarray:
     """``rows`` rows of three complex Gaussian probes from a fresh

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# the two dtypes that ``Partition.block_sums`` sums
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -293,14 +297,16 @@ class Partition:
         order to ``+0.0``.  When every block is one atom, a block's sum is
         its value plus ``+0.0``, with no ``reduceat``.
         """
-        x = np.asarray(x)
-        kind = complex if x.dtype.kind == "c" else float
-        x = np.asarray(x, dtype=kind)
+        dtype = x.dtype if type(x) is np.ndarray else None
+        if dtype is not _FLOAT and dtype is not _COMPLEX:
+            x = np.asarray(x)
+            dtype = _COMPLEX if x.dtype.kind == "c" else _FLOAT
+            x = np.asarray(x, dtype=dtype)
         if not self.in_order:
             x = x.take(self.atoms, 0)
         if self._singletons:
             return x + 0.0
-        if kind is float:
+        if dtype is _FLOAT:
             return self.fold(np.add.reduceat(x, self.pieces, 0))
         columns = np.ascontiguousarray(x).view(float).reshape(len(x), -1)
         sums = self.fold(np.add.reduceat(columns, self.pieces, 0))

@@ -52,14 +52,17 @@ def wct_oracle(ce, w, u):
 
 
 def core_matrices(oracle):
-    """The oracle's cores as matrices, rebuilt from its ``(k, 2)`` rows
-    ``(lam, kappa)``: ``[[lam, kappa], [0, 0]]`` for each block, or
-    ``[[lam]]`` when every block is a singleton; shape ``(k, d, d)``."""
-    rows = oracle._cores
+    """The oracle's cores as matrices, rebuilt from its per-block values
+    ``lam_b`` (``spectrum``) and ``|kappa_b|``: ``[[lam, |kappa|], [0, 0]]``
+    for each block, or ``[[lam]]`` when every block is a singleton; shape
+    ``(k, d, d)``.  The core ``[[lam, kappa], [0, 0]]`` read from the
+    operator is this one conjugated by the unitary ``diag(1, kappa /
+    |kappa|)``, so both have the same defect and quasi-defect eigenvalues."""
+    lam = oracle.spectrum
     if oracle.singletons:
-        return rows[:, :1, None].copy()
-    cores = np.zeros((len(rows), 2, 2), dtype=complex)
-    cores[:, 0] = rows
+        return lam[:, None, None].copy()
+    cores = np.zeros((len(lam), 2, 2), dtype=complex)
+    cores[:, 0, 0], cores[:, 0, 1] = lam, oracle._kappa
     return cores
 
 

@@ -11,6 +11,7 @@ and norms, residuals and spectra within 1e-12 of the operator's own scale.
 import numpy as np
 import pytest
 
+import core_reference
 import dense_reference
 from conftest import core_matrices, dense, matrix_action
 from wctops import (
@@ -155,29 +156,29 @@ def _zero_on_block(size):
 def test_rank_two_core_matches_whole_matrix(sizes, u_of_w):
     parts = _spec_parts(np.random.default_rng(sum(sizes)), sizes, u_of_w)
     T, t, partition = _dense_operator(*parts)
-    # every block becomes one row (lam, kappa) of one (k, 2) array, with
-    # kappa exactly 0 on a singleton; the spectrum lists the k values lam,
+    # every block becomes one pair (lam, |kappa|) of per-block values, with
+    # |kappa| exactly 0 on a singleton; the spectrum lists the k values lam,
     # and the report counts the n - k zeros of the other lanes
     oracle = DefectOracle(T, partition)
-    assert oracle._cores.shape == (len(sizes), 2)
-    single = oracle._cores[partition.sizes == 1]
+    assert oracle._kappa.shape == (len(sizes),)
+    single = oracle._kappa[partition.sizes == 1]
     assert len(single) == sizes.count(1)
-    assert np.count_nonzero(single[:, 1]) == 0
+    assert np.count_nonzero(single) == 0
     assert oracle.spectrum.shape == (len(sizes),)
     _assert_report_lists_blocks(parts, len(sizes), sum(sizes) - len(sizes))
     _assert_oracle_matches_dense(T, t, partition, 3)
 
 
 def test_singletons_and_one_pair_drop_the_padding_zeros():
-    # 11 blocks in 12 atoms: 11 rows (lam, kappa), kappa exactly 0 on the
-    # 10 singletons; the spectrum lists the 11 values and counts one zero,
-    # the pair's second lane
+    # 11 blocks in 12 atoms: 11 pairs (lam, |kappa|), |kappa| exactly 0 on
+    # the 10 singletons; the spectrum lists the 11 values and counts one
+    # zero, the pair's second lane
     sizes = [1] * 10 + [2]
     parts = _spec_parts(np.random.default_rng(11), sizes)
     T, t, partition = _dense_operator(*parts)
     oracle = DefectOracle(T, partition)
-    assert oracle._cores.shape == (11, 2) and oracle.spectrum.shape == (11,)
-    assert np.count_nonzero(oracle._cores[partition.sizes == 1, 1]) == 0
+    assert oracle._kappa.shape == (11,) and oracle.spectrum.shape == (11,)
+    assert np.count_nonzero(oracle._kappa[partition.sizes == 1]) == 0
     _assert_report_lists_blocks(parts, 11, 1)
     _assert_oracle_matches_dense(T, t, partition, 4)
 
@@ -193,7 +194,7 @@ def test_injective_singletons_keep_a_one_by_one_stack():
     t = dense(CondExp(space, partition), Mfunc(np.ones(n)), Mfunc(u))
     T = matrix_action(t)
     oracle = DefectOracle(T, partition)
-    assert oracle._cores.shape == (n, 2) and (oracle._cores[:, 1] == 0).all()
+    assert oracle._kappa.shape == (n,) and (oracle._kappa == 0).all()
     assert core_matrices(oracle).shape == (n, 1, 1)
     dn, qn = oracle.defect_norms(6)
     for m, (d, q) in enumerate(zip(dn, qn), start=1):
@@ -288,3 +289,85 @@ def test_defect_norm_overflow_names_the_first_order():
         with pytest.raises(NumericError, match=message):
             oracle.defect_norms(m_max)
     assert oracle.defect_norms(1)[1][0] == pytest.approx(1e240)
+
+
+def _assert_matches_core_reference(T, partition):
+    """The oracle's per-block values equal, byte for byte, those of the
+    formula that takes every rare case with ``np.where``; that formula's
+    data, which picks the cases, is returned."""
+    oracle, ref = DefectOracle(T, partition), core_reference.values(T, partition)
+    for name in ("spectrum", "t", "g", "sine"):
+        assert getattr(oracle, name).tobytes() == ref[name].tobytes(), name
+    assert oracle.norm.hex() == ref["norm"].hex()
+    return ref
+
+
+def test_per_block_values_match_the_full_where_reference_on_the_suite():
+    # the cases that reach a second formula on the suite: a singleton's
+    # corner, and a |y|^2 |r|^2 of 0 where a singleton's |r|^2 is 0
+    singletons = zero_rr = 0
+    instances = suite_instances(300, seed=3)
+    assert len(instances) == 302
+    for inst in instances:
+        T = wct_action(inst.cond_exp(), inst.w, inst.u)
+        ref = _assert_matches_core_reference(T, inst.partition)
+        singletons += bool((inst.partition.sizes == 1).any())
+        zero_rr += bool((ref["rr"] == 0).any())
+    assert singletons and zero_rr
+
+
+def _wct(weights, blocks, u, w):
+    """The action of ``f -> w E(u f)`` and its partition."""
+    space = make_space(weights)
+    partition = make_partition(space, blocks)
+    w, u = Mfunc(np.asarray(w)), Mfunc(np.asarray(u))
+    return wct_action(CondExp(space, partition), w, u), partition
+
+
+def _zero_block_operator():
+    rng = np.random.default_rng(18)
+    space, partition, w, u = _spec_parts(rng, [3, 5, 8, 2], _zero_on_block(5))
+    return wct_action(CondExp(space, partition), w, u), partition
+
+
+def _subnormal_operator():
+    """CI's spec whose first block has a subnormal ``|T f|^2``."""
+    u, w = [1e-79, 2e-79, 1, 0.5], [3e-79, 1e-79, 1, 2]
+    return _wct([0.3, 0.2, 0.25, 0.25], [[0, 1], [2, 3]], u, w)
+
+
+def _nilpotent_operator():
+    """N(1e-3, 2^-150): a singleton of value 2^-300 beside a nilpotent
+    two-atom block."""
+    s, c = 1e-3, 2.0**-150
+    u, w = c * np.array([1.0, s, 0.0]), c * np.array([1.0, 0.0, s])
+    return _wct([0.5, 0.25, 0.25], [[0], [1, 2]], u, w)
+
+
+def _large_operator():
+    """One block of two atoms with ``|T_b|`` near 1e100."""
+    return _wct([1.0, 1.0], [[0, 1]], [1e100, 0.5e100], [1.0, -0.3j])
+
+
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize(
+    "operator,case",
+    [
+        # s = 0 on the block where u vanishes
+        (_zero_block_operator, lambda ref: (ref["s"] == 0).any()),
+        (_subnormal_operator, lambda ref: (ref["yy"] < TINY).any()),
+        # |y|^2 |r|^2 of the nilpotent block, near 2^-1200, underflows
+        (
+            _nilpotent_operator,
+            lambda ref: ((ref["both"] < TINY) & (ref["rr"] > 0) & (ref["yy"] > 0)).any(),
+        ),
+        # |y|^2 |r|^2, near 1e400, overflows
+        (_large_operator, lambda ref: (ref["both"] == np.inf).all()),
+    ],
+    ids=["zero-block", "subnormal-y", "underflow-yr", "overflow-yr"],
+)
+def test_per_block_values_match_the_full_where_reference_on_rare_cases(operator, case):
+    T, partition = operator()
+    assert case(_assert_matches_core_reference(T, partition))

@@ -301,11 +301,11 @@ def test_multiplication_corollary_growth_in_m():
 REFEREE_T = (0.0, 0.25, 0.5, 0.75, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0, 3.0)
 
 
-def _exact_t_g(core):
-    """``t = |lam|^2`` and ``g = |(lam, kappa)|^2`` of a core's row ``(lam,
-    kappa)``, as Fractions."""
-    squares = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in core]
-    return squares[0], sum(squares)
+def _exact_t_g(lam, kappa):
+    """``t = |lam|^2`` and ``g = |(lam, kappa)|^2`` of a core's values ``lam``
+    and ``|kappa|``, as Fractions."""
+    t = Fraction(lam.real) ** 2 + Fraction(lam.imag) ** 2
+    return t, t + Fraction(kappa) ** 2
 
 
 @pytest.mark.parametrize("size", [1, 2], ids=["1x1", "2x2"])
@@ -322,8 +322,8 @@ def test_defect_norms_match_exact_sums_up_to_order_60(t, size):
     else:
         u, w = ([1.0, 0.0], [0.0, 1.0]) if t == 0 else ([1.0, 1.0], [s + 0.7, s - 0.7])
         oracle = _oracle([1.0, 1.0], [[0, 1]], u, w)
-    assert oracle._cores.shape == (1, 2) and core_matrices(oracle).shape == (1, size, size)
-    t_b, g_b = _exact_t_g(oracle._cores[0])
+    assert oracle._kappa.shape == (1,) and core_matrices(oracle).shape == (1, size, size)
+    t_b, g_b = _exact_t_g(oracle.spectrum[0], oracle._kappa[0])
     dn, qn = oracle.defect_norms(60)
     for m, (j, j_prime) in enumerate(zip(*dense_reference.exact_sums(t_b, 60)), start=1):
         defect = abs(j) if size == 1 else max(1, abs((-1) ** m + j_prime * g_b))
@@ -341,7 +341,7 @@ def test_example_a_quasi_norms_at_high_orders_match_exact_sums():
     u = Mfunc(np.exp(x / 8.0 * np.log(y)))
     w = Mfunc(np.sqrt(4.0 + x) * np.sqrt(y))
     oracle = wct_oracle(CondExp(grid.space, grid.partition), w, u)
-    exact = [_exact_t_g(core) for core in oracle._cores]
+    exact = [_exact_t_g(*values) for values in zip(oracle.spectrum, oracle._kappa)]
     sums = [dense_reference.exact_sums(t_b, 45)[0] for t_b, _ in exact]
     quasi_norms = oracle.defect_norms(45)[1]
     reported = cmd_example_a(2, 2, m_max=45).classification.criteria_rows

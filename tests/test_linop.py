@@ -268,11 +268,13 @@ def test_probe_block_is_read_only():
 
 def test_rank_one_cores_repeat_byte_for_byte():
     T, partition = _paired_action(7)
-    first = _rank_one_cores(T, partition)
-    again = _rank_one_cores(T, partition)
+    def values():
+        return b"".join(a.tobytes() for a in _rank_one_cores(T, partition))
+
+    first, again = values(), values()
     # a call at another atom count in between leaves the probes untouched
     _rank_one_cores(*_paired_action(12))
     _rank_one_cores(*_paired_action(linop._PROBE_ROWS + 1))
-    last = _rank_one_cores(T, partition)
-    assert first.tobytes() == again.tobytes() == last.tobytes()
-    assert first.shape == (4, 2)
+    assert first == again == values()
+    # lam, |lam| and |kappa| of 4 blocks
+    assert [a.shape for a in _rank_one_cores(T, partition)] == [(4,)] * 3

@@ -144,8 +144,9 @@ def test_verdicts_invariant_under_unimodular_scalings_of_u():
 def test_power_of_two_scalings_of_u_scale_the_values_exactly(j):
     # u -> 2^j u maps E(uw) to 2^j E(uw) and T to 2^j T with no rounding
     # while nothing under- or overflows (ROADMAP item 12): the symbols, the
-    # oracle's eigenvalues and the essential range scale by exactly 2^j, and
-    # the normality verdict and its residual stay, bit for bit
+    # oracle's eigenvalues and norm and the essential range scale by exactly
+    # 2^j, the oracle's t and g by exactly 4^j, and its sines, the normality
+    # verdict and its residual stay, bit for bit
     c = 2.0**j
     instances = suite_instances(300, seed=3)
     assert len(instances) == 302
@@ -155,11 +156,15 @@ def test_power_of_two_scalings_of_u_scale_the_values_exactly(j):
         def values(u):
             alpha = symbols(ce, inst.w, u).alpha
             oracle = DefectOracle(wct_action(ce, inst.w, u), inst.partition)
-            return alpha, oracle.spectrum, essential_range(alpha), oracle.normality()
+            return alpha, essential_range(alpha), oracle
 
-        alpha, spectrum, attained, normality = values(inst.u)
-        scaled = values(Mfunc(c * inst.u.values))
-        assert scaled[0].tobytes() == (c * alpha).tobytes(), inst.label
-        assert scaled[1].tobytes() == (c * spectrum).tobytes(), inst.label
-        assert scaled[2] == tuple(c * z for z in attained), inst.label
-        assert scaled[3] == normality, inst.label
+        alpha, attained, oracle = values(inst.u)
+        s_alpha, s_attained, scaled = values(Mfunc(c * inst.u.values))
+        assert s_alpha.tobytes() == (c * alpha).tobytes(), inst.label
+        assert scaled.spectrum.tobytes() == (c * oracle.spectrum).tobytes(), inst.label
+        assert s_attained == tuple(c * z for z in attained), inst.label
+        assert scaled.t.tobytes() == (c * c * oracle.t).tobytes(), inst.label
+        assert scaled.g.tobytes() == (c * c * oracle.g).tobytes(), inst.label
+        assert scaled.norm.hex() == (c * oracle.norm).hex(), inst.label
+        assert scaled.sine.tobytes() == oracle.sine.tobytes(), inst.label
+        assert scaled.normality() == oracle.normality(), inst.label
