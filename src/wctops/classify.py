@@ -119,7 +119,7 @@ def _defect_scalars(t: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     signs, orders, limit = _order_columns(m_max)
     # orders * t >= t, so the smallest t decides which branches any column needs
-    low = np.minimum.reduce(t, initial=np.inf)
+    low = t.min(initial=np.inf)
     power = np.empty((m_max,) + t.shape)
     power[:] = t - 1.0
     with np.errstate(over="ignore"):
@@ -149,15 +149,15 @@ def _defect_norms(
     unitary).  NumericError naming the first order whose norms overflow.
     """
     with np.errstate(over="ignore"):
-        quasi = np.maximum.reduce(np.abs(power) * g, axis=1)
+        quasi = (np.abs(power) * g).max(axis=1)
         if singletons:
-            defect = np.maximum.reduce(np.abs(power), axis=1)
+            defect = np.abs(power).max(axis=1)
         else:
-            range_part = np.abs(_order_columns(len(power))[0] + c * g)
-            defect = np.maximum(1.0, np.maximum.reduce(range_part, axis=1))
-    # negated, so that a NaN fails as an infinity does
-    if not (np.maximum.reduce(quasi) < np.inf and np.maximum.reduce(defect) < np.inf):
-        m = int(np.argmin(np.isfinite(quasi) & np.isfinite(defect))) + 1
+            range_part = np.abs(_order_columns(len(power))[0] + c * g).max(axis=1)
+            defect = np.maximum(1.0, range_part)
+    finite = np.isfinite(quasi) & np.isfinite(defect)
+    if not finite.all():
+        m = int(np.argmin(finite)) + 1
         raise NumericError(
             f"the powers of T overflow: the defect norms of order {m} are not finite"
         )
@@ -185,10 +185,7 @@ class DefectOracle:
         self.t = _read_only(modulus**2)
         self.g = _read_only(lengths**2)
         # a zero block has length 0 and sine 0
-        if np.minimum.reduce(lengths) > 0:
-            self.sine = _read_only(kappa / lengths)
-        else:
-            self.sine = _read_only(kappa / np.where(lengths > 0, lengths, 1.0))
+        self.sine = _read_only(kappa / np.where(lengths > 0, lengths, 1.0))
         self.norm = float(np.maximum.reduce(lengths))
         self.singletons = partition.block_count == partition.atom_count
 
@@ -210,5 +207,5 @@ class DefectOracle:
         its negative part over the top eigenvalue ``g_b`` of ``T* T`` is
         ``sin theta_b``, 0 on a zero block and on a singleton.
         """
-        residual = float(np.maximum.reduce(self.sine))
+        residual = float(self.sine.max())
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

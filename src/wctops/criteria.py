@@ -334,7 +334,8 @@ class DivergenceRecord:
 class AgreementReport:
     """Audit rows and findings, with the oracle and the symbols they were
     computed from (the oracle's normality and spectrum and the block symbols
-    are then at hand for the same operator)."""
+    are then at hand for the same operator).  The rows are plain, mutable
+    ``AuditRow`` records, so a report is not hashable."""
 
     rows: tuple[AuditRow, ...]
     mismatches: tuple[MismatchRecord, ...]
@@ -385,15 +386,13 @@ def audit_rows(
         defect_norms, quasi_norms = dn.tolist(), qn.tolist()
         oracle_quasi = [q <= tol for q, tol in zip(quasi_norms, tols)]
     # max |J_m(t)| E|u|^2 E|w|^2 over the joint support, 0 where it is empty
-    joint = np.where(st.in_both, st.product, 0.0)
-    quasi_residuals = np.maximum.reduce(np.abs(j) * joint, axis=1).tolist()
+    quasi_residuals = (np.abs(j) * np.where(st.in_both, st.product, 0.0)).max(axis=1).tolist()
     # max | |E(uw)| - 1 | over the whole space, the same for every m
-    quasi_paper_residual = float(np.maximum.reduce(np.abs(np.sqrt(t) - 1.0)))
+    quasi_paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
     # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
-    m_iso_gaps = np.abs(values + _order_columns(m_max)[0])
-    m_iso_residuals = np.maximum.reduce(m_iso_gaps, axis=1).tolist()
+    m_iso_residuals = np.abs(values + _order_columns(m_max)[0]).max(axis=1).tolist()
     paper_m_iso = [r <= PAPER_EPS for r in m_iso_residuals]
     if oracle is None:
         oracle_m_iso = [None if paper else False for paper in paper_m_iso]

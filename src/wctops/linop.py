@@ -97,8 +97,9 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
 #
 # Four rare cases need a second formula: a zero block (s = 0), a subnormal
 # ``|y|^2``, a ``|y|^2 |r|^2`` past the double range and a singleton block.
-# Each ``np.where`` runs only when a scalar reduction over the blocks finds
-# its case; the values are the same whichever way they are taken.
+# The ``np.where`` for a zero block, a subnormal ``|y|^2`` or a singleton
+# runs only when a scalar reduction over the blocks finds its case; the
+# values are the same whichever way they are taken.
 
 
 # an overflow in the matvecs is reported once, by the probe check
@@ -152,15 +153,10 @@ def _rank_one_cores(
         proj = (zy * lift).conj() / np.where(yy > 0, yy * lift, 1.0)
     rr = partition.block_sums(np.abs(z - y * proj[idx]) ** 2)
     # |y| |r| as one root where |y|^2 |r|^2 is a normal double, and as two
-    # past the double range, where that product under- or overflows; the
-    # two forms agree where |r|^2 is 0, as it is on most singletons
+    # past the double range, where that product under- or overflows
     both = yy * rr
-    low = np.minimum.reduce(both, where=rr > 0, initial=np.inf)
-    if low >= 2.0**-1022 and np.maximum.reduce(both) < np.inf:
-        root = np.sqrt(both)
-    else:
-        in_range = (both >= 2.0**-1022) & (both < np.inf)
-        root = np.where(in_range, np.sqrt(both), np.sqrt(yy) * np.sqrt(rr))
+    in_range = (both >= 2.0**-1022) & (both < np.inf)
+    root = np.where(in_range, np.sqrt(both), np.sqrt(yy) * np.sqrt(rr))
     value = zy * inv_s
     modulus, kappa = np.abs(value), np.abs(root * inv_s)
 
@@ -184,6 +180,7 @@ def _rank_one_cores(
     elif np.minimum.reduce(sizes) == 1:
         kappa = np.where(sizes == 1, 0.0, kappa)
     return value, modulus, kappa
+
 
 def _draw_probes(rows: int) -> np.ndarray:
     """``rows`` rows of three complex Gaussian probes from a fresh

@@ -1,9 +1,10 @@
 """The defect oracle's per-block values with every rare case taken by ``np.where``.
 
-``wctops.linop._rank_one_cores`` takes each of its four rare-case formulas
-(a zero block, a subnormal ``|y|^2``, a ``|y|^2 |r|^2`` past the double
-range, a singleton's corner) only where one scalar reduction finds its case.
-``values`` takes all four on every input, on the same probes, keeps each
+``wctops.linop._rank_one_cores`` takes three of its four rare-case formulas
+(a zero block, a subnormal ``|y|^2``, a singleton's corner) only where one
+scalar reduction finds its case; the fourth, a ``|y|^2 |r|^2`` past the
+double range, it tests on every block.  ``values`` takes all four on every
+input, on the same probes, keeps each
 block as the row ``(lam, kappa)`` of one ``(k, 2)`` array, and then takes
 the moduli and lengths of the rows as the oracle did before it kept per-block
 values.  ``DefectOracle`` must give the same bytes.
