@@ -12,13 +12,12 @@ cross-validates the two.
 from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
-    AgreementReport,
     NormalCaseReport,
     SymbolTable,
-    audit_agreement,
     audit_rows,
     binomial_table,
     essential_range,
+    findings,
     normal_case_equivalence,
     spectrum_deviation,
     symbols,

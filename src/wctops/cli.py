@@ -31,11 +31,10 @@ import numpy as np
 from .classify import DefectOracle
 from .condexp import CondExp, block_averages
 from .criteria import (
-    MismatchRecord,
     SymbolTable,
-    audit_agreement,
     audit_rows,
     essential_range,
+    findings,
     normal_case_equivalence,
     spectrum_deviation,
     symbols,
@@ -209,17 +208,6 @@ def _spec_fields(space: MeasureSpace, partition: Partition, u: Mfunc, w: Mfunc) 
         "blocks": list(map(list, partition.blocks)),
         "u": _complex_pairs(u.values),
         "w": _complex_pairs(w.values),
-    }
-
-
-def _mismatch(rec: MismatchRecord) -> dict:
-    """A mismatch record: the spec fields of its operator, which ``wctops
-    classify`` replays, then its order and its two numbers."""
-    return {
-        **_spec_fields(rec.space, rec.partition, rec.u, rec.w),
-        "m": rec.m,
-        "criterion_residual": rec.criterion_residual,
-        "oracle_norm": rec.oracle_norm,
     }
 
 
@@ -461,17 +449,25 @@ def classify_operator(
 ) -> ClassificationReport:
     """Classify ``f -> w E(u f)`` by both routes where feasible.
 
-    Beyond ``MATRIX_LIMIT`` atoms only the symbol-level criteria run.
+    Beyond ``MATRIX_LIMIT`` atoms only the symbol-level criteria run.  A
+    mismatch row starts with the operator's spec fields, which ``wctops
+    classify`` replays.
     """
     ce = CondExp(space, partition)
     use_matrix = space.atom_count <= MATRIX_LIMIT
     normality = normal_case = spec_list = spec_zeros = spectrum_match = None
 
     if use_matrix:
-        audit = audit_agreement(ce, w, u, m_max)
-        oracle, st = audit.oracle, audit.symbols
-        rows = audit.rows
-        mismatches, divergences = audit.mismatches, audit.divergences
+        # a bad order is named before either route can fail on the operator
+        if m_max < 1:
+            raise ValidationError(f"m_max must be >= 1, got {m_max}")
+        st = symbols(ce, w, u)
+        oracle = DefectOracle(wct_action(ce, w, u), partition)
+        rows = audit_rows(st, m_max, oracle)
+        mismatches, divergences = findings(rows)
+        if mismatches:
+            spec = _spec_fields(space, partition, u, w)
+            mismatches = [{**spec, **row} for row in mismatches]
         normality = oracle.normality()
         nc = normal_case_equivalence(st, oracle, rows)
         if nc is not None:
@@ -482,7 +478,7 @@ def classify_operator(
         spectrum_match = {"ok": dist <= 1e-8, "distance": dist}
     else:
         st = symbols(ce, w, u)
-        rows, mismatches, divergences = audit_rows(st, m_max), (), ()
+        rows, mismatches, divergences = audit_rows(st, m_max), [], []
 
     return ClassificationReport(
         atom_count=space.atom_count,
@@ -497,8 +493,8 @@ def classify_operator(
         spectrum_zeros=spec_zeros,
         essential_range=[[z.real, z.imag] for z in essential_range(st.alpha)],
         spectrum_match=spectrum_match,
-        mismatches=[_mismatch(rec) for rec in mismatches],
-        divergences=[_fields(d) for d in divergences],
+        mismatches=mismatches,
+        divergences=divergences,
     )
 
 
@@ -902,8 +898,11 @@ def cmd_random_suite(
     div_instances = {"quasi": 0, "m_isometry": 0}
     for idx, inst in enumerate(instances):
         stratum_counts[inst.stratum] = stratum_counts.get(inst.stratum, 0) + 1
-        report = audit_agreement(inst.cond_exp(), inst.w, inst.u, m_max)
-        kinds = sorted({d.kind for d in report.divergences})
+        ce = inst.cond_exp()
+        st = symbols(ce, inst.w, inst.u)
+        oracle = DefectOracle(wct_action(ce, inst.w, inst.u), inst.partition)
+        found, divergences = findings(audit_rows(st, m_max, oracle))
+        kinds = sorted({d["kind"] for d in divergences})
         for kind in kinds:
             div_instances[kind] = div_instances.get(kind, 0) + 1
         rows.append(
@@ -913,14 +912,13 @@ def cmd_random_suite(
                 "stratum": inst.stratum,
                 "dim": inst.space.atom_count,
                 "blocks": inst.partition.block_count,
-                "mismatches": len(report.mismatches),
+                "mismatches": len(found),
                 "divergences": kinds,
             }
         )
-        mismatches.extend(
-            {"index": idx, "label": inst.label, **_mismatch(rec)}
-            for rec in report.mismatches
-        )
+        if found:
+            spec = _spec_fields(inst.space, inst.partition, inst.u, inst.w)
+            mismatches.extend({"index": idx, "label": inst.label, **spec, **row} for row in found)
     return SuiteReport(
         count=count,
         seed=seed,

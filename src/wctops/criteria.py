@@ -11,9 +11,11 @@ block order, and its products are the same expressions.  Two
 readings are evaluated side by side: a literal whole-space reading and a
 corrected reading (restricted to the joint support for the quasi
 criterion, deferred to the defect oracle for the m-isometry criterion).
-Divergences between the readings are recorded as data; disagreement
-between the corrected reading and the oracle is a mismatch and is what
-the audit exists to rule out.
+``findings`` reads the audit's findings off the per-order rows, and is
+the one place that defines them: a literal reading that differs from the
+oracle is a divergence, recorded as data; a corrected reading that
+differs from the oracle is a mismatch, which the audit exists to rule
+out.
 
 Both readings of both criteria run on the alternating binomial sums
 ``J_m(t)`` and ``J'_m(t)`` of ``t = |E(uw)|^2``.  ``binomial_table`` reads
@@ -33,7 +35,7 @@ per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -41,22 +43,18 @@ import numpy as np
 from .classify import DefectOracle, _default_tol, _defect_norms, _defect_scalars, _order_columns
 from .condexp import CondExp, block_moments
 from .errors import NumericError, ValidationError
-from .linop import wct_action
-from .measure import MeasureSpace, Mfunc, Partition, _read_only, ensure_on_space
+from .measure import Mfunc, _read_only, ensure_on_space
 
 __all__ = [
     "SymbolTable",
     "PropertyCheck",
     "NormalCaseReport",
     "AuditRow",
-    "MismatchRecord",
-    "DivergenceRecord",
-    "AgreementReport",
     "symbols",
     "binomial_table",
     "audit_rows",
+    "findings",
     "normal_case_equivalence",
-    "audit_agreement",
     "essential_range",
     "spectrum_deviation",
 ]
@@ -303,51 +301,6 @@ class AuditRow:
     e_r: tuple[float, ...] | None
 
 
-@dataclass(frozen=True, eq=False)
-class MismatchRecord:
-    """Counterexample data for a corrected-criterion/oracle disagreement:
-    the audited operator's own space, partition and symbols, the order and
-    the two numbers that disagree."""
-
-    space: MeasureSpace
-    partition: Partition
-    u: Mfunc
-    w: Mfunc
-    m: int
-    criterion_residual: float
-    oracle_norm: float
-
-
-@dataclass(frozen=True)
-class DivergenceRecord:
-    """A literal-reading verdict that differs from the oracle."""
-
-    kind: str  # 'quasi' or 'm_isometry'
-    m: int
-    paper_verdict: bool
-    oracle_verdict: bool
-    paper_residual: float
-    oracle_norm: float
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    """Audit rows and findings, with the oracle and the symbols they were
-    computed from (the oracle's normality and spectrum and the block symbols
-    are then at hand for the same operator).  The rows are plain, mutable
-    ``AuditRow`` records, so a report is not hashable."""
-
-    rows: tuple[AuditRow, ...]
-    mismatches: tuple[MismatchRecord, ...]
-    divergences: tuple[DivergenceRecord, ...]
-    oracle: DefectOracle = field(compare=False, repr=False)
-    symbols: SymbolTable = field(compare=False, repr=False)
-
-    @property
-    def agreed(self) -> bool:
-        return not self.mismatches
-
-
 def audit_rows(
     st: SymbolTable,
     m_max: int,
@@ -420,46 +373,30 @@ def audit_rows(
     )
 
 
-def audit_agreement(
-    ce: CondExp,
-    w: Mfunc,
-    u: Mfunc,
-    m_max: int,
-) -> AgreementReport:
-    """Cross-validate criteria against the defect oracle for m = 1..m_max.
+def findings(rows: tuple[AuditRow, ...]) -> tuple[list[dict], list[dict]]:
+    """The mismatch rows and the divergence rows of the rows that
+    ``audit_rows(st, m_max, oracle)`` built, each in order of m.
 
-    Corrected-vs-oracle disagreements become mismatch records (they
-    indicate a bug); literal-vs-oracle disagreements become divergence
-    records (they are expected on specific adversarial inputs).
+    A corrected reading that differs from the oracle's is a mismatch, which
+    indicates a bug; a literal reading that differs from it is a divergence,
+    expected on specific adversarial inputs.
     """
-    if m_max < 1:
-        raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    st = symbols(ce, w, u)
-    oracle = DefectOracle(wct_action(ce, w, u), ce.partition)
-    rows = audit_rows(st, m_max, oracle)
     mismatches, divergences = [], []
     for r in rows:
         if r.corrected_quasi != r.oracle_quasi:
             mismatches.append(
-                MismatchRecord(
-                    ce.space, ce.partition, u, w, r.m, r.quasi_residual, r.oracle_quasi_norm
-                )
+                {"m": r.m, "criterion_residual": r.quasi_residual,
+                 "oracle_norm": r.oracle_quasi_norm}
             )
-        if r.paper_quasi != r.oracle_quasi:
-            divergences.append(
-                DivergenceRecord(
-                    "quasi", r.m, r.paper_quasi, r.oracle_quasi, r.quasi_paper_residual,
-                    r.oracle_quasi_norm,
+        quasi = (r.paper_quasi, r.oracle_quasi, r.quasi_paper_residual, r.oracle_quasi_norm)
+        m_iso = (r.paper_m_iso, r.oracle_m_iso, r.m_iso_paper_residual, r.oracle_defect_norm)
+        for kind, (paper, oracle, residual, norm) in (("quasi", quasi), ("m_isometry", m_iso)):
+            if paper != oracle:
+                divergences.append(
+                    {"kind": kind, "m": r.m, "paper_verdict": paper, "oracle_verdict": oracle,
+                     "paper_residual": residual, "oracle_norm": norm}
                 )
-            )
-        if r.paper_m_iso != r.oracle_m_iso:
-            divergences.append(
-                DivergenceRecord(
-                    "m_isometry", r.m, r.paper_m_iso, r.oracle_m_iso, r.m_iso_paper_residual,
-                    r.oracle_defect_norm,
-                )
-            )
-    return AgreementReport(rows, tuple(mismatches), tuple(divergences), oracle, st)
+    return mismatches, divergences
 
 
 def essential_range(values: np.ndarray) -> tuple[complex, ...]:

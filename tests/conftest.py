@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ from wctops import (
     CondExp,
     DefectOracle,
     Mfunc,
+    audit_rows,
     block_averages,
     make_partition,
     make_space,
+    symbols,
     wct_action,
 )
+import wctops.cli as cli_mod
 from wctops.cli import random_instance
 
 
@@ -22,6 +27,21 @@ def uniform4():
     space = make_space([0.25, 0.25, 0.25, 0.25])
     partition = make_partition(space, [[0, 1], [2, 3]])
     return space, partition, CondExp(space, partition)
+
+
+@pytest.fixture
+def flipped_corrected_verdict(monkeypatch):
+    """Every corrected quasi verdict of a report inverted, so each order of
+    a two-route report is a mismatch."""
+    original = cli_mod.audit_rows
+
+    def flipped(*args, **kwargs):
+        return tuple(
+            dataclasses.replace(row, corrected_quasi=not row.corrected_quasi)
+            for row in original(*args, **kwargs)
+        )
+
+    monkeypatch.setattr(cli_mod, "audit_rows", flipped)
 
 
 def random_instances(seed, count, dim_range=(2, 10), block_range=(1, 4), stratum=None):
@@ -39,6 +59,12 @@ def mf(values):
 def dense(ce, w, u):
     """The dense reference matrix of ``f -> w E(u f)``."""
     return wct_matrix(ce.space.weights, ce.partition.block_index, u.values, w.values)
+
+
+def audit(ce, w, u, m_max):
+    """The two-route audit rows of ``f -> w E(u f)`` for m = 1..m_max, as a
+    report builds them; ``findings`` reads their mismatches and divergences."""
+    return audit_rows(symbols(ce, w, u), m_max, wct_oracle(ce, w, u))
 
 
 def matrix_action(a):

@@ -30,7 +30,8 @@ from wctops.cli import (
     random_instance,
     suite_instances,
 )
-from wctops.criteria import audit_agreement
+from wctops.criteria import findings
+from conftest import audit
 
 
 def _report(name: str, failures: list, elapsed: float | None = None) -> None:
@@ -44,9 +45,7 @@ def _report(name: str, failures: list, elapsed: float | None = None) -> None:
 def audited_suite():
     """The 200-instance randomized suite plus fixtures, audited once."""
     instances = suite_instances(200, dim_range=(2, 10), block_range=(1, 4), seed=42)
-    audits = [
-        audit_agreement(inst.cond_exp(), inst.w, inst.u, 4) for inst in instances
-    ]
+    audits = [audit(inst.cond_exp(), inst.w, inst.u, 4) for inst in instances]
     return instances, audits
 
 
@@ -171,21 +170,22 @@ def test_criterion_4_quasi_criterion_oracle_equivalence(audited_suite):
     instances, audits = audited_suite
     failures = []
     quasi_divergent = []
-    for inst, audit in zip(instances, audits):
-        for row in audit.rows:
+    for inst, rows in zip(instances, audits):
+        for row in rows:
             if row.corrected_quasi != row.oracle_quasi:
                 failures.append(
                     f"{inst.label}: corrected {row.corrected_quasi} vs "
                     f"oracle {row.oracle_quasi} at m={row.m}"
                 )
-        if audit.mismatches:
-            failures.append(f"{inst.label}: {len(audit.mismatches)} mismatch records")
-        if any(d.kind == "quasi" for d in audit.divergences):
+        mismatches, divergences = findings(rows)
+        if mismatches:
+            failures.append(f"{inst.label}: {len(mismatches)} mismatch records")
+        if any(d["kind"] == "quasi" for d in divergences):
             quasi_divergent.append(inst.label)
     if quasi_divergent != ["support-gap"]:
         failures.append(f"quasi divergences on {quasi_divergent}")
     gap_audit = audits[instances.index(next(i for i in instances if i.label == "support-gap"))]
-    for row in gap_audit.rows:
+    for row in gap_audit:
         if row.paper_quasi or not row.oracle_quasi:
             failures.append(
                 f"support-gap at m={row.m}: literal {row.paper_quasi}, "
@@ -198,17 +198,17 @@ def test_criterion_5_m_isometry_criterion_audit(audited_suite):
     instances, audits = audited_suite
     failures = []
     m_iso_divergent = []
-    for inst, audit in zip(instances, audits):
-        for row in audit.rows:
+    for inst, rows in zip(instances, audits):
+        for row in rows:
             # a failed criterion must imply a failed oracle, no exceptions
             if not row.paper_m_iso and row.oracle_m_iso:
                 failures.append(
                     f"{inst.label}: criterion false but oracle true at m={row.m}"
                 )
-        if any(d.kind == "m_isometry" for d in audit.divergences):
+        if any(d["kind"] == "m_isometry" for d in findings(rows)[1]):
             m_iso_divergent.append(inst.label)
         if inst.partition.block_count == inst.space.atom_count:
-            for row in audit.rows:
+            for row in rows:
                 if row.paper_m_iso != row.oracle_m_iso:
                     failures.append(
                         f"{inst.label}: singleton partition disagreement at m={row.m}"
@@ -224,8 +224,7 @@ def test_criterion_5_m_isometry_criterion_audit(audited_suite):
         partition = make_partition(space, singleton_blocks(dim))
         u = Mfunc(rng.uniform(0, 2, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
         w = Mfunc(rng.uniform(0, 2, dim) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        audit = audit_agreement(CondExp(space, partition), w, u, 4)
-        for row in audit.rows:
+        for row in audit(CondExp(space, partition), w, u, 4):
             if row.paper_m_iso != row.oracle_m_iso:
                 failures.append(
                     f"extra singleton trial {trial}: disagreement at m={row.m}"

@@ -21,9 +21,9 @@ from wctops import (
     Mfunc,
     NumericError,
     ValidationError,
-    audit_agreement,
     audit_rows,
     binomial_table,
+    findings,
     make_partition,
     make_space,
     symbols,
@@ -39,6 +39,7 @@ from wctops.cli import (
     suite_instances,
 )
 from wctops.criteria import DEDUP_EPS, PAPER_EPS
+from conftest import audit, wct_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st_ = hypothesis.strategies
@@ -196,11 +197,11 @@ def test_audit_rows_match_a_per_order_reference():
         fixture_support_gap().label,
     ]
     for inst in instances:
-        audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
-        st = audit.symbols
+        ce = inst.cond_exp()
+        st, oracle = symbols(ce, inst.w, inst.u), wct_oracle(ce, inst.w, inst.u)
         # with the oracle, each order is read at the oracle's threshold; the
         # oracle has no order of its own, so it serves a table of any order
-        for args in ((4, audit.oracle), (3, audit.oracle), (4, None), (3, None)):
+        for args in ((4, oracle), (3, oracle), (4, None), (3, None)):
             rows = audit_rows(st, *args)
             expected = _reference_rows(st, *args)
             assert len(rows) == len(expected)
@@ -257,8 +258,8 @@ def test_audit_agreement_holds_at_order_32():
     # the alternating sums' roundoff grew past the threshold 1e-9 |T|^(2m)
     # from about m = 25 on: 88 mismatches at m_max = 32
     for inst in suite_instances(200, seed=42):
-        audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 32)
-        assert not audit.mismatches, inst.label
+        mismatches, _ = findings(audit(inst.cond_exp(), inst.w, inst.u, 32))
+        assert mismatches == [], inst.label
 
 
 def test_reports_call_no_per_order_function():

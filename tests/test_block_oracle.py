@@ -13,6 +13,7 @@ import pytest
 
 import core_reference
 import dense_reference
+import exact_reference
 from conftest import core_matrices, dense, matrix_action
 from wctops import (
     CondExp,
@@ -314,6 +315,24 @@ def test_per_block_values_match_the_full_where_reference_on_the_suite():
         singletons += bool((inst.partition.sizes == 1).any())
         zero_rr += bool((ref["rr"] == 0).any())
     assert singletons and zero_rr
+
+
+def test_normality_matches_the_exact_verdict_on_the_suite():
+    # the float spec's block symbols in Fraction arithmetic: T is normal iff
+    # |E(uw)|^2 = E|u|^2 E|w|^2 on every block, exactly; the suite holds
+    # operators of both kinds
+    exactly_normal = 0
+    instances = suite_instances(300, seed=3)
+    assert len(instances) == 302
+    for inst in instances:
+        table = exact_reference.block_symbols(
+            inst.space.weights, inst.partition.blocks, inst.u.values, inst.w.values
+        )
+        exact = max(exact_reference.sine_squares(table)) == 0
+        oracle = DefectOracle(wct_action(inst.cond_exp(), inst.w, inst.u), inst.partition)
+        assert oracle.normality()["normal"] == exact, inst.label
+        exactly_normal += exact
+    assert 0 < exactly_normal < len(instances)
 
 
 def _wct(weights, blocks, u, w):

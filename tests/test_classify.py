@@ -9,7 +9,6 @@ from wctops import (
     DefectOracle,
     Mfunc,
     ValidationError,
-    audit_agreement,
     grid_space,
     make_partition,
     make_space,
@@ -19,6 +18,7 @@ from wctops import (
 from wctops.classify import NORMAL_EPS
 from wctops.cli import classify_operator, cmd_example_a
 from conftest import (
+    audit,
     core_defects,
     core_matrices,
     defect_evals,
@@ -54,7 +54,7 @@ def _rows(weights, blocks, u, w, m_max):
     and verdicts."""
     space = make_space(weights)
     ce = CondExp(space, make_partition(space, blocks))
-    return audit_agreement(ce, mf(w), mf(u), m_max).rows
+    return audit(ce, mf(w), mf(u), m_max)
 
 
 def _mult_rows(u, m_max, weights):
@@ -113,7 +113,7 @@ def test_classify_isometry_unimodular_multiplication():
 def test_classify_isometry_projection(uniform4):
     ce = uniform4[2]
     ones = mf(np.ones(4))
-    for row in audit_agreement(ce, ones, ones, 4).rows:
+    for row in audit(ce, ones, ones, 4):
         assert row.oracle_quasi and not row.oracle_m_iso
         assert row.oracle_defect_norm == pytest.approx(1.0, abs=1e-12)
         assert row.oracle_quasi_norm < 1e-12
@@ -121,7 +121,7 @@ def test_classify_isometry_projection(uniform4):
 
 def test_classify_isometry_quasi_but_not_isometric(uniform4):
     ce = uniform4[2]
-    for row in audit_agreement(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]), 4).rows:
+    for row in audit(ce, mf([1, 1, 1, 1]), mf([2, 0, 1, 1]), 4):
         assert row.oracle_quasi and not row.oracle_m_iso
 
 
@@ -156,7 +156,7 @@ def test_quasi_2_persistence():
     # quasi order 2 vanishing propagates to all higher orders
     hits = 0
     for inst in random_instances(seed=77, count=40):
-        rows = audit_agreement(inst.cond_exp(), inst.w, inst.u, 6).rows
+        rows = audit(inst.cond_exp(), inst.w, inst.u, 6)
         if rows[1].oracle_quasi_norm <= rows[1].tol:
             hits += 1
             for row in rows[2:]:

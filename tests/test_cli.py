@@ -34,6 +34,7 @@ from wctops.cli import (
     random_instance,
     suite_instances,
 )
+from conftest import audit, wct_oracle
 
 EXAMPLE_B_SPEC = {
     "weights": [0.5, 0.25, 0.125, 0.0625],
@@ -752,6 +753,24 @@ def test_cmd_random_suite_small():
     assert report.stratum_counts["fixture"] == 2
 
 
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("m_max", [4, 12])
+def test_random_suite_rows_match_the_classify_reports(request, m_max, flipped):
+    # the suite and classify_operator each assemble the audit themselves;
+    # on every instance they find the same mismatches and divergence kinds,
+    # also with every corrected quasi verdict inverted, so that every order
+    # is a mismatch
+    if flipped:
+        request.getfixturevalue("flipped_corrected_verdict")
+    suite = cmd_random_suite(count=200, m_max=m_max)
+    instances = suite_instances(200)
+    assert len(suite.instance_rows) == len(instances)
+    for row, inst in zip(suite.instance_rows, instances):
+        report = classify_operator(inst.space, inst.partition, inst.u, inst.w, m_max)
+        assert row["mismatches"] == len(report.mismatches) == flipped * m_max, inst.label
+        assert row["divergences"] == sorted({d["kind"] for d in report.divergences}), inst.label
+
+
 def test_cmd_random_suite_deterministic():
     left = cmd_random_suite(count=15, seed=29, m_max=2).to_dict()
     right = cmd_random_suite(count=15, seed=29, m_max=2).to_dict()
@@ -955,10 +974,9 @@ def test_main_out_into_missing_directory(tmp_path, capsys):
 def test_main_numeric_error_exit_code_on_a_coupled_action(tmp_path, monkeypatch, capsys):
     # an operator with one entry coupling two blocks fails the oracle's
     # rank-one block check, a NumericError
-    import wctops.criteria as criteria_mod
     from wctops import Action
 
-    build = criteria_mod.wct_action
+    build = cli_mod.wct_action
 
     def coupled(ce, w, u):
         T = build(ce, w, u)
@@ -975,7 +993,7 @@ def test_main_numeric_error_exit_code_on_a_coupled_action(tmp_path, monkeypatch,
 
         return Action(apply, apply_adj)
 
-    monkeypatch.setattr(criteria_mod, "wct_action", coupled)
+    monkeypatch.setattr(cli_mod, "wct_action", coupled)
     code = main(["classify", _write_spec(tmp_path, EXAMPLE_B_SPEC)])
     err = capsys.readouterr().err
     assert code == 4
@@ -1086,37 +1104,20 @@ def test_main_example_b_rejects_underflowing_masses(capsys, p, n_atoms, limit):
 def test_fields_match_the_dataclass_fields_in_order():
     from dataclasses import fields
 
-    from wctops.criteria import MismatchRecord, audit_agreement, normal_case_equivalence
+    from wctops.criteria import audit_rows, normal_case_equivalence, symbols
 
     def by_fields(rec):
         return {f.name: getattr(rec, f.name) for f in fields(rec)}
 
     records = []
     for inst in (fixture_projection(), fixture_support_gap()):
-        audit = audit_agreement(inst.cond_exp(), inst.w, inst.u, 4)
-        records += [*audit.rows, *audit.divergences]
+        records += audit(inst.cond_exp(), inst.w, inst.u, 4)
     normal = random_instance(np.random.default_rng(5), stratum="unimodular")
-    audit = audit_agreement(normal.cond_exp(), normal.w, normal.u, 4)
-    records += normal_case_equivalence(audit.symbols, audit.oracle, audit.rows).properties
+    ce = normal.cond_exp()
+    st, oracle = symbols(ce, normal.w, normal.u), wct_oracle(ce, normal.w, normal.u)
+    records += normal_case_equivalence(st, oracle, audit_rows(st, 4, oracle)).properties
     kinds = {type(rec).__name__ for rec in records}
-    assert kinds == {"AuditRow", "DivergenceRecord", "PropertyCheck"}
+    assert kinds == {"AuditRow", "PropertyCheck"}
     for rec in records:
         got = cli_mod._fields(rec)
         assert got == by_fields(rec) and list(got) == list(by_fields(rec))
-
-    space = make_space((0.5, 0.5))
-    partition = make_partition(space, ((0,), (1,)))
-    rec = MismatchRecord(
-        space, partition, Mfunc((1 + 2j, 3.0)), Mfunc((0.5j, -1.0)), 2, 0.25, 0.0
-    )
-    expected = {
-        "weights": [0.5, 0.5],
-        "blocks": [[0], [1]],
-        "u": [[1.0, 2.0], [3.0, 0.0]],
-        "w": [[0.0, 0.5], [-1.0, 0.0]],
-        "m": 2,
-        "criterion_residual": 0.25,
-        "oracle_norm": 0.0,
-    }
-    got = cli_mod._mismatch(rec)
-    assert got == expected and list(got) == list(expected)

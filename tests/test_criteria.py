@@ -6,10 +6,10 @@ from wctops import (
     Mfunc,
     Partition,
     ValidationError,
-    audit_agreement,
     audit_rows,
     binomial_table,
     essential_range,
+    findings,
     geometric_space,
     grid_space,
     make_partition,
@@ -21,7 +21,7 @@ from wctops import (
 )
 from wctops.cli import classify_operator, fixture_projection, fixture_support_gap
 import dense_reference
-from conftest import dense, mf, random_instances, wct_oracle
+from conftest import audit, dense, mf, random_instances, wct_oracle
 
 
 def _symbols_of(inst):
@@ -161,7 +161,7 @@ def test_m_isometry_criterion_singleton_unimodular():
     ce = CondExp(space, make_partition(space, singleton_blocks(2)))
     u = mf(np.exp(1j * np.array([0.3, -1.0])))
     w = mf([1.0, 1.0])
-    rows = audit_agreement(ce, w, u, 3).rows
+    rows = audit(ce, w, u, 3)
     for m in (1, 2, 3):
         v = rows[m - 1]
         assert v.paper_m_iso and v.oracle_m_iso
@@ -172,7 +172,7 @@ def test_m_isometry_criterion_singleton_unimodular():
 def test_m_isometry_criterion_projection_divergence(uniform4):
     _, _, ce = uniform4
     ones = mf([1, 1, 1, 1])
-    rows = audit_agreement(ce, ones, ones, 2).rows
+    rows = audit(ce, ones, ones, 2)
     for m in (1, 2):
         v = rows[m - 1]
         assert v.paper_m_iso  # the attained set hits the target exactly
@@ -186,7 +186,7 @@ def test_m_isometry_criterion_grid_interval():
     u = Mfunc(y ** (x / 8.0))
     w = Mfunc(np.sqrt((4.0 + x) * y))
     ce = CondExp(grid.space, grid.partition)
-    (v,) = audit_agreement(ce, w, u, 1).rows
+    (v,) = audit(ce, w, u, 1)
     assert not v.paper_m_iso and not v.oracle_m_iso
     # attained values J'_1(t) * product stay near 2, far from the target 1
     assert min(v.e_r) > 1.7
@@ -263,29 +263,31 @@ def test_normal_case_reads_every_order_of_the_oracle():
 
 def test_audit_agreement_projection_fixture():
     fx = fixture_projection()
-    report = audit_agreement(fx.cond_exp(), fx.w, fx.u, 4)
-    assert report.agreed
-    kinds = {(d.kind, d.m) for d in report.divergences}
+    rows = audit(fx.cond_exp(), fx.w, fx.u, 4)
+    mismatches, divergences = findings(rows)
+    assert mismatches == []
+    kinds = {(d["kind"], d["m"]) for d in divergences}
     assert kinds == {("m_isometry", m) for m in range(1, 5)}
-    for row in report.rows:
+    for row in rows:
         assert row.paper_quasi and row.corrected_quasi and row.oracle_quasi
         assert row.paper_m_iso and not row.oracle_m_iso
 
 
 def test_audit_agreement_support_gap_fixture():
     fx = fixture_support_gap()
-    report = audit_agreement(fx.cond_exp(), fx.w, fx.u, 4)
-    assert report.agreed
-    kinds = {(d.kind, d.m) for d in report.divergences}
+    rows = audit(fx.cond_exp(), fx.w, fx.u, 4)
+    mismatches, divergences = findings(rows)
+    assert mismatches == []
+    kinds = {(d["kind"], d["m"]) for d in divergences}
     assert kinds == {("quasi", m) for m in range(1, 5)}
-    for row in report.rows:
+    for row in rows:
         assert not row.paper_quasi and row.corrected_quasi and row.oracle_quasi
 
 
 def test_audit_agreement_random_batch():
     for inst in random_instances(seed=400, count=40):
-        report = audit_agreement(inst.cond_exp(), inst.w, inst.u, 3)
-        assert report.agreed, f"mismatch on {inst.label} ({inst.stratum})"
+        mismatches, _ = findings(audit(inst.cond_exp(), inst.w, inst.u, 3))
+        assert mismatches == [], f"mismatch on {inst.label} ({inst.stratum})"
 
 
 def test_essential_range_dedup():
@@ -421,6 +423,6 @@ def test_attained_values_dedup_scales_with_the_row(c):
     space = make_space(rng.uniform(0.2, 2.0, n))
     ce = CondExp(space, Partition.from_labels(np.arange(n) // 3))
     u = w = Mfunc(np.full(n, c))
-    rows = audit_agreement(ce, w, u, 4).rows
+    rows = audit(ce, w, u, 4)
     assert [len(row.e_r) for row in rows] == [1, 1, 1, 1]
     assert len(essential_range(symbols(ce, w, u).alpha)) == 1

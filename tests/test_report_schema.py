@@ -2,13 +2,11 @@
 and the keys of each row list, pinned as literal sets, and the form of
 mismatch rows."""
 
-import dataclasses
 import json
 
 import pytest
 
 import wctops.cli as cli_mod
-import wctops.criteria as criteria_mod
 from wctops.cli import main
 
 README_SPEC = {
@@ -170,20 +168,6 @@ def test_sweep_m_schema(tmp_path, capsys):
     assert code == 0
     assert set(data) == {"m_max", "rows"}
     assert _row_keys(data["rows"]) == [{"m", "defect_norm", "quasi_defect_norm"}] * 3
-
-
-@pytest.fixture
-def flipped_corrected_verdict(monkeypatch):
-    """Every corrected quasi verdict inverted, so each order is a mismatch."""
-    original = criteria_mod.audit_rows
-
-    def flipped(*args, **kwargs):
-        return tuple(
-            dataclasses.replace(row, corrected_quasi=not row.corrected_quasi)
-            for row in original(*args, **kwargs)
-        )
-
-    monkeypatch.setattr(criteria_mod, "audit_rows", flipped)
 
 
 def _check_pairs(values, expected):
