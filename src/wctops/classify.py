@@ -51,7 +51,9 @@ its ``T* T`` is ``sin theta``, with theta the angle between ``a`` and
 ``c``: on the core ``[[lam, kappa], [0, 0]]`` that is
 ``|kappa| / |(lam, kappa)|``, read with no eigensolve.  The verdict
 compares ``max_b sin theta_b`` with ``NORMAL_EPS``; the number is the same
-for ``T`` and ``c T``, whatever the scale ``c``.
+for ``T`` and ``c T``, whatever the scale ``c``.  The oracle reads it once,
+in the reduction that reads its norm, and every ``normality()`` call
+reports that one value.
 """
 
 from __future__ import annotations
@@ -148,15 +150,25 @@ def _defect_norms(
     ``singletons`` only has no kernel direction and may be injective (a
     unitary).  NumericError naming the first order whose norms overflow.
     """
+    # |t - 1|^m g, and |t - 1|^m or |(-1)^m + c_m g|, as the rows of one
+    # table, whose one reduction reads both norms of every order
+    table = np.empty((2,) + power.shape)
+    quasi_table, defect_table = table[0], table[1]
     with np.errstate(over="ignore"):
-        quasi = (np.abs(power) * g).max(axis=1)
         if singletons:
-            defect = np.abs(power).max(axis=1)
+            np.abs(power, out=defect_table)
+            np.multiply(defect_table, g, out=quasi_table)
         else:
-            range_part = np.abs(_order_columns(len(power))[0] + c * g).max(axis=1)
-            defect = np.maximum(1.0, range_part)
+            np.multiply(np.abs(power, out=quasi_table), g, out=quasi_table)
+            np.multiply(c, g, out=defect_table)
+            defect_table += _order_columns(len(power))[0]
+            np.abs(defect_table, out=defect_table)
+        norms = table.max(axis=2)
+        quasi, defect = norms[0], norms[1]
+        if not singletons:
+            defect = np.maximum(1.0, defect)
     finite = np.isfinite(quasi) & np.isfinite(defect)
-    if not finite.all():
+    if np.count_nonzero(finite) != len(finite):
         m = int(np.argmin(finite)) + 1
         raise NumericError(
             f"the powers of T overflow: the defect norms of order {m} are not finite"
@@ -172,21 +184,27 @@ class DefectOracle:
     else NumericError.  Read-only arrays with one entry per block, in block
     order: ``spectrum`` (``lam_b``), ``t`` (``|lam_b|^2``), ``g``
     (``|(lam_b, kappa_b)|^2``) and ``sine`` (``sin theta_b``).  ``norm`` is
-    the largest ``sqrt(g_b)``, ``singletons`` whether every block is one
+    the largest ``sqrt(g_b)``, read with the largest sine, which
+    ``normality`` reports; ``singletons`` says whether every block is one
     atom.  No value depends on an order m.
     """
 
     def __init__(self, T: Action, partition: Partition) -> None:
         lam, modulus, kappa = _rank_one_cores(T, partition)
-        lengths = np.hypot(modulus, kappa)
+        # the lengths and the sines as the rows of one array, whose one
+        # reduction reads the norm and the normality residual
+        rows = np.empty((2, len(lam)))
+        lengths, sine = rows[0], rows[1]
+        np.hypot(modulus, kappa, out=lengths)
         self.spectrum = _read_only(lam)
         # |kappa_b|, the corner of each core [[lam_b, |kappa_b|], [0, 0]]
         self._kappa = _read_only(kappa)
         self.t = _read_only(modulus**2)
         self.g = _read_only(lengths**2)
         # a zero block has length 0 and sine 0
-        self.sine = _read_only(kappa / np.where(lengths > 0, lengths, 1.0))
-        self.norm = float(np.maximum.reduce(lengths))
+        np.divide(kappa, np.where(lengths > 0, lengths, 1.0), out=sine)
+        self.sine = _read_only(sine)
+        self.norm, self._residual = rows.max(axis=1).tolist()
         self.singletons = partition.block_count == partition.atom_count
 
     def defect_norms(self, m_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,5 +225,5 @@ class DefectOracle:
         its negative part over the top eigenvalue ``g_b`` of ``T* T`` is
         ``sin theta_b``, 0 on a zero block and on a singleton.
         """
-        residual = float(self.sine.max())
+        residual = self._residual
         return {"normal": residual <= NORMAL_EPS, "residual": residual, "tol": NORMAL_EPS}

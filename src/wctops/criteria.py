@@ -26,10 +26,17 @@ defect oracle evaluates with the same helper on its own ``t = |lambda|^2``.
 that states the order: with the oracle, one ladder of the helper covers
 both routes' ``t`` side by side, the oracle's columns giving its defect
 norms in closed form and the symbols' columns the table.  Every audit row
-is read from that table: each per-order residual is one reduction over
-it, the attained values ``e_r`` come from one row-wise sort, made only
-when the defect oracle is given, and the rows are built from one column
-per field.
+is read from that table: every residual of every order is the largest
+entry of one row of one array, read by one reduction, the attained values
+``e_r`` come from one row-wise sort, made only when the defect oracle is
+given, and the rows are built from one column per field.
+
+A report of a few atoms spends its time on numpy's fixed cost per call,
+and a reduction is among the dearest calls, so each value is reduced
+once: the joint maxima of a report (the largest ``E|u|^2`` and
+``E|w|^2``, the residuals of every order, the three residuals of the
+normal case) are read from arrays that hold their values as rows, and a
+check that asks whether every value passes counts them instead.
 """
 
 from __future__ import annotations
@@ -95,18 +102,24 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     """Compute the symbol table of ``f -> w E(u f)`` block by block."""
     ensure_on_space(u, ce.space, "u")
     ensure_on_space(w, ce.space, "w")
-    alpha, beta, gamma = block_moments(ce, u.values, w.values)
+    alpha, squares = block_moments(ce, u.values, w.values)
+    beta, gamma = squares[0], squares[1]
     t = np.abs(alpha) ** 2
     prod = beta * gamma
     # a finite product means finite E|u|^2 and E|w|^2 too: inf * 0 is NaN
-    if not (np.isfinite(alpha).all() and np.isfinite(prod).all()):
+    k = len(prod)
+    if np.count_nonzero(np.isfinite(alpha)) != k or np.count_nonzero(np.isfinite(prod)) != k:
         raise NumericError("the symbols overflow: E(uw) or E|u|^2 E|w|^2 is not finite")
+    # the threshold is at least 1e-10, so the largest product is read only
+    # for a gap past that
     hoelder_gap = float((t - prod).max())
-    if hoelder_gap > 1e-10 * max(1.0, float(prod.max())):
+    if hoelder_gap > 1e-10 and hoelder_gap > 1e-10 * max(1.0, float(prod.max())):
         raise NumericError(
             f"conditional Hoelder inequality violated by {hoelder_gap:.3e}"
         )
-    in_S, in_G = (s > SUPPORT_EPS * s.max() for s in (beta, gamma))
+    # both supports at once, each relative to its own largest value
+    supports = squares > SUPPORT_EPS * squares.max(axis=1)[:, None]
+    in_S, in_G = supports[0], supports[1]
     return SymbolTable(
         alpha=alpha,
         abs_alpha_sq=t,
@@ -134,7 +147,7 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     t = np.asarray(t_val, dtype=float)
-    if (t < 0).any():
+    if np.count_nonzero(t < 0):
         raise ValidationError("t must be non-negative")
     j, j_prime = _defect_scalars(t, m_max)
     _check_table(j, t)
@@ -144,7 +157,8 @@ def binomial_table(t_val, m_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_table(j: np.ndarray, t: np.ndarray) -> None:
     """NumericError when the table ``j = (t - 1)^m`` of ``t`` overflows."""
     # |t - 1|^m grows with m where it can overflow, so the last order shows it
-    if not np.isfinite(j[-1]).all():
+    last = j[-1]
+    if np.count_nonzero(np.isfinite(last)) != last.size:
         raise NumericError(
             f"binomial sums of order {len(j)} overflow at t = {float(t.max()):.3e}"
         )
@@ -249,12 +263,16 @@ def normal_case_equivalence(
     tol = rows[0].tol
     t = st.abs_alpha_sq
     prod = st.product
-    identity_residual = float(np.abs(prod - t).max())
+    # |prod - t|, |prod - 1| and |t - 1| as the rows of one array, whose one
+    # reduction reads the three residuals
+    gaps = np.empty((3, len(t)))
+    np.subtract(prod, t, out=gaps[0])
+    np.subtract(prod, 1.0, out=gaps[1])
+    np.subtract(t, 1.0, out=gaps[2])
+    identity_residual, prod_gap, t_gap = np.abs(gaps, out=gaps).max(axis=1).tolist()
     defect_norms = [r.oracle_defect_norm for r in rows]
     quasi_norms = [r.oracle_quasi_norm for r in rows]
-    product_residual = max(
-        float(np.abs(prod - 1.0).max()), float(np.abs(t - 1.0).max())
-    )
+    product_residual = max(prod_gap, t_gap)
     checks = tuple(
         PropertyCheck(name, residual <= tol, residual)
         for name, residual in (
@@ -338,14 +356,22 @@ def audit_rows(
         _check_table(j, t)
         defect_norms, quasi_norms = dn.tolist(), qn.tolist()
         oracle_quasi = [q <= tol for q, tol in zip(quasi_norms, tols)]
-    # max |J_m(t)| E|u|^2 E|w|^2 over the joint support, 0 where it is empty
-    quasi_residuals = (np.abs(j) * np.where(st.in_both, st.product, 0.0)).max(axis=1).tolist()
-    # max | |E(uw)| - 1 | over the whole space, the same for every m
-    quasi_paper_residual = float(np.abs(np.sqrt(t) - 1.0).max())
+    # every residual is the largest entry of one row of this table, so one
+    # reduction reads them all
+    table = np.empty((2 * m_max + 1, len(t)))
+    quasi_table, m_iso_table, paper_row = table[:m_max], table[m_max:-1], table[-1]
+    # |J_m(t)| E|u|^2 E|w|^2 over the joint support, 0 where it is empty
+    np.abs(j, out=quasi_table)
+    quasi_table *= np.where(st.in_both, st.product, 0.0)
     # the literal m-isometry reading: every value of J'_m(t) E|w|^2 E|u|^2
     # equals (-1)^(m+1), so its residual is |value + (-1)^m|
     values = j_prime * st.gamma * st.beta
-    m_iso_residuals = np.abs(values + _order_columns(m_max)[0]).max(axis=1).tolist()
+    np.abs(np.add(values, _order_columns(m_max)[0], out=m_iso_table), out=m_iso_table)
+    # | |E(uw)| - 1 | over the whole space, the same for every m
+    np.abs(np.subtract(np.sqrt(t), 1.0, out=paper_row), out=paper_row)
+    residuals = table.max(axis=1).tolist()
+    quasi_residuals, m_iso_residuals = residuals[:m_max], residuals[m_max:-1]
+    quasi_paper_residual = residuals[-1]
     paper_m_iso = [r <= PAPER_EPS for r in m_iso_residuals]
     if oracle is None:
         oracle_m_iso = [None if paper else False for paper in paper_m_iso]
@@ -399,6 +425,12 @@ def findings(rows: tuple[AuditRow, ...]) -> tuple[list[dict], list[dict]]:
     return mismatches, divergences
 
 
+def _gaps_exceed(ordered: np.ndarray, tol: float) -> bool:
+    """Whether every gap between neighbours of the sorted ``ordered``
+    exceeds ``tol``."""
+    return np.count_nonzero(ordered[1:] - ordered[:-1] > tol) == len(ordered) - 1
+
+
 def essential_range(values: np.ndarray) -> tuple[complex, ...]:
     """Attained values of a function deduplicated to ``DEDUP_EPS`` times
     their largest modulus, so that the result scales with the values.
@@ -412,7 +444,7 @@ def essential_range(values: np.ndarray) -> tuple[complex, ...]:
     tol = DEDUP_EPS * float(np.abs(vals).max(initial=0.0))
     ordered = vals[np.lexsort((vals.imag, vals.real))]
     # no two real parts, or no two imaginary parts, within tol: all are kept
-    if (np.diff(ordered.real) > tol).all() or (np.diff(np.sort(vals.imag)) > tol).all():
+    if _gaps_exceed(ordered.real, tol) or _gaps_exceed(np.sort(vals.imag), tol):
         return tuple(ordered.tolist())
     return _dedup_complex(ordered.tolist(), tol)
 

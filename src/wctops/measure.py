@@ -5,10 +5,16 @@ positive masses.  A sub-sigma-algebra of such a space is exactly a
 partition of the atoms into blocks, and a measurable function is one
 value per atom, real or complex (``Mfunc``).  A partition is read from
 blocks of atom indices (``make_partition``) or from the block of each
-atom (``Partition.from_labels``), both checked atom by atom; one whose
-blocks are runs of consecutive atoms is built from its block sizes alone
-(``Partition.contiguous``), where only the sizes need checking, and its
-atom-length index arrays are built only when read.  A mass repeated by a
+atom (``Partition.from_labels``), both checked on every atom: a valid one
+costs one minimum of the sizes, one maximum of the atom indices read as
+unsigned (so that a negative index is out of range, never an atom counted
+from the end) and one scatter of the owners, whose unset entries are
+counted, and only a fault is named by a walk of the blocks atom by atom.
+One whose blocks are runs of consecutive atoms is built from its block
+sizes alone (``Partition.contiguous``), where only the sizes need
+checking, and its atom-length index arrays are built only when read.  A
+check that asks whether every value passes counts the passing ones
+(``np.count_nonzero``) rather than reducing them.  A mass repeated by a
 stride-0 array is kept as one value, and an array of masses or values that
 owns its data and is already read-only is kept with no copy.  Two builders
 discretize the stock examples: a truncated geometric sequence space, whose
@@ -100,7 +106,7 @@ class MeasureSpace:
         if w.size == 0:
             raise ValidationError("a measure space needs at least one atom")
         good = (checked > 0.0) & (checked < np.inf)
-        if not good.all():
+        if np.count_nonzero(good) != good.size:
             i = int(np.flatnonzero(~good)[0])
             raise ValidationError(
                 f"weight at index {i} must be a finite positive number, got {float(w[i])}"
@@ -137,16 +143,17 @@ def _partition_fault(sizes: np.ndarray, atoms: np.ndarray, n: int) -> str:
     return f"atom {owner.index(-1)} is not covered by any block"
 
 
-def _block_sizes(sizes: Sequence[int] | np.ndarray) -> np.ndarray:
+def _block_sizes(sizes: Sequence[int] | np.ndarray) -> tuple[np.ndarray, int]:
     """``sizes`` as an integer array, checked to name at least one block
-    and no negative size."""
+    and no negative size, and the smallest size."""
     sizes = np.array(sizes, dtype=np.intp).reshape(-1)
     if not sizes.size:
         raise ValidationError("a partition needs at least one block")
-    if sizes.min() < 0:
+    smallest = int(sizes.min())
+    if smallest < 0:
         b = int(np.flatnonzero(sizes < 0)[0])
         raise ValidationError(f"block {b} has negative size {int(sizes[b])}")
-    return sizes
+    return sizes, smallest
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -185,28 +192,26 @@ class Partition:
         n: int,
     ) -> None:
         atoms = np.array(atoms, dtype=np.intp).reshape(-1)
-        sizes = _block_sizes(sizes)
+        sizes, smallest = _block_sizes(sizes)
         if n < 1:
             raise ValidationError("partition needs a positive atom count")
-        smallest = sizes.min()
-        block_of = np.repeat(np.arange(sizes.size), sizes)
+        block_of = np.arange(sizes.size).repeat(sizes)
         if block_of.size != atoms.size:
             raise ValidationError(
                 f"the block sizes add up to {block_of.size} but {atoms.size} "
                 f"atoms are listed"
             )
-        valid = (
-            smallest > 0
-            and atoms.size == n
-            and atoms.min() >= 0
-            and atoms.max() < n
-        )
+        # read as unsigned, a negative index is past every atom count, so
+        # one maximum checks both ends of the range; a negative index must
+        # fail here, since the scatter below would wrap it onto an atom
+        valid = smallest > 0 and atoms.size == n and atoms.view(np.uintp).max() < n
         if valid:
             # n in-range entries form a permutation iff they cover every
             # atom, so one scatter gives both the coverage and the owners
-            owner = np.full(n, -1, dtype=np.intp)
+            owner = np.empty(n, dtype=np.intp)
+            owner.fill(-1)
             owner[atoms] = block_of
-            valid = owner.min() >= 0
+            valid = not np.count_nonzero(owner < 0)
         if not valid:
             raise ValidationError(_partition_fault(sizes, atoms, n))
         # a permutation is the identity iff it never steps back
@@ -245,8 +250,8 @@ class Partition:
         (each block's number repeated ``sizes[b]`` times) are built on first
         read: the block sums of an in-order partition read neither.
         """
-        sizes = _block_sizes(sizes)
-        if sizes.min() == 0:
+        sizes, smallest = _block_sizes(sizes)
+        if smallest == 0:
             raise ValidationError(f"block {int(np.flatnonzero(sizes == 0)[0])} is empty")
         part = object.__new__(cls)
         part._freeze(sizes, int(sizes.sum()), True)
@@ -356,8 +361,9 @@ class Mfunc:
         v = _kept(raw, float if raw.dtype.kind in "biuf" else complex)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
-        if not np.isfinite(v).all():
-            i = int(np.flatnonzero(~np.isfinite(v))[0])
+        finite = np.isfinite(v)
+        if np.count_nonzero(finite) != v.size:
+            i = int(np.flatnonzero(~finite)[0])
             raise ValidationError(f"function value at index {i} is not finite")
         object.__setattr__(self, "values", _read_only(v))
 

@@ -2,7 +2,7 @@
 
 ``wctops.linop._rank_one_cores`` takes three of its four rare-case formulas
 (a zero block, a subnormal ``|y|^2``, a singleton's corner) only where one
-scalar reduction finds its case; the fourth, a ``|y|^2 |r|^2`` past the
+count over the blocks finds its case; the fourth, a ``|y|^2 |r|^2`` past the
 double range, it tests on every block.  ``values`` takes all four on every
 input, on the same probes, keeps each
 block as the row ``(lam, kappa)`` of one ``(k, 2)`` array, and then takes

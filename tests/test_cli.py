@@ -117,6 +117,31 @@ def test_spec_rejects_atom_indices_that_are_not_integers(tmp_path, capsys, block
     assert capsys.readouterr().err.startswith(f"error: spec field '{bad}'")
 
 
+@pytest.mark.parametrize(
+    "index,message",
+    [
+        # the largest array index is read, and then lies past the atoms
+        (
+            2**63 - 1,
+            "block 1 contains out-of-range atom index 9223372036854775807 (space has 4 atoms)",
+        ),
+        (2**63, "spec field 'blocks[1]': an atom index of 64 bits is out of range"),
+        (2**64, "spec field 'blocks[1]': an atom index of 65 bits is out of range"),
+    ],
+    ids=["2**63-1", "2**63", "2**64"],
+)
+def test_spec_reads_atom_indices_up_to_the_array_index_range(tmp_path, capsys, index, message):
+    blocks = [[2], [0, 1, index]]
+    if index <= sys.maxsize:
+        assert cli_mod._read_blocks(blocks) == ([2, 0, 1, index], [1, 3])
+    with pytest.raises(ValidationError) as refused:
+        ProblemSpec.from_dict(dict(EXAMPLE_B_SPEC, blocks=blocks))
+    assert str(refused.value) == message
+    assert main(["classify", _write_spec(tmp_path, dict(EXAMPLE_B_SPEC, blocks=blocks))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_spec_accepts_integral_float_atom_indices():
     data = dict(EXAMPLE_B_SPEC, blocks=[[2.0], [0, 1.0, 3]])
     assert ProblemSpec.from_dict(data).partition.blocks == ((2,), (0, 1, 3))

@@ -20,6 +20,7 @@ from wctops import (
     make_space,
     singleton_blocks,
 )
+from wctops.cli import ProblemSpec
 from wctops.measure import MOMENT_CHUNK
 
 
@@ -229,6 +230,25 @@ def test_make_partition_rejects_out_of_range():
         make_partition(space, [[0, 1], [2, 3, 4]])
     with pytest.raises(ValidationError, match="empty"):
         make_partition(space, [[0, 1, 2, 3], []])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition([0, 1, -1], [2, 1], 3),
+        lambda: make_partition(make_space([1.0] * 3), [[0, 1], [-1]]),
+        lambda: ProblemSpec.from_dict(
+            {"weights": [1, 1, 1], "blocks": [[0, 1], [-1]], "u": [1, 1, 1], "w": [1, 1, 1]}
+        ),
+    ],
+    ids=["Partition", "make_partition", "from_dict"],
+)
+def test_a_negative_index_that_wraps_onto_an_exact_cover_is_out_of_range(build):
+    # read from the end, -1 would be atom 2, and the blocks would cover
+    # every atom once, with no empty block
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == "block 1 contains out-of-range atom index -1 (space has 3 atoms)"
 
 
 @pytest.mark.parametrize(
