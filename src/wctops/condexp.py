@@ -23,10 +23,8 @@ groups of whole blocks, or one piece of a longer block, of at most
 ``|w|^2 mu`` go into two group-sized buffers, the two real moments as the
 two contiguous rows of one float buffer, and are summed by one
 ``np.add.reduceat`` per buffer over the group's pieces, along the rows of
-the squares.  ``E|u|^2`` and ``E|w|^2`` are handed over as the two rows of
-one array, so that one reduction reads the largest of each.  The ``u w
-mu`` buffer and its sums are real when ``u`` and ``w`` are, and complex
-otherwise.  A real ``u`` or ``w`` is squared as it
+the squares.  The ``u w mu`` buffer and its sums are real when ``u`` and
+``w`` are, and complex otherwise.  A real ``u`` or ``w`` is squared as it
 is, with no ``abs`` pass: ``x x`` is ``|x| |x|`` to the bit.  Every product
 has the value of the expression ``block_averages`` evaluates, and a
 pairwise sum's tree depends on its length alone, so the three symbols are
@@ -86,11 +84,10 @@ def block_averages(ce: CondExp, f: Mfunc | np.ndarray) -> np.ndarray:
 
 def block_moments(
     ce: CondExp, u: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``E(uw)`` on each block, and ``E|u|^2`` and ``E|w|^2`` as the two rows
-    of one ``(2, k)`` array, from the real or complex values ``u`` and ``w``
-    on the atoms, each with the bytes of its ``block_averages``; ``E(uw)``
-    is returned as complex either way.  The
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``E(uw)``, ``E|u|^2`` and ``E|w|^2`` on each block, from the real or
+    complex values ``u`` and ``w`` on the atoms, each with the bytes of its
+    ``block_averages``; ``E(uw)`` is returned as complex either way.  The
     atoms are taken in groups of at most ``MOMENT_CHUNK``, whole blocks or
     one piece of a longer block, and each group's pieces are summed by one
     ``np.add.reduceat`` per buffer: the ``u w mu`` buffer as float columns,
@@ -132,4 +129,9 @@ def block_moments(
         first = last
     inverse = 1.0 / ce.block_masses
     alpha = part.fold(uw_sums).view(dtype)[:, 0] * inverse
-    return alpha.astype(complex, copy=False), part.fold(squares_sums.T).T * inverse
+    squares_sums = part.fold(squares_sums.T)
+    return (
+        alpha.astype(complex, copy=False),
+        squares_sums[:, 0] * inverse,
+        squares_sums[:, 1] * inverse,
+    )

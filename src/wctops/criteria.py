@@ -33,10 +33,10 @@ given, and the rows are built from one column per field.
 
 A report of a few atoms spends its time on numpy's fixed cost per call,
 and a reduction is among the dearest calls, so each value is reduced
-once: the joint maxima of a report (the largest ``E|u|^2`` and
-``E|w|^2``, the residuals of every order, the three residuals of the
-normal case) are read from arrays that hold their values as rows, and a
-check that asks whether every value passes counts them instead.
+once: the joint maxima of a report (the residuals of every order, the
+three residuals of the normal case) are read from arrays that hold their
+values as rows, and a check that asks whether every value passes counts
+them instead.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
     """Compute the symbol table of ``f -> w E(u f)`` block by block."""
     ensure_on_space(u, ce.space, "u")
     ensure_on_space(w, ce.space, "w")
-    alpha, squares = block_moments(ce, u.values, w.values)
-    beta, gamma = squares[0], squares[1]
+    alpha, beta, gamma = block_moments(ce, u.values, w.values)
     t = np.abs(alpha) ** 2
     prod = beta * gamma
     # a finite product means finite E|u|^2 and E|w|^2 too: inf * 0 is NaN
@@ -117,9 +116,7 @@ def symbols(ce: CondExp, w: Mfunc, u: Mfunc) -> SymbolTable:
         raise NumericError(
             f"conditional Hoelder inequality violated by {hoelder_gap:.3e}"
         )
-    # both supports at once, each relative to its own largest value
-    supports = squares > SUPPORT_EPS * squares.max(axis=1)[:, None]
-    in_S, in_G = supports[0], supports[1]
+    in_S, in_G = (s > SUPPORT_EPS * s.max() for s in (beta, gamma))
     return SymbolTable(
         alpha=alpha,
         abs_alpha_sq=t,

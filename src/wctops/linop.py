@@ -9,8 +9,8 @@ weighted inner product of the underlying functions.
 An operator is given by its action on vectors (``Action``).  ``wct_action``
 applies ``T f = w E(u f)`` and its adjoint in O(n) by segment sums over the
 partition blocks, and the oracle reads each block's rank-one core from
-three such matvecs (see the rank-one cores below), which ``wct_action``'s
-``apply_probes`` takes in one pass, so no ``n x n`` matrix is ever built.
+three such matvecs (see the rank-one cores below), so no ``n x n`` matrix
+is ever built.
 """
 
 from __future__ import annotations
@@ -44,14 +44,10 @@ _PROBE_ROWS = 1024
 class Action(NamedTuple):
     """An operator given by its action on vectors: ``apply(x)`` is ``T x``
     and ``apply_adj(x)`` is ``T* x`` for every column of an ``(n, r)``
-    array ``x``.  ``apply_probes(x)``, where given, is both at once on an
-    ``(n, 3)`` array: ``T`` on its first two columns and ``T*`` on its
-    third, as the rank-one cores read them; without it they make the two
-    calls."""
+    array ``x``."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adj: Callable[[np.ndarray], np.ndarray]
-    apply_probes: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 # an overflow of ``T`` is reported once, by the probe check of
@@ -63,8 +59,7 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
     In the orthonormal atom basis ``(T x)_i = l_i sum_{j in B} r_j x_j``
     over the block ``B`` of atom ``i``, with ``l = sqrt(mu) w`` and
     ``r = sqrt(mu) u / mu(B)``; ``T*`` swaps ``l`` and ``r`` and conjugates
-    both.  Each product is one segment sum per block, and ``apply_probes``
-    takes the three columns of ``T`` and ``T*`` in one segment-sum pass.
+    both.  Each product is one segment sum per block.
     """
     ensure_on_space(w, ce.space, "w")
     ensure_on_space(u, ce.space, "u")
@@ -75,18 +70,9 @@ def wct_action(ce: "CondExp", w: Mfunc, u: Mfunc) -> Action:
     # real u then gives the bytes of the same u as complex
     right = root * u.values[:, None] * (1.0 / ce.block_masses)[idx][:, None]
     left_adj, right_adj = right.conj(), left.conj()
-
-    def apply_probes(x: np.ndarray) -> np.ndarray:
-        # the factors of T, T and T* side by side; a real factor beside a
-        # complex one is cast to complex, as its product with x casts it
-        inner = np.concatenate((right, right, right_adj), axis=1)
-        outer = np.concatenate((left, left, left_adj), axis=1)
-        return outer * block_sums(inner * x)[idx]
-
     return Action(
         lambda x: left * block_sums(right * x)[idx],
         lambda x: left_adj * block_sums(right_adj * x)[idx],
-        apply_probes,
     )
 
 
@@ -123,8 +109,7 @@ def _rank_one_cores(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every rank-one block's eigenvalue ``lam``, its modulus ``|lam|`` and
     the modulus ``|kappa|`` of its core's corner, as three ``(k,)`` arrays
-    read from three matvecs, taken in one pass by ``T.apply_probes`` where
-    the action has it.  ``lam`` is block b's eigenvalue ``z* y / s``;
+    read from three matvecs.  ``lam`` is block b's eigenvalue ``z* y / s``;
     the block's other d_b - 1 eigenvalues are zero.
 
     On block b, ``T_b = a c*``, so for probes f and g the block parts
@@ -146,11 +131,8 @@ def _rank_one_cores(
     # complex Gaussian columns f, h and g
     probes = _probe_block()[:n] if n <= _PROBE_ROWS else _draw_probes(n)
     f, h = probes[:, 0], probes[:, 1]
-    if T.apply_probes is None:
-        y, th = T.apply(probes[:, :2]).T
-        z = T.apply_adj(probes[:, 2:])[:, 0]
-    else:
-        y, th, z = T.apply_probes(probes).T
+    y, th = T.apply(probes[:, :2]).T
+    z = T.apply_adj(probes[:, 2:])[:, 0]
     zc = z.conj()
     products = np.empty((n, 4), dtype=complex)
     for j, (left, right) in enumerate(((y.conj(), y), (zc, y), (zc, f), (zc, h))):

@@ -12,9 +12,9 @@ from the end) and one scatter of the owners, whose unset entries are
 counted, and only a fault is named by a walk of the blocks atom by atom.
 One whose blocks are runs of consecutive atoms is built from its block
 sizes alone (``Partition.contiguous``), where only the sizes need
-checking, and its atom-length index arrays are built only when read.  A
-check that asks whether every value passes counts the passing ones
-(``np.count_nonzero``) rather than reducing them.  A mass repeated by a
+checking, and its atom-length index arrays are built only when read.  The
+weights and a function's values are checked by one ``.all()``, which on a
+long array is faster than ``np.count_nonzero``.  A mass repeated by a
 stride-0 array is kept as one value, and an array of masses or values that
 owns its data and is already read-only is kept with no copy.  Two builders
 discretize the stock examples: a truncated geometric sequence space, whose
@@ -106,7 +106,7 @@ class MeasureSpace:
         if w.size == 0:
             raise ValidationError("a measure space needs at least one atom")
         good = (checked > 0.0) & (checked < np.inf)
-        if np.count_nonzero(good) != good.size:
+        if not good.all():
             i = int(np.flatnonzero(~good)[0])
             raise ValidationError(
                 f"weight at index {i} must be a finite positive number, got {float(w[i])}"
@@ -361,9 +361,8 @@ class Mfunc:
         v = _kept(raw, float if raw.dtype.kind in "biuf" else complex)
         if v.size == 0:
             raise ValidationError("a function needs at least one value")
-        finite = np.isfinite(v)
-        if np.count_nonzero(finite) != v.size:
-            i = int(np.flatnonzero(~finite)[0])
+        if not np.isfinite(v).all():
+            i = int(np.flatnonzero(~np.isfinite(v))[0])
             raise ValidationError(f"function value at index {i} is not finite")
         object.__setattr__(self, "values", _read_only(v))
 

@@ -210,7 +210,7 @@ def test_block_moments_have_the_bytes_of_three_block_averages(n, k, shuffle, rea
     if k == 4:
         # every block is summed in pieces
         assert ce.partition.sizes.min() > MOMENT_CHUNK
-    alpha, (beta, gamma) = block_moments(ce, u, w)
+    alpha, beta, gamma = block_moments(ce, u, w)
     assert alpha.dtype == np.complex128
     if real:
         # E(uw) of real functions is returned as complex, with a +0.0
@@ -239,7 +239,7 @@ def test_grid_symbols_and_masses_are_within_1e_15_of_fsum(ny):
     u = (grid.ys ** (grid.xs[:, None] / 8.0)).reshape(-1)
     w = np.sqrt((4.0 + grid.xs[:, None]) * grid.ys).reshape(-1)
     mu = grid.space.weights
-    alpha, (beta, gamma) = block_moments(ce, u, w)
+    alpha, beta, gamma = block_moments(ce, u, w)
     for b in range(4):
         column = slice(b * ny, (b + 1) * ny)
         mass = math.fsum(mu[column])

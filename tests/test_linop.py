@@ -14,7 +14,7 @@ from wctops import (
     singleton_blocks,
     wct_action,
 )
-from wctops import NumericError, linop
+from wctops import linop
 from wctops.linop import _rank_one_cores
 from conftest import dense, mf, random_instances, wct_oracle
 from wctops.cli import classify_operator, suite_instances
@@ -255,32 +255,6 @@ def test_rank_one_cores_probes_are_a_fresh_fixed_seed_draw(n):
     fresh = rng.standard_normal((n, 6)).view(complex)
     assert len(seen) == 2
     assert np.array_equal(seen[0], fresh[:, :2]) and np.array_equal(seen[1], fresh[:, 2:])
-
-
-def test_rank_one_cores_read_in_one_pass_equal_the_two_calls():
-    # wct_action's apply_probes takes T f, T h and T* g in one pass; the
-    # cores it gives are the bytes of the apply and apply_adj calls, on
-    # complex, real and mixed functions and on overflowing ones
-    cases = []
-    for inst in suite_instances(60, seed=5):
-        u, w = inst.u.values, inst.w.values
-        for pu, pw in ((u, w), (u.real, w.real), (u.real, w), (u, w.imag), (1e200 * u, w)):
-            cases.append((CondExp(inst.space, inst.partition), Mfunc(pu), Mfunc(pw)))
-    for ce, u, w in cases:
-        T = wct_action(ce, w, u)
-        assert T.apply_probes is not None
-        got, want = (
-            _cores_or_error(action, ce.partition) for action in (T, T._replace(apply_probes=None))
-        )
-        assert got == want
-
-
-def _cores_or_error(T, partition):
-    """The bytes of the cores of ``T``, or the text of the error they raise."""
-    try:
-        return b"".join(a.tobytes() for a in _rank_one_cores(T, partition))
-    except NumericError as exc:
-        return str(exc)
 
 
 def test_probe_block_is_read_only():
